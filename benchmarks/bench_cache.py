@@ -13,7 +13,7 @@ the workloads that motivated it:
 
 Every warm/overlapping result is verified identical (``repr``) to its
 cold counterpart before a number is recorded.  Writes
-``BENCH_cache.json`` (repo root and ``benchmarks/results/``).  Run
+``BENCH_cache.json`` (repo root).  Run
 standalone::
 
     PYTHONPATH=src python benchmarks/bench_cache.py [--smoke]

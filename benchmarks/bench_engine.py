@@ -13,7 +13,7 @@ Runs the same workloads under ``Config.chunk_engine = "row"`` and
   key once per partition (4-byte codes per row) instead of one object
   per row.  This is where columnar must move strictly fewer bytes.
 
-Writes ``BENCH_engine.json`` (repo root and ``benchmarks/results/``).
+Writes ``BENCH_engine.json`` (repo root).
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--smoke]

@@ -14,7 +14,7 @@ child, re-encode the echo, decode in the parent.  Two paths:
 The crossover justifies ``config.procpool_inline_threshold``: below it
 the pipe copy is cheaper than a segment's syscalls, above it shm wins.
 
-Writes ``BENCH_ipc.json`` (repo root and ``benchmarks/results/``).  Run
+Writes ``BENCH_ipc.json`` (repo root).  Run
 standalone::
 
     PYTHONPATH=src python benchmarks/bench_ipc.py

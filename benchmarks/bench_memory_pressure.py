@@ -9,7 +9,7 @@ complete every point with results identical to the unconstrained run;
 the seed engine is expected to OOM as the budget shrinks — the paper's
 "OOM or Killed" column in miniature.
 
-Writes ``benchmarks/results/BENCH_memory.json``. Run standalone::
+Writes ``BENCH_memory.json`` (repo root). Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_memory_pressure.py [--smoke]
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from harness import format_table, RESULTS_DIR, save_bench_json  # noqa: E402
+from harness import format_table, save_bench_json  # noqa: E402
 
 from repro import frame as pf  # noqa: E402
 from repro.config import default_config  # noqa: E402
@@ -34,7 +34,6 @@ from repro.errors import WorkerOutOfMemory  # noqa: E402
 from repro.workloads.tpch import generate_tables  # noqa: E402
 from repro.workloads.tpch.queries import ALL_QUERIES, materialize  # noqa: E402
 
-RESULT_PATH = os.path.join(RESULTS_DIR, "BENCH_memory.json")
 
 FAULT_SEED = 20240806
 
@@ -150,7 +149,6 @@ def run_bench(smoke: bool) -> list[dict]:
 
 
 def save_and_render(rows: list[dict], smoke: bool) -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
     payload = {
         "benchmark": "memory_pressure_shrinking_budget",
         "smoke": smoke,

@@ -19,7 +19,7 @@ solo with a cold cache:
   under seeded chaos and a tight memory quota while its neighbours stay
   clean.
 
-Writes ``BENCH_multitenant.json`` (repo root and ``benchmarks/results``).
+Writes ``BENCH_multitenant.json`` (repo root).
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_multitenant.py [--smoke]

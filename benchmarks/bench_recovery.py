@@ -13,7 +13,7 @@ contract is stronger: at-least-once delivery over idempotent endpoints
 must keep the makespan bit-identical to the clean run (the transport
 faults are wall-clock phenomena; no simulated number may move).
 
-Writes ``benchmarks/results/BENCH_recovery.json`` with one row per fault
+Writes ``BENCH_recovery.json`` (repo root) with one row per fault
 rate so future PRs can track the overhead trajectory. Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_recovery.py [--smoke]
@@ -27,7 +27,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from harness import MiB, format_table, RESULTS_DIR, save_bench_json  # noqa: E402
+from harness import MiB, format_table, save_bench_json  # noqa: E402
 
 from repro.config import default_config  # noqa: E402
 from repro.core.session import Session  # noqa: E402
@@ -35,7 +35,6 @@ from repro.dataframe import from_frame  # noqa: E402
 from repro.workloads.tpch import generate_tables  # noqa: E402
 from repro.workloads.tpch.queries import ALL_QUERIES, materialize  # noqa: E402
 
-RESULT_PATH = os.path.join(RESULTS_DIR, "BENCH_recovery.json")
 
 FAULT_SEED = 20240806
 
@@ -173,7 +172,6 @@ def run_recovery(sf: float) -> list[dict]:
 
 
 def save_and_render(rows: list[dict], sf: float) -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
     payload = {
         "benchmark": "fault_recovery_tpch_q5",
         "scale_factor": sf,

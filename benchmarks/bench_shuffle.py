@@ -1,35 +1,33 @@
-"""Shuffle data-plane benchmark: vectorized vs scalar partition kernels.
+"""Shuffle data-plane benchmark: partition kernels and mapper-side combine.
 
-The partition step of every hash/range shuffle used to hash and route
-rows one Python call at a time; the vectorized kernels
-(``repro.dataframe.partition``) do the same work as a handful of NumPy
-sweeps with bit-identical row routing. This bench measures real elapsed
-seconds for shuffle-heavy merge and groupby pipelines under both paths
-and asserts the results (and simulated shuffle bytes) are identical.
+The partition step of every hash/range shuffle runs as a handful of
+NumPy sweeps (``repro.engine.partition``; bit-identity with the scalar
+per-row definitions is pinned by ``tests/dataframe/
+test_partition_kernels.py``). This bench measures real elapsed seconds
+and simulated shuffle bytes for shuffle-heavy merge and groupby
+pipelines.
 
 It also quantifies mapper-side combine: a low-cardinality groupby runs
 with the combiner off and on, reporting the shuffle-byte reduction and
 the rows dropped before the wire.
 
-Writes ``benchmarks/results/BENCH_shuffle.json``. Run standalone::
+Writes ``BENCH_shuffle.json`` at the repo root. Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_shuffle.py [--smoke]
 
-``--smoke`` shrinks the inputs for CI: it checks parity and the combine
-byte reduction but skips the wall-clock speedup bar (timing noise at
-tiny scale says nothing).
+``--smoke`` shrinks the inputs for CI: it checks the combine byte
+reduction at a scale where timings say nothing.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from harness import format_table, RESULTS_DIR, save_bench_json  # noqa: E402
+from harness import format_table, save_bench_json  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -38,18 +36,11 @@ from repro.core.session import Session  # noqa: E402
 from repro.dataframe import from_frame  # noqa: E402
 from repro import frame as pf  # noqa: E402
 
-RESULT_PATH = os.path.join(RESULTS_DIR, "BENCH_shuffle.json")
 
-#: wall-clock bar for the vectorized partition kernels (acceptance).
-TARGET_SPEEDUP = 1.5
-
-
-def _shuffle_config(*, vectorized: bool, combine: bool = True,
-                    shuffle_reduce: bool = False):
+def _shuffle_config(*, combine: bool = True, shuffle_reduce: bool = False):
     cfg = default_config()
     cfg.cluster.n_workers = 4
     cfg.cluster.memory_limit = 512 * 1024 * 1024
-    cfg.vectorized_shuffle = vectorized
     cfg.mapper_side_combine = combine
     if shuffle_reduce:
         # groupby picks shuffle-reduce during dynamic tiling once the
@@ -83,36 +74,36 @@ def _merge_tables(n_rows: int, str_keys: bool, seed: int = 29):
     return fact, dim
 
 
-def _run_merge(n_rows: int, str_keys: bool, *, vectorized: bool):
+def _run_merge(n_rows: int, str_keys: bool):
     fact, dim = _merge_tables(n_rows, str_keys)
-    cfg = _shuffle_config(vectorized=vectorized)
+    cfg = _shuffle_config()
     cfg.chunk_store_limit = max(fact.nbytes // 16, 8 * 1024)
     with Session(cfg) as session:
         left = from_frame(fact, session)
         right = from_frame(dim, session)
         joined = left.merge(right, on="k", how="inner")
         start = time.perf_counter()
-        value = joined.fetch()
+        joined.fetch()
         seconds = time.perf_counter() - start
-        return value, seconds, session.last_report.shuffle_bytes
+        return seconds, session.last_report.shuffle_bytes
 
 
-def _run_groupby(n_rows: int, *, vectorized: bool):
+def _run_groupby(n_rows: int):
     rng = np.random.default_rng(31)
     local = pf.DataFrame({
         "k": rng.integers(0, n_rows // 2, n_rows),  # high cardinality
         "v": rng.normal(size=n_rows),
         "w": rng.normal(size=n_rows),
     })
-    cfg = _shuffle_config(vectorized=vectorized, shuffle_reduce=True)
+    cfg = _shuffle_config(shuffle_reduce=True)
     cfg.chunk_store_limit = max(local.nbytes // 16, 8 * 1024)
     with Session(cfg) as session:
         df = from_frame(local, session)
         agg = df.groupby("k").agg({"v": "mean", "w": "sum"})
         start = time.perf_counter()
-        value = agg.fetch()
+        agg.fetch()
         seconds = time.perf_counter() - start
-        return value, seconds, session.last_report.shuffle_bytes
+        return seconds, session.last_report.shuffle_bytes
 
 
 def _run_combine_experiment(n_rows: int) -> dict:
@@ -125,8 +116,7 @@ def _run_combine_experiment(n_rows: int) -> dict:
     })
     results = {}
     for combine in (False, True):
-        cfg = _shuffle_config(vectorized=True, combine=combine,
-                              shuffle_reduce=True)
+        cfg = _shuffle_config(combine=combine, shuffle_reduce=True)
         cfg.chunk_store_limit = max(local.nbytes // 16, 8 * 1024)
         with Session(cfg) as session:
             df = from_frame(local, session)
@@ -156,11 +146,9 @@ def _run_combine_experiment(n_rows: int) -> dict:
 def build_workloads(smoke: bool):
     n = 20_000 if smoke else 400_000
     return [
-        ("merge_int_keys", lambda vec: _run_merge(n, False, vectorized=vec)),
-        ("merge_str_keys", lambda vec: _run_merge(
-            n // 2, True, vectorized=vec)),
-        ("groupby_range_shuffle", lambda vec: _run_groupby(
-            n, vectorized=vec)),
+        ("merge_int_keys", lambda: _run_merge(n, False)),
+        ("merge_str_keys", lambda: _run_merge(n // 2, True)),
+        ("groupby_range_shuffle", lambda: _run_groupby(n)),
     ]
 
 
@@ -168,63 +156,39 @@ def run_shuffle_bench(smoke: bool) -> tuple[list[dict], dict]:
     rows: list[dict] = []
     repeats = 1 if smoke else 2  # best-of-n: damp timer noise at full scale
     for name, runner in build_workloads(smoke):
-        scalar_value, scalar_seconds, scalar_bytes = runner(False)
-        vector_value, vector_seconds, vector_bytes = runner(True)
+        seconds, shuffle_bytes = runner()
         for _ in range(repeats - 1):
-            _, seconds, _ = runner(False)
-            scalar_seconds = min(scalar_seconds, seconds)
-            _, seconds, _ = runner(True)
-            vector_seconds = min(vector_seconds, seconds)
-        if not vector_value.equals(scalar_value):
-            raise AssertionError(f"{name}: vectorized result diverged")
-        if vector_bytes != scalar_bytes:
-            raise AssertionError(
-                f"{name}: simulated shuffle bytes diverged "
-                f"({scalar_bytes} vs {vector_bytes})"
-            )
-        speedup = scalar_seconds / vector_seconds if vector_seconds else 0.0
-        rows.append({"workload": name, "mode": "scalar",
-                     "seconds": round(scalar_seconds, 4), "speedup": 1.0})
-        rows.append({"workload": name, "mode": "vectorized",
-                     "seconds": round(vector_seconds, 4),
-                     "speedup": round(speedup, 3)})
+            seconds = min(seconds, runner()[0])
+        rows.append({"workload": name, "seconds": round(seconds, 4),
+                     "shuffle_bytes": int(shuffle_bytes)})
     combine = _run_combine_experiment(5_000 if smoke else 200_000)
     return rows, combine
 
 
 def save_and_render(rows: list[dict], combine: dict, smoke: bool) -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
     payload = {
-        "benchmark": "shuffle_scalar_vs_vectorized",
+        "benchmark": "shuffle_data_plane",
         "cpu_count": os.cpu_count(),
         "smoke": smoke,
-        "target_speedup": TARGET_SPEEDUP,
         "rows": rows,
         "mapper_side_combine": combine,
     }
     save_bench_json("BENCH_shuffle.json", payload)
 
-    by_workload: dict[str, dict[str, dict]] = {}
-    for row in rows:
-        by_workload.setdefault(row["workload"], {})[row["mode"]] = row
     table_rows = [
-        [name,
-         f"{modes['scalar']['seconds']:.3f}s",
-         f"{modes['vectorized']['seconds']:.3f}s",
-         f"{modes['vectorized']['speedup']:.2f}x"]
-        for name, modes in by_workload.items()
+        [row["workload"], f"{row['seconds']:.3f}s", row["shuffle_bytes"]]
+        for row in rows
     ]
     table_rows.append([
-        "combine (bytes)",
-        f"{combine['shuffle_bytes_off']}",
-        f"{combine['shuffle_bytes_on']}",
-        f"{combine['reduction']:.2f}x less",
+        "combine off -> on", "",
+        f"{combine['shuffle_bytes_off']} -> {combine['shuffle_bytes_on']} "
+        f"({combine['reduction']:.2f}x less)",
     ])
     return format_table(
-        "Shuffle data plane: scalar vs vectorized partition kernels",
-        ["workload", "scalar", "vectorized", "speedup"], table_rows,
-        note=("row routing verified bit-identical across paths; combine row "
-              f"drops {combine['combine_dropped_rows']} pre-shuffle rows"),
+        "Shuffle data plane: partition kernels and mapper-side combine",
+        ["workload", "seconds", "shuffle bytes"], table_rows,
+        note=("combine row drops "
+              f"{combine['combine_dropped_rows']} pre-shuffle rows"),
     )
 
 
@@ -233,19 +197,11 @@ def main(argv: list[str] | None = None) -> int:
     smoke = "--smoke" in argv
     rows, combine = run_shuffle_bench(smoke)
     print(save_and_render(rows, combine, smoke))
-    best = max(
-        (row["speedup"] for row in rows if row["mode"] == "vectorized"),
-        default=0.0,
-    )
-    if not smoke and best < TARGET_SPEEDUP:
-        print(f"WARNING: best vectorized speedup {best:.2f}x below the "
-              f"{TARGET_SPEEDUP}x target")
-        return 1
     return 0
 
 
 def test_shuffle_smoke(benchmark=None):
-    """Pytest entry: parity + combine reduction at smoke scale."""
+    """Pytest entry: combine reduction at smoke scale."""
     rows, combine = run_shuffle_bench(smoke=True)
     save_and_render(rows, combine, smoke=True)
     assert combine["reduction"] > 1.0

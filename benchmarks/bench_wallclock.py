@@ -11,7 +11,7 @@ kernels that release the GIL (BLAS); process mode is the one that helps
 the pure-Python/pandas kernels, which is where the thread runner
 plateaued.
 
-Writes ``BENCH_wallclock.json`` (repo root and ``benchmarks/results/``)
+Writes ``BENCH_wallclock.json`` (repo root)
 with one row per (workload, mode): ``{workload, mode, seconds,
 speedup}`` so future PRs can track the trajectory.  ``cpu_count`` and
 ``multicore`` are recorded so 1-core CI numbers are never mistaken for

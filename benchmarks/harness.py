@@ -3,7 +3,8 @@
 Every bench regenerates one table or figure of the paper: it runs the
 workloads through the engine profiles, prints the measured rows next to
 the paper's published values, and saves the table under
-``benchmarks/results/``. Absolute numbers differ (the substrate is a
+``benchmarks/results/`` (``BENCH_*.json`` trajectories go to the repo
+root). Absolute numbers differ (the substrate is a
 simulator, the data laptop-scale); the *shape* — who fails, who wins, by
 roughly what factor — is the reproduction target.
 """
@@ -25,14 +26,10 @@ MiB = 1024 * 1024
 
 
 def save_bench_json(filename: str, payload: dict) -> None:
-    """Persist a ``BENCH_*.json`` under ``benchmarks/results/`` *and* at
-    the repo root — the perf-trajectory location the ROADMAP cites."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    text = json.dumps(payload, indent=2) + "\n"
-    for path in (os.path.join(RESULTS_DIR, filename),
-                 os.path.join(REPO_ROOT, filename)):
-        with open(path, "w") as f:
-            f.write(text)
+    """Persist a ``BENCH_*.json`` at the repo root — the perf-trajectory
+    location the ROADMAP cites."""
+    with open(os.path.join(REPO_ROOT, filename), "w") as f:
+        f.write(json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass

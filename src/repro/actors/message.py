@@ -76,17 +76,9 @@ class MessageLog:
         with self._lock:
             return self._recipient_counts.get(recipient, 0)
 
-    def recipient_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._recipient_counts)
-
     def edge_counts(self) -> dict[tuple[str, str], int]:
         with self._lock:
             return dict(self._edge_counts)
-
-    def method_counts(self) -> dict[tuple[str, str, str], int]:
-        with self._lock:
-            return dict(self._method_counts)
 
     def edges(self) -> set[tuple[str, str]]:
         """Every (sender, recipient) pair ever delivered."""

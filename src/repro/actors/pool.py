@@ -121,10 +121,6 @@ class ActorSystem:
     def has_actor(self, address: str, uid: str) -> bool:
         return address in self._pools and uid in self._pools[address]
 
-    def kill_actor(self, address: str, uid: str) -> None:
-        """Remove an actor abruptly — no ``on_stop`` — simulating a crash."""
-        self.get_pool(address).remove(uid)
-
     # -- message delivery --------------------------------------------------------
     @property
     def _current_actor(self) -> Actor | None:

@@ -87,11 +87,6 @@ class Supervisor:
             reg = self._registry.get(uid)
             return None if reg is None else reg.address
 
-    def restartable(self, uid: str) -> bool:
-        with self._lock:
-            reg = self._registry.get(uid)
-            return reg is not None and reg.restarts < self.restart_limit
-
     def restarts_of(self, uid: str) -> int:
         with self._lock:
             reg = self._registry.get(uid)

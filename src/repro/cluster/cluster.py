@@ -65,17 +65,6 @@ class ClusterState:
     def n_bands(self) -> int:
         return len(self.bands)
 
-    def executor_pool(self):
-        """The thread pool backing parallel subtask compute.
-
-        One logical slot per band is enforced by the dispatcher; the
-        underlying threads come from the process-wide band-runner pool,
-        so short-lived simulated clusters do not leak threads.
-        """
-        from ..core.dispatch import shared_pool
-
-        return shared_pool(self.config.band_runner_threads)
-
     def procpool_client(self):
         """The cluster's process-pool client, created on first use.
 
@@ -95,17 +84,8 @@ class ClusterState:
                 return band
         raise KeyError(name)
 
-    def worker_of(self, band: Band) -> WorkerSpec:
-        for worker in self.workers:
-            if worker.name == band.worker:
-                return worker
-        raise KeyError(band.worker)
-
     def peak_memory(self) -> dict[str, int]:
         return {name: tracker.peak for name, tracker in self.memory.items()}
-
-    def total_memory_used(self) -> int:
-        return sum(tracker.used for tracker in self.memory.values())
 
     def reset_clock(self) -> None:
         self.clock = SimClock(self.bands, self.config.cost_model)

@@ -143,9 +143,3 @@ class SimClock:
     @property
     def makespan(self) -> float:
         return max(self.band_free.values())
-
-    def charge_overhead(self, band: Band, seconds: float) -> None:
-        """Serial overhead (graph dispatch etc.) charged to a band."""
-        with self._lock:
-            self.band_free[band.name] += seconds
-            self.band_busy[band.name] += seconds

@@ -5,6 +5,13 @@ chunk-size limit used by tiling (Section IV), the feature switches that the
 ablation benchmarks flip (dynamic tiling, graph-level fusion, operator-level
 fusion, auto merge, column pruning, locality-aware scheduling), the simulated
 cluster shape, and the cost model of the discrete-event simulation.
+
+Every field here is set by some test, bench, tool or example; a value
+nobody should choose differently is a constant next to the code that uses
+it, not a field (61 settable values across the five dataclasses). All five
+use ``__slots__``: assigning to a name that is not a field — a typo, or a
+knob a later change deleted — raises ``AttributeError`` instead of silently
+doing nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ MiB = 1024 * 1024
 GiB = 1024 * MiB
 
 
-@dataclass
+@dataclass(slots=True)
 class CostModel:
     """Virtual-time cost model for the discrete-event simulation.
 
@@ -44,7 +51,7 @@ class CostModel:
     disk_penalty: float = 8.0
 
 
-@dataclass
+@dataclass(slots=True)
 class FaultSpec:
     """Deterministic fault-injection plan (chaos testing, recovery bench).
 
@@ -89,7 +96,7 @@ class FaultSpec:
                 or self.memory_squeeze_rate > 0.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageFaultSpec:
     """Deterministic message-level chaos for the actor plane.
 
@@ -124,7 +131,7 @@ class MessageFaultSpec:
                 or self.duplicate_rate > 0.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterSpec:
     """Shape of the simulated cluster."""
 
@@ -138,7 +145,7 @@ class ClusterSpec:
         return self.n_workers * self.bands_per_worker
 
 
-@dataclass
+@dataclass(slots=True)
 class Config:
     """All tunables of the engine, with paper-faithful defaults."""
 
@@ -164,17 +171,11 @@ class Config:
     locality_scheduling: bool = True
     spill_to_disk: bool = True
     #: run independent subtasks' kernels concurrently on a thread pool
-    #: with one logical slot per band (NumPy kernels release the GIL).
-    #: Virtual-time accounting stays deterministic: SimReport numbers are
-    #: identical in serial and parallel mode (see DESIGN.md §Execution
-    #: engine). The serial topological walk remains as fallback.
+    #: with one logical slot per band (NumPy kernels release the GIL)
+    #: whenever a stage has ≥ 8 subtasks on ≥ 2 bands. Virtual-time
+    #: accounting stays deterministic: SimReport numbers are identical
+    #: with this on or off (see DESIGN.md §Execution engine).
     parallel_execution: bool = True
-    #: below this many subtasks the thread-pool band runner falls back to
-    #: the serial walk — dispatcher overhead would exceed any overlap win.
-    parallel_min_subtasks: int = 8
-    #: minimum host CPU count for the band runner: on fewer cores kernels
-    #: cannot actually overlap, so serial is never slower.
-    parallel_min_cores: int = 2
     #: how parallel-stage kernels run: "thread" keeps them on the shared
     #: band-runner thread pool (NumPy/BLAS kernels overlap, pure-Python
     #: ones serialize on the GIL); "process" routes the compute phase of
@@ -183,10 +184,6 @@ class Config:
     #: overlap. Accounting stays on the dispatching thread either way —
     #: SimReport numbers are bit-identical across all three modes.
     execution_mode: str = "thread"
-    #: size of the shared band-runner thread pool (0 = host cpu count).
-    #: Threads are reused across sessions; tests shrink this to keep the
-    #: serial-heavy suite from pinning idle threads.
-    band_runner_threads: int = 0
     #: worker processes in the per-cluster process pool (0 = cpu count).
     procpool_workers: int = 0
     #: chunk payloads at or above this many bytes cross the process
@@ -194,14 +191,6 @@ class Config:
     #: out-of-band buffers, zero-copy on receive); smaller payloads ship
     #: as inline pickle bytes — the copy is cheaper than an shm segment.
     procpool_inline_threshold: int = 64 * 1024
-    #: start method for pool workers. "spawn" is the only mode safe to
-    #: combine with the band-runner threads that submit work.
-    procpool_start_method: str = "spawn"
-    #: compile eligible fused elementwise/filter chains into a single
-    #: generated evaluator (one call per step, intermediates in locals —
-    #: the numexpr-style single pass of Section V-A). Off falls back to
-    #: interpreting the fused step one operator at a time.
-    compiled_fusion: bool = True
     #: physical chunk representation (``repro.engine`` registry key):
     #: "row" keeps chunks as ``repro.frame`` containers (bit-identical
     #: to the pre-seam engine and the golden scenarios); "columnar"
@@ -209,11 +198,6 @@ class Config:
     #: string columns — value-identical results, fewer shuffle bytes on
     #: low-cardinality string keys, byte counters reported per-engine.
     chunk_engine: str = "row"
-    #: array-at-a-time partition kernels for the shuffle data plane
-    #: (hash/range partition ids + single-sweep chunk splitting). Off
-    #: selects the scalar per-row reference path, which produces
-    #: bit-identical partitions — this switch only trades wall-clock.
-    vectorized_shuffle: bool = True
     #: pre-aggregate each mapper's partition input before it hits storage
     #: (groupby shuffle-reduce only): shuffle bytes then shrink with key
     #: cardinality instead of row count.
@@ -234,9 +218,6 @@ class Config:
     #: to serial execution → memory-aware re-tiling. Off makes OOM fatal
     #: (the seed behaviour).
     oom_recovery: bool = True
-    #: how many times a session may halve ``chunk_store_limit`` and
-    #: re-tile after the executor's OOM ladder is exhausted.
-    pressure_retile_limit: int = 3
 
     # --- result cache -------------------------------------------------------
     #: content-addressed result cache: subtasks whose structural identity
@@ -245,10 +226,6 @@ class Config:
     #: consumers rewired to the cached chunks. Off by default — the
     #: golden scenarios pin the uncached engine bit-for-bit.
     result_cache: bool = False
-    #: with the cache on, record *every* terminal chunk (automatic
-    #: cross-run reuse); off records only tileables that called
-    #: ``.cache()`` explicitly. Lookups always run while the cache is on.
-    result_cache_auto: bool = True
     #: byte budget for auto-cached results; the least-recently-hit
     #: entries are dropped (and their chunks freed) when recording past
     #: it. Explicit ``.cache()`` entries never count as eviction victims.
@@ -289,15 +266,9 @@ class Config:
     #: it trades duplicate CPU for tail latency and only touches
     #: wall-clock, never SimReport numbers.
     speculation: bool = False
-    #: a subtask's deadline is ``multiplier * ewma(observed durations)``,
-    #: floored at ``speculation_min_seconds`` of wall-clock.
-    speculation_multiplier: float = 4.0
+    #: wall-clock floor of a subtask's speculation deadline (a fixed
+    #: multiple of the per-op-class EWMA of observed durations).
     speculation_min_seconds: float = 0.2
-    #: wall-clock seconds per dispatcher watchdog window: the accounting
-    #: walk re-checks liveness at this period while blocked on a subtask
-    #: and raises ``DispatcherStall`` after two consecutive windows with
-    #: zero completions.
-    dispatch_watchdog_timeout: float = 60.0
 
     # --- cluster & costs ----------------------------------------------------
     cluster: ClusterSpec = field(default_factory=ClusterSpec)

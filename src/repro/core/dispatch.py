@@ -1,16 +1,22 @@
 """Event-driven parallel subtask dispatch: the thread-pool band runner.
 
-The executor splits each subtask into two halves (see
-``GraphExecutor.execute``):
+Each subtask has two halves (see ``GraphExecutor``):
 
-- the **compute phase** — running the chunk operators' kernels against
-  real values — is embarrassingly parallel across independent subtasks
-  and is what this module schedules onto worker threads;
-- the **accounting phase** — storage puts/gets with transfer charging,
+- the **compute phase** — the kernel loop
+  (``services.runner.run_subtask_kernels``) turning input values into a
+  :class:`SubtaskComputation` record — is embarrassingly parallel
+  across independent subtasks and is what this module schedules onto
+  worker threads;
+- the **accounting replay** — storage puts/gets with transfer charging,
   memory admission/spill, meta records, virtual-clock advances and
-  reference-count cleanup — stays on the caller's thread in
-  deterministic topological order, so ``SimReport`` numbers are
-  bit-identical whether the kernels ran serially or in parallel.
+  reference-count cleanup, driven by replaying that record — stays on
+  the caller's thread in deterministic topological order, so
+  ``SimReport`` numbers are bit-identical wherever the record came from.
+
+:func:`should_use_parallel` is the structural gate deciding which stages
+come here at all: ≥ 8 subtasks on ≥ 2 bands, the only shape where
+overlap can repay the hand-off. Every other stage computes inline through its
+band's runner, feeding the very same accounting loop.
 
 The dispatcher is the classic event-driven ready queue of the paper's
 scheduling service (Section V-B): per-subtask indegree counters seed a
@@ -49,59 +55,53 @@ _pool_lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
 
 
-def shared_pool(max_workers: int | None = None) -> ThreadPoolExecutor:
+def shared_pool() -> ThreadPoolExecutor:
     """The lazily-created process-wide band-runner thread pool.
 
-    ``max_workers`` (``Config.band_runner_threads``; 0/None means the
-    host's CPU count) only ever *grows* the shared pool: dispatch
-    threads mostly wait on kernels — or, in process mode, on IPC — so a
-    cluster asking for more slots than an earlier one is safe, while
-    shrinking under a live dispatcher would deadlock its queued bands.
+    One thread per host core: dispatch threads mostly wait on kernels —
+    or, in process mode, on IPC — and the per-band slots bound how much
+    of the pool one stage can occupy.
     """
     global _pool
-    want = max_workers if max_workers and max_workers > 0 else (
-        os.cpu_count() or 1
-    )
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(
-                max_workers=want,
+                max_workers=os.cpu_count() or 1,
                 thread_name_prefix="band-runner",
             )
-        elif want > _pool._max_workers:  # noqa: SLF001
-            # ThreadPoolExecutor spawns threads on demand up to
-            # _max_workers; raising the cap is all a grow needs.
-            _pool._max_workers = want  # noqa: SLF001
         return _pool
 
 
-def should_use_parallel(order: list[Subtask], config,
-                        cpu_count: int | None = None) -> bool:
-    """Serial-fallback gate: is the thread-pool band runner worth it?
+#: a stage with fewer subtasks than this computes inline: starting a
+#: dispatcher and handing every record across threads costs more than so
+#: few subtasks can win back by overlapping. Measured, not assumed: with
+#: the gate at 2 the end-to-end benchmark's ``plan_sweep`` (24 stages of
+#: ~5 subtasks) ran 3-4 % slower in 16 of 16 full-benchmark runs.
+MIN_DISPATCH_SUBTASKS = 8
 
-    Dispatcher setup, per-subtask future overhead and wait_for
-    synchronization cost real wall-clock; the payoff is overlap between
-    bands. Fall back to the plain serial walk when overlap cannot win:
-    tiny stages (``config.parallel_min_subtasks``), single-band stages
-    (nothing to overlap with), or hosts without enough cores to actually
-    run kernels concurrently (``config.parallel_min_cores``). Simulated
-    numbers are unaffected either way — both paths produce bit-identical
-    ``SimReport``s — so this gate only ever trades wall-clock.
+
+def should_use_parallel(order: list[Subtask]) -> bool:
+    """The structural dispatch gate: can this stage win by overlapping?
+
+    The dispatcher's only payoff is overlap between bands, so a stage
+    goes through it exactly when it has at least
+    :data:`MIN_DISPATCH_SUBTASKS` subtasks placed on at least two bands;
+    a smaller or single-band stage takes the inline compute phase. The
+    gate reads the stage alone — never the host, never the config.
+    Simulated numbers are unaffected either way — both sources feed the
+    same accounting replay — so the gate only ever trades wall-clock.
     """
-    if len(order) < max(config.parallel_min_subtasks, 2):
-        return False
-    cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    if cores < config.parallel_min_cores:
-        return False
-    bands = {subtask.band for subtask in order}
-    return len(bands) >= 2
+    return (len(order) >= MIN_DISPATCH_SUBTASKS
+            and len({s.band for s in order}) >= 2)
 
 
 class SubtaskComputation:
     """Kernel results of one subtask's compute phase.
 
-    Consumed by the accounting phase in place of calling
-    ``op.execute`` a second time.
+    The accounting walk replays this record; it never calls a kernel
+    itself. A fused step evaluated as one compiled function contributes
+    only its final op's result — the absence of its earlier ops is how
+    the replay knows the chain's intermediates never existed.
     """
 
     __slots__ = ("op_results", "op_extra_meta", "outputs")
@@ -109,7 +109,7 @@ class SubtaskComputation:
     def __init__(self, op_results: dict[int, Any],
                  op_extra_meta: dict[int, dict[str, dict]],
                  outputs: dict[str, Any]):
-        #: ``id(op)`` -> the value returned by ``op.execute``.
+        #: ``id(op)`` -> the (persisted) value the op's kernel returned.
         self.op_results = op_results
         #: ``id(op)`` -> the ``ExecContext.extra_meta`` it produced.
         self.op_extra_meta = op_extra_meta
@@ -141,8 +141,7 @@ class BandDispatcher:
         self._compute = compute
         self._fetch = fetch
         self._pool = pool if pool is not None else shared_pool()
-        #: wall-clock seconds per liveness window
-        #: (``Config.dispatch_watchdog_timeout``): ``wait_for`` re-checks
+        #: wall-clock seconds per liveness window: ``wait_for`` re-checks
         #: progress at this period and raises :class:`DispatcherStall`
         #: after two consecutive windows with zero completions.
         self._watchdog = max(float(watchdog), 0.001)
@@ -219,8 +218,7 @@ class BandDispatcher:
 
         Blocking is per-key condition signaling, not a poll loop: every
         completion/failure/poison/stop notifies the affected keys' (or
-        all) conditions; the watchdog timeout
-        (``Config.dispatch_watchdog_timeout``) bounds how long a wedged
+        all) conditions; the watchdog window bounds how long a wedged
         runner can wedge the walk — two consecutive windows with zero
         completions raise :class:`DispatcherStall` with the blocked key
         and queue state instead of silently re-waiting forever.
@@ -337,9 +335,8 @@ class BandDispatcher:
         Event-driven: every completion notifies the dispatcher
         condition, so the wait wakes exactly when progress happens; the
         timeout is a watchdog for a runner thread that vanished without
-        reporting completion (half a ``dispatch_watchdog_timeout``
-        window of zero progress stops the wait instead of deadlocking
-        the caller).
+        reporting completion (half a watchdog window of zero progress
+        stops the wait instead of deadlocking the caller).
         """
         with self._event:
             self._stopped = True

@@ -1,21 +1,22 @@
-"""The graph executor: fuse → schedule → simulate → compute.
+"""The graph executor: fuse → schedule → replay → account.
 
 Takes a chunk graph, produces subtasks via graph-level fusion, assigns
-them to bands, then walks the subtask DAG: for each subtask it fetches
-inputs from the storage service (charging transfers), runs the chunk
-operators with the single-node backends, writes outputs back (charging
-memory, possibly spilling), records metadata in the meta service, and
-advances the per-band virtual clocks.
+them to bands, then walks the subtask DAG in deterministic topological
+order: for each subtask it fetches inputs from the storage service
+(charging transfers), *replays* the kernel results its compute phase
+produced, writes outputs back (charging memory, possibly spilling),
+records metadata in the meta service, and advances the per-band virtual
+clocks.
 
-Real values are computed in-process; *time* is simulated — see
-``repro.cluster.simulation``.
-
-With ``config.parallel_execution`` on, kernel execution is split off
-into an event-driven compute phase that runs independent subtasks
-concurrently on the band-runner thread pool (``repro.core.dispatch``),
-while this module's accounting walk stays in deterministic topological
-order and consumes the precomputed results — so the simulated numbers
-are identical in both modes and only wall-clock time changes.
+This module never executes a kernel. Every operator runs behind
+``repro.services.runner.run_subtask_kernels`` — reached through the
+band's runner (inline compute phase), the band dispatcher's pool
+threads/processes (``repro.core.dispatch``), or directly when a retry or
+lineage recovery needs a fresh record — and the walk only consumes the
+resulting ``SubtaskComputation``. Real values are computed in-process;
+*time* is simulated (see ``repro.cluster.simulation``), so the simulated
+numbers are identical in every execution mode and only wall-clock time
+changes.
 """
 
 from __future__ import annotations
@@ -36,31 +37,27 @@ from ..errors import (
     WorkerOutOfMemory,
     WorkerProcessCrash,
 )
-from ..engine.base import compiled_fusion_enabled, engine_of, persist_result
 from ..graph.dag import DAG
 from ..graph.entity import ChunkData
 from ..graph.identity import compute_chunk_identities
 from ..graph.subtask import Subtask, build_subtask_graph
-from ..services.cache import ResultCacheService
-from ..services.lifecycle import LifecycleService
-from ..services.runner import SubtaskRunner
-from ..services.scheduling import SchedulingService
+from ..services.runner import run_subtask_kernels
 from ..utils import sizeof
 from .dispatch import BandDispatcher, SubtaskComputation, should_use_parallel
 from .fusion import fusion_groups, singleton_groups
 from .memory_control import worker_of_band
-from .operator import COMBINE_DROPPED_KEY, ExecContext
-from .opfusion import compile_step, plan_subtask, step_io_keys
-from .scheduler import Scheduler
+from .operator import COMBINE_DROPPED_KEY
+from .opfusion import plan_subtask, step_io_keys
 from .supervision import SpeculationController
 
 #: failures the retry loop re-attempts; anything else (kernel bugs, OOM
 #: with spill disabled) propagates unchanged.  A process-pool worker
-#: dying mid-kernel is retryable too: the accounting walk simply re-runs
-#: the (pure, deterministic) kernels inline — same lineage-recovery path
-#: as a lost chunk, and no simulated number observes the crash.  A dead
-#: runner actor (killed between messages, destroy racing a delivery) is
-#: the same shape: its in-flight subtask re-runs inline and the
+#: dying mid-kernel is retryable too: the accounting walk simply asks
+#: the shared kernel loop for a fresh record of the (pure,
+#: deterministic) kernels — same lineage-recovery path as a lost chunk,
+#: and no simulated number observes the crash.  A dead runner actor
+#: (killed between messages, destroy racing a delivery) is the same
+#: shape: its in-flight subtask recomputes on the walk and the
 #: supervisor respawns the actor on the next delivery.
 _RETRYABLE = (FaultInjected, ChunkLostError, StorageKeyError,
               WorkerProcessCrash, ActorNotFound)
@@ -79,49 +76,29 @@ class GraphExecutor:
     """Executes chunk graphs against one cluster + storage + meta state."""
 
     def __init__(self, cluster: ClusterState, storage: Any,
-                 meta: Any, config: Config,
-                 scheduler: Any = None,
-                 shuffle: Any = None,
-                 lifecycle: Any = None,
-                 cache: Any = None,
-                 runners: dict[str, Any] | None = None):
-        """``storage``/``meta``/``scheduler``/``shuffle``/``lifecycle``
-        are *service handles*: plain service objects (legacy direct
-        construction) or actor refs (the deployed service plane) — the
-        executor only calls methods on them, so both work identically.
+                 meta: Any, config: Config, *,
+                 scheduling: Any, shuffle: Any, lifecycle: Any, cache: Any,
+                 runners: dict[str, Any]):
+        """Every service argument is a *handle* from the deployed
+        service plane (``repro.services.deploy``): the executor only
+        calls methods on them, so actor refs and plain service objects
+        work identically.
         """
         self.cluster = cluster
         self.storage = storage
         self.meta = meta
         self.config = config
-        #: optional shuffle index: shuffle-map output chunks register here
-        #: as ``(shuffle_id, reducer)`` partitions when stored.
+        #: the shuffle index: shuffle-map output chunks register here as
+        #: ``(shuffle_id, reducer)`` partitions when stored.
         self.shuffle = shuffle
         #: the scheduling service: placement, band load, memory admission.
-        #: A bare placement ``Scheduler`` (legacy callers) is wrapped into
-        #: a full service with its own pressure subsystem.
-        if scheduler is None or isinstance(scheduler, Scheduler):
-            self.scheduling = SchedulingService.create(
-                cluster, config, meta, storage, scheduler=scheduler,
-            )
-        else:
-            self.scheduling = scheduler
+        self.scheduling = scheduling
         #: the result cache: structural identity -> stored chunk key.
-        self.cache = (
-            cache if cache is not None
-            else ResultCacheService(storage, config)
-        )
+        self.cache = cache
         #: the lifecycle service: chunk refcounts, terminal flags, lineage.
-        self.lifecycle = (
-            lifecycle if lifecycle is not None
-            else LifecycleService(storage, shuffle, config, cache=self.cache)
-        )
-        #: band name -> subtask runner handle (the compute phase). Legacy
-        #: constructions get plain in-process runners.
-        self.runners = runners if runners is not None else {
-            band.name: SubtaskRunner(band.name, storage, config)
-            for band in cluster.bands
-        }
+        self.lifecycle = lifecycle
+        #: band name -> subtask runner handle (the compute phase).
+        self.runners = runners
         #: completion virtual time of every produced chunk key.
         self.chunk_ready_at: dict[str, float] = {}
         #: failed-attempt counters keyed by the structural identity
@@ -134,11 +111,6 @@ class GraphExecutor:
         #: sampling annotations produced during execute(), consumed when
         #: the annotated chunk's meta is recorded.
         self._pending_extra: dict[str, dict] = {}
-        #: tri-state override of ``config.parallel_execution`` for every
-        #: stage this executor runs (None = follow the config). Sessions
-        #: set it so dynamic-tiling yield executions use the same mode as
-        #: the final pass.
-        self.parallel_mode: bool | None = None
         #: session id stamped on cache records (set by the session actor).
         self.session_id = ""
         #: True when this executor shares its cluster with other
@@ -174,9 +146,8 @@ class GraphExecutor:
         self._msg_seq = 0
         #: speculative straggler re-execution (parallel stages only).
         self.speculation = (
-            SpeculationController(config.speculation_multiplier,
-                                  config.speculation_min_seconds)
-            if getattr(config, "speculation", False) else None
+            SpeculationController(min_seconds=config.speculation_min_seconds)
+            if config.speculation else None
         )
         #: duplicate dispatches fired across this executor's stages.
         self.speculative_subtasks = 0
@@ -185,10 +156,6 @@ class GraphExecutor:
     def _injector(self):
         """The fault injector in scope: per-session on a shared cluster."""
         return self.faults if self.faults is not None else self.cluster.faults
-
-    def _supervision(self):
-        """The cluster's supervision plane (``None`` on legacy setups)."""
-        return getattr(self.cluster, "supervision", None)
 
     def _mint_token(self) -> tuple[str, int]:
         """A fresh dedup token for one mutating service message.
@@ -210,7 +177,7 @@ class GraphExecutor:
         """This tenant's per-worker admission byte cap, or ``None``."""
         if not self.multi_tenant:
             return None
-        frac = float(getattr(self.config, "tenant_memory_quota", 0.0) or 0.0)
+        frac = self.config.tenant_memory_quota
         if frac <= 0.0:
             return None
         return max(1, int(frac * tracker.limit))
@@ -243,28 +210,23 @@ class GraphExecutor:
 
     # ------------------------------------------------------------------
     def execute(self, chunk_graph: DAG[ChunkData],
-                retain_keys: set[str] | None = None,
-                parallel: bool | None = None) -> SimReport:
+                retain_keys: set[str] | None = None) -> SimReport:
         """Run every not-yet-materialized chunk of ``chunk_graph``.
 
         ``retain_keys`` are protected from the reference-count cleanup
         (results the session or a later tiling stage will read).
-        ``parallel`` overrides the execution mode for this stage; by
-        default :attr:`parallel_mode`, then ``config.parallel_execution``
-        decide.
         """
         self.acquire_turn()
         try:
-            return self._execute_stage(chunk_graph, retain_keys, parallel)
+            return self._execute_stage(chunk_graph, retain_keys)
         finally:
             self.release_turn()
 
     def _execute_stage(self, chunk_graph: DAG[ChunkData],
-                       retain_keys: set[str] | None = None,
-                       parallel: bool | None = None) -> SimReport:
+                       retain_keys: set[str] | None = None) -> SimReport:
         retain = set(retain_keys or ())
         cache_hits = cache_bytes = 0
-        if self._cache_enabled():
+        if self.config.result_cache:
             chunk_graph, cache_hits, cache_bytes = self._apply_cache(
                 chunk_graph)
         self.lifecycle.register_terminals({
@@ -322,21 +284,16 @@ class GraphExecutor:
             raise ExecutionHang(
                 "repro", f"subtask graph of {len(order)} nodes exceeds step budget"
             )
-        if parallel is None:
-            parallel = self.parallel_mode
-        if parallel is None:
-            parallel = self.config.parallel_execution
         # stage-boundary health sweep: restart anything dead (the kill
         # may have landed between messages, with no delivery to trigger
         # the supervisor) and arm heartbeat leases for every band about
         # to receive work. Runs at the deterministic stage base time, so
         # health verdicts are identical across execution modes; restarts
         # charge no virtual time.
-        supervision = self._supervision()
-        if supervision is not None:
-            supervision.probe(base_time)
-            for band in {s.band for s in order if s.band}:
-                supervision.expect_runner(band, base_time)
+        supervision = self.cluster.supervision
+        supervision.probe(base_time)
+        for band in {s.band for s in order if s.band}:
+            supervision.expect_runner(band, base_time)
         # stage boundary: on a private cluster every grant of a previous
         # stage ended at or before this stage's base time, so the ledger
         # starts empty; on a shared cluster only grants ending by this
@@ -347,29 +304,48 @@ class GraphExecutor:
             self.scheduling.begin_stage()
         self.lifecycle.begin_stage(dict(consumers), retain,
                                    session=self._tenant())
+        # the compute phase: a stage that can overlap bands streams its
+        # records from the band dispatcher; any other stage computes each
+        # subtask through its band's runner just before accounting it.
+        # The walk below is the same either way.
+        dispatcher: BandDispatcher | None = None
         try:
-            if parallel and should_use_parallel(order, self.config):
-                self._execute_parallel(
-                    order, subtask_graph, completion, base_time, retain,
-                    consumers, stage,
+            if self.config.parallel_execution and should_use_parallel(order):
+                dispatcher = self._start_dispatcher(order, subtask_graph)
+            for subtask in order:
+                computed: SubtaskComputation | None
+                try:
+                    if dispatcher is not None:
+                        computed = dispatcher.wait_for(subtask.key)
+                    else:
+                        computed = self.runners[subtask.band].precompute(
+                            subtask)
+                except _RETRYABLE:
+                    # the compute phase raced a fault deletion (or its
+                    # runner died): account without a record — the retry
+                    # wrapper recovers what is lost and the replay asks
+                    # the kernel loop for a fresh one. Storage state at
+                    # each accounting position is identical across modes,
+                    # so the retry/recovery accounting is too.
+                    computed = None
+                end = self._run_subtask_with_recovery(
+                    subtask, subtask_graph, completion, base_time, retain,
+                    consumers, stage, computed=computed,
                 )
-            else:
-                for subtask in order:
-                    # serial compute goes through the band's runner too:
-                    # the accounting walk consumes the precomputed record
-                    # exactly like the parallel path (falling back to
-                    # inline kernels if the runner bailed).
-                    computed = self._precompute(subtask)
-                    end = self._run_subtask_with_recovery(
-                        subtask, subtask_graph, completion, base_time, retain,
-                        consumers, stage, computed=computed,
-                    )
-                    completion[subtask.key] = end
+                completion[subtask.key] = end
+                if dispatcher is not None:
+                    if computed is None:
+                        dispatcher.resolve(subtask)
+                    else:
+                        dispatcher.discard(subtask.key)
         finally:
+            if dispatcher is not None:
+                dispatcher.shutdown()
+                self.speculative_subtasks += dispatcher.speculative_count
             # merge even when a stage dies (RetriesExhausted, an OOM
             # bubbling to the session's re-tile rung): the partial
             # stage's retries/waits/spills must survive into the run
-            # report. Identical in both modes — the accounting walk
+            # report. Identical in every mode — the accounting walk
             # reached the same position either way.
             stage.makespan = (
                 max(completion.values()) if completion else base_time
@@ -383,10 +359,6 @@ class GraphExecutor:
         return stage
 
     # -- result cache ---------------------------------------------------
-    def _cache_enabled(self) -> bool:
-        return self.cache is not None and bool(
-            getattr(self.config, "result_cache", False))
-
     def _apply_cache(self, chunk_graph: DAG[ChunkData]):
         """The cache-lookup + graph-pruning pass (planning time).
 
@@ -454,7 +426,6 @@ class GraphExecutor:
         tiling yield demanded, which the next run's tiling pass will
         demand again at the same structural position.
         """
-        auto = bool(getattr(self.config, "result_cache_auto", True))
         for chunk in subtask.chunks:
             key = chunk.key
             if key not in stored_by_key:
@@ -465,8 +436,6 @@ class GraphExecutor:
             if ident is None:
                 continue
             explicit = key in self.explicit_cache_keys
-            if not auto and not explicit:
-                continue
             self._pending_cache_records[key] = (
                 ident, key, stored_by_key[key],
                 tuple(self._chunk_deps.get(key, ())), explicit,
@@ -481,17 +450,14 @@ class GraphExecutor:
                                     dedup_token=self._mint_token())
 
     # ------------------------------------------------------------------
-    def _execute_parallel(self, order: list[Subtask], graph: DAG[Subtask],
-                          completion: dict[str, float], base_time: float,
-                          retain: set[str], consumers: dict[str, int],
-                          stage: SimReport) -> None:
-        """Event-driven kernel execution + deterministic accounting.
+    def _start_dispatcher(self, order: list[Subtask],
+                          graph: DAG[Subtask]) -> BandDispatcher:
+        """Start the event-driven compute phase for one stage.
 
         Pool threads run the per-band subtask runners as dependencies
-        resolve (one logical slot per band); this thread drains the
-        results in topological order and performs the exact accounting
-        the serial walk would, so every ``SimReport`` field matches
-        serial mode.
+        resolve (one logical slot per band); the accounting walk drains
+        the records in topological order, so every ``SimReport`` field
+        matches the inline compute phase.
         """
         # wall-clock admission: pool threads must not actually overlap
         # kernels whose estimated footprints exceed a worker's budget.
@@ -502,63 +468,25 @@ class GraphExecutor:
             self.scheduling.dispatch_gate(order, self._tenant())
             if self.config.admission_control else None
         )
-        system = getattr(self.cluster, "actor_system", None)
+        system = self.cluster.actor_system
 
         def compute(subtask: Subtask,
                     inputs: dict[str, Any]) -> SubtaskComputation:
             # pool threads are not actors; label them so runner/storage
             # messages they send carry a real sender in the trace.
-            if system is not None:
-                system.set_thread_sender("band-runner")
+            system.set_thread_sender("band-runner")
             return self.runners[subtask.band].compute(subtask, inputs)
 
         def fetch(keys: list[str]) -> dict[str, Any]:
-            if system is not None:
-                system.set_thread_sender("band-runner")
+            system.set_thread_sender("band-runner")
             return self.storage.peek_values(keys)
 
         dispatcher = BandDispatcher(
-            graph, order, compute, fetch,
-            pool=self.cluster.executor_pool(), gate=gate,
-            watchdog=self.config.dispatch_watchdog_timeout,
+            graph, order, compute, fetch, gate=gate,
             speculation=self.speculation,
         )
         dispatcher.start()
-        try:
-            for subtask in order:
-                computed: SubtaskComputation | None
-                try:
-                    computed = dispatcher.wait_for(subtask.key)
-                except _RETRYABLE:
-                    # the compute phase raced a fault deletion; recover
-                    # inline on this thread — the retry wrapper re-runs
-                    # the kernels serially, and since the storage state
-                    # at each accounting position is identical across
-                    # modes, the retry/recovery accounting is too.
-                    computed = None
-                end = self._run_subtask_with_recovery(
-                    subtask, graph, completion, base_time, retain,
-                    consumers, stage, computed=computed,
-                )
-                completion[subtask.key] = end
-                if computed is None:
-                    dispatcher.resolve(subtask)
-                else:
-                    dispatcher.discard(subtask.key)
-        finally:
-            dispatcher.shutdown()
-            self.speculative_subtasks += dispatcher.speculative_count
-
-    def _precompute(self, subtask: Subtask) -> SubtaskComputation | None:
-        """Serial-mode compute phase: run kernels via the band's runner.
-
-        Returns ``None`` (inline fallback) when the band has no runner
-        or the runner bailed — the accounting walk then re-runs the
-        kernels itself, failing or retrying at the exact point the
-        pre-service engine did.
-        """
-        runner = self.runners.get(subtask.band)
-        return runner.precompute(subtask) if runner is not None else None
+        return dispatcher
 
     # -- fault recovery -------------------------------------------------
     def _run_subtask_with_recovery(
@@ -623,8 +551,9 @@ class GraphExecutor:
                     backoff = spec.backoff_base * spec.backoff_factor ** attempt
                     extra_delay += backoff
                     stage.backoff_time += backoff
-                    # a precomputed record may predate the failure; re-run
-                    # the (pure, deterministic) kernels inline instead.
+                    # a compute-phase record may predate the failure: drop
+                    # it, so the replay recomputes the (pure, deterministic)
+                    # kernels from the recovered inputs.
                     computed = None
                     lost = _lost_keys(exc)
                     if lost:
@@ -758,7 +687,7 @@ class GraphExecutor:
         # Refcount frees, by contrast, forget the index eagerly.
         self.storage.delete(key)
         self.scheduling.forget_chunk(key)
-        if self._cache_enabled():
+        if self.config.result_cache:
             # a lost chunk must never be registered, and anything cached
             # on top of it descends from vanished bytes. On a shared
             # cluster the transitive walk is scoped to this tenant's
@@ -776,9 +705,7 @@ class GraphExecutor:
         service object, or lineage for runner compute). Zero virtual
         time is charged, so reports stay bit-identical.
         """
-        plane = self._supervision()
-        if plane is not None:
-            plane.kill(uid)
+        self.cluster.supervision.kill(uid)
 
     def _kill_worker(self, worker: str, stage: SimReport) -> None:
         """Simulate a worker crash right after a subtask completed.
@@ -893,8 +820,14 @@ class GraphExecutor:
         # failed attempts delay the retry's start: backoff is simulated
         # time the subtask spends waiting, not band busy time.
         ready_time += extra_delay
+        if computed is None:
+            # no compute-phase record (retry after a fault, lineage
+            # recovery, a compute phase that raced a deletion): the
+            # shared kernel loop produces one from the inputs this
+            # attempt just acquired.
+            computed = run_subtask_kernels(subtask, env, self.config)
 
-        # -- execute steps ---------------------------------------------------
+        # -- replay steps ----------------------------------------------------
         steps = plan_subtask(subtask, enable=self.config.operator_fusion)
         cpu_bytes = 0
         executed_ops: set[int] = set()
@@ -927,79 +860,58 @@ class GraphExecutor:
             counted_ops.add(id(op))
             for dep in op.inputs:
                 remaining_consumers[dep.key] += 1
+
+        def _release_inputs(op) -> None:
+            nonlocal env_bytes
+            for dep in op.inputs:
+                remaining_consumers[dep.key] -= 1
+                if (remaining_consumers[dep.key] <= 0
+                        and dep.key not in output_key_set
+                        and dep.key in env):
+                    env_bytes -= sized(dep.key, env.pop(dep.key))
+
         for step in steps:
             step_inputs, step_outputs = step_io_keys(step)
             step_in_bytes = sum(
                 sized(k, env[k]) for k in step_inputs if k in env
             )
-            # compiled fused steps (same structural decision the runners
-            # made): one evaluator call, and only the final result ever
-            # enters the environment — fused intermediates exist solely
-            # as locals of the generated function, so they no longer
+            # a step the kernel loop evaluated as one compiled function
+            # recorded only its final op's result: the chain's
+            # intermediates existed solely as locals of the generated
+            # function, so they never enter the environment and never
             # inflate the transient working-set peak.
-            compiled = (
-                compile_step(step)
-                if compiled_fusion_enabled(self.config) else None
-            )
-            if compiled is not None:
-                final_op = compiled.final_op
-                if computed is None:
-                    result = compiled.run(env)
-                else:
-                    result = computed.op_results[id(final_op)]
-                _env_store(compiled.output_key, result)
+            fused = id(step[0].op) not in computed.op_results
+            if fused:
+                _env_store(step[-1].key,
+                           computed.op_results[id(step[-1].op)])
                 env_peak = max(env_peak, env_bytes)
-                for chunk in step:
-                    op = chunk.op
-                    if op is None or id(op) in executed_ops:
-                        continue
-                    executed_ops.add(id(op))
-                    for dep in op.inputs:
-                        remaining_consumers[dep.key] -= 1
-                        if (remaining_consumers[dep.key] <= 0
-                                and dep.key not in output_key_set
-                                and dep.key in env):
-                            env_bytes -= sized(dep.key, env.pop(dep.key))
-            else:
-                for chunk in step:
-                    op = chunk.op
-                    if op is None or id(op) in executed_ops:
-                        continue
-                    executed_ops.add(id(op))
-                    if computed is None:
-                        ctx = ExecContext(env, self.config)
-                        # same persist the runners apply: the env (and
-                        # with it sized(), storage, shuffle accounting)
-                        # only ever sees physical values.
-                        result = persist_result(
-                            engine_of(self.config), op, op.execute(ctx)
-                        )
-                        extra_meta = ctx.extra_meta
-                    else:
-                        result = computed.op_results[id(op)]
-                        extra_meta = computed.op_extra_meta.get(id(op), {})
-                    if isinstance(result, dict) and result and all(
-                        k in {o.key for o in op.outputs} for k in result
-                    ):
-                        for out_key, value in result.items():
-                            _env_store(out_key, value)
-                    else:
-                        _env_store(op.outputs[0].key, result)
-                    env_peak = max(env_peak, env_bytes)
-                    for dep in op.inputs:
-                        remaining_consumers[dep.key] -= 1
-                        if (remaining_consumers[dep.key] <= 0
-                                and dep.key not in output_key_set
-                                and dep.key in env):
-                            env_bytes -= sized(dep.key, env.pop(dep.key))
-                    for meta_key, extra in extra_meta.items():
-                        dropped = extra.pop(COMBINE_DROPPED_KEY, 0)
-                        if dropped:
-                            stage.combine_dropped_rows += int(dropped)
-                        if extra:
-                            self._pending_extra.setdefault(
-                                meta_key, {}
-                            ).update(extra)
+            for chunk in step:
+                op = chunk.op
+                if op is None or id(op) in executed_ops:
+                    continue
+                executed_ops.add(id(op))
+                if fused:
+                    _release_inputs(op)
+                    continue
+                result = computed.op_results[id(op)]
+                if isinstance(result, dict) and result and all(
+                    k in {o.key for o in op.outputs} for k in result
+                ):
+                    for out_key, value in result.items():
+                        _env_store(out_key, value)
+                else:
+                    _env_store(op.outputs[0].key, result)
+                env_peak = max(env_peak, env_bytes)
+                _release_inputs(op)
+                extra_meta = computed.op_extra_meta.get(id(op), {})
+                for meta_key, extra in extra_meta.items():
+                    dropped = extra.pop(COMBINE_DROPPED_KEY, 0)
+                    if dropped:
+                        stage.combine_dropped_rows += int(dropped)
+                    if extra:
+                        self._pending_extra.setdefault(
+                            meta_key, {}
+                        ).update(extra)
             step_out_bytes = sum(
                 sized(k, env[k]) for k in step_outputs if k in env
             )
@@ -1062,14 +974,12 @@ class GraphExecutor:
         tracker.note_transient(working_set)
 
         # -- store outputs ------------------------------------------------------
-        shuffle_chunks: dict[str, Any] = {}
-        if self.shuffle is not None:
-            shuffle_chunks = {
-                c.key: c for c in subtask.chunks
-                if c.op is not None and c.op.is_shuffle_map
-                and getattr(c.op, "shuffle_id", None) is not None
-                and len(c.index) >= 2
-            }
+        shuffle_chunks = {
+            c.key: c for c in subtask.chunks
+            if c.op is not None and c.op.is_shuffle_map
+            and getattr(c.op, "shuffle_id", None) is not None
+            and len(c.index) >= 2
+        }
         # outputs go out in three batched messages — all puts, then all
         # shuffle registrations, then all meta records. Each put still
         # walks the full single-put path in key order (delete-if-exists,
@@ -1100,7 +1010,7 @@ class GraphExecutor:
                                              dedup_token=self._mint_token())
         if meta_entries:
             self.meta.set_from_values(meta_entries)
-        if not recovering and self._cache_enabled():
+        if not recovering and self.config.result_cache:
             stored_by_key = {
                 key: stored
                 for (key, _value, _), stored in zip(put_entries, stored_sizes)
@@ -1116,12 +1026,10 @@ class GraphExecutor:
             + cost.dispatch_overhead * len(steps)
         )
         end = self.cluster.clock.run_subtask(band, ready_time, duration)
-        supervision = self._supervision()
-        if supervision is not None:
-            # virtual-clock heartbeat: a completion on the band renews
-            # its runner's liveness lease (accounting walk — identical
-            # beats in every execution mode).
-            supervision.beat_runner(band, end)
+        # virtual-clock heartbeat: a completion on the band renews its
+        # runner's liveness lease (accounting walk — identical beats in
+        # every execution mode).
+        self.cluster.supervision.beat_runner(subtask.band, end)
         for key in subtask.output_keys:
             self.chunk_ready_at[key] = end
         if decision is not None:

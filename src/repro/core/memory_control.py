@@ -223,13 +223,6 @@ class MemoryAdmission:
             if end > at
         )
 
-    def session_bytes(self, worker: str, at: float, session: str) -> int:
-        """Granted bytes one tenant holds on ``worker`` at time ``at``."""
-        return sum(
-            nbytes for end, nbytes, sess in self._grants.get(worker, ())
-            if end > at and sess == session
-        )
-
     def outstanding(self, at: float) -> int:
         """Total granted bytes still active anywhere at time ``at``."""
         return sum(

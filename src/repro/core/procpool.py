@@ -315,7 +315,7 @@ class ProcPoolClient:
                 workers = self.config.procpool_workers or (os.cpu_count() or 1)
                 self._executor = ProcessPoolExecutor(
                     max_workers=max(1, workers),
-                    mp_context=get_context(self.config.procpool_start_method),
+                    mp_context=get_context("spawn"),
                     initializer=_worker_initialize,
                     initargs=(list(sys.path),),
                 )

@@ -215,9 +215,6 @@ class FaultInjector:
     def on_store(self, hook: Callable[[Subtask, str], bool]) -> None:
         self._loss_hooks.append(hook)
 
-    def on_complete(self, hook: Callable[[Subtask], bool]) -> None:
-        self._kill_hooks.append(hook)
-
 
 class RecoveryManager:
     """Lineage registry + recompute planning for one :class:`GraphExecutor`.
@@ -239,9 +236,6 @@ class RecoveryManager:
 
     def producer_of(self, key: str) -> Optional[Subtask]:
         return self._producer_of.get(key)
-
-    def known_keys(self) -> int:
-        return len(self._producer_of)
 
     def plan(self, missing: Iterable[str],
              contains: Callable[[str], bool]) -> list[Subtask]:

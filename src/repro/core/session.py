@@ -46,6 +46,11 @@ from .pruning import prune_columns
 from .tiler import TilingEngine, build_tileable_graph
 
 
+#: how many times one ``execute`` may halve ``chunk_store_limit`` and
+#: re-tile after the executor's OOM ladder is exhausted.
+PRESSURE_RETILE_LIMIT = 3
+
+
 @dataclass
 class RunReport:
     """Metrics of one ``Session.execute`` call (virtual time)."""
@@ -106,7 +111,7 @@ class SessionActor(Actor):
         self.owns_cluster = owns_cluster
         self.executor = GraphExecutor(
             cluster, services.storage, services.meta, config,
-            scheduler=services.scheduling, shuffle=services.shuffle,
+            scheduling=services.scheduling, shuffle=services.shuffle,
             lifecycle=services.lifecycle, cache=services.cache,
             runners=dict(services.runners),
         )
@@ -144,20 +149,20 @@ class SessionActor(Actor):
         return self.last_report
 
     # -- run coordination ----------------------------------------------
-    def execute_tileables(self, tileables: Sequence[TileableData],
-                          parallel: bool | None = None) -> list[Any]:
+    def execute_tileables(self,
+                          tileables: Sequence[TileableData]) -> list[Any]:
         if self.owns_cluster:
-            return self._execute_tileables(tileables, parallel)
+            return self._execute_tileables(tileables)
         # session key namespace: every runtime key minted while tiling
         # and executing (chunk keys, shuffle ids, subtask keys) carries
         # this session's prefix, so tenants sharing storage/shuffle/LRU
         # state cannot collide. Structural identities strip the prefix,
         # keeping the shared result cache session-stable.
         with key_namespace(f"{self.session_id}/"):
-            return self._execute_tileables(tileables, parallel)
+            return self._execute_tileables(tileables)
 
-    def _execute_tileables(self, tileables: Sequence[TileableData],
-                           parallel: bool | None = None) -> list[Any]:
+    def _execute_tileables(self,
+                           tileables: Sequence[TileableData]) -> list[Any]:
         storage = self.services.storage
         t0 = (self.cluster.clock.makespan if self.owns_cluster
               else self.executor.frontier)
@@ -181,9 +186,6 @@ class SessionActor(Actor):
         cache_bytes0 = self.executor.report.cache_reused_bytes
         speculative0 = self.executor.speculative_subtasks
 
-        previous_mode = self.executor.parallel_mode
-        if parallel is not None:
-            self.executor.parallel_mode = parallel
         saved_chunk_limit = self.config.chunk_store_limit
         try:
             # memory-aware re-tiling (the OOM ladder's last rung): when
@@ -218,8 +220,7 @@ class SessionActor(Actor):
                 except WorkerOutOfMemory:
                     retile_attempts += 1
                     if (not self.config.oom_recovery
-                            or retile_attempts
-                            > self.config.pressure_retile_limit):
+                            or retile_attempts > PRESSURE_RETILE_LIMIT):
                         raise
                     self.executor.report.pressure_splits += 1
                     self._reset_for_retile(graph, pretiled, stored_before)
@@ -228,7 +229,6 @@ class SessionActor(Actor):
                     )
         finally:
             self.config.chunk_store_limit = saved_chunk_limit
-            self.executor.parallel_mode = previous_mode
 
         # fetch before building the report: fetch-time recovery of lost
         # terminal chunks must land in this run's recovery accounting.
@@ -447,7 +447,7 @@ class Session:
         if not self._owns_cluster:
             self.scheduler.register_tenant(
                 self.session_id,
-                float(getattr(self.config, "tenant_weight", 1.0)))
+                self.config.tenant_weight)
         self._actor_ref = self.cluster.actor_system.create_actor(
             SUPERVISOR_ADDRESS, SessionActor, self.session_id, self.cluster,
             self.config, services, owns_cluster=self._owns_cluster,
@@ -499,23 +499,13 @@ class Session:
         return self._actor_ref.get_last_report()
 
     # ------------------------------------------------------------------
-    def execute(self, *tileables: TileableData,
-                parallel: bool | None = None) -> list[Any]:
-        """Materialize the given tileables; returns their full values.
-
-        ``parallel`` overrides ``config.parallel_execution`` for this
-        call — including the dynamic-tiling yield executions, which run
-        under the same mode so tiling stages synchronize identically
-        (every stage's execute returns only after its accounting walk
-        drained the band runner).
-        """
+    def execute(self, *tileables: TileableData) -> list[Any]:
+        """Materialize the given tileables; returns their full values."""
         if not tileables:
             raise ValueError("nothing to execute")
         self._begin_call("execute")
         try:
-            return self._actor_ref.execute_tileables(
-                list(tileables), parallel=parallel,
-            )
+            return self._actor_ref.execute_tileables(list(tileables))
         finally:
             self._end_call()
 

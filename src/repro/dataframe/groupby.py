@@ -437,14 +437,9 @@ class GroupByPartition(Operator):
                 ctx.annotate(self.outputs[0].key,
                              **{COMBINE_DROPPED_KEY: dropped})
                 value = engine.persist(combined)
-        vectorized = ctx.config.vectorized_shuffle
         # partition/split run on the physical chunk: the columnar
         # backend assigns over dictionary categories and gathers int32
         # codes, never materializing rows.
-        assignment = engine.range_partition(
-            value, self.by[0], self.boundaries, vectorized=vectorized
-        )
-        parts = engine.split(
-            value, assignment, self.n_reducers, vectorized=vectorized
-        )
+        assignment = engine.range_partition(value, self.by[0], self.boundaries)
+        parts = engine.split(value, assignment, self.n_reducers)
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}

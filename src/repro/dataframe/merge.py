@@ -248,18 +248,11 @@ class MergePartition(Operator):
     def execute(self, ctx: ExecContext):
         engine = ctx.engine
         value = ctx.get_physical(self.inputs[0].key)
-        vectorized = ctx.config.vectorized_shuffle
         if self.hash_mode:
-            assignment = engine.hash_partition(
-                value, self.key, self.n_parts, vectorized=vectorized
-            )
+            assignment = engine.hash_partition(value, self.key, self.n_parts)
         else:
-            assignment = engine.range_partition(
-                value, self.key, self.boundaries, vectorized=vectorized
-            )
-        parts = engine.split(
-            value, assignment, self.n_parts, vectorized=vectorized
-        )
+            assignment = engine.range_partition(value, self.key, self.boundaries)
+        parts = engine.split(value, assignment, self.n_parts)
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
 
 

@@ -133,14 +133,9 @@ class SortPartition(Operator):
     def execute(self, ctx: ExecContext):
         engine = ctx.engine
         value = ctx.get_physical(self.inputs[0].key)
-        vectorized = ctx.config.vectorized_shuffle
-        assignment = engine.range_partition(
-            value, self.key, self.boundaries, vectorized=vectorized
-        )
+        assignment = engine.range_partition(value, self.key, self.boundaries)
         n_parts = len(self.outputs)
-        parts = engine.split(
-            value, assignment, n_parts, vectorized=vectorized
-        )
+        parts = engine.split(value, assignment, n_parts)
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
 
 

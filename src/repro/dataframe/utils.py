@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 from ..core.operator import ExecContext, Operator, TileContext
 from ..errors import TilingError
-from ..engine.local import DataFrame, Series, concat
+from ..engine.local import concat
 from ..graph.entity import ChunkData
 
 
@@ -238,10 +238,3 @@ def nsplits_from_chunks(ctx: TileContext, chunks: Sequence[ChunkData],
     if kind == "dataframe":
         return (rows, (n_cols,))
     return (rows,)
-
-
-def concat_values(values: list) -> DataFrame | Series:
-    """Concatenate executed chunk values (frames or series)."""
-    if len(values) == 1:
-        return values[0]
-    return concat(values)

@@ -106,27 +106,23 @@ class ChunkEngine(ABC):
         frame = self.compute(value)
         return self.persist(frame.iloc[indexer])
 
-    def map_objects(self, value: Any, fn: Callable[[Any], Any]) -> Any:
-        """Apply ``fn`` to the logical value; re-persist the result."""
-        return self.persist(fn(self.compute(value)))
-
     # -- shuffle partition kernels -------------------------------------
     @abstractmethod
-    def hash_partition(self, value: Any, key: Any, n_parts: int,
-                       vectorized: bool = True) -> np.ndarray:
+    def hash_partition(self, value: Any, key: Any,
+                       n_parts: int) -> np.ndarray:
         """Per-row partition ids of ``value``'s ``key`` column by the
         deterministic content hash.  Backend-invariant: every engine
         must produce the draws of ``repro.frame.hashing`` over the
         *decoded* key values."""
 
     @abstractmethod
-    def range_partition(self, value: Any, key: Any, boundaries: list,
-                        vectorized: bool = True) -> np.ndarray:
+    def range_partition(self, value: Any, key: Any,
+                        boundaries: list) -> np.ndarray:
         """Per-row partition ids by search over sampled boundaries."""
 
     @abstractmethod
-    def split(self, value: Any, assignment: np.ndarray, n_parts: int,
-              vectorized: bool = True) -> list:
+    def split(self, value: Any, assignment: np.ndarray,
+              n_parts: int) -> list:
         """Split a physical chunk into ``n_parts`` physical chunks."""
 
     # -- introspection / accounting ------------------------------------
@@ -183,15 +179,14 @@ def engine_of(config) -> ChunkEngine:
 
 
 def compiled_fusion_enabled(config) -> bool:
-    """Whether this config may compile fused steps to evaluators.
+    """Whether the kernel loop may compile fused steps to evaluators.
 
-    The one structural decision the accounting walk and the band/pool
-    runners must agree on — both call this, never ``config.compiled_fusion``
-    directly, so a non-row engine degrades every path to interpretation
-    identically.
+    Eligible fused elementwise/filter chains become one generated
+    evaluator (one call per step, intermediates in locals — the
+    numexpr-style single pass of Section V-A); a non-row engine declines
+    and the fused step is interpreted one operator at a time.
     """
-    return bool(getattr(config, "compiled_fusion", False)) \
-        and engine_of(config).supports_compiled_fusion
+    return engine_of(config).supports_compiled_fusion
 
 
 def persist_result(engine: ChunkEngine, op, result: Any) -> Any:

@@ -51,7 +51,6 @@ from .partition import (
     split_by_assignment,
 )
 from ..frame import DataFrame, Series
-from ..frame.hashing import hash_array, stable_hash
 from ..utils import register_sizeof
 
 #: object-array byte charge per element / per array, mirroring
@@ -287,40 +286,30 @@ class ColumnarEngine(ChunkEngine):
         return value
 
     # -- shuffle partition kernels -------------------------------------
-    def hash_partition(self, value: Any, key: Any, n_parts: int,
-                       vectorized: bool = True) -> np.ndarray:
+    def hash_partition(self, value: Any, key: Any,
+                       n_parts: int) -> np.ndarray:
         col = self._key_column(value, key)
         if isinstance(col, DictColumn):
             # hash decoded values, never codes: elementwise hashes
             # commute with the codes gather, so this is the exact
             # FNV-1a draw of the row engine at dictionary cost.
-            if vectorized:
-                cat_parts = hash_array(col.categories) % n_parts
-            else:
-                cat_parts = np.array(
-                    [stable_hash(v) % n_parts
-                     for v in col.categories.tolist()],
-                    dtype=np.int64,
-                )
-            return cat_parts[col.codes]
-        return assign_hash_partitions(col, n_parts, vectorized)
+            return assign_hash_partitions(col.categories, n_parts)[col.codes]
+        return assign_hash_partitions(col, n_parts)
 
-    def range_partition(self, value: Any, key: Any, boundaries: list,
-                        vectorized: bool = True) -> np.ndarray:
+    def range_partition(self, value: Any, key: Any,
+                        boundaries: list) -> np.ndarray:
         col = self._key_column(value, key)
         if isinstance(col, DictColumn):
-            cat_parts = assign_range_partitions(col.categories, boundaries,
-                                                vectorized)
-            return cat_parts[col.codes]
-        return assign_range_partitions(col, boundaries, vectorized)
+            return assign_range_partitions(col.categories,
+                                           boundaries)[col.codes]
+        return assign_range_partitions(col, boundaries)
 
-    def split(self, value: Any, assignment: np.ndarray, n_parts: int,
-              vectorized: bool = True) -> list:
+    def split(self, value: Any, assignment: np.ndarray,
+              n_parts: int) -> list:
         if not isinstance(value, ColumnarFrame):
             frame = self.compute(value)
             return [self.persist(part) for part in
-                    split_by_assignment(frame, assignment, n_parts,
-                                        vectorized)]
+                    split_by_assignment(frame, assignment, n_parts)]
         order = np.argsort(assignment, kind="stable")
         sorted_assign = assignment[order]
         bounds = np.searchsorted(sorted_assign, np.arange(n_parts + 1))

@@ -3,17 +3,13 @@
 Every shuffle-map operator (merge, groupby shuffle-reduce, distributed
 sort) does the same two things to a chunk: compute a per-row partition id
 from the key column, then split the chunk into one frame per partition.
-This module owns both, in two interchangeable implementations:
-
-- the **vectorized** kernels (default): one pass over the key column
-  (``hash_array`` / ``np.searchsorted``) and one stable ``argsort``/gather
-  sweep that materializes all N output frames in two passes total;
-- the **scalar** reference kernels: the original per-row Python loops and
-  N boolean-mask scans, kept both as the parity oracle for tests and as
-  the ``Config.vectorized_shuffle = False`` escape hatch.
-
-Both produce bit-identical partitions: same rows, same within-partition
-order (stable sort == boolean mask order), same index labels.
+This module owns both as array-at-a-time kernels: one pass over the key
+column (``hash_array`` / ``np.searchsorted``) and one stable
+``argsort``/gather sweep that materializes all N output frames in two
+passes total. The scalar per-row definitions they must match bit for bit
+— same rows, same within-partition order (stable sort == boolean mask
+order), same index labels — live in
+``tests/dataframe/test_partition_kernels.py`` as the parity oracle.
 
 These kernels operate on *logical* (row-engine) frames; engine backends
 layer their own physical fast paths on top (see
@@ -33,22 +29,16 @@ import numpy as np
 
 from ..frame import DataFrame
 from ..frame import dtypes
-from ..frame.hashing import hash_array, stable_hash
+from ..frame.hashing import hash_array
 
 
-def assign_hash_partitions(keys: np.ndarray, n_parts: int,
-                           vectorized: bool = True) -> np.ndarray:
+def assign_hash_partitions(keys: np.ndarray, n_parts: int) -> np.ndarray:
     """Per-row partition ids via the deterministic content hash."""
-    if not vectorized:
-        return np.array(
-            [stable_hash(v) % n_parts for v in keys.tolist()],
-            dtype=np.int64,
-        )
     return hash_array(keys) % n_parts
 
 
-def assign_range_partitions(keys: np.ndarray, boundaries: list,
-                            vectorized: bool = True) -> np.ndarray:
+def assign_range_partitions(keys: np.ndarray,
+                            boundaries: list) -> np.ndarray:
     """Per-row partition ids via search over the sampled boundaries.
 
     Partition ``r`` receives keys with ``boundaries[r-1] < key <=
@@ -56,8 +46,6 @@ def assign_range_partitions(keys: np.ndarray, boundaries: list,
     """
     if not boundaries:
         return np.zeros(len(keys), dtype=np.int64)
-    if not vectorized:
-        return _assign_range_scalar(keys, boundaries)
     keys = np.asarray(keys)
     if keys.dtype.kind in ("O", "U", "S"):
         bounds = dtypes.object_array(boundaries)
@@ -72,34 +60,15 @@ def assign_range_partitions(keys: np.ndarray, boundaries: list,
     return np.searchsorted(bounds, keys, side="left").astype(np.int64)
 
 
-def _assign_range_scalar(keys: np.ndarray, boundaries: list) -> np.ndarray:
-    """Reference per-row binary search (the original implementation)."""
-    out = np.empty(len(keys), dtype=np.int64)
-    for i, key in enumerate(keys.tolist()):
-        lo, hi = 0, len(boundaries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key is not None and key <= boundaries[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        out[i] = lo
-    return out
-
-
 def split_by_assignment(frame: DataFrame, assignment: np.ndarray,
-                        n_parts: int, vectorized: bool = True
-                        ) -> list[DataFrame]:
+                        n_parts: int) -> list[DataFrame]:
     """Split ``frame`` into ``n_parts`` frames by per-row partition id.
 
-    The vectorized path reorders the frame once with a stable argsort and
-    slices each partition out of the gathered columns — two passes over
-    the data regardless of ``n_parts``, versus one boolean scan per
-    partition in the reference path. Row order within each partition is
-    the original chunk order in both paths.
+    Reorders the frame once with a stable argsort and slices each
+    partition out of the gathered columns — two passes over the data
+    regardless of ``n_parts``. Row order within each partition is the
+    original chunk order.
     """
-    if not vectorized:
-        return [frame[assignment == r] for r in range(n_parts)]
     order = np.argsort(assignment, kind="stable")
     sorted_assign = assignment[order]
     bounds = np.searchsorted(sorted_assign, np.arange(n_parts + 1))

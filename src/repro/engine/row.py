@@ -45,18 +45,17 @@ class RowEngine(ChunkEngine):
 
         return frame_concat(values)
 
-    def hash_partition(self, value: Any, key: Any, n_parts: int,
-                       vectorized: bool = True) -> np.ndarray:
-        return assign_hash_partitions(value[key].values, n_parts, vectorized)
+    def hash_partition(self, value: Any, key: Any,
+                       n_parts: int) -> np.ndarray:
+        return assign_hash_partitions(value[key].values, n_parts)
 
-    def range_partition(self, value: Any, key: Any, boundaries: list,
-                        vectorized: bool = True) -> np.ndarray:
-        return assign_range_partitions(value[key].values, boundaries,
-                                       vectorized)
+    def range_partition(self, value: Any, key: Any,
+                        boundaries: list) -> np.ndarray:
+        return assign_range_partitions(value[key].values, boundaries)
 
-    def split(self, value: Any, assignment: np.ndarray, n_parts: int,
-              vectorized: bool = True) -> list:
-        return split_by_assignment(value, assignment, n_parts, vectorized)
+    def split(self, value: Any, assignment: np.ndarray,
+              n_parts: int) -> list:
+        return split_by_assignment(value, assignment, n_parts)
 
 
 ROW_ENGINE = register_engine(RowEngine())

@@ -169,10 +169,6 @@ class DispatcherStall(DispatcherError):
         )
 
 
-class StorageFull(ReproError):
-    """A storage tier cannot accept more data and spilling is disabled."""
-
-
 class TilingError(ReproError):
     """Dynamic tiling could not produce a valid chunk layout."""
 

@@ -66,10 +66,3 @@ def lexsort_columns(columns: Sequence[np.ndarray],
         partial = argsort_values(values[indexer], ascending=asc, na_position=na_position)
         indexer = indexer[partial]
     return indexer
-
-
-def searchsorted_bounds(sorted_values: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left/right insertion points of each probe in a sorted array."""
-    left = np.searchsorted(sorted_values, probes, side="left")
-    right = np.searchsorted(sorted_values, probes, side="right")
-    return left, right

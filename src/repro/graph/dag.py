@@ -63,9 +63,6 @@ class DAG(Generic[N]):
     def in_degree(self, node: N) -> int:
         return len(self._pred[node])
 
-    def out_degree(self, node: N) -> int:
-        return len(self._succ[node])
-
     def sources(self) -> list[N]:
         return [n for n in self._succ if not self._pred[n]]
 

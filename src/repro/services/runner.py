@@ -1,26 +1,27 @@
 """Per-band subtask runners: the compute phase as a worker-side service.
 
-Each band gets one :class:`SubtaskRunner` (fronted by a
-:class:`SubtaskRunnerActor` on the band's worker pool).  A runner only
-ever executes kernels against real values — it touches no shared
-service state besides accounting-free storage reads — so the executor's
-accounting walk stays the single writer of every simulated number, in
-all execution modes:
+:func:`run_subtask_kernels` is the engine's one kernel loop — the only
+place an operator's ``execute`` or a compiled fused evaluator is ever
+called. It turns a subtask plus its input values into a
+:class:`~repro.core.dispatch.SubtaskComputation` record and touches no
+shared service state, so the executor's accounting walk — which only
+*replays* such records — stays the single writer of every simulated
+number. The loop is reached three ways:
 
-- parallel mode: the band dispatcher calls :meth:`compute` from pool
-  threads as dependencies resolve (one logical slot per band); with
-  ``config.execution_mode == "process"`` the kernels additionally hop
-  to a pool worker process (``repro.core.procpool``) so pure-Python
-  kernels run out-of-GIL;
-- serial mode: the accounting walk calls :meth:`precompute` for each
-  subtask just before accounting it, so kernel execution goes through
-  the same runner interface (and shows up in the message trace) while
-  the walk consumes the precomputed record exactly like the parallel
-  path does.
-
-:func:`run_subtask_kernels` is the one shared kernel loop behind all
-three paths — what the serial walk, the band-runner threads and the
-pool worker processes execute is literally the same code.
+- a stage wide enough to win by overlapping bands (≥ 8 subtasks on
+  ≥ 2 bands, see ``dispatch.should_use_parallel``): the band dispatcher
+  calls each band's :meth:`SubtaskRunner.compute` from pool threads as
+  dependencies resolve; with ``config.execution_mode == "process"`` the
+  call additionally hops to a pool worker process
+  (``repro.core.procpool``), which runs the same function out-of-GIL;
+- any other stage: the accounting walk calls
+  :meth:`SubtaskRunner.precompute` for each subtask just before
+  accounting it, so kernel execution still goes through the runner
+  interface (and shows up in the message trace);
+- retries and lineage recovery: the walk has no usable record (the
+  compute phase raced a fault, or the record predates the failure) and
+  calls :func:`run_subtask_kernels` itself on the inputs it just
+  acquired.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
     op_results: dict[int, Any] = {}
     op_extra: dict[int, dict[str, dict]] = {}
     # compiled evaluators run against raw env values, so fusion codegen
-    # is gated on the engine (row-only); the gate is the shared
-    # compiled_fusion_enabled so every runner and the accounting walk
-    # take the same branch for one config.
+    # is gated on the engine (row-only). Only the step's final result is
+    # recorded, which is how the accounting replay recognises the step
+    # as fused.
     use_compiled = compiled_fusion_enabled(config)
     for step in steps:
         compiled = compile_step(step) if use_compiled else None
@@ -115,23 +116,19 @@ class SubtaskRunner:
             return self._procpool.run_subtask(subtask, inputs, self._config)
         return run_subtask_kernels(subtask, inputs, self._config)
 
-    def precompute(self, subtask) -> SubtaskComputation | None:
-        """Serial-mode entry: gather inputs and compute, or bail to None.
+    def precompute(self, subtask) -> SubtaskComputation:
+        """Inline compute phase: gather inputs and run the kernels here.
 
         Inputs come from one batched accounting-free read; the charged
         ``get`` for the same keys happens in the accounting phase.
-        *Any* failure — a missing input the retry machinery will
-        recover, or a kernel error — returns ``None`` so the accounting
-        walk re-runs the kernels inline and fails (or retries) at
-        exactly the point the pre-service engine did.  Serial stages
-        stay in-process even in process mode: they exist because the
-        graph was too small to amortize dispatch, let alone IPC.
+        Nothing is swallowed: a missing input raises the retryable
+        :class:`~repro.errors.StorageKeyError` the accounting walk
+        recovers from, and a kernel error surfaces once, with its
+        original type.  These stages stay in-process even in process
+        mode: they have nothing to overlap, so IPC would be pure cost.
         """
-        try:
-            inputs = self._storage.peek_values(list(subtask.input_keys))
-            return run_subtask_kernels(subtask, inputs, self._config)
-        except Exception:
-            return None
+        inputs = self._storage.peek_values(list(subtask.input_keys))
+        return run_subtask_kernels(subtask, inputs, self._config)
 
 
 class SubtaskRunnerActor(ServiceActor):

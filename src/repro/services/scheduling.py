@@ -134,17 +134,15 @@ class SchedulingService:
         self._turnstile = FairShareQueue(fair_share)
 
     @classmethod
-    def create(cls, cluster, config, meta, storage,
-               scheduler: Scheduler | None = None) -> "SchedulingService":
+    def create(cls, cluster, config, meta, storage) -> "SchedulingService":
         """Assemble the service over ``meta``/``storage`` handles.
 
         The handles may be plain services or actor refs — the pressure
         subsystem only calls methods on them.
         """
-        if scheduler is None:
-            scheduler = Scheduler(cluster, config)
-        return cls(scheduler, MemoryPressure(config, cluster, meta, storage),
-                   fair_share=getattr(config, "fair_share", True))
+        return cls(Scheduler(cluster, config),
+                   MemoryPressure(config, cluster, meta, storage),
+                   fair_share=config.fair_share)
 
     # -- placement ---------------------------------------------------------
     def assign(self, subtask_graph, input_nbytes) -> None:

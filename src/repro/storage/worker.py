@@ -20,7 +20,7 @@ from collections import OrderedDict
 from typing import Any
 
 from ..errors import StorageKeyError, WorkerOutOfMemory
-from .base import StorageBackend, StorageLevel, StoredItem
+from .base import StorageLevel, StoredItem
 from .disk import DiskBackend
 from .memory import MemoryBackend
 
@@ -218,6 +218,3 @@ class WorkerStorage:
 
     def forced_spill_bytes(self) -> int:
         return self._forced_spill_bytes
-
-    def _backend_for(self, level: StorageLevel) -> StorageBackend:
-        return self._disk if level == StorageLevel.DISK else self._memory

@@ -43,8 +43,6 @@ def make_session(parallel: bool = False, chunk_limit: int = 8_000,
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
     cfg.parallel_execution = parallel
-    cfg.parallel_min_subtasks = 2
-    cfg.parallel_min_cores = 1
     if memory_limit is not None:
         cfg.cluster.memory_limit = memory_limit
     for name, value in (faults or {}).items():

@@ -4,6 +4,9 @@ The contract under test (see DESIGN.md §Execution engine): parallel mode
 may only change *wall-clock* behaviour. Results must be byte-identical
 to serial mode, every ``SimReport`` field must match exactly, and the
 reference-count cleanup must free each non-retained chunk exactly once.
+Kernels run in exactly one place — the shared kernel loop — whichever
+way a stage reaches it, so a kernel error surfaces once and a retried
+subtask recomputes to the same record in every mode.
 """
 
 from collections import Counter
@@ -15,7 +18,12 @@ from types import SimpleNamespace
 
 from repro.config import Config
 from repro.core import Session
-from repro.core.dispatch import BandDispatcher, shared_pool, should_use_parallel
+from repro.core.dispatch import (
+    MIN_DISPATCH_SUBTASKS,
+    BandDispatcher,
+    shared_pool,
+    should_use_parallel,
+)
 from repro.storage.service import StorageService
 from repro import frame as pf
 from repro.dataframe import from_frame
@@ -26,15 +34,22 @@ WIDE_SHAPE = (8192, 8)  # 512 KiB of float64
 WIDE_CHUNK_LIMIT = 8192  # bytes -> 64 row chunks of 128 rows
 
 
-def make_session(parallel: bool, chunk_limit: int = WIDE_CHUNK_LIMIT) -> Session:
+#: the three ways a stage reaches the kernel loop.
+MODES = [
+    ("serial", {"parallel_execution": False}),
+    ("thread", {"parallel_execution": True}),
+    ("process", {"parallel_execution": True, "execution_mode": "process",
+                 "procpool_workers": 2}),
+]
+
+
+def make_session(parallel: bool, chunk_limit: int = WIDE_CHUNK_LIMIT,
+                 **overrides) -> Session:
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
     cfg.parallel_execution = parallel
-    # force the dispatcher path: these tests exercise the band runner's
-    # concurrency contract, so the small-graph/low-core serial fallback
-    # must not quietly select the serial walk (e.g. on 1-core CI hosts).
-    cfg.parallel_min_subtasks = 2
-    cfg.parallel_min_cores = 1
+    for name, value in overrides.items():
+        setattr(cfg, name, value)
     return Session(cfg)
 
 
@@ -108,9 +123,9 @@ class TestDataFrameDeterminism:
     def _pipeline(self, session: Session):
         rng = np.random.default_rng(11)
         local = pf.DataFrame({
-            "k": rng.integers(0, 9, 600),
-            "v": rng.normal(size=600),
-            "w": rng.normal(size=600),
+            "k": rng.integers(0, 9, 2_400),
+            "v": rng.normal(size=2_400),
+            "w": rng.normal(size=2_400),
         })
         df = from_frame(local, session)
         agg = df.groupby("k").agg({"v": "mean", "w": "sum"})
@@ -126,55 +141,78 @@ class TestDataFrameDeterminism:
         assert actual.equals(expected)
         assert parallel_report == serial_report
 
-    def test_per_call_override_beats_config(self):
-        with make_session(parallel=True, chunk_limit=4000) as session:
-            rng = np.random.default_rng(3)
-            local = pf.DataFrame({"k": rng.integers(0, 5, 200),
-                                  "v": rng.normal(size=200)})
-            df = from_frame(local, session)
-            doubled = df["v"] * 2
-            (value,) = session.execute(doubled.data, parallel=False)
-            assert np.allclose(
-                np.asarray(value.to_numpy()),
-                np.asarray(local["v"].to_numpy()) * 2,
-            )
-
 
 class TestErrorPropagation:
-    def test_kernel_error_surfaces_in_both_modes(self):
+    @pytest.mark.parametrize("mode,overrides", MODES)
+    def test_kernel_error_runs_once_and_keeps_its_type(self, mode, overrides,
+                                                       tmp_path):
+        """A raising kernel executes once per subtask, in every mode.
+
+        The kernel logs each call (keyed by its block's first value) to
+        a file, so calls made inside pool worker processes count too.
+        The accounting walk used to own a second interpreter that re-ran
+        a kernel whose first (runner-side) failure had been swallowed.
+        """
+        log = tmp_path / "calls.log"
+
         def boom(block):
+            with open(log, "a") as f:
+                f.write(f"{float(block[0, 0])!r}\n")
             raise ValueError("kernel exploded")
 
-        errors = {}
-        for mode in (False, True):
-            with make_session(parallel=mode) as session:
-                t = rand(1024, 4, seed=1, session=session)
-                bad = t.map_blocks(boom, out_cols=4)
-                with pytest.raises(ValueError) as excinfo:
-                    bad.fetch()
-                errors[mode] = str(excinfo.value)
-        assert errors[False] == errors[True] == "kernel exploded"
+        with make_session(parallel=True, **overrides) as session:
+            t = rand(4096, 4, seed=1, session=session)  # 16 subtasks
+            bad = t.map_blocks(boom, out_cols=4)
+            with pytest.raises(ValueError, match="kernel exploded"):
+                bad.fetch()
+        calls = log.read_text().split()
+        assert calls, "the kernel never ran"
+        assert len(calls) == len(set(calls)), (
+            f"{mode}: a failing kernel was executed more than once: {calls}"
+        )
 
     def test_failure_does_not_poison_next_execution(self):
         def boom(block):
             raise ValueError("kernel exploded")
 
         with make_session(parallel=True) as session:
-            t = rand(1024, 4, seed=1, session=session)
+            t = rand(4096, 4, seed=1, session=session)
             with pytest.raises(ValueError):
                 t.map_blocks(boom, out_cols=4).fetch()
-            ok = (rand(1024, 4, seed=2, session=session) + 1.0).sum()
+            ok = (rand(4096, 4, seed=2, session=session) + 1.0).sum()
             assert np.isfinite(float(np.asarray(ok.fetch())))
 
 
-class TestSerialFallback:
-    """Small graphs and starved hosts must skip the thread-pool entirely.
+class TestRetryRecomputes:
+    """A retried subtask has no usable compute-phase record: the walk
+    asks the kernel loop for a fresh one. Same loop, same record, same
+    accounting — whichever mode produced the first attempt."""
 
-    Dispatcher startup plus cross-thread handoff costs more than it saves
-    on tiny stages (the BENCH_wallclock tpch_q5/fig8a regressions), so
-    ``parallel_execution`` is a *request*: the executor honours it only
-    when the graph is wide enough and the host has cores to use.
-    """
+    def test_retried_outputs_and_report_identical_across_modes(self):
+        outcomes = {}
+        for mode, overrides in MODES:
+            cfg = Config()
+            cfg.chunk_store_limit = WIDE_CHUNK_LIMIT
+            cfg.faults.seed = 20240806
+            cfg.faults.compute_fault_rate = 0.05
+            for name, value in overrides.items():
+                setattr(cfg, name, value)
+            with Session(cfg) as session:
+                value = wide_fanout_result(session)
+                report = session.executor.report
+                outcomes[mode] = (
+                    value.tobytes(), report_tuple(session),
+                    report.retries, report.backoff_time,
+                )
+        assert outcomes["serial"][2] > 0, "no compute fault was injected"
+        assert outcomes["thread"] == outcomes["serial"]
+        assert outcomes["process"] == outcomes["serial"]
+
+
+class TestStructuralGate:
+    """The dispatcher's only payoff is overlap between bands, so a stage
+    goes through it exactly when it has ≥ MIN_DISPATCH_SUBTASKS subtasks
+    on ≥ 2 bands. The gate reads the stage — not the host, not a knob."""
 
     @staticmethod
     def _order(n_subtasks: int, n_bands: int):
@@ -183,62 +221,60 @@ class TestSerialFallback:
             for i in range(n_subtasks)
         ]
 
-    def test_small_graph_goes_serial(self):
-        cfg = Config()
-        cfg.parallel_min_cores = 1
-        order = self._order(cfg.parallel_min_subtasks - 1, n_bands=4)
-        assert not should_use_parallel(order, cfg, cpu_count=8)
-
-    def test_single_band_goes_serial(self):
-        cfg = Config()
-        cfg.parallel_min_cores = 1
-        order = self._order(64, n_bands=1)
-        assert not should_use_parallel(order, cfg, cpu_count=8)
-
-    def test_starved_host_goes_serial(self):
-        cfg = Config()
-        order = self._order(64, n_bands=4)
-        assert should_use_parallel(order, cfg, cpu_count=cfg.parallel_min_cores)
+    def test_small_stage_goes_inline(self):
+        assert not should_use_parallel(self._order(1, n_bands=1))
         assert not should_use_parallel(
-            order, cfg, cpu_count=cfg.parallel_min_cores - 1
-        )
+            self._order(MIN_DISPATCH_SUBTASKS - 1, n_bands=4))
 
-    def test_wide_graph_on_wide_host_goes_parallel(self):
+    def test_single_band_stage_goes_inline(self):
+        assert not should_use_parallel(self._order(2, n_bands=1))
+        assert not should_use_parallel(self._order(64, n_bands=1))
+
+    def test_wide_stage_on_two_bands_goes_to_the_dispatcher(self):
+        assert should_use_parallel(
+            self._order(MIN_DISPATCH_SUBTASKS, n_bands=2))
+        assert should_use_parallel(self._order(64, n_bands=4))
+
+    def test_stale_threshold_knobs_fail_loudly(self):
         cfg = Config()
-        order = self._order(64, n_bands=4)
-        assert should_use_parallel(order, cfg, cpu_count=8)
+        with pytest.raises(AttributeError):
+            cfg.parallel_min_subtasks = 2
+        with pytest.raises(AttributeError):
+            cfg.cluster.n_wokers = 2
+        with pytest.raises(AttributeError):
+            cfg.faults.compute_rate = 0.1
 
-    def test_executor_skips_dispatcher_for_small_graphs(self, monkeypatch):
-        """Integration: below-threshold runs never construct a dispatcher."""
+    def test_executor_follows_the_gate(self, monkeypatch):
+        """Integration: a dispatcher exists iff the stage can overlap."""
         import repro.core.executor as executor_mod
 
         constructed = []
         original_init = BandDispatcher.__init__
 
-        def counting_init(self, *args, **kwargs):
-            constructed.append(1)
-            original_init(self, *args, **kwargs)
+        def counting_init(self, graph, order, *args, **kwargs):
+            constructed.append(len(order))
+            original_init(self, graph, order, *args, **kwargs)
 
         monkeypatch.setattr(executor_mod.BandDispatcher, "__init__",
                             counting_init)
 
+        # one chunk end to end: every stage is a single subtask.
         cfg = Config()
         cfg.parallel_execution = True
-        cfg.parallel_min_subtasks = 10**6  # nothing is ever that wide
-        cfg.parallel_min_cores = 1
         with Session(cfg) as session:
             t = rand(256, 4, seed=5, session=session)
             (t + 1.0).sum().fetch()
         assert not constructed
 
-        cfg = Config()
-        cfg.parallel_execution = True
-        cfg.parallel_min_subtasks = 2
-        cfg.parallel_min_cores = 1
-        cfg.chunk_store_limit = WIDE_CHUNK_LIMIT
-        with Session(cfg) as session:
+        # parallel_execution off: never, however wide the stage.
+        with make_session(parallel=False) as session:
+            wide_fanout_result(session)
+        assert not constructed
+
+        with make_session(parallel=True) as session:
             wide_fanout_result(session)
         assert constructed
+        assert all(n >= MIN_DISPATCH_SUBTASKS for n in constructed)
 
 
 class TestDispatcherInternals:

@@ -115,9 +115,11 @@ def _kamikaze(df):
 class TestWorkerCrashRecovery:
     def test_worker_death_recovers_with_correct_result(self):
         rng = np.random.default_rng(3)
+        # 1600 rows at 2 kB chunks: a 13+-subtask stage, wide enough to
+        # go through the dispatcher (and so through the process pool).
         local = pf.DataFrame({
-            "k": rng.integers(0, 8, 400),
-            "v": rng.normal(size=400),
+            "k": rng.integers(0, 8, 1_600),
+            "v": rng.normal(size=1_600),
         })
         with make_session(parallel=True, chunk_limit=2_000,
                           execution_mode="process") as session:

@@ -54,9 +54,6 @@ def make_session(parallel: bool = False, chunk_limit: int = 8_000,
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
     cfg.parallel_execution = parallel
-    # force the dispatcher path even on small graphs / 1-core CI hosts.
-    cfg.parallel_min_subtasks = 2
-    cfg.parallel_min_cores = 1
     for name, value in (message_faults or {}).items():
         setattr(cfg.message_faults, name, value)
     for name, value in overrides.items():
@@ -446,6 +443,28 @@ class TestHealthMonitor:
         assert system.actor_ref("worker-0", "runner:b0").bump() == 1
         assert plane.probe(now=10.5) == []
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_healthy_runners_beat_and_are_never_killed(self, parallel):
+        """Regression: completions must clear the band's lease.
+
+        The executor used to beat with the ``Band`` object while leases
+        are keyed by band *name*, so no beat ever landed: every armed
+        lease expired and healthy runners were killed and respawned
+        until ``RestartStorm``. The lease here (3e-4 virtual seconds) is
+        far shorter than one multi-stage query, so a missed beat shows
+        up as a kill at the very next stage boundary.
+        """
+        with make_session(parallel=parallel, chunk_limit=4_000,
+                          heartbeat_interval=1e-4) as session:
+            for _ in range(8):
+                groupby_workload(session)
+            assert session.last_report.makespan > 3e-4
+            snap = session.cluster.supervision.snapshot()
+        assert snap["health"]["armed"] == 0
+        assert snap["health"]["deaths_declared"] == 0
+        assert snap["supervisor"]["total_restarts"] == 0
+        assert snap["supervisor"]["total_kills"] == 0
+
 
 # ---------------------------------------------------------------------------
 # speculation: EWMA deadlines, scripted stragglers, bit-identical reports
@@ -479,14 +498,18 @@ class TestSpeculation:
         assert time.monotonic() - t0 < 0.01
 
     def test_straggler_speculates_and_report_is_unchanged(self):
-        base = make_session(parallel=True)
+        # 16 chunks: stage 0 is the two sampled chunks (computed inline),
+        # stage 1 the fourteen others — wide enough for the dispatcher,
+        # and by its tenth subtask the EWMA has history to speculate on.
+        base = make_session(parallel=True, chunk_limit=4_000)
         expected = groupby_workload(base)
         baseline = report_tuple(base)
         base.close()
 
-        session = make_session(parallel=True, speculation=True,
+        session = make_session(parallel=True, chunk_limit=4_000,
+                               speculation=True,
                                speculation_min_seconds=0.05)
-        session.executor.speculation.script_straggler(0, 1, 0.75)
+        session.executor.speculation.script_straggler(1, 10, 0.75)
         result = groupby_workload(session)
         assert session.last_report.speculative_subtasks >= 1
         assert session.executor.speculative_subtasks >= 1

@@ -1,11 +1,13 @@
 """Partition-kernel parity and shuffle-data-plane behaviour.
 
-The vectorized shuffle kernels (``repro.dataframe.partition``,
+The vectorized shuffle kernels (``repro.engine.partition``,
 ``repro.frame.hashing``) must be bit-identical to the scalar reference
-paths they replaced: same hash per key, same range partition per key,
-same rows in the same order per output frame. On top of that, shuffles
-must stay deterministic across serial/parallel execution, and
-mapper-side combine must shrink shuffle bytes without changing results.
+definitions kept in this module (per-row ``stable_hash``, per-row binary
+search, one boolean-mask scan per partition): same hash per key, same
+range partition per key, same rows in the same order per output frame.
+On top of that, shuffles must stay deterministic across serial/parallel
+execution, and mapper-side combine must shrink shuffle bytes without
+changing results.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from repro.config import Config
 from repro.core import Session
 from repro import frame as pf
 from repro.dataframe import from_frame
-from repro.dataframe.partition import (
+from repro.engine.partition import (
     assign_hash_partitions,
     assign_range_partitions,
     split_by_assignment,
@@ -23,10 +25,44 @@ from repro.dataframe.partition import (
 from repro.frame.hashing import HASH_MOD, hash_array, stable_hash
 
 
+# ---------------------------------------------------------------------------
+# the scalar oracle: the per-row definitions the kernels must reproduce
+# ---------------------------------------------------------------------------
+
 def reference_hashes(values) -> np.ndarray:
     return np.array(
         [stable_hash(v) for v in np.asarray(values).tolist()], dtype=np.int64
     )
+
+
+def reference_hash_partitions(keys, n_parts: int) -> np.ndarray:
+    """Per-row ``stable_hash(key) % n_parts``."""
+    return np.array(
+        [stable_hash(v) % n_parts for v in np.asarray(keys).tolist()],
+        dtype=np.int64,
+    )
+
+
+def reference_range_partitions(keys, boundaries: list) -> np.ndarray:
+    """Per-row binary search (the original implementation): partition
+    ``r`` gets ``boundaries[r-1] < key <= boundaries[r]``; ``None`` is
+    never ``<=`` a boundary, so missing keys land in the last one."""
+    out = np.empty(len(keys), dtype=np.int64)
+    for i, key in enumerate(np.asarray(keys).tolist()):
+        lo, hi = 0, len(boundaries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if key is not None and key <= boundaries[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        out[i] = lo
+    return out
+
+
+def reference_split(frame, assignment: np.ndarray, n_parts: int) -> list:
+    """One boolean-mask scan per partition."""
+    return [frame[assignment == r] for r in range(n_parts)]
 
 
 class TestHashParity:
@@ -77,8 +113,8 @@ class TestHashParity:
     def test_hash_partition_ids_parity(self):
         keys = np.random.default_rng(3).integers(-10**9, 10**9, 2000)
         for n_parts in (2, 7, 64):
-            vec = assign_hash_partitions(keys, n_parts, vectorized=True)
-            ref = assign_hash_partitions(keys, n_parts, vectorized=False)
+            vec = assign_hash_partitions(keys, n_parts)
+            ref = reference_hash_partitions(keys, n_parts)
             assert (vec == ref).all()
 
 
@@ -100,8 +136,8 @@ class TestRangeParity:
         ("on_boundary", np.array([0, 5, 10, 15, 20]), [5, 15]),
     ])
     def test_vectorized_matches_scalar(self, name, keys, boundaries):
-        vec = assign_range_partitions(keys, list(boundaries), vectorized=True)
-        ref = assign_range_partitions(keys, list(boundaries), vectorized=False)
+        vec = assign_range_partitions(keys, list(boundaries))
+        ref = reference_range_partitions(keys, list(boundaries))
         assert (vec == ref).all()
 
     def test_missing_keys_go_to_last_partition(self):
@@ -127,8 +163,8 @@ class TestSplitByAssignment:
     def test_matches_boolean_mask_reference(self):
         frame = self._frame()
         assignment = assign_hash_partitions(frame["k"].values, 6)
-        fast = split_by_assignment(frame, assignment, 6, vectorized=True)
-        slow = split_by_assignment(frame, assignment, 6, vectorized=False)
+        fast = split_by_assignment(frame, assignment, 6)
+        slow = reference_split(frame, assignment, 6)
         assert sum(len(p) for p in fast) == len(frame)
         for a, b in zip(fast, slow):
             assert a.equals(b)
@@ -198,22 +234,26 @@ class TestShuffleDeterminism:
             return joined.fetch(), report_tuple(session)
 
     def test_skewed_shuffle_serial_vs_parallel(self):
-        serial_cfg = shuffle_config(
-            parallel_execution=False,
-            parallel_min_subtasks=2, parallel_min_cores=1,
-        )
-        parallel_cfg = shuffle_config(
-            parallel_execution=True,
-            parallel_min_subtasks=2, parallel_min_cores=1,
-        )
+        serial_cfg = shuffle_config(parallel_execution=False)
+        parallel_cfg = shuffle_config(parallel_execution=True)
         expected, serial_report = self._run(serial_cfg)
         actual, parallel_report = self._run(parallel_cfg)
         assert actual.equals(expected)
         assert parallel_report == serial_report
 
-    def test_vectorized_and_scalar_paths_identical(self):
-        fast, fast_report = self._run(shuffle_config(vectorized_shuffle=True))
-        slow, slow_report = self._run(shuffle_config(vectorized_shuffle=False))
+    def test_pipeline_identical_under_scalar_oracle(self, monkeypatch):
+        """End to end: swapping the row engine's kernels for the scalar
+        oracle changes neither the result nor any simulated number."""
+        import repro.engine.row as row_engine
+
+        fast, fast_report = self._run(shuffle_config())
+        monkeypatch.setattr(row_engine, "assign_hash_partitions",
+                            reference_hash_partitions)
+        monkeypatch.setattr(row_engine, "assign_range_partitions",
+                            reference_range_partitions)
+        monkeypatch.setattr(row_engine, "split_by_assignment",
+                            reference_split)
+        slow, slow_report = self._run(shuffle_config())
         assert fast.equals(slow)
         assert fast_report == slow_report
 
@@ -246,10 +286,7 @@ class TestMapperSideCombine:
     def test_combine_stat_deterministic_across_modes(self):
         stats = {}
         for parallel in (False, True):
-            cfg = shuffle_config(
-                parallel_execution=parallel,
-                parallel_min_subtasks=2, parallel_min_cores=1,
-            )
+            cfg = shuffle_config(parallel_execution=parallel)
             rng = np.random.default_rng(5)
             local = pf.DataFrame({
                 "k": rng.integers(0, 8, 10_000),

@@ -28,6 +28,10 @@ from repro.engine.partition import (
 )
 from repro.frame.dtypes import values_equal
 from repro.utils import sizeof
+from tests.dataframe.test_partition_kernels import (
+    reference_hash_partitions,
+    reference_range_partitions,
+)
 
 
 def make_string_frame(n=500, n_keys=17, seed=3):
@@ -128,33 +132,31 @@ class TestEncoding:
 # ---------------------------------------------------------------------------
 
 class TestDrawParity:
-    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("oracle", [assign_hash_partitions,
+                                        reference_hash_partitions])
     @pytest.mark.parametrize("n_parts", [2, 7])
-    def test_hash_partition_matches_row_oracle(self, vectorized, n_parts):
+    def test_hash_partition_matches_row_oracle(self, oracle, n_parts):
         frame = make_string_frame()
         phys = COLUMNAR_ENGINE.persist(frame)
-        got = COLUMNAR_ENGINE.hash_partition(
-            phys, "k", n_parts, vectorized=vectorized)
-        want = assign_hash_partitions(
-            frame["k"].values, n_parts, vectorized)
+        got = COLUMNAR_ENGINE.hash_partition(phys, "k", n_parts)
+        want = oracle(frame["k"].values, n_parts)
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_range_partition_matches_row_oracle(self, vectorized):
+    @pytest.mark.parametrize("oracle", [assign_range_partitions,
+                                        reference_range_partitions])
+    def test_range_partition_matches_row_oracle(self, oracle):
         frame = make_string_frame()
         boundaries = ["key-004", "key-009", "key-013"]
         phys = COLUMNAR_ENGINE.persist(frame)
-        got = COLUMNAR_ENGINE.range_partition(
-            phys, "k", boundaries, vectorized=vectorized)
-        want = assign_range_partitions(
-            frame["k"].values, boundaries, vectorized)
+        got = COLUMNAR_ENGINE.range_partition(phys, "k", boundaries)
+        want = oracle(frame["k"].values, boundaries)
         np.testing.assert_array_equal(got, want)
 
     def test_numeric_key_delegates_to_row_kernel(self):
         frame = make_string_frame()
         phys = COLUMNAR_ENGINE.persist(frame)
         got = COLUMNAR_ENGINE.hash_partition(phys, "n", 5)
-        want = assign_hash_partitions(frame["n"].values, 5, True)
+        want = assign_hash_partitions(frame["n"].values, 5)
         np.testing.assert_array_equal(got, want)
 
 
@@ -166,10 +168,10 @@ class TestSplit:
     def test_split_matches_row_split(self):
         frame = make_string_frame()
         n_parts = 4
-        assignment = assign_hash_partitions(frame["k"].values, n_parts, True)
+        assignment = assign_hash_partitions(frame["k"].values, n_parts)
         phys = COLUMNAR_ENGINE.persist(frame)
         col_parts = COLUMNAR_ENGINE.split(phys, assignment, n_parts)
-        row_parts = split_by_assignment(frame, assignment, n_parts, True)
+        row_parts = split_by_assignment(frame, assignment, n_parts)
         for col_part, row_part in zip(col_parts, row_parts):
             back = COLUMNAR_ENGINE.compute(col_part)
             for name in frame.columns.to_list():

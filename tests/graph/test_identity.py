@@ -120,11 +120,13 @@ class TestCrossSessionStability:
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_modes_agree(self, mode):
-        with make_session(parallel_execution=False) as base:
+        # 2 kB chunks -> a 14-subtask stage, wide enough for the dispatcher.
+        with make_session(parallel_execution=False,
+                          chunk_store_limit=2_000) as base:
             run_workload(base)
             expected = base.cache.entry_identities()
         overrides = {"parallel_execution": True, "execution_mode": mode,
-                     "parallel_min_subtasks": 2, "parallel_min_cores": 1}
+                     "chunk_store_limit": 2_000}
         if mode == "process":
             overrides["procpool_workers"] = 2
         with make_session(**overrides) as s:

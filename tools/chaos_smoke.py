@@ -40,8 +40,6 @@ def make_session(mode_overrides: dict, chunk_limit: int,
                  chaos: bool) -> Session:
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
-    cfg.parallel_min_subtasks = 2
-    cfg.parallel_min_cores = 1
     for name, value in mode_overrides.items():
         setattr(cfg, name, value)
     if chaos:

@@ -20,6 +20,12 @@ through ``repro.engine.local`` (the row-space API re-export) or an
 engine handle, so a chunk backend can be swapped without touching the
 planes above it.
 
+A third rule keeps the accounting walk accounting-only:
+``repro/core/executor.py`` may not call ``.execute(...)`` on anything,
+nor name ``compile_step``, ``ExecContext`` or ``persist_result`` — every
+kernel runs behind ``repro.services.runner.run_subtask_kernels`` and
+the executor only replays the records it returns.
+
 Run from the repository root (CI runs it next to ruff)::
 
     python tools/check_service_boundaries.py
@@ -36,9 +42,7 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 #: guarded class -> module paths (relative to src/, ``/``-separated)
 #: allowed to import it at runtime.  A trailing ``/`` means the whole
 #: subtree.  The services package may import everything: it *is* the
-#: deployment layer.  ``repro/core/executor.py`` is the one sanctioned
-#: assembly point outside it — legacy direct constructions of
-#: ``GraphExecutor`` self-assemble plain services there.
+#: deployment layer, and the only place services are assembled.
 ALLOWED = {
     # storage backends: the storage package owns its tiers and router.
     "StorageService": {"repro/storage/", "repro/services/"},
@@ -50,21 +54,26 @@ ALLOWED = {
     },
     "Scheduler": {
         "repro/core/scheduler.py", "repro/core/__init__.py",
-        "repro/core/executor.py", "repro/services/",
+        "repro/services/",
     },
     "MemoryPressure": {"repro/core/memory_control.py", "repro/services/"},
     "RecoveryManager": {"repro/core/recovery.py", "repro/services/"},
-    # the services themselves: constructed by deploy or the executor's
-    # legacy self-assembly, never by client code.
-    "SchedulingService": {"repro/services/", "repro/core/executor.py"},
-    "LifecycleService": {"repro/services/", "repro/core/executor.py"},
-    "ResultCacheService": {"repro/services/", "repro/core/executor.py"},
-    "SubtaskRunner": {"repro/services/", "repro/core/executor.py"},
+    # the services themselves: constructed by deploy, never by the
+    # executor or client code.
+    "SchedulingService": {"repro/services/"},
+    "LifecycleService": {"repro/services/"},
+    "ResultCacheService": {"repro/services/"},
+    "SubtaskRunner": {"repro/services/"},
 }
 
 #: module subtrees allowed to import ``repro.frame`` directly; everyone
 #: else must use ``repro.engine.local`` or an engine handle.
 FRAME_ALLOWED_PREFIXES = ("repro/frame/", "repro/engine/")
+
+#: the accounting walk: replays kernel results, never produces them.
+ACCOUNTING_ONLY = "repro/core/executor.py"
+#: names of the kernel-execution machinery it may not mention.
+KERNEL_NAMES = {"compile_step", "ExecContext", "persist_result"}
 
 
 def _module_parts(rel_path: str) -> list[str]:
@@ -116,11 +125,44 @@ def _allowed(name: str, rel_path: str) -> bool:
     return False
 
 
+def _kernel_violations(path: Path, tree: ast.Module) -> list[str]:
+    """Kernel execution referenced from the accounting-only module."""
+    where = path.relative_to(SRC_ROOT.parent)
+    violations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            names = []
+        for name in names:
+            if name in KERNEL_NAMES:
+                violations.append(
+                    f"{where}:{node.lineno}: {name} is kernel execution — "
+                    f"it lives behind run_subtask_kernels, not in "
+                    f"{ACCOUNTING_ONLY}"
+                )
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "execute"):
+            violations.append(
+                f"{where}:{node.lineno}: .execute(...) call — the "
+                f"accounting walk replays kernel results, it never "
+                f"runs an operator"
+            )
+    return violations
+
+
 def check_file(path: Path) -> list[str]:
     rel_path = path.relative_to(SRC_ROOT).as_posix()
     tree = ast.parse(path.read_text(), filename=str(path))
     exempt = _type_checking_spans(tree)
     violations = []
+    if rel_path == ACCOUNTING_ONLY:
+        violations.extend(_kernel_violations(path, tree))
     frame_ok = rel_path.startswith(FRAME_ALLOWED_PREFIXES)
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):

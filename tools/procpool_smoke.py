@@ -26,8 +26,6 @@ def make_session(mode: str, chunk_limit: int) -> Session:
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
     cfg.parallel_execution = True
-    cfg.parallel_min_subtasks = 2
-    cfg.parallel_min_cores = 1
     cfg.execution_mode = mode
     return Session(cfg)
 
