@@ -39,7 +39,7 @@ from ..errors import (
 )
 from ..graph.dag import DAG
 from ..graph.entity import ChunkData
-from ..graph.identity import compute_chunk_identities
+from ..graph.identity import IdentityContext, compute_chunk_identities
 from ..graph.subtask import Subtask, build_subtask_graph
 from ..services.runner import run_subtask_kernels
 from ..utils import sizeof
@@ -135,6 +135,10 @@ class GraphExecutor:
         #: filled by the cache pass, consumed at record time.
         self._chunk_idents: dict[str, str | None] = {}
         self._chunk_deps: dict[str, frozenset] = {}
+        #: identity's execute-scoped memo (source fingerprints, operator
+        #: tokens), shared by every partial execute of one run; the
+        #: session actor resets it when a run starts.
+        self.identity = IdentityContext()
         #: records accumulated during a stage, flushed to lifecycle once.
         self._pending_cache_records: dict[str, tuple] = {}
         #: monotonic sequence for dedup tokens on mutating service
@@ -225,19 +229,18 @@ class GraphExecutor:
     def _execute_stage(self, chunk_graph: DAG[ChunkData],
                        retain_keys: set[str] | None = None) -> SimReport:
         retain = set(retain_keys or ())
+        order_nodes = chunk_graph.topological_order()
+        keys = [node.key for node in order_nodes]
+        stored = set(keys).difference(self.storage.missing_keys(keys))
         cache_hits = cache_bytes = 0
         if self.config.result_cache:
-            chunk_graph, cache_hits, cache_bytes = self._apply_cache(
-                chunk_graph)
+            chunk_graph, order_nodes, cache_hits, cache_bytes = (
+                self._apply_cache(chunk_graph, order_nodes, stored))
         self.lifecycle.register_terminals({
             node.key: getattr(node, "terminal", False)
             for node in chunk_graph.nodes()
         })
-        order_nodes = chunk_graph.topological_order()
-        not_stored = set(self.storage.missing_keys(
-            [node.key for node in order_nodes]
-        ))
-        pending = [node for node in order_nodes if node.key in not_stored]
+        pending = [node for node in order_nodes if node.key not in stored]
         if not pending:
             empty = SimReport()
             empty.cache_hit_chunks = cache_hits
@@ -359,24 +362,27 @@ class GraphExecutor:
         return stage
 
     # -- result cache ---------------------------------------------------
-    def _apply_cache(self, chunk_graph: DAG[ChunkData]):
+    def _apply_cache(self, chunk_graph: DAG[ChunkData],
+                     order: list[ChunkData], stored: set[str]):
         """The cache-lookup + graph-pruning pass (planning time).
 
         Computes every chunk's structural identity, rewires chunks whose
         identity already has a live cached result onto the cached chunk
         key, and rebuilds the graph from its sinks so satisfied subtrees
         drop out entirely. Runs on the accounting thread, before any
-        stage state exists. Returns ``(graph, hit_chunks, reused_bytes)``.
+        stage state exists. ``order`` is the graph's topological order
+        and ``stored`` the keys of it that sit in storage; hit keys are
+        added to ``stored``. Returns ``(graph, order, hit_chunks,
+        reused_bytes)``.
         """
-        order = chunk_graph.topological_order()
         old_keys = [node.key for node in order]
         known = self.cache.known_identities(old_keys)
-        idents, ancestors = compute_chunk_identities(order, known)
+        idents, ancestors = compute_chunk_identities(
+            order, known, self.identity)
         for key, ident in idents.items():
             if ident is not None:
                 self._chunk_idents[key] = ident
                 self._chunk_deps[key] = ancestors.get(key, frozenset())
-        stored = set(old_keys) - set(self.storage.missing_keys(old_keys))
         # sinks must be taken before any rebind: rebinding changes node
         # hashes, which silently breaks the DAG's internal dicts.
         sinks = chunk_graph.sinks()
@@ -390,6 +396,8 @@ class GraphExecutor:
         n_hits = 0
         reused = 0
         for ident, (cached_key, nbytes) in hits.items():
+            # a hit is a live stored chunk (``lookup_many`` checked).
+            stored.add(cached_key)
             for node in candidates[ident]:
                 if node.key == cached_key:
                     continue
@@ -410,11 +418,12 @@ class GraphExecutor:
                 self._chunk_deps[node.key] = ancestors.get(
                     old_key, frozenset())
         if n_hits:
-            materialized = set(self.storage.all_keys())
+            # every node reachable from the sinks carries an old key or
+            # a hit key, so ``stored`` answers for all of storage here.
             from .tiler import chunk_closure
-            chunk_graph = chunk_closure(
-                sinks, lambda key: key in materialized)
-        return chunk_graph, n_hits, reused
+            chunk_graph = chunk_closure(sinks, stored.__contains__)
+            order = chunk_graph.topological_order()
+        return chunk_graph, order, n_hits, reused
 
     def _collect_cache_record(self, subtask: Subtask,
                               stored_by_key: dict[str, int],

@@ -169,6 +169,10 @@ class Operator:
     #: variables, e.g. ``"{0}[{1}]"`` for boolean-mask filtering. Ops that
     #: annotate ``ExecContext.extra_meta`` must decline.
     fuse_expr: str | None = None
+    #: names of the ``params`` that hold paths of files this op reads:
+    #: each file's stat joins the chunk's result-cache identity, so a
+    #: rewritten file is read again instead of hitting a stale entry.
+    file_params: tuple[str, ...] = ()
 
     def __init__(self, **params: Any):
         self.params = params

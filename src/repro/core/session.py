@@ -164,6 +164,9 @@ class SessionActor(Actor):
     def _execute_tileables(self,
                            tileables: Sequence[TileableData]) -> list[Any]:
         storage = self.services.storage
+        # identity memoizes source fingerprints for the span of one run
+        # only: data mutated between two executes must hash afresh.
+        self.executor.identity.reset()
         t0 = (self.cluster.clock.makespan if self.owns_cluster
               else self.executor.frontier)
         transfer0 = storage.transferred_bytes()
@@ -229,6 +232,9 @@ class SessionActor(Actor):
                     )
         finally:
             self.config.chunk_store_limit = saved_chunk_limit
+            # the memo references every source frame and chunk operator
+            # of the run: let go of them with the run.
+            self.executor.identity.reset()
 
         # fetch before building the report: fetch-time recovery of lost
         # terminal chunks must land in this run's recovery accounting.

@@ -133,6 +133,8 @@ class ReadParquet(DataSourceOp):
 
 
 class ReadParquetChunk(Operator):
+    file_params = ("path",)
+
     def execute(self, ctx: ExecContext):
         p = self.params
         frame = frame_io.read_parquet(
@@ -187,6 +189,8 @@ class ReadCSV(DataSourceOp):
 
 
 class ReadCSVChunk(Operator):
+    file_params = ("path",)
+
     def execute(self, ctx: ExecContext):
         p = self.params
         frame = frame_io.read_csv(

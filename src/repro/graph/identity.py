@@ -25,7 +25,9 @@ objects are either canonicalized to placeholders or poison the identity
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
 import re
 import types
 from typing import Any, Callable, Iterable, Optional
@@ -73,23 +75,87 @@ def tokenize(*parts: Any) -> str:
 # value fingerprints: hash the *content* of source data
 # ---------------------------------------------------------------------------
 
-def _array_fingerprint(arr: np.ndarray, hasher) -> bool:
-    """Feed one ndarray's dtype/shape/content into ``hasher``.
+#: exact cell types an object column is hashed column-wise for, and the
+#: code that tags each: ``1`` / ``1.0`` / ``True`` / ``"1"`` and ``None`` /
+#: ``"None"`` / ``nan`` never collide. Subclasses (``np.str_``,
+#: ``np.float64``) and every other type take the per-cell loop.
+_CELL_CODES = {type(None): 0, bool: 1, int: 2, float: 3, str: 4, bytes: 5}
 
-    Returns False when the array holds objects that cannot be hashed
-    deterministically.
+
+def _feed_sized(payload: bytes, hasher) -> None:
+    """Length-prefixed update: adjacent payloads cannot bleed together."""
+    hasher.update(len(payload).to_bytes(8, "little"))
+    hasher.update(payload)
+
+
+def _object_fingerprint(arr: np.ndarray, hasher) -> bool:
+    """Feed an object array's cells into ``hasher``, column-wise in C.
+
+    Cells are grouped by exact type — which types, then (when mixed) the
+    per-cell type codes go in first — and each group is one payload:
+    numbers as their comma-joined ``repr``, strings and bytes NUL-joined.
+    The separator count proves no cell embeds a NUL, so ``["ab", "c"]``
+    and ``["a", "bc"]`` cannot meet; a group that does embed one adds its
+    length vector. Only a column holding some other type pays the
+    per-cell Python loop, which returns False for anything that cannot
+    be hashed deterministically.
     """
-    hasher.update(str(arr.dtype).encode())
-    hasher.update(str(arr.shape).encode())
-    if arr.dtype == object:
-        for item in arr.ravel():
+    flat = arr.ravel()
+    items = flat.tolist()
+    census = set(map(type, items))
+    if not census <= _CELL_CODES.keys():
+        hasher.update(b"loop")
+        for item in items:
             if not isinstance(item, (str, bytes, int, float, bool,
                                      np.generic, type(None), tuple)):
                 return False
             hasher.update(repr(item).encode())
         return True
-    data = np.ascontiguousarray(arr)
-    hasher.update(data.tobytes())
+    kinds = sorted(census, key=_CELL_CODES.__getitem__)
+    hasher.update(bytes(map(_CELL_CODES.__getitem__, kinds)))
+    codes = None
+    if len(kinds) > 1:
+        codes = np.fromiter(map(_CELL_CODES.__getitem__, map(type, items)),
+                            np.uint8, len(items))
+        hasher.update(codes)
+    for kind in kinds:
+        if kind is type(None):
+            continue  # the codes say it all
+        cells = (items if codes is None
+                 else flat[codes == _CELL_CODES[kind]].tolist())
+        if kind not in (str, bytes):
+            _feed_sized(",".join(map(repr, cells)).encode(), hasher)
+            continue
+        joined = (b"\0".join(cells) if kind is bytes else
+                  "\0".join(cells).encode("utf-8", "surrogatepass"))
+        # UTF-8 spends a zero byte on U+0000 alone, so zero bytes count
+        # separators plus embedded NULs (NumPy counts them 7x faster
+        # than ``bytes.count`` when they are this dense).
+        zeros = np.count_nonzero(np.frombuffer(joined, np.uint8) == 0)
+        embedded = zeros != len(cells) - 1
+        hasher.update(b"L" if embedded else b"S")
+        if embedded:
+            hasher.update(np.fromiter(map(len, cells), np.int64, len(cells)))
+        _feed_sized(joined, hasher)
+    return True
+
+
+def _array_fingerprint(arr: np.ndarray, hasher) -> bool:
+    """Feed one ndarray's dtype/shape/content into ``hasher``.
+
+    Returns False when the array holds objects that cannot be hashed
+    deterministically. Plain buffers are hashed in place; only a strided
+    view is copied first, so it hashes like its contiguous copy.
+    """
+    hasher.update(str(arr.dtype).encode())
+    hasher.update(str(arr.shape).encode())
+    if arr.dtype == object:
+        return _object_fingerprint(arr, hasher)
+    if arr.dtype.hasobject:
+        return False
+    if arr.nbytes:
+        data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+        hasher.update(data.reshape(-1).view(np.uint8))
     return True
 
 
@@ -155,10 +221,45 @@ def _feed_index(index: Any, hasher) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the execute-scoped memo
+# ---------------------------------------------------------------------------
+
+class IdentityContext:
+    """What one ``Session.execute`` call may remember between its stages.
+
+    Source fingerprints, file stats, operator, callable and code tokens
+    are memoized here across every partial execute of one run: a source
+    frame is hashed once however many chunks and stages read it, and no
+    operator is tokenized twice. Entries are keyed by ``id`` and keep a
+    reference to the object they describe, so an address cannot be
+    recycled into an alias while its entry lives. The owner resets the
+    context when a run starts — data mutated, or a file rewritten,
+    *between* two executes is therefore always read again.
+    """
+
+    __slots__ = ("_by_id",)
+
+    def __init__(self):
+        self._by_id: dict[int, tuple[Any, Any]] = {}
+
+    def reset(self) -> None:
+        self._by_id.clear()
+
+    def memoized(self, obj: Any,
+                 compute: Callable[[Any, "IdentityContext"], Any]) -> Any:
+        """``compute(obj, self)``, evaluated once per object and reset
+        (an object is only ever memoized under one ``compute``)."""
+        entry = self._by_id.get(id(obj))
+        if entry is None:
+            entry = self._by_id[id(obj)] = (obj, compute(obj, self))
+        return entry[1]
+
+
+# ---------------------------------------------------------------------------
 # parameter canonicalization: strip runtime/process-local state
 # ---------------------------------------------------------------------------
 
-def canonical_param(value: Any, _fingerprints: dict | None = None) -> Any:
+def canonical_param(value: Any, ctx: IdentityContext | None = None) -> Any:
     """A session-stable token for an operator parameter.
 
     Returns a nested structure of plain values safe to ``repr``-hash, or
@@ -172,6 +273,8 @@ def canonical_param(value: Any, _fingerprints: dict | None = None) -> Any:
     - data values (arrays, frames) → content fingerprints;
     - graph entities, actors, open handles → :data:`OPAQUE`.
     """
+    if ctx is None:
+        ctx = IdentityContext()
     if value is None or isinstance(value, (bool, int, float, bytes,
                                            np.generic)):
         return ("lit", repr(value))
@@ -186,7 +289,7 @@ def canonical_param(value: Any, _fingerprints: dict | None = None) -> Any:
     if isinstance(value, (list, tuple)):
         items = []
         for item in value:
-            canon = canonical_param(item, _fingerprints)
+            canon = canonical_param(item, ctx)
             if canon is OPAQUE:
                 return OPAQUE
             items.append(canon)
@@ -194,7 +297,7 @@ def canonical_param(value: Any, _fingerprints: dict | None = None) -> Any:
     if isinstance(value, (set, frozenset)):
         items = []
         for item in value:
-            canon = canonical_param(item, _fingerprints)
+            canon = canonical_param(item, ctx)
             if canon is OPAQUE:
                 return OPAQUE
             items.append(canon)
@@ -202,82 +305,69 @@ def canonical_param(value: Any, _fingerprints: dict | None = None) -> Any:
     if isinstance(value, dict):
         items = []
         for key, item in value.items():
-            ck = canonical_param(key, _fingerprints)
-            cv = canonical_param(item, _fingerprints)
+            ck = canonical_param(key, ctx)
+            cv = canonical_param(item, ctx)
             if ck is OPAQUE or cv is OPAQUE:
                 return OPAQUE
             items.append((ck, cv))
         return ("map", tuple(sorted(items, key=repr)))
-    if isinstance(value, np.ndarray):
-        return _data_token(value, _fingerprints)
     data = getattr(value, "_data", None)
-    if isinstance(data, dict) or isinstance(getattr(value, "values", None),
-                                            np.ndarray):
-        # repro.frame containers: fingerprint content, never repr.
-        return _data_token(value, _fingerprints)
-    if isinstance(value, functools_partial_types):
-        func = canonical_param(value.func, _fingerprints)
-        args = canonical_param(tuple(value.args), _fingerprints)
-        kw = canonical_param(dict(value.keywords or {}), _fingerprints)
+    if (isinstance(value, np.ndarray) or isinstance(data, dict)
+            or isinstance(getattr(value, "values", None), np.ndarray)):
+        # arrays and repro.frame containers: fingerprint content, never
+        # repr — once per execute, however many chunks hold the value.
+        return ctx.memoized(value, _data_token)
+    if isinstance(value, functools.partial):
+        func = canonical_param(value.func, ctx)
+        args = canonical_param(tuple(value.args), ctx)
+        kw = canonical_param(dict(value.keywords or {}), ctx)
         if OPAQUE in (func, args, kw):
             return OPAQUE
         return ("partial", func, args, kw)
     if isinstance(value, types.MethodType):
-        func = canonical_param(value.__func__, _fingerprints)
-        owner = canonical_param(value.__self__, _fingerprints)
+        func = canonical_param(value.__func__, ctx)
+        owner = canonical_param(value.__self__, ctx)
         if func is OPAQUE or owner is OPAQUE:
             return OPAQUE
         return ("method", func, owner)
     if callable(value):
-        return _callable_token(value, _fingerprints)
+        return ctx.memoized(value, _callable_token)
     rendered = repr(value)
     if _ADDR_RE.search(rendered):
         return OPAQUE
     return ("repr", type(value).__name__, rendered)
 
 
-import functools  # noqa: E402  (kept close to its single use)
-
-functools_partial_types = (functools.partial,)
-
-
-def _data_token(value: Any, fingerprints: dict | None) -> Any:
-    """Fingerprint a data value, memoized per planning pass by ``id``.
-
-    The memo is scoped to one identity computation: repeated hashing of
-    a multi-chunk source frame costs one pass, while mutation *between*
-    runs (a fresh memo) is still detected.
-    """
-    if fingerprints is not None:
-        cached = fingerprints.get(id(value))
-        if cached is not None:
-            return cached if cached is not OPAQUE else OPAQUE
+def _data_token(value: Any, _ctx: IdentityContext) -> Any:
     fp = value_fingerprint(value)
-    token = ("data", fp) if fp is not None else OPAQUE
-    if fingerprints is not None:
-        fingerprints[id(value)] = token if fp is not None else OPAQUE
-    return token
+    return ("data", fp) if fp is not None else OPAQUE
 
 
-def _code_token(code: types.CodeType,
-                fingerprints: dict | None) -> Any:
+def _file_token(path: Any, _ctx: IdentityContext) -> Any:
+    """Which file a path names now: rewriting it changes the token."""
+    try:
+        real = os.path.realpath(path)
+        stat = os.stat(real)
+    except OSError:
+        return OPAQUE
+    return ("file", real, stat.st_size, stat.st_mtime_ns)
+
+
+def _code_token(code: types.CodeType, ctx: IdentityContext) -> Any:
     consts = []
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            inner = _code_token(const, fingerprints)
-            if inner is OPAQUE:
-                return OPAQUE
-            consts.append(inner)
+            canon = ctx.memoized(const, _code_token)
         else:
-            canon = canonical_param(const, fingerprints)
-            if canon is OPAQUE:
-                return OPAQUE
-            consts.append(canon)
+            canon = canonical_param(const, ctx)
+        if canon is OPAQUE:
+            return OPAQUE
+        consts.append(canon)
     return ("code", code.co_name, code.co_code.hex(), tuple(consts),
             code.co_names, code.co_varnames[:code.co_argcount])
 
 
-def _callable_token(func: Callable, fingerprints: dict | None) -> Any:
+def _callable_token(func: Callable, ctx: IdentityContext) -> Any:
     module = getattr(func, "__module__", None)
     qualname = getattr(func, "__qualname__", getattr(func, "__name__", None))
     code = getattr(func, "__code__", None)
@@ -286,7 +376,7 @@ def _callable_token(func: Callable, fingerprints: dict | None) -> Any:
         if module is None or qualname is None:
             return OPAQUE
         return ("builtin", module, qualname)
-    code_tok = _code_token(code, fingerprints)
+    code_tok = ctx.memoized(code, _code_token)
     if code_tok is OPAQUE:
         return OPAQUE
     cells = []
@@ -296,11 +386,11 @@ def _callable_token(func: Callable, fingerprints: dict | None) -> Any:
         except ValueError:  # empty cell
             cells.append(("cell", "empty"))
             continue
-        canon = canonical_param(contents, fingerprints)
+        canon = canonical_param(contents, ctx)
         if canon is OPAQUE:
             return OPAQUE
         cells.append(canon)
-    defaults = canonical_param(tuple(func.__defaults__ or ()), fingerprints)
+    defaults = canonical_param(tuple(func.__defaults__ or ()), ctx)
     if defaults is OPAQUE:
         return OPAQUE
     return ("fn", module, qualname, code_tok, tuple(cells), defaults)
@@ -314,13 +404,15 @@ def _callable_token(func: Callable, fingerprints: dict | None) -> Any:
 _SKIP_ATTRS = frozenset({"params", "inputs", "outputs", "stage"})
 
 
-def _op_token(op: Any, fingerprints: dict) -> Any:
+def _op_token(op: Any, ctx: IdentityContext) -> Any:
     """Canonical token of one operator: class, stage, params, data attrs.
 
     Data-bearing instance attributes outside ``params`` (e.g. the source
     frame a ``FromFrameSlice`` holds) are captured by walking
     ``vars(op)`` — that is where source-content fingerprints enter the
-    identity.
+    identity. An operator that reads files names the parameters holding
+    their paths in ``file_params``; each such file's stat joins the
+    token, so rewriting the file changes the identity.
     """
     parts: list[Any] = [
         ("op", type(op).__module__, type(op).__qualname__),
@@ -330,20 +422,26 @@ def _op_token(op: Any, fingerprints: dict) -> Any:
     for name in sorted(attrs):
         if name in _SKIP_ATTRS or name.startswith("_"):
             continue
-        canon = canonical_param(attrs[name], fingerprints)
+        canon = canonical_param(attrs[name], ctx)
         if canon is OPAQUE:
             return OPAQUE
         parts.append((name, canon))
-    canon_params = canonical_param(op.params, fingerprints)
+    canon_params = canonical_param(op.params, ctx)
     if canon_params is OPAQUE:
         return OPAQUE
     parts.append(("params", canon_params))
+    for name in op.file_params:
+        stat = ctx.memoized(op.params[name], _file_token)
+        if stat is OPAQUE:
+            return OPAQUE
+        parts.append((name, stat))
     return tuple(parts)
 
 
 def compute_chunk_identities(
     chunks_in_order: Iterable[Any],
     known: dict[str, tuple[Optional[str], tuple]] | None = None,
+    context: IdentityContext | None = None,
 ) -> tuple[dict[str, Optional[str]], dict[str, frozenset]]:
     """Content-addressed identity of every chunk, in one topological pass.
 
@@ -351,6 +449,8 @@ def compute_chunk_identities(
     (producers before consumers). ``known`` resolves boundary chunks —
     materialized sources whose producing inputs are not in the graph —
     to ``(identity, ancestor identities)`` recorded by an earlier pass.
+    ``context`` carries the memo shared by the passes of one execute
+    (default: a fresh one, nothing remembered).
 
     Returns ``(identities, ancestors)``: runtime chunk key → identity
     hex digest (``None`` = uncacheable) and runtime chunk key → the
@@ -358,10 +458,9 @@ def compute_chunk_identities(
     edges). A ``None`` identity poisons every downstream chunk.
     """
     known = known or {}
+    ctx = context if context is not None else IdentityContext()
     identities: dict[str, Optional[str]] = {}
     ancestors: dict[str, frozenset] = {}
-    fingerprints: dict[int, Any] = {}
-    memo_ops: dict[int, Any] = {}
     for chunk in chunks_in_order:
         key = chunk.key
         resolved = known.get(key)
@@ -369,14 +468,14 @@ def compute_chunk_identities(
             identities[key] = resolved[0]
             ancestors[key] = frozenset(resolved[1])
             continue
+        # uncacheable until every input and the operator prove otherwise.
+        identities[key] = None
+        ancestors[key] = frozenset()
         op = chunk.op
         if op is None:
-            identities[key] = None
-            ancestors[key] = frozenset()
             continue
         dep_idents: list[str] = []
         dep_anc: set[str] = set()
-        poisoned = False
         for dep in op.inputs:
             ident = identities.get(dep.key)
             if ident is None:
@@ -386,31 +485,22 @@ def compute_chunk_identities(
                     identities[dep.key] = ident
                     ancestors[dep.key] = frozenset(dep_resolved[1])
             if ident is None:
-                poisoned = True
                 break
             dep_idents.append(ident)
             dep_anc.add(ident)
             dep_anc.update(ancestors.get(dep.key, ()))
-        if poisoned:
-            identities[key] = None
-            ancestors[key] = frozenset()
-            continue
-        op_tok = memo_ops.get(id(op))
-        if op_tok is None:
-            op_tok = _op_token(op, fingerprints)
-            memo_ops[id(op)] = op_tok
-        if op_tok is OPAQUE:
-            identities[key] = None
-            ancestors[key] = frozenset()
-            continue
-        out_pos = 0
-        for i, out in enumerate(op.outputs):
-            if out.key == key:
-                out_pos = i
-                break
-        identities[key] = tokenize(
-            op_tok, ("index", chunk.index), ("out", out_pos),
-            ("deps", tuple(dep_idents)),
-        )
-        ancestors[key] = frozenset(dep_anc)
+        else:
+            op_tok = ctx.memoized(op, _op_token)
+            if op_tok is OPAQUE:
+                continue
+            out_pos = 0
+            for i, out in enumerate(op.outputs):
+                if out.key == key:
+                    out_pos = i
+                    break
+            identities[key] = tokenize(
+                op_tok, ("index", chunk.index), ("out", out_pos),
+                ("deps", tuple(dep_idents)),
+            )
+            ancestors[key] = frozenset(dep_anc)
     return identities, ancestors

@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from repro import frame as pf
-from repro.dataframe import from_frame
+from repro.dataframe import from_frame, read_csv, read_parquet
+from repro.frame import io as frame_io
+from repro.workloads.tpch import ALL_QUERIES, generate_tables
+from repro.workloads.tpch.queries import materialize
 from tests.core.golden_harness import (
     CHAOS,
     WORKLOADS,
@@ -107,6 +110,27 @@ class TestWarmReuse:
                         report.cache_hit_chunks) == base
 
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "core/fusion.py fuses the sibling outputs of a multi-output "
+        "operator only through a shared predecessor: once a shuffle "
+        "mapper's input is already stored (cache-pinned, or materialized "
+        "by a dynamic-tiling yield) every MergePartition output becomes "
+        "its own subtask - 1,243 subtasks cached vs 212 uncached here "
+        "(ROADMAP items 1 and 2)"))
+    def test_cached_q3_runs_no_more_subtasks_than_uncached(self):
+        tables = generate_tables(1.0, 1)
+        nbytes = sum(frame.nbytes for frame in tables.values())
+        subtasks = {}
+        for cache in (False, True):
+            with make_session(chunk_limit=max(nbytes // 48, 16 * 1024),
+                              result_cache=cache) as session:
+                handles = {name: from_frame(frame, session)
+                           for name, frame in tables.items()}
+                materialize(ALL_QUERIES["q3"](handles))
+                subtasks[cache] = session.last_report.n_subtasks
+        assert subtasks[True] <= subtasks[False]
+
+
 class TestInvalidation:
     def test_source_mutation_recomputes(self):
         rng = np.random.default_rng(8)
@@ -128,6 +152,32 @@ class TestInvalidation:
             expected = repr(
                 from_frame(local, plain).groupby("k")
                 .agg({"v": "sum"}).fetch())
+        assert fresh != stale
+        assert fresh == expected
+
+    @pytest.mark.parametrize("suffix, write, read", [
+        (".csv", frame_io.to_csv, read_csv),
+        (".rpq", frame_io.to_parquet, read_parquet),
+    ])
+    def test_rewritten_file_recomputes(self, tmp_path, suffix, write, read):
+        # the path, columns and row ranges of the second read equal the
+        # first's: only the file's stat tells the two programs apart.
+        path = str(tmp_path / f"table{suffix}")
+        keys = np.arange(400) % 4
+
+        def sums(session):
+            return read(path, session=session).groupby("k").agg(
+                {"v": "sum"}).fetch()
+
+        with cached_session(chunk_limit=4_000) as session:
+            write(pf.DataFrame({"k": keys, "v": np.arange(400.0)}), path)
+            stale = repr(sums(session))
+            assert repr(sums(session)) == stale
+            assert session.last_report.cache_hit_chunks > 0  # untouched: warm
+            write(pf.DataFrame({"k": keys, "v": np.arange(400.0) * 3}), path)
+            fresh = repr(sums(session))
+        with make_session(chunk_limit=4_000) as plain:
+            expected = repr(sums(plain))
         assert fresh != stale
         assert fresh == expected
 

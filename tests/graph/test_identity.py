@@ -105,6 +105,127 @@ class TestCanonicalParam:
         assert value_fingerprint(f1) != value_fingerprint(f2)
 
 
+def cells(*items) -> np.ndarray:
+    """A 1-d object array holding exactly ``items`` (lists stay cells)."""
+    arr = np.empty(len(items), dtype=object)
+    for i, item in enumerate(items):
+        arr[i] = item
+    return arr
+
+
+NAN = float("nan")
+GRID = np.arange(24.0).reshape(4, 6)
+
+#: (left, right, whether the two must fingerprint alike).
+ENCODING_TABLE = {
+    "rebuilt-equal": (cells("ab", "c", None, 1.5), cells("ab", "c", None, 1.5),
+                      True),
+    "changed-character": (cells("alpha", "beta"), cells("alpha", "bet4"),
+                          False),
+    "swapped-cells": (cells("a", "b", "c"), cells("b", "a", "c"), False),
+    "boundary-shift": (cells("ab", "c"), cells("a", "bc"), False),
+    "boundary-shift-bytes": (cells(b"ab", b"c"), cells(b"a", b"bc"), False),
+    "int-vs-float": (cells(1), cells(1.0), False),
+    "int-vs-bool": (cells(1), cells(True), False),
+    "int-vs-str": (cells(1), cells("1"), False),
+    "str-vs-bytes": (cells("1"), cells(b"1"), False),
+    "float-vs-bool": (cells(1.0), cells(True), False),
+    "none-vs-str": (cells(None), cells("None"), False),
+    "none-vs-nan": (cells(None), cells(NAN), False),
+    "nan-vs-str": (cells(NAN), cells("nan"), False),
+    "none-vs-empty": (cells(None, "a"), cells("", "a"), False),
+    "none-moves": (cells("a", None, "b"), cells("a", "b", None), False),
+    "mixed-swap": (cells(1, "1"), cells("1", 1), False),
+    "ints-then-floats": (cells(1, 2, 30.0, 4.0), cells(1, 23, 0.0, 4.0),
+                         False),
+    "empty-string-moves": (cells("a", "", "b"), cells("a", "b", ""), False),
+    "empty-vs-nul": (cells(""), cells("\0"), False),
+    "embedded-nul-shift": (cells("a\0b", "c"), cells("a", "b\0c"), False),
+    "embedded-nul-edge": (cells("a\0", "b"), cells("a", "\0b"), False),
+    "embedded-nul-bytes": (cells(b"a\0", b"b"), cells(b"a", b"\0b"), False),
+    "non-bmp-vs-surrogates": (cells("\U0001F600"), cells("\ud83d\ude00"),
+                              False),
+    "lone-surrogates": (cells("\ud800x"), cells("\udc00x"), False),
+    "big-ints": (cells(2 ** 70), cells(2 ** 70 + 1), False),
+    "np-scalar-cells": (cells(np.str_("ab"), "c"), cells(np.str_("ab"), "d"),
+                        False),
+    "strided-numeric": (np.arange(20.0)[::2], np.arange(20.0)[::2].copy(),
+                        True),
+    "strided-object": (cells("a", "x", "b", "x")[::2], cells("a", "b"), True),
+    "transposed": (GRID.T, np.ascontiguousarray(GRID.T), True),
+    "transposed-vs-reshaped": (GRID.T, GRID.reshape(6, 4), False),
+    "dates": (np.array(["2024-01-01", "2024-01-02"], dtype="datetime64[D]"),
+              np.array(["2024-01-01", "2024-01-03"], dtype="datetime64[D]"),
+              False),
+}
+
+
+class TestColumnEncodings:
+    @pytest.mark.parametrize("left, right, same", ENCODING_TABLE.values(),
+                             ids=ENCODING_TABLE.keys())
+    def test_table(self, left, right, same):
+        fp_left, fp_right = value_fingerprint(left), value_fingerprint(right)
+        assert fp_left is not None and fp_right is not None
+        assert (fp_left == fp_right) is same
+
+    def test_unhashable_cell_poisons_the_column(self):
+        assert value_fingerprint(cells("a", [1, 2])) is None
+        assert value_fingerprint(cells("a", object())) is None
+        assert canonical_param(cells("a", [1, 2])) is OPAQUE
+
+    def test_frame_with_string_columns(self):
+        def frame(names):
+            return pf.DataFrame({"k": np.arange(3), "name": cells(*names)})
+        assert (value_fingerprint(frame(["ab", "c", None]))
+                == value_fingerprint(frame(["ab", "c", None])))
+        assert (value_fingerprint(frame(["ab", "c", None]))
+                != value_fingerprint(frame(["a", "bc", None])))
+
+
+class TestExecuteScope:
+    def test_warm_q5_hashes_each_table_once(self, monkeypatch):
+        from repro.graph import identity
+        from tests.core.golden_harness import tpch_q5
+
+        hashed = []
+        real = identity.value_fingerprint
+        monkeypatch.setattr(
+            identity, "value_fingerprint",
+            lambda value: hashed.append(value) or real(value))
+        with make_session(chunk_store_limit=64 * 1024) as session:
+            cold = repr(tpch_q5(session))
+            assert len(hashed) == 6  # one per table, not one per stage
+            del hashed[:]
+            assert repr(tpch_q5(session)) == cold
+            assert session.last_report.cache_hit_chunks > 0
+        assert len(hashed) == 6
+
+    def test_mutation_between_executes_changes_every_identity(self):
+        # same frame object at the same address, and a boundary shift
+        # ("ab", "c" -> "a", "bc") at that: only a memo reset between
+        # the two runs, and an unambiguous encoding, can notice.
+        local = pf.DataFrame({"name": cells(*["ab", "c"] * 1_000),
+                              "v": np.arange(2_000.0)})
+
+        def run(session):
+            out = from_frame(local, session).groupby("name").agg({"v": "sum"})
+            return repr(out.fetch())
+
+        with make_session() as session:
+            idents = session.executor._chunk_idents
+            first = run(session)
+            before = dict(idents)
+            assert before and None not in before.values()
+            local["name"].values[6:8] = ["a", "bc"]
+            second = run(session)
+            after = {key: ident for key, ident in idents.items()
+                     if key not in before}
+            assert session.last_report.cache_hit_chunks == 0
+        assert second != first
+        assert len(after) == len(before)
+        assert not set(after.values()) & set(before.values())
+
+
 class TestCrossSessionStability:
     def test_same_workload_same_identities_across_sessions(self):
         # runtime chunk keys are process-global counters, so the two
