@@ -11,7 +11,7 @@ child, re-encode the echo, decode in the parent.  Two paths:
   segment; only the segment name crosses the pipe and both sides
   reconstruct arrays zero-copy over the mapping.
 
-The crossover justifies ``config.procpool_inline_threshold``: below it
+The crossover justifies ``procpool.INLINE_THRESHOLD``: below it
 the pipe copy is cheaper than a segment's syscalls, above it shm wins.
 
 Writes ``BENCH_ipc.json`` (repo root).  Run
@@ -134,7 +134,7 @@ def save_and_render(rows: list[dict]) -> str:
         "IPC echo round trip through a spawned worker",
         ["chunk size", "inline", "shm", "shm advantage"], table_rows,
         note=">1x means shm is faster. The crossover motivates "
-             "config.procpool_inline_threshold.",
+             "procpool.INLINE_THRESHOLD.",
     )
 
 

@@ -6,21 +6,21 @@ chaos experiment), the next delivery to its uid — or an explicit health
 probe — restarts it through its factory and the actor resumes serving
 from authoritative state:
 
-* ``StorageActor`` factories close over the worker's durable
+* per-worker storage actor factories close over the worker's durable
   ``WorkerStorage`` unit (captured at deploy time, before the router
   swaps handles), so stored bytes, tiers and pins survive the actor.
 * Supervisor-pool service actors (meta, storage router, shuffle,
   scheduling, cache, lifecycle) close over their long-lived service
   objects; the actor shell is stateless.
-* ``SubtaskRunnerActor`` factories build a fresh stateless runner; any
+* band runner actor factories build a fresh stateless runner; any
   compute lost with the old one re-runs through the executor's inline
   retry, and lost chunks replay through ``LifecycleService`` lineage
   (``RecoveryManager``).
 
 Restart-storm limiting: each uid has a restart budget
-(``Config.restart_limit``); once exhausted the supervisor raises
-:class:`~repro.errors.RestartStorm` instead of looping on a crashing
-actor.
+(``restart_limit``, five by default); once exhausted the supervisor
+raises :class:`~repro.errors.RestartStorm` instead of looping on a
+crashing actor.
 """
 
 from __future__ import annotations

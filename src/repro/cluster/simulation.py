@@ -11,6 +11,8 @@ paper's wall-clock numbers do.
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -62,30 +64,41 @@ class SimReport:
             return 0.0
         return sum(self.band_busy.values()) / (self.makespan * len(self.band_busy))
 
-    def merge(self, other: "SimReport") -> None:
-        """Fold another stage's report into this one (sequential stages)."""
-        self.makespan += other.makespan
-        self.total_compute_seconds += other.total_compute_seconds
-        self.total_transfer_bytes += other.total_transfer_bytes
-        self.total_shuffle_bytes += other.total_shuffle_bytes
-        self.combine_dropped_rows += other.combine_dropped_rows
-        self.n_subtasks += other.n_subtasks
-        self.n_graph_nodes += other.n_graph_nodes
-        self.retries += other.retries
-        self.recomputed_subtasks += other.recomputed_subtasks
-        self.recovery_bytes += other.recovery_bytes
-        self.backoff_time += other.backoff_time
-        self.oom_retries += other.oom_retries
-        self.admission_wait_time += other.admission_wait_time
-        self.degraded_subtasks += other.degraded_subtasks
-        self.pressure_splits += other.pressure_splits
-        self.forced_spill_bytes += other.forced_spill_bytes
-        self.cache_hit_chunks += other.cache_hit_chunks
-        self.cache_reused_bytes += other.cache_reused_bytes
-        for worker, peak in other.peak_memory.items():
-            self.peak_memory[worker] = max(self.peak_memory.get(worker, 0), peak)
-        for band, busy in other.band_busy.items():
-            self.band_busy[band] = self.band_busy.get(band, 0.0) + busy
+
+#: how the fields that are not running sums fold: ``makespan`` and
+#: per-worker ``peak_memory`` are high-water marks; ``band_busy`` is a
+#: snapshot of the cluster clock, so the latest one wins — and a stage
+#: that took none (cache-satisfied, fetch-time recovery) leaves the
+#: total's alone.
+_FOLDS = {
+    "makespan": max,
+    "peak_memory": lambda ours, theirs: {
+        worker: max(ours.get(worker, 0), theirs.get(worker, 0))
+        for worker in {**ours, **theirs}
+    },
+    "band_busy": lambda ours, theirs: dict(theirs) if theirs else ours,
+}
+
+
+def fold_report(total: SimReport, stage: SimReport) -> None:
+    """Fold one stage's report into a running total.
+
+    The dataclass fields are the one counter list: a new counter is a
+    new field — it sums here and shows up in :func:`counter_growth`
+    (and so in the same-named ``RunReport`` field) with no other edit.
+    """
+    for f in dataclasses.fields(SimReport):
+        fold = _FOLDS.get(f.name, operator.add)
+        setattr(total, f.name,
+                fold(getattr(total, f.name), getattr(stage, f.name)))
+
+
+def counter_growth(after: SimReport, before: SimReport) -> dict[str, float]:
+    """How much every summed counter grew between two snapshots."""
+    return {
+        f.name: getattr(after, f.name) - getattr(before, f.name)
+        for f in dataclasses.fields(SimReport) if f.name not in _FOLDS
+    }
 
 
 class SimClock:

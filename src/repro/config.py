@@ -6,9 +6,10 @@ ablation benchmarks flip (dynamic tiling, graph-level fusion, operator-level
 fusion, auto merge, column pruning, locality-aware scheduling), the simulated
 cluster shape, and the cost model of the discrete-event simulation.
 
-Every field here is set by some test, bench, tool or example; a value
-nobody should choose differently is a constant next to the code that uses
-it, not a field (61 settable values across the five dataclasses). All five
+Every field here is set by some test, bench, tool, example or baseline
+profile (``tests/test_said_once.py`` takes the census); a value nobody
+chooses differently is a constant next to the code that uses it, not a
+field (45 settable values across the five dataclasses). All five
 use ``__slots__``: assigning to a name that is not a field — a typo, or a
 knob a later change deleted — raises ``AttributeError`` instead of silently
 doing nothing.
@@ -45,10 +46,6 @@ class CostModel:
     #: extra virtual seconds charged per graph node during graph
     #: construction/dispatch; makes "too many tiny chunks" measurably bad.
     dispatch_overhead: float = 0.0005
-    #: multiplier on bytes for shuffle writes (serialize + hash partition).
-    shuffle_write_factor: float = 1.5
-    #: disk tier is this many times slower than memory.
-    disk_penalty: float = 8.0
 
 
 @dataclass(slots=True)
@@ -72,22 +69,12 @@ class FaultSpec:
     #: probability that the worker that just ran a subtask crashes,
     #: losing every recomputable chunk it stores.
     worker_kill_rate: float = 0.0
-    #: per-subtask budget of re-attempts before RetriesExhausted.
-    max_retries: int = 3
-    #: first retry waits this many virtual seconds ...
-    backoff_base: float = 0.05
-    #: ... growing by this factor per subsequent retry.
-    backoff_factor: float = 2.0
-    #: virtual seconds a killed worker's bands are unavailable while the
-    #: process restarts.
-    worker_restart_time: float = 0.25
     #: probability that a worker's memory budget is transiently squeezed
-    #: (multiplied by ``memory_squeeze_factor``) for the duration of one
-    #: subtask's admission/execution — models a neighbour process eating
-    #: RAM. Drawn on the same structural identity as the other faults.
+    #: (halved, ``recovery.MEMORY_SQUEEZE_FACTOR``) for the duration of
+    #: one subtask's admission/execution — models a neighbour process
+    #: eating RAM. Drawn on the same structural identity as the other
+    #: faults.
     memory_squeeze_rate: float = 0.0
-    #: the squeezed budget is ``factor * limit`` while the fault is active.
-    memory_squeeze_factor: float = 0.5
 
     @property
     def any_rate(self) -> bool:
@@ -153,13 +140,9 @@ class Config:
     #: upper bound on the byte size of a chunk (the paper's predefined
     #: "chunk size limit" used by auto merge and auto rechunk).
     chunk_store_limit: int = 64 * MiB
-    #: how many head chunks dynamic tiling executes to collect metadata.
-    sample_chunks: int = 2
     #: aggregated-size threshold (bytes) under which tree-reduce is chosen
     #: over shuffle-reduce (Section IV-C, "Auto Reduce Selection").
     tree_reduce_threshold: int = 32 * MiB
-    #: fan-in of one combine stage node (tree-reduce arity).
-    combine_arity: int = 4
 
     # --- feature switches (ablations flip these) ---------------------------
     dynamic_tiling: bool = True
@@ -186,11 +169,6 @@ class Config:
     execution_mode: str = "thread"
     #: worker processes in the per-cluster process pool (0 = cpu count).
     procpool_workers: int = 0
-    #: chunk payloads at or above this many bytes cross the process
-    #: boundary through one shared-memory segment (pickle protocol-5
-    #: out-of-band buffers, zero-copy on receive); smaller payloads ship
-    #: as inline pickle bytes — the copy is cheaper than an shm segment.
-    procpool_inline_threshold: int = 64 * 1024
     #: physical chunk representation (``repro.engine`` registry key):
     #: "row" keeps chunks as ``repro.frame`` containers (bit-identical
     #: to the pre-seam engine and the golden scenarios); "columnar"
@@ -231,23 +209,6 @@ class Config:
     #: it. Explicit ``.cache()`` entries never count as eviction victims.
     result_cache_budget: int = 256 * MiB
 
-    # --- multi-tenant serving -----------------------------------------------
-    #: weighted fair-share dispatch weight of this session on a shared
-    #: cluster: a weight-2 tenant gets stage turns twice as often as a
-    #: weight-1 tenant (stride scheduling over stage grants). Ignored by
-    #: sessions that own their cluster.
-    tenant_weight: float = 1.0
-    #: fraction of each worker's memory budget this session's admission
-    #: grants may hold concurrently on a shared cluster (``0`` = no
-    #: per-tenant cap, only the worker-wide budget applies). A tenant at
-    #: its quota waits in virtual time without stalling other tenants'
-    #: admitted subtasks.
-    tenant_memory_quota: float = 0.0
-    #: serve concurrent sessions in weighted fair-share order (stride
-    #: scheduling at stage granularity). Off degrades to FIFO arrival
-    #: order on the shared scheduling turnstile.
-    fair_share: bool = True
-
     # --- actor-plane supervision & chaos ------------------------------------
     #: deterministic message-level chaos on the service actor plane (all
     #: rates default to zero = off; goldens are untouched).
@@ -257,9 +218,6 @@ class Config:
     #: missed beats. ``0`` disables liveness tracking.
     heartbeat_interval: float = 1.0
     heartbeat_miss_limit: int = 3
-    #: per-uid restart budget: the supervisor refuses to restart one actor
-    #: more than this many times (restart-storm limiting).
-    restart_limit: int = 5
     #: speculative straggler re-execution: when a parallel-stage subtask
     #: overruns its EWMA-derived deadline, dispatch a duplicate and commit
     #: whichever finishes first on the accounting walk. Off by default —
@@ -275,14 +233,6 @@ class Config:
     cost_model: CostModel = field(default_factory=CostModel)
     #: deterministic fault injection (all rates default to zero = off).
     faults: FaultSpec = field(default_factory=FaultSpec)
-
-    #: working-set multiplier: executing a subtask needs roughly
-    #: ``peak_factor * (input_bytes + output_bytes)`` free memory.
-    peak_factor: float = 1.5
-
-    #: hang detection: abort after this many simulated scheduler steps
-    #: without completing a subtask.
-    max_idle_steps: int = 10_000
 
     def copy(self, **overrides) -> "Config":
         """Return a deep copy with ``overrides`` applied.

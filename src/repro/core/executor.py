@@ -22,10 +22,11 @@ changes.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 from ..cluster.cluster import ClusterState
-from ..cluster.simulation import SimReport
+from ..cluster.simulation import SimReport, fold_report
 from ..config import Config
 from ..errors import (
     ActorNotFound,
@@ -42,10 +43,11 @@ from ..graph.entity import ChunkData
 from ..graph.identity import IdentityContext, compute_chunk_identities
 from ..graph.subtask import Subtask, build_subtask_graph
 from ..services.runner import run_subtask_kernels
+from ..storage.base import DISK_PENALTY
 from ..utils import sizeof
 from .dispatch import BandDispatcher, SubtaskComputation, should_use_parallel
 from .fusion import fusion_groups, singleton_groups
-from .memory_control import worker_of_band
+from .memory_control import PEAK_FACTOR, worker_of_band
 from .operator import COMBINE_DROPPED_KEY
 from .opfusion import plan_subtask, step_io_keys
 from .supervision import SpeculationController
@@ -63,6 +65,21 @@ _RETRYABLE = (FaultInjected, ChunkLostError, StorageKeyError,
               WorkerProcessCrash, ActorNotFound)
 
 
+#: per-subtask budget of re-attempts before ``RetriesExhausted``; the
+#: first retry waits ``BACKOFF_BASE`` virtual seconds, each later one
+#: ``BACKOFF_FACTOR`` times longer.
+MAX_RETRIES = 3
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+#: virtual seconds a killed worker's bands are unavailable while the
+#: process restarts.
+WORKER_RESTART_TIME = 0.25
+#: multiplier on bytes for shuffle writes (serialize + hash partition).
+SHUFFLE_WRITE_FACTOR = 1.5
+#: hang detection: a stage of more subtasks than this is refused.
+MAX_STAGE_SUBTASKS = 10_000
+
+
 def _lost_keys(exc: BaseException) -> list[str]:
     """The chunk keys a retryable failure says are gone (may be empty)."""
     if isinstance(exc, ChunkLostError):
@@ -70,6 +87,101 @@ def _lost_keys(exc: BaseException) -> list[str]:
     if isinstance(exc, StorageKeyError) and exc.args:
         return [exc.args[0]]
     return []
+
+
+@dataclass
+class _Stage:
+    """What one accounting walk shares across its subtasks.
+
+    A recovery walk — lineage re-execution, at fetch time or from inside
+    a stage's retry loop — has no subtask graph, retains nothing, and
+    charges into the report of whoever noticed the loss.
+    """
+
+    report: SimReport
+    base_time: float
+    graph: DAG[Subtask] | None = None
+    #: keys exempt from refcount cleanup (and worth caching when stored).
+    retain: set[str] = field(default_factory=set)
+    #: completion virtual time of every subtask accounted so far.
+    completion: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def recovering(self) -> bool:
+        return self.graph is None
+
+
+class _Env:
+    """One subtask attempt's local environment and its working set.
+
+    Every value resident here counts, so a fused chain over one huge
+    chunk cannot dodge the memory budget (that is how single-node pandas
+    dies: the whole table is one "chunk"). Values leave as soon as their
+    last in-subtask reader ran, like any real executor frees
+    intermediates. ``sizeof`` is recursive and the same value is sized
+    at step-input, step-output, release and output-store time, so sizes
+    are cached per key for the lifetime of the attempt (and outlive a
+    release: the footprint estimator observes them afterwards).
+    """
+
+    def __init__(self, subtask: Subtask, infos: list[Any]):
+        self.values: dict[str, Any] = {}
+        self.sizes: dict[str, int] = {}
+        self.nbytes = 0
+        #: input bytes that crossed the network / came off the disk tier.
+        self.transferred = 0
+        self.disk_bytes = 0
+        for key, info in zip(subtask.input_keys, infos):
+            self.values[key] = info.value
+            self.sizes[key] = info.nbytes
+            self.nbytes += info.nbytes
+            self.transferred += info.transferred_bytes
+            if info.tier_penalty > 1.0:
+                self.disk_bytes += info.nbytes
+        self.input_bytes = self.peak = self.nbytes
+        self._outputs = set(subtask.output_keys)
+        #: key -> operators of this subtask that have yet to read it.
+        self._readers: dict[str, int] = defaultdict(int)
+        counted: set[int] = set()
+        for chunk in subtask.chunks:
+            op = chunk.op
+            if op is None or id(op) in counted:
+                continue
+            counted.add(id(op))
+            for dep in op.inputs:
+                self._readers[dep.key] += 1
+
+    def size(self, key: str) -> int:
+        nbytes = self.sizes.get(key)
+        if nbytes is None:
+            nbytes = self.sizes[key] = sizeof(self.values[key])
+        return nbytes
+
+    def resident(self, keys) -> int:
+        """Bytes of the ``keys`` currently in the environment."""
+        return sum(self.size(key) for key in keys if key in self.values)
+
+    def store(self, results: dict[str, Any]) -> None:
+        """Enter one operator's results; the peak is sampled after all."""
+        for key, value in results.items():
+            # overwriting a key must not double-count: release the old
+            # value's bytes (and its stale cached size) first.
+            if key in self.values:
+                self.nbytes -= self.size(key)
+                self.sizes.pop(key, None)
+            self.values[key] = value
+            self.nbytes += self.size(key)
+        self.peak = max(self.peak, self.nbytes)
+
+    def release_inputs(self, op) -> None:
+        """``op`` ran: drop every input it was the last reader of."""
+        for dep in op.inputs:
+            self._readers[dep.key] -= 1
+            if (self._readers[dep.key] <= 0
+                    and dep.key not in self._outputs
+                    and dep.key in self.values):
+                self.nbytes -= self.size(dep.key)
+                del self.values[dep.key]
 
 
 class GraphExecutor:
@@ -107,7 +219,6 @@ class GraphExecutor:
         self._attempts: dict[tuple[int, int], int] = {}
         self._stage_index = -1
         self.report = SimReport()
-        self._executed_subtasks = 0
         #: sampling annotations produced during execute(), consumed when
         #: the annotated chunk's meta is recorded.
         self._pending_extra: dict[str, dict] = {}
@@ -119,6 +230,10 @@ class GraphExecutor:
         #: serializes stage accounting through the scheduling turnstile,
         #: and scopes admission/degrade/lifecycle/fault state by session.
         self.multi_tenant = False
+        #: fraction of each worker's memory budget this tenant's admission
+        #: grants may hold concurrently on a shared cluster (``0`` = no
+        #: per-tenant cap); set by the session actor with ``multi_tenant``.
+        self.memory_quota = 0.0
         #: this session's virtual-time frontier: the max completion time
         #: of its own subtasks. On a shared cluster it replaces the
         #: global ``clock.now`` as the stage base, so one tenant's stage
@@ -179,12 +294,9 @@ class GraphExecutor:
 
     def _quota_for(self, tracker) -> int | None:
         """This tenant's per-worker admission byte cap, or ``None``."""
-        if not self.multi_tenant:
+        if not self.multi_tenant or self.memory_quota <= 0.0:
             return None
-        frac = self.config.tenant_memory_quota
-        if frac <= 0.0:
-            return None
-        return max(1, int(frac * tracker.limit))
+        return max(1, int(self.memory_quota * tracker.limit))
 
     def acquire_turn(self) -> None:
         """Enter the shared-plane stage turnstile (no-op on private
@@ -207,11 +319,6 @@ class GraphExecutor:
         """The lifecycle service's lineage registry."""
         return self.lifecycle.recovery_manager()
 
-    @property
-    def scheduler(self):
-        """The scheduling service handle (flat placement interface)."""
-        return self.scheduling
-
     # ------------------------------------------------------------------
     def execute(self, chunk_graph: DAG[ChunkData],
                 retain_keys: set[str] | None = None) -> SimReport:
@@ -222,91 +329,30 @@ class GraphExecutor:
         """
         self.acquire_turn()
         try:
-            return self._execute_stage(chunk_graph, retain_keys)
+            return self._execute_stage(chunk_graph, set(retain_keys or ()))
         finally:
             self.release_turn()
 
     def _execute_stage(self, chunk_graph: DAG[ChunkData],
-                       retain_keys: set[str] | None = None) -> SimReport:
-        retain = set(retain_keys or ())
-        order_nodes = chunk_graph.topological_order()
-        keys = [node.key for node in order_nodes]
-        stored = set(keys).difference(self.storage.missing_keys(keys))
-        cache_hits = cache_bytes = 0
-        if self.config.result_cache:
-            chunk_graph, order_nodes, cache_hits, cache_bytes = (
-                self._apply_cache(chunk_graph, order_nodes, stored))
-        self.lifecycle.register_terminals({
-            node.key: getattr(node, "terminal", False)
-            for node in chunk_graph.nodes()
-        })
-        pending = [node for node in order_nodes if node.key not in stored]
-        if not pending:
-            empty = SimReport()
-            empty.cache_hit_chunks = cache_hits
-            empty.cache_reused_bytes = cache_bytes
-            self.report.cache_hit_chunks += cache_hits
-            self.report.cache_reused_bytes += cache_bytes
-            return empty
-        pending_graph = chunk_graph.subgraph(pending)
-
-        if self.config.graph_fusion:
-            groups = fusion_groups(pending_graph)
-        else:
-            groups = singleton_groups(pending_graph)
-        subtask_graph = build_subtask_graph(pending_graph, groups)
-
-        input_nbytes = self._known_nbytes(subtask_graph)
-        self.scheduling.assign(subtask_graph, input_nbytes)
-
+                       retain: set[str]) -> SimReport:
+        """plan → begin → walk (admit, replay, commit per subtask) → fold."""
+        report = SimReport()
+        subtask_graph = self._plan_stage(chunk_graph, report)
+        if subtask_graph is None:
+            fold_report(self.report, report)
+            return report
         # serial graph-construction/dispatch overhead (auto merge exists to
         # keep this small): charged once, before any subtask starts.
         # On a shared cluster the base is this session's own frontier,
         # not the global clock — another tenant's later stage must not
         # become a barrier for this one (band availability still
         # serializes real band time via ``clock.run_subtask``).
-        dispatch = self.config.cost_model.dispatch_overhead * len(pending_graph)
+        dispatch = (self.config.cost_model.dispatch_overhead
+                    * report.n_graph_nodes)
         origin = self.frontier if self.multi_tenant else self.cluster.clock.now
-        base_time = origin + dispatch
-
-        consumers = self._count_consumers(subtask_graph)
-        completion: dict[str, float] = {}
-        stage = SimReport()
-        stage.n_graph_nodes = len(pending_graph)
-        stage.cache_hit_chunks = cache_hits
-        stage.cache_reused_bytes = cache_bytes
-
+        stage = _Stage(report, origin + dispatch, subtask_graph, retain)
         order = subtask_graph.topological_order()
-        # stamp the structural identity fault injection and retry
-        # accounting key on: (stage_index, priority) is stable across
-        # execution modes and sessions, unlike the process-global keys.
-        self._stage_index += 1
-        for subtask in order:
-            subtask.stage_index = self._stage_index
-        if len(order) > self.config.max_idle_steps:
-            raise ExecutionHang(
-                "repro", f"subtask graph of {len(order)} nodes exceeds step budget"
-            )
-        # stage-boundary health sweep: restart anything dead (the kill
-        # may have landed between messages, with no delivery to trigger
-        # the supervisor) and arm heartbeat leases for every band about
-        # to receive work. Runs at the deterministic stage base time, so
-        # health verdicts are identical across execution modes; restarts
-        # charge no virtual time.
-        supervision = self.cluster.supervision
-        supervision.probe(base_time)
-        for band in {s.band for s in order if s.band}:
-            supervision.expect_runner(band, base_time)
-        # stage boundary: on a private cluster every grant of a previous
-        # stage ended at or before this stage's base time, so the ledger
-        # starts empty; on a shared cluster only grants ending by this
-        # session's base are pruned — other tenants' grants survive.
-        if self.multi_tenant:
-            self.scheduling.begin_stage(base_time)
-        else:
-            self.scheduling.begin_stage()
-        self.lifecycle.begin_stage(dict(consumers), retain,
-                                   session=self._tenant())
+        self._begin_stage(order, stage)
         # the compute phase: a stage that can overlap bands streams its
         # records from the band dispatcher; any other stage computes each
         # subtask through its band's runner just before accounting it.
@@ -331,11 +377,8 @@ class GraphExecutor:
                     # each accounting position is identical across modes,
                     # so the retry/recovery accounting is too.
                     computed = None
-                end = self._run_subtask_with_recovery(
-                    subtask, subtask_graph, completion, base_time, retain,
-                    consumers, stage, computed=computed,
-                )
-                completion[subtask.key] = end
+                stage.completion[subtask.key] = (
+                    self._run_subtask_with_recovery(subtask, stage, computed))
                 if dispatcher is not None:
                     if computed is None:
                         dispatcher.resolve(subtask)
@@ -345,21 +388,87 @@ class GraphExecutor:
             if dispatcher is not None:
                 dispatcher.shutdown()
                 self.speculative_subtasks += dispatcher.speculative_count
-            # merge even when a stage dies (RetriesExhausted, an OOM
+            # fold even when a stage dies (RetriesExhausted, an OOM
             # bubbling to the session's re-tile rung): the partial
             # stage's retries/waits/spills must survive into the run
             # report. Identical in every mode — the accounting walk
             # reached the same position either way.
-            stage.makespan = (
-                max(completion.values()) if completion else base_time
-            )
-            self.frontier = max(self.frontier, stage.makespan)
-            stage.n_subtasks = len(completion)
-            stage.peak_memory = self.cluster.peak_memory()
-            stage.band_busy = dict(self.cluster.clock.band_busy)
+            report.makespan = max(stage.completion.values(),
+                                  default=stage.base_time)
+            self.frontier = max(self.frontier, report.makespan)
+            report.n_subtasks = len(stage.completion)
+            report.peak_memory = self.cluster.peak_memory()
+            report.band_busy = dict(self.cluster.clock.band_busy)
             self._flush_cache_records()
-            self._merge_report(stage)
-        return stage
+            fold_report(self.report, report)
+        return report
+
+    def _plan_stage(self, chunk_graph: DAG[ChunkData],
+                    report: SimReport) -> DAG[Subtask] | None:
+        """Prune what is stored or cached, fuse the rest into placed
+        subtasks; ``None`` when nothing is left to run. Notes the graph
+        size and the cache's share in ``report``."""
+        order_nodes = chunk_graph.topological_order()
+        keys = [node.key for node in order_nodes]
+        stored = set(keys).difference(self.storage.missing_keys(keys))
+        if self.config.result_cache:
+            (chunk_graph, order_nodes, report.cache_hit_chunks,
+             report.cache_reused_bytes) = self._apply_cache(
+                chunk_graph, order_nodes, stored)
+        self.lifecycle.register_terminals({
+            node.key: getattr(node, "terminal", False)
+            for node in chunk_graph.nodes()
+        })
+        pending = [node for node in order_nodes if node.key not in stored]
+        if not pending:
+            return None
+        pending_graph = chunk_graph.subgraph(pending)
+        report.n_graph_nodes = len(pending_graph)
+        if self.config.graph_fusion:
+            groups = fusion_groups(pending_graph)
+        else:
+            groups = singleton_groups(pending_graph)
+        subtask_graph = build_subtask_graph(pending_graph, groups)
+        self.scheduling.assign(subtask_graph,
+                               self._known_nbytes(subtask_graph))
+        return subtask_graph
+
+    def _begin_stage(self, order: list[Subtask], stage: _Stage) -> None:
+        """Stage-boundary state: structural ids, health, ledger, refcounts."""
+        # stamp the structural identity fault injection and retry
+        # accounting key on: (stage_index, priority) is stable across
+        # execution modes and sessions, unlike the process-global keys.
+        self._stage_index += 1
+        for subtask in order:
+            subtask.stage_index = self._stage_index
+        if len(order) > MAX_STAGE_SUBTASKS:
+            raise ExecutionHang(
+                "repro", f"subtask graph of {len(order)} nodes exceeds step budget"
+            )
+        # stage-boundary health sweep: restart anything dead (the kill
+        # may have landed between messages, with no delivery to trigger
+        # the supervisor) and arm heartbeat leases for every band about
+        # to receive work. Runs at the deterministic stage base time, so
+        # health verdicts are identical across execution modes; restarts
+        # charge no virtual time.
+        supervision = self.cluster.supervision
+        supervision.probe(stage.base_time)
+        for band in {s.band for s in order if s.band}:
+            supervision.expect_runner(band, stage.base_time)
+        # stage boundary: on a private cluster every grant of a previous
+        # stage ended at or before this stage's base time, so the ledger
+        # starts empty; on a shared cluster only grants ending by this
+        # session's base are pruned — other tenants' grants survive.
+        if self.multi_tenant:
+            self.scheduling.begin_stage(stage.base_time)
+        else:
+            self.scheduling.begin_stage()
+        consumers: dict[str, int] = defaultdict(int)
+        for subtask in stage.graph.nodes():
+            for key in subtask.input_keys:
+                consumers[key] += 1
+        self.lifecycle.begin_stage(dict(consumers), stage.retain,
+                                   session=self._tenant())
 
     # -- result cache ---------------------------------------------------
     def _apply_cache(self, chunk_graph: DAG[ChunkData],
@@ -499,11 +608,9 @@ class GraphExecutor:
 
     # -- fault recovery -------------------------------------------------
     def _run_subtask_with_recovery(
-            self, subtask: Subtask, graph: DAG[Subtask],
-            completion: dict[str, float], base_time: float,
-            retain: set[str], consumers: dict[str, int], stage: SimReport,
-            computed: SubtaskComputation | None = None) -> float:
-        """Retry loop around :meth:`_run_subtask`.
+            self, subtask: Subtask, stage: _Stage,
+            computed: SubtaskComputation | None) -> float:
+        """Retry loop around the OOM ladder.
 
         Runs entirely on the accounting thread in both execution modes,
         so injection draws, retries, backoff and lineage recomputation
@@ -528,13 +635,10 @@ class GraphExecutor:
                 squeezed.set_limit(max(1, int(squeezed_limit * factor)))
         try:
             if not injector.enabled:
-                end = self._run_guarded(subtask, graph, completion, base_time,
-                                        retain, consumers, stage,
-                                        computed=computed)
+                end = self._run_guarded(subtask, stage, computed)
                 self.lifecycle.finish_subtask(subtask, session=self._tenant(),
                                               dedup_token=self._mint_token())
                 return end
-            spec = injector.spec
             ident = (subtask.stage_index, subtask.priority)
             extra_delay = 0.0
             while True:
@@ -545,87 +649,74 @@ class GraphExecutor:
                     missing = self.storage.missing_keys(subtask.input_keys)
                     if missing:
                         raise ChunkLostError(missing)
-                    end = self._run_guarded(
-                        subtask, graph, completion, base_time, retain,
-                        consumers, stage, computed=computed,
-                        extra_delay=extra_delay,
-                    )
+                    end = self._run_guarded(subtask, stage, computed,
+                                            extra_delay)
                 except _RETRYABLE as exc:
                     self._attempts[ident] = attempt + 1
-                    if attempt >= spec.max_retries:
+                    if attempt >= MAX_RETRIES:
                         raise RetriesExhausted(
                             subtask.key, attempt + 1, exc
                         ) from exc
-                    stage.retries += 1
-                    backoff = spec.backoff_base * spec.backoff_factor ** attempt
+                    stage.report.retries += 1
+                    backoff = BACKOFF_BASE * BACKOFF_FACTOR ** attempt
                     extra_delay += backoff
-                    stage.backoff_time += backoff
+                    stage.report.backoff_time += backoff
                     # a compute-phase record may predate the failure: drop
                     # it, so the replay recomputes the (pure, deterministic)
                     # kernels from the recovered inputs.
                     computed = None
                     lost = _lost_keys(exc)
                     if lost:
-                        self._recover_lost(lost, base_time, stage)
+                        self._recover_lost(lost, stage)
                     continue
                 self.lifecycle.finish_subtask(subtask, session=self._tenant(),
                                               dedup_token=self._mint_token())
-                self._inject_post_subtask(subtask, stage)
+                self._inject_post_subtask(subtask)
                 return end
         finally:
             if squeezed is not None:
                 squeezed.set_limit(squeezed_limit)
 
-    def _run_guarded(self, subtask: Subtask, graph: DAG[Subtask] | None,
-                     completion: dict[str, float], base_time: float,
-                     retain: set[str], consumers: dict[str, int],
-                     stage: SimReport,
+    def _run_guarded(self, subtask: Subtask, stage: _Stage,
                      computed: SubtaskComputation | None = None,
-                     recovering: bool = False,
                      extra_delay: float = 0.0) -> float:
         """The OOM recovery ladder around :meth:`_run_subtask`.
 
-        On :class:`WorkerOutOfMemory`, escalate deterministically:
-
-        (a) force-spill every unpinned resident of the worker and retry
-            in place;
-        (b) reschedule the subtask onto the worker with the most free
-            memory (its earliest-free band) and retry there;
-        (c) degrade the worker to serial one-subtask-at-a-time execution
-            (exclusive admission) and retry once more;
-        (d) give up locally — the OOM bubbles to ``Session.execute``,
-            which re-enters dynamic tiling with a halved chunk limit
-            (memory-aware re-tiling, counted as ``pressure_splits``).
+        On :class:`WorkerOutOfMemory`, climb :meth:`_oom_rungs` one rung
+        per failure and retry; out of rungs — or with ``oom_recovery``
+        off — the OOM bubbles to ``Session.execute``, which re-enters
+        dynamic tiling with a halved chunk limit (memory-aware
+        re-tiling, counted as ``pressure_splits``).
 
         Every rung runs on the accounting thread from deterministic
         state, so the ladder's path — and all its counters — are
         bit-identical between serial and parallel modes.
         """
-        try:
-            return self._run_subtask(
-                subtask, graph, completion, base_time, retain, consumers,
-                stage, computed=computed, recovering=recovering,
-                extra_delay=extra_delay,
-            )
-        except WorkerOutOfMemory:
-            if not self.config.oom_recovery:
-                raise
+        rungs = (self._oom_rungs(subtask, stage)
+                 if self.config.oom_recovery else iter(()))
+        while True:
+            try:
+                return self._run_subtask(subtask, stage, computed,
+                                         extra_delay)
+            except WorkerOutOfMemory:
+                if next(rungs, None) is None:
+                    raise
+
+    def _oom_rungs(self, subtask: Subtask, stage: _Stage) -> Iterator[str]:
+        """The ladder, one rung per ``next``: each is applied when it is
+        reached, from the state the failed retry before it left behind,
+        and counts as one ``oom_retries``."""
         worker = worker_of_band(subtask.band)
-        # rung (a): force-spill unpinned residents, retry in place.
-        stage.oom_retries += 1
-        stage.forced_spill_bytes += self.storage.force_spill(worker)
-        try:
-            return self._run_subtask(
-                subtask, graph, completion, base_time, retain, consumers,
-                stage, computed=computed, recovering=recovering,
-                extra_delay=extra_delay,
-            )
-        except WorkerOutOfMemory:
-            pass
-        # rung (b): reschedule onto the freest worker's earliest band.
+        # force-spill every unpinned resident of the worker, retry in place.
+        stage.report.oom_retries += 1
+        stage.report.forced_spill_bytes += self.storage.force_spill(worker)
+        yield "force-spill"
+        # reschedule onto the worker with the most free memory (its
+        # earliest-free band); a recovery re-execution stays where its
+        # lineage put it.
         target = self.scheduling.freest_worker()
-        if target != worker and not recovering:
-            stage.oom_retries += 1
+        if target != worker and not stage.recovering:
+            stage.report.oom_retries += 1
             bands = [b.name for b in self.cluster.bands if b.worker == target]
             new_band = min(
                 bands,
@@ -633,27 +724,15 @@ class GraphExecutor:
             )
             self.scheduling.reassign(subtask, new_band)
             worker = target
-            try:
-                return self._run_subtask(
-                    subtask, graph, completion, base_time, retain, consumers,
-                    stage, computed=computed, recovering=recovering,
-                    extra_delay=extra_delay,
-                )
-            except WorkerOutOfMemory:
-                pass
-        # rung (c): degrade the worker to one subtask at a time and
-        # retry under exclusive admission; a second failure here means
-        # the subtask cannot fit even alone — escalate to re-tiling (d).
-        stage.oom_retries += 1
+            yield "reschedule"
+        # degrade the worker to one subtask at a time and retry under
+        # exclusive admission; a failure past this rung means the subtask
+        # cannot fit even alone — nothing is left but re-tiling.
+        stage.report.oom_retries += 1
         self.scheduling.degrade(worker, self._tenant())
-        return self._run_subtask(
-            subtask, graph, completion, base_time, retain, consumers,
-            stage, computed=computed, recovering=recovering,
-            extra_delay=extra_delay,
-        )
+        yield "degrade"
 
-    def _recover_lost(self, keys: list[str], base_time: float,
-                      stage: SimReport) -> None:
+    def _recover_lost(self, keys: list[str], stage: _Stage) -> None:
         """Re-execute the minimal lineage closure that restores ``keys``.
 
         The plan walks backwards to producers whose outputs are gone —
@@ -662,16 +741,12 @@ class GraphExecutor:
         Recovery re-executions skip refcount cleanup and post-subtask
         injection, so they converge even at 100% loss rates.
         """
-        plan = self.lifecycle.plan(keys)
-        for producer in plan:
-            self._run_guarded(
-                producer, None, {}, base_time, set(), {}, stage,
-                recovering=True,
-            )
-            stage.recomputed_subtasks += 1
+        recovery = _Stage(stage.report, stage.base_time)
+        for producer in self.lifecycle.plan(keys):
+            self._run_guarded(producer, recovery)
+            stage.report.recomputed_subtasks += 1
 
-    def _inject_post_subtask(self, subtask: Subtask,
-                             stage: SimReport) -> None:
+    def _inject_post_subtask(self, subtask: Subtask) -> None:
         """Post-success injection points: chunk drops and worker kills.
 
         Only first-runs reach this (never recovery re-executions), and
@@ -684,7 +759,7 @@ class GraphExecutor:
                 self._lose_chunk(key)
         if injector.kill_worker_after(subtask):
             band = self.cluster.band_by_name(subtask.band)
-            self._kill_worker(band.worker, stage)
+            self._kill_worker(band.worker)
         for uid in injector.actor_kills_after(subtask):
             self._kill_actor(uid)
 
@@ -716,13 +791,13 @@ class GraphExecutor:
         """
         self.cluster.supervision.kill(uid)
 
-    def _kill_worker(self, worker: str, stage: SimReport) -> None:
+    def _kill_worker(self, worker: str) -> None:
         """Simulate a worker crash right after a subtask completed.
 
         Every chunk resident on the worker that has recorded lineage is
         lost (recomputable on demand); chunks without lineage are
-        driver-held inputs and survive. The worker's bands sit out the
-        configured restart time before accepting more work.
+        driver-held inputs and survive. The worker's bands sit out
+        ``WORKER_RESTART_TIME`` before accepting more work.
 
         On a shared cluster only this session's chunks are lost — a
         tenant's scoped chaos (its own injector) models failures of *its*
@@ -735,10 +810,9 @@ class GraphExecutor:
             if self.lifecycle.producer_of(key) is None:
                 continue
             self._lose_chunk(key)
-        restart = self._injector().spec.worker_restart_time
         for band in self.cluster.bands:
             if band.worker == worker:
-                self.cluster.clock.delay_band(band.name, restart)
+                self.cluster.clock.delay_band(band.name, WORKER_RESTART_TIME)
 
     def ensure_available(self, keys) -> None:
         """Recompute any of ``keys`` missing from storage.
@@ -752,138 +826,97 @@ class GraphExecutor:
             return
         self.acquire_turn()
         try:
-            stage = SimReport()
-            self._recover_lost(missing, self.cluster.clock.now, stage)
-            self.report.recomputed_subtasks += stage.recomputed_subtasks
-            self.report.recovery_bytes += stage.recovery_bytes
-            self.report.total_compute_seconds += stage.total_compute_seconds
+            stage = _Stage(SimReport(), self.cluster.clock.now)
+            self._recover_lost(missing, stage)
+            fold_report(self.report, stage.report)
         finally:
             self.release_turn()
 
-    # ------------------------------------------------------------------
-    def _run_subtask(self, subtask: Subtask, graph: DAG[Subtask] | None,
-                     completion: dict[str, float], base_time: float,
-                     retain: set[str], consumers: dict[str, int],
-                     stage: SimReport,
+    # -- one accounting attempt -----------------------------------------
+    def _run_subtask(self, subtask: Subtask, stage: _Stage,
                      computed: SubtaskComputation | None = None,
-                     recovering: bool = False,
                      extra_delay: float = 0.0) -> float:
+        """Account one attempt: gather → replay → admit → store → charge.
+
+        Returns the subtask's completion time on the virtual clock.
+        """
+        band = self.cluster.band_by_name(subtask.band)
         # pin + fetch the whole input set in one storage message: the
         # pins hold for the whole accounting span — memory admission and
         # output spill must never evict what this subtask is reading
         # (in-flight inputs are not spill victims) — and acquire_many
         # applies them before any fetch can raise, so the unconditional
         # unpin below always balances.
-        worker = worker_of_band(subtask.band)
-        infos = self.storage.acquire_many(subtask.input_keys, worker)
+        infos = self.storage.acquire_many(subtask.input_keys, band.worker)
         try:
-            return self._run_subtask_inner(
-                subtask, graph, completion, base_time, retain, consumers,
-                stage, computed, recovering, extra_delay, infos,
-            )
+            env = _Env(subtask, infos)
+            # failed attempts delay the retry's start: backoff is simulated
+            # time the subtask spends waiting, not band busy time.
+            ready_time = self._inputs_ready(subtask, stage) + extra_delay
+            if computed is None:
+                # no compute-phase record (retry after a fault, lineage
+                # recovery, a compute phase that raced a deletion): the
+                # shared kernel loop produces one from the inputs this
+                # attempt just acquired.
+                computed = run_subtask_kernels(subtask, env.values,
+                                               self.config)
+            steps = plan_subtask(subtask, enable=self.config.operator_fusion)
+            cpu_bytes = self._replay(steps, computed, env, stage.report)
+            decision = self._admit(subtask, stage, env, ready_time)
+            if decision is not None:
+                ready_time = decision.start
+            self._store_outputs(subtask, stage, env)
+            duration = self._duration(band, env, cpu_bytes, len(steps))
+            end = self.cluster.clock.run_subtask(band, ready_time, duration)
+            # virtual-clock heartbeat: a completion on the band renews its
+            # runner's liveness lease (accounting walk — identical beats in
+            # every execution mode).
+            self.cluster.supervision.beat_runner(subtask.band, end)
+            for key in subtask.output_keys:
+                self.chunk_ready_at[key] = end
+            if decision is not None:
+                # one scheduling message: the grant is committed to span the
+                # subtask's virtual execution (later admissions on this
+                # worker see it until ``end`` passes), the estimator
+                # observes the measured sizes, and the band-load claim is
+                # released. The lifecycle epilogue — refcount release plus
+                # lineage recording — happens in the retry wrapper, one
+                # message too; recovery re-executions skip both: the
+                # original run already consumed its inputs' refcounts, and
+                # recoveries are never first-class successes.
+                self.scheduling.finish_subtask(decision, end, subtask,
+                                               env.sizes)
+            stage.report.total_compute_seconds += duration
+            stage.report.total_transfer_bytes += env.transferred
+            return end
         finally:
             self.storage.unpin(subtask.input_keys)
 
-    def _run_subtask_inner(self, subtask: Subtask, graph: DAG[Subtask] | None,
-                           completion: dict[str, float], base_time: float,
-                           retain: set[str], consumers: dict[str, int],
-                           stage: SimReport,
-                           computed: SubtaskComputation | None,
-                           recovering: bool,
-                           extra_delay: float,
-                           infos: list[Any]) -> float:
-        band = self.cluster.band_by_name(subtask.band)
-        worker = band.worker
-        tracker = self.cluster.memory[worker]
-        cost = self.config.cost_model
+    def _inputs_ready(self, subtask: Subtask, stage: _Stage) -> float:
+        """Earliest virtual start: the stage base, every predecessor's
+        completion, and every input chunk's."""
+        times = [stage.base_time]
+        if stage.graph is not None:
+            times += [stage.completion[pred.key]
+                      for pred in stage.graph.predecessors(subtask)]
+        times += [self.chunk_ready_at[key] for key in subtask.input_keys
+                  if key in self.chunk_ready_at]
+        return max(times)
 
-        # sizeof is recursive and the same env value is sized at
-        # step-input, step-output, release and output-store time — cache
-        # it per env key for the lifetime of this subtask.
-        sizes: dict[str, int] = {}
+    def _replay(self, steps: list[list[ChunkData]],
+                computed: SubtaskComputation, env: _Env,
+                report: SimReport) -> int:
+        """Walk the kernel record through ``env``, step by step.
 
-        def sized(key: str, value: Any) -> int:
-            nbytes = sizes.get(key)
-            if nbytes is None:
-                nbytes = sizes[key] = sizeof(value)
-            return nbytes
-
-        # -- gather inputs --------------------------------------------------
-        env: dict[str, Any] = {}
-        input_bytes = 0
-        transferred = 0
-        disk_bytes = 0
-        ready_time = base_time
-        if graph is not None:
-            for pred in graph.predecessors(subtask):
-                ready_time = max(ready_time, completion[pred.key])
-        for key, info in zip(subtask.input_keys, infos):
-            env[key] = info.value
-            sizes[key] = info.nbytes
-            input_bytes += info.nbytes
-            transferred += info.transferred_bytes
-            if info.tier_penalty > 1.0:
-                disk_bytes += info.nbytes
-            if key in self.chunk_ready_at:
-                ready_time = max(ready_time, self.chunk_ready_at[key])
-        # failed attempts delay the retry's start: backoff is simulated
-        # time the subtask spends waiting, not band busy time.
-        ready_time += extra_delay
-        if computed is None:
-            # no compute-phase record (retry after a fault, lineage
-            # recovery, a compute phase that raced a deletion): the
-            # shared kernel loop produces one from the inputs this
-            # attempt just acquired.
-            computed = run_subtask_kernels(subtask, env, self.config)
-
-        # -- replay steps ----------------------------------------------------
-        steps = plan_subtask(subtask, enable=self.config.operator_fusion)
+        Returns the bytes the clock charges as compute; shuffle writes
+        and combine savings land in ``report``, sampling annotations in
+        ``_pending_extra`` until the annotated chunk's meta is recorded.
+        """
         cpu_bytes = 0
-        executed_ops: set[int] = set()
-        # transient working set: every value resident in the subtask's
-        # local environment counts, so a fused chain over one huge chunk
-        # cannot dodge the memory budget (that is how single-node pandas
-        # dies: the whole table is one "chunk"). Values are released from
-        # the environment as soon as their last in-subtask consumer ran,
-        # like any real executor frees intermediates.
-        env_bytes = input_bytes
-        env_peak = input_bytes
-
-        def _env_store(key: str, value: Any) -> None:
-            # overwriting a key must not double-count: release the old
-            # value's bytes (and its stale cached size) first.
-            nonlocal env_bytes
-            if key in env:
-                env_bytes -= sized(key, env[key])
-                sizes.pop(key, None)
-            env[key] = value
-            env_bytes += sized(key, value)
-
-        output_key_set = set(subtask.output_keys)
-        remaining_consumers: dict[str, int] = defaultdict(int)
-        counted_ops: set[int] = set()
-        for chunk in subtask.chunks:
-            op = chunk.op
-            if op is None or id(op) in counted_ops:
-                continue
-            counted_ops.add(id(op))
-            for dep in op.inputs:
-                remaining_consumers[dep.key] += 1
-
-        def _release_inputs(op) -> None:
-            nonlocal env_bytes
-            for dep in op.inputs:
-                remaining_consumers[dep.key] -= 1
-                if (remaining_consumers[dep.key] <= 0
-                        and dep.key not in output_key_set
-                        and dep.key in env):
-                    env_bytes -= sized(dep.key, env.pop(dep.key))
-
+        replayed: set[int] = set()
         for step in steps:
             step_inputs, step_outputs = step_io_keys(step)
-            step_in_bytes = sum(
-                sized(k, env[k]) for k in step_inputs if k in env
-            )
+            step_in_bytes = env.resident(step_inputs)
             # a step the kernel loop evaluated as one compiled function
             # recorded only its final op's result: the chain's
             # intermediates existed solely as locals of the generated
@@ -891,67 +924,59 @@ class GraphExecutor:
             # inflate the transient working-set peak.
             fused = id(step[0].op) not in computed.op_results
             if fused:
-                _env_store(step[-1].key,
-                           computed.op_results[id(step[-1].op)])
-                env_peak = max(env_peak, env_bytes)
+                env.store({step[-1].key: computed.op_results[id(step[-1].op)]})
             for chunk in step:
                 op = chunk.op
-                if op is None or id(op) in executed_ops:
+                if id(op) in replayed:
                     continue
-                executed_ops.add(id(op))
+                replayed.add(id(op))
                 if fused:
-                    _release_inputs(op)
+                    env.release_inputs(op)
                     continue
                 result = computed.op_results[id(op)]
                 if isinstance(result, dict) and result and all(
                     k in {o.key for o in op.outputs} for k in result
                 ):
-                    for out_key, value in result.items():
-                        _env_store(out_key, value)
+                    env.store(result)
                 else:
-                    _env_store(op.outputs[0].key, result)
-                env_peak = max(env_peak, env_bytes)
-                _release_inputs(op)
+                    env.store({op.outputs[0].key: result})
+                env.release_inputs(op)
                 extra_meta = computed.op_extra_meta.get(id(op), {})
                 for meta_key, extra in extra_meta.items():
                     dropped = extra.pop(COMBINE_DROPPED_KEY, 0)
                     if dropped:
-                        stage.combine_dropped_rows += int(dropped)
+                        report.combine_dropped_rows += int(dropped)
                     if extra:
                         self._pending_extra.setdefault(
                             meta_key, {}
                         ).update(extra)
-            step_out_bytes = sum(
-                sized(k, env[k]) for k in step_outputs if k in env
-            )
+            step_out_bytes = env.resident(step_outputs)
             shuffle_factor = 1.0
-            if any(c.op is not None and c.op.is_shuffle_map for c in step):
-                shuffle_factor = cost.shuffle_write_factor
-                stage.total_shuffle_bytes += int(step_out_bytes)
-            if all(c.op is not None and c.op.is_lightweight for c in step):
-                cpu_bytes += 0
-            else:
-                cpu_bytes += int(step_in_bytes + step_out_bytes * shuffle_factor)
+            if any(c.op.is_shuffle_map for c in step):
+                shuffle_factor = SHUFFLE_WRITE_FACTOR
+                report.total_shuffle_bytes += int(step_out_bytes)
+            if not all(c.op.is_lightweight for c in step):
+                cpu_bytes += int(step_in_bytes
+                                 + step_out_bytes * shuffle_factor)
+        return cpu_bytes
 
-        # -- memory admission --------------------------------------------------
-        output_bytes = sum(
-            sized(key, env[key]) for key in subtask.output_keys if key in env
-        )
-        working_set = int(self.config.peak_factor * max(
-            env_peak, input_bytes + output_bytes
+    def _admit(self, subtask: Subtask, stage: _Stage, env: _Env,
+               ready_time: float):
+        """Make the attempt's working set fit its worker (spill, or
+        raise :class:`WorkerOutOfMemory`); a first run also takes a
+        grant from the admission ledger and returns the decision."""
+        worker = worker_of_band(subtask.band)
+        tracker = self.cluster.memory[worker]
+        output_bytes = env.resident(subtask.output_keys)
+        working_set = int(PEAK_FACTOR * max(
+            env.peak, env.input_bytes + output_bytes
         ))
         decision = None
-        if recovering:
-            # recovery re-executions restore already-accounted data:
-            # they skip the ledger (like they skip refcounting and
-            # injection) but still respect the budget via spill.
-            if not tracker.can_fit(working_set):
-                if self.config.spill_to_disk:
-                    self.storage.ensure_free(worker, working_set)
-                else:
-                    raise WorkerOutOfMemory(worker, working_set,
-                                            tracker.limit, tracker.used)
-        else:
+        # recovery re-executions restore already-accounted data: they
+        # skip the ledger (like they skip refcounting and injection) but
+        # still respect the budget via spill.
+        headroom = working_set
+        if not stage.recovering:
             # one scheduling message folds estimate → degraded-check →
             # admit; the ledger still reserves the *estimated* footprint
             # (what a real scheduler knows pre-execution), floored by
@@ -963,9 +988,8 @@ class GraphExecutor:
                 session=self._tenant(), quota=self._quota_for(tracker),
             )
             if exclusive:
-                stage.degraded_subtasks += 1
-            stage.admission_wait_time += decision.wait
-            ready_time = decision.start
+                stage.report.degraded_subtasks += 1
+            stage.report.admission_wait_time += decision.wait
             # concurrent grants still active at our start count against
             # the budget: without backpressure this is exactly how the
             # seed engine dispatches N working sets into one worker. The
@@ -973,16 +997,19 @@ class GraphExecutor:
             # decide when to start, never inflate what must fit — a
             # forced admission drained the ledger, so this reduces to
             # the seed engine's own check).
-            headroom = decision.active + working_set
-            if not tracker.can_fit(headroom):
-                if self.config.spill_to_disk:
-                    self.storage.ensure_free(worker, headroom)
-                else:
-                    raise WorkerOutOfMemory(worker, headroom, tracker.limit,
-                                            tracker.used)
+            headroom += decision.active
+        if not tracker.can_fit(headroom):
+            if not self.config.spill_to_disk:
+                raise WorkerOutOfMemory(worker, headroom, tracker.limit,
+                                        tracker.used)
+            self.storage.ensure_free(worker, headroom)
         tracker.note_transient(working_set)
+        return decision
 
-        # -- store outputs ------------------------------------------------------
+    def _store_outputs(self, subtask: Subtask, stage: _Stage,
+                       env: _Env) -> None:
+        """Write the outputs back: storage, shuffle index, meta, cache."""
+        worker = worker_of_band(subtask.band)
         shuffle_chunks = {
             c.key: c for c in subtask.chunks
             if c.op is not None and c.op.is_shuffle_map
@@ -996,9 +1023,9 @@ class GraphExecutor:
         # batch matches the interleaved per-key calls it replaces.
         put_entries = []
         for key in subtask.output_keys:
-            if key not in env:
+            if key not in env.values:
                 raise KeyError(f"subtask produced no value for output {key!r}")
-            put_entries.append((key, env[key], sizes.get(key)))
+            put_entries.append((key, env.values[key], env.sizes.get(key)))
         stored_sizes = self.storage.put_many(put_entries, worker,
                                              dedup_token=self._mint_token())
         register_entries = []
@@ -1010,8 +1037,8 @@ class GraphExecutor:
                     chunk.op.shuffle_id, int(chunk.index[0]),
                     int(chunk.index[1]), key, worker, stored,
                 ))
-            if recovering:
-                stage.recovery_bytes += stored
+            if stage.recovering:
+                stage.report.recovery_bytes += stored
                 self.scheduling.record_chunk(key, subtask.band)
             meta_entries.append((key, value, self._pending_extra.pop(key, None)))
         if register_entries:
@@ -1019,44 +1046,24 @@ class GraphExecutor:
                                              dedup_token=self._mint_token())
         if meta_entries:
             self.meta.set_from_values(meta_entries)
-        if not recovering and self.config.result_cache:
+        if not stage.recovering and self.config.result_cache:
             stored_by_key = {
                 key: stored
-                for (key, _value, _), stored in zip(put_entries, stored_sizes)
+                for (key, _, _), stored in zip(put_entries, stored_sizes)
             }
-            self._collect_cache_record(subtask, stored_by_key, retain)
+            self._collect_cache_record(subtask, stored_by_key, stage.retain)
 
-        # -- charge virtual time ---------------------------------------------------
-        duration = (
+    def _duration(self, band, env: _Env, cpu_bytes: int,
+                  n_steps: int) -> float:
+        """Virtual seconds the attempt occupies its band."""
+        cost = self.config.cost_model
+        return (
             cost.subtask_overhead
             + self.cluster.clock.compute_cost(cpu_bytes, band)
-            + self.cluster.clock.transfer_cost(transferred)
-            + disk_bytes * (cost.disk_penalty - 1.0) / cost.network_bandwidth
-            + cost.dispatch_overhead * len(steps)
+            + self.cluster.clock.transfer_cost(env.transferred)
+            + env.disk_bytes * (DISK_PENALTY - 1.0) / cost.network_bandwidth
+            + cost.dispatch_overhead * n_steps
         )
-        end = self.cluster.clock.run_subtask(band, ready_time, duration)
-        # virtual-clock heartbeat: a completion on the band renews its
-        # runner's liveness lease (accounting walk — identical beats in
-        # every execution mode).
-        self.cluster.supervision.beat_runner(subtask.band, end)
-        for key in subtask.output_keys:
-            self.chunk_ready_at[key] = end
-        if decision is not None:
-            # one scheduling message: the grant is committed to span the
-            # subtask's virtual execution (later admissions on this
-            # worker see it until ``end`` passes), the estimator
-            # observes the measured sizes, and the band-load claim is
-            # released. The lifecycle epilogue — refcount release plus
-            # lineage recording — happens in the retry wrapper, one
-            # message too; recovery re-executions skip both, exactly as
-            # before: the original run already consumed its inputs'
-            # refcounts, and recoveries are never first-class successes.
-            self.scheduling.finish_subtask(decision, end, subtask, sizes)
-
-        stage.total_compute_seconds += duration
-        stage.total_transfer_bytes += transferred
-        self._executed_subtasks += 1
-        return end
 
     # ------------------------------------------------------------------
     def _known_nbytes(self, subtask_graph: DAG[Subtask]) -> dict[str, int]:
@@ -1065,34 +1072,3 @@ class GraphExecutor:
             keys.update(subtask.input_keys)
         metas = self.meta.get_many(sorted(keys))
         return {key: meta.nbytes for key, meta in metas.items()}
-
-    def _count_consumers(self, subtask_graph: DAG[Subtask]) -> dict[str, int]:
-        counts: dict[str, int] = defaultdict(int)
-        for subtask in subtask_graph.nodes():
-            for key in subtask.input_keys:
-                counts[key] += 1
-        return counts
-
-    def _merge_report(self, stage: SimReport) -> None:
-        report = self.report
-        report.makespan = max(report.makespan, stage.makespan)
-        report.total_compute_seconds += stage.total_compute_seconds
-        report.total_transfer_bytes += stage.total_transfer_bytes
-        report.total_shuffle_bytes += stage.total_shuffle_bytes
-        report.combine_dropped_rows += stage.combine_dropped_rows
-        report.n_subtasks += stage.n_subtasks
-        report.n_graph_nodes += stage.n_graph_nodes
-        report.retries += stage.retries
-        report.recomputed_subtasks += stage.recomputed_subtasks
-        report.recovery_bytes += stage.recovery_bytes
-        report.backoff_time += stage.backoff_time
-        report.oom_retries += stage.oom_retries
-        report.admission_wait_time += stage.admission_wait_time
-        report.degraded_subtasks += stage.degraded_subtasks
-        report.pressure_splits += stage.pressure_splits
-        report.forced_spill_bytes += stage.forced_spill_bytes
-        report.cache_hit_chunks += stage.cache_hit_chunks
-        report.cache_reused_bytes += stage.cache_reused_bytes
-        for worker, peak in stage.peak_memory.items():
-            report.peak_memory[worker] = max(report.peak_memory.get(worker, 0), peak)
-        report.band_busy = dict(stage.band_busy)

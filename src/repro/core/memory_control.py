@@ -57,6 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .meta import MetaService
 
 
+#: working-set multiplier: executing a subtask needs roughly
+#: ``PEAK_FACTOR * (input_bytes + output_bytes)`` free memory.
+PEAK_FACTOR = 1.5
+
+
 def worker_of_band(band: str | None) -> str:
     """The worker name a band name belongs to (``worker-0/band-1``)."""
     if not band:
@@ -131,7 +136,7 @@ class FootprintEstimator:
         """Predicted transient footprint, commensurate with the
         executor's ``working_set`` (peak-factor applied)."""
         raw = self.input_bytes(subtask) + self.output_bytes(subtask)
-        return int(self.config.peak_factor * raw)
+        return int(PEAK_FACTOR * raw)
 
     # -- observation ------------------------------------------------------
     def observe(self, subtask: Subtask, sizes: dict[str, int]) -> None:

@@ -15,7 +15,7 @@ back) is pickled with protocol 5 and *out-of-band buffers*
 (``cloudpickle.dumps(obj, buffer_callback=...)``).  The buffer bytes —
 the actual chunk data — travel one of two ways:
 
-- **inline** (total buffer bytes below ``config.procpool_inline_threshold``):
+- **inline** (total buffer bytes below ``INLINE_THRESHOLD``):
   copied into the pickle message itself.  One small copy beats an shm
   segment's syscall overhead;
 - **shared memory** (at or above the threshold): all buffers are packed
@@ -68,6 +68,11 @@ except ImportError:  # pragma: no cover - baked into the image
     _pickler = pickle
 
 PROTOCOL = 5
+#: chunk payloads at or above this many bytes cross the process boundary
+#: through one shared-memory segment; smaller ones ship as inline pickle
+#: bytes — the copy is cheaper than an shm segment. Measured, not
+#: chosen: ``benchmarks/bench_ipc.py`` finds the crossover.
+INLINE_THRESHOLD = 64 * 1024
 
 
 def _wire_map(value: Any, fn, memo: dict) -> Any:
@@ -275,7 +280,7 @@ def _worker_run(payload):
         },
     }
     out_payload, out_shm = encode_payload(
-        result, config.procpool_inline_threshold, child=True,
+        result, INLINE_THRESHOLD, child=True,
     )
     if out_shm is not None:
         try:
@@ -367,7 +372,7 @@ class ProcPoolClient:
             for key, value in inputs.items()
         }
         payload, in_shm = encode_payload(
-            (subtask, wire_inputs, config), config.procpool_inline_threshold,
+            (subtask, wire_inputs, config), INLINE_THRESHOLD,
         )
         executor = self._ensure_executor()
         try:

@@ -37,6 +37,10 @@ from ..errors import UnrecoverableChunkLoss
 from ..graph.identity import structural_draw
 from ..graph.subtask import Subtask
 
+#: a squeezed worker keeps this fraction of its memory budget while the
+#: fault is active.
+MEMORY_SQUEEZE_FACTOR = 0.5
+
 
 @dataclass
 class FaultEvent:
@@ -155,7 +159,7 @@ class FaultInjector:
         factor = self._scripted_squeeze.pop(ident, None)
         if factor is None and self.spec.memory_squeeze_rate > 0.0:
             if self._draw(*ident) < self.spec.memory_squeeze_rate:
-                factor = self.spec.memory_squeeze_factor
+                factor = MEMORY_SQUEEZE_FACTOR
         if factor is not None:
             worker = (subtask.band or "?").split("/")[0]
             self.events.append(FaultEvent(
@@ -205,7 +209,7 @@ class FaultInjector:
                               factor: float | None = None) -> None:
         """Squeeze the budget of the worker running (stage, priority)."""
         if factor is None:
-            factor = self.spec.memory_squeeze_factor
+            factor = MEMORY_SQUEEZE_FACTOR
         self._scripted_squeeze[("mem_squeeze", stage, priority)] = factor
 
     # -- predicate hooks (tests) ------------------------------------------

@@ -24,6 +24,7 @@ invalidation to itself.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -32,6 +33,7 @@ import numpy as np
 
 from ..actors import Actor
 from ..cluster.cluster import SUPERVISOR_ADDRESS, ClusterState
+from ..cluster.simulation import counter_growth
 from ..config import Config, default_config
 from ..engine.base import engine_of
 from ..engine.local import DataFrame, Series, concat
@@ -53,7 +55,13 @@ PRESSURE_RETILE_LIMIT = 3
 
 @dataclass
 class RunReport:
-    """Metrics of one ``Session.execute`` call (virtual time)."""
+    """Metrics of one ``Session.execute`` call (virtual time).
+
+    A field named like a summed ``SimReport`` counter is that counter's
+    growth over the call, filled by name; ``shuffle_bytes`` is
+    ``total_shuffle_bytes``'s, and the rest come from outside the
+    executor's report (``SessionActor._totals``, the cluster's peaks).
+    """
 
     makespan: float = 0.0
     transferred_bytes: int = 0
@@ -102,7 +110,7 @@ class SessionActor(Actor):
 
     def __init__(self, session_id: str, cluster: ClusterState,
                  config: Config, services: ServiceHandles,
-                 owns_cluster: bool = True):
+                 owns_cluster: bool = True, *, memory_quota: float):
         super().__init__()
         self.session_id = session_id
         self.cluster = cluster
@@ -123,18 +131,12 @@ class SessionActor(Actor):
             from .recovery import FaultInjector
 
             self.executor.multi_tenant = True
+            self.executor.memory_quota = memory_quota
             self.executor.faults = FaultInjector(config.faults)
         self.tiler = TilingEngine(self.executor, services.meta, config)
-        self.executed_tileables: list[str] = []
         self.last_report = RunReport()
 
     # -- bookkeeping ---------------------------------------------------
-    def record_execution(self, tileable_key: str) -> None:
-        self.executed_tileables.append(tileable_key)
-
-    def execution_count(self) -> int:
-        return len(self.executed_tileables)
-
     def get_executor(self) -> GraphExecutor:
         return self.executor
 
@@ -161,33 +163,27 @@ class SessionActor(Actor):
         with key_namespace(f"{self.session_id}/"):
             return self._execute_tileables(tileables)
 
+    def _totals(self) -> dict[str, float]:
+        """The running totals a :class:`RunReport` takes from outside
+        ``executor.report``, by the field each one's growth fills."""
+        storage = self.services.storage
+        return {
+            "makespan": (self.cluster.clock.makespan if self.owns_cluster
+                         else self.executor.frontier),
+            "transferred_bytes": storage.transferred_bytes(),
+            "spilled_bytes": storage.spilled_bytes(),
+            "dynamic_yields": self.tiler.yield_count,
+            "speculative_subtasks": self.executor.speculative_subtasks,
+        }
+
     def _execute_tileables(self,
                            tileables: Sequence[TileableData]) -> list[Any]:
         storage = self.services.storage
         # identity memoizes source fingerprints for the span of one run
         # only: data mutated between two executes must hash afresh.
         self.executor.identity.reset()
-        t0 = (self.cluster.clock.makespan if self.owns_cluster
-              else self.executor.frontier)
-        transfer0 = storage.transferred_bytes()
-        spill0 = storage.spilled_bytes()
-        yields0 = self.tiler.yield_count
-        subtasks0 = self.executor.report.n_subtasks
-        nodes0 = self.executor.report.n_graph_nodes
-        shuffle0 = self.executor.report.total_shuffle_bytes
-        combine0 = self.executor.report.combine_dropped_rows
-        retries0 = self.executor.report.retries
-        recomputed0 = self.executor.report.recomputed_subtasks
-        recovered0 = self.executor.report.recovery_bytes
-        backoff0 = self.executor.report.backoff_time
-        oom0 = self.executor.report.oom_retries
-        admission0 = self.executor.report.admission_wait_time
-        degraded0 = self.executor.report.degraded_subtasks
-        splits0 = self.executor.report.pressure_splits
-        forced0 = self.executor.report.forced_spill_bytes
-        cache_hits0 = self.executor.report.cache_hit_chunks
-        cache_bytes0 = self.executor.report.cache_reused_bytes
-        speculative0 = self.executor.speculative_subtasks
+        totals_before = self._totals()
+        report_before = dataclasses.replace(self.executor.report)
 
         saved_chunk_limit = self.config.chunk_store_limit
         try:
@@ -240,49 +236,16 @@ class SessionActor(Actor):
         # terminal chunks must land in this run's recovery accounting.
         values = [self.fetch_tileable(t) for t in tileables]
 
-        makespan = (self.cluster.clock.makespan - t0 if self.owns_cluster
-                    else self.executor.frontier - t0)
+        totals = self._totals()
+        grown = counter_growth(self.executor.report, report_before)
         self.last_report = RunReport(
-            makespan=makespan,
-            transferred_bytes=storage.transferred_bytes() - transfer0,
-            shuffle_bytes=self.executor.report.total_shuffle_bytes - shuffle0,
-            combine_dropped_rows=(
-                self.executor.report.combine_dropped_rows - combine0
-            ),
-            spilled_bytes=storage.spilled_bytes() - spill0,
-            n_subtasks=self.executor.report.n_subtasks - subtasks0,
-            n_graph_nodes=self.executor.report.n_graph_nodes - nodes0,
-            dynamic_yields=self.tiler.yield_count - yields0,
-            retries=self.executor.report.retries - retries0,
-            recomputed_subtasks=(
-                self.executor.report.recomputed_subtasks - recomputed0
-            ),
-            recovery_bytes=self.executor.report.recovery_bytes - recovered0,
-            backoff_time=self.executor.report.backoff_time - backoff0,
-            oom_retries=self.executor.report.oom_retries - oom0,
-            admission_wait_time=(
-                self.executor.report.admission_wait_time - admission0
-            ),
-            degraded_subtasks=(
-                self.executor.report.degraded_subtasks - degraded0
-            ),
-            pressure_splits=self.executor.report.pressure_splits - splits0,
-            forced_spill_bytes=(
-                self.executor.report.forced_spill_bytes - forced0
-            ),
-            cache_hit_chunks=(
-                self.executor.report.cache_hit_chunks - cache_hits0
-            ),
-            cache_reused_bytes=(
-                self.executor.report.cache_reused_bytes - cache_bytes0
-            ),
-            speculative_subtasks=(
-                self.executor.speculative_subtasks - speculative0
-            ),
+            shuffle_bytes=grown["total_shuffle_bytes"],
             peak_memory=self.cluster.peak_memory(),
+            **{name: total - totals_before[name]
+               for name, total in totals.items()},
+            **{f.name: grown[f.name] for f in dataclasses.fields(RunReport)
+               if f.name in grown},
         )
-        for tileable in tileables:
-            self.record_execution(tileable.key)
         return values
 
     # ------------------------------------------------------------------
@@ -405,9 +368,13 @@ class Session:
     :class:`SessionActor` behind ``_actor_ref``.
 
     ``cluster=`` attaches the session to an existing shared cluster
-    instead of building a private one; ``tenant_weight`` and
-    ``tenant_memory_quota`` override the config's fair-share knobs for
-    this tenant.
+    instead of building a private one, as a tenant with fair-share
+    weight ``tenant_weight`` (a weight-2 tenant gets stage turns twice
+    as often as a weight-1 tenant) whose admission grants may hold at
+    most ``tenant_memory_quota`` of each worker's memory budget at once
+    (``0`` = no per-tenant cap; a tenant at its quota waits in virtual
+    time without stalling its neighbours). Both are ignored by a
+    session that owns its cluster.
     """
 
     _counter = 0
@@ -415,26 +382,19 @@ class Session:
 
     def __init__(self, config: Config | None = None,
                  cluster: ClusterState | None = None, *,
-                 tenant_weight: float | None = None,
-                 tenant_memory_quota: float | None = None):
+                 tenant_weight: float = 1.0,
+                 tenant_memory_quota: float = 0.0):
         self._owns_cluster = cluster is None
         if self._owns_cluster:
             self.config = config if config is not None else default_config()
             self.cluster = ClusterState(self.config)
         else:
             # attaching tenants get a private config copy: the re-tile
-            # loop mutates chunk_store_limit and the tenant knobs are
-            # per-session, but the cluster shape stays the plane's.
+            # loop mutates chunk_store_limit, but the cluster shape
+            # stays the plane's.
             base = config if config is not None else cluster.config
             self.config = base.copy()
             self.cluster = cluster
-        overrides = {}
-        if tenant_weight is not None:
-            overrides["tenant_weight"] = float(tenant_weight)
-        if tenant_memory_quota is not None:
-            overrides["tenant_memory_quota"] = float(tenant_memory_quota)
-        if overrides:
-            self.config = self.config.copy(**overrides)
         services = deploy_cluster_services(
             self.cluster, self.config if self._owns_cluster else None)
         self.storage = services.storage
@@ -451,12 +411,12 @@ class Session:
             count = Session._counter
         self.session_id = f"session-{count}"
         if not self._owns_cluster:
-            self.scheduler.register_tenant(
-                self.session_id,
-                self.config.tenant_weight)
+            self.scheduler.register_tenant(self.session_id,
+                                           float(tenant_weight))
         self._actor_ref = self.cluster.actor_system.create_actor(
             SUPERVISOR_ADDRESS, SessionActor, self.session_id, self.cluster,
             self.config, services, owns_cluster=self._owns_cluster,
+            memory_quota=float(tenant_memory_quota),
             uid=session_actor_uid(self.session_id),
         )
         self.closed = False

@@ -199,7 +199,7 @@ class SupervisionPlane:
     """Cluster-level supervision facade: supervisor + health + registry."""
 
     def __init__(self, system, config: "Config"):
-        self.supervisor = Supervisor(system, restart_limit=config.restart_limit)
+        self.supervisor = Supervisor(system)
         self.health = HealthMonitor(config.heartbeat_interval,
                                     config.heartbeat_miss_limit)
         #: band name -> runner uid (heartbeat subjects).

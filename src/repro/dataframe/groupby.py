@@ -10,7 +10,7 @@
   the meta service, and picks *tree-reduce* when the aggregate is small
   or *shuffle-reduce* (range-partitioned by group key, boundaries sampled
   from the executed chunks) when it is large;
-- **combine**: tree-reduce pre-aggregates ``combine_arity`` chunks at a
+- **combine**: tree-reduce pre-aggregates ``COMBINE_ARITY`` chunks at a
   time so no single worker receives everything at once;
 - **reduce**: merges partials and finalizes derived statistics.
 
@@ -35,8 +35,8 @@ from ..core.operator import (
 )
 from ..engine.local import DataFrame, _how_name, concat
 from ..graph.entity import ChunkData
-from ..utils import batched, new_key
-from .utils import chunk_index, spread_sample
+from ..utils import COMBINE_ARITY, batched, new_key
+from .utils import SAMPLE_CHUNKS, chunk_index, spread_sample
 
 #: aggregations this operator can decompose for distributed execution.
 DISTRIBUTABLE = (
@@ -180,7 +180,7 @@ class GroupByAgg(Operator):
         use_shuffle = False
         boundaries = None
         if ctx.config.dynamic_tiling and len(map_chunks) > 1:
-            sample = spread_sample(map_chunks, ctx.config.sample_chunks)
+            sample = spread_sample(map_chunks, SAMPLE_CHUNKS)
             yield sample
             sampled_bytes = ctx.chunk_nbytes_many(sample, default=0)
             mean_bytes = sum(sampled_bytes) / max(len(sampled_bytes), 1)
@@ -234,9 +234,9 @@ class GroupByAgg(Operator):
         level = map_chunks
         position = 0
         if ctx.config.combine_stage:
-            while len(level) > ctx.config.combine_arity:
+            while len(level) > COMBINE_ARITY:
                 next_level = []
-                for batch in batched(level, ctx.config.combine_arity):
+                for batch in batched(level, COMBINE_ARITY):
                     next_level.append(self._new_stage_chunk(
                         list(batch), self.STAGE_COMBINE, position
                     ))

@@ -23,7 +23,13 @@ from ..core.operator import ExecContext, Operator, TileContext
 from ..engine.local import DataFrame, concat, merge as frame_merge
 from ..graph.entity import ChunkData
 from ..utils import new_key
-from .utils import ConcatChunks, chunk_index, nsplits_from_chunks, spread_sample
+from .utils import (
+    SAMPLE_CHUNKS,
+    ConcatChunks,
+    chunk_index,
+    nsplits_from_chunks,
+    spread_sample,
+)
 
 
 def _estimate_total(ctx: TileContext, chunks: list[ChunkData]) -> float:
@@ -72,8 +78,8 @@ class Merge(Operator):
         right_chunks = list(self.inputs[1].chunks)
 
         if ctx.config.dynamic_tiling:
-            sample = (left_chunks[: ctx.config.sample_chunks]
-                      + right_chunks[: ctx.config.sample_chunks])
+            sample = (left_chunks[:SAMPLE_CHUNKS]
+                      + right_chunks[:SAMPLE_CHUNKS])
             pending = [c for c, meta in zip(sample, ctx.chunk_metas(sample))
                        if meta is None]
             if pending:

@@ -10,7 +10,7 @@ import numpy as np
 from ..core.operator import ExecContext, Operator, TileContext
 from ..engine.local import concat
 from ..graph.entity import ChunkData
-from ..utils import batched
+from ..utils import COMBINE_ARITY, batched
 from .utils import chunk_index, nsplits_from_chunks
 
 
@@ -18,7 +18,7 @@ class DropDuplicates(Operator):
     """Distributed dedup: per-chunk dedup → tree merge-dedup.
 
     Each map step can only shrink data; the combine tree keeps per-node
-    input bounded by ``combine_arity`` chunks — the same overload-avoidance
+    input bounded by ``COMBINE_ARITY`` chunks — the same overload-avoidance
     argument as the groupby combine stage.
     """
 
@@ -42,7 +42,7 @@ class DropDuplicates(Operator):
             ))
         while len(level) > 1:
             next_level = []
-            for j, batch in enumerate(batched(level, ctx.config.combine_arity)):
+            for j, batch in enumerate(batched(level, COMBINE_ARITY)):
                 op = DropDuplicatesChunk(subset=self.subset)
                 shape = (None, n_cols) if self.out_kind == "dataframe" else (None,)
                 next_level.append(op.new_chunk(
@@ -79,7 +79,7 @@ class UniqueValues(Operator):
             level.append(op.new_chunk([chunk], "tensor", (None,), (0,)))
         while len(level) > 1:
             next_level = []
-            for batch in batched(level, ctx.config.combine_arity):
+            for batch in batched(level, COMBINE_ARITY):
                 op = UniqueValuesChunk(final=False)
                 next_level.append(op.new_chunk(list(batch), "tensor", (None,), (0,)))
             level = next_level
@@ -131,9 +131,9 @@ class GatherApply(Operator):
         from .utils import ConcatChunks
 
         level = list(self.inputs[0].chunks)
-        while len(level) > ctx.config.combine_arity:
+        while len(level) > COMBINE_ARITY:
             next_level = []
-            for j, batch in enumerate(batched(level, ctx.config.combine_arity)):
+            for j, batch in enumerate(batched(level, COMBINE_ARITY)):
                 op = ConcatChunks()
                 next_level.append(op.new_chunk(
                     list(batch), batch[0].kind, (None,) + batch[0].shape[1:],

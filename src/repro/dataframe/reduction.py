@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
 from ..engine.local import DataFrame, Index, Series
-from ..utils import batched
+from ..utils import COMBINE_ARITY, batched
 from .utils import chunk_index
 
 REDUCTIONS = ("sum", "mean", "min", "max", "count", "nunique", "prod",
@@ -127,7 +127,7 @@ class SeriesReduction(Operator):
         level = map_chunks
         while len(level) > 1:
             next_level = []
-            for batch in batched(level, ctx.config.combine_arity):
+            for batch in batched(level, COMBINE_ARITY):
                 op = SeriesReductionChunk(how=self.how, stage_role="combine")
                 next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
             level = next_level
@@ -171,7 +171,7 @@ class DataFrameReduction(Operator):
         level = map_chunks
         while len(level) > 1:
             next_level = []
-            for batch in batched(level, ctx.config.combine_arity):
+            for batch in batched(level, COMBINE_ARITY):
                 op = DataFrameReductionChunk(
                     how=self.how, numeric_only=self.numeric_only,
                     stage_role="combine",

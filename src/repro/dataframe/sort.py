@@ -19,7 +19,13 @@ from ..core.operator import ExecContext, Operator, TileContext
 from ..engine.local import concat
 from ..graph.entity import ChunkData
 from ..utils import new_key
-from .utils import ConcatChunks, chunk_index, nsplits_from_chunks, spread_sample
+from .utils import (
+    SAMPLE_CHUNKS,
+    ConcatChunks,
+    chunk_index,
+    nsplits_from_chunks,
+    spread_sample,
+)
 
 
 class SortValues(Operator):
@@ -90,7 +96,7 @@ class SortValues(Operator):
         key = self.by[0]
         collected: list = []
         per_chunk = max(2000 // max(len(chunks), 1), 50)
-        for chunk in spread_sample(chunks, 2 * ctx.config.sample_chunks):
+        for chunk in spread_sample(chunks, 2 * SAMPLE_CHUNKS):
             frame = ctx.peek(chunk.key)
             values = [
                 v for v in frame[key].values.tolist()[:per_chunk]

@@ -11,6 +11,10 @@ from ..engine.local import concat
 from ..graph.entity import ChunkData
 
 
+#: how many head chunks dynamic tiling executes to collect metadata.
+SAMPLE_CHUNKS = 2
+
+
 def spread_sample(chunks: Sequence[ChunkData], k: int) -> list[ChunkData]:
     """Pick ~k chunks evenly spread over the chunk list.
 

@@ -39,11 +39,11 @@ handle.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
-from ..frame import DataFrame, Series, concat as frame_concat
+from ..frame import DataFrame, Series
 from ..utils import sizeof
 
 
@@ -79,33 +79,6 @@ class ChunkEngine(ABC):
         """Wire → physical (inverse of :meth:`to_wire`)."""
         return value
 
-    # -- construction / combination ------------------------------------
-    def df_like(self, data: dict, index=None, columns=None) -> Any:
-        """Build a physical dataframe chunk from column arrays."""
-        return self.persist(DataFrame(data, index=index, columns=columns))
-
-    def empty_like(self, value: Any) -> Any:
-        """An empty physical chunk with ``value``'s schema."""
-        frame = self.compute(value)
-        if isinstance(frame, DataFrame):
-            return self.persist(frame.iloc[0:0])
-        if isinstance(frame, Series):
-            return self.persist(frame.iloc[0:0])
-        if isinstance(frame, np.ndarray):
-            return frame[0:0]
-        return frame
-
-    def concat(self, values: list) -> Any:
-        """Concatenate physical chunks row-wise into one physical chunk."""
-        if len(values) == 1:
-            return values[0]
-        return self.persist(frame_concat([self.compute(v) for v in values]))
-
-    def take(self, value: Any, indexer: np.ndarray) -> Any:
-        """Row gather of a physical chunk by positional indexer."""
-        frame = self.compute(value)
-        return self.persist(frame.iloc[indexer])
-
     # -- shuffle partition kernels -------------------------------------
     @abstractmethod
     def hash_partition(self, value: Any, key: Any,
@@ -124,29 +97,6 @@ class ChunkEngine(ABC):
     def split(self, value: Any, assignment: np.ndarray,
               n_parts: int) -> list:
         """Split a physical chunk into ``n_parts`` physical chunks."""
-
-    # -- introspection / accounting ------------------------------------
-    def sizeof(self, value: Any) -> int:
-        """Byte size of a physical value (storage/meta accounting)."""
-        return sizeof(value)
-
-    def describe(self, value: Any, extra: dict | None = None) -> dict:
-        """Schema facts of a physical value (see :func:`describe_value`)."""
-        return describe_value(value, extra)
-
-    def columns_of(self, value: Any) -> Optional[list]:
-        frame = self.compute(value)
-        if isinstance(frame, DataFrame):
-            return frame.columns.to_list()
-        return None
-
-    def dtypes_of(self, value: Any) -> Optional[dict]:
-        frame = self.compute(value)
-        if isinstance(frame, DataFrame):
-            return {c: frame._data[c].dtype for c in frame._columns}
-        if isinstance(frame, Series):
-            return {frame.name: frame.dtype}
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +125,7 @@ def get_engine(name: str = "row") -> ChunkEngine:
 
 def engine_of(config) -> ChunkEngine:
     """The engine a :class:`~repro.config.Config` selects."""
-    return get_engine(getattr(config, "chunk_engine", "row"))
+    return get_engine(config.chunk_engine)
 
 
 def compiled_fusion_enabled(config) -> bool:

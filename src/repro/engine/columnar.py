@@ -340,31 +340,6 @@ class ColumnarEngine(ChunkEngine):
                                        list(value._columns)))
         return parts
 
-    # -- introspection --------------------------------------------------
-    def take(self, value: Any, indexer: np.ndarray) -> Any:
-        if isinstance(value, ColumnarFrame):
-            indexer = np.asarray(indexer)
-            data = {name: value._data[name].take(indexer)
-                    if isinstance(value._data[name], DictColumn)
-                    else value._data[name][indexer]
-                    for name in value._columns}
-            return ColumnarFrame(data, value._index.take(indexer),
-                                 list(value._columns))
-        return super().take(value, indexer)
-
-    def columns_of(self, value: Any):
-        if isinstance(value, ColumnarFrame):
-            return list(value._columns)
-        return super().columns_of(value)
-
-    def dtypes_of(self, value: Any):
-        if isinstance(value, ColumnarFrame):
-            return {name: value._data[name].dtype
-                    for name in value._columns}
-        if isinstance(value, ColumnarSeries):
-            return {value.name: value.dtype}
-        return super().dtypes_of(value)
-
     @staticmethod
     def _key_column(value: Any, key: Any):
         if isinstance(value, ColumnarFrame):

@@ -20,7 +20,6 @@ from .partition import (
     assign_range_partitions,
     split_by_assignment,
 )
-from ..frame import DataFrame
 
 
 class RowEngine(ChunkEngine):
@@ -34,16 +33,6 @@ class RowEngine(ChunkEngine):
 
     def compute(self, value: Any) -> Any:
         return value
-
-    def df_like(self, data: dict, index=None, columns=None) -> Any:
-        return DataFrame(data, index=index, columns=columns)
-
-    def concat(self, values: list) -> Any:
-        if len(values) == 1:
-            return values[0]
-        from ..frame import concat as frame_concat
-
-        return frame_concat(values)
 
     def hash_partition(self, value: Any, key: Any,
                        n_parts: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from ..core.operator import ExecContext, Operator, TileContext
 from ..errors import TilingError
 from ..tensor import Tensor
 from ..tensor.linalg import _tall_skinny_layout
-from ..utils import batched
+from ..utils import COMBINE_ARITY, batched
 
 
 def _assign(block: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -41,7 +41,7 @@ class KMeansStep(Operator):
             level.append(op.new_chunk([block], "scalar", (), ()))
         while len(level) > 1:
             next_level = []
-            for batch in batched(level, ctx.config.combine_arity):
+            for batch in batched(level, COMBINE_ARITY):
                 op = KMeansPartial(centers=self.centers, role="combine")
                 next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
             level = next_level

@@ -15,7 +15,7 @@ from ..tensor.linalg import (
     _tall_skinny_layout,
 )
 from ..tensor.rechunk import rechunk_chunks
-from ..utils import batched
+from ..utils import COMBINE_ARITY, batched
 from .preprocessing import add_bias_column
 
 
@@ -59,9 +59,9 @@ class RegularizedLstSq(Operator):
         for xb, yb in zip(x_blocks, y_chunks):
             op = NormalEquationsMap()
             level.append(op.new_chunk([xb, yb], "scalar", (), ()))
-        while len(level) > ctx.config.combine_arity:
+        while len(level) > COMBINE_ARITY:
             next_level = []
-            for batch in batched(level, ctx.config.combine_arity):
+            for batch in batched(level, COMBINE_ARITY):
                 op = NormalEquationsCombine()
                 next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
             level = next_level

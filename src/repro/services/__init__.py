@@ -1,25 +1,28 @@
 """Supervisor/worker service actors (the Xoscar service plane).
 
 The paper's Section III-B architecture runs every engine concern as a
-service actor on the supervisor or on a worker:
+service actor on the supervisor or on a worker. There is one actor
+class, :class:`ServiceActor`: its message interface is the public
+methods of the object it fronts.
 
-=====================  ============================================
-supervisor actor       wraps
-=====================  ============================================
-``MetaActor``          :class:`~repro.core.meta.MetaService`
-``StorageManagerActor`` :class:`~repro.storage.service.StorageService`
-``ShuffleActor``       :class:`~repro.storage.shuffle.ShuffleManager`
-``SchedulingActor``    :class:`~repro.services.scheduling.SchedulingService`
-``LifecycleActor``     :class:`~repro.services.lifecycle.LifecycleService`
-``SessionActor``       one run's executor + tiling engine
-=====================  ============================================
+=======================  ============================================
+supervisor uid           fronts
+=======================  ============================================
+``service/meta``         :class:`~repro.core.meta.MetaService`
+``service/storage``      :class:`~repro.storage.service.StorageService`
+``service/shuffle``      :class:`~repro.storage.shuffle.ShuffleManager`
+``service/scheduling``   :class:`~repro.services.scheduling.SchedulingService`
+``service/cache``        :class:`~repro.services.cache.ResultCacheService`
+``service/lifecycle``    :class:`~repro.services.lifecycle.LifecycleService`
+``session-N/actor``      ``SessionActor``: one session's executor + tiler
+=======================  ============================================
 
-=====================  ============================================
-worker/band actor      wraps
-=====================  ============================================
-``StorageActor``       :class:`~repro.storage.worker.WorkerStorage`
-``SubtaskRunnerActor`` :class:`~repro.services.runner.SubtaskRunner`
-=====================  ============================================
+=======================  ============================================
+worker/band uid          fronts
+=======================  ============================================
+``worker/<w>/storage``   :class:`~repro.storage.worker.WorkerStorage`
+``runner/<band>``        :class:`~repro.services.runner.SubtaskRunner`
+=======================  ============================================
 
 Cross-service calls go through ``ActorRef``s, so the actor system's
 ``MessageLog`` is a faithful RPC trace of the engine.  Deployment lives

@@ -1,4 +1,4 @@
-"""Base class for actors that front an existing service object."""
+"""The one actor class that fronts every service object."""
 
 from __future__ import annotations
 
@@ -6,29 +6,25 @@ from ..actors import Actor
 
 
 class ServiceActor(Actor):
-    """An actor exposing an allowlisted slice of a wrapped service.
+    """An actor whose message interface is its service's public methods.
 
     Message delivery resolves methods with ``getattr``, so delegating
-    through ``__getattr__`` gives every allowlisted service method an
-    actor-plane entry point without forwarding boilerplate.  Anything
-    not in :attr:`service_methods` is unreachable through a ref — the
-    allowlist *is* the service's message interface.
+    through ``__getattr__`` gives every public callable of the wrapped
+    object an actor-plane entry point without a hand-kept list. The
+    lookup happens per message (a method patched onto the service's
+    class while the actor lives is what the next message calls);
+    ``_private`` names and data attributes are unreachable through a ref.
     """
-
-    #: method names remotable on this service.
-    service_methods: frozenset[str] = frozenset()
 
     def __init__(self, service):
         super().__init__()
         self._service = service
 
     def __getattr__(self, name: str):
-        if name in type(self).service_methods:
-            return getattr(self._service, name)
+        if not name.startswith("_"):
+            method = getattr(self._service, name, None)
+            if callable(method):
+                return method
         raise AttributeError(
-            f"{type(self).__name__} exposes no method {name!r}"
+            f"{type(self._service).__name__} actor exposes no method {name!r}"
         )
-
-    def backend(self):
-        """The wrapped service object (tests and diagnostics only)."""
-        return self._service

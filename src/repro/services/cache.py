@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..utils import DedupLog
-from .base import ServiceActor
 
 
 @dataclass
@@ -267,19 +266,3 @@ class ResultCacheService:
         self._known.clear()
         self._bytes = 0
         return dropped
-
-
-class CacheActor(ServiceActor):
-    """Fronts a :class:`ResultCacheService` on the supervisor pool."""
-
-    service_methods = frozenset({
-        "known_identities",
-        "note_identities",
-        "lookup_many",
-        "record_many",
-        "invalidate_chunks",
-        "cached_chunk_keys",
-        "entry_identities",
-        "stats_snapshot",
-        "clear",
-    })

@@ -28,13 +28,11 @@ from . import (
     runner_uid,
     worker_storage_uid,
 )
-from .cache import CacheActor, ResultCacheService
-from .lifecycle import LifecycleActor, LifecycleService
-from .meta import MetaActor
-from .runner import SubtaskRunner, SubtaskRunnerActor
-from .scheduling import SchedulingActor, SchedulingService
-from .shuffle import ShuffleActor
-from .storage import StorageActor, StorageManagerActor
+from .base import ServiceActor
+from .cache import ResultCacheService
+from .lifecycle import LifecycleService
+from .runner import SubtaskRunner
+from .scheduling import SchedulingService
 
 
 @dataclass
@@ -85,93 +83,54 @@ def deploy_services(cluster: ClusterState, config: Config) -> ServiceHandles:
     system.supervisor = plane.supervisor
     system.chaos = MessageChaos(config.message_faults)
 
-    meta_service = MetaService()
-    meta = system.create_actor(
-        SUPERVISOR_ADDRESS, MetaActor, meta_service, uid=META_UID,
-    )
-    plane.register_service(SUPERVISOR_ADDRESS, META_UID,
-                           lambda: (MetaActor, (meta_service,), {}))
+    def serve(address: str, uid: str, service: Any):
+        """``service`` behind a supervised actor: the object outlives
+        the actor, so a respawn re-wraps it with its state intact."""
+        ref = system.create_actor(address, ServiceActor, service, uid=uid)
+        plane.register_service(address, uid,
+                               lambda: (ServiceActor, (service,), {}))
+        return ref
 
+    meta = serve(SUPERVISOR_ADDRESS, META_UID, MetaService())
     router = StorageService(cluster, config)
-    # plain worker units captured *before* the router swaps in actor
-    # refs: a respawned StorageActor re-attaches to the same durable
-    # unit, so tiers, pins and spill state survive the actor's death.
-    units = {
-        worker.name: router.worker_unit(worker.name)
+    # the router swaps its plain worker units for refs to them: tier
+    # operations become messages to the worker's own pool, and a
+    # respawned actor re-attaches to the same durable unit, so tiers,
+    # pins and spill state survive the actor's death.
+    router.use_worker_handles({
+        worker.name: serve(worker.name, worker_storage_uid(worker.name),
+                           router.worker_unit(worker.name))
         for worker in cluster.workers
-    }
-    worker_refs = {}
-    for worker in cluster.workers:
-        uid = worker_storage_uid(worker.name)
-        worker_refs[worker.name] = system.create_actor(
-            worker.name, StorageActor, units[worker.name], uid=uid,
-        )
-        plane.register_service(
-            worker.name, uid,
-            lambda unit=units[worker.name]: (StorageActor, (unit,), {}))
-    router.use_worker_handles(worker_refs)
-    storage = system.create_actor(
-        SUPERVISOR_ADDRESS, StorageManagerActor, router, uid=STORAGE_UID,
-    )
-    plane.register_service(SUPERVISOR_ADDRESS, STORAGE_UID,
-                           lambda: (StorageManagerActor, (router,), {}))
-
-    shuffle_manager = ShuffleManager(storage)
-    shuffle = system.create_actor(
-        SUPERVISOR_ADDRESS, ShuffleActor, shuffle_manager, uid=SHUFFLE_UID,
-    )
-    plane.register_service(SUPERVISOR_ADDRESS, SHUFFLE_UID,
-                           lambda: (ShuffleActor, (shuffle_manager,), {}))
-
-    scheduling_service = SchedulingService.create(cluster, config, meta,
-                                                  storage)
-    scheduling = system.create_actor(
-        SUPERVISOR_ADDRESS, SchedulingActor, scheduling_service,
-        uid=SCHEDULING_UID,
-    )
-    plane.register_service(
+    })
+    storage = serve(SUPERVISOR_ADDRESS, STORAGE_UID, router)
+    shuffle = serve(SUPERVISOR_ADDRESS, SHUFFLE_UID, ShuffleManager(storage))
+    scheduling = serve(
         SUPERVISOR_ADDRESS, SCHEDULING_UID,
-        lambda: (SchedulingActor, (scheduling_service,), {}))
-
-    cache_service = ResultCacheService(storage, config)
-    cache = system.create_actor(
-        SUPERVISOR_ADDRESS, CacheActor, cache_service, uid=CACHE_UID,
-    )
-    plane.register_service(SUPERVISOR_ADDRESS, CACHE_UID,
-                           lambda: (CacheActor, (cache_service,), {}))
-
-    lifecycle_service = LifecycleService(storage, shuffle, config,
-                                         cache=cache)
-    lifecycle = system.create_actor(
-        SUPERVISOR_ADDRESS, LifecycleActor, lifecycle_service,
-        uid=LIFECYCLE_UID,
-    )
-    plane.register_service(
-        SUPERVISOR_ADDRESS, LIFECYCLE_UID,
-        lambda: (LifecycleActor, (lifecycle_service,), {}))
+        SchedulingService.create(cluster, config, meta, storage))
+    cache = serve(SUPERVISOR_ADDRESS, CACHE_UID,
+                  ResultCacheService(storage, config))
+    lifecycle = serve(SUPERVISOR_ADDRESS, LIFECYCLE_UID,
+                      LifecycleService(storage, shuffle, config, cache))
 
     procpool = (
         cluster.procpool_client() if config.execution_mode == "process"
         else None
     )
+
+    def fresh_runner(band: str) -> SubtaskRunner:
+        return SubtaskRunner(band, storage, config, procpool=procpool)
+
     runners = {}
     for band in cluster.bands:
         uid = runner_uid(band.name)
         runners[band.name] = system.create_actor(
-            band.worker, SubtaskRunnerActor,
-            SubtaskRunner(band.name, storage, config, procpool=procpool),
-            uid=uid,
-        )
+            band.worker, ServiceActor, fresh_runner(band.name), uid=uid)
         # runners are stateless: the factory builds a *fresh* one — any
         # compute lost with the old actor re-runs through the executor's
         # inline retry, and lost chunks replay via lifecycle lineage.
         plane.register_runner(
             band.name, band.worker, uid,
-            lambda name=band.name: (
-                SubtaskRunnerActor,
-                (SubtaskRunner(name, storage, config, procpool=procpool),),
-                {},
-            ))
+            lambda name=band.name: (ServiceActor, (fresh_runner(name),), {}))
 
     handles = ServiceHandles(
         meta=meta, storage=storage, scheduling=scheduling,

@@ -21,7 +21,6 @@ from collections import defaultdict
 
 from ..core.recovery import RecoveryManager
 from ..utils import DedupLog
-from .base import ServiceActor
 
 
 class _StageScope:
@@ -37,7 +36,7 @@ class _StageScope:
 class LifecycleService:
     """Refcount/forget logic plus the lineage registry."""
 
-    def __init__(self, storage, shuffle=None, config=None, cache=None):
+    def __init__(self, storage, shuffle, config, cache):
         self._storage = storage
         self._shuffle = shuffle
         self._config = config
@@ -87,7 +86,7 @@ class LifecycleService:
         stage chunks (map partials, shuffle partitions), like Ray's
         reference counting.  Returns the freed keys.
         """
-        eager = bool(self._config.eager_release) if self._config else False
+        eager = self._config.eager_release
         scope = self._scope(session)
         freed: list[str] = []
         for key in input_keys:
@@ -101,8 +100,7 @@ class LifecycleService:
         # the LIFECYCLE -> STORAGE / -> SHUFFLE trace edges survive.
         if freed:
             self._storage.delete_many(freed)
-            if self._shuffle is not None:
-                self._shuffle.forget_keys(freed)
+            self._shuffle.forget_keys(freed)
         return freed
 
     def finish_subtask(self, subtask, session: str = "",
@@ -149,8 +147,6 @@ class LifecycleService:
         ``record_many``, so a duplicate on either the client->lifecycle
         or the lifecycle->cache edge applies the recording once.
         """
-        if self._cache is None:
-            return []
         seen, memo = self._dedup.check(dedup_token)
         if seen:
             return memo
@@ -173,8 +169,6 @@ class LifecycleService:
         Returns the chunk keys whose entries were dropped (their values,
         where still stored, become ordinary freeable intermediates).
         """
-        if self._cache is None:
-            return []
         dropped = self._cache.invalidate_chunks(
             list(chunk_keys), scope_session=session)
         return self._unprotect(dropped)
@@ -183,7 +177,7 @@ class LifecycleService:
         # Under eager-release semantics an unprotected chunk would have
         # been freed by refcounting long ago — drop its bytes now
         # (consumers re-materialize via lineage, as with the cache off).
-        eager = bool(self._config.eager_release) if self._config else False
+        eager = self._config.eager_release
         deletable: list[str] = []
         for key in chunk_keys:
             self._cache_protected.discard(key)
@@ -213,23 +207,3 @@ class LifecycleService:
     def recovery_manager(self) -> RecoveryManager:
         """The lineage registry itself (tests and tile-context checks)."""
         return self._recovery
-
-
-class LifecycleActor(ServiceActor):
-    """Fronts a :class:`LifecycleService` on the supervisor pool."""
-
-    service_methods = frozenset({
-        "register_terminals",
-        "is_terminal",
-        "begin_stage",
-        "release_consumed",
-        "finish_subtask",
-        "drop_session",
-        "cache_record",
-        "invalidate_cached",
-        "cache_protected",
-        "record",
-        "producer_of",
-        "plan",
-        "recovery_manager",
-    })

@@ -32,7 +32,6 @@ from ..core.dispatch import SubtaskComputation
 from ..core.operator import ExecContext
 from ..core.opfusion import compile_step, plan_subtask
 from ..engine.base import compiled_fusion_enabled, engine_of, persist_result
-from .base import ServiceActor
 
 
 def run_subtask_kernels(subtask, inputs: dict[str, Any],
@@ -129,9 +128,3 @@ class SubtaskRunner:
         """
         inputs = self._storage.peek_values(list(subtask.input_keys))
         return run_subtask_kernels(subtask, inputs, self._config)
-
-
-class SubtaskRunnerActor(ServiceActor):
-    """Fronts one band's :class:`SubtaskRunner` on its worker's pool."""
-
-    service_methods = frozenset({"compute", "precompute"})

@@ -5,8 +5,8 @@ and load accounting) with the :class:`~repro.core.memory_control`
 subsystem (footprint estimator, admission ledger, degraded-worker state,
 dispatch gates) behind one flat message interface — what the paper's
 supervisor-side scheduling service owns.  The
-:class:`GraphExecutor` talks to this service (directly or through a
-:class:`SchedulingActor` ref) instead of reaching into scheduler or
+:class:`GraphExecutor` talks to this service (directly or through the
+``service/scheduling`` actor ref) instead of reaching into scheduler or
 pressure internals.
 
 On a shared cluster the service additionally owns the **fair-share
@@ -23,7 +23,6 @@ import threading
 
 from ..core.memory_control import MemoryPressure
 from ..core.scheduler import Scheduler
-from .base import ServiceActor
 
 
 class FairShareQueue:
@@ -31,18 +30,16 @@ class FairShareQueue:
 
     Stride scheduling: each tenant carries a *pass* value advanced by
     ``1 / weight`` per granted turn; among waiting tenants the lowest
-    pass (ties broken by arrival order) goes next. With ``fair_share``
-    off, grants degrade to plain FIFO arrival order.
+    pass (ties broken by arrival order) goes next.
 
     The holder may re-enter (``acquire`` is reentrant per tenant with a
     depth count) — fetch-time recovery runs ``execute`` inside an
     already-held turn.
     """
 
-    def __init__(self, fair_share: bool = True):
+    def __init__(self):
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._fair_share = fair_share
         #: tenant -> (weight, pass value)
         self._tenants: dict[str, list[float]] = {}
         self._global_pass = 0.0
@@ -70,8 +67,6 @@ class FairShareQueue:
     def _next_in_line(self) -> str | None:
         if not self._waiting:
             return None
-        if not self._fair_share:
-            return min(self._waiting, key=self._waiting.__getitem__)
         return min(
             self._waiting,
             key=lambda s: (self._tenants.get(s, [1.0, 0.0])[1],
@@ -120,18 +115,16 @@ class FairShareQueue:
                 "waiting": len(self._waiting),
                 "holder": self._holder,
                 "turns_granted": dict(self.turns_granted),
-                "fair_share": self._fair_share,
             }
 
 
 class SchedulingService:
     """Band placement + band-load accounting + memory admission."""
 
-    def __init__(self, scheduler: Scheduler, pressure: MemoryPressure,
-                 fair_share: bool = True):
+    def __init__(self, scheduler: Scheduler, pressure: MemoryPressure):
         self._scheduler = scheduler
         self._pressure = pressure
-        self._turnstile = FairShareQueue(fair_share)
+        self._turnstile = FairShareQueue()
 
     @classmethod
     def create(cls, cluster, config, meta, storage) -> "SchedulingService":
@@ -141,8 +134,7 @@ class SchedulingService:
         subsystem only calls methods on them.
         """
         return cls(Scheduler(cluster, config),
-                   MemoryPressure(config, cluster, meta, storage),
-                   fair_share=config.fair_share)
+                   MemoryPressure(config, cluster, meta, storage))
 
     # -- placement ---------------------------------------------------------
     def assign(self, subtask_graph, input_nbytes) -> None:
@@ -253,33 +245,3 @@ class SchedulingService:
     def scheduler_backend(self) -> Scheduler:
         """The underlying placement scheduler (tests only)."""
         return self._scheduler
-
-
-class SchedulingActor(ServiceActor):
-    """Fronts a :class:`SchedulingService` on the supervisor pool."""
-
-    service_methods = frozenset({
-        "assign",
-        "note_completed",
-        "reassign",
-        "record_chunk",
-        "forget_chunk",
-        "register_tenant",
-        "unregister_tenant",
-        "acquire_turn",
-        "release_turn",
-        "fair_share_snapshot",
-        "begin_stage",
-        "admit",
-        "admit_subtask",
-        "finish_subtask",
-        "commit_grant",
-        "estimate",
-        "observe",
-        "is_degraded",
-        "degrade",
-        "freest_worker",
-        "dispatch_gate",
-        "memory_pressure",
-        "scheduler_backend",
-    })

@@ -32,6 +32,10 @@ class StoredItem:
     worker: str
 
 
+#: the disk tier is this many times slower than memory.
+DISK_PENALTY = 8.0
+
+
 @dataclass
 class AccessInfo:
     """What a ``get`` cost: bytes moved across the network and the

@@ -8,8 +8,7 @@ from .base import StorageBackend, StorageLevel
 class DiskBackend(StorageBackend):
     """Per-worker disk store used as the spill target.
 
-    Reads are charged the cost model's ``disk_penalty`` by the storage
-    service. Capacity is unbounded here (cluster disks are far larger
+    Reads are charged ``DISK_PENALTY`` by the storage service. Capacity is unbounded here (cluster disks are far larger
     than memory at the paper's scales).
     """
 

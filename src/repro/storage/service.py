@@ -15,12 +15,12 @@ Responsibilities (Section V-C):
 The service plane splits this into two layers.  Each worker's tiers,
 LRU ring, pins and spill counters live in a
 :class:`~repro.storage.worker.WorkerStorage` unit — fronted by a
-per-worker ``StorageActor`` in the actor deployment.  This class is the
-supervisor-side *router*: it owns only the key -> owner-worker index,
+per-worker actor (``worker/<w>/storage``) in the deployment.  This
+class is the supervisor-side *router*: it owns only the key -> owner-worker index,
 the remote tier, the transfer ledger, and pin routing; every tier
 operation is delegated to the owning worker's unit through its message
 interface.  Units are duck-typed — a plain :class:`WorkerStorage` or an
-``ActorRef`` to a ``StorageActor`` both work, since the router only ever
+``ActorRef`` to its actor both work, since the router only ever
 calls methods on them.
 """
 
@@ -33,7 +33,7 @@ from ..cluster.cluster import ClusterState
 from ..config import Config
 from ..errors import StorageKeyError
 from ..utils import DedupLog, sizeof
-from .base import AccessInfo, StorageLevel, StoredItem
+from .base import DISK_PENALTY, AccessInfo, StorageLevel, StoredItem
 from .remote import RemoteBackend
 from .worker import WorkerStorage
 
@@ -142,8 +142,8 @@ class StorageService:
         """Fetch a chunk from wherever it lives.
 
         The returned :class:`AccessInfo` carries the bytes transferred over
-        the network (zero for a local read) and the tier penalty (the cost
-        model's ``disk_penalty`` for a spilled chunk).
+        the network (zero for a local read) and the tier penalty
+        (``DISK_PENALTY`` for a spilled chunk).
         """
         with self._lock:
             return self._get_locked(key, requesting_worker)
@@ -168,7 +168,6 @@ class StorageService:
         number of worker-unit messages changes.
         """
         infos: list[AccessInfo] = []
-        penalty = self.config.cost_model.disk_penalty
         i, n = 0, len(keys)
         while i < n:
             owner = self._locations.get(keys[i])
@@ -187,7 +186,7 @@ class StorageService:
                 self._transferred_bytes += transferred
                 infos.append(AccessInfo(
                     value, nbytes, transferred_bytes=transferred,
-                    tier_penalty=(penalty if level == StorageLevel.DISK
+                    tier_penalty=(DISK_PENALTY if level == StorageLevel.DISK
                                   else 1.0),
                     source_worker=owner,
                 ))
@@ -215,14 +214,14 @@ class StorageService:
             self._transferred_bytes += item.nbytes
             return AccessInfo(item.value, item.nbytes,
                               transferred_bytes=item.nbytes,
-                              tier_penalty=self.config.cost_model.disk_penalty,
+                              tier_penalty=DISK_PENALTY,
                               source_worker="<remote>")
         value, nbytes, level = self._workers[owner].get_local(key, touch_lru)
         transferred = nbytes if owner != requesting_worker else 0
         self._transferred_bytes += transferred
         if level == StorageLevel.DISK:
             return AccessInfo(value, nbytes, transferred_bytes=transferred,
-                              tier_penalty=self.config.cost_model.disk_penalty,
+                              tier_penalty=DISK_PENALTY,
                               source_worker=owner)
         return AccessInfo(value, nbytes, transferred_bytes=transferred,
                           source_worker=owner)

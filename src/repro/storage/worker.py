@@ -5,9 +5,9 @@ hold every worker's backends, LRU rings and pin counts in global maps.
 The service plane partitions that keyspace by owner worker: each
 :class:`WorkerStorage` owns exactly one worker's tiers, makes its own
 spill/pin/quota decisions against its own :class:`MemoryTracker`, and is
-fronted by a per-worker ``StorageActor`` in the actor deployment.  The
-supervisor-side router only keeps the key -> owner index and the remote
-tier.
+fronted by a per-worker actor (``worker/<w>/storage``) in the
+deployment.  The supervisor-side router only keeps the key -> owner
+index and the remote tier.
 
 Every method here is part of the worker storage *message interface*:
 callers (the router) never reach into the backends directly, and no

@@ -20,7 +20,7 @@ from ..core.operator import ExecContext, Operator, TileContext
 from ..core.rechunk import rechunk_to_splits
 from ..errors import TilingError
 from ..graph.entity import ChunkData, TileableData
-from ..utils import batched
+from ..utils import COMBINE_ARITY, batched
 from .rechunk import rechunk_chunks
 
 
@@ -145,7 +145,7 @@ class LstSq(Operator):
         level = partials
         while len(level) > 1:
             next_level = []
-            for batch in batched(level, ctx.config.combine_arity):
+            for batch in batched(level, COMBINE_ARITY):
                 op = NormalEquationsCombine()
                 next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
             level = next_level

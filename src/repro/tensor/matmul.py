@@ -6,7 +6,7 @@ import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
 from ..errors import TilingError
-from ..utils import batched
+from ..utils import COMBINE_ARITY, batched
 from .rechunk import rechunk_chunks
 
 
@@ -52,7 +52,7 @@ class MatMul(Operator):
                 level = partials
                 while len(level) > 1:
                     next_level = []
-                    for batch in batched(level, ctx.config.combine_arity):
+                    for batch in batched(level, COMBINE_ARITY):
                         op = BlockSum()
                         next_level.append(op.new_chunk(
                             list(batch), "tensor",

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
-from ..utils import batched
+from ..utils import COMBINE_ARITY, batched
 
 _PARTIAL = {
     "sum": lambda a, axis: {"acc": np.sum(a, axis=axis)},
@@ -60,7 +60,7 @@ class TensorReduce(Operator):
             level.append(op.new_chunk([chunk], "scalar", (), ()))
         while len(level) > 1:
             next_level = []
-            for batch in batched(level, ctx.config.combine_arity):
+            for batch in batched(level, COMBINE_ARITY):
                 op = TensorReduceChunk(how=self.how, axis=None, role="combine")
                 next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
             level = next_level
@@ -90,7 +90,7 @@ class TensorReduce(Operator):
                 ))
             while len(level) > 1:
                 next_level = []
-                for batch in batched(level, ctx.config.combine_arity):
+                for batch in batched(level, COMBINE_ARITY):
                     op = TensorReduceChunk(how=self.how, axis=axis,
                                            role="combine")
                     next_level.append(op.new_chunk(

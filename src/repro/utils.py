@@ -157,6 +157,10 @@ def locate_in_splits(index: int, sizes: Sequence[int]) -> tuple[int, int]:
     raise IndexError(f"index {index} out of range for splits {list(sizes)!r}")
 
 
+#: fan-in of one combine stage node (tree-reduce arity).
+COMBINE_ARITY = 4
+
+
 def batched(iterable: Iterable, size: int) -> Iterator[list]:
     """Yield lists of up to ``size`` items from ``iterable``.
 

@@ -10,6 +10,7 @@ from repro.cluster import (
     SimReport,
     build_workers,
 )
+from repro.cluster.simulation import fold_report
 from repro.config import Config, CostModel
 from repro.errors import WorkerOutOfMemory
 
@@ -125,11 +126,13 @@ class TestSimReport:
                       peak_memory={"w": 10}, band_busy={"b": 1.0})
         b = SimReport(makespan=2.0, n_subtasks=3,
                       peak_memory={"w": 5}, band_busy={"b": 0.5})
-        a.merge(b)
-        assert a.makespan == 3.0
+        fold_report(a, b)
+        # counters add, makespan and peaks are high-water marks, the
+        # clock snapshot is the latest stage's.
+        assert a.makespan == 2.0
         assert a.n_subtasks == 5
         assert a.peak_memory["w"] == 10
-        assert a.band_busy["b"] == 1.5
+        assert a.band_busy["b"] == 0.5
 
 
 class TestClusterState:

@@ -7,6 +7,7 @@ fault-free run, serial and parallel execution produce bit-identical
 raises a typed error instead of hanging.
 """
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,7 +18,8 @@ from repro.cluster.simulation import SimReport
 from repro.config import Config, FaultSpec
 from repro.core import Session
 from repro.core.dispatch import BandDispatcher, SubtaskComputation
-from repro.core.memory_control import verify_memory_invariants
+from repro.core.executor import BACKOFF_BASE, MAX_RETRIES, _Stage
+from repro.core.memory_control import PEAK_FACTOR, verify_memory_invariants
 from repro.core.operator import Operator
 from repro.core.recovery import FaultInjector, RecoveryManager
 from repro.dataframe import from_frame
@@ -51,26 +53,7 @@ def make_session(parallel: bool = False, chunk_limit: int = 8_000,
 
 
 def report_tuple(session: Session):
-    report = session.executor.report
-    return (
-        report.makespan,
-        report.total_compute_seconds,
-        report.total_transfer_bytes,
-        report.total_shuffle_bytes,
-        report.n_subtasks,
-        report.n_graph_nodes,
-        report.retries,
-        report.recomputed_subtasks,
-        report.recovery_bytes,
-        report.backoff_time,
-        report.oom_retries,
-        report.admission_wait_time,
-        report.degraded_subtasks,
-        report.pressure_splits,
-        report.forced_spill_bytes,
-        dict(report.peak_memory),
-        dict(report.band_busy),
-    )
+    return dataclasses.astuple(session.executor.report)
 
 
 def event_signature(session: Session):
@@ -251,9 +234,7 @@ class TestScriptedInjection:
             actual = tensor_fanout(chaotic)
             report = chaotic.executor.report
             assert report.retries == 1
-            assert report.backoff_time == pytest.approx(
-                chaotic.config.faults.backoff_base
-            )
+            assert report.backoff_time == pytest.approx(BACKOFF_BASE)
             assert event_signature(chaotic) == [("compute", 0, 0)]
             assert chaotic.last_report.retries == 1
         assert_same_result(actual, expected)
@@ -290,9 +271,7 @@ class TestScriptedInjection:
         with make_session(parallel=parallel, faults=faults) as session:
             with pytest.raises(RetriesExhausted) as excinfo:
                 tensor_fanout(session)
-            assert excinfo.value.attempts == (
-                session.config.faults.max_retries + 1
-            )
+            assert excinfo.value.attempts == MAX_RETRIES + 1
 
     def test_total_chunk_loss_still_converges(self):
         """Every output dropped post-store: recovery must terminate."""
@@ -442,6 +421,49 @@ class TestShuffleRecovery:
             assert report.recomputed_subtasks >= 2
         assert_same_result(actual, expected)
 
+    def test_fetch_time_recovery_keeps_what_it_charged(self, monkeypatch):
+        """A worker dies right after the final subtask, so the loss is
+        noticed at fetch: the lost reducers re-run, and so do the
+        mappers refcounting had freed. The run's report must be the sum
+        of its stages' reports *including* that recovery stage — its
+        transfer and shuffle bytes used to be dropped (only recomputed
+        subtasks, recovery bytes and compute seconds were kept)."""
+        import repro.core.executor as executor_module
+
+        with make_session(**self.OVERRIDES) as dry:
+            groupby_shuffle(dry)
+            last = max(
+                (s.stage_index, s.priority)
+                for s in dry.executor.recovery._producer_of.values()
+            )
+        reports = {}
+        for parallel in (False, True):
+            with make_session(parallel=parallel,
+                              **self.OVERRIDES) as session:
+                stages: list[SimReport] = []
+
+                def recorded(*args, **kwargs):
+                    stages.append(SimReport(*args, **kwargs))
+                    return stages[-1]
+
+                monkeypatch.setattr(executor_module, "SimReport", recorded)
+                session.cluster.faults.script_worker_kill(*last)
+                groupby_shuffle(session)
+                monkeypatch.undo()
+                report = session.executor.report
+                recovery = stages[-1]
+                assert recovery.recomputed_subtasks >= 2
+                assert recovery.n_subtasks == 0  # not a planned stage
+                assert recovery.total_transfer_bytes > 0
+                assert recovery.total_shuffle_bytes > 0
+                for name in ("total_transfer_bytes", "total_shuffle_bytes",
+                             "total_compute_seconds", "recovery_bytes",
+                             "recomputed_subtasks"):
+                    assert getattr(report, name) == sum(
+                        getattr(stage, name) for stage in stages), name
+                reports[parallel] = report_tuple(session)
+        assert reports[True] == reports[False]
+
     def test_reregistration_counter_unit(self):
         with make_session(**self.OVERRIDES) as session:
             shuffle = session.shuffle
@@ -547,12 +569,9 @@ class TestEnvAccounting:
                 lambda nbytes: (recorded.append(nbytes), original(nbytes))[1]
             )
             session.executor._run_subtask(
-                subtask, None, {}, 0.0, set(), {}, SimReport(),
-            )
+                subtask, _Stage(SimReport(), base_time=0.0))
             value_bytes = sizeof(np.ones(n))
             # one resident value, not two: the double-count bug reported
             # ~2x value_bytes here.
             assert recorded
-            assert recorded[0] <= int(
-                session.config.peak_factor * value_bytes * 1.25
-            )
+            assert recorded[0] <= int(PEAK_FACTOR * value_bytes * 1.25)

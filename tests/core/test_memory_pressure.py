@@ -16,6 +16,7 @@ from repro import frame as pf
 from repro.config import Config
 from repro.core import Session
 from repro.core.memory_control import (
+    PEAK_FACTOR,
     FootprintEstimator,
     MemoryAdmission,
     verify_memory_invariants,
@@ -137,7 +138,7 @@ class TestFootprintEstimator:
         estimator, cfg = self._estimator()
         subtask = _stub_subtask(["out"], inputs=["in-a", "in-b"])
         # two unknown inputs + one never-seen output class, peak factor on
-        expected = int(cfg.peak_factor * 3 * cfg.chunk_store_limit)
+        expected = int(PEAK_FACTOR * 3 * cfg.chunk_store_limit)
         assert estimator.estimate(subtask) == expected
 
     def test_observation_replaces_default_and_smooths(self):

@@ -381,7 +381,7 @@ class TestCacheIsolation:
 
 class TestFairShareQueue:
     def test_stride_accounting_tracks_weights(self):
-        q = FairShareQueue(fair_share=True)
+        q = FairShareQueue()
         q.register("light", 1.0)
         q.register("heavy", 3.0)
         for _ in range(6):
@@ -395,7 +395,7 @@ class TestFairShareQueue:
         assert snap["turns_granted"] == {"light": 6, "heavy": 6}
 
     def test_acquire_is_reentrant(self):
-        q = FairShareQueue(fair_share=True)
+        q = FairShareQueue()
         q.register("a", 1.0)
         q.acquire("a")
         q.acquire("a")  # nested (ensure_available inside execute)
@@ -404,7 +404,7 @@ class TestFairShareQueue:
         assert q.snapshot()["holder"] is None
 
     def test_contended_turn_blocks_then_proceeds(self):
-        q = FairShareQueue(fair_share=True)
+        q = FairShareQueue()
         q.register("a", 1.0)
         q.register("b", 1.0)
         q.acquire("a")
@@ -424,7 +424,7 @@ class TestFairShareQueue:
         t.join()
 
     def test_lower_pass_goes_first_under_contention(self):
-        q = FairShareQueue(fair_share=True)
+        q = FairShareQueue()
         q.register("light", 1.0)
         q.register("heavy", 4.0)
         q.register("blocker", 1.0)

@@ -128,7 +128,7 @@ class TestSessionLifecycle:
     def test_session_actor_records_executions(self, session):
         df = from_frame(local_frame(10), session)
         df.execute()
-        assert session._actor_ref.execution_count() >= 1
+        assert session.last_report.n_subtasks >= 1
 
 
 class TestAssemble:

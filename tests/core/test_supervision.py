@@ -197,11 +197,14 @@ class TestIdempotentEndpoints:
         cluster.shutdown()
 
     def test_finish_subtask_duplicate_does_not_double_release(self):
+        from repro.services.cache import ResultCacheService
         from repro.services.lifecycle import LifecycleService
 
         cluster, storage = self._storage()
         worker = cluster.workers[0].name
-        lifecycle = LifecycleService(storage, None, Config())
+        lifecycle = LifecycleService(
+            storage, ShuffleManager(storage), Config(),
+            ResultCacheService(storage, Config()))
         storage.put("in-a", np.ones(4), worker)
         # two consumers hold the input; one finish releases one of them.
         lifecycle.begin_stage({"in-a": 2}, retain=set())

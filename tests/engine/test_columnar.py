@@ -257,10 +257,6 @@ class TestSizeof:
         col_bytes = sizeof(COLUMNAR_ENGINE.persist(frame))
         assert col_bytes < row_bytes
 
-    def test_engine_sizeof_method(self):
-        phys = COLUMNAR_ENGINE.persist(make_string_frame())
-        assert COLUMNAR_ENGINE.sizeof(phys) == phys.nbytes
-
 
 # ---------------------------------------------------------------------------
 # meta introspection
@@ -285,10 +281,3 @@ class TestMeta:
         fields = describe_value(phys, {})
         assert fields["kind"] == "series"
         assert fields["shape"] == (2,)
-
-    def test_dtypes_of(self):
-        frame = make_string_frame()
-        phys = COLUMNAR_ENGINE.persist(frame)
-        dtypes = COLUMNAR_ENGINE.dtypes_of(phys)
-        assert set(dtypes) == {"k", "v", "n"}
-        assert COLUMNAR_ENGINE.columns_of(phys) == ["k", "v", "n"]
