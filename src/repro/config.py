@@ -9,7 +9,7 @@ cluster shape, and the cost model of the discrete-event simulation.
 Every field here is set by some test, bench, tool, example or baseline
 profile (``tests/test_said_once.py`` takes the census); a value nobody
 chooses differently is a constant next to the code that uses it, not a
-field (45 settable values across the five dataclasses). All five
+field (42 settable values across the five dataclasses). All five
 use ``__slots__``: assigning to a name that is not a field — a typo, or a
 knob a later change deleted — raises ``AttributeError`` instead of silently
 doing nothing.
@@ -93,7 +93,7 @@ class MessageFaultSpec:
     ``cache.record_many``). Draws hash the token — minted on the
     deterministic accounting walk — through ``structural_draw``, never the
     delivery order, so for one seed the same messages are dropped, delayed
-    and duplicated in serial, thread and process execution mode.
+    and duplicated in serial and process execution mode.
 
     The delivery layer is at-least-once and the endpoints are idempotent:
     a dropped message is retransmitted, a duplicated one is suppressed by
@@ -153,22 +153,20 @@ class Config:
     combine_stage: bool = True
     locality_scheduling: bool = True
     spill_to_disk: bool = True
-    #: run independent subtasks' kernels concurrently on a thread pool
-    #: with one logical slot per band (NumPy kernels release the GIL)
-    #: whenever a stage has ≥ 8 subtasks on ≥ 2 bands. Virtual-time
-    #: accounting stays deterministic: SimReport numbers are identical
-    #: with this on or off (see DESIGN.md §Execution engine).
+    #: False: never hand a stage to the band dispatcher, whatever
+    #: ``execution_mode`` says. SimReport numbers are identical with
+    #: this on or off (see DESIGN.md §Execution engine).
     parallel_execution: bool = True
-    #: how parallel-stage kernels run: "thread" keeps them on the shared
-    #: band-runner thread pool (NumPy/BLAS kernels overlap, pure-Python
-    #: ones serialize on the GIL); "process" routes the compute phase of
-    #: each subtask through the per-cluster worker process pool
-    #: (``repro.core.procpool``) so pure-Python/pandas kernels genuinely
-    #: overlap. Accounting stays on the dispatching thread either way —
-    #: SimReport numbers are bit-identical across all three modes.
-    execution_mode: str = "thread"
-    #: worker processes in the per-cluster process pool (0 = cpu count).
-    procpool_workers: int = 0
+    #: where kernels run. "serial": every subtask computes inline through
+    #: its band's runner just before it is accounted — the determinism
+    #: oracle, and the faster path on every benchmark workload.
+    #: "process": a stage with ≥ 8 subtasks on ≥ 2 bands routes each
+    #: subtask's compute phase through the per-cluster worker process
+    #: pool (``repro.core.procpool``) so kernels overlap outside the GIL.
+    #: Accounting stays on the dispatching thread either way — SimReport
+    #: numbers are bit-identical across both. Any other value is refused
+    #: when the service plane is deployed.
+    execution_mode: str = "serial"
     #: physical chunk representation (``repro.engine`` registry key):
     #: "row" keeps chunks as ``repro.frame`` containers (bit-identical
     #: to the pre-seam engine and the golden scenarios); "columnar"
@@ -218,15 +216,6 @@ class Config:
     #: missed beats. ``0`` disables liveness tracking.
     heartbeat_interval: float = 1.0
     heartbeat_miss_limit: int = 3
-    #: speculative straggler re-execution: when a parallel-stage subtask
-    #: overruns its EWMA-derived deadline, dispatch a duplicate and commit
-    #: whichever finishes first on the accounting walk. Off by default —
-    #: it trades duplicate CPU for tail latency and only touches
-    #: wall-clock, never SimReport numbers.
-    speculation: bool = False
-    #: wall-clock floor of a subtask's speculation deadline (a fixed
-    #: multiple of the per-op-class EWMA of observed durations).
-    speculation_min_seconds: float = 0.2
 
     # --- cluster & costs ----------------------------------------------------
     cluster: ClusterSpec = field(default_factory=ClusterSpec)

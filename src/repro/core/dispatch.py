@@ -1,12 +1,11 @@
-"""Event-driven parallel subtask dispatch: the thread-pool band runner.
+"""Event-driven parallel subtask dispatch: the per-band ready queue.
 
 Each subtask has two halves (see ``GraphExecutor``):
 
 - the **compute phase** — the kernel loop
   (``services.runner.run_subtask_kernels``) turning input values into a
   :class:`SubtaskComputation` record — is embarrassingly parallel
-  across independent subtasks and is what this module schedules onto
-  worker threads;
+  across independent subtasks and is what this module schedules;
 - the **accounting replay** — storage puts/gets with transfer charging,
   memory admission/spill, meta records, virtual-clock advances and
   reference-count cleanup, driven by replaying that record — stays on
@@ -14,9 +13,10 @@ Each subtask has two halves (see ``GraphExecutor``):
   ``SimReport`` numbers are bit-identical wherever the record came from.
 
 :func:`should_use_parallel` is the structural gate deciding which stages
-come here at all: ≥ 8 subtasks on ≥ 2 bands, the only shape where
-overlap can repay the hand-off. Every other stage computes inline through its
-band's runner, feeding the very same accounting loop.
+of a process-mode session come here at all: ≥ 8 subtasks on ≥ 2 bands,
+the only shape where overlap can repay the hand-off. Every other stage
+computes inline through its band's runner, feeding the very same
+accounting loop.
 
 The dispatcher is the classic event-driven ready queue of the paper's
 scheduling service (Section V-B): per-subtask indegree counters seed a
@@ -26,8 +26,10 @@ cluster owns one logical execution slot — a band runs its assigned
 subtasks one at a time, in the scheduler's priority order, preserving
 the band assignment and locality decisions already made.
 
-NumPy kernels release the GIL, so chunk compute genuinely overlaps on
-multi-core hosts; pure-Python kernels still interleave safely.
+The executor's ``compute`` runs no kernel on a pool thread: the thread
+gathers its subtask's inputs, encodes them and waits on the worker
+process pool (``repro.core.procpool``), where kernels overlap outside
+the GIL.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import heapq
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
@@ -58,9 +59,8 @@ _pool: ThreadPoolExecutor | None = None
 def shared_pool() -> ThreadPoolExecutor:
     """The lazily-created process-wide band-runner thread pool.
 
-    One thread per host core: dispatch threads mostly wait on kernels —
-    or, in process mode, on IPC — and the per-band slots bound how much
-    of the pool one stage can occupy.
+    One thread per host core: dispatch threads mostly wait on IPC, and
+    the per-band slots bound how much of the pool one stage can occupy.
     """
     global _pool
     with _pool_lock:
@@ -74,9 +74,7 @@ def shared_pool() -> ThreadPoolExecutor:
 
 #: a stage with fewer subtasks than this computes inline: starting a
 #: dispatcher and handing every record across threads costs more than so
-#: few subtasks can win back by overlapping. Measured, not assumed: with
-#: the gate at 2 the end-to-end benchmark's ``plan_sweep`` (24 stages of
-#: ~5 subtasks) ran 3-4 % slower in 16 of 16 full-benchmark runs.
+#: few subtasks can win back by overlapping.
 MIN_DISPATCH_SUBTASKS = 8
 
 
@@ -135,7 +133,7 @@ class BandDispatcher:
                  compute: Callable[[Subtask, dict[str, Any]], SubtaskComputation],
                  fetch: Callable[[list[str]], dict[str, Any]],
                  pool: ThreadPoolExecutor | None = None,
-                 gate=None, watchdog: float = 60.0, speculation=None):
+                 gate=None, watchdog: float = 60.0):
         self._graph = graph
         self._order = order
         self._compute = compute
@@ -145,10 +143,6 @@ class BandDispatcher:
         #: progress at this period and raises :class:`DispatcherStall`
         #: after two consecutive windows with zero completions.
         self._watchdog = max(float(watchdog), 0.001)
-        #: optional ``SpeculationController``: running subtasks that
-        #: overrun their EWMA deadline get a duplicate dispatch; the
-        #: first copy to finish commits, the loser is discarded.
-        self._speculation = speculation
         #: optional wall-clock memory gate (``DispatchGate``): a band's
         #: ready subtask only starts when its estimated footprint fits
         #: the worker's in-flight budget. Purely reorders real kernel
@@ -180,17 +174,8 @@ class BandDispatcher:
                     )
         self._inflight = 0
         self._stopped = False
-        self._by_key = {s.key: s for s in order}
-        #: key -> monotonic submit time of the primary attempt.
-        self._started: dict[str, float] = {}
-        #: keys whose first completion already committed — a late
-        #: duplicate (speculation) must not redo bookkeeping.
-        self._finished: set[str] = set()
-        #: keys that already have a speculative duplicate in flight.
-        self._speculated: set[str] = set()
         #: total completions, for the zero-progress stall watchdog.
         self._completions = 0
-        self.speculative_count = 0
         #: fatal pool-level failure (submit failed, completion bookkeeping
         #: raised): surfaced to every waiter as DispatcherError.
         self._poisoned: BaseException | None = None
@@ -222,13 +207,6 @@ class BandDispatcher:
         runner can wedge the walk — two consecutive windows with zero
         completions raise :class:`DispatcherStall` with the blocked key
         and queue state instead of silently re-waiting forever.
-
-        With speculation enabled the wait also enforces the blocked
-        key's EWMA deadline: once its primary attempt overruns, a
-        duplicate is dispatched and whichever copy finishes first
-        commits — on this thread, in topological order, so the
-        accounting walk (and ``SimReport``) is indifferent to which copy
-        won.
         """
         with self._lock:
             cond = self._key_conds.get(key)
@@ -259,26 +237,11 @@ class BandDispatcher:
                             f"dispatcher stalled waiting for {key!r}: nothing "
                             "in flight and nothing queued"
                         )
-                    timeout = self._watchdog
-                    if (self._speculation is not None
-                            and key not in self._finished
-                            and key not in self._speculated):
-                        started = self._started.get(key)
-                        subtask = self._by_key.get(key)
-                        if started is not None and subtask is not None:
-                            deadline = self._speculation.deadline(subtask)
-                            if deadline is not None:
-                                remaining = (started + deadline
-                                             - time.monotonic())
-                                if remaining <= 0.0:
-                                    self._speculate(subtask)
-                                else:
-                                    timeout = min(timeout, remaining)
                     before = self._completions
-                    notified = cond.wait(timeout=timeout)
+                    notified = cond.wait(timeout=self._watchdog)
                     if notified or self._completions != before:
                         stalled_windows = 0
-                    elif timeout >= self._watchdog:
+                    else:
                         stalled_windows += 1
                         if stalled_windows >= 2:
                             queued = {band: len(q) for band, q
@@ -386,7 +349,6 @@ class BandDispatcher:
                 heapq.heappop(queue)
                 self._band_busy.add(band)
                 self._inflight += 1
-                self._started[subtask.key] = time.monotonic()
                 try:
                     self._pool.submit(self._run, subtask)
                 except BaseException as exc:  # pool shut down / saturated
@@ -397,34 +359,11 @@ class BandDispatcher:
                     self._set_poisoned(exc)
                     return
 
-    def _speculate(self, subtask: Subtask) -> None:
-        """Dispatch a duplicate of an overdue subtask (lock held).
-
-        The duplicate bypasses the band slot and the memory gate — it
-        exists to beat a wedged or straggling primary, not to queue
-        behind it. First completion commits; the loser's result is
-        discarded in ``_complete``.
-        """
-        self._speculated.add(subtask.key)
-        self._inflight += 1
-        self.speculative_count += 1
-        if self._speculation is not None:
-            self._speculation.speculated += 1
-        try:
-            self._pool.submit(self._run, subtask, True)
-        except BaseException as exc:  # pool shut down / saturated
-            self._inflight -= 1
-            self._set_poisoned(exc)
-
     # -- pool-thread side -------------------------------------------------
-    def _run(self, subtask: Subtask, speculative: bool = False) -> None:
+    def _run(self, subtask: Subtask) -> None:
         record: SubtaskComputation | None = None
         error: BaseException | None = None
         try:
-            if not speculative and self._speculation is not None:
-                # scripted straggler hook: only the primary attempt
-                # sleeps, so the speculative duplicate can win.
-                self._speculation.straggle(subtask)
             inputs = self._gather(subtask)
             record = self._compute(subtask, inputs)
         except BaseException as exc:  # noqa: BLE001 — re-raised in wait_for
@@ -454,25 +393,10 @@ class BandDispatcher:
                   error: BaseException | None) -> None:
         with self._event:
             self._inflight -= 1
-            if subtask.key in self._finished:
-                # the losing copy of a speculated subtask: the first
-                # completion already committed (records, band slot,
-                # gate, successor indegrees) — only the in-flight count
-                # and the waiters' wakeup remain.
-                self._dispatch_ready()
-                self._event.notify_all()
-                self._signal_keys()
-                return
-            self._finished.add(subtask.key)
             self._completions += 1
             self._band_busy.discard(subtask.band or "")
             if self._gate is not None:
                 self._gate.finish(subtask)
-            if error is None and self._speculation is not None:
-                started = self._started.get(subtask.key)
-                if started is not None:
-                    self._speculation.observe(
-                        subtask, time.monotonic() - started)
             if error is None:
                 assert record is not None
                 try:

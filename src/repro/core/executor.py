@@ -10,8 +10,8 @@ clocks.
 
 This module never executes a kernel. Every operator runs behind
 ``repro.services.runner.run_subtask_kernels`` — reached through the
-band's runner (inline compute phase), the band dispatcher's pool
-threads/processes (``repro.core.dispatch``), or directly when a retry or
+band's runner (inline compute phase), the band dispatcher's worker
+processes (``repro.core.dispatch``), or directly when a retry or
 lineage recovery needs a fresh record — and the walk only consumes the
 resulting ``SubtaskComputation``. Real values are computed in-process;
 *time* is simulated (see ``repro.cluster.simulation``), so the simulated
@@ -50,7 +50,6 @@ from .fusion import fusion_groups, singleton_groups
 from .memory_control import PEAK_FACTOR, worker_of_band
 from .operator import COMBINE_DROPPED_KEY
 from .opfusion import plan_subtask, step_io_keys
-from .supervision import SpeculationController
 
 #: failures the retry loop re-attempts; anything else (kernel bugs, OOM
 #: with spill disabled) propagates unchanged.  A process-pool worker
@@ -259,17 +258,10 @@ class GraphExecutor:
         #: monotonic sequence for dedup tokens on mutating service
         #: messages. Minted on the accounting walk only, so the token
         #: stream — and therefore every message-chaos draw keyed on it —
-        #: is identical across serial/thread/process execution. A retry
+        #: is identical across serial and process execution. A retry
         #: or recovery re-run mints a *fresh* token: only genuine
         #: duplicate deliveries of one call are ever suppressed.
         self._msg_seq = 0
-        #: speculative straggler re-execution (parallel stages only).
-        self.speculation = (
-            SpeculationController(min_seconds=config.speculation_min_seconds)
-            if config.speculation else None
-        )
-        #: duplicate dispatches fired across this executor's stages.
-        self.speculative_subtasks = 0
 
     # -- multi-tenant helpers -------------------------------------------
     def _injector(self):
@@ -353,13 +345,17 @@ class GraphExecutor:
         stage = _Stage(report, origin + dispatch, subtask_graph, retain)
         order = subtask_graph.topological_order()
         self._begin_stage(order, stage)
-        # the compute phase: a stage that can overlap bands streams its
-        # records from the band dispatcher; any other stage computes each
-        # subtask through its band's runner just before accounting it.
-        # The walk below is the same either way.
+        # the compute phase: on a process-mode plane a stage that can
+        # overlap bands streams its records from the band dispatcher; any
+        # other stage computes each subtask through its band's runner
+        # just before accounting it. The walk below is the same either
+        # way. The pool belongs to the plane, so the plane's config names
+        # the mode; a tenant only opts out with ``parallel_execution``.
         dispatcher: BandDispatcher | None = None
         try:
-            if self.config.parallel_execution and should_use_parallel(order):
+            if (self.config.parallel_execution
+                    and self.cluster.config.execution_mode == "process"
+                    and should_use_parallel(order)):
                 dispatcher = self._start_dispatcher(order, subtask_graph)
             for subtask in order:
                 computed: SubtaskComputation | None
@@ -387,7 +383,6 @@ class GraphExecutor:
         finally:
             if dispatcher is not None:
                 dispatcher.shutdown()
-                self.speculative_subtasks += dispatcher.speculative_count
             # fold even when a stage dies (RetriesExhausted, an OOM
             # bubbling to the session's re-tile rung): the partial
             # stage's retries/waits/spills must survive into the run
@@ -572,10 +567,11 @@ class GraphExecutor:
                           graph: DAG[Subtask]) -> BandDispatcher:
         """Start the event-driven compute phase for one stage.
 
-        Pool threads run the per-band subtask runners as dependencies
-        resolve (one logical slot per band); the accounting walk drains
-        the records in topological order, so every ``SimReport`` field
-        matches the inline compute phase.
+        Pool threads hand subtasks to the per-band runners — and
+        through them to the process pool — as dependencies resolve (one
+        logical slot per band); the accounting walk drains the records
+        in topological order, so every ``SimReport`` field matches the
+        inline compute phase.
         """
         # wall-clock admission: pool threads must not actually overlap
         # kernels whose estimated footprints exceed a worker's budget.
@@ -599,10 +595,7 @@ class GraphExecutor:
             system.set_thread_sender("band-runner")
             return self.storage.peek_values(keys)
 
-        dispatcher = BandDispatcher(
-            graph, order, compute, fetch, gate=gate,
-            speculation=self.speculation,
-        )
+        dispatcher = BandDispatcher(graph, order, compute, fetch, gate=gate)
         dispatcher.start()
         return dispatcher
 
@@ -844,9 +837,8 @@ class GraphExecutor:
         # pin + fetch the whole input set in one storage message: the
         # pins hold for the whole accounting span — memory admission and
         # output spill must never evict what this subtask is reading
-        # (in-flight inputs are not spill victims) — and acquire_many
-        # applies them before any fetch can raise, so the unconditional
-        # unpin below always balances.
+        # (in-flight inputs are not spill victims). A fetch that raises
+        # leaves nothing pinned, so the unpin below pairs with success.
         infos = self.storage.acquire_many(subtask.input_keys, band.worker)
         try:
             env = _Env(subtask, infos)

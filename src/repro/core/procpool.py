@@ -1,11 +1,11 @@
 """Process-pool subtask execution with zero-copy chunk exchange.
 
-The thread-pool band runner overlaps NumPy kernels (they drop the GIL)
-but serializes every pure-Python/pandas kernel.  This module moves the
-*compute phase* of a subtask into a persistent pool of spawned worker
-processes, so those kernels genuinely run in parallel, while keeping
-the accounting phase untouched on the dispatching thread — simulated
-numbers stay bit-identical to serial and thread mode.
+One interpreter serializes every pure-Python/pandas kernel on its GIL.
+This module moves the *compute phase* of a subtask into a persistent
+pool of spawned worker processes, so those kernels genuinely run in
+parallel, while keeping the accounting phase untouched on the
+dispatching thread — simulated numbers stay bit-identical to serial
+mode.
 
 Wire protocol
 -------------
@@ -317,9 +317,11 @@ class ProcPoolClient:
     def _ensure_executor(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._executor is None:
-                workers = self.config.procpool_workers or (os.cpu_count() or 1)
+                # one slot per band and ``cpu_count`` dispatch threads:
+                # no more children than that can ever be busy.
                 self._executor = ProcessPoolExecutor(
-                    max_workers=max(1, workers),
+                    max_workers=min(os.cpu_count() or 1,
+                                    self.config.cluster.n_bands),
                     mp_context=get_context("spawn"),
                     initializer=_worker_initialize,
                     initargs=(list(sys.path),),
@@ -361,7 +363,7 @@ class ProcPoolClient:
         """Execute one subtask's kernels in a pool worker.
 
         Kernel exceptions propagate with their original type (matching
-        thread mode); a dead worker raises :class:`WorkerProcessCrash`.
+        the inline path); a dead worker raises :class:`WorkerProcessCrash`.
         """
         from .dispatch import SubtaskComputation
 

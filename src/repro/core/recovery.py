@@ -188,7 +188,7 @@ class FaultInjector:
 
         Fired on the accounting walk right after that subtask's
         post-completion injection point, so the kill lands at the same
-        structural moment in serial, thread and process mode. The
+        structural moment in serial and process mode. The
         supervisor restarts the actor lazily (next delivery or probe).
         """
         self._scripted_actor_kills.setdefault((stage, priority), []).append(uid)

@@ -90,9 +90,6 @@ class RunReport:
     #: the execution graph by a hit, and the stored bytes they reused.
     cache_hit_chunks: int = 0
     cache_reused_bytes: int = 0
-    #: straggler mitigation (zero with ``speculation`` off): duplicate
-    #: dispatches fired past a subtask's EWMA deadline.
-    speculative_subtasks: int = 0
     peak_memory: dict[str, int] = field(default_factory=dict)
 
 
@@ -173,7 +170,6 @@ class SessionActor(Actor):
             "transferred_bytes": storage.transferred_bytes(),
             "spilled_bytes": storage.spilled_bytes(),
             "dynamic_yields": self.tiler.yield_count,
-            "speculative_subtasks": self.executor.speculative_subtasks,
         }
 
     def _execute_tileables(self,

@@ -1,6 +1,6 @@
-"""Actor-plane health: heartbeats, liveness probes, straggler deadlines.
+"""Actor-plane health: heartbeats and liveness probes.
 
-Three pieces ride on the :class:`~repro.actors.Supervisor`:
+Two pieces ride on the :class:`~repro.actors.Supervisor`:
 
 * :class:`HealthMonitor` — per-band runner (and per-service) liveness on
   the *virtual* clock. The executor beats a band's runner every time a
@@ -11,15 +11,6 @@ Three pieces ride on the :class:`~repro.actors.Supervisor`:
   :class:`~repro.errors.ActorNotFound` and re-run through the existing
   lineage retry path.
 
-* :class:`SpeculationController` — per-op-class EWMA of observed
-  wall-clock durations (the ``FootprintEstimator`` pattern applied to
-  time instead of bytes). A running subtask's deadline is
-  ``multiplier * ewma`` floored at ``min_seconds``; the dispatcher
-  launches a speculative duplicate past the deadline and commits
-  whichever copy finishes first on the accounting walk, so speculation
-  only ever trades duplicate CPU for tail wall-clock — ``SimReport``
-  numbers are untouched.
-
 * :class:`SupervisionPlane` — the cluster-level facade deploy wires up:
   the supervisor, the health monitor, and the uid registry that maps
   service/runner uids to their pools.
@@ -28,14 +19,12 @@ Three pieces ride on the :class:`~repro.actors.Supervisor`:
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, Any
 
 from ..actors.supervisor import Supervisor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import Config
-    from ..graph.subtask import Subtask
 
 
 class HealthMonitor:
@@ -50,7 +39,7 @@ class HealthMonitor:
 
     Expectations, beats and probes all ride the deterministic accounting
     walk (stage base times and subtask completion times), so health
-    verdicts are identical across serial/thread/process execution.
+    verdicts are identical across serial and process execution.
     """
 
     def __init__(self, interval: float, miss_limit: int):
@@ -115,83 +104,6 @@ class HealthMonitor:
                 "watched": len(self._beats),
                 "armed": len(self._expected),
                 "deaths_declared": self.deaths_declared,
-            }
-
-
-class SpeculationController:
-    """EWMA deadlines and speculative-dispatch bookkeeping.
-
-    Durations are observed per operator class (the terminal chunk's op),
-    mirroring ``FootprintEstimator``'s per-op-class history: a slow join
-    does not inflate the deadline of a cheap filter. Until a class has
-    history the global EWMA stands in; until *any* history exists there
-    is no deadline (never speculate blind).
-    """
-
-    #: EWMA smoothing for observed durations.
-    ALPHA = 0.5
-
-    def __init__(self, multiplier: float = 4.0, min_seconds: float = 0.2):
-        self.multiplier = multiplier
-        self.min_seconds = min_seconds
-        self._lock = threading.Lock()
-        #: op class name -> smoothed observed wall-clock seconds.
-        self._history: dict[str, float] = {}
-        self._global: float | None = None
-        #: scripted stragglers: (stage_index, priority) -> extra seconds
-        #: the primary attempt sleeps (test/demo hook, consumed once).
-        self._scripted: dict[tuple[int, int], float] = {}
-        self.speculated = 0
-
-    @staticmethod
-    def _op_class(subtask: "Subtask") -> str:
-        op = subtask.chunks[-1].op
-        return type(op).__name__
-
-    def observe(self, subtask: "Subtask", seconds: float) -> None:
-        cls = self._op_class(subtask)
-        with self._lock:
-            previous = self._history.get(cls)
-            if previous is None:
-                self._history[cls] = seconds
-            else:
-                self._history[cls] = (
-                    self.ALPHA * seconds + (1.0 - self.ALPHA) * previous)
-            if self._global is None:
-                self._global = seconds
-            else:
-                self._global = (
-                    self.ALPHA * seconds + (1.0 - self.ALPHA) * self._global)
-
-    def deadline(self, subtask: "Subtask") -> float | None:
-        """Wall-clock seconds this subtask may run before speculation."""
-        cls = self._op_class(subtask)
-        with self._lock:
-            expected = self._history.get(cls, self._global)
-        if expected is None:
-            return None
-        return max(self.min_seconds, self.multiplier * expected)
-
-    # -- scripted stragglers (tests, chaos demos) ---------------------------
-    def script_straggler(self, stage: int, priority: int,
-                         seconds: float) -> None:
-        """Make the primary attempt of one subtask sleep ``seconds``."""
-        with self._lock:
-            self._scripted[(stage, priority)] = seconds
-
-    def straggle(self, subtask: "Subtask") -> None:
-        """Apply (and consume) a scripted straggler delay, if any."""
-        with self._lock:
-            delay = self._scripted.pop(
-                (subtask.stage_index, subtask.priority), None)
-        if delay:
-            time.sleep(delay)
-
-    def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "op_classes": len(self._history),
-                "speculated": self.speculated,
             }
 
 

@@ -215,13 +215,6 @@ def supervision_report(session: Session) -> str:
             f"    delayed:           {snap['delayed']}",
             f"    duplicated:        {snap['duplicated']}",
         ])
-    speculation = session.executor.speculation
-    if speculation is None:
-        lines.append("  speculation:         off")
-    else:
-        lines.append(
-            f"  speculative runs:    {session.executor.speculative_subtasks}"
-        )
     return "\n".join(lines)
 
 

@@ -6,8 +6,8 @@ hoc per-feature code:
 
 - **fault injection** draws a seeded uniform from a *structural*
   identity — ``(stage index, topological priority, attempt)`` — via
-  :func:`structural_draw`, so one seed fires the same faults in serial,
-  thread and process execution mode and across sessions;
+  :func:`structural_draw`, so one seed fires the same faults in serial
+  and process execution mode and across sessions;
 - **the result cache** addresses stored chunk values by
   *content-derived* identities: :func:`compute_chunk_identities` hashes
   each chunk's operator chain, canonicalized parameters and source-data

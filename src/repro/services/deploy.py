@@ -73,6 +73,9 @@ def deploy_services(cluster: ClusterState, config: Config) -> ServiceHandles:
     lifecycle.  Worker pools: one storage actor per worker (owning that
     worker's tiers) and one subtask runner actor per band.
     """
+    mode, modes = config.execution_mode, ("serial", "process")
+    if mode not in modes:
+        raise ValueError(f"unknown execution_mode {mode!r}; known: {modes}")
     system = cluster.actor_system
 
     # the supervision plane comes up first so every actor created below
@@ -112,10 +115,7 @@ def deploy_services(cluster: ClusterState, config: Config) -> ServiceHandles:
     lifecycle = serve(SUPERVISOR_ADDRESS, LIFECYCLE_UID,
                       LifecycleService(storage, shuffle, config, cache))
 
-    procpool = (
-        cluster.procpool_client() if config.execution_mode == "process"
-        else None
-    )
+    procpool = cluster.procpool_client() if mode == "process" else None
 
     def fresh_runner(band: str) -> SubtaskRunner:
         return SubtaskRunner(band, storage, config, procpool=procpool)

@@ -8,12 +8,12 @@ shared service state, so the executor's accounting walk — which only
 *replays* such records — stays the single writer of every simulated
 number. The loop is reached three ways:
 
-- a stage wide enough to win by overlapping bands (≥ 8 subtasks on
-  ≥ 2 bands, see ``dispatch.should_use_parallel``): the band dispatcher
-  calls each band's :meth:`SubtaskRunner.compute` from pool threads as
-  dependencies resolve; with ``config.execution_mode == "process"`` the
-  call additionally hops to a pool worker process
-  (``repro.core.procpool``), which runs the same function out-of-GIL;
+- in process execution mode, a stage wide enough to win by overlapping
+  bands (≥ 8 subtasks on ≥ 2 bands, see ``dispatch.should_use_parallel``):
+  the band dispatcher calls each band's :meth:`SubtaskRunner.compute`
+  from pool threads as dependencies resolve, and the call hops to a pool
+  worker process (``repro.core.procpool``), which runs this same
+  function out-of-GIL;
 - any other stage: the accounting walk calls
   :meth:`SubtaskRunner.precompute` for each subtask just before
   accounting it, so kernel execution still goes through the runner
@@ -98,22 +98,19 @@ class SubtaskRunner:
         self.band = band
         self._storage = storage
         self._config = config
-        #: optional :class:`~repro.core.procpool.ProcPoolClient` shared
-        #: by every runner of the cluster (process execution mode).
+        #: the :class:`~repro.core.procpool.ProcPoolClient` shared by
+        #: every runner of the cluster (process execution mode only).
         self._procpool = procpool
 
     def compute(self, subtask, inputs: dict[str, Any]) -> SubtaskComputation:
-        """Run the subtask's kernels against ``inputs``.
+        """Run the subtask's kernels against ``inputs`` in a pool
+        worker process (the dispatcher's path; process mode only).
 
-        May run on a band-runner pool thread.  In process mode the
-        kernels cross into a pool worker process; a dead worker surfaces
-        as :class:`~repro.errors.WorkerProcessCrash`, which the
-        accounting walk treats like any other retryable compute fault.
+        Called on a band-runner pool thread. A dead worker surfaces as
+        :class:`~repro.errors.WorkerProcessCrash`, which the accounting
+        walk treats like any other retryable compute fault.
         """
-        if (self._procpool is not None
-                and self._config.execution_mode == "process"):
-            return self._procpool.run_subtask(subtask, inputs, self._config)
-        return run_subtask_kernels(subtask, inputs, self._config)
+        return self._procpool.run_subtask(subtask, inputs, self._config)
 
     def precompute(self, subtask) -> SubtaskComputation:
         """Inline compute phase: gather inputs and run the kernels here.

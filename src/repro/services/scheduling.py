@@ -140,9 +140,6 @@ class SchedulingService:
     def assign(self, subtask_graph, input_nbytes) -> None:
         self._scheduler.assign(subtask_graph, input_nbytes)
 
-    def note_completed(self, subtask) -> None:
-        self._scheduler.note_completed(subtask)
-
     def reassign(self, subtask, band: str) -> None:
         self._scheduler.reassign(subtask, band)
 
@@ -172,25 +169,6 @@ class SchedulingService:
     # -- memory admission --------------------------------------------------
     def begin_stage(self, base: float | None = None) -> None:
         self._pressure.admission.begin_stage(base)
-
-    def admit(self, worker: str, request: int, ready_time: float,
-              used: int, limit: int, allow_wait: bool = True,
-              exclusive: bool = False, session: str = "",
-              quota: int | None = None):
-        return self._pressure.admission.admit(
-            worker, request, ready_time, used, limit,
-            allow_wait=allow_wait, exclusive=exclusive,
-            session=session, quota=quota,
-        )
-
-    def commit_grant(self, decision, end: float) -> None:
-        self._pressure.admission.commit(decision, end)
-
-    def estimate(self, subtask) -> int:
-        return self._pressure.estimator.estimate(subtask)
-
-    def observe(self, subtask, sizes) -> None:
-        self._pressure.estimator.observe(subtask, sizes)
 
     # -- per-subtask composites --------------------------------------------
     def admit_subtask(self, subtask, worker: str, working_set: int,
@@ -225,9 +203,6 @@ class SchedulingService:
         self._scheduler.note_completed(subtask)
 
     # -- pressure state ----------------------------------------------------
-    def is_degraded(self, worker: str, session: str = "") -> bool:
-        return self._pressure.is_degraded(worker, session)
-
     def degrade(self, worker: str, session: str = "") -> None:
         self._pressure.degrade(worker, session)
 
@@ -241,7 +216,3 @@ class SchedulingService:
     def memory_pressure(self) -> MemoryPressure:
         """The pressure subsystem (diagnostics and invariant checks)."""
         return self._pressure
-
-    def scheduler_backend(self) -> Scheduler:
-        """The underlying placement scheduler (tests only)."""
-        return self._scheduler

@@ -196,13 +196,19 @@ class StorageService:
     def acquire_many(self, keys, requesting_worker: str) -> list[AccessInfo]:
         """Pin + fetch a subtask's whole input set in one critical section.
 
-        Pins land first — before any fetch can raise — so the caller's
-        unconditional ``finally: unpin(keys)`` always balances, exactly
-        as the separate pin-then-get calls it replaces did.
+        On success every key holds one pin, which the caller releases
+        with ``unpin(keys)`` once it is done reading. A fetch that raises
+        (a key lost since the caller's check) leaves nothing pinned: the
+        pins taken here are released before the error propagates.
         """
+        keys = list(keys)
         with self._lock:
             self.pin(keys)
-            return self._get_many_locked(list(keys), requesting_worker)
+            try:
+                return self._get_many_locked(keys, requesting_worker)
+            except BaseException:
+                self.unpin(keys)
+                raise
 
     def _get_locked(self, key: str, requesting_worker: str,
                     touch_lru: bool = True) -> AccessInfo:

@@ -43,9 +43,10 @@ CHAOS = {
 def make_session(parallel: bool = False, chunk_limit: int = 8_000,
                  faults: dict | None = None,
                  memory_limit: int | None = None, **overrides) -> Session:
+    """``parallel`` picks the execution mode: process pool, or inline."""
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
-    cfg.parallel_execution = parallel
+    cfg.execution_mode = "process" if parallel else "serial"
     if memory_limit is not None:
         cfg.cluster.memory_limit = memory_limit
     for name, value in (faults or {}).items():
@@ -112,7 +113,7 @@ def golden_fields() -> dict[str, list[str]]:
     """The report fields the committed goldens pin, per section.
 
     Every scenario holds the same ones; counters added after the file
-    was generated (result cache, speculation) are not in it, so dumping
+    was generated (the result cache's) are not in it, so dumping
     by these names keeps a regenerated file byte-identical.
     """
     with open(GOLDEN_PATH) as f:

@@ -40,9 +40,10 @@ from repro.workloads.tpch.queries import materialize
 def make_session(parallel: bool = False, chunk_limit: int = 8_000,
                  faults: dict | None = None,
                  memory_limit: int | None = None, **overrides) -> Session:
+    """``parallel`` picks the execution mode: process pool, or inline."""
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
-    cfg.parallel_execution = parallel
+    cfg.execution_mode = "process" if parallel else "serial"
     if memory_limit is not None:
         cfg.cluster.memory_limit = memory_limit
     for name, value in (faults or {}).items():

@@ -1,6 +1,6 @@
 """Concurrent-correctness tests for the event-driven parallel executor.
 
-The contract under test (see DESIGN.md §Execution engine): parallel mode
+The contract under test (see DESIGN.md §Execution engine): process mode
 may only change *wall-clock* behaviour. Results must be byte-identical
 to serial mode, every ``SimReport`` field must match exactly, and the
 reference-count cleanup must free each non-retained chunk exactly once.
@@ -34,20 +34,16 @@ WIDE_SHAPE = (8192, 8)  # 512 KiB of float64
 WIDE_CHUNK_LIMIT = 8192  # bytes -> 64 row chunks of 128 rows
 
 
-#: the three ways a stage reaches the kernel loop.
-MODES = [
-    ("serial", {"parallel_execution": False}),
-    ("thread", {"parallel_execution": True}),
-    ("process", {"parallel_execution": True, "execution_mode": "process",
-                 "procpool_workers": 2}),
-]
+#: the two ways a stage reaches the kernel loop.
+MODES = ("serial", "process")
 
 
 def make_session(parallel: bool, chunk_limit: int = WIDE_CHUNK_LIMIT,
                  **overrides) -> Session:
+    """``parallel`` picks the execution mode: process pool, or inline."""
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
-    cfg.parallel_execution = parallel
+    cfg.execution_mode = "process" if parallel else "serial"
     for name, value in overrides.items():
         setattr(cfg, name, value)
     return Session(cfg)
@@ -76,7 +72,7 @@ def wide_fanout_result(session: Session) -> np.ndarray:
 
 class TestWideFanout:
     def test_graph_is_actually_wide(self):
-        with make_session(parallel=True) as session:
+        with make_session(parallel=False) as session:
             wide_fanout_result(session)
             assert session.executor.report.n_subtasks >= 64
 
@@ -143,9 +139,8 @@ class TestDataFrameDeterminism:
 
 
 class TestErrorPropagation:
-    @pytest.mark.parametrize("mode,overrides", MODES)
-    def test_kernel_error_runs_once_and_keeps_its_type(self, mode, overrides,
-                                                       tmp_path):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_kernel_error_runs_once_and_keeps_its_type(self, mode, tmp_path):
         """A raising kernel executes once per subtask, in every mode.
 
         The kernel logs each call (keyed by its block's first value) to
@@ -160,7 +155,7 @@ class TestErrorPropagation:
                 f.write(f"{float(block[0, 0])!r}\n")
             raise ValueError("kernel exploded")
 
-        with make_session(parallel=True, **overrides) as session:
+        with make_session(parallel=mode == "process") as session:
             t = rand(4096, 4, seed=1, session=session)  # 16 subtasks
             bad = t.map_blocks(boom, out_cols=4)
             with pytest.raises(ValueError, match="kernel exploded"):
@@ -190,13 +185,12 @@ class TestRetryRecomputes:
 
     def test_retried_outputs_and_report_identical_across_modes(self):
         outcomes = {}
-        for mode, overrides in MODES:
+        for mode in MODES:
             cfg = Config()
             cfg.chunk_store_limit = WIDE_CHUNK_LIMIT
             cfg.faults.seed = 20240806
             cfg.faults.compute_fault_rate = 0.05
-            for name, value in overrides.items():
-                setattr(cfg, name, value)
+            cfg.execution_mode = mode
             with Session(cfg) as session:
                 value = wide_fanout_result(session)
                 report = session.executor.report
@@ -205,7 +199,6 @@ class TestRetryRecomputes:
                     report.retries, report.backoff_time,
                 )
         assert outcomes["serial"][2] > 0, "no compute fault was injected"
-        assert outcomes["thread"] == outcomes["serial"]
         assert outcomes["process"] == outcomes["serial"]
 
 
@@ -243,6 +236,19 @@ class TestStructuralGate:
             cfg.cluster.n_wokers = 2
         with pytest.raises(AttributeError):
             cfg.faults.compute_rate = 0.1
+        with pytest.raises(AttributeError):
+            cfg.speculation = True
+        with pytest.raises(AttributeError):
+            cfg.procpool_workers = 2
+
+    @pytest.mark.parametrize("stale", ["thread", "proces"])
+    def test_unknown_execution_mode_fails_loudly(self, stale):
+        """Thread mode is gone: its name — like any typo — is refused
+        when the service plane is deployed, not silently run inline."""
+        cfg = Config()
+        cfg.execution_mode = stale
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            Session(cfg)
 
     def test_executor_follows_the_gate(self, monkeypatch):
         """Integration: a dispatcher exists iff the stage can overlap."""
@@ -260,14 +266,23 @@ class TestStructuralGate:
 
         # one chunk end to end: every stage is a single subtask.
         cfg = Config()
-        cfg.parallel_execution = True
+        cfg.execution_mode = "process"
         with Session(cfg) as session:
             t = rand(256, 4, seed=5, session=session)
             (t + 1.0).sum().fetch()
         assert not constructed
 
-        # parallel_execution off: never, however wide the stage.
-        with make_session(parallel=False) as session:
+        # the default config computes inline, however wide the stage
+        # (64 subtasks on 8 bands here) ...
+        cfg = Config()
+        cfg.chunk_store_limit = WIDE_CHUNK_LIMIT
+        with Session(cfg) as session:
+            wide_fanout_result(session)
+        assert not constructed
+
+        # ... and so does process mode with parallel_execution off.
+        with make_session(parallel=True,
+                          parallel_execution=False) as session:
             wide_fanout_result(session)
         assert not constructed
 

@@ -6,10 +6,13 @@ Four pillars:
    encoder on both the inline and the shared-memory path, and the
    shared-memory path really is zero-copy (the decoded buffers live in
    the mapped segment).
-2. **Bit-identical reports** — every golden scenario replayed with
-   ``execution_mode="process"`` must match the committed goldens
+2. **Bit-identical reports** — every golden scenario replayed in the
+   mode its name does *not* say (``*/serial`` keys through the process
+   pool, ``*/parallel`` keys inline) must match the committed goldens
    field-for-field: moving kernels out of the GIL may not change a
-   single simulated number.
+   single simulated number. ``test_service_plane.py`` replays each key
+   in the mode it names, so between the two files every key runs once
+   per mode.
 3. **Crash recovery** — a worker process dying mid-subtask surfaces as
    :class:`WorkerProcessCrash` and recovers through the ordinary
    lineage-retry path, producing the correct result.
@@ -86,7 +89,7 @@ class TestWireProtocol:
 
 
 # ---------------------------------------------------------------------------
-# 2. golden reports: process mode changes no simulated number
+# 2. golden reports: the execution mode changes no simulated number
 # ---------------------------------------------------------------------------
 
 class TestProcessModeGoldens:
@@ -94,10 +97,8 @@ class TestProcessModeGoldens:
         "name,spec", scenarios(), ids=[name for name, _ in scenarios()],
     )
     def test_report_bit_identical(self, name, spec):
-        pspec = dict(spec)
-        pspec["parallel"] = True
-        pspec["execution_mode"] = "process"
-        got = json.loads(json.dumps(run_scenario(pspec)))
+        crossed = {**spec, "parallel": not spec["parallel"]}
+        got = json.loads(json.dumps(run_scenario(crossed)))
         assert got == GOLDENS[name]
 
 
@@ -121,8 +122,7 @@ class TestWorkerCrashRecovery:
             "k": rng.integers(0, 8, 1_600),
             "v": rng.normal(size=1_600),
         })
-        with make_session(parallel=True, chunk_limit=2_000,
-                          execution_mode="process") as session:
+        with make_session(parallel=True, chunk_limit=2_000) as session:
             df = from_frame(local, session)
             out = df.map_partitions(_kamikaze, columns=["k", "v"]).fetch()
             procpool = session.cluster._procpool

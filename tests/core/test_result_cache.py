@@ -87,15 +87,11 @@ class TestWarmReuse:
         assert first != second
         assert hits1 > hits0
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_modes_agree_when_cached(self, mode):
         workload, overrides = WORKLOADS["groupby_shuffle"]
-        kwargs = dict(overrides)
-        if mode != "serial":
-            kwargs.update(parallel=True, execution_mode=mode)
-            if mode == "process":
-                kwargs["procpool_workers"] = 2
-        with cached_session(**kwargs) as session:
+        with cached_session(parallel=mode == "process",
+                            **overrides) as session:
             cold = repr(workload(session))
             warm = repr(workload(session))
             report = session.last_report

@@ -1,16 +1,13 @@
-"""Supervision suite: actor restarts, heartbeats, message chaos, speculation.
+"""Supervision suite: actor restarts, heartbeats, message chaos.
 
 The contract under test (DESIGN.md §Supervision): with message-level
 chaos at realistic rates — seeded drop/delay/duplicate faults on the
 batched data-plane endpoints — plus scripted actor deaths, every
 workload completes with results identical to a fault-free run and
-``SimReport``s bit-identical across serial, thread and process
-execution; a speculatively re-executed straggler changes wall-clock
-only, never a simulated number.
+``SimReport``s bit-identical across serial and process execution.
 """
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,7 +19,7 @@ from repro.cluster.cluster import ClusterState
 from repro.config import Config, MessageFaultSpec
 from repro.core import Session
 from repro.core.dispatch import BandDispatcher, SubtaskComputation
-from repro.core.supervision import HealthMonitor, SpeculationController
+from repro.core.supervision import HealthMonitor
 from repro.dataframe import from_frame
 from repro.diagnostics import supervision_report
 from repro.errors import ActorNotFound, DispatcherStall, RestartStorm
@@ -51,9 +48,10 @@ def assert_same_result(actual, expected):
 def make_session(parallel: bool = False, chunk_limit: int = 8_000,
                  message_faults: dict | None = None,
                  **overrides) -> Session:
+    """``parallel`` picks the execution mode: process pool, or inline."""
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
-    cfg.parallel_execution = parallel
+    cfg.execution_mode = "process" if parallel else "serial"
     for name, value in (message_faults or {}).items():
         setattr(cfg.message_faults, name, value)
     for name, value in overrides.items():
@@ -98,8 +96,7 @@ def tpch_q1_workload(session: Session):
 
 MODES = [
     ("serial", {"parallel": False}),
-    ("thread", {"parallel": True}),
-    ("process", {"parallel": True, "execution_mode": "process"}),
+    ("process", {"parallel": True}),
 ]
 
 CHAOS_RATES = {
@@ -315,8 +312,8 @@ class TestMessageChaosBitIdentity:
             # numbers, not delivery interleaving or session history.
             fired.append(session.cluster.actor_system.chaos.snapshot())
             session.close()
-        assert reports[0] == reports[1] == reports[2]
-        assert fired[0] == fired[1] == fired[2]
+        assert reports[0] == reports[1]
+        assert fired[0] == fired[1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,65 +464,6 @@ class TestHealthMonitor:
         assert snap["health"]["deaths_declared"] == 0
         assert snap["supervisor"]["total_restarts"] == 0
         assert snap["supervisor"]["total_kills"] == 0
-
-
-# ---------------------------------------------------------------------------
-# speculation: EWMA deadlines, scripted stragglers, bit-identical reports
-# ---------------------------------------------------------------------------
-
-class TestSpeculation:
-    def test_no_deadline_without_history(self):
-        controller = SpeculationController()
-        subtask = Subtask([ChunkData("tensor", (1,), (0,))])
-        assert controller.deadline(subtask) is None
-
-    def test_deadline_floors_at_min_seconds(self):
-        controller = SpeculationController(multiplier=4.0, min_seconds=0.5)
-        subtask = Subtask([ChunkData("tensor", (1,), (0,))])
-        controller.observe(subtask, 0.001)
-        assert controller.deadline(subtask) == 0.5
-        controller.observe(subtask, 10.0)
-        assert controller.deadline(subtask) > 0.5
-
-    def test_scripted_straggler_is_consumed_once(self):
-        controller = SpeculationController()
-        subtask = Subtask([ChunkData("tensor", (1,), (0,))])
-        subtask.stage_index = 0
-        subtask.priority = 1
-        controller.script_straggler(0, 1, 0.01)
-        t0 = time.monotonic()
-        controller.straggle(subtask)
-        assert time.monotonic() - t0 >= 0.01
-        t0 = time.monotonic()
-        controller.straggle(subtask)     # consumed: returns immediately
-        assert time.monotonic() - t0 < 0.01
-
-    def test_straggler_speculates_and_report_is_unchanged(self):
-        # 16 chunks: stage 0 is the two sampled chunks (computed inline),
-        # stage 1 the fourteen others — wide enough for the dispatcher,
-        # and by its tenth subtask the EWMA has history to speculate on.
-        base = make_session(parallel=True, chunk_limit=4_000)
-        expected = groupby_workload(base)
-        baseline = report_tuple(base)
-        base.close()
-
-        session = make_session(parallel=True, chunk_limit=4_000,
-                               speculation=True,
-                               speculation_min_seconds=0.05)
-        session.executor.speculation.script_straggler(1, 10, 0.75)
-        result = groupby_workload(session)
-        assert session.last_report.speculative_subtasks >= 1
-        assert session.executor.speculative_subtasks >= 1
-        assert report_tuple(session) == baseline
-        session.close()
-        assert_same_result(result, expected)
-
-    def test_speculation_off_reports_zero(self):
-        session = make_session(parallel=True)
-        groupby_workload(session)
-        assert session.executor.speculation is None
-        assert session.last_report.speculative_subtasks == 0
-        session.close()
 
 
 # ---------------------------------------------------------------------------

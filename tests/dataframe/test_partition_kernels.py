@@ -234,8 +234,8 @@ class TestShuffleDeterminism:
             return joined.fetch(), report_tuple(session)
 
     def test_skewed_shuffle_serial_vs_parallel(self):
-        serial_cfg = shuffle_config(parallel_execution=False)
-        parallel_cfg = shuffle_config(parallel_execution=True)
+        serial_cfg = shuffle_config(execution_mode="serial")
+        parallel_cfg = shuffle_config(execution_mode="process")
         expected, serial_report = self._run(serial_cfg)
         actual, parallel_report = self._run(parallel_cfg)
         assert actual.equals(expected)
@@ -285,8 +285,8 @@ class TestMapperSideCombine:
 
     def test_combine_stat_deterministic_across_modes(self):
         stats = {}
-        for parallel in (False, True):
-            cfg = shuffle_config(parallel_execution=parallel)
+        for mode in ("serial", "process"):
+            cfg = shuffle_config(execution_mode=mode)
             rng = np.random.default_rng(5)
             local = pf.DataFrame({
                 "k": rng.integers(0, 8, 10_000),
@@ -296,9 +296,9 @@ class TestMapperSideCombine:
                 from_frame(local, session).groupby("k").agg(
                     {"v": "mean"}
                 ).fetch()
-                stats[parallel] = (
+                stats[mode] = (
                     session.executor.report.combine_dropped_rows,
                     session.executor.report.total_shuffle_bytes,
                 )
-        assert stats[False] == stats[True]
-        assert stats[False][0] > 0
+        assert stats["serial"] == stats["process"]
+        assert stats["serial"][0] > 0

@@ -6,7 +6,7 @@ The identity module backs two consumers with different invariants:
   hashing it replaced (one seed ⇒ the same faults, forever);
 - the result cache needs ``compute_chunk_identities`` to produce the
   same keys for the same program across sessions (runtime chunk keys
-  differ every time) and across serial/thread/process execution modes.
+  differ every time) and across serial/process execution modes.
 """
 
 import hashlib
@@ -239,18 +239,14 @@ class TestCrossSessionStability:
             idents2 = s2.cache.entry_identities()
         assert idents1 and idents1 == idents2
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     def test_modes_agree(self, mode):
         # 2 kB chunks -> a 14-subtask stage, wide enough for the dispatcher.
-        with make_session(parallel_execution=False,
-                          chunk_store_limit=2_000) as base:
+        with make_session(chunk_store_limit=2_000) as base:
             run_workload(base)
             expected = base.cache.entry_identities()
-        overrides = {"parallel_execution": True, "execution_mode": mode,
-                     "chunk_store_limit": 2_000}
-        if mode == "process":
-            overrides["procpool_workers"] = 2
-        with make_session(**overrides) as s:
+        with make_session(execution_mode=mode,
+                          chunk_store_limit=2_000) as s:
             run_workload(s)
             assert s.cache.entry_identities() == expected
 

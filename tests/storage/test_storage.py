@@ -271,6 +271,25 @@ class TestAccountingInvariants:
         service.unpin(["pinned"])
         assert service.force_spill("worker-0") == a.nbytes
 
+    def test_failed_acquire_many_leaves_nothing_pinned(self):
+        """A fetch that raises must release the pins it took: the
+        executor calls ``acquire_many`` outside its ``try/finally``, so
+        a leaked pin would exempt the chunk from spill for good."""
+        service, _ = make_service(memory_limit=100_000)
+        a = np.zeros(100)
+        service.put("present", a, "worker-0")
+        with pytest.raises(StorageKeyError):
+            service.acquire_many(["present", "absent"], "worker-0")
+        assert service.pinned_keys() == []
+        assert service.force_spill("worker-0") == a.nbytes
+        assert service.location_of("present") == (
+            "worker-0", StorageLevel.DISK)
+        # the successful path still pins until the caller unpins.
+        service.acquire_many(["present"], "worker-0")
+        assert service.pinned_keys() == ["present"]
+        service.unpin(["present"])
+        assert service.pinned_keys() == []
+
     def test_lru_spill_skips_pinned(self):
         service, _ = make_service(memory_limit=2_000)
         a = np.zeros(100)  # 800 bytes

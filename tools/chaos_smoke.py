@@ -1,7 +1,7 @@
 """CI smoke for actor-plane chaos: message faults must be invisible.
 
 Runs TPC-H q5, TPC-H q1 and a groupby shuffle twice per execution mode
-(serial, thread, process): once fault-free and once under 2% message
+(serial, process): once fault-free and once under 2% message
 drop/delay/duplicate chaos plus one scripted service-actor kill and one
 scripted runner death.  The chaos run must produce byte-identical
 results and a bit-identical ``SimReport`` — at-least-once delivery over
@@ -29,19 +29,13 @@ CHAOS_SEED = 20240806
 CHAOS_RATES = {"drop_rate": 0.02, "delay_rate": 0.02,
                "duplicate_rate": 0.02}
 
-MODES = [
-    ("serial", {"parallel_execution": False}),
-    ("thread", {"parallel_execution": True}),
-    ("process", {"parallel_execution": True, "execution_mode": "process"}),
-]
+MODES = ("serial", "process")
 
 
-def make_session(mode_overrides: dict, chunk_limit: int,
-                 chaos: bool) -> Session:
+def make_session(mode: str, chunk_limit: int, chaos: bool) -> Session:
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
-    for name, value in mode_overrides.items():
-        setattr(cfg, name, value)
+    cfg.execution_mode = mode
     if chaos:
         cfg.message_faults.seed = CHAOS_SEED
         for name, value in CHAOS_RATES.items():
@@ -103,12 +97,12 @@ def same_value(a, b) -> bool:
 def run(name: str, workload, chunk_limit: int) -> int:
     failures = 0
     fired_by_mode = {}
-    for mode, overrides in MODES:
-        with make_session(overrides, chunk_limit, chaos=False) as clean:
+    for mode in MODES:
+        with make_session(mode, chunk_limit, chaos=False) as clean:
             expected = workload(clean)
             baseline = report_tuple(clean)
 
-        with make_session(overrides, chunk_limit, chaos=True) as session:
+        with make_session(mode, chunk_limit, chaos=True) as session:
             band = session.cluster.bands[0].name
             session.faults.script_actor_kill(0, 0, LIFECYCLE_UID)
             session.faults.script_actor_kill(0, 1, runner_uid(band))

@@ -1,6 +1,6 @@
 """CI smoke for process-pool execution.
 
-Runs TPC-H q1 and a groupby shuffle in thread mode and in process mode
+Runs TPC-H q1 and a groupby shuffle in serial mode and in process mode
 and requires byte-identical results plus identical virtual makespans —
 the determinism contract, checked end-to-end on a fresh interpreter.
 A clean run must also observe zero worker-process crashes.
@@ -25,7 +25,6 @@ from repro.workloads.tpch.queries import materialize
 def make_session(mode: str, chunk_limit: int) -> Session:
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
-    cfg.parallel_execution = True
     cfg.execution_mode = mode
     return Session(cfg)
 
@@ -55,7 +54,7 @@ WORKLOADS = [
 
 def run(name: str, workload, chunk_limit: int) -> int:
     outcomes = {}
-    for mode in ("thread", "process"):
+    for mode in ("serial", "process"):
         with make_session(mode, chunk_limit) as session:
             value = workload(session)
             procpool = session.cluster._procpool
@@ -63,26 +62,26 @@ def run(name: str, workload, chunk_limit: int) -> int:
             outcomes[mode] = (
                 value, session.cluster.clock.makespan, crashes,
             )
-    thread_value, thread_makespan, _ = outcomes["thread"]
+    serial_value, serial_makespan, _ = outcomes["serial"]
     process_value, process_makespan, crashes = outcomes["process"]
     failures = 0
-    if hasattr(thread_value, "equals"):
-        same = bool(thread_value.equals(process_value))
+    if hasattr(serial_value, "equals"):
+        same = bool(serial_value.equals(process_value))
     else:
-        a, b = np.asarray(thread_value), np.asarray(process_value)
+        a, b = np.asarray(serial_value), np.asarray(process_value)
         same = a.shape == b.shape and a.tobytes() == b.tobytes()
     if not same:
-        print(f"FAIL {name}: process result diverged from thread mode")
+        print(f"FAIL {name}: process result diverged from serial mode")
         failures += 1
-    if thread_makespan != process_makespan:
+    if serial_makespan != process_makespan:
         print(f"FAIL {name}: virtual makespan diverged "
-              f"({thread_makespan} vs {process_makespan})")
+              f"({serial_makespan} vs {process_makespan})")
         failures += 1
     if crashes:
         print(f"FAIL {name}: {crashes} worker crashes in a clean run")
         failures += 1
     if not failures:
-        print(f"OK {name}: identical across thread/process, 0 crashes")
+        print(f"OK {name}: identical across serial/process, 0 crashes")
     return failures
 
 
