@@ -22,9 +22,7 @@ from .utils import chunk_index
 
 def _with_global_index(frame: DataFrame, start: int) -> DataFrame:
     """Give a freshly-read chunk its position in the global row space."""
-    out = frame.copy()
-    out._index = RangeIndex(start + len(frame), start=start)
-    return out
+    return frame._copy_onto(RangeIndex(start + len(frame), start=start))
 
 
 class FromFrame(DataSourceOp):

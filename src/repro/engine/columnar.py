@@ -19,7 +19,7 @@ Parity contract
 Everything observable except byte counters is backend-invariant:
 
 - **values** — ``compute(persist(v))`` reproduces ``v`` exactly
-  (``np.unique(return_inverse=True)`` is lossless; ``categories[codes]``
+  (``frame.groupby.factorize_cells`` is lossless; ``categories[codes]``
   is the original column).
 - **hash draws** — string keys are hashed by *decoded value*:
   ``hash_array(categories)[codes]`` equals the elementwise FNV-1a hash
@@ -51,6 +51,7 @@ from .partition import (
     split_by_assignment,
 )
 from ..frame import DataFrame, Series
+from ..frame.groupby import factorize_cells
 from ..utils import register_sizeof
 
 #: object-array byte charge per element / per array, mirroring
@@ -96,12 +97,12 @@ class DictColumn:
 
 def encode_column(arr: np.ndarray) -> Union[np.ndarray, DictColumn]:
     """Dictionary-encode an all-string object column; pass others raw."""
-    if arr.dtype.kind != "O" or arr.size == 0:
+    if arr.dtype.kind != "O":
         return arr
-    for v in arr.tolist():
-        if type(v) is not str:
-            return arr
-    categories, codes = np.unique(arr, return_inverse=True)
+    cells = arr.tolist()
+    if set(map(type, cells)) != {str}:
+        return arr
+    codes, categories = factorize_cells(cells)
     return DictColumn(categories, codes.astype(np.int32))
 
 

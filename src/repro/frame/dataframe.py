@@ -12,7 +12,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import dtypes
-from .index import Index, RangeIndex, default_index, ensure_index
+from .index import Index, RangeIndex, default_index, ensure_index, take_rows
 from .series import Series
 from .sorting import lexsort_columns
 
@@ -43,18 +43,16 @@ class _ILoc:
             )
             return Series(values, index=Index(dtypes.object_array(col_names)),
                           name=frame.index[row])
-        if isinstance(rows, slice):
-            indexer = np.arange(len(frame))[rows]
-        else:
-            indexer = np.asarray(rows)
-            if indexer.dtype == bool:
-                indexer = np.flatnonzero(indexer)
+        if not isinstance(rows, slice):
+            rows = np.asarray(rows)
+            if rows.dtype == bool:
+                rows = np.flatnonzero(rows)
         if isinstance(cols, (int, np.integer)):
             name = col_names[0]
-            return Series(frame._data[name][indexer],
-                          index=frame.index.take(indexer), name=name)
-        data = {name: frame._data[name][indexer] for name in col_names}
-        return DataFrame._new(data, frame.index.take(indexer), list(col_names))
+            return Series(take_rows(frame._data[name], rows),
+                          index=frame.index.take(rows), name=name)
+        data = {name: take_rows(frame._data[name], rows) for name in col_names}
+        return DataFrame._new(data, frame.index.take(rows), list(col_names))
 
 
 class _Loc:
@@ -120,7 +118,7 @@ class _Loc:
             column[mask] = value.values[mask]
         else:
             column[mask] = value
-        frame._data[col] = column
+        frame[col] = column
 
 
 def _resolve_positional_columns(frame: "DataFrame", cols) -> list:
@@ -135,7 +133,9 @@ def _resolve_positional_columns(frame: "DataFrame", cols) -> list:
 class DataFrame:
     """A 2-D table: ordered, named, typed columns over a shared row index."""
 
-    __slots__ = ("_data", "_index", "_columns")
+    #: ``_nbytes`` caches :attr:`nbytes`; ``__setitem__`` is the only writer
+    #: of a built frame's ``_data`` / ``_index`` and resets it.
+    __slots__ = ("_data", "_index", "_columns", "_nbytes")
 
     def __init__(self, data: Any = None,
                  index: Index | Iterable | None = None,
@@ -182,6 +182,7 @@ class DataFrame:
                 arrays[name] = dtypes.as_array(np.full(n_rows, values))
 
         self._data = arrays
+        self._nbytes = None
         self._index = ensure_index(index, n=n_rows)
         if len(self._index) != n_rows:
             raise ValueError(
@@ -207,6 +208,7 @@ class DataFrame:
         frame._data = data
         frame._index = index
         frame._columns = columns
+        frame._nbytes = None
         return frame
 
     # -- basic protocol ---------------------------------------------------------
@@ -245,16 +247,18 @@ class DataFrame:
 
     @property
     def nbytes(self) -> int:
-        # inlined per-column sizing (same numbers as utils.sizeof): this
-        # runs once per chunk per subtask on the executor's hot path.
-        total = self._index.nbytes + 64
-        for name in self._columns:
-            arr = self._data[name]
-            if arr.dtype == object:
-                total += int(arr.size) * 64 + 96
-            else:
-                total += int(arr.nbytes)
-        return total
+        # inlined per-column sizing (same numbers as utils.sizeof), once
+        # per frame: the executor reads it several times per chunk.
+        if self._nbytes is None:
+            total = self._index.nbytes + 64
+            for name in self._columns:
+                arr = self._data[name]
+                if arr.dtype == object:
+                    total += int(arr.size) * 64 + 96
+                else:
+                    total += int(arr.nbytes)
+            self._nbytes = total
+        return self._nbytes
 
     def __len__(self) -> int:
         return len(self._index)
@@ -333,6 +337,7 @@ class DataFrame:
         if not self._columns and len(self._index) == 0:
             self._index = default_index(len(arr))
         self._data[name] = arr
+        self._nbytes = None
         if name not in self._columns:
             self._columns.append(name)
 
@@ -369,7 +374,9 @@ class DataFrame:
 
     # -- column mutation ----------------------------------------------------------------
     def assign(self, **new_columns) -> "DataFrame":
-        out = self.copy()
+        # unchanged columns are shared, not copied: ``__setitem__`` rebinds
+        # a column and nothing writes into a frame's arrays.
+        out = self[self._columns]
         for name, value in new_columns.items():
             if callable(value):
                 value = value(out)
@@ -406,15 +413,19 @@ class DataFrame:
         out = self.copy()
         if isinstance(dtype, Mapping):
             for name, target in dtype.items():
-                out._data[name] = out[name].astype(target).values
+                out[name] = out[name].astype(target)
         else:
             for name in out._columns:
-                out._data[name] = out[name].astype(dtype).values
+                out[name] = out[name].astype(dtype)
         return out
 
     def copy(self) -> "DataFrame":
+        return self._copy_onto(self._index.copy())
+
+    def _copy_onto(self, index: Index) -> "DataFrame":
+        """A deep copy of the columns over ``index`` (same length)."""
         data = {name: self._data[name].copy() for name in self._columns}
-        return DataFrame(data, index=self._index.copy(), columns=list(self._columns))
+        return DataFrame._new(data, index, list(self._columns))
 
     # -- missing data ---------------------------------------------------------------------
     def isna(self) -> "DataFrame":
@@ -430,10 +441,10 @@ class DataFrame:
         if isinstance(value, Mapping):
             for name, fill in value.items():
                 if name in out._data:
-                    out._data[name] = out[name].fillna(fill).values
+                    out[name] = out[name].fillna(fill)
         else:
             for name in out._columns:
-                out._data[name] = out[name].fillna(value).values
+                out[name] = out[name].fillna(value)
         return out
 
     def dropna(self, subset: Sequence | None = None, how: str = "any") -> "DataFrame":
@@ -454,9 +465,7 @@ class DataFrame:
         from .index import MultiIndex
 
         if drop:
-            out = self.copy()
-            out._index = default_index(len(out))
-            return out
+            return self._copy_onto(default_index(len(self)))
         data: dict = {}
         if isinstance(self._index, MultiIndex):
             names = self._index.names or [

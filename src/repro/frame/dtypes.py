@@ -11,9 +11,15 @@ The conventions mirror pandas 1.x semantics on NumPy storage:
 
 from __future__ import annotations
 
+import math
+import operator
+from functools import partial
+from itertools import compress, repeat
 from typing import Any, Iterable
 
 import numpy as np
+
+_is_none = partial(operator.is_, None)
 
 
 def object_array(values: Iterable) -> np.ndarray:
@@ -77,11 +83,24 @@ def isna_array(arr: np.ndarray) -> np.ndarray:
     if arr.dtype.kind == "M":
         return np.isnat(arr)
     if arr.dtype == object:
-        mask = np.empty(len(arr), dtype=bool)
-        for i, value in enumerate(arr):
-            mask[i] = value is None or (isinstance(value, float) and np.isnan(value))
+        # the type census picks the passes: an all-``str`` column pays for
+        # neither, and no cell kind is looked at in the interpreter.
+        cells = arr.tolist()
+        kinds = set(map(type, cells))
+        mask = (isnone_array(arr) if type(None) in kinds
+                else np.zeros(len(cells), dtype=bool))
+        if any(issubclass(kind, float) for kind in kinds):
+            is_float = np.fromiter(map(isinstance, cells, repeat(float)),
+                                   dtype=bool, count=len(cells))
+            mask[is_float] = np.fromiter(
+                map(math.isnan, compress(cells, is_float.tolist())), dtype=bool)
         return mask
     return np.zeros(len(arr), dtype=bool)
+
+
+def isnone_array(arr: np.ndarray) -> np.ndarray:
+    """Mask of the ``None`` cells of an object array."""
+    return np.fromiter(map(_is_none, arr.tolist()), dtype=bool, count=len(arr))
 
 
 def na_value_for(dtype: np.dtype) -> Any:
@@ -132,12 +151,7 @@ def values_equal(left: np.ndarray, right: np.ndarray) -> bool:
     right_na = isna_array(right)
     if not np.array_equal(left_na, right_na):
         return False
-    if left.dtype == object or right.dtype == object:
-        for lv, rv, na in zip(left, right, left_na):
-            if na:
-                continue
-            if lv != rv:
-                return False
-        return True
     mask = ~left_na
+    if left.dtype == object or right.dtype == object:
+        return not any(map(operator.ne, left[mask], right[mask]))
     return bool(np.array_equal(left[mask], right[mask]))

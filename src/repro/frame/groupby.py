@@ -33,31 +33,31 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sets factorize identically on every chunk — a property the distributed
     shuffle relies on.
     """
-    mask = dtypes.isna_array(values)
-    if dtypes.is_object(values.dtype):
-        kept = values[~mask]
-        # single pass: provisional codes in first-seen order (O(n) dict
-        # ops), then sort only the much smaller unique set and remap the
-        # provisional codes vectorized — instead of a second Python-level
-        # pass resolving every row through a mapping dict.
-        first_seen: dict = {}
-        provisional = np.fromiter(
-            (first_seen.setdefault(v, len(first_seen)) for v in kept.tolist()),
-            dtype=np.int64, count=len(kept),
-        )
-        uniques_list = sorted(first_seen, key=_mixed_key)
-        remap = np.empty(len(uniques_list), dtype=np.int64)
-        for sorted_pos, value in enumerate(uniques_list):
-            remap[first_seen[value]] = sorted_pos
-        codes = np.full(len(values), -1, dtype=np.int64)
-        if len(kept):
-            codes[~mask] = remap[provisional]
-        uniques = np.array(uniques_list, dtype=object)
-        return codes, uniques
-    uniques, inverse = np.unique(values[~mask], return_inverse=True)
+    present = ~dtypes.isna_array(values)
     codes = np.full(len(values), -1, dtype=np.int64)
-    codes[~mask] = inverse
+    if dtypes.is_object(values.dtype):
+        codes[present], uniques = factorize_cells(values[present].tolist())
+    else:
+        uniques, codes[present] = np.unique(values[present], return_inverse=True)
     return codes, uniques
+
+
+def factorize_cells(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into the sorted uniques of NA-free object cells.
+
+    The dict does the O(rows) work in C and fixes the equality (``1``,
+    ``1.0`` and ``True`` collapse onto the first seen); Python only sorts
+    and numbers the uniques.
+    """
+    seen = dict.fromkeys(cells)
+    if set(map(type, seen)) <= {str}:
+        uniques_list = sorted(seen)
+    else:
+        uniques_list = sorted(seen, key=_mixed_key)
+    position = dict(zip(uniques_list, range(len(uniques_list))))
+    codes = np.fromiter(map(position.__getitem__, cells),
+                        dtype=np.int64, count=len(cells))
+    return codes, np.array(uniques_list, dtype=object)
 
 
 def _mixed_key(value):
@@ -85,28 +85,20 @@ class Grouper:
             valid &= codes >= 0
         combined[~valid] = -1
         # compress combined codes to dense 0..k-1 in sorted-key order
-        present = np.unique(combined[valid]) if valid.any() else np.array([], dtype=np.int64)
-        remap = {code: i for i, code in enumerate(present.tolist())}
-        dense = np.full(len(combined), -1, dtype=np.int64)
-        for i, code in enumerate(combined):
-            if code >= 0:
-                dense[i] = remap[code]
-        self.codes = dense
+        present = np.unique(combined[valid])
+        self.codes = np.full(len(combined), -1, dtype=np.int64)
+        self.codes[valid] = np.searchsorted(present, combined[valid])
         self.n_groups = len(present)
-        # reconstruct per-level labels for each dense group id
-        self.group_keys: list[tuple] = []
-        sizes = [len(u) for u in uniques_list]
-        for code in present.tolist():
-            parts = []
-            rest = code
-            for size in reversed(sizes[1:]):
-                rest, part = divmod(rest, size)
-                parts.append(part)
-            parts.append(rest)
-            parts.reverse()
-            self.group_keys.append(
-                tuple(uniques_list[level][p] for level, p in enumerate(parts))
-            )
+        # per-level labels of each dense group id: peel the levels off the
+        # combined code, last level first, then one gather per level
+        parts, rest = [], present
+        for uniques in reversed(uniques_list[1:]):
+            rest, part = np.divmod(rest, len(uniques))
+            parts.append(part)
+        parts.append(rest)
+        self.group_keys: list[tuple] = list(zip(
+            *(uniques[part] for uniques, part in zip(uniques_list, reversed(parts)))
+        ))
 
     def result_index(self) -> Index:
         if len(self.key_names) == 1:
@@ -132,7 +124,7 @@ class Grouper:
 
 
 def _maybe_tighten(values: np.ndarray) -> np.ndarray:
-    kinds = {type(v) for v in values.tolist()}
+    kinds = set(map(type, values.tolist()))
     if kinds and kinds <= {int, np.int64}:
         return values.astype(np.int64)
     if kinds and kinds <= {int, float, np.int64, np.float64}:

@@ -15,6 +15,13 @@ import numpy as np
 from . import dtypes
 
 
+def take_rows(arr: np.ndarray, rows) -> np.ndarray:
+    """``arr[rows]`` as an array the result owns: a basic slice is a view,
+    so it is copied — a stored source chunk aliasing the client's frame
+    would change under its result-cache identity on an in-place write."""
+    return arr[rows].copy() if isinstance(rows, slice) else arr[rows]
+
+
 class Index:
     """An immutable 1-D array of row or column labels."""
 
@@ -71,8 +78,8 @@ class Index:
             return False
         return dtypes.values_equal(self.values, other.values)
 
-    def take(self, indexer: np.ndarray) -> "Index":
-        return Index(self.values[indexer], name=self.name)
+    def take(self, indexer) -> "Index":
+        return Index(take_rows(self.values, indexer), name=self.name)
 
     def append(self, other: "Index") -> "Index":
         dtype = dtypes.common_dtype([self.dtype, other.dtype])
@@ -195,9 +202,6 @@ class RangeIndex(Index):
                 return True
             return self.start == other.start and self.stop == other.stop
         return super().equals(other)
-
-    def take(self, indexer: np.ndarray) -> Index:
-        return Index(self.values[indexer], name=self.name)
 
     def argsort(self) -> np.ndarray:
         return np.arange(len(self), dtype=np.int64)

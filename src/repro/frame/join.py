@@ -185,11 +185,6 @@ def _join_indexers(codes_l: np.ndarray, codes_r: np.ndarray, how: str):
     # outer: also append right rows that matched nothing, in right order
     matched_r = np.zeros(len(codes_r), dtype=bool)
     matched_r[inner_r] = True
-    valid_codes = codes_r >= 0
-    has_left_match = np.isin(codes_r, codes_l[codes_l >= 0])
-    extra_r = np.flatnonzero(~(matched_r | (valid_codes & has_left_match)))
-    # a valid right code may match left rows yet not appear in inner if the
-    # left row code was -1; recompute strictly: right rows absent from inner_r
     extra_r = np.flatnonzero(~matched_r)
     left_idx = np.concatenate([left_idx, np.full(len(extra_r), -1, dtype=np.int64)])
     right_idx = np.concatenate([right_idx, extra_r]).astype(np.int64)

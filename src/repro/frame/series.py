@@ -8,6 +8,8 @@ reductions, boolean masking, ``map``/``isin``/``value_counts``, and the
 
 from __future__ import annotations
 
+import operator
+from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
@@ -180,49 +182,51 @@ class Series:
             return other
         return other
 
-    def _binop(self, other, func: Callable, name: str | None = None) -> "Series":
+    def _binop(self, other, func: Callable, reflected: bool = False) -> "Series":
+        """``func(self, other)`` elementwise; ``reflected`` swaps them."""
         other_values = self._coerce_operand(other)
         left = self._values
-        if dtypes.is_object(left.dtype) and callable(func):
-            result = _object_binop(left, other_values, func)
+        if dtypes.is_object(left.dtype):
+            result = _object_binop(left, other_values, func, reflected=reflected)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                result = func(left, other_values)
-        return Series(result, index=self._index, name=name if name is not None else self.name)
+                result = (func(other_values, left) if reflected
+                          else func(left, other_values))
+        return Series(result, index=self._index, name=self.name)
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, operator.add)
 
     def __radd__(self, other):
-        return self._binop(other, lambda a, b: b + a)
+        return self._binop(other, operator.add, reflected=True)
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, operator.sub)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        return self._binop(other, operator.sub, reflected=True)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(other, operator.mul)
 
     def __rmul__(self, other):
-        return self._binop(other, lambda a, b: b * a)
+        return self._binop(other, operator.mul, reflected=True)
 
     def __truediv__(self, other):
-        return self._binop(other, lambda a, b: np.true_divide(a, b))
+        return self._binop(other, np.true_divide)
 
     def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: np.true_divide(b, a))
+        return self._binop(other, np.true_divide, reflected=True)
 
     def __floordiv__(self, other):
-        return self._binop(other, lambda a, b: np.floor_divide(a, b))
+        return self._binop(other, np.floor_divide)
 
     def __mod__(self, other):
-        return self._binop(other, lambda a, b: np.mod(a, b))
+        return self._binop(other, np.mod)
 
     def __pow__(self, other):
-        return self._binop(other, lambda a, b: np.power(a, b))
+        return self._binop(other, np.power)
 
     def __neg__(self):
         return Series(-self._values, index=self._index, name=self.name)
@@ -235,41 +239,40 @@ class Series:
         other_values = self._coerce_operand(other)
         if dtypes.is_object(self._values.dtype):
             result = _object_binop(self._values, other_values, func, na_result=False)
-            result = np.array([bool(v) for v in result], dtype=bool)
         else:
             with np.errstate(invalid="ignore"):
                 result = func(self._values, other_values)
         return Series(np.asarray(result, dtype=bool), index=self._index, name=self.name)
 
     def __eq__(self, other):  # type: ignore[override]
-        return self._compare(other, lambda a, b: a == b)
+        return self._compare(other, operator.eq)
 
     def __ne__(self, other):  # type: ignore[override]
-        return self._compare(other, lambda a, b: a != b)
+        return self._compare(other, operator.ne)
 
     def __lt__(self, other):
-        return self._compare(other, lambda a, b: a < b)
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        return self._compare(other, lambda a, b: a <= b)
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        return self._compare(other, lambda a, b: a > b)
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        return self._compare(other, lambda a, b: a >= b)
+        return self._compare(other, operator.ge)
 
     __hash__ = None  # type: ignore[assignment]
 
     # -- logical ---------------------------------------------------------------
     def __and__(self, other):
-        return self._binop(other, lambda a, b: a & b)
+        return self._binop(other, operator.and_)
 
     def __or__(self, other):
-        return self._binop(other, lambda a, b: a | b)
+        return self._binop(other, operator.or_)
 
     def __xor__(self, other):
-        return self._binop(other, lambda a, b: a ^ b)
+        return self._binop(other, operator.xor)
 
     def __invert__(self):
         return Series(~self._values, index=self._index, name=self.name)
@@ -641,16 +644,28 @@ class Series:
         return rank(self, method=method, ascending=ascending)
 
 
-def _object_binop(left: np.ndarray, right, func: Callable, na_result=None) -> np.ndarray:
-    """Apply ``func`` elementwise over an object array, propagating NA."""
-    out = np.empty(len(left), dtype=object)
-    right_is_seq = isinstance(right, np.ndarray)
-    for i, lv in enumerate(left):
-        rv = right[i] if right_is_seq else right
-        if lv is None or rv is None:
-            out[i] = na_result
-        else:
-            out[i] = func(lv, rv)
+def _object_binop(left: np.ndarray, right, func: Callable, na_result=None,
+                  reflected: bool = False) -> np.ndarray:
+    """Apply ``func`` elementwise over an object array, propagating NA.
+
+    ``func`` is a C callable (``operator.*`` or a ufunc), so ``map`` runs
+    it over the cells that have a value on both sides without a Python
+    frame per row.
+    """
+    keep = ~dtypes.isnone_array(left)
+    if isinstance(right, np.ndarray):
+        rights = right
+        if dtypes.is_object(right.dtype):
+            keep &= ~dtypes.isnone_array(right)
+    else:
+        rights = repeat(right)
+        keep &= right is not None
+    out = np.full(len(left), na_result, dtype=object)
+    selectors = keep.tolist()
+    lefts, rights = compress(left, selectors), compress(rights, selectors)
+    if reflected:
+        lefts, rights = rights, lefts
+    out[keep] = np.fromiter(map(func, lefts, rights), dtype=object)
     return out
 
 
@@ -658,11 +673,13 @@ def _tighten(arr: np.ndarray) -> np.ndarray:
     """Convert an object array to a specialized dtype when possible."""
     if len(arr) == 0:
         return arr
-    kinds = {type(v) for v in arr}
+    kinds = set(map(type, arr.tolist()))
     if kinds <= {bool}:
         return arr.astype(bool)
     if kinds <= {int, bool}:
         return arr.astype(np.int64)
     if kinds <= {int, float, bool} or kinds <= {int, float, bool, type(None)}:
-        return np.array([np.nan if v is None else v for v in arr], dtype=np.float64)
+        arr = arr.copy()
+        arr[dtypes.isnone_array(arr)] = np.nan
+        return arr.astype(np.float64)
     return arr

@@ -16,6 +16,10 @@ from repro.core import Session, auto_rechunk, fusion_groups
 from repro.core.fusion import color_chunk_graph
 from repro.dataframe import from_frame
 from repro import frame as pf
+from repro.frame import dtypes
+from repro.frame.groupby import Grouper, factorize
+from tests.frame import reference_kernels as reference
+from tests.frame.reference_kernels import key_signature, signature
 
 SLOW = settings(
     max_examples=20, deadline=None,
@@ -39,6 +43,45 @@ def small_frames(draw):
         min_size=n, max_size=n,
     ))
     return pf.DataFrame({"k": keys, "v": values})
+
+
+#: every cell kind the object kernels tell apart (tests/frame/
+#: test_kernel_encoding.py has the same kinds as a fixed table); small
+#: alphabets, so keys repeat and 1 / 1.0 / True meet in one column.
+OBJECT_CELLS = st.one_of(
+    st.sampled_from(["", "a", "b", "ab", "\0"]),
+    st.none(),
+    st.sampled_from([float("nan"), np.float64("nan"), np.float32("nan")]),
+    st.sampled_from([0, 1, 2, 2 ** 70]),
+    st.sampled_from([0.0, 1.0, 0.5, np.float64(2.0)]),
+    st.booleans(),
+    st.sampled_from([b"", b"a", b"b"]),
+    st.sampled_from([(1, "x"), (1, "y"), (2, "x")]),
+    st.sampled_from([np.str_("a"), np.str_("c")]),
+)
+
+
+@st.composite
+def object_key_columns(draw, max_rows=200, max_keys=3):
+    """1-3 object key columns of equal length, each over a few cell kinds."""
+    n = draw(st.integers(min_value=0, max_value=max_rows))
+    n_keys = draw(st.integers(min_value=1, max_value=max_keys))
+    return [dtypes.object_array(draw(st.lists(OBJECT_CELLS, min_size=n, max_size=n)))
+            for _ in range(n_keys)]
+
+
+def frame_signature(frame):
+    return (list(frame.columns), signature(frame.index.values),
+            [signature(frame[name].values) for name in frame.columns])
+
+
+def outcome(fn):
+    """``fn()``'s result signature, or the type of what it raised (keys of
+    unorderable kinds raise ``TypeError`` from ``sorted`` either way)."""
+    try:
+        return fn()
+    except TypeError as exc:
+        return type(exc)
 
 
 @st.composite
@@ -128,6 +171,87 @@ class TestDistributedEquivalence:
 # ---------------------------------------------------------------------------
 # Algorithm 1 invariants
 # ---------------------------------------------------------------------------
+
+class TestObjectKernelsMatchReference:
+    """The C-speed object kernels of ``repro.frame`` against the per-cell
+    loops they replaced (``tests/frame/reference_kernels.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(object_key_columns())
+    def test_kernels(self, keys):
+        for arr in keys:
+            assert signature(dtypes.isna_array(arr)) == signature(
+                reference.isna_array(arr))
+            assert outcome(lambda: [signature(a) for a in factorize(arr)]) \
+                == outcome(lambda: [signature(a) for a in reference.factorize(arr)])
+
+        def grouping(result):
+            codes, n_groups, group_keys = result
+            return signature(codes), n_groups, key_signature(group_keys)
+
+        def ours():
+            grouper = Grouper(keys, list(range(len(keys))))
+            return grouper.codes, grouper.n_groups, grouper.group_keys
+
+        assert outcome(lambda: grouping(ours())) == outcome(
+            lambda: grouping(reference.grouper(keys)))
+
+    @settings(max_examples=75, deadline=None)
+    @given(object_key_columns(max_rows=60), object_key_columns(max_rows=60),
+           st.sampled_from(["inner", "left", "right", "outer"]))
+    def test_groupby_and_merge_answer_as_before(self, left_keys, right_keys, how):
+        def frame(keys):
+            data = {f"k{i}": arr for i, arr in enumerate(keys)}
+            data["v"] = np.arange(len(keys[0]), dtype=np.float64)
+            return pf.DataFrame(data)
+
+        left, right = frame(left_keys), frame(right_keys)
+        by = [f"k{i}" for i in range(len(left_keys))]
+        on = by[:len(right_keys)]
+
+        def answers():
+            return (
+                outcome(lambda: frame_signature(
+                    left.groupby(by).agg({"v": ["sum", "count"]}))),
+                outcome(lambda: frame_signature(
+                    left.groupby(by[0], as_index=False).agg({"v": "max"}))),
+                outcome(lambda: frame_signature(
+                    left.merge(right, on=on, how=how, suffixes=("_l", "_r")))),
+            )
+
+        after = answers()
+        with reference.installed():
+            before = answers()
+        assert after == before
+
+
+class TestSourceChunksOwnTheirData:
+    def test_slicing_a_client_frame_does_not_alias_it(self):
+        # FromFrameSlice takes ``frame.iloc[a:b]``; were that a view, an
+        # in-place write to the client's frame would change a stored chunk
+        # under the identity the result cache filed it by.
+        local = pf.DataFrame({"k": dtypes.object_array("abcd" * 50),
+                              "v": np.arange(200.0)})
+        session = tiny_session()
+        try:
+            dist = from_frame(local, session).execute()
+            keys = [chunk.key for chunk in dist.data.chunks]
+            assert len(keys) > 1
+            before = [frame_signature(session.storage.peek_value(key))
+                      for key in keys]
+            local["v"].values[:] = -1.0
+            local["k"].values[:] = "z"
+            local.index.values[:] = 7
+            after = [frame_signature(session.storage.peek_value(key))
+                     for key in keys]
+            assert after == before
+            assert not any(
+                np.shares_memory(session.storage.peek_value(key)[name].values,
+                                 local[name].values)
+                for key in keys for name in ("k", "v"))
+        finally:
+            session.close()
+
 
 class TestAutoRechunkProperties:
     @settings(max_examples=100, deadline=None)
