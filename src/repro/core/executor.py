@@ -22,12 +22,14 @@ changes.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ..cluster.cluster import ClusterState
 from ..cluster.simulation import SimReport, fold_report
 from ..config import Config
+from ..engine.base import is_multi_output
 from ..errors import (
     ActorNotFound,
     ChunkLostError,
@@ -93,15 +95,15 @@ class _Stage:
     """What one accounting walk shares across its subtasks.
 
     A recovery walk — lineage re-execution, at fetch time or from inside
-    a stage's retry loop — has no subtask graph, retains nothing, and
-    charges into the report of whoever noticed the loss.
+    a stage's retry loop — has no subtask graph, was asked for nothing,
+    and charges into the report of whoever noticed the loss.
     """
 
     report: SimReport
     base_time: float
     graph: DAG[Subtask] | None = None
-    #: keys exempt from refcount cleanup (and worth caching when stored).
-    retain: set[str] = field(default_factory=set)
+    #: the keys the stage was asked for (worth caching when stored).
+    requested: set[str] = field(default_factory=set)
     #: completion virtual time of every subtask accounted so far.
     completion: dict[str, float] = field(default_factory=dict)
 
@@ -290,15 +292,17 @@ class GraphExecutor:
             return None
         return max(1, int(self.memory_quota * tracker.limit))
 
-    def acquire_turn(self) -> None:
-        """Enter the shared-plane stage turnstile (no-op on private
+    @contextmanager
+    def turn(self):
+        """Hold the shared-plane stage turnstile (no-op on private
         clusters); reentrant for the holding session."""
         if self.multi_tenant:
             self.scheduling.acquire_turn(self.session_id)
-
-    def release_turn(self) -> None:
-        if self.multi_tenant:
-            self.scheduling.release_turn(self.session_id)
+        try:
+            yield
+        finally:
+            if self.multi_tenant:
+                self.scheduling.release_turn(self.session_id)
 
     # -- service introspection (diagnostics / tests) --------------------
     @property
@@ -313,20 +317,19 @@ class GraphExecutor:
 
     # ------------------------------------------------------------------
     def execute(self, chunk_graph: DAG[ChunkData],
-                retain_keys: set[str] | None = None) -> SimReport:
+                requested: set[str] | None = None) -> SimReport:
         """Run every not-yet-materialized chunk of ``chunk_graph``.
 
-        ``retain_keys`` are protected from the reference-count cleanup
-        (results the session or a later tiling stage will read).
+        ``requested`` names the chunks the caller is after (a tiling
+        yield, the results): the non-terminal chunks worth a cache
+        entry. What outlives the stage is the lifecycle service's call —
+        whatever the plan it was told about still reads.
         """
-        self.acquire_turn()
-        try:
-            return self._execute_stage(chunk_graph, set(retain_keys or ()))
-        finally:
-            self.release_turn()
+        with self.turn():
+            return self._execute_stage(chunk_graph, set(requested or ()))
 
     def _execute_stage(self, chunk_graph: DAG[ChunkData],
-                       retain: set[str]) -> SimReport:
+                       requested: set[str]) -> SimReport:
         """plan → begin → walk (admit, replay, commit per subtask) → fold."""
         report = SimReport()
         subtask_graph = self._plan_stage(chunk_graph, report)
@@ -342,7 +345,7 @@ class GraphExecutor:
         dispatch = (self.config.cost_model.dispatch_overhead
                     * report.n_graph_nodes)
         origin = self.frontier if self.multi_tenant else self.cluster.clock.now
-        stage = _Stage(report, origin + dispatch, subtask_graph, retain)
+        stage = _Stage(report, origin + dispatch, subtask_graph, requested)
         order = subtask_graph.topological_order()
         self._begin_stage(order, stage)
         # the compute phase: on a process-mode plane a stage that can
@@ -423,7 +426,12 @@ class GraphExecutor:
             groups = fusion_groups(pending_graph)
         else:
             groups = singleton_groups(pending_graph)
-        subtask_graph = build_subtask_graph(pending_graph, groups)
+        # a chunk the plan reads again after this stage is stored even
+        # when every consumer in *this* graph sits in its own subtask.
+        held = self.lifecycle.held([node.key for node in pending],
+                                   {node.op for node in pending},
+                                   session=self._tenant())
+        subtask_graph = build_subtask_graph(pending_graph, groups, set(held))
         self.scheduling.assign(subtask_graph,
                                self._known_nbytes(subtask_graph))
         return subtask_graph
@@ -462,8 +470,7 @@ class GraphExecutor:
         for subtask in stage.graph.nodes():
             for key in subtask.input_keys:
                 consumers[key] += 1
-        self.lifecycle.begin_stage(dict(consumers), stage.retain,
-                                   session=self._tenant())
+        self.lifecycle.begin_stage(dict(consumers), session=self._tenant())
 
     # -- result cache ---------------------------------------------------
     def _apply_cache(self, chunk_graph: DAG[ChunkData],
@@ -531,11 +538,11 @@ class GraphExecutor:
 
     def _collect_cache_record(self, subtask: Subtask,
                               stored_by_key: dict[str, int],
-                              retain: set[str]) -> None:
+                              requested: set[str]) -> None:
         """Queue freshly stored reusable outputs for cache registration.
 
         Two kinds of chunks are worth caching: terminal (tileable
-        boundary) chunks, and retained chunks — the ones a dynamic
+        boundary) chunks, and requested chunks — the ones a dynamic
         tiling yield demanded, which the next run's tiling pass will
         demand again at the same structural position.
         """
@@ -543,7 +550,7 @@ class GraphExecutor:
             key = chunk.key
             if key not in stored_by_key:
                 continue
-            if not getattr(chunk, "terminal", False) and key not in retain:
+            if not getattr(chunk, "terminal", False) and key not in requested:
                 continue
             ident = self._chunk_idents.get(key)
             if ident is None:
@@ -817,13 +824,10 @@ class GraphExecutor:
         missing = self.storage.missing_keys(keys)
         if not missing:
             return
-        self.acquire_turn()
-        try:
+        with self.turn():
             stage = _Stage(SimReport(), self.cluster.clock.now)
             self._recover_lost(missing, stage)
             fold_report(self.report, stage.report)
-        finally:
-            self.release_turn()
 
     # -- one accounting attempt -----------------------------------------
     def _run_subtask(self, subtask: Subtask, stage: _Stage,
@@ -926,9 +930,7 @@ class GraphExecutor:
                     env.release_inputs(op)
                     continue
                 result = computed.op_results[id(op)]
-                if isinstance(result, dict) and result and all(
-                    k in {o.key for o in op.outputs} for k in result
-                ):
+                if is_multi_output(op, result):
                     env.store(result)
                 else:
                     env.store({op.outputs[0].key: result})
@@ -1043,7 +1045,7 @@ class GraphExecutor:
                 key: stored
                 for (key, _, _), stored in zip(put_entries, stored_sizes)
             }
-            self._collect_cache_record(subtask, stored_by_key, stage.retain)
+            self._collect_cache_record(subtask, stored_by_key, stage.requested)
 
     def _duration(self, band, env: _Env, cpu_bytes: int,
                   n_steps: int) -> float:

@@ -12,6 +12,11 @@ The algorithm assigns every chunk-graph node a color in three steps:
    same-colored descendants.
 
 Adjacent nodes sharing a color afterwards become one subtask.
+
+A node of this DAG is an *output chunk*, so a shuffle mapper emitting n
+partitions is n nodes; the coloring assumes one node per unit of work.
+Hence the sibling rule: **the outputs of one operator instance are
+adjacent** — one color, one connected component, one subtask.
 """
 
 from __future__ import annotations
@@ -27,18 +32,16 @@ def color_chunk_graph(graph: DAG[ChunkData]) -> dict[str, int]:
     topo = graph.topological_order()
     counter = itertools.count()
     color: dict[str, int] = {}
+    #: id(op) -> the color its first-seen output took (siblings follow).
+    op_color: dict[int, int] = {}
 
     # step 1 + 2: forward propagation
     for node in topo:
-        preds = graph.predecessors(node)
-        if not preds:
-            color[node.key] = next(counter)
-            continue
-        pred_colors = {color[p.key] for p in preds}
-        if len(pred_colors) == 1:
-            color[node.key] = pred_colors.pop()
-        else:
-            color[node.key] = next(counter)
+        pred_colors = {color[p.key] for p in graph.predecessors(node)}
+        own = pred_colors.pop() if len(pred_colors) == 1 else next(counter)
+        if node.op is not None and len(node.op.outputs) > 1:
+            own = op_color.setdefault(id(node.op), own)
+        color[node.key] = own
 
     # step 3: separate branches that share the parent's color with siblings
     # of other colors
@@ -50,11 +53,13 @@ def color_chunk_graph(graph: DAG[ChunkData]) -> dict[str, int]:
         same = [s for s in succs if color[s.key] == own]
         if not same or len(same) == len(succs):
             continue
+        fresh: dict[int, int] = {}  # siblings split off together
         for branch in same:
-            old = color[branch.key]
-            new = next(counter)
+            new = fresh.get(id(branch.op))
+            if new is None:
+                new = fresh[id(branch.op)] = next(counter)
             color[branch.key] = new
-            _propagate_recolor(graph, topo, color, branch, old, new)
+            _propagate_recolor(graph, topo, color, branch, own, new)
     return color
 
 
@@ -98,9 +103,10 @@ def fusion_groups(graph: DAG[ChunkData],
                 continue
             group_of[current.key] = gid
             members.append(current)
-            for neighbor in itertools.chain(
-                graph.successors(current), graph.predecessors(current)
-            ):
+            neighbors = graph.successors(current) + graph.predecessors(current)
+            if current.op is not None and len(current.op.outputs) > 1:
+                neighbors += [s for s in current.op.outputs if s in graph]
+            for neighbor in neighbors:
                 if (neighbor.key not in group_of
                         and color[neighbor.key] == color[current.key]):
                     stack.append(neighbor)
@@ -115,7 +121,9 @@ def _repair_convexity(graph: DAG[ChunkData],
     A group is only a valid subtask if no path leaves it and re-enters
     (convexity); the coloring heuristic can rarely violate this on
     irregular DAGs. Groups participating in a cycle of the condensed
-    graph are dissolved into singletons until the condensation is acyclic.
+    graph are dissolved into one group per operator instance until the
+    condensation is acyclic (siblings read the same inputs, so no path can
+    leave one output of an operator and re-enter another).
     """
     while True:
         group_of: dict[str, int] = {}
@@ -134,10 +142,7 @@ def _repair_convexity(graph: DAG[ChunkData],
             return groups
         next_groups: list[list[ChunkData]] = []
         for gid, group in enumerate(groups):
-            if gid in cyclic and len(group) > 1:
-                next_groups.extend([chunk] for chunk in group)
-            else:
-                next_groups.append(group)
+            next_groups.extend(_op_units(group) if gid in cyclic else [group])
         groups = next_groups
 
 
@@ -191,6 +196,15 @@ def _cyclic_components(edges: dict[int, set[int]]) -> set[int]:
     return cyclic
 
 
+def _op_units(chunks: list[ChunkData]) -> list[list[ChunkData]]:
+    """``chunks`` split into one group per operator instance."""
+    units: dict[int, list[ChunkData]] = {}
+    for chunk in chunks:
+        owner = chunk if chunk.op is None else chunk.op
+        units.setdefault(id(owner), []).append(chunk)
+    return list(units.values())
+
+
 def singleton_groups(graph: DAG[ChunkData]) -> list[list[ChunkData]]:
-    """The no-fusion baseline: every chunk node is its own subtask."""
-    return [[node] for node in graph.topological_order()]
+    """The no-fusion baseline: every operator instance is its own subtask."""
+    return _op_units(graph.topological_order())

@@ -175,6 +175,7 @@ class SessionActor(Actor):
     def _execute_tileables(self,
                            tileables: Sequence[TileableData]) -> list[Any]:
         storage = self.services.storage
+        tenant = self.executor._tenant()
         # identity memoizes source fingerprints for the span of one run
         # only: data mutated between two executes must hash afresh.
         self.executor.identity.reset()
@@ -192,6 +193,7 @@ class SessionActor(Actor):
             pretiled: set[str] = set()
             stored_before: set[str] = set()
             while True:
+                self.services.lifecycle.reset_plan(session=tenant)
                 graph = build_tileable_graph(list(tileables))
                 if retile_attempts == 0:
                     pretiled = {
@@ -202,7 +204,7 @@ class SessionActor(Actor):
                         prune_columns(graph, list(tileables))
                 try:
                     chunk_graph = self.tiler.tile(graph, list(tileables))
-                    retain = {
+                    results = {
                         chunk.key for t in tileables for chunk in t.chunks
                     }
                     self.executor.explicit_cache_keys.update(
@@ -210,7 +212,7 @@ class SessionActor(Actor):
                         if getattr(t, "cache_requested", False)
                         for chunk in t.chunks
                     )
-                    self.executor.execute(chunk_graph, retain_keys=retain)
+                    self.executor.execute(chunk_graph, requested=results)
                     break
                 except WorkerOutOfMemory:
                     retile_attempts += 1
@@ -231,6 +233,13 @@ class SessionActor(Actor):
         # fetch before building the report: fetch-time recovery of lost
         # terminal chunks must land in this run's recovery accounting.
         values = [self.fetch_tileable(t) for t in tileables]
+        # the plan is done: whatever this run stored that outlived its
+        # readers (a reader cut off by a cache hit, fetch-time recovery's
+        # intermediates) goes now — storage keeps results, cache entries
+        # and what it held before.
+        with self.executor.turn():
+            self._drop(self.services.lifecycle.reset_plan(
+                self._stored_since(stored_before), session=tenant))
 
         totals = self._totals()
         grown = counter_growth(self.executor.report, report_before)
@@ -253,24 +262,15 @@ class SessionActor(Actor):
         and every chunk this attempt stored is dropped from storage,
         shuffle registry and scheduler placement. Tileables that were
         already tiled before the call (prior executes) keep their chunks
-        and their stored data — re-tiling must not invalidate them.  On
-        a shared cluster only this session's keys qualify: chunks other
-        tenants stored while this attempt ran are not "new" to it.
+        and their stored data — re-tiling must not invalidate them.
         """
         for node in graph.nodes():
             if node.key in pretiled or not node.is_tiled:
                 continue
             node.chunks = []
             node.nsplits = ()
-        storage = self.services.storage
-        prefix = None if self.owns_cluster else f"{self.session_id}/"
-        dropped = [
-            key for key in storage.all_keys()
-            if key not in stored_before
-            and (prefix is None or key.startswith(prefix))
-        ]
-        self.executor.acquire_turn()
-        try:
+        dropped = self._stored_since(stored_before)
+        with self.executor.turn():
             if dropped and self.config.result_cache:
                 # re-tiling regenerates these chunks under new keys — any
                 # cache entry recorded on them (or on top of them) is
@@ -278,12 +278,26 @@ class SessionActor(Actor):
                 scope = None if self.owns_cluster else self.session_id
                 self.services.lifecycle.invalidate_cached(
                     dropped, session=scope)
-            for key in dropped:
-                storage.delete(key)
-                self.services.shuffle.forget_key(key)
-                self.services.scheduling.forget_chunk(key)
-        finally:
-            self.executor.release_turn()
+            self._drop(dropped)
+
+    def _stored_since(self, stored_before: set[str]) -> list[str]:
+        """The keys this run put into storage (``stored_before`` is the
+        snapshot taken when it began). On a shared cluster only this
+        session's keys qualify: chunks other tenants stored meanwhile
+        are not "new" to it."""
+        prefix = None if self.owns_cluster else f"{self.session_id}/"
+        return [
+            key for key in self.services.storage.all_keys()
+            if key not in stored_before
+            and (prefix is None or key.startswith(prefix))
+        ]
+
+    def _drop(self, keys) -> None:
+        """Remove ``keys`` from storage, shuffle index and placement."""
+        for key in keys:
+            self.services.storage.delete(key)
+            self.services.shuffle.forget_key(key)
+            self.services.scheduling.forget_chunk(key)
 
     # ------------------------------------------------------------------
     def fetch_tileable(self, tileable: TileableData) -> Any:
@@ -314,16 +328,13 @@ class SessionActor(Actor):
     def free_tileable(self, tileable: TileableData) -> None:
         """Drop a tileable's cached chunk data (it can be recomputed)."""
         keys = [chunk.key for chunk in tileable.chunks]
-        self.executor.acquire_turn()
-        try:
+        with self.executor.turn():
             if keys and self.config.result_cache:
                 scope = None if self.owns_cluster else self.session_id
                 self.services.lifecycle.invalidate_cached(
                     keys, session=scope)
             for key in keys:
                 self.services.storage.delete(key)
-        finally:
-            self.executor.release_turn()
 
     def reset_metrics(self) -> None:
         """Fresh virtual clocks and counters (used between benchmark runs)."""
@@ -342,14 +353,10 @@ class SessionActor(Actor):
         """
         prefix = f"{self.session_id}/"
         protected = set(self.services.lifecycle.cache_protected())
-        own = [
+        self._drop(
             key for key in self.services.storage.all_keys()
             if key.startswith(prefix) and key not in protected
-        ]
-        for key in own:
-            self.services.storage.delete(key)
-            self.services.shuffle.forget_key(key)
-            self.services.scheduling.forget_chunk(key)
+        )
         self.services.lifecycle.drop_session(self.session_id)
         self.services.scheduling.unregister_tenant(self.session_id)
 

@@ -10,6 +10,10 @@ refreshes the yielded chunks' shapes, and resumes the generator at the
 same point — the switch between graph construction and graph execution
 that the paper identifies as Xorbits' key differentiator.
 
+The switch must not pay for metadata by recomputing data: the engine
+tells the lifecycle service who reads each chunk as the plan takes shape
+(``_plan``), so what one yield materialized stays until its last reader.
+
 With ``config.dynamic_tiling`` disabled (the ablation of Fig. 9a),
 operators must not yield; they fall back to static, source-size-based
 estimates, reproducing the behaviour the paper criticizes in
@@ -24,6 +28,7 @@ from ..config import Config
 from ..errors import TilingError
 from ..graph.dag import DAG
 from ..graph.entity import ChunkData, TileableData
+from ..services.lifecycle import PLAN_RESULT
 from .executor import GraphExecutor
 from .operator import TileContext, run_tile
 
@@ -54,12 +59,16 @@ def build_tileable_graph(results: Sequence[TileableData]) -> DAG[TileableData]:
     return graph
 
 
-def chunk_closure(chunks: Iterable[ChunkData],
-                  is_materialized) -> DAG[ChunkData]:
+def chunk_closure(chunks: Iterable[ChunkData], is_materialized,
+                  is_read=None) -> DAG[ChunkData]:
     """Chunk graph containing ``chunks`` and their unexecuted ancestors.
 
     ``is_materialized(key)`` marks chunks whose values already sit in
     storage: they are included as source nodes but not expanded further.
+    An operator runs once, for all of its outputs: the closure of one
+    holds the siblings somebody reads too (a shuffle mapper stores every
+    reducer's partition even when this graph reads only two of them).
+    ``is_read(key)`` says which those are; without it all of them.
     """
     graph: DAG[ChunkData] = DAG()
     stack = list(chunks)
@@ -75,6 +84,9 @@ def chunk_closure(chunks: Iterable[ChunkData],
         for dep in node.inputs:
             graph.add_edge(dep, node)
             stack.append(dep)
+        if node.op is not None and len(node.op.outputs) > 1:
+            stack.extend(out for out in node.op.outputs
+                         if is_read is None or is_read(out.key))
     return graph
 
 
@@ -89,18 +101,20 @@ class TilingEngine:
         #: how many mid-tiling executions the engine performed (observable
         #: in tests and the ablation study).
         self.yield_count = 0
-        #: stored-key snapshot backing :meth:`_is_materialized`.  Storage
-        #: only changes at execution points, so refreshing the snapshot
-        #: before each closure traversal gives the exact answers of a
-        #: live ``contains`` per node — for one message instead of one
-        #: per traversed chunk.
-        self._materialized: set[str] = set()
+        #: the plan being tiled: who reads each tileable's chunks (its
+        #: consumers' operators until they are tiled, the caller for a
+        #: result), the chunk operators whose reads are named, and the
+        #: chunk keys named as read so far.
+        self._readers: dict[TileableData, list] = {}
+        self._named: set = set()
+        self._read: set[str] = set()
 
-    def _snapshot_storage(self) -> None:
-        self._materialized = set(self.executor.storage.all_keys())
-
-    def _is_materialized(self, key: str) -> bool:
-        return key in self._materialized
+    def _closure(self, chunks: Iterable[ChunkData]) -> DAG[ChunkData]:
+        """:func:`chunk_closure` against what storage holds right now —
+        one ``all_keys`` message, not one ``contains`` per chunk."""
+        stored = set(self.executor.storage.all_keys())
+        return chunk_closure(chunks, stored.__contains__,
+                             self._read.__contains__)
 
     # ------------------------------------------------------------------
     def tile(self, tileable_graph: DAG[TileableData],
@@ -114,25 +128,31 @@ class TilingEngine:
         ctx = TileContext(self.config, self.meta,
                           storage=self.executor.storage,
                           executor=self.executor)
+        self._readers = {
+            tileable: [s.op for s in tileable_graph.successors(tileable)]
+            + [PLAN_RESULT] * (tileable in results)
+            for tileable in tileable_graph
+        }
+        self._named, self._read = set(), set()
         for tileable in tileable_graph.topological_order():
             if tileable.is_tiled or tileable.op is None:
-                continue
-            self._tile_one(tileable.op, ctx)
-        result_chunks: list[ChunkData] = []
-        for tileable in results:
-            result_chunks.extend(tileable.chunks)
-        self._snapshot_storage()
-        return chunk_closure(result_chunks, self._is_materialized)
+                self._plan_tiled([tileable])  # a source of this plan
+            else:
+                self._tile_one(tileable.op, ctx)
+        return self._closure(c for t in results for c in t.chunks)
 
     # ------------------------------------------------------------------
     def _tile_one(self, op, ctx: TileContext) -> None:
         gen = run_tile(op, ctx)
-        to_send = None
+        asked: list[str] = []  # every chunk key ``op`` yielded so far
         while True:
             try:
-                yielded = gen.send(to_send)
+                yielded = next(gen)
             except StopIteration as stop:
                 self._attach_outputs(op, stop.value)
+                # tiled: ``op`` is done with its inputs and its yields.
+                inputs = [c.key for dep in op.inputs for c in dep.chunks]
+                self._plan_tiled(op.outputs, done=[(op, inputs + asked)])
                 return
             if not self.config.dynamic_tiling:
                 raise TilingError(
@@ -140,16 +160,44 @@ class TilingEngine:
                     "tiling is disabled; operators must branch on "
                     "ctx.config.dynamic_tiling"
                 )
-            self._execute_partial(list(yielded))
-            to_send = None
+            chunks = list(yielded)
+            asked += [chunk.key for chunk in chunks]
+            # ``op`` may build its output chunks on what it yields.
+            self._plan(chunks, [(op, asked)])
+            self._execute_partial(chunks)
+
+    def _plan_tiled(self, tileables, done=()) -> None:
+        """``tileables`` have chunks now: their readers read those (an
+        output the plan does not contain — the Q nobody asked a QR for —
+        has none, and neither have the chunks behind it)."""
+        tileables = [t for t in tileables if t in self._readers]
+        self._plan(
+            [chunk for t in tileables for chunk in t.chunks],
+            [(reader, [chunk.key for chunk in t.chunks])
+             for t in tileables for reader in self._readers[t]],
+            done)
+
+    def _plan(self, chunks, reads, done=()) -> None:
+        """Tell the lifecycle service the plan grew by ``chunks``: the
+        given ``reads``, plus every chunk operator behind them not named
+        before reading its inputs — and which readers are ``done``."""
+        reads = list(reads)
+        stack = list(chunks)
+        while stack:
+            op = stack.pop().op
+            if op is not None and op not in self._named:
+                self._named.add(op)
+                reads.append((op, [dep.key for dep in op.inputs]))
+                stack += op.inputs
+        self._read.update(key for _, keys in reads for key in keys)
+        self.executor.lifecycle.plan_update(
+            reads, done, session=self.executor._tenant())
 
     def _execute_partial(self, chunks: list[ChunkData]) -> None:
         """Run the yielded chunks now and refresh their observed shapes."""
         self.yield_count += 1
-        self._snapshot_storage()
-        graph = chunk_closure(chunks, self._is_materialized)
-        retain = {c.key for c in chunks}
-        self.executor.execute(graph, retain_keys=retain)
+        self.executor.execute(self._closure(chunks),
+                              requested={c.key for c in chunks})
         self._refresh_chunks(chunks)
 
     def _refresh_chunks(self, chunks: list[ChunkData]) -> None:

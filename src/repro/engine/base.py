@@ -139,15 +139,17 @@ def compiled_fusion_enabled(config) -> bool:
     return engine_of(config).supports_compiled_fusion
 
 
-def persist_result(engine: ChunkEngine, op, result: Any) -> Any:
-    """Persist an operator kernel's result before it enters the env.
+def is_multi_output(op, result: Any) -> bool:
+    """Whether ``result`` follows the multi-output convention: a
+    non-empty ``{chunk_key: value}`` dict keyed by ``op``'s own output
+    keys (anything else is the value of ``op.outputs[0]``)."""
+    return (isinstance(result, dict) and bool(result)
+            and {out.key for out in op.outputs}.issuperset(result))
 
-    Handles the multi-output convention (``{chunk_key: value}`` keyed by
-    the op's own output keys) the kernel loops already use.
-    """
-    if isinstance(result, dict) and result and all(
-        k in {o.key for o in op.outputs} for k in result
-    ):
+
+def persist_result(engine: ChunkEngine, op, result: Any) -> Any:
+    """Persist an operator kernel's result before it enters the env."""
+    if is_multi_output(op, result):
         return {key: engine.persist(value) for key, value in result.items()}
     return engine.persist(result)
 

@@ -102,7 +102,9 @@ class Grouper:
 
     def result_index(self) -> Index:
         if len(self.key_names) == 1:
-            values = np.array([k[0] for k in self.group_keys], dtype=object)
+            # fromiter, not np.array: equal-length tuple keys stay cells
+            values = np.fromiter((k[0] for k in self.group_keys),
+                                 dtype=object, count=len(self.group_keys))
             return Index(_maybe_tighten(values), name=self.key_names[0])
         return MultiIndex(self.group_keys, names=self.key_names)
 
@@ -126,7 +128,10 @@ class Grouper:
 def _maybe_tighten(values: np.ndarray) -> np.ndarray:
     kinds = set(map(type, values.tolist()))
     if kinds and kinds <= {int, np.int64}:
-        return values.astype(np.int64)
+        try:
+            return values.astype(np.int64)
+        except OverflowError:  # an int past 64 bits stays a Python int
+            return values
     if kinds and kinds <= {int, float, np.int64, np.float64}:
         return values.astype(np.float64)
     return values

@@ -199,12 +199,10 @@ def _take_with_na(values: np.ndarray, indexer: np.ndarray) -> np.ndarray:
     if not missing.any():
         return values[indexer]
     out_values = dtypes.promote_for_na(values)
-    safe = np.where(missing, 0, indexer)
-    out = out_values[safe]
-    if len(values) == 0:
-        out = np.full(len(indexer), dtypes.na_value_for(out_values.dtype),
-                      dtype=out_values.dtype if out_values.dtype != object else object)
-        return out
+    if len(values) == 0:  # nothing to gather from: every position is NA
+        return np.full(len(indexer), dtypes.na_value_for(out_values.dtype),
+                       dtype=out_values.dtype)
+    out = out_values[np.where(missing, 0, indexer)]
     if out.dtype == object:
         out = out.copy()
         out[missing] = None

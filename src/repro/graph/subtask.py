@@ -76,12 +76,15 @@ class Subtask:
 
 
 def build_subtask_graph(chunk_graph: DAG[ChunkData],
-                        groups: list[list[ChunkData]]) -> DAG[Subtask]:
+                        groups: list[list[ChunkData]],
+                        keep: frozenset[str] = frozenset()) -> DAG[Subtask]:
     """Assemble the subtask DAG from fusion groups.
 
     ``groups`` must partition the chunk graph's nodes; edges between
     groups become subtask dependencies. Output keys are chunks consumed
-    outside their group or terminal in the chunk graph.
+    outside their group, terminal in the chunk graph (which covers the
+    outputs of a multi-output operator this graph has no consumer for),
+    or named in ``keep`` — read again by something outside this graph.
     """
     position = {
         chunk.key: i for i, chunk in enumerate(chunk_graph.topological_order())
@@ -110,7 +113,8 @@ def build_subtask_graph(chunk_graph: DAG[ChunkData],
         outputs = []
         for chunk in subtask.chunks:
             consumers = chunk_graph.successors(chunk)
-            if not consumers or any(s.key not in internal for s in consumers):
+            if (not consumers or chunk.key in keep
+                    or any(s.key not in internal for s in consumers)):
                 outputs.append(chunk.key)
         subtask.output_keys = outputs
     return graph

@@ -1,18 +1,24 @@
 """The lifecycle service: chunk reference counting and lineage.
 
-Owns what used to be inlined in the executor: the per-stage consumer
-refcounts that decide when an intermediate chunk is freed, the
-terminal-chunk flags that exempt user-visible results from eager
-release, and the :class:`~repro.core.recovery.RecoveryManager` lineage
-registry.  Frees go out through the service's own storage/shuffle
-handles, so the message trace shows ``service/lifecycle ->
+Owns every decision about when a stored chunk goes — per-stage consumer
+refcounts, the plan readers that keep a chunk across the stages of one
+``execute()``, the terminal flags that exempt user-visible results from
+eager release — and the :class:`~repro.core.recovery.RecoveryManager`
+lineage registry.  Frees go out through the service's own storage and
+shuffle handles, so the message trace shows ``service/lifecycle ->
 service/storage`` for every refcount-driven delete.
 
-Stage state (consumer counts, retained keys) is scoped per session: on a
-shared cluster N tenants run interleaved stages, and tenant A's
-``begin_stage`` must not clobber tenant B's live refcounts.  The empty
-session ``""`` is the private-cluster scope — single-session callers
-never notice the scoping.
+The retention rule (DESIGN.md §5, "fusion and retention"): a chunk goes
+once the stages of this execute have no consumer waiting for it *and its
+plan has no reader left* — the tiler names the readers as the plan takes
+shape (``plan_update``).
+Held chunks stay unpinned, and unlike ``eager_release=False`` the hold
+ends with the last reader.
+
+All of it is scoped per session: on a shared cluster N tenants run
+interleaved stages, and tenant A's ``begin_stage`` must not clobber
+tenant B's live refcounts.  The empty session ``""`` is the
+private-cluster scope — single-session callers never notice the scoping.
 """
 
 from __future__ import annotations
@@ -23,14 +29,22 @@ from ..core.recovery import RecoveryManager
 from ..utils import DedupLog
 
 
-class _StageScope:
-    """One session's active-stage refcount state."""
+#: the plan reader standing for the caller of ``execute()``.
+PLAN_RESULT = "result"
 
-    __slots__ = ("consumers", "retain")
+
+class _Scope:
+    """One session's refcount state, for the span of one execute."""
+
+    __slots__ = ("consumers", "readers")
 
     def __init__(self):
+        #: chunk key -> subtasks yet to consume it, over the stages begun
+        #: so far (a finished stage leaves zeros: "read here, none waiting").
         self.consumers: defaultdict[str, int] = defaultdict(int)
-        self.retain: set[str] = set()
+        #: chunk key -> plan readers yet to run (operator objects, not
+        #: ids: a collected sample operator's id could be reused).
+        self.readers: defaultdict[str, set] = defaultdict(set)
 
 
 class LifecycleService:
@@ -47,55 +61,73 @@ class LifecycleService:
         #: are session-prefixed on a shared cluster, so one flat dict is
         #: collision-free.
         self._terminal: dict[str, bool] = {}
-        #: session -> that session's active-stage scope.
-        self._scopes: dict[str, _StageScope] = {"": _StageScope()}
+        #: session -> that session's scope.
+        self._scopes: defaultdict[str, _Scope] = defaultdict(_Scope)
         #: chunk keys the result cache points at — exempt from
         #: refcount-driven frees until evicted or invalidated.
         self._cache_protected: set[str] = set()
         #: memo of applied ``finish_subtask`` tokens (at-least-once).
         self._dedup = DedupLog()
 
-    def _scope(self, session: str) -> _StageScope:
-        scope = self._scopes.get(session)
-        if scope is None:
-            scope = self._scopes[session] = _StageScope()
-        return scope
-
-    def _retained_anywhere(self, key: str) -> bool:
-        return any(key in scope.retain for scope in self._scopes.values())
-
     # -- stage refcounting -------------------------------------------------
     def register_terminals(self, terminal_by_key: dict[str, bool]) -> None:
         self._terminal.update(terminal_by_key)
 
-    def is_terminal(self, key: str) -> bool:
-        return self._terminal.get(key, False)
-
-    def begin_stage(self, consumers: dict[str, int], retain,
+    def begin_stage(self, consumers: dict[str, int],
                     session: str = "") -> None:
-        """Install one stage's consumer counts and protected keys."""
-        scope = self._scope(session)
-        scope.consumers = defaultdict(int, consumers)
-        scope.retain = set(retain)
+        """Add one stage's consumer counts."""
+        counts = self._scopes[session].consumers
+        for key, n_consumers in consumers.items():
+            counts[key] += n_consumers
 
-    def release_consumed(self, input_keys, session: str = "") -> list[str]:
-        """One subtask consumed ``input_keys``; free what dropped to zero.
+    def plan_update(self, reads=(), done=(), session: str = "") -> list[str]:
+        """The plan grew and/or readers finished: ``reads`` and ``done``
+        hold ``(reader, chunk keys)`` pairs — a new reader of those keys,
+        one that reads them no more. Returns the keys that frees."""
+        scope = self._scopes[session]
+        for reader, keys in reads:
+            for key in keys:
+                scope.readers[key].add(reader)
+        return self._stop_reading(scope, done)
 
-        Eager engines (``eager_release=False``) pin user-visible
-        intermediate frames (terminal chunks) but still free internal
-        stage chunks (map partials, shuffle partitions), like Ray's
-        reference counting.  Returns the freed keys.
-        """
-        eager = self._config.eager_release
-        scope = self._scope(session)
-        freed: list[str] = []
-        for key in input_keys:
-            scope.consumers[key] -= 1
-            if scope.consumers[key] <= 0 and key not in scope.retain:
-                if key in self._cache_protected:
-                    continue
-                if eager or not self._terminal.get(key, False):
-                    freed.append(key)
+    def held(self, keys, running, session: str = "") -> list[str]:
+        """Those of ``keys`` the plan has a reader for besides
+        ``running``, the operators of the stage being planned."""
+        readers = self._scopes[session].readers
+        return [key for key in keys if not readers.get(key, running) <= running]
+
+    def reset_plan(self, stored=(), session: str = "") -> list[str]:
+        """An ``execute()`` attempt begins, or the run is over: forget
+        the plan. Returns those of ``stored`` — the keys the finished run
+        put into storage — that are neither its results nor exempt from
+        release; the session drops them."""
+        scope = self._scopes[session]
+        garbage = [key for key in stored if self._freeable(key)
+                   and PLAN_RESULT not in scope.readers.get(key, ())]
+        scope.consumers.clear()
+        scope.readers.clear()
+        return garbage
+
+    def _freeable(self, key: str) -> bool:
+        # Eager engines (``eager_release=False``) pin user-visible
+        # intermediate frames (terminal chunks) but still free internal
+        # stage chunks (map partials, shuffle partitions), like Ray's
+        # reference counting.
+        return key not in self._cache_protected and (
+            self._config.eager_release or not self._terminal.get(key, False))
+
+    def _stop_reading(self, scope: _Scope, done) -> list[str]:
+        """Each ``(reader, keys)`` of ``done`` reads those keys no more:
+        free the ones a stage of this execute consumed and nobody is
+        left to read. Returns the freed keys."""
+        unread: dict[str, None] = {}
+        for reader, keys in done:
+            for key in keys:
+                scope.readers[key].discard(reader)
+                unread[key] = None
+        freed = [key for key in unread
+                 if scope.consumers.get(key, 1) <= 0
+                 and not scope.readers[key] and self._freeable(key)]
         # frees go out batched, but still storage first then shuffle —
         # the LIFECYCLE -> STORAGE / -> SHUFFLE trace edges survive.
         if freed:
@@ -107,9 +139,9 @@ class LifecycleService:
                        dedup_token=None) -> list[str]:
         """One message for a subtask's whole lifecycle epilogue.
 
-        Releases the consumer refcounts its inputs held (freeing what
-        dropped to zero) and records its lineage; returns the freed
-        keys.
+        Releases the consumer refcounts its inputs held, retires its
+        operators as plan readers (freeing what nobody reads any more)
+        and records its lineage; returns the freed keys.
 
         Idempotent under at-least-once delivery: a redelivered message
         (same ``dedup_token``) returns the memoized freed list without
@@ -118,7 +150,13 @@ class LifecycleService:
         seen, memo = self._dedup.check(dedup_token)
         if seen:
             return memo
-        freed = self.release_consumed(subtask.input_keys, session)
+        scope = self._scopes[session]
+        for key in subtask.input_keys:
+            scope.consumers[key] -= 1
+        freed = self._stop_reading(scope, [
+            (chunk.op, [dep.key for dep in chunk.inputs])
+            for chunk in subtask.chunks
+        ])
         self._recovery.record(subtask)
         self._dedup.record(dedup_token, freed)
         return freed
@@ -141,7 +179,7 @@ class LifecycleService:
         tuples. Newly cached chunks become protected from refcount
         frees; chunks the cache evicted for budget lose protection and
         — under eager-release semantics — are deleted outright unless
-        an active stage still retains them.
+        a running plan still reads them.
 
         The dedup token guards this hop *and* is forwarded to
         ``record_many``, so a duplicate on either the client->lifecycle
@@ -181,7 +219,8 @@ class LifecycleService:
         deletable: list[str] = []
         for key in chunk_keys:
             self._cache_protected.discard(key)
-            if eager and not self._retained_anywhere(key):
+            if eager and not any(scope.readers.get(key)
+                                 for scope in self._scopes.values()):
                 deletable.append(key)
         if deletable:
             missing = set(self._storage.missing_keys(deletable))

@@ -31,7 +31,12 @@ from typing import Any
 from ..core.dispatch import SubtaskComputation
 from ..core.operator import ExecContext
 from ..core.opfusion import compile_step, plan_subtask
-from ..engine.base import compiled_fusion_enabled, engine_of, persist_result
+from ..engine.base import (
+    compiled_fusion_enabled,
+    engine_of,
+    is_multi_output,
+    persist_result,
+)
 
 
 def run_subtask_kernels(subtask, inputs: dict[str, Any],
@@ -75,9 +80,7 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
             # downstream ctx.get decodes, storage/wire/sizeof see the
             # encoded value.
             result = persist_result(engine, op, op.execute(ctx))
-            if isinstance(result, dict) and result and all(
-                k in {o.key for o in op.outputs} for k in result
-            ):
+            if is_multi_output(op, result):
                 env.update(result)
             else:
                 env[op.outputs[0].key] = result

@@ -12,18 +12,27 @@ field-for-field.
 
 Floats survive the JSON round-trip exactly (shortest-repr encoding), so
 equality below really is bit-equality.
+
+Each scenario also pins its ``plan``: every tiling *decision* the run
+took (:func:`record_plan`).  A change to fusion, retention or staging
+may move the simulated numbers — and then regenerates this file — but
+must leave the plan section as it was unless it set out to change what
+dynamic tiling decides.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+from collections import Counter
 
 import numpy as np
 
 from repro import frame as pf
 from repro.config import Config
 from repro.core import Session
+from repro.core.tiler import TilingEngine
 from repro.dataframe import from_frame
 from repro.workloads.tpch import ALL_QUERIES, generate_tables
 from repro.workloads.tpch.queries import materialize
@@ -131,8 +140,58 @@ def _dump(report, names: list[str]) -> dict:
     return out
 
 
-def collect_report(session: Session) -> dict:
-    """The simulated numbers of a finished run, JSON-serializable."""
+def _decision(op) -> dict:
+    """What tiling ``op`` decided, read off the chunks it produced.
+
+    The chunk operators between the op's input tileables and its output
+    chunks, counted per class and stage (broadcast vs shuffle join, tree
+    vs shuffle reduce are different censuses), the output chunk counts,
+    and every partitioner's fan-out and boundaries.
+    """
+    inputs = {id(chunk) for dep in op.inputs for chunk in dep.chunks}
+    stack = [chunk for out in op.outputs for chunk in out.chunks]
+    ops: dict[int, object] = {}
+    while stack:
+        chunk = stack.pop()
+        if id(chunk) in inputs or chunk.op is None or id(chunk.op) in ops:
+            continue
+        ops[id(chunk.op)] = chunk.op
+        stack.extend(chunk.op.inputs)
+    census = Counter(
+        type(o).__name__ + (f":{o.stage}" if o.stage else "")
+        for o in ops.values())
+    partitioners = {
+        (type(o).__name__, len(o.outputs), repr(o.boundaries))
+        for o in ops.values() if hasattr(o, "boundaries")}
+    return {
+        "op": type(op).__name__,
+        "chunks": [len(out.chunks) for out in op.outputs],
+        "chunk_ops": dict(sorted(census.items())),
+        "partitioners": sorted(partitioners),
+    }
+
+
+@contextlib.contextmanager
+def record_plan():
+    """Collect one :func:`_decision` per tileable operator, in tiling
+    order, for as long as the context is open."""
+    plan: list[dict] = []
+    attach = TilingEngine._attach_outputs
+
+    def recording(self, op, tile_result):
+        attach(self, op, tile_result)
+        plan.append(_decision(op))
+
+    TilingEngine._attach_outputs = recording
+    try:
+        yield plan
+    finally:
+        TilingEngine._attach_outputs = attach
+
+
+def collect_report(session: Session, plan=()) -> dict:
+    """The simulated numbers of a finished run (and the ``plan`` a
+    :func:`record_plan` around it collected), JSON-serializable."""
     fields = golden_fields()
     return {
         "sim": _dump(session.executor.report, fields["sim"]),
@@ -141,6 +200,7 @@ def collect_report(session: Session) -> dict:
             (e.point, e.stage, e.priority)
             for e in session.cluster.faults.events
         ],
+        "plan": list(plan),
     }
 
 
@@ -182,6 +242,6 @@ def scenarios() -> list[tuple[str, dict]]:
 def run_scenario(spec: dict) -> dict:
     spec = dict(spec)
     workload, _ = WORKLOADS[spec.pop("workload")]
-    with make_session(**spec) as session:
+    with make_session(**spec) as session, record_plan() as plan:
         workload(session)
-        return collect_report(session)
+        return collect_report(session, plan)

@@ -325,6 +325,11 @@ class TestChaosMatrix:
         """Memory squeezes + chunk loss under a budget tight enough that
         admission backpressure and the OOM ladder actually fire: results
         still match the fault-free run and both modes stay bit-identical.
+
+        128 KiB a worker: at 192 the shuffle workload stopped waiting
+        once each mapper ran once (its 16 partitions are one subtask's
+        working set, not 16 subtasks' each re-reading the map chunk);
+        backpressure is back from 160 KiB down, 128 leaves margin.
         """
         workload, overrides = WORKLOADS[name]
         chaos = dict(CHAOS)
@@ -334,7 +339,7 @@ class TestChaosMatrix:
         results, reports, pressured = {}, {}, {}
         for mode in (False, True):
             with make_session(parallel=mode, faults=chaos,
-                              memory_limit=192 * 1024,
+                              memory_limit=128 * 1024,
                               **overrides) as session:
                 results[mode] = workload(session)
                 reports[mode] = report_tuple(session)

@@ -157,3 +157,151 @@ class TestOperatorFusionPlan:
         inputs, outputs = step_io_keys([a, b])
         assert inputs == {ext.key}
         assert outputs == {b.key}  # a is an invisible intermediate
+
+
+# ---------------------------------------------------------------------------
+# sibling fusion: the outputs of one operator instance are adjacent
+# ---------------------------------------------------------------------------
+
+def make_outputs(inputs, n_outputs, idx):
+    """One operator instance with ``n_outputs`` output chunks."""
+    return PlainOp().new_chunks(inputs, [
+        {"kind": "tensor", "shape": (1,), "index": (idx, r)}
+        for r in range(n_outputs)
+    ])
+
+
+def graph_of(*chunks):
+    """The DAG over ``chunks`` with the edges their ops' inputs imply."""
+    graph = DAG()
+    for chunk in chunks:
+        graph.add_node(chunk)
+    for chunk in chunks:
+        for dep in chunk.inputs:
+            if dep in graph:
+                graph.add_edge(dep, chunk)
+    return graph
+
+
+def shuffle_stage(n_mappers, n_reducers, stored_inputs):
+    """Mappers with one partition per reducer, reducers reading a column
+    of partitions; the mappers' inputs are in the graph or already
+    stored (so a mapper node has no predecessor at all)."""
+    sources = [make_chunk(PlainOp, [], m) for m in range(n_mappers)]
+    mappers = [make_outputs([src], n_reducers, m)
+               for m, src in enumerate(sources)]
+    reducers = [make_chunk(PlainOp, [parts[r] for parts in mappers], r)
+                for r in range(n_reducers)]
+    nodes = [c for parts in mappers for c in parts] + reducers
+    if not stored_inputs:
+        nodes = sources + nodes
+    return graph_of(*nodes), sources, mappers, reducers
+
+
+def group_index(groups):
+    return {chunk.key: gid for gid, group in enumerate(groups)
+            for chunk in group}
+
+
+class TestSiblingFusion:
+    def test_stored_input_mapper_is_one_subtask(self):
+        # the case the shared-predecessor coloring missed: with the
+        # mapper's input stored there is no predecessor to inherit from.
+        graph, _, mappers, reducers = shuffle_stage(4, 3, stored_inputs=True)
+        groups = fusion_groups(graph)
+        assert len(groups) == len(mappers) + len(reducers)
+        where = group_index(groups)
+        for parts in mappers:
+            assert len({where[c.key] for c in parts}) == 1
+
+    def test_mapper_fuses_with_its_input_chain(self):
+        graph, sources, mappers, reducers = shuffle_stage(
+            4, 3, stored_inputs=False)
+        groups = fusion_groups(graph)
+        assert len(groups) == len(mappers) + len(reducers)
+        where = group_index(groups)
+        for src, parts in zip(sources, mappers):
+            assert {where[c.key] for c in parts} == {where[src.key]}
+
+    def test_separation_pass_moves_siblings_together(self):
+        # a feeds both outputs of one op and a join with another source:
+        # step 3 splits the op off a, as one unit.
+        a = make_chunk(PlainOp, [], 0)
+        s = make_chunk(PlainOp, [], 1)
+        x1, x2 = make_outputs([a], 2, 2)
+        j = make_chunk(PlainOp, [a, s], 3)
+        graph = graph_of(a, s, x1, x2, j)
+        color = color_chunk_graph(graph)
+        assert color[x1.key] == color[x2.key] != color[a.key]
+        where = group_index(fusion_groups(graph))
+        assert where[x1.key] == where[x2.key] != where[a.key]
+
+    def test_no_fusion_baseline_still_runs_an_op_once(self):
+        graph, _, mappers, reducers = shuffle_stage(3, 4, stored_inputs=True)
+        groups = singleton_groups(graph)
+        assert len(groups) == len(mappers) + len(reducers)
+        assert sorted(map(len, groups)) == [1] * 4 + [4] * 3
+
+    def test_unread_and_kept_outputs_are_stored(self):
+        from repro.graph.subtask import build_subtask_graph
+
+        # this graph reads partition 0 only; partition 1 has no consumer
+        # here but is stored all the same (a later stage reads it).
+        src = make_chunk(PlainOp, [], 0)
+        p0, p1 = make_outputs([src], 2, 1)
+        reducer = make_chunk(PlainOp, [p0], 2)
+        graph = graph_of(src, p0, p1, reducer)
+        groups = fusion_groups(graph)
+        (subtask,) = build_subtask_graph(graph, groups).nodes()
+        assert subtask.output_keys == [p1.key, reducer.key]
+        # the plan reads src again after this graph: it is stored too.
+        (subtask,) = build_subtask_graph(
+            graph, groups, keep={src.key}).nodes()
+        assert subtask.output_keys == [src.key, p1.key, reducer.key]
+
+    def test_closure_of_one_output_holds_its_siblings(self):
+        from repro.core.tiler import chunk_closure
+
+        src = make_chunk(PlainOp, [], 0)
+        p0, p1, p2 = make_outputs([src], 3, 1)
+        reducer = make_chunk(PlainOp, [p0], 2)
+        graph = chunk_closure([reducer], lambda key: False)
+        assert {c.key for c in graph.nodes()} == {
+            c.key for c in (src, p0, p1, p2, reducer)}
+        # told what the plan reads, it leaves the unread sibling out
+        # (the Q blocks of a QR asked for R alone).
+        graph = chunk_closure([reducer], lambda key: False,
+                              {p1.key}.__contains__)
+        assert {c.key for c in graph.nodes()} == {
+            c.key for c in (src, p0, p1, reducer)}
+        # a stored sibling is a source node: present, not expanded.
+        graph = chunk_closure([reducer], {p0.key, p1.key}.__contains__)
+        assert {c.key for c in graph.nodes()} == {
+            c.key for c in (p0, reducer)}
+
+    def test_shuffle_stage_runs_mappers_plus_reducers(self):
+        from repro.core.executor import GraphExecutor
+        from tests.core.golden_harness import (
+            WORKLOADS, make_session, record_plan)
+
+        workload, overrides = WORKLOADS["groupby_shuffle"]
+        stages = []
+        execute = GraphExecutor.execute
+
+        def logging(self, *args, **kwargs):
+            stages.append(execute(self, *args, **kwargs))
+            return stages[-1]
+
+        GraphExecutor.execute = logging
+        try:
+            with make_session(**overrides) as session, record_plan() as plan:
+                workload(session)
+        finally:
+            GraphExecutor.execute = execute
+        groupby = plan[-1]
+        mappers = groupby["chunk_ops"]["GroupByPartition"]
+        reducers = groupby["chunk_ops"]["GroupByAgg:reduce"]
+        assert mappers > 1 and reducers > 1
+        # the map chunks ran in the yields before: the last stage is the
+        # shuffle alone, one subtask per mapper and one per reducer.
+        assert stages[-1].n_subtasks == mappers + reducers

@@ -105,14 +105,6 @@ class TestWarmReuse:
                 assert (cold, report.n_subtasks,
                         report.cache_hit_chunks) == base
 
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "core/fusion.py fuses the sibling outputs of a multi-output "
-        "operator only through a shared predecessor: once a shuffle "
-        "mapper's input is already stored (cache-pinned, or materialized "
-        "by a dynamic-tiling yield) every MergePartition output becomes "
-        "its own subtask - 1,243 subtasks cached vs 212 uncached here "
-        "(ROADMAP items 1 and 2)"))
     def test_cached_q3_runs_no_more_subtasks_than_uncached(self):
         tables = generate_tables(1.0, 1)
         nbytes = sum(frame.nbytes for frame in tables.values())

@@ -9,6 +9,7 @@ workload completes with results identical to a fault-free run and
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ class _FakeSubtask:
     def __init__(self, input_keys, output_keys):
         self.input_keys = list(input_keys)
         self.output_keys = list(output_keys)
+        # one operator reading every input (the lifecycle epilogue
+        # retires a subtask's operators as readers of their inputs).
+        self.chunks = [SimpleNamespace(
+            op=object(),
+            inputs=[SimpleNamespace(key=key) for key in input_keys])]
         self.stage_index = 0
         self.priority = 0
 
@@ -204,7 +210,7 @@ class TestIdempotentEndpoints:
             ResultCacheService(storage, Config()))
         storage.put("in-a", np.ones(4), worker)
         # two consumers hold the input; one finish releases one of them.
-        lifecycle.begin_stage({"in-a": 2}, retain=set())
+        lifecycle.begin_stage({"in-a": 2})
         subtask = _FakeSubtask(["in-a"], ["out-a"])
         token = ("session-1", 3)
         freed = lifecycle.finish_subtask(subtask, dedup_token=token)

@@ -50,6 +50,20 @@ class TestSingleKeyAgg:
         assert out.index.to_list() == ["a", "b", "c"]
         assert out["v"].to_list() == [6.0, 4.0, 5.0]
 
+    def test_tuple_and_wide_int_keys_stay_cells(self):
+        # equal-length tuple keys must not become a 2-D index (building
+        # it used to raise "columns must be 1-D"), and an int past 64
+        # bits must not be forced into int64 (OverflowError).
+        tuples = pf.DataFrame({"v": [1.0, 2.0, 3.0]})
+        tuples["k"] = pf.dtypes.object_array([(1, "x"), (1, "y"), (1, "x")])
+        out = tuples.groupby("k").agg({"v": "sum"})
+        assert out.index.values.shape == (2,)
+        assert out["v"].to_list() == [4.0, 2.0]
+        wide = pf.DataFrame({"v": [1.0, 2.0]})
+        wide["k"] = pf.dtypes.object_array([2 ** 70, 1])
+        assert wide.groupby("k").agg({"v": "sum"}).index.to_list() == [
+            1, 2 ** 70]
+
     def test_agg_string_applies_to_all_values(self, df):
         out = df.groupby("k").agg("sum")
         assert set(out.columns.to_list()) == {"k2", "v", "w"}

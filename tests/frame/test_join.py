@@ -65,6 +65,14 @@ class TestLeftRightOuter:
         with pytest.raises(ValueError):
             left.merge(right, on="k", how="cross")
 
+    @pytest.mark.parametrize("how", ["left", "outer"])
+    def test_empty_right_side_fills_every_row(self, left, right, how):
+        # nothing to gather from: every right cell is the NA marker (this
+        # used to index into the empty column and raise IndexError).
+        out = left.merge(right.iloc[:0], on="k", how=how)
+        assert out["lv"].to_list() == ["a", "b", "c", "d"]
+        assert np.isnan(np.asarray(out["rv"].values, float)).all()
+
 
 class TestKeysAndSuffixes:
     def test_left_on_right_on(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.config import Config
 from repro.core import Session, auto_rechunk, fusion_groups
-from repro.core.fusion import color_chunk_graph
+from repro.core.fusion import color_chunk_graph, singleton_groups
 from repro.dataframe import from_frame
 from repro import frame as pf
 from repro.frame import dtypes
@@ -290,7 +290,8 @@ class TestAutoRechunkProperties:
 
 @st.composite
 def random_dags(draw):
-    """Random chunk DAGs via random predecessor selection."""
+    """Random chunk DAGs via random predecessor selection; about one
+    operator in three has several output chunks (a shuffle mapper)."""
     from repro.core.operator import Operator
     from repro.graph import DAG, ChunkData
 
@@ -308,12 +309,15 @@ def random_dags(draw):
                           max_size=n_preds, unique=True))
             if chunks and n_preds else []
         )
-        op = AnyOp()
-        chunk = op.new_chunk(preds, "tensor", (1,), (i,))
-        graph.add_node(chunk)
-        for p in preds:
-            graph.add_edge(p, chunk)
-        chunks.append(chunk)
+        n_outputs = draw(st.sampled_from([1, 1, 1, 1, 2, 3]))
+        for chunk in AnyOp().new_chunks(preds, [
+            {"kind": "tensor", "shape": (1,), "index": (i, r)}
+            for r in range(n_outputs)
+        ]):
+            graph.add_node(chunk)
+            for p in preds:
+                graph.add_edge(p, chunk)
+            chunks.append(chunk)
     return graph
 
 
@@ -334,6 +338,17 @@ class TestFusionProperties:
         groups = fusion_groups(graph)
         subtask_graph = build_subtask_graph(graph, groups)
         subtask_graph.topological_order()  # raises GraphError on a cycle
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_dags())
+    def test_operator_outputs_share_a_subtask(self, graph):
+        """One operator instance, one subtask — with and without fusion,
+        and after whatever the convexity repair had to dissolve."""
+        for groups in (fusion_groups(graph), singleton_groups(graph)):
+            owner = {}
+            for gid, group in enumerate(groups):
+                for chunk in group:
+                    assert owner.setdefault(id(chunk.op), gid) == gid
 
     @settings(max_examples=60, deadline=None)
     @given(random_dags())
