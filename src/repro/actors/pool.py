@@ -203,3 +203,6 @@ class ActorSystem:
     def shutdown(self) -> None:
         for address in list(self._pools):
             self.stop_pool(address)
+        if self.supervisor is not None:  # and it refers back to this system
+            self.supervisor.release()
+            self.supervisor = None

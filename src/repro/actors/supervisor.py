@@ -78,6 +78,16 @@ class Supervisor:
         with self._lock:
             self._registry.pop(uid, None)
 
+    def release(self) -> None:
+        """Forget every registration: the system has shut down and nothing
+        can be respawned.  The factories close over the service objects,
+        which hold the cluster, which holds the system that holds this
+        supervisor — dropping them here is what lets a closed session's
+        cluster, and the chunks its services still reference, be freed by
+        reference counting alone."""
+        with self._lock:
+            self._registry.clear()
+
     def supervised(self) -> list[str]:
         with self._lock:
             return list(self._registry)

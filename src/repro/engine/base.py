@@ -22,6 +22,15 @@ Every engine distinguishes two value spaces:
   default :class:`~repro.engine.row.RowEngine` both maps are the
   identity, so the row backend is bit-identical to the pre-seam engine.
 
+A logical value may carry its physical encoding along: the columnar
+``compute`` hands kernels string columns as
+:class:`repro.frame.dtypes.DictArray` — real cells that still know
+their ``(categories, codes)`` — so kernels that move rows move codes,
+kernels that group, join or sort read codes, and ``persist`` of a column
+that still knows its dictionary is an integer compaction, not a hash of
+every cell.  Any kernel that ignores the encoding sees an ordinary
+object array and its result simply arrives at ``persist`` without one.
+
 Accounting follows the split: ``sizeof`` (storage tiers, shuffle/wire
 byte counters) charges the *physical* value — a columnar chunk pays its
 dictionary-encoded size, which is what actually travels — while meta

@@ -20,7 +20,12 @@ Everything observable except byte counters is backend-invariant:
 
 - **values** — ``compute(persist(v))`` reproduces ``v`` exactly
   (``frame.groupby.factorize_cells`` is lossless; ``categories[codes]``
-  is the original column).
+  is the original column).  ``compute`` hands kernels that column as a
+  ``frame.dtypes.DictArray`` — real cells that still know their
+  dictionary — and ``persist`` of a column that still knows it is an
+  integer compaction to the entries in use: the ``DictColumn`` a fresh
+  encode would build, without hashing a cell.  Only columns that arrive
+  without one (sources, UDF outputs) are hashed.
 - **hash draws** — string keys are hashed by *decoded value*:
   ``hash_array(categories)[codes]`` equals the elementwise FNV-1a hash
   of the decoded column because elementwise maps commute with gathers.
@@ -50,7 +55,7 @@ from .partition import (
     assign_range_partitions,
     split_by_assignment,
 )
-from ..frame import DataFrame, Series
+from ..frame import DataFrame, Series, dtypes
 from ..frame.groupby import factorize_cells
 from ..utils import register_sizeof
 
@@ -88,17 +93,28 @@ class DictColumn:
         return self.categories.dtype
 
     def decode(self) -> np.ndarray:
-        return self.categories[self.codes]
+        """The logical column: real cells, the dictionary riding along."""
+        return dtypes.encoded(self.categories, self.codes)
 
     def take(self, indexer: np.ndarray) -> "DictColumn":
         # categories are shared, never copied, across gathers/splits.
         return DictColumn(self.categories, self.codes[indexer])
 
+    def compacted(self) -> "DictColumn":
+        """Down to the categories in use: the bytes charged are the bytes
+        that travel, and the column equals a fresh encode of its cells."""
+        return DictColumn(*dtypes.compact_dictionary(self.categories,
+                                                     self.codes))
+
 
 def encode_column(arr: np.ndarray) -> Union[np.ndarray, DictColumn]:
-    """Dictionary-encode an all-string object column; pass others raw."""
-    if arr.dtype.kind != "O":
+    """Dictionary-encode an all-string object column; pass others raw.
+    Cells are hashed only when the column arrives without a dictionary."""
+    if arr.dtype.kind != "O" or arr.size == 0:
         return arr
+    dictionary = dtypes.dictionary_of(arr)
+    if dictionary is not None:
+        return DictColumn(*dictionary).compacted()
     cells = arr.tolist()
     if set(map(type, cells)) != {str}:
         return arr
@@ -108,6 +124,14 @@ def encode_column(arr: np.ndarray) -> Union[np.ndarray, DictColumn]:
 
 def decode_column(col: Union[np.ndarray, DictColumn]) -> np.ndarray:
     return col.decode() if isinstance(col, DictColumn) else col
+
+
+def _column_nbytes(col, logical: bool = False) -> int:
+    """Physical bytes of a column, or those of its decoded row-space twin."""
+    if not isinstance(col, DictColumn):
+        return _array_nbytes(col)
+    return (len(col) * _OBJ_ITEM_BYTES + _OBJ_BASE_BYTES if logical
+            else col.nbytes)
 
 
 class ColumnarFrame:
@@ -137,12 +161,8 @@ class ColumnarFrame:
 
     @property
     def nbytes(self) -> int:
-        total = self._index.nbytes + 64
-        for name in self._columns:
-            total += self._data[name].nbytes if isinstance(
-                self._data[name], DictColumn
-            ) else _array_nbytes(self._data[name])
-        return total
+        return self._index.nbytes + 64 + sum(
+            _column_nbytes(self._data[name]) for name in self._columns)
 
     @property
     def logical_nbytes(self) -> int:
@@ -155,14 +175,9 @@ class ColumnarFrame:
         numbers the row engine would show it.  Storage/wire accounting
         (``utils.sizeof``) stays physical and keeps the dictionary win.
         """
-        total = self._index.nbytes + 64
-        for name in self._columns:
-            col = self._data[name]
-            if isinstance(col, DictColumn):
-                total += len(col) * _OBJ_ITEM_BYTES + _OBJ_BASE_BYTES
-            else:
-                total += _array_nbytes(col)
-        return total
+        return self._index.nbytes + 64 + sum(
+            _column_nbytes(self._data[name], logical=True)
+            for name in self._columns)
 
     def decode(self) -> DataFrame:
         data = {name: decode_column(self._data[name])
@@ -199,22 +214,13 @@ class ColumnarSeries:
 
     @property
     def nbytes(self) -> int:
-        if isinstance(self._values, DictColumn):
-            values_nbytes = self._values.nbytes
-        else:
-            values_nbytes = _array_nbytes(self._values)
-        return self._index.nbytes + values_nbytes + 32
+        return self._index.nbytes + _column_nbytes(self._values) + 32
 
     @property
     def logical_nbytes(self) -> int:
         """Decoded row-space size (mirrors ``Series.nbytes``); see
         :attr:`ColumnarFrame.logical_nbytes`."""
-        if isinstance(self._values, DictColumn):
-            values_nbytes = (len(self._values) * _OBJ_ITEM_BYTES
-                             + _OBJ_BASE_BYTES)
-        else:
-            values_nbytes = _array_nbytes(self._values)
-        return self._index.nbytes + values_nbytes
+        return self._index.nbytes + _column_nbytes(self._values, logical=True)
 
     def decode(self) -> Series:
         return Series(decode_column(self._values), index=self._index,
@@ -314,9 +320,8 @@ class ColumnarEngine(ChunkEngine):
         order = np.argsort(assignment, kind="stable")
         sorted_assign = assignment[order]
         bounds = np.searchsorted(sorted_assign, np.arange(n_parts + 1))
+        # ``take`` gathers an ndarray's rows or a DictColumn's codes
         gathered = {name: value._data[name].take(order)
-                    if isinstance(value._data[name], DictColumn)
-                    else value._data[name][order]
                     for name in value._columns}
         parts: list[ColumnarFrame] = []
         for r in range(n_parts):
@@ -325,15 +330,10 @@ class ColumnarEngine(ChunkEngine):
             for name, col in gathered.items():
                 if isinstance(col, DictColumn):
                     # each partition is an independent chunk headed to
-                    # its own reducer: compact its dictionary to the
-                    # categories it actually uses, so storage/wire are
-                    # charged what genuinely travels — not one full
-                    # dictionary per partition. ``used`` is sorted, so
-                    # the compacted categories stay sorted-unique.
-                    used, codes = np.unique(col.codes[lo:hi],
-                                            return_inverse=True)
-                    data[name] = DictColumn(col.categories[used],
-                                            codes.astype(np.int32))
+                    # its own reducer: storage/wire are charged the
+                    # categories it uses, not one full dictionary each.
+                    data[name] = DictColumn(col.categories,
+                                            col.codes[lo:hi]).compacted()
                 else:
                     data[name] = col[lo:hi]
             index = value._index.take(order[lo:hi])

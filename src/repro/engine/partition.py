@@ -72,11 +72,13 @@ def split_by_assignment(frame: DataFrame, assignment: np.ndarray,
     order = np.argsort(assignment, kind="stable")
     sorted_assign = assignment[order]
     bounds = np.searchsorted(sorted_assign, np.arange(n_parts + 1))
-    gathered = {name: frame._data[name][order] for name in frame._columns}
+    gathered = {name: dtypes.take(frame._data[name], order)
+                for name in frame._columns}
     parts: list[DataFrame] = []
     for r in range(n_parts):
         lo, hi = int(bounds[r]), int(bounds[r + 1])
-        data = {name: arr[lo:hi] for name, arr in gathered.items()}
+        data = {name: dtypes.take(arr, slice(lo, hi))
+                for name, arr in gathered.items()}
         index = frame.index.take(order[lo:hi])
         parts.append(DataFrame._new(data, index, list(frame._columns)))
     return parts

@@ -32,9 +32,22 @@ def concat(objs: Sequence, axis: int = 0, ignore_index: bool = False):
     return _concat_rows(frames, ignore_index=ignore_index)
 
 
+def _concat_values(pieces: list[np.ndarray]) -> np.ndarray:
+    """One owned column out of same-dtype pieces.  When every piece that
+    has rows is encoded, so is the result: the dictionaries are merged
+    (O(uniques)) and the codes remapped, no cell is hashed."""
+    values = np.concatenate(pieces)
+    filled = [piece for piece in pieces if len(piece)]
+    if filled and all(map(dtypes.dictionary_of, filled)):
+        categories, codes = dtypes.union_dictionaries(filled)
+        return dtypes.encoded(categories, np.concatenate(codes), cells=values)
+    return values
+
+
 def _concat_series(series_list: Sequence[Series], ignore_index: bool) -> Series:
     dtype = dtypes.common_dtype([s.dtype for s in series_list])
-    values = np.concatenate([s.values.astype(dtype) for s in series_list])
+    values = _concat_values(
+        [s.values.astype(dtype, copy=False) for s in series_list])
     if ignore_index:
         index = default_index(len(values))
     else:
@@ -77,11 +90,11 @@ def _concat_rows(frames: Sequence[DataFrame], ignore_index: bool) -> DataFrame:
             dtype = np.dtype(np.float64)
         for frame in non_empty:
             if name in frame._data:
-                pieces.append(frame._data[name].astype(dtype))
+                pieces.append(frame._data[name].astype(dtype, copy=False))
             else:
                 fill = dtypes.na_value_for(dtype)
                 pieces.append(np.full(len(frame), fill, dtype=dtype))
-        data[name] = np.concatenate(pieces) if pieces else np.empty(0)
+        data[name] = _concat_values(pieces)
         if len(data[name]) != total:
             raise AssertionError("concat length bookkeeping error")
     if ignore_index:

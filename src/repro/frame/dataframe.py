@@ -91,9 +91,10 @@ class _Loc:
             return Series(values, index=Index(dtypes.object_array(col_names)),
                           name=rows)
         if isinstance(cols, str):
-            return Series(frame._data[cols][indexer],
+            return Series(dtypes.take(frame._data[cols], indexer),
                           index=frame.index.take(indexer), name=cols)
-        data = {name: frame._data[name][indexer] for name in col_names}
+        data = {name: dtypes.take(frame._data[name], indexer)
+                for name in col_names}
         return DataFrame(data, index=frame.index.take(indexer), columns=col_names)
 
     def __setitem__(self, item, value):
@@ -317,7 +318,8 @@ class DataFrame:
         if len(mask) != len(self):
             raise ValueError("boolean mask length mismatch")
         indexer = np.flatnonzero(mask)
-        data = {name: self._data[name][indexer] for name in self._columns}
+        data = {name: dtypes.take(self._data[name], indexer)
+                for name in self._columns}
         return DataFrame._new(data, self._index.take(indexer),
                               list(self._columns))
 

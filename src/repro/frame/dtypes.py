@@ -22,6 +22,106 @@ import numpy as np
 _is_none = partial(operator.is_, None)
 
 
+class DictArray(np.ndarray):
+    """An object column of ``str`` cells that may remember its dictionary.
+
+    ``categories`` are the sorted distinct cells (a plain object array)
+    and ``codes`` the ``int32`` position of every row in them, so
+    ``categories[codes]`` equals the cells.  The cells are real, which is
+    what keeps the encoding a pure optimization: a kernel that has never
+    heard of it computes with an object array.  Three rules keep the
+    dictionary honest —
+
+    - **gathers keep it**: :func:`take` moves the codes with the cells;
+    - **consumers use it**: grouping, joining, sorting, the NA census and
+      the columnar engine's ``persist`` read :func:`dictionary_of` and
+      hash no cell;
+    - **everyone else drops it**: whatever NumPy derives from the array
+      (a copy excepted) starts without one, and writing into the array,
+      or into a slice of it, forgets it.  Nothing in ``repro.frame``
+      writes into a column in place; a mutation that bypasses
+      ``__setitem__`` (``sort()``, ``+=``, a write through
+      ``np.asarray(column)``) is not seen.
+    """
+
+    categories = None
+    codes = None
+
+    def __setitem__(self, item, value):
+        owner = self
+        while isinstance(owner, DictArray):  # a slice writes its base's cells
+            owner.categories = owner.codes = None
+            owner = owner.base
+        super().__setitem__(item, value)
+
+    def copy(self, order="C"):
+        out = super().copy(order)
+        if self.categories is not None:  # categories are never written
+            out.categories, out.codes = self.categories, self.codes.copy()
+        return out
+
+    def __reduce__(self):  # crosses a process boundary as the plain cells
+        return self.view(np.ndarray).__reduce__()
+
+
+def encoded(categories: np.ndarray, codes: np.ndarray,
+            cells: np.ndarray | None = None) -> DictArray:
+    """The column ``categories[codes]`` (``cells``, when the caller has
+    them already), remembering both."""
+    out = (categories[codes] if cells is None else cells).view(DictArray)
+    out.categories, out.codes = categories, codes
+    return out
+
+
+def dictionary_of(arr: np.ndarray):
+    """``(categories, codes)`` of a column that still knows them, else
+    ``None`` — the one type check a kernel pays per column."""
+    if type(arr) is DictArray and arr.categories is not None:
+        return arr.categories, arr.codes
+    return None
+
+
+def take(arr: np.ndarray, rows) -> np.ndarray:
+    """``arr[rows]`` for a slice, mask or integer indexer; an encoded
+    column's codes move with its cells."""
+    out = arr[rows]
+    if type(arr) is DictArray and arr.categories is not None:
+        out.categories, out.codes = arr.categories, arr.codes[rows]
+    return out
+
+
+def compact_dictionary(categories: np.ndarray,
+                       codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dictionary cut down to the entries ``codes`` uses — what a
+    fresh encode of the same cells would build — in integer work only."""
+    used = np.zeros(len(categories), dtype=bool)
+    used[codes] = True
+    if used.all():
+        return categories, codes
+    position = np.cumsum(used, dtype=np.int32) - 1
+    return categories[used], position[codes]
+
+
+def union_dictionaries(columns: list) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One dictionary for several encoded columns: the sorted union of
+    their categories and each column's codes into it.  Hashes the
+    categories (O(uniques)), never a row."""
+    dictionaries = [dictionary_of(col) for col in columns]
+    first = dictionaries[0][0]
+    if all(categories is first or np.array_equal(categories, first)
+           for categories, _ in dictionaries):
+        return first, [codes for _, codes in dictionaries]
+    merged = sorted(set().union(*(categories.tolist()
+                                  for categories, _ in dictionaries)))
+    position = dict(zip(merged, range(len(merged))))
+    union = np.array(merged, dtype=object)
+    return union, [
+        np.fromiter(map(position.__getitem__, categories.tolist()),
+                    dtype=np.int32, count=len(categories))[codes]
+        for categories, codes in dictionaries
+    ]
+
+
 def object_array(values: Iterable) -> np.ndarray:
     """A 1-D object array of arbitrary items — safe for tuples, which
     ``np.array`` would otherwise turn into extra dimensions."""
@@ -83,6 +183,8 @@ def isna_array(arr: np.ndarray) -> np.ndarray:
     if arr.dtype.kind == "M":
         return np.isnat(arr)
     if arr.dtype == object:
+        if dictionary_of(arr) is not None:  # every cell is a str
+            return np.zeros(len(arr), dtype=bool)
         # the type census picks the passes: an all-``str`` column pays for
         # neither, and no cell kind is looked at in the interpreter.
         cells = arr.tolist()

@@ -7,6 +7,7 @@ what the engine can distribute.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,8 +32,14 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(codes, uniques)`` with uniques in sorted order, so equal key
     sets factorize identically on every chunk — a property the distributed
-    shuffle relies on.
+    shuffle relies on.  An encoded column's codes are compacted, not its
+    cells hashed, and its uniques come back encoded.
     """
+    dictionary = dtypes.dictionary_of(values)
+    if dictionary is not None:
+        uniques, codes = dtypes.compact_dictionary(*dictionary)
+        return codes.astype(np.int64), dtypes.encoded(
+            uniques, np.arange(len(uniques), dtype=np.int32))
     present = ~dtypes.isna_array(values)
     codes = np.full(len(values), -1, dtype=np.int64)
     if dtypes.is_object(values.dtype):
@@ -78,6 +85,12 @@ class Grouper:
             codes, uniques = factorize(arr)
             codes_list.append(codes)
             uniques_list.append(uniques)
+        if len(key_arrays) == 1:
+            # a lone key's codes are dense and in sorted-key order already
+            self.codes, self.n_groups = codes_list[0], len(uniques_list[0])
+            #: per key, the label of each dense group id
+            self.levels: list[np.ndarray] = uniques_list
+            return
         combined = codes_list[0].copy()
         valid = codes_list[0] >= 0
         for codes, uniques in zip(codes_list[1:], uniques_list[1:]):
@@ -96,17 +109,31 @@ class Grouper:
             rest, part = np.divmod(rest, len(uniques))
             parts.append(part)
         parts.append(rest)
-        self.group_keys: list[tuple] = list(zip(
-            *(uniques[part] for uniques, part in zip(uniques_list, reversed(parts)))
-        ))
+        self.levels = [
+            dtypes.take(uniques, part)
+            for uniques, part in zip(uniques_list, reversed(parts))
+        ]
+
+    @cached_property
+    def group_keys(self) -> list[tuple]:
+        return list(zip(*self.levels))
+
+    def key_columns(self) -> list[np.ndarray]:
+        """The group labels as one column per key: a lone key tightened
+        like any aggregate, several keys as the cells of their tuples.
+        A level is a column of cells already unless it is typed (cells
+        are its NumPy scalars) or 2-D (equal-length tuple keys: its rows)
+        — then iterating it yields them."""
+        cells = [level if dtypes.is_object(level.dtype) and level.ndim == 1
+                 else np.fromiter(level, dtype=object, count=len(level))
+                 for level in self.levels]
+        return [_maybe_tighten(cells[0])] if len(cells) == 1 else cells
 
     def result_index(self) -> Index:
-        if len(self.key_names) == 1:
-            # fromiter, not np.array: equal-length tuple keys stay cells
-            values = np.fromiter((k[0] for k in self.group_keys),
-                                 dtype=object, count=len(self.group_keys))
-            return Index(_maybe_tighten(values), name=self.key_names[0])
-        return MultiIndex(self.group_keys, names=self.key_names)
+        columns = self.key_columns()
+        if len(columns) == 1:
+            return Index(columns[0], name=self.key_names[0])
+        return MultiIndex(zip(*columns), names=self.key_names)
 
     def sorted_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """Row order grouping equal keys together, plus group boundaries.
@@ -274,15 +301,9 @@ class DataFrameGroupBy:
             data[out_name] = _aggregate_column(
                 self._frame._data[col], order, starts, how
             )
-        result_index = self._grouper.result_index()
         if self.as_index:
-            return DataFrame(data, index=result_index)
-        out: dict = {}
-        if isinstance(result_index, MultiIndex):
-            for level, name in enumerate(self._key_names):
-                out[name] = result_index.get_level_values(level).values
-        else:
-            out[self._key_names[0]] = result_index.values
+            return DataFrame(data, index=self._grouper.result_index())
+        out = dict(zip(self._key_names, self._grouper.key_columns()))
         out.update(data)
         return DataFrame(out)
 
@@ -358,9 +379,8 @@ class DataFrameGroupBy:
     def __iter__(self):
         order, starts = self._grouper.sorted_layout()
         bounds = np.append(starts, len(order))
-        for g in range(self._grouper.n_groups):
+        for g, key in enumerate(self._grouper.group_keys):
             rows = order[starts[g]:bounds[g + 1]]
-            key = self._grouper.group_keys[g]
             yield (key[0] if len(key) == 1 else key), self._frame.iloc[rows]
 
 

@@ -18,8 +18,10 @@ from . import dtypes
 def take_rows(arr: np.ndarray, rows) -> np.ndarray:
     """``arr[rows]`` as an array the result owns: a basic slice is a view,
     so it is copied — a stored source chunk aliasing the client's frame
-    would change under its result-cache identity on an in-place write."""
-    return arr[rows].copy() if isinstance(rows, slice) else arr[rows]
+    would change under its result-cache identity on an in-place write.
+    An encoded column's dictionary moves with the rows."""
+    out = dtypes.take(arr, rows)
+    return out.copy() if isinstance(rows, slice) else out
 
 
 class Index:

@@ -127,10 +127,13 @@ def _encode_keys(left_arrays: Sequence[np.ndarray],
     valid_l = np.ones(len(codes_l), dtype=bool)
     valid_r = np.ones(len(codes_r), dtype=bool)
     for la, ra in zip(left_arrays, right_arrays):
-        dtype = dtypes.common_dtype([la.dtype, ra.dtype])
-        both = np.concatenate([la.astype(dtype), ra.astype(dtype)])
-        codes, uniques = factorize(both)
-        cl, cr = codes[: len(la)], codes[len(la):]
+        if dtypes.dictionary_of(la) and dtypes.dictionary_of(ra):
+            uniques, (cl, cr) = dtypes.union_dictionaries([la, ra])
+        else:
+            dtype = dtypes.common_dtype([la.dtype, ra.dtype])
+            both = np.concatenate([la.astype(dtype), ra.astype(dtype)])
+            codes, uniques = factorize(both)
+            cl, cr = codes[: len(la)], codes[len(la):]
         valid_l &= cl >= 0
         valid_r &= cr >= 0
         codes_l = codes_l * (len(uniques) + 1) + np.maximum(cl, 0)
@@ -197,7 +200,7 @@ def _take_with_na(values: np.ndarray, indexer: np.ndarray) -> np.ndarray:
         return values[:0]
     missing = indexer < 0
     if not missing.any():
-        return values[indexer]
+        return dtypes.take(values, indexer)
     out_values = dtypes.promote_for_na(values)
     if len(values) == 0:  # nothing to gather from: every position is NA
         return np.full(len(indexer), dtypes.na_value_for(out_values.dtype),
@@ -216,9 +219,16 @@ def _coalesce_key(left_values: np.ndarray, right_values: np.ndarray,
                   left_idx: np.ndarray, right_idx: np.ndarray) -> np.ndarray:
     """Key column of the result: left value where present, else right."""
     use_right = left_idx < 0
-    base = _take_with_na(left_values, left_idx)
     if not use_right.any():
-        return base
+        return _take_with_na(left_values, left_idx)
+    if (len(left_values) and dtypes.dictionary_of(left_values)
+            and dtypes.dictionary_of(right_values)):
+        # every row has its key on one side: gather codes, not cells
+        union, (codes_l, codes_r) = dtypes.union_dictionaries(
+            [left_values, right_values])
+        return dtypes.encoded(union, np.where(
+            use_right, codes_r[right_idx], codes_l[left_idx]))
+    base = _take_with_na(left_values, left_idx)
     filler = _take_with_na(right_values, right_idx)
     dtype = dtypes.common_dtype([base.dtype, filler.dtype])
     out = base.astype(dtype).copy()

@@ -20,6 +20,12 @@ def argsort_values(values: np.ndarray, ascending: bool = True,
     """
     if na_position not in ("first", "last"):
         raise ValueError(f"invalid na_position {na_position!r}")
+    dictionary = dtypes.dictionary_of(values)
+    if dictionary is not None:
+        # categories are sorted and no cell is NA: the codes' order is
+        # the cells' order
+        order = np.argsort(dictionary[1], kind="stable")
+        return (order if ascending else order[::-1]).astype(np.int64)
     na_mask = dtypes.isna_array(values)
     valid_positions = np.flatnonzero(~na_mask)
     na_positions = np.flatnonzero(na_mask)
@@ -63,6 +69,7 @@ def lexsort_columns(columns: Sequence[np.ndarray],
     n = len(columns[0])
     indexer = np.arange(n, dtype=np.int64)
     for values, asc in zip(reversed(list(columns)), reversed(list(ascending))):
-        partial = argsort_values(values[indexer], ascending=asc, na_position=na_position)
+        partial = argsort_values(dtypes.take(values, indexer), ascending=asc,
+                                 na_position=na_position)
         indexer = indexer[partial]
     return indexer

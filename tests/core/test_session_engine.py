@@ -1,6 +1,9 @@
 """Integration tests of the engine core: tiling ↔ execution switching,
 the executor, sessions and result assembly."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.core.session import init_session, get_default_session, stop_session
 from repro.errors import SessionError, TilingError
 from repro import frame as pf
 from repro.dataframe import from_frame
+from repro.engine import engine_of
 from repro.tensor import rand
 
 
@@ -129,6 +133,34 @@ class TestSessionLifecycle:
         df = from_frame(local_frame(10), session)
         df.execute()
         assert session.last_report.n_subtasks >= 1
+
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_closed_session_is_garbage_without_the_cycle_collector(
+            self, engine):
+        """``close()`` + ``del`` free the cluster, its actor system and
+        the chunks they reference by reference counting alone: a
+        benchmark loop that opens a session per iteration must not wait
+        for a generation-2 collection to get the last one's memory back."""
+        gc.collect()
+        gc.disable()
+        try:
+            cfg = Config()
+            cfg.chunk_store_limit = 4000
+            cfg.chunk_engine = engine
+            s = Session(cfg)
+            df = from_frame(local_frame(300), s)
+            total = df.groupby("k").agg({"v": "sum"})
+            s.execute(df.data, total.data)
+            stored = s.storage.peek(df.data.chunks[0].key)
+            source_column = engine_of(cfg).compute(stored)["v"].values
+            alive = [weakref.ref(s.cluster),
+                     weakref.ref(s.cluster.actor_system),
+                     weakref.ref(source_column)]
+            s.close()
+            del s, df, total, stored, source_column
+            assert [ref() for ref in alive] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestAssemble:

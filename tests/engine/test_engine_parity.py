@@ -17,9 +17,17 @@ engine to the row engine.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from tests.core.golden_harness import WORKLOADS, collect_report, make_session, scenarios
+from tests.core.golden_harness import (
+    WORKLOADS,
+    collect_report,
+    make_session,
+    record_plan,
+    scenarios,
+)
 
 from repro.frame import DataFrame, Series
 from repro.frame.dtypes import values_equal
@@ -150,3 +158,48 @@ class TestStringKeyHashParity:
         for field in TOPOLOGY_FIELDS:
             assert (results["row"][1]["sim"][field]
                     == results["columnar"][1]["sim"][field]), field
+
+
+class TestColumnarBytesPinned:
+    """The dictionary riding with the column changes no byte and no
+    decision: a ``persist`` that compacts codes stores exactly the
+    ``DictColumn`` a fresh encode of the same cells would, so the
+    columnar engine's own byte counters, virtual makespan and tiling
+    decisions on the string-key shuffle are the numbers recorded before
+    kernels consumed codes (commit 8ab297c), in both execution modes.
+    """
+
+    PINNED_SIM = {
+        "n_subtasks": 126,
+        "total_shuffle_bytes": 282_340,
+        "total_transfer_bytes": 211_784,
+        "makespan": 0.6045439551658928,
+        "peak_memory": {"worker-0": 136_784, "worker-1": 140_850,
+                        "worker-2": 140_340, "worker-3": 118_136},
+    }
+    PINNED_PLAN = [
+        {"op": "FromFrame", "chunks": [55],
+         "chunk_ops": {"FromFrameSlice": 55}, "partitioners": []},
+        {"op": "GroupByAgg", "chunks": [16],
+         "chunk_ops": {"GroupByAgg:map": 55, "GroupByAgg:reduce": 16,
+                       "GroupByPartition": 55},
+         "partitioners": [["GroupByPartition", 16, str([
+             "cust-0002", "cust-0004", "cust-0007", "cust-0009", "cust-0012",
+             "cust-0014", "cust-0016", "cust-0019", "cust-0021", "cust-0024",
+             "cust-0027", "cust-0029", "cust-0031", "cust-0034", "cust-0037",
+         ])]]},
+    ]
+
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["serial", "process"])
+    @pytest.mark.parametrize("combine", [True, False])
+    def test_string_shuffle_counters(self, combine, parallel):
+        with make_session(
+            parallel=parallel, chunk_limit=4_000, tree_reduce_threshold=1,
+            chunk_engine="columnar", mapper_side_combine=combine,
+        ) as session, record_plan() as plan:
+            TestStringKeyHashParity._string_groupby(session)
+            report = collect_report(session, plan)
+        assert {name: report["sim"][name]
+                for name in self.PINNED_SIM} == self.PINNED_SIM
+        assert json.loads(json.dumps(report["plan"])) == self.PINNED_PLAN

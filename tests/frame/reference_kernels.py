@@ -2,8 +2,9 @@
 
 These are the loop bodies of ``dtypes.isna_array`` / ``values_equal``,
 ``groupby.factorize``, ``groupby.Grouper.__init__``,
-``series._object_binop`` / ``_tighten`` and
-``engine.columnar.encode_column`` as of the commit that replaced them,
+``series._object_binop`` / ``_tighten``,
+``engine.columnar.encode_column`` and ``concat._concat_rows`` /
+``_concat_series`` as of the commit that replaced them,
 kept verbatim as the oracle: the library's
 kernels must return identical values, dtypes and unique order on every
 cell kind (``test_kernel_encoding.py``, ``test_property_based.py``).
@@ -157,6 +158,68 @@ def values_equal(left: np.ndarray, right: np.ndarray) -> bool:
     return bool(np.array_equal(left[mask], right[mask]))
 
 
+def concat_rows(frames, ignore_index: bool):
+    """``concat._concat_rows`` when it copied every piece twice
+    (``astype`` with its default ``copy=True``, then ``np.concatenate``)
+    and knew no dictionary."""
+    from repro.frame import DataFrame, dtypes
+    from repro.frame.index import default_index
+
+    non_empty = [f for f in frames if len(f.columns) > 0]
+    if not non_empty:
+        return DataFrame({})
+    columns: list = []
+    for frame in non_empty:
+        for name in frame._columns:
+            if name not in columns:
+                columns.append(name)
+    total = sum(len(f) for f in non_empty)
+    data: dict = {}
+    for name in columns:
+        pieces = []
+        present_dtypes = [
+            f._data[name].dtype for f in non_empty if name in f._data
+        ]
+        has_missing_block = any(name not in f._data for f in non_empty)
+        dtype = dtypes.common_dtype(present_dtypes)
+        if has_missing_block and dtype.kind in ("i", "u", "b"):
+            dtype = np.dtype(np.float64)
+        for frame in non_empty:
+            if name in frame._data:
+                pieces.append(frame._data[name].astype(dtype))
+            else:
+                fill = dtypes.na_value_for(dtype)
+                pieces.append(np.full(len(frame), fill, dtype=dtype))
+        data[name] = np.concatenate(pieces) if pieces else np.empty(0)
+        if len(data[name]) != total:
+            raise AssertionError("concat length bookkeeping error")
+    if ignore_index:
+        index = default_index(total)
+    else:
+        index = non_empty[0].index
+        for frame in non_empty[1:]:
+            index = index.append(frame.index)
+    return DataFrame(data, index=index, columns=columns)
+
+
+def concat_series(series_list, ignore_index: bool):
+    """``concat._concat_series`` as of the same commit."""
+    from repro.frame import Series, dtypes
+    from repro.frame.index import default_index
+
+    dtype = dtypes.common_dtype([s.dtype for s in series_list])
+    values = np.concatenate([s.values.astype(dtype) for s in series_list])
+    if ignore_index:
+        index = default_index(len(values))
+    else:
+        index = series_list[0].index
+        for s in series_list[1:]:
+            index = index.append(s.index)
+    names = {s.name for s in series_list}
+    name = names.pop() if len(names) == 1 else None
+    return Series(values, index=index, name=name)
+
+
 # ---------------------------------------------------------------------------
 # comparing, and running the library on the old kernels
 # ---------------------------------------------------------------------------
@@ -183,6 +246,8 @@ def installed():
             raise ValueError("groupby requires at least one key")
         self.key_names = list(key_names)
         self.codes, self.n_groups, self.group_keys = grouper(key_arrays)
+        self.levels = [dtypes.object_array(key[level] for key in self.group_keys)
+                       for level in range(len(key_arrays))]
 
     with mock.patch.object(dtypes, "isna_array", isna_array), \
             mock.patch.object(groupby, "factorize", factorize), \

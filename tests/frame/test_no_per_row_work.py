@@ -69,6 +69,21 @@ def frame_of(n: int) -> pf.DataFrame:
                          "w": np.arange(n)})
 
 
+def encoded_frame_of(n: int) -> pf.DataFrame:
+    """``frame_of`` as the columnar engine hands it to a kernel: the
+    string columns are real cells that still know their dictionary."""
+    frame = frame_of(n)
+    for name in ("k1", "k2"):
+        codes, categories = factorize(frame[name].values)
+        frame[name] = dtypes.encoded(categories, codes.astype(np.int32))
+    return frame
+
+
+def dimension() -> pf.DataFrame:
+    names = encoded_frame_of(10)["k1"].values
+    return pf.DataFrame({"k1": names, "label": np.arange(10) % 3})
+
+
 KERNELS = {
     "grouper-one-key": lambda n: (
         lambda keys=string_keys(n): Grouper(keys[:1], ["k1"])),
@@ -96,6 +111,27 @@ KERNELS = {
         lambda df=frame_of(n): df.nbytes),
     "compare-str": lambda n: (
         lambda df=frame_of(n): df["k1"] == "key-3"),
+    # the same kernels on dictionary-carrying columns, and the ones that
+    # are per-row on plain strings but integer work on codes
+    "encoded-groupby-agg": lambda n: (
+        lambda df=encoded_frame_of(n): df.groupby(["k1", "k2"]).agg(
+            {"v": "sum", "w": "max"})),
+    "encoded-groupby-one-key": lambda n: (
+        lambda df=encoded_frame_of(n): df.groupby(
+            "k1", as_index=False).agg({"v": "sum"})),
+    "encoded-merge": lambda n: (
+        lambda df=encoded_frame_of(n), dim=dimension():
+            df.merge(dim, on="k1", how="outer")),
+    "encoded-concat": lambda n: (
+        lambda df=encoded_frame_of(n): pf.concat(
+            [df, df.iloc[n // 2:]], ignore_index=True)),
+    "encoded-sort-values": lambda n: (
+        lambda df=encoded_frame_of(n): df.sort_values(
+            ["k2", "k1"], ascending=[True, False])),
+    "encoded-filter": lambda n: (
+        lambda df=encoded_frame_of(n): df[df["w"].values % 3 == 0]),
+    "encoded-isna": lambda n: (
+        lambda df=encoded_frame_of(n): df.isna()),
 }
 
 

@@ -45,6 +45,35 @@ def small_frames(draw):
     return pf.DataFrame({"k": keys, "v": values})
 
 
+#: unicode, the empty string, a NUL, a prefix of another key
+STRING_KEYS = ["", "a", "ab", "\0", "é", "日本", "𝄞-key", "a "]
+
+
+@st.composite
+def string_key_frames(draw):
+    """``small_frames`` keyed by strings: a few repeating keys, one
+    distinct key, or every row its own key — plus a second string column
+    to carry along and a low-cardinality int to filter on."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    kind = draw(st.sampled_from(["few", "one", "distinct"]))
+    if kind == "few":
+        keys = draw(st.lists(st.sampled_from(STRING_KEYS),
+                             min_size=n, max_size=n))
+    elif kind == "one":
+        keys = [draw(st.sampled_from(STRING_KEYS))] * n
+    else:
+        keys = [f"{draw(st.sampled_from(STRING_KEYS))}#{i}" for i in range(n)]
+    tags = draw(st.lists(st.sampled_from(["x", "", "ÿ"]),
+                         min_size=n, max_size=n))
+    values = draw(st.lists(
+        st.floats(min_value=-1e6, max_value=1e6,
+                  allow_nan=False, allow_infinity=False),
+        min_size=n, max_size=n,
+    ))
+    return pf.DataFrame({"k": dtypes.object_array(keys),
+                         "tag": dtypes.object_array(tags), "v": values})
+
+
 #: every cell kind the object kernels tell apart (tests/frame/
 #: test_kernel_encoding.py has the same kinds as a fixed table); small
 #: alphabets, so keys repeat and 1 / 1.0 / True meet in one column.
@@ -95,9 +124,11 @@ def shapes_and_limits(draw):
     return shape, itemsize, limit
 
 
-def tiny_session():
+def tiny_session(**overrides):
     cfg = Config()
     cfg.chunk_store_limit = 256  # force many chunks even on tiny frames
+    for name, value in overrides.items():
+        setattr(cfg, name, value)
     return Session(cfg)
 
 
@@ -164,6 +195,105 @@ class TestDistributedEquivalence:
                 float(local["v"].sum()), rel=1e-9, abs=1e-6
             )
             assert int(dist["v"].count()) == local["v"].count()
+        finally:
+            session.close()
+
+
+def assert_frames_equal(got, expected, sort_by=None):
+    """Same columns, same cells (object cells by exact type, numbers to
+    1e-9: a distributed count sums float partials), after an optional
+    sort of both — distributed groupbys return partition order."""
+    got, expected = got.reset_index(), expected.reset_index()
+    assert list(got.columns) == list(expected.columns)
+    assert len(got) == len(expected)
+    if len(expected) == 0:  # an empty distributed result has no dtypes
+        return
+    if sort_by:
+        got, expected = got.sort_values(sort_by), expected.sort_values(sort_by)
+    for name in expected.columns:
+        if name == "index":
+            continue
+        want, have = expected[name].values, got[name].values
+        if want.dtype.kind in "fiub":
+            np.testing.assert_allclose(np.asarray(have, float), want,
+                                       rtol=1e-9, atol=1e-6)
+        else:
+            assert signature(have) == signature(want), name
+
+
+class TestColumnarStringKeyEquivalence:
+    """The pipelines above on ``chunk_engine="columnar"`` with string keys:
+    every kernel between the source and the fetch sees dictionary-carrying
+    columns (and chunks a filter emptied), and the answer is the
+    ``repro.frame`` oracle's."""
+
+    @SLOW
+    @given(string_key_frames(), st.booleans())
+    def test_groupby_equivalence(self, local, shuffle):
+        session = tiny_session(
+            chunk_engine="columnar",
+            tree_reduce_threshold=1 if shuffle else 10 ** 9)
+        try:
+            dist = from_frame(local, session)
+            spec = {"v": ["sum", "count"], "tag": ["min", "nunique"]}
+            assert_frames_equal(dist.groupby("k").agg(spec).fetch(),
+                                local.groupby("k").agg(spec), sort_by=["k"])
+            assert_frames_equal(
+                dist.groupby(["tag", "k"]).agg({"v": "max"}).fetch(),
+                local.groupby(["tag", "k"]).agg({"v": "max"}),
+                sort_by=["tag", "k"])
+        finally:
+            session.close()
+
+    @SLOW
+    @given(string_key_frames(), st.floats(min_value=-1e5, max_value=1e5,
+                                          allow_nan=False))
+    def test_filter_then_groupby_equivalence(self, local, threshold):
+        session = tiny_session(chunk_engine="columnar")
+        try:
+            dist = from_frame(local, session)
+            assert_frames_equal(dist[dist["v"] > threshold].fetch(),
+                                local[local["v"] > threshold])
+            kept = dist[dist["v"] > threshold]  # some chunks come out empty
+            assert_frames_equal(
+                kept.groupby("k").agg({"v": "sum"}).fetch(),
+                local[local["v"] > threshold].groupby("k").agg({"v": "sum"}),
+                sort_by=["k"])
+        finally:
+            session.close()
+
+    @SLOW
+    @given(string_key_frames(), st.booleans())
+    def test_sort_equivalence(self, local, ascending):
+        session = tiny_session(chunk_engine="columnar")
+        try:
+            got = from_frame(local, session).sort_values(
+                "k", ascending=ascending).fetch()
+            expected = local.sort_values("k", ascending=ascending)
+            assert signature(got["k"].values) == signature(expected["k"].values)
+            assert_frames_equal(got, expected, sort_by=["k", "v", "tag"])
+        finally:
+            session.close()
+
+    @SLOW
+    @given(string_key_frames(),
+           st.sampled_from(["inner", "left", "right", "outer"]))
+    def test_merge_then_groupby_equivalence(self, local, how):
+        session = tiny_session(chunk_engine="columnar")
+        try:
+            names = sorted(set(local["k"].values.tolist()))[::2] + ["absent"]
+            dim = pf.DataFrame({"k": dtypes.object_array(names),
+                                "label": np.arange(len(names)) % 3})
+            dist, ddim = from_frame(local, session), from_frame(dim, session)
+            assert_frames_equal(
+                dist.merge(ddim, on="k", how=how).fetch(),
+                local.merge(dim, on="k", how=how),
+                sort_by=["k", "v", "tag"])
+            assert_frames_equal(
+                dist.merge(ddim, on="k").groupby("label").agg(
+                    {"v": "sum"}).fetch(),
+                local.merge(dim, on="k").groupby("label").agg({"v": "sum"}),
+                sort_by=["label"])
         finally:
             session.close()
 

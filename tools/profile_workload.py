@@ -14,8 +14,23 @@ in one fault-free ``execute()`` is re-done work, so the exit status is
 non-zero when any class has calls > distinct (the ``bench-smoke`` CI job
 runs this for ``tpch_join`` and ``groupby_shuffle``).
 
+``--encodes`` does the same for dictionary encoding on the columnar
+engine: per operator class, the rows its kernels produced against the
+string cells hashed (``factorize_cells``) while the kernel ran and while
+its result was persisted.  A dictionary made at the source rides with the
+column, so only operators without inputs should hash; the exit status is
+non-zero when any other class hashes half as many cells as it produced rows
+(the ``engine-smoke`` CI job runs this for ``strkey_columnar``).
+
+``--engine row|columnar`` runs the workload's plan on that chunk engine
+whatever its own config says, and first prints the median of seven
+alternating untraced iterations on each engine and their columnar / row
+ratio.
+
 Run: ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --top 15``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --ops``
+     ``PYTHONPATH=src python tools/profile_workload.py strkey_columnar --encodes``
+     ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --engine columnar``
 """
 
 from __future__ import annotations
@@ -25,10 +40,12 @@ import cProfile
 import itertools
 import os
 import pstats
+import statistics
 import sys
 import time
 from collections import defaultdict
 from contextlib import contextmanager
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src") + os.sep
@@ -40,6 +57,9 @@ from workloads import WORKLOADS, run_iteration  # noqa: E402
 from repro.core.operator import Operator  # noqa: E402
 from repro.core.opfusion import CompiledStep  # noqa: E402
 from repro.core.session import Session  # noqa: E402
+from repro.engine import columnar  # noqa: E402
+from repro.frame import groupby as frame_groupby  # noqa: E402
+from repro.services import runner  # noqa: E402
 
 
 def _subclasses(cls: type):
@@ -120,6 +140,59 @@ def ops_report(calls: dict[str, list]) -> tuple[list[str], int]:
     return lines, repeats
 
 
+@contextmanager
+def count_encodes():
+    """Book every ``factorize_cells`` call on the operator whose kernel,
+    or whose result's ``persist``, made it; yields ``{class name:
+    [is_source, calls, rows out, cells hashed]}``.  Kernels run one after
+    another (in-process only, like :func:`count_op_calls`), so the cells
+    hashed since the previous operator's ``persist`` returned are this
+    operator's."""
+    table: dict[str, list] = defaultdict(lambda: [False, 0, 0, 0])
+    pending = [0]
+    factorize_cells = frame_groupby.factorize_cells
+    persist_result = runner.persist_result
+
+    def counted_factorize(cells):
+        pending[0] += len(cells)
+        return factorize_cells(cells)
+
+    def counted_persist(engine, op, result):
+        values = result.values() if runner.is_multi_output(op, result) \
+            else [result]
+        try:
+            return persist_result(engine, op, result)
+        finally:
+            row = table[type(op).__name__]
+            row[0] = not op.inputs
+            row[1] += 1
+            row[2] += sum(len(v) for v in values if hasattr(v, "__len__"))
+            row[3] += pending[0]
+            pending[0] = 0
+
+    with mock.patch.object(frame_groupby, "factorize_cells",
+                           counted_factorize), \
+            mock.patch.object(columnar, "factorize_cells",
+                              counted_factorize), \
+            mock.patch.object(runner, "persist_result", counted_persist):
+        yield table
+
+
+def encodes_report(table: dict[str, list]) -> tuple[list[str], list[str]]:
+    """The per-class table, and the classes that re-encode their rows."""
+    lines = [f"{'calls':>7} {'rows out':>10} {'cells hashed':>13}  "
+             "operator class"]
+    offenders = []
+    for name, (is_source, calls, rows, hashed) in sorted(
+            table.items(), key=lambda item: -item[1][3]):
+        bad = not is_source and hashed > 0 and 2 * hashed >= rows
+        if bad:
+            offenders.append(name)
+        note = "  (source)" if is_source else "  <-- re-encodes" if bad else ""
+        lines.append(f"{calls:7d} {rows:10d} {hashed:13d}  {name}{note}")
+    return lines, offenders
+
+
 def _label(func: tuple) -> str:
     path, line, name = func
     if path.startswith(SRC):
@@ -153,14 +226,49 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", action="store_true",
                         help="count kernel calls per operator class instead "
                              "of profiling; exit 1 if any instance re-ran")
+    parser.add_argument("--encodes", action="store_true",
+                        help="count string cells hashed per operator class; "
+                             "exit 1 if a non-source operator re-encodes")
+    parser.add_argument("--engine", choices=("row", "columnar"),
+                        help="run the plan on this chunk engine; prints the "
+                             "7-iteration median wall_s of both first")
     args = parser.parse_args(argv)
 
     workload = WORKLOADS[args.workload]
     inputs = workload.generate(args.seed, args.scale)
-    run_iteration(workload, inputs)
+
+    def iterate(engine=args.engine):
+        return run_iteration(workload, inputs, mutate_config=(
+            (lambda cfg: setattr(cfg, "chunk_engine", engine))
+            if engine else None))
+
+    iterate()
+    if args.engine:
+        iterate("row" if args.engine == "columnar" else "columnar")
+        walls = {"row": [], "columnar": []}
+        for _ in range(7):
+            for engine, seen in walls.items():
+                seen.append(iterate(engine).wall_s)
+        median = {engine: statistics.median(seen)
+                  for engine, seen in walls.items()}
+        print(f"{args.workload} seed={args.seed} scale={args.scale}, median "
+              f"wall_s of 7: row {median['row']:.4f}  columnar "
+              f"{median['columnar']:.4f}  columnar / row "
+              f"{median['columnar'] / median['row']:.2f}")
+    if args.encodes:
+        with count_encodes() as table:
+            iteration = iterate()
+        lines, offenders = encodes_report(table)
+        print(f"{args.workload} seed={args.seed} scale={args.scale}: "
+              f"{iteration.counters['graph.n_subtasks']} subtasks")
+        print("\n".join(lines))
+        if offenders:
+            print(f"FAIL: {', '.join(offenders)} hashed O(rows) cells: a "
+                  "dictionary was dropped on the way")
+        return 1 if offenders else 0
     if args.ops:
         with count_op_calls() as calls:
-            iteration = run_iteration(workload, inputs)
+            iteration = iterate()
         lines, repeats = ops_report(calls)
         print(f"{args.workload} seed={args.seed} scale={args.scale}: "
               f"wall_s={iteration.wall_s:.3f} with every kernel wrapped, "
@@ -172,7 +280,7 @@ def main(argv=None) -> int:
         return 1 if repeats else 0
     profiler = cProfile.Profile()
     profiler.enable()
-    iteration = run_iteration(workload, inputs)
+    iteration = iterate()
     profiler.disable()
     stats = pstats.Stats(profiler)
     print(f"{args.workload} seed={args.seed} scale={args.scale}: "
