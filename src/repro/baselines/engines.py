@@ -34,8 +34,10 @@ PANDAS = EngineProfile(
     unsupported=frozenset(),
     single_node=True,
     single_chunk=True,
+    # eager: every statement runs on whole frames, so nothing upstream
+    # learns which columns a later statement reads
     overrides={"spill_to_disk": False, "dynamic_tiling": False,
-               "graph_fusion": True},
+               "graph_fusion": True, "column_pruning": False},
 )
 
 PYSPARK = EngineProfile(
@@ -76,7 +78,7 @@ MODIN = EngineProfile(
     overrides={"dynamic_tiling": False,
                "operator_fusion": False, "auto_merge": False,
                "combine_stage": False, "spill_to_disk": False,
-               "eager_release": False},
+               "eager_release": False, "column_pruning": False},
     overhead_factor=3.0,
     memory_fraction=0.55,  # Ray object store share of worker RAM
 )

@@ -257,9 +257,6 @@ class Operator:
         """
         return [None for _ in self.inputs]
 
-    def accept_pruned_columns(self, required: Optional[list]) -> None:
-        """Datasource hook: restrict reading to ``required`` columns."""
-
     # -- introspection ----------------------------------------------------------
     @property
     def display_name(self) -> str:

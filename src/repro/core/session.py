@@ -25,6 +25,7 @@ invalidation to itself.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -196,12 +197,14 @@ class SessionActor(Actor):
                 self.services.lifecycle.reset_plan(session=tenant)
                 graph = build_tileable_graph(list(tileables))
                 if retile_attempts == 0:
+                    if self.config.column_pruning:
+                        # may un-tile nodes an earlier query tiled too
+                        # narrow: ``graph`` grows by their ancestors
+                        prune_columns(graph, list(tileables))
                     pretiled = {
                         node.key for node in graph.nodes() if node.is_tiled
                     }
                     stored_before = set(storage.all_keys())
-                    if self.config.column_pruning:
-                        prune_columns(graph, list(tileables))
                 try:
                     chunk_graph = self.tiler.tile(graph, list(tileables))
                     results = {
@@ -321,8 +324,13 @@ class SessionActor(Actor):
         return assemble(tileable.kind, values)
 
     def is_materialized(self, tileable: TileableData) -> bool:
-        return tileable.is_tiled and not self.services.storage.missing_keys(
-            [chunk.key for chunk in tileable.chunks]
+        """All of the tileable sits in storage: every chunk, carrying
+        every column (an intermediate an earlier query pruned does not
+        count, even while the result cache keeps its chunks)."""
+        return (
+            tileable.is_tiled and tileable.carried_columns is None
+            and not self.services.storage.missing_keys(
+                [chunk.key for chunk in tileable.chunks])
         )
 
     def free_tileable(self, tileable: TileableData) -> None:
@@ -542,6 +550,12 @@ class Session:
             pass
         if self._owns_cluster:
             self.cluster.shutdown()
+        # every tileable and chunk is in a cycle with its operator, so the
+        # plans this session ran — and the source frames their operators
+        # hold — are freed only by the cycle collector. Its next full pass
+        # is as far away as the process is frugal with allocations: the
+        # fewer subtasks a query needs, the longer its inputs linger.
+        gc.collect()
 
     def __del__(self) -> None:
         try:

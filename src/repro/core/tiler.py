@@ -36,13 +36,17 @@ if TYPE_CHECKING:
     from .meta import MetaService
 
 
-def build_tileable_graph(results: Sequence[TileableData]) -> DAG[TileableData]:
+def build_tileable_graph(
+        results: Sequence[TileableData],
+        graph: DAG[TileableData] | None = None) -> DAG[TileableData]:
     """The logical plan: every ancestor of the requested results.
 
-    Tileables that are already tiled *and* materialized act as sources —
-    their producing ops are not re-entered.
+    Tileables that are already tiled act as sources — their producing ops
+    are not re-entered. Given a ``graph``, extends it in place with the
+    ancestors of ``results`` (nodes of it that pruning just un-tiled).
     """
-    graph: DAG[TileableData] = DAG()
+    if graph is None:
+        graph = DAG()
     stack = list(results)
     seen: set[str] = set()
     while stack:

@@ -8,7 +8,7 @@ operator-level fusion.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..core.operator import ExecContext, Operator, TileContext
 from ..graph.entity import TileableData
@@ -25,8 +25,11 @@ class Elementwise(Operator):
     - ``out_columns``: known output columns (dataframe) or None;
     - ``keeps_rows``: True when output rows == input rows (arithmetic),
       False when unknown until execution (not used by plain elementwise);
-    - ``cols_required``: column-pruning hint — which input columns the
-      func touches (None = all).
+    - ``cols_required``: column-pruning hint — which columns of the
+      first input the func reads whatever is asked of its output
+      (None = all of them: nothing may be pruned);
+    - ``cols_produced``: output columns the func creates itself, so a
+      requirement for them asks nothing of the input (``df[name] = ...``).
     """
 
     is_elementwise = True
@@ -34,7 +37,8 @@ class Elementwise(Operator):
     def __init__(self, func: Callable, out_kind: str,
                  out_columns: Optional[list] = None,
                  out_dtype=None, out_name=None,
-                 cols_required: Optional[list] = None, **params):
+                 cols_required: Optional[list] = None,
+                 cols_produced: Sequence = (), **params):
         super().__init__(**params)
         self.func = func
         self.out_kind = out_kind
@@ -42,22 +46,23 @@ class Elementwise(Operator):
         self.out_dtype = out_dtype
         self.out_name = out_name
         self.cols_required = cols_required
+        self.cols_produced = list(cols_produced)
 
     def input_column_requirements(self, required):
-        # projections know their needs exactly; for other elementwise ops
-        # the output requirement passes through, augmented by what the
-        # func itself touches.
+        # exact for projections and assignments: the first input needs
+        # what the func reads plus whatever of the output it passes
+        # through; the other inputs are whole series.
         if self.cols_required is None:
             return [None for _ in self.inputs]
-        if required is None:
-            if self.out_columns is not None:
-                required = self.out_columns
-            else:
-                # series output: "all of the output" is the series itself,
-                # so the input only needs the columns the func touches
-                required = []
-        needed = sorted(set(self.cols_required) | set(required), key=str)
-        return [needed] + [None] * (len(self.inputs) - 1)
+        if self.out_kind != "dataframe":
+            required = []  # a series passes no input column through
+        elif required is None:
+            required = self.out_columns
+            if required is None:  # unknown schema: all of it is visible
+                return [None for _ in self.inputs]
+        needed = (set(required) - set(self.cols_produced)
+                  | set(self.cols_required))
+        return [sorted(needed, key=str)] + [None] * (len(self.inputs) - 1)
 
     # -- tiling ---------------------------------------------------------
     def tile(self, ctx: TileContext):
@@ -102,28 +107,48 @@ def build_elementwise(inputs: list[TileableData], func: Callable,
                       out_kind: str, out_shape: tuple,
                       out_columns: Optional[list] = None,
                       out_dtype=None, out_name=None,
-                      cols_required: Optional[list] = None) -> TileableData:
+                      cols_required: Optional[list] = None,
+                      cols_produced: Sequence = ()) -> TileableData:
     """Create the logical node for an elementwise operation."""
     op = Elementwise(func=func, out_kind=out_kind, out_columns=out_columns,
                      out_dtype=out_dtype, out_name=out_name,
-                     cols_required=cols_required)
+                     cols_required=cols_required,
+                     cols_produced=cols_produced)
     return op.new_tileable(inputs, out_kind, out_shape, dtype=out_dtype,
                            columns=out_columns, name=out_name)
 
 
 class MapPartitions(Operator):
     """Apply an arbitrary frame→frame function per chunk (not fusable —
-    the function may change row counts, e.g. per-chunk dropna)."""
+    the function may change row counts, e.g. per-chunk dropna).
+
+    ``requires(required)`` maps the columns required of the output to
+    the columns the input must carry; it is given only by callers whose
+    ``func`` works column by column on whatever columns the chunk has
+    (``rename``, ``drop``, scalar ``fillna``). What an arbitrary callable
+    reads cannot be known, so without it nothing is pruned.
+    """
 
     def __init__(self, func: Callable, out_kind: str,
                  out_columns: Optional[list] = None, out_dtype=None,
-                 keeps_rows: bool = False, **params):
+                 keeps_rows: bool = False,
+                 requires: Optional[Callable] = None, **params):
         super().__init__(**params)
         self.func = func
         self.out_kind = out_kind
         self.out_columns = out_columns
         self.out_dtype = out_dtype
         self.keeps_rows = keeps_rows
+        self.requires = requires
+
+    def input_column_requirements(self, required):
+        if self.requires is None:
+            return [None]
+        if required is None:
+            required = self.out_columns
+            if required is None:
+                return [None]
+        return [self.requires(required)]
 
     def tile(self, ctx: TileContext):
         chunks = list(self.inputs[0].chunks)

@@ -17,7 +17,7 @@ from ..core.session import Session, get_default_session
 from ..engine.local import DataFrame as LocalFrame, Series as LocalSeries
 from ..engine.local import _how_name
 from ..graph.entity import TileableData
-from .arithmetic import Elementwise, MapPartitions, build_elementwise
+from .arithmetic import MapPartitions, build_elementwise
 from .datasource import FromFrame, ReadCSV, ReadParquet
 from .groupby import DISTRIBUTABLE, GroupByAgg, normalize_agg_spec
 from .indexing import Filter, ILocRows
@@ -525,21 +525,26 @@ class DataFrame(Remote):
         raise TypeError(f"unsupported selection {item!r}")
 
     def __setitem__(self, name, value) -> None:
-        if isinstance(value, Series):
-            func = lambda df, s: df.assign(**{name: s})  # noqa: E731
-            inputs = [self.data, value.data]
-            op = Elementwise(func=func, out_kind="dataframe",
-                             out_columns=self._columns_plus(name))
-            out = op.new_tileable(inputs, "dataframe",
-                                  self._shape_plus(name),
-                                  columns=self._columns_plus(name))
-        else:
-            func = lambda df: df.assign(**{name: value})  # noqa: E731
-            out = build_elementwise(
-                [self.data], func, "dataframe", self._shape_plus(name),
-                out_columns=self._columns_plus(name),
-            )
-        self.data = out  # rebind: the wrapper now denotes the new frame
+        columns = self._columns_plus(name)
+        overwrites = self.data.columns is not None and name in self.data.columns
+
+        series = [value.data] if isinstance(value, Series) else []
+        scalar = None if series else value  # never close over a handle
+
+        def assign(df, *aligned):
+            out = df.assign(**{name: aligned[0] if aligned else scalar})
+            if overwrites and name not in df.columns:
+                # pruning dropped the old column from this chunk: the new
+                # one still goes where the schema has it
+                out = out[[c for c in columns if c in out.columns]]
+            return out
+
+        # the column is made here: pruning asks the frame for the rest of
+        # what is required, and nothing on ``name``'s account
+        self.data = build_elementwise(  # rebind: now denotes the new frame
+            [self.data] + series, assign, "dataframe", self._shape_plus(name),
+            out_columns=columns, cols_required=[], cols_produced=[name],
+        )
 
     def _columns_plus(self, name) -> Optional[list]:
         if self.data.columns is None:
@@ -578,9 +583,11 @@ class DataFrame(Remote):
 
     # -- per-chunk transforms --------------------------------------------------------
     def _map_partitions(self, func: Callable, keeps_rows: bool,
-                        columns: Optional[list] = None) -> "DataFrame":
+                        columns: Optional[list] = None,
+                        requires: Optional[Callable] = None) -> "DataFrame":
         op = MapPartitions(func=func, out_kind="dataframe",
-                           out_columns=columns, keeps_rows=keeps_rows)
+                           out_columns=columns, keeps_rows=keeps_rows,
+                           requires=requires)
         rows = self.data.shape[0] if (keeps_rows and self.data.shape) else None
         out = op.new_tileable(
             [self.data], "dataframe",
@@ -589,43 +596,62 @@ class DataFrame(Remote):
         )
         return DataFrame(out, self._session)
 
+    # column-wise transforms work on whatever columns a chunk carries, so
+    # pruning may pass what is required of them straight to their input.
     def fillna(self, value) -> "DataFrame":
         return self._map_partitions(lambda df: df.fillna(value), True,
-                                    self.data.columns)
+                                    self.data.columns, requires=list)
 
     def dropna(self, subset=None, how: str = "any") -> "DataFrame":
+        # without a subset every column decides which rows survive
+        requires = (None if subset is None
+                    else lambda required: sorted({*required, *subset}, key=str))
         return self._map_partitions(
             lambda df: df.dropna(subset=subset, how=how), False,
-            self.data.columns,
+            self.data.columns, requires=requires,
         )
 
     def astype(self, dtype) -> "DataFrame":
+        # a per-column mapping names columns the chunk must then carry
+        requires = None if isinstance(dtype, Mapping) else list
         return self._map_partitions(lambda df: df.astype(dtype), True,
-                                    self.data.columns)
+                                    self.data.columns, requires=requires)
 
     def rename(self, columns: Mapping) -> "DataFrame":
         new_cols = ([columns.get(c, c) for c in self.data.columns]
                     if self.data.columns is not None else None)
-        return self._map_partitions(lambda df: df.rename(columns=columns),
-                                    True, new_cols)
+        old_name = {new: old for old, new in columns.items()}
+        return self._map_partitions(
+            lambda df: df.rename(columns=columns), True, new_cols,
+            requires=lambda required: [old_name.get(c, c) for c in required],
+        )
 
     def drop(self, columns=None, labels=None) -> "DataFrame":
         to_drop = columns if columns is not None else labels
         if isinstance(to_drop, str):
             to_drop = [to_drop]
         dropped = set(to_drop)
-        new_cols = ([c for c in self.data.columns if c not in dropped]
-                    if self.data.columns is not None else None)
+        if self.data.columns is None:
+            # unknown schema: the chunk must carry what it is told to drop
+            return self._map_partitions(
+                lambda df: df.drop(columns=list(dropped)), True, None)
+        missing = sorted(dropped - set(self.data.columns), key=str)
+        if missing:
+            raise KeyError(f"columns not found: {missing}")
         return self._map_partitions(
-            lambda df: df.drop(columns=list(dropped)), True, new_cols
+            lambda df: df[[c for c in df.columns if c not in dropped]], True,
+            [c for c in self.data.columns if c not in dropped], requires=list,
         )
 
     def reset_index(self, drop: bool = False) -> "DataFrame":
         if drop:
             return self._map_partitions(
-                lambda df: df.reset_index(drop=True), True, self.data.columns
+                lambda df: df.reset_index(drop=True), True, self.data.columns,
+                requires=list,
             )
-        return self._map_partitions(lambda df: df.reset_index(), True, None)
+        # the index becomes columns no input column is read for
+        return self._map_partitions(lambda df: df.reset_index(), True, None,
+                                    requires=list)
 
     def apply(self, func: Callable, axis: int = 1) -> Series:
         if axis != 1:

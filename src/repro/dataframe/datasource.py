@@ -3,7 +3,10 @@
 Datasources are where *static* tiling happens: the initial chunk layout
 comes from source size estimates (row counts × bytes/row). Everything
 after may be re-tiled dynamically. Datasources also terminate column
-pruning: ``accept_pruned_columns`` narrows what gets read at all.
+pruning: a source reads only the columns its tileable is to carry
+(``TileableData.carried_columns``), and chunk sizes follow the bytes
+*read* — a source read a quarter as wide is cut into a quarter as many
+chunks.
 """
 
 from __future__ import annotations
@@ -25,26 +28,29 @@ def _with_global_index(frame: DataFrame, start: int) -> DataFrame:
     return frame._copy_onto(RangeIndex(start + len(frame), start=start))
 
 
+def columns_to_read(op: DataSourceOp, columns: list) -> list:
+    """What source ``op`` reads of its ``columns``: those the pruning pass
+    said its tileable is to carry (``None`` = all), in *source* order, and
+    never none at all — the rows and their index ride on a column, so an
+    empty requirement keeps the first."""
+    carried = op.outputs[0].carried_columns
+    if carried is None:
+        return columns
+    return [c for c in columns if c in carried] or columns[:1]
+
+
 class FromFrame(DataSourceOp):
     """Distribute an in-memory single-node frame (client-side data)."""
 
     def __init__(self, frame: DataFrame, **params):
         super().__init__(**params)
         self.frame = frame
-        self.pruned_columns: Optional[list] = None
-
-    def accept_pruned_columns(self, required: Optional[list]) -> None:
-        if required is not None:
-            existing = set(self.frame.columns.to_list())
-            self.pruned_columns = [c for c in required if c in existing]
-
-    def _effective_frame(self) -> DataFrame:
-        if self.pruned_columns is not None and self.pruned_columns:
-            return self.frame[self.pruned_columns]
-        return self.frame
 
     def tile(self, ctx: TileContext):
-        frame = self._effective_frame()
+        frame = self.frame
+        columns = columns_to_read(self, frame.columns.to_list())
+        if len(columns) < len(frame.columns):
+            frame = frame[columns]
         n = len(frame)
         bytes_per_row = max(frame.nbytes // max(n, 1), 1)
         splits = balanced_splits(n, ctx.config.chunk_store_limit, bytes_per_row)
@@ -52,7 +58,6 @@ class FromFrame(DataSourceOp):
             splits = [0]
         chunks = []
         offset = 0
-        columns = frame.columns.to_list()
         for i, rows in enumerate(splits):
             chunk_op = FromFrameSlice(frame=frame, start=offset, stop=offset + rows)
             chunks.append(chunk_op.new_chunk(
@@ -87,24 +92,12 @@ class ReadParquet(DataSourceOp):
         super().__init__(path=path, **params)
         self.path = path
         self.columns = list(columns) if columns is not None else None
-        self.pruned_columns: Optional[list] = None
-
-    def accept_pruned_columns(self, required: Optional[list]) -> None:
-        self.pruned_columns = required
-
-    def _read_columns(self, all_columns: list) -> list:
-        columns = self.columns if self.columns is not None else all_columns
-        if self.pruned_columns is not None:
-            keep = set(self.pruned_columns)
-            columns = [c for c in columns if c in keep]
-            if not columns:  # always keep at least one column
-                columns = [all_columns[0]]
-        return columns
 
     def tile(self, ctx: TileContext):
         meta = frame_io.parquet_metadata(self.path)
         all_columns = [c["name"] for c in meta["columns"]]
-        columns = self._read_columns(all_columns)
+        columns = columns_to_read(
+            self, self.columns if self.columns is not None else all_columns)
         n_rows = meta["n_rows"]
         file_size = frame_io.parquet_file_size(self.path)
         in_memory = int(file_size * 1.6) * max(len(columns), 1) // max(
@@ -150,10 +143,6 @@ class ReadCSV(DataSourceOp):
         self.path = path
         self.columns = list(columns) if columns is not None else None
         self.parse_dates = list(parse_dates) if parse_dates is not None else []
-        self.pruned_columns: Optional[list] = None
-
-    def accept_pruned_columns(self, required: Optional[list]) -> None:
-        self.pruned_columns = required
 
     def tile(self, ctx: TileContext):
         import os
@@ -163,10 +152,8 @@ class ReadCSV(DataSourceOp):
         bytes_per_row = max(int(file_size * 1.8) // max(n_rows, 1), 1)
         header = frame_io.read_csv(self.path, nrows=1)
         all_columns = header.columns.to_list()
-        columns = self.columns if self.columns is not None else all_columns
-        if self.pruned_columns is not None:
-            keep = set(self.pruned_columns)
-            columns = [c for c in columns if c in keep] or [all_columns[0]]
+        columns = columns_to_read(
+            self, self.columns if self.columns is not None else all_columns)
         splits = balanced_splits(n_rows, ctx.config.chunk_store_limit,
                                  bytes_per_row)
         if not splits:

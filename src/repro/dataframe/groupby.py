@@ -160,15 +160,9 @@ class GroupByAgg(Operator):
 
     # -- optimizer hooks ---------------------------------------------------
     def input_column_requirements(self, required):
-        needed = set(self.by)
-        for out_name, col, how in self.plan:
-            if required is not None and out_name not in required and \
-                    not (isinstance(out_name, tuple) and out_name[0] in required):
-                # the caller does not consume this output column... but
-                # dropping aggregates silently would change the schema;
-                # prune only the *input* columns of unused aggregates.
-                pass
-            needed.add(col)
+        # every aggregate stays in the schema whoever reads it, so the
+        # input needs the keys and each aggregate's column
+        needed = set(self.by) | {col for _, col, _ in self.plan}
         return [sorted(needed, key=str)]
 
     # -- tiling ----------------------------------------------------------------

@@ -94,6 +94,11 @@ class ILocRows(Operator):
         self.out_dtype = out_dtype
         self.out_name = out_name
 
+    def input_column_requirements(self, required):
+        # a row range keeps the columns asked for; one row of a frame is
+        # a series over all of them
+        return [required if isinstance(self.item, slice) else None]
+
     def tile(self, ctx: TileContext):
         chunks = list(self.inputs[0].chunks)
         splits = known_splits(ctx, chunks)

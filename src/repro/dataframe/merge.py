@@ -61,15 +61,16 @@ class Merge(Operator):
         required = set(required)
         left_req = set(self.left_on)
         right_req = set(self.right_on)
-        # a required output column may come from either side (suffix-free
-        # resolution is conservative: ask both sides for the base name)
+        # a required output column may come from either side, under its
+        # own name or — when both sides have it — under the base name a
+        # suffix was put on: ask both sides for both
         for name in required:
-            base = name
+            names = {name}
             for suffix in self.suffixes:
                 if suffix and isinstance(name, str) and name.endswith(suffix):
-                    base = name[: -len(suffix)]
-            left_req.add(base)
-            right_req.add(base)
+                    names.add(name[: -len(suffix)])
+            left_req |= names
+            right_req |= names
         return [sorted(left_req, key=str), sorted(right_req, key=str)]
 
     # -- tiling --------------------------------------------------------------

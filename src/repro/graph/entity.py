@@ -114,7 +114,7 @@ class ChunkData(EntityData):
 class TileableData(EntityData):
     """One logical dataset node of the tileable graph."""
 
-    __slots__ = ("chunks", "nsplits", "cache_requested")
+    __slots__ = ("chunks", "nsplits", "cache_requested", "carried_columns")
 
     def __init__(self, kind: str, shape: tuple, op=None,
                  dtype: Any = None, columns: Optional[list] = None,
@@ -128,6 +128,10 @@ class TileableData(EntityData):
         #: set by ``.cache()``: the result cache must keep this
         #: tileable's chunks even under budget pressure.
         self.cache_requested = False
+        #: the columns this node's chunks carry, as the pruning pass
+        #: recorded them before tiling (``None`` = all of them). A later
+        #: query that needs more un-tiles the node (``core.pruning``).
+        self.carried_columns: Optional[frozenset] = None
 
     def _key_prefix(self) -> str:
         return "t"

@@ -71,10 +71,12 @@ class TestGoldenReports:
 class TestMessageTrace:
     @pytest.fixture(scope="class")
     def q5_session(self):
-        # a quarter of the golden scenario's chunk limit: with every
-        # operator running once, q5 at 64 KiB is 24 subtasks and ~650
-        # messages — too few to outgrow the log's window share below.
-        with make_session(parallel=False, chunk_limit=16 * 1024) as session:
+        # 1/64 of the golden scenario's chunk limit: q5 reads 16 of its
+        # tables' 47 columns, so at 64 KiB it is 11 subtasks and ~400
+        # messages. At 1 KiB it is ~220 subtasks and ~13,000 messages —
+        # more than the log's window holds, which is what the counts
+        # below are about.
+        with make_session(parallel=False, chunk_limit=1024) as session:
             tpch_q5(session)
             yield session
 

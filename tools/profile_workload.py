@@ -22,6 +22,16 @@ column, so only operators without inputs should hash; the exit status is
 non-zero when any other class hashes half as many cells as it produced rows
 (the ``engine-smoke`` CI job runs this for ``strkey_columnar``).
 
+``--columns`` shows what column pruning made of each source, again
+without a clock: per ``execute()`` and source tileable, the columns the
+source declares, the columns that plan requires of it, the columns its
+chunks carry (more than required when an earlier query over the same
+handle needed others) and the chunks it was cut into.  The exit status is
+non-zero when a source is read whole although no result of that
+``execute()`` shows all of its columns: some operator between the two
+answered "everything" (the ``bench-smoke`` CI job runs this for
+``tpch_join`` and ``tpch_scan``).
+
 ``--engine row|columnar`` runs the workload's plan on that chunk engine
 whatever its own config says, and first prints the median of seven
 alternating untraced iterations on each engine and their columnar / row
@@ -30,6 +40,7 @@ ratio.
 Run: ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --top 15``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --ops``
      ``PYTHONPATH=src python tools/profile_workload.py strkey_columnar --encodes``
+     ``PYTHONPATH=src python tools/profile_workload.py tpch_join --columns``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --engine columnar``
 """
 
@@ -54,8 +65,10 @@ sys.path.insert(0, os.path.join(ROOT, "benchmarks", "e2e"))
 
 from workloads import WORKLOADS, run_iteration  # noqa: E402
 
-from repro.core.operator import Operator  # noqa: E402
+from repro.core import session as core_session  # noqa: E402
+from repro.core.operator import DataSourceOp, Operator  # noqa: E402
 from repro.core.opfusion import CompiledStep  # noqa: E402
+from repro.dataframe.datasource import columns_to_read  # noqa: E402
 from repro.core.session import Session  # noqa: E402
 from repro.engine import columnar  # noqa: E402
 from repro.frame import groupby as frame_groupby  # noqa: E402
@@ -193,6 +206,75 @@ def encodes_report(table: dict[str, list]) -> tuple[list[str], list[str]]:
     return lines, offenders
 
 
+@contextmanager
+def count_source_columns():
+    """Wrap the pruning pass and ``Session.execute``; yields one row per
+    execute and dataframe source in its plan: ``[execute, source op,
+    first column, declared, required, carried, chunks, whole, shown]`` —
+    column counts the source declares, that plan requires of it and its
+    chunks carry once the execute is over, the chunks it is cut into,
+    whether the plan requires everything without naming it, and whether a
+    result of the execute shows every column of the source anyway."""
+    rows: list[list] = []
+    planned: list[tuple] = []
+    prune_columns = core_session.prune_columns
+    session_execute = Session.execute
+
+    def recorded(graph, results):
+        required = prune_columns(graph, results)
+        shown = {c for t in results for c in t.columns or ()}
+        planned.extend(
+            (node, required[node.key], set(node.columns) <= shown)
+            for node in graph.nodes()
+            if isinstance(node.op, DataSourceOp) and node.columns is not None)
+        return required
+
+    def execute(self, *tileables):
+        execute_no = 1 + (rows[-1][0] if rows else -1)
+        try:
+            return session_execute(self, *tileables)
+        finally:
+            for node, required, shown in planned:
+                declared = set(node.columns)
+                needs = declared if required is None else \
+                    declared.intersection(required)
+                rows.append([
+                    execute_no, type(node.op).__name__, node.columns[0],
+                    len(declared), len(needs),
+                    len(columns_to_read(node.op, node.columns)),
+                    len(node.chunks), required is None, shown])
+            planned.clear()
+
+    with mock.patch.object(core_session, "prune_columns", recorded), \
+            mock.patch.object(Session, "execute", execute):
+        yield rows
+
+
+def columns_report(rows: list[list]) -> tuple[list[str], int]:
+    """The per-execute table, and how many sources were read whole for a
+    result that does not show them whole."""
+    lines = [f"{'execute':>7} {'declared':>9} {'required':>9} {'carried':>8} "
+             f"{'chunks':>7}  source"]
+    offenders = 0
+    totals: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
+    for (execute, op_name, first, declared, needs, carried, chunks, whole,
+         shown) in rows:
+        bad = whole and not shown
+        offenders += bad
+        for i, n in enumerate((needs, declared, carried)):
+            totals[execute][i] += n
+        lines.append(
+            f"{execute:7d} {declared:9d} {needs:9d} {carried:8d} "
+            f"{chunks:7d}  {op_name}[{first}, ...]"
+            + ("  <-- read whole, not shown whole" if bad else ""))
+    if totals:
+        needs, declared, carried = max(totals.values(), key=lambda t: t[1])
+        lines.append(f"widest plan: {needs} of {declared} source columns "
+                     f"read ({carried} carried by the chunks it read them "
+                     "from)")
+    return lines, offenders
+
+
 def _label(func: tuple) -> str:
     path, line, name = func
     if path.startswith(SRC):
@@ -229,6 +311,10 @@ def main(argv=None) -> int:
     parser.add_argument("--encodes", action="store_true",
                         help="count string cells hashed per operator class; "
                              "exit 1 if a non-source operator re-encodes")
+    parser.add_argument("--columns", action="store_true",
+                        help="columns declared / required / carried and "
+                             "chunks per source and execute(); exit 1 if a "
+                             "source is read whole for a narrower result")
     parser.add_argument("--engine", choices=("row", "columnar"),
                         help="run the plan on this chunk engine; prints the "
                              "7-iteration median wall_s of both first")
@@ -265,6 +351,18 @@ def main(argv=None) -> int:
         if offenders:
             print(f"FAIL: {', '.join(offenders)} hashed O(rows) cells: a "
                   "dictionary was dropped on the way")
+        return 1 if offenders else 0
+    if args.columns:
+        with count_source_columns() as rows:
+            iteration = iterate()
+        lines, offenders = columns_report(rows)
+        print(f"{args.workload} seed={args.seed} scale={args.scale}: "
+              f"{iteration.counters['graph.n_subtasks']} subtasks")
+        print("\n".join(lines))
+        if offenders:
+            print(f"FAIL: {offenders} source reads take every column for a "
+                  "result that shows fewer: an operator on the way does not "
+                  "pass requirements through")
         return 1 if offenders else 0
     if args.ops:
         with count_op_calls() as calls:
