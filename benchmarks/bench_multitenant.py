@@ -128,9 +128,7 @@ def solo_references(tables, mixes: list[list[str]]) -> list[dict]:
             values = run_mix(session, tables, mix)
             out.append({
                 "values": values,
-                "makespan": session.executor.frontier
-                if not session.owns_cluster else
-                session.cluster.clock.makespan,
+                "makespan": session.executor.frontier,
             })
     return out
 
@@ -175,8 +173,7 @@ def concurrent_run(tables, mixes: list[list[str]],
     for t in threads:
         t.join()
     wall = time.perf_counter() - wall0
-    snapshot = cluster.services.scheduling.fair_share_snapshot() \
-        if cluster.services is not None else {}
+    snapshot = cluster.turnstile.snapshot()
     makespan = cluster.clock.makespan
     cache = cluster.services.cache.stats_snapshot() \
         if cluster.services is not None else {}

@@ -74,7 +74,7 @@ def run_q5(sf: float, compute_rate: float, loss_rate: float,
         report = session.executor.report
         return value, {
             "makespan": session.cluster.clock.makespan,
-            "injected_events": len(session.cluster.faults.events),
+            "injected_events": len(session.faults.events),
             "retries": report.retries,
             "recomputed_subtasks": report.recomputed_subtasks,
             "recovery_bytes": report.recovery_bytes,

@@ -15,7 +15,6 @@ from .operator import (
 from .opfusion import plan_subtask, step_io_keys
 from .pruning import prune_columns
 from .rechunk import auto_rechunk, balanced_splits, rechunk_to_splits
-from .scheduler import Scheduler
 from .session import (
     RunReport,
     Session,
@@ -35,7 +34,6 @@ __all__ = [
     "MetaService",
     "Operator",
     "RunReport",
-    "Scheduler",
     "Session",
     "TileContext",
     "TilingEngine",

@@ -52,6 +52,7 @@ from .fusion import fusion_groups, singleton_groups
 from .memory_control import PEAK_FACTOR, worker_of_band
 from .operator import COMBINE_DROPPED_KEY
 from .opfusion import plan_subtask, step_io_keys
+from .recovery import FaultInjector
 
 #: failures the retry loop re-attempts; anything else (kernel bugs, OOM
 #: with spill disabled) propagates unchanged.  A process-pool worker
@@ -186,10 +187,18 @@ class _Env:
 
 
 class GraphExecutor:
-    """Executes chunk graphs against one cluster + storage + meta state."""
+    """Executes one session's chunk graphs on a cluster's services.
+
+    Every session is a tenant of its cluster, alone or not: its stages
+    take the cluster's turnstile, its service state (admission grants,
+    degraded workers, lifecycle refcounts, cache invalidation, worker
+    kills) is scoped by ``session_id``, its faults come from its own
+    ``faults`` injector, and its stages start from its own ``frontier``.
+    """
 
     def __init__(self, cluster: ClusterState, storage: Any,
-                 meta: Any, config: Config, *,
+                 meta: Any, config: Config, *, session_id: str,
+                 faults: FaultInjector, memory_quota: float,
                  scheduling: Any, shuffle: Any, lifecycle: Any, cache: Any,
                  runners: dict[str, Any]):
         """Every service argument is a *handle* from the deployed
@@ -198,6 +207,14 @@ class GraphExecutor:
         work identically.
         """
         self.cluster = cluster
+        #: scopes this session's service state; runtime keys carry it
+        #: as their prefix (``session-3/c-00000042``).
+        self.session_id = session_id
+        #: this session's deterministic chaos source.
+        self.faults = faults
+        #: fraction of each worker's memory budget this session's
+        #: admission grants may hold concurrently (``0`` = no cap).
+        self.memory_quota = memory_quota
         self.storage = storage
         self.meta = meta
         self.config = config
@@ -223,27 +240,12 @@ class GraphExecutor:
         #: sampling annotations produced during execute(), consumed when
         #: the annotated chunk's meta is recorded.
         self._pending_extra: dict[str, dict] = {}
-        #: session id stamped on cache records (set by the session actor).
-        self.session_id = ""
-        #: True when this executor shares its cluster with other
-        #: sessions (set by the session actor on a shared plane).
-        #: Switches the stage base time to the per-session frontier,
-        #: serializes stage accounting through the scheduling turnstile,
-        #: and scopes admission/degrade/lifecycle/fault state by session.
-        self.multi_tenant = False
-        #: fraction of each worker's memory budget this tenant's admission
-        #: grants may hold concurrently on a shared cluster (``0`` = no
-        #: per-tenant cap); set by the session actor with ``multi_tenant``.
-        self.memory_quota = 0.0
-        #: this session's virtual-time frontier: the max completion time
-        #: of its own subtasks. On a shared cluster it replaces the
-        #: global ``clock.now`` as the stage base, so one tenant's stage
-        #: barrier never delays another tenant's independent subtasks —
-        #: stages interleave into band idle time.
+        #: this session's virtual-time frontier: the latest completion
+        #: of any subtask it accounted, recovery re-executions included.
+        #: Its stages start here, not at the cluster clock, so one
+        #: session's stage barrier never delays another's independent
+        #: subtasks — stages interleave into band idle time.
         self.frontier = 0.0
-        #: per-session fault injector override (shared clusters scope
-        #: chaos per tenant); ``None`` falls through to the cluster's.
-        self.faults = None
         #: runtime chunk keys whose tileables called ``.cache()``: their
         #: cache entries are explicit (never budget-evicted).
         self.explicit_cache_keys: set[str] = set()
@@ -265,11 +267,6 @@ class GraphExecutor:
         #: duplicate deliveries of one call are ever suppressed.
         self._msg_seq = 0
 
-    # -- multi-tenant helpers -------------------------------------------
-    def _injector(self):
-        """The fault injector in scope: per-session on a shared cluster."""
-        return self.faults if self.faults is not None else self.cluster.faults
-
     def _mint_token(self) -> tuple[str, int]:
         """A fresh dedup token for one mutating service message.
 
@@ -279,30 +276,16 @@ class GraphExecutor:
         collide (the session id namespaces them).
         """
         self._msg_seq += 1
-        return (self.session_id or "s0", self._msg_seq)
-
-    def _tenant(self) -> str:
-        """Session scope passed to shared services ('' on private clusters,
-        so single-session behaviour is untouched)."""
-        return self.session_id if self.multi_tenant else ""
-
-    def _quota_for(self, tracker) -> int | None:
-        """This tenant's per-worker admission byte cap, or ``None``."""
-        if not self.multi_tenant or self.memory_quota <= 0.0:
-            return None
-        return max(1, int(self.memory_quota * tracker.limit))
+        return (self.session_id, self._msg_seq)
 
     @contextmanager
     def turn(self):
-        """Hold the shared-plane stage turnstile (no-op on private
-        clusters); reentrant for the holding session."""
-        if self.multi_tenant:
-            self.scheduling.acquire_turn(self.session_id)
+        """Hold the cluster's stage turnstile; reentrant for this session."""
+        self.cluster.turnstile.acquire(self.session_id)
         try:
             yield
         finally:
-            if self.multi_tenant:
-                self.scheduling.release_turn(self.session_id)
+            self.cluster.turnstile.release(self.session_id)
 
     # -- service introspection (diagnostics / tests) --------------------
     @property
@@ -337,15 +320,15 @@ class GraphExecutor:
             fold_report(self.report, report)
             return report
         # serial graph-construction/dispatch overhead (auto merge exists to
-        # keep this small): charged once, before any subtask starts.
-        # On a shared cluster the base is this session's own frontier,
-        # not the global clock — another tenant's later stage must not
-        # become a barrier for this one (band availability still
-        # serializes real band time via ``clock.run_subtask``).
+        # keep this small): charged once, before any subtask starts. The
+        # base is this session's own frontier, not the cluster clock —
+        # another session's later stage must not become a barrier for
+        # this one (band availability still serializes real band time
+        # via ``clock.run_subtask``).
         dispatch = (self.config.cost_model.dispatch_overhead
                     * report.n_graph_nodes)
-        origin = self.frontier if self.multi_tenant else self.cluster.clock.now
-        stage = _Stage(report, origin + dispatch, subtask_graph, requested)
+        stage = _Stage(report, self.frontier + dispatch, subtask_graph,
+                       requested)
         order = subtask_graph.topological_order()
         self._begin_stage(order, stage)
         # the compute phase: on a process-mode plane a stage that can
@@ -393,7 +376,6 @@ class GraphExecutor:
             # reached the same position either way.
             report.makespan = max(stage.completion.values(),
                                   default=stage.base_time)
-            self.frontier = max(self.frontier, report.makespan)
             report.n_subtasks = len(stage.completion)
             report.peak_memory = self.cluster.peak_memory()
             report.band_busy = dict(self.cluster.clock.band_busy)
@@ -430,7 +412,7 @@ class GraphExecutor:
         # when every consumer in *this* graph sits in its own subtask.
         held = self.lifecycle.held([node.key for node in pending],
                                    {node.op for node in pending},
-                                   session=self._tenant())
+                                   self.session_id)
         subtask_graph = build_subtask_graph(pending_graph, groups, set(held))
         self.scheduling.assign(subtask_graph,
                                self._known_nbytes(subtask_graph))
@@ -458,19 +440,14 @@ class GraphExecutor:
         supervision.probe(stage.base_time)
         for band in {s.band for s in order if s.band}:
             supervision.expect_runner(band, stage.base_time)
-        # stage boundary: on a private cluster every grant of a previous
-        # stage ended at or before this stage's base time, so the ledger
-        # starts empty; on a shared cluster only grants ending by this
-        # session's base are pruned — other tenants' grants survive.
-        if self.multi_tenant:
-            self.scheduling.begin_stage(stage.base_time)
-        else:
-            self.scheduling.begin_stage()
+        # stage boundary: grants ending by this session's base are
+        # pruned (all of its own); other sessions' grants survive.
+        self.scheduling.begin_stage(stage.base_time)
         consumers: dict[str, int] = defaultdict(int)
         for subtask in stage.graph.nodes():
             for key in subtask.input_keys:
                 consumers[key] += 1
-        self.lifecycle.begin_stage(dict(consumers), session=self._tenant())
+        self.lifecycle.begin_stage(dict(consumers), self.session_id)
 
     # -- result cache ---------------------------------------------------
     def _apply_cache(self, chunk_graph: DAG[ChunkData],
@@ -586,7 +563,7 @@ class GraphExecutor:
         # the gate reads no mutable shared state; it never affects any
         # simulated number (see memory_control.DispatchGate).
         gate = (
-            self.scheduling.dispatch_gate(order, self._tenant())
+            self.scheduling.dispatch_gate(order, self.session_id)
             if self.config.admission_control else None
         )
         system = self.cluster.actor_system
@@ -619,11 +596,10 @@ class GraphExecutor:
         simulated start time; a retryable failure past the budget raises
         :class:`RetriesExhausted` instead of looping or hanging.
         """
-        injector = self._injector()
         squeezed = None
         squeezed_limit = 0
-        if injector.enabled:
-            factor = injector.squeeze_memory(subtask)
+        if self.faults.enabled:
+            factor = self.faults.squeeze_memory(subtask)
             if factor is not None:
                 # transient memory squeeze: the subtask's worker loses
                 # part of its budget for the whole admission/ladder span
@@ -634,9 +610,9 @@ class GraphExecutor:
                 squeezed_limit = squeezed.limit
                 squeezed.set_limit(max(1, int(squeezed_limit * factor)))
         try:
-            if not injector.enabled:
+            if not self.faults.enabled:
                 end = self._run_guarded(subtask, stage, computed)
-                self.lifecycle.finish_subtask(subtask, session=self._tenant(),
+                self.lifecycle.finish_subtask(subtask, self.session_id,
                                               dedup_token=self._mint_token())
                 return end
             ident = (subtask.stage_index, subtask.priority)
@@ -644,7 +620,7 @@ class GraphExecutor:
             while True:
                 attempt = self._attempts.get(ident, 0)
                 try:
-                    if injector.fail_compute(subtask, attempt):
+                    if self.faults.fail_compute(subtask, attempt):
                         raise FaultInjected("compute", subtask.key)
                     missing = self.storage.missing_keys(subtask.input_keys)
                     if missing:
@@ -669,7 +645,7 @@ class GraphExecutor:
                     if lost:
                         self._recover_lost(lost, stage)
                     continue
-                self.lifecycle.finish_subtask(subtask, session=self._tenant(),
+                self.lifecycle.finish_subtask(subtask, self.session_id,
                                               dedup_token=self._mint_token())
                 self._inject_post_subtask(subtask)
                 return end
@@ -729,7 +705,7 @@ class GraphExecutor:
         # exclusive admission; a failure past this rung means the subtask
         # cannot fit even alone — nothing is left but re-tiling.
         stage.report.oom_retries += 1
-        self.scheduling.degrade(worker, self._tenant())
+        self.scheduling.degrade(worker, self.session_id)
         yield "degrade"
 
     def _recover_lost(self, keys: list[str], stage: _Stage) -> None:
@@ -753,14 +729,13 @@ class GraphExecutor:
         lineage for the subtask is recorded beforehand, so everything
         lost here is recomputable.
         """
-        injector = self._injector()
         for out_index, key in enumerate(subtask.output_keys):
-            if injector.drop_chunk(subtask, out_index, key):
+            if self.faults.drop_chunk(subtask, out_index, key):
                 self._lose_chunk(key)
-        if injector.kill_worker_after(subtask):
+        if self.faults.kill_worker_after(subtask):
             band = self.cluster.band_by_name(subtask.band)
             self._kill_worker(band.worker)
-        for uid in injector.actor_kills_after(subtask):
+        for uid in self.faults.actor_kills_after(subtask):
             self._kill_actor(uid)
 
     def _lose_chunk(self, key: str) -> None:
@@ -773,12 +748,11 @@ class GraphExecutor:
         self.scheduling.forget_chunk(key)
         if self.config.result_cache:
             # a lost chunk must never be registered, and anything cached
-            # on top of it descends from vanished bytes. On a shared
-            # cluster the transitive walk is scoped to this tenant's
-            # entries — a neighbour's materialized results stay valid.
+            # on top of it descends from vanished bytes. The transitive
+            # walk is scoped to this session's entries — a neighbour's
+            # materialized results stay valid.
             self._pending_cache_records.pop(key, None)
-            scope = self.session_id if self.multi_tenant else None
-            self.lifecycle.invalidate_cached([key], session=scope)
+            self.lifecycle.invalidate_cached([key], self.session_id)
 
     def _kill_actor(self, uid: str) -> None:
         """Crash one service/runner actor (scripted chaos).
@@ -799,13 +773,13 @@ class GraphExecutor:
         driver-held inputs and survive. The worker's bands sit out
         ``WORKER_RESTART_TIME`` before accepting more work.
 
-        On a shared cluster only this session's chunks are lost — a
-        tenant's scoped chaos (its own injector) models failures of *its*
-        work, and must never drop a neighbour's chunks.
+        Only this session's chunks are lost — its chaos (its own
+        injector) models failures of *its* work, and must never drop a
+        neighbour's chunks.
         """
-        prefix = f"{self.session_id}/" if self.multi_tenant else None
+        prefix = f"{self.session_id}/"
         for key in list(self.storage.keys_on(worker)):
-            if prefix is not None and not key.startswith(prefix):
+            if not key.startswith(prefix):
                 continue
             if self.lifecycle.producer_of(key) is None:
                 continue
@@ -825,7 +799,7 @@ class GraphExecutor:
         if not missing:
             return
         with self.turn():
-            stage = _Stage(SimReport(), self.cluster.clock.now)
+            stage = _Stage(SimReport(), self.frontier)
             self._recover_lost(missing, stage)
             fold_report(self.report, stage.report)
 
@@ -864,6 +838,7 @@ class GraphExecutor:
             self._store_outputs(subtask, stage, env)
             duration = self._duration(band, env, cpu_bytes, len(steps))
             end = self.cluster.clock.run_subtask(band, ready_time, duration)
+            self.frontier = max(self.frontier, end)
             # virtual-clock heartbeat: a completion on the band renews its
             # runner's liveness lease (accounting walk — identical beats in
             # every execution mode).
@@ -979,7 +954,9 @@ class GraphExecutor:
                 subtask, worker, working_set, ready_time,
                 tracker.used, tracker.limit,
                 allow_wait=self.config.admission_control,
-                session=self._tenant(), quota=self._quota_for(tracker),
+                session=self.session_id,
+                quota=(max(1, int(self.memory_quota * tracker.limit))
+                       if self.memory_quota > 0.0 else None),
             )
             if exclusive:
                 stage.report.degraded_subtasks += 1

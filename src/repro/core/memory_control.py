@@ -167,7 +167,7 @@ class AdmissionDecision:
                  "session")
 
     def __init__(self, worker: str, nbytes: int, start: float, wait: float,
-                 active: int, forced: bool, session: str = ""):
+                 active: int, forced: bool, session: str):
         self.worker = worker
         #: bytes this grant reserves when committed.
         self.nbytes = nbytes
@@ -180,7 +180,7 @@ class AdmissionDecision:
         #: admitted oversubscribed after draining every grant — the
         #: deadlock guard fired (caller escalates to spill / the ladder).
         self.forced = forced
-        #: the tenant this grant belongs to ("" on a private cluster).
+        #: the session this grant belongs to.
         self.session = session
 
 
@@ -192,9 +192,8 @@ class MemoryAdmission:
     request must wait for enough grants to end; ``commit`` records the
     admitted subtask's own grant once its completion time is known.
 
-    All calls happen on the executor's accounting thread; grant lists are
-    cleared at stage boundaries (every later ready time is at or past the
-    stage base time, which itself is past every prior stage's ends).
+    All calls happen on a session's accounting walk; a stage boundary
+    prunes the grants that ended by the stage's base time.
     """
 
     def __init__(self):
@@ -203,18 +202,13 @@ class MemoryAdmission:
         self.forced_admissions = 0
         self.total_wait = 0.0
 
-    def begin_stage(self, base: float | None = None) -> None:
-        """Drop expired grants at a stage boundary.
+    def begin_stage(self, base: float) -> None:
+        """Drop the grants that ended at or before a stage's ``base``.
 
-        On a private cluster every grant has ended by the stage base
-        time (the base is past every prior end), so ``base=None`` clears
-        everything — the historical behaviour. On a shared cluster the
-        caller passes its stage base and only grants ending at or before
-        it are pruned: other tenants' in-flight grants survive.
+        A lone session's base is past every grant it committed, so the
+        ledger starts the stage empty; on a shared cluster other
+        sessions' grants still in flight at ``base`` survive.
         """
-        if base is None:
-            self._grants.clear()
-            return
         for worker in list(self._grants):
             kept = [g for g in self._grants[worker] if g[0] > base]
             if kept:
@@ -235,8 +229,8 @@ class MemoryAdmission:
         )
 
     def admit(self, worker: str, nbytes: int, ready_time: float,
-              used: int, limit: int, allow_wait: bool,
-              exclusive: bool = False, session: str = "",
+              used: int, limit: int, allow_wait: bool, *, session: str,
+              exclusive: bool = False,
               quota: int | None = None) -> AdmissionDecision:
         """Grant ``nbytes`` on ``worker`` no earlier than ``ready_time``.
 
@@ -312,14 +306,12 @@ class MemoryPressure:
         self.admission = MemoryAdmission()
         #: session -> workers that session's OOM ladder degraded to
         #: serial one-subtask-at-a-time execution; sticky for the rest of
-        #: the session. Scoped per tenant so one tenant's ladder never
-        #: serializes another's subtasks ("" is the private-cluster
-        #: scope, where every caller shares one set — the historical
-        #: behaviour).
+        #: the session, and scoped to it so one session's ladder never
+        #: serializes another's subtasks.
         self._degraded: dict[str, set[str]] = {}
         self._degraded_lock = threading.Lock()
 
-    def degrade(self, worker: str, session: str = "") -> bool:
+    def degrade(self, worker: str, session: str) -> bool:
         """Mark a worker serialized for ``session``; returns False if it
         already was."""
         with self._degraded_lock:
@@ -329,12 +321,12 @@ class MemoryPressure:
             degraded.add(worker)
             return True
 
-    def is_degraded(self, worker: str, session: str = "") -> bool:
+    def is_degraded(self, worker: str, session: str) -> bool:
         with self._degraded_lock:
             return worker in self._degraded.get(session, ())
 
     def drop_session(self, session: str) -> None:
-        """Forget a closed tenant's degraded-worker set."""
+        """Forget a closed session's degraded-worker set."""
         with self._degraded_lock:
             self._degraded.pop(session, None)
 
@@ -355,7 +347,7 @@ class MemoryPressure:
         ).worker
 
     def dispatch_gate(self, order: list[Subtask],
-                      session: str = "") -> "DispatchGate":
+                      session: str) -> "DispatchGate":
         """A wall-clock gate for one stage, with estimates snapshotted
         on the accounting thread before the band runner starts."""
         estimates = {s.key: self.estimator.estimate(s) for s in order}
@@ -378,7 +370,7 @@ class DispatchGate:
     """
 
     def __init__(self, estimates: dict[str, int], limits: dict[str, int],
-                 pressure: MemoryPressure, session: str = ""):
+                 pressure: MemoryPressure, session: str):
         self._estimates = estimates
         self._limits = limits
         self._pressure = pressure

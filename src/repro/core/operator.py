@@ -42,7 +42,7 @@ class TileContext:
         """
         return (
             self._executor is not None
-            and self._executor.cluster.faults.enabled
+            and self._executor.faults.enabled
             and self._executor.recovery.producer_of(chunk_key) is not None
         )
 

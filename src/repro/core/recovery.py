@@ -54,7 +54,7 @@ class FaultEvent:
 
 
 class FaultInjector:
-    """Deterministic, seeded fault source hung off ``ClusterState``.
+    """Deterministic, seeded fault source; each session owns one.
 
     Rate draws hash ``(seed, point, stage, priority, ...)`` into a
     uniform ``[0, 1)`` value compared against the configured rate.

@@ -9,23 +9,30 @@ fetch assembly).  User-facing ``repr`` of a distributed DataFrame/Tensor
 triggers ``execute`` behind the scenes ("deferred evaluation", Section
 IV-C): lazy until looked at.
 
-Multi-tenant serving: a session either *owns* its cluster (the classic
-one-user shape — it builds a :class:`ClusterState` and tears it down on
-close) or *attaches* to a shared one (``Session(cfg, cluster=shared)``).
-On a shared cluster the service plane is a set of cluster-scoped
-singletons deployed once; each session adds only its own
+One session shape: every session is a tenant of a cluster.
+``Session(cfg)`` builds a :class:`ClusterState` and is its lone tenant;
+``Session(cfg, cluster=shared)`` attaches to one that already runs.
+Which of the two decides only lifetime — who builds the cluster, resets
+its clock and shuts it down.  Either way the service plane is a set of
+cluster-scoped singletons deployed once; each session adds only its own
 :class:`SessionActor`, executes under a session key namespace (runtime
-chunk/shuffle keys become ``session-N/c-00000042`` so tenants can never
-collide in storage or shuffle accounting), serializes stage accounting
-through the scheduling service's weighted fair-share turnstile, and
-scopes its faults, OOM degradation, lifecycle refcounts and cache
-invalidation to itself.
+chunk/shuffle keys become ``session-N/c-00000042`` so sessions can never
+collide in storage or shuffle accounting), takes the cluster's weighted
+fair-share turnstile for every stage it accounts, owns its fault
+injector (``session.faults``), and scopes its OOM degradation,
+admission grants, lifecycle refcounts and cache invalidation to itself.
+
+Virtual time is the session's own: its stages start at its
+``frontier`` — the latest completion of any subtask it accounted,
+recovery re-executions included — and ``RunReport.makespan`` is the
+frontier's growth over the run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -46,6 +53,7 @@ from ..services.deploy import ServiceHandles, deploy_cluster_services
 from ..utils import key_namespace
 from .executor import GraphExecutor
 from .pruning import prune_columns
+from .recovery import FaultInjector
 from .tiler import TilingEngine, build_tileable_graph
 
 
@@ -62,6 +70,8 @@ class RunReport:
     growth over the call, filled by name; ``shuffle_bytes`` is
     ``total_shuffle_bytes``'s, and the rest come from outside the
     executor's report (``SessionActor._totals``, the cluster's peaks).
+    ``makespan`` is the growth of the session's frontier: a worker
+    restart no subtask of the run waited out is not in it.
     """
 
     makespan: float = 0.0
@@ -107,30 +117,23 @@ class SessionActor(Actor):
     """
 
     def __init__(self, session_id: str, cluster: ClusterState,
-                 config: Config, services: ServiceHandles,
-                 owns_cluster: bool = True, *, memory_quota: float):
+                 config: Config, services: ServiceHandles, *,
+                 memory_quota: float):
         super().__init__()
         self.session_id = session_id
         self.cluster = cluster
         self.config = config
         self.services = services
-        self.owns_cluster = owns_cluster
+        # the session's own fault injector: its seeded chaos draws (and
+        # losses) never touch a neighbour.
         self.executor = GraphExecutor(
             cluster, services.storage, services.meta, config,
+            session_id=session_id, faults=FaultInjector(config.faults),
+            memory_quota=memory_quota,
             scheduling=services.scheduling, shuffle=services.shuffle,
             lifecycle=services.lifecycle, cache=services.cache,
             runners=dict(services.runners),
         )
-        self.executor.session_id = session_id
-        if not owns_cluster:
-            # shared plane: per-session frontier/turnstile execution and
-            # a per-session fault injector — one tenant's seeded chaos
-            # draws (and losses) never touch a neighbour.
-            from .recovery import FaultInjector
-
-            self.executor.multi_tenant = True
-            self.executor.memory_quota = memory_quota
-            self.executor.faults = FaultInjector(config.faults)
         self.tiler = TilingEngine(self.executor, services.meta, config)
         self.last_report = RunReport()
 
@@ -141,9 +144,8 @@ class SessionActor(Actor):
     def get_tiler(self) -> TilingEngine:
         return self.tiler
 
-    def get_faults(self):
-        """This session's fault injector (the cluster's when owned)."""
-        return self.executor._injector()
+    def get_faults(self) -> FaultInjector:
+        return self.executor.faults
 
     def get_last_report(self) -> RunReport:
         return self.last_report
@@ -151,11 +153,9 @@ class SessionActor(Actor):
     # -- run coordination ----------------------------------------------
     def execute_tileables(self,
                           tileables: Sequence[TileableData]) -> list[Any]:
-        if self.owns_cluster:
-            return self._execute_tileables(tileables)
         # session key namespace: every runtime key minted while tiling
         # and executing (chunk keys, shuffle ids, subtask keys) carries
-        # this session's prefix, so tenants sharing storage/shuffle/LRU
+        # this session's prefix, so sessions sharing storage/shuffle/LRU
         # state cannot collide. Structural identities strip the prefix,
         # keeping the shared result cache session-stable.
         with key_namespace(f"{self.session_id}/"):
@@ -166,8 +166,7 @@ class SessionActor(Actor):
         ``executor.report``, by the field each one's growth fills."""
         storage = self.services.storage
         return {
-            "makespan": (self.cluster.clock.makespan if self.owns_cluster
-                         else self.executor.frontier),
+            "makespan": self.executor.frontier,
             "transferred_bytes": storage.transferred_bytes(),
             "spilled_bytes": storage.spilled_bytes(),
             "dynamic_yields": self.tiler.yield_count,
@@ -176,7 +175,7 @@ class SessionActor(Actor):
     def _execute_tileables(self,
                            tileables: Sequence[TileableData]) -> list[Any]:
         storage = self.services.storage
-        tenant = self.executor._tenant()
+        session = self.session_id
         # identity memoizes source fingerprints for the span of one run
         # only: data mutated between two executes must hash afresh.
         self.executor.identity.reset()
@@ -194,7 +193,7 @@ class SessionActor(Actor):
             pretiled: set[str] = set()
             stored_before: set[str] = set()
             while True:
-                self.services.lifecycle.reset_plan(session=tenant)
+                self.services.lifecycle.reset_plan(session=session)
                 graph = build_tileable_graph(list(tileables))
                 if retile_attempts == 0:
                     if self.config.column_pruning:
@@ -242,7 +241,7 @@ class SessionActor(Actor):
         # and what it held before.
         with self.executor.turn():
             self._drop(self.services.lifecycle.reset_plan(
-                self._stored_since(stored_before), session=tenant))
+                self._stored_since(stored_before), session=session))
 
         totals = self._totals()
         grown = counter_growth(self.executor.report, report_before)
@@ -278,21 +277,18 @@ class SessionActor(Actor):
                 # re-tiling regenerates these chunks under new keys — any
                 # cache entry recorded on them (or on top of them) is
                 # stale.
-                scope = None if self.owns_cluster else self.session_id
                 self.services.lifecycle.invalidate_cached(
-                    dropped, session=scope)
+                    dropped, self.session_id)
             self._drop(dropped)
 
     def _stored_since(self, stored_before: set[str]) -> list[str]:
         """The keys this run put into storage (``stored_before`` is the
-        snapshot taken when it began). On a shared cluster only this
-        session's keys qualify: chunks other tenants stored meanwhile
-        are not "new" to it."""
-        prefix = None if self.owns_cluster else f"{self.session_id}/"
+        snapshot taken when it began). Only this session's keys qualify:
+        chunks other sessions stored meanwhile are not "new" to it."""
+        prefix = f"{self.session_id}/"
         return [
             key for key in self.services.storage.all_keys()
-            if key not in stored_before
-            and (prefix is None or key.startswith(prefix))
+            if key not in stored_before and key.startswith(prefix)
         ]
 
     def _drop(self, keys) -> None:
@@ -338,24 +334,21 @@ class SessionActor(Actor):
         keys = [chunk.key for chunk in tileable.chunks]
         with self.executor.turn():
             if keys and self.config.result_cache:
-                scope = None if self.owns_cluster else self.session_id
                 self.services.lifecycle.invalidate_cached(
-                    keys, session=scope)
+                    keys, self.session_id)
             for key in keys:
                 self.services.storage.delete(key)
 
     def reset_metrics(self) -> None:
-        """Fresh virtual clocks and counters (used between benchmark runs)."""
-        if self.owns_cluster:
-            self.cluster.reset_clock()
+        """A fresh frontier and chunk completion times."""
         self.executor.chunk_ready_at.clear()
         self.executor.frontier = 0.0
 
-    def teardown_shared(self) -> None:
-        """Detach from a shared cluster without touching neighbours.
+    def detach(self) -> None:
+        """Leave a cluster that keeps running, without touching neighbours.
 
         Deletes this session's stored chunks — except ones the shared
-        result cache points at, which stay behind as warm cross-tenant
+        result cache points at, which stay behind as warm cross-session
         state — and drops its scoped service state (lifecycle scope,
         degraded-worker set, fair-share registration).
         """
@@ -366,7 +359,8 @@ class SessionActor(Actor):
             if key.startswith(prefix) and key not in protected
         )
         self.services.lifecycle.drop_session(self.session_id)
-        self.services.scheduling.unregister_tenant(self.session_id)
+        self.services.scheduling.drop_session(self.session_id)
+        self.cluster.turnstile.unregister(self.session_id)
 
 
 class Session:
@@ -378,14 +372,14 @@ class Session:
     plane, and all run coordination lives in the supervisor-side
     :class:`SessionActor` behind ``_actor_ref``.
 
-    ``cluster=`` attaches the session to an existing shared cluster
-    instead of building a private one, as a tenant with fair-share
+    Every session is a tenant of a cluster: ``cluster=`` attaches it to
+    one that already runs, and without it the session builds its own
+    (and is its lone tenant until it closes it). A tenant has fair-share
     weight ``tenant_weight`` (a weight-2 tenant gets stage turns twice
-    as often as a weight-1 tenant) whose admission grants may hold at
+    as often as a weight-1 tenant) and its admission grants may hold at
     most ``tenant_memory_quota`` of each worker's memory budget at once
-    (``0`` = no per-tenant cap; a tenant at its quota waits in virtual
-    time without stalling its neighbours). Both are ignored by a
-    session that owns its cluster.
+    (``0`` = no cap; a tenant at its quota waits in virtual time without
+    stalling its neighbours).
     """
 
     _counter = 0
@@ -406,8 +400,7 @@ class Session:
             base = config if config is not None else cluster.config
             self.config = base.copy()
             self.cluster = cluster
-        services = deploy_cluster_services(
-            self.cluster, self.config if self._owns_cluster else None)
+        services = deploy_cluster_services(self.cluster)
         self.storage = services.storage
         self.meta = services.meta
         self.scheduler = services.scheduling
@@ -421,13 +414,10 @@ class Session:
             Session._counter += 1
             count = Session._counter
         self.session_id = f"session-{count}"
-        if not self._owns_cluster:
-            self.scheduler.register_tenant(self.session_id,
-                                           float(tenant_weight))
+        self.cluster.turnstile.register(self.session_id, float(tenant_weight))
         self._actor_ref = self.cluster.actor_system.create_actor(
             SUPERVISOR_ADDRESS, SessionActor, self.session_id, self.cluster,
-            self.config, services, owns_cluster=self._owns_cluster,
-            memory_quota=float(tenant_memory_quota),
+            self.config, services, memory_quota=float(tenant_memory_quota),
             uid=session_actor_uid(self.session_id),
         )
         self.closed = False
@@ -436,10 +426,6 @@ class Session:
         self._closing = False
         self._active_calls = 0
         self._state_cond = threading.Condition(threading.Lock())
-
-    @property
-    def owns_cluster(self) -> bool:
-        return self._owns_cluster
 
     # -- in-flight call tracking ----------------------------------------
     def _begin_call(self, what: str) -> None:
@@ -467,8 +453,8 @@ class Session:
         return self._actor_ref.get_tiler()
 
     @property
-    def faults(self):
-        """This session's fault injector (scoped on shared clusters)."""
+    def faults(self) -> FaultInjector:
+        """This session's fault injector: script or inspect its chaos."""
         return self._actor_ref.get_faults()
 
     @property
@@ -506,7 +492,15 @@ class Session:
             self._end_call()
 
     def reset_metrics(self) -> None:
-        """Fresh virtual clocks and counters (used between benchmark runs)."""
+        """Fresh virtual clocks and counters (used between benchmark runs).
+
+        A session that built its cluster also resets the cluster's clock
+        and the admission grants timed on it; a tenant of a shared
+        cluster resets only its own frontier.
+        """
+        if self._owns_cluster:
+            self.cluster.reset_clock()
+            self.scheduler.begin_stage(math.inf)
         self._actor_ref.reset_metrics()
 
     # ------------------------------------------------------------------
@@ -519,8 +513,9 @@ class Session:
         :class:`SessionError` rather than a dispatcher crash.  Idempotent
         — a second ``close`` (or ``__del__`` after an explicit close) is
         a no-op, and a partially torn-down actor plane never makes close
-        raise.  A shared cluster is left running: only this session's
-        scoped state and stored chunks (minus shared cache entries) go.
+        raise.  A cluster the session did not build is left running:
+        only this session's scoped state and stored chunks (minus shared
+        cache entries) go.
         """
         with self._state_cond:
             if self.closed:
@@ -532,16 +527,13 @@ class Session:
                 return
             self.closed = True
         system = self.cluster.actor_system
-        if self._owns_cluster:
-            try:
+        try:
+            if self._owns_cluster:
                 self.storage.clear()
-            except ActorError:
-                pass  # pools already stopped by an outside shutdown
-        else:
-            try:
-                self._actor_ref.teardown_shared()
-            except ActorError:
-                pass
+            else:
+                self._actor_ref.detach()
+        except ActorError:
+            pass  # pools already stopped by an outside shutdown
         try:
             system.destroy_actor(
                 SUPERVISOR_ADDRESS, session_actor_uid(self.session_id),

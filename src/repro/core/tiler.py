@@ -195,7 +195,7 @@ class TilingEngine:
                 stack += op.inputs
         self._read.update(key for _, keys in reads for key in keys)
         self.executor.lifecycle.plan_update(
-            reads, done, session=self.executor._tenant())
+            reads, done, session=self.executor.session_id)
 
     def _execute_partial(self, chunks: list[ChunkData]) -> None:
         """Run the yielded chunks now and refresh their observed shapes."""

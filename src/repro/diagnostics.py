@@ -109,7 +109,7 @@ def memory_report(session: Session) -> str:
 
 def recovery_report(session: Session) -> str:
     """Fault-recovery state: injected events, retries, recomputation."""
-    injector = session.cluster.faults
+    injector = session.faults
     report = session.executor.report
     lines = [
         "fault recovery:",
@@ -168,9 +168,8 @@ def cache_report(session: Session) -> str:
         f"  chunks pruned:       {report.cache_hit_chunks}",
     ]
     for name, sess in sorted(stats["per_session"].items()):
-        label = name or "(default)"
         lines.append(
-            f"    {label:20s} hits={sess['hits']} misses={sess['misses']} "
+            f"    {name:20s} hits={sess['hits']} misses={sess['misses']} "
             f"reused={human_bytes(sess['bytes_reused'])}"
         )
     return "\n".join(lines)

@@ -104,7 +104,7 @@ class ResultCacheService:
             self._known[chunk_key] = (ident, frozenset(deps))
 
     def lookup_many(self, idents: Iterable[str],
-                    session: str = "") -> dict[str, tuple[str, int]]:
+                    session: str) -> dict[str, tuple[str, int]]:
         """Hit test a batch of identities against live storage.
 
         Returns ``{identity: (chunk_key, nbytes)}`` for every hit. An
@@ -135,7 +135,7 @@ class ResultCacheService:
 
     # -- recording ---------------------------------------------------------
     def record_many(self, entries: Iterable[tuple],
-                    session: str = "", dedup_token=None) -> list[str]:
+                    session: str, dedup_token=None) -> list[str]:
         """Insert executed results; returns chunk keys evicted for budget.
 
         ``entries`` holds ``(ident, chunk_key, nbytes, deps, explicit)``
@@ -190,20 +190,19 @@ class ResultCacheService:
 
     # -- invalidation ------------------------------------------------------
     def invalidate_chunks(self, chunk_keys: Iterable[str],
-                          scope_session: Optional[str] = None) -> list[str]:
-        """A chunk's bytes are gone or changed: drop dependents too.
+                          session: str) -> list[str]:
+        """``session`` lost or changed a chunk's bytes: drop dependents too.
 
         Every entry whose identity *is* one of the lost chunks' — or
         whose ancestor set contains one — is removed. Returns the chunk
         keys of all dropped entries so lifecycle can unprotect them.
 
-        ``scope_session`` limits the *transitive* part of the walk to one
-        tenant's entries: an entry pointing directly at a lost chunk is
-        always dropped (its bytes are gone), but downstream dependents
-        belonging to other tenants keep their entries — their values are
-        already materialized under their own chunk keys, so like budget
-        eviction this loses reuse, never correctness.  ``None`` drops
-        dependents regardless of owner (the private-cluster behaviour).
+        The *transitive* part of the walk is limited to ``session``'s
+        own entries: an entry pointing directly at a lost chunk is always
+        dropped (its bytes are gone), but downstream dependents belonging
+        to other sessions keep their entries — their values are already
+        materialized under their own chunk keys, so like budget eviction
+        this loses reuse, never correctness.
         """
         lost_keys = set(chunk_keys)
         lost_idents = set()
@@ -219,18 +218,16 @@ class ResultCacheService:
         dropped: list[str] = []
         for ident in list(self._entries):
             entry = self._entries[ident]
-            if entry.chunk_key not in lost_keys and scope_session is not None \
-                    and entry.session != scope_session:
+            if entry.chunk_key not in lost_keys and entry.session != session:
                 continue
             if ident in lost_idents or (entry.deps & lost_idents):
                 dropped.append(entry.chunk_key)
                 self._forget(ident)
                 self.stats.invalidations += 1
         # boundary bindings downstream of the loss are stale too.
-        scope_prefix = (f"{scope_session}/"
-                        if scope_session else None)
+        prefix = f"{session}/"
         for key in list(self._known):
-            if scope_prefix is not None and not key.startswith(scope_prefix):
+            if not key.startswith(prefix):
                 continue
             ident, deps = self._known[key]
             if ident in lost_idents or (deps & lost_idents):

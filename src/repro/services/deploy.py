@@ -49,20 +49,18 @@ class ServiceHandles:
     runners: dict[str, Any] = field(default_factory=dict)
 
 
-def deploy_cluster_services(cluster: ClusterState,
-                            config: Config | None = None) -> ServiceHandles:
+def deploy_cluster_services(cluster: ClusterState) -> ServiceHandles:
     """The cluster's service plane, deployed once and memoized.
 
-    The services are cluster-scoped singletons: the first session on a
-    cluster stands them up (with that session's config), every later
+    The services are cluster-scoped singletons built with the cluster's
+    config: the first session on a cluster stands them up, every later
     session attaches to the same handles.  This is what makes N
     concurrent sessions share one Meta/Storage/Shuffle/Scheduling/
     Cache/Lifecycle plane instead of each owning a private copy.
     """
     with cluster.services_lock:
         if cluster.services is None:
-            cluster.services = deploy_services(
-                cluster, config if config is not None else cluster.config)
+            cluster.services = deploy_services(cluster, cluster.config)
         return cluster.services
 
 

@@ -15,10 +15,9 @@ shape (``plan_update``).
 Held chunks stay unpinned, and unlike ``eager_release=False`` the hold
 ends with the last reader.
 
-All of it is scoped per session: on a shared cluster N tenants run
-interleaved stages, and tenant A's ``begin_stage`` must not clobber
-tenant B's live refcounts.  The empty session ``""`` is the
-private-cluster scope — single-session callers never notice the scoping.
+All of it is scoped per session: on a shared cluster N sessions run
+interleaved stages, and session A's ``begin_stage`` must not clobber
+session B's live refcounts.
 """
 
 from __future__ import annotations
@@ -57,9 +56,8 @@ class LifecycleService:
         self._cache = cache
         self._recovery = RecoveryManager()
         #: chunk key -> is a tileable-boundary (user-visible) chunk;
-        #: persisted across stages like the executor's old field. Keys
-        #: are session-prefixed on a shared cluster, so one flat dict is
-        #: collision-free.
+        #: persisted across stages. Keys carry their session's prefix,
+        #: so one flat dict is collision-free.
         self._terminal: dict[str, bool] = {}
         #: session -> that session's scope.
         self._scopes: defaultdict[str, _Scope] = defaultdict(_Scope)
@@ -73,14 +71,13 @@ class LifecycleService:
     def register_terminals(self, terminal_by_key: dict[str, bool]) -> None:
         self._terminal.update(terminal_by_key)
 
-    def begin_stage(self, consumers: dict[str, int],
-                    session: str = "") -> None:
+    def begin_stage(self, consumers: dict[str, int], session: str) -> None:
         """Add one stage's consumer counts."""
         counts = self._scopes[session].consumers
         for key, n_consumers in consumers.items():
             counts[key] += n_consumers
 
-    def plan_update(self, reads=(), done=(), session: str = "") -> list[str]:
+    def plan_update(self, reads=(), done=(), *, session: str) -> list[str]:
         """The plan grew and/or readers finished: ``reads`` and ``done``
         hold ``(reader, chunk keys)`` pairs — a new reader of those keys,
         one that reads them no more. Returns the keys that frees."""
@@ -90,13 +87,13 @@ class LifecycleService:
                 scope.readers[key].add(reader)
         return self._stop_reading(scope, done)
 
-    def held(self, keys, running, session: str = "") -> list[str]:
+    def held(self, keys, running, session: str) -> list[str]:
         """Those of ``keys`` the plan has a reader for besides
         ``running``, the operators of the stage being planned."""
         readers = self._scopes[session].readers
         return [key for key in keys if not readers.get(key, running) <= running]
 
-    def reset_plan(self, stored=(), session: str = "") -> list[str]:
+    def reset_plan(self, stored=(), *, session: str) -> list[str]:
         """An ``execute()`` attempt begins, or the run is over: forget
         the plan. Returns those of ``stored`` — the keys the finished run
         put into storage — that are neither its results nor exempt from
@@ -135,7 +132,7 @@ class LifecycleService:
             self._shuffle.forget_keys(freed)
         return freed
 
-    def finish_subtask(self, subtask, session: str = "",
+    def finish_subtask(self, subtask, session: str,
                        dedup_token=None) -> list[str]:
         """One message for a subtask's whole lifecycle epilogue.
 
@@ -162,16 +159,14 @@ class LifecycleService:
         return freed
 
     def drop_session(self, session: str) -> None:
-        """A tenant closed: discard its stage scope and terminal flags."""
-        if not session:
-            return
+        """A session closed: discard its stage scope and terminal flags."""
         self._scopes.pop(session, None)
         prefix = f"{session}/"
         for key in [k for k in self._terminal if k.startswith(prefix)]:
             del self._terminal[key]
 
     # -- result cache ------------------------------------------------------
-    def cache_record(self, entries, session_id: str = "",
+    def cache_record(self, entries, session_id: str,
                      dedup_token=None) -> list[str]:
         """Register executed results with the cache; handle evictions.
 
@@ -197,18 +192,17 @@ class LifecycleService:
         self._dedup.record(dedup_token, result)
         return result
 
-    def invalidate_cached(self, chunk_keys, session=None) -> list[str]:
+    def invalidate_cached(self, chunk_keys, session: str) -> list[str]:
         """Chunk bytes vanished or changed: drop dependent cache entries.
 
         ``session`` scopes the *transitive* part of the invalidation to
-        one tenant's entries (see ``ResultCacheService.invalidate_chunks``)
-        — another tenant's still-valid entries survive tenant-local
-        chunk loss or ``free()``.  ``None`` keeps the unscoped walk.
-        Returns the chunk keys whose entries were dropped (their values,
-        where still stored, become ordinary freeable intermediates).
+        its own entries (see ``ResultCacheService.invalidate_chunks``) —
+        another session's still-valid entries survive this one's chunk
+        loss or ``free()``.  Returns the chunk keys whose entries were
+        dropped (their values, where still stored, become ordinary
+        freeable intermediates).
         """
-        dropped = self._cache.invalidate_chunks(
-            list(chunk_keys), scope_session=session)
+        dropped = self._cache.invalidate_chunks(list(chunk_keys), session)
         return self._unprotect(dropped)
 
     def _unprotect(self, chunk_keys) -> list[str]:

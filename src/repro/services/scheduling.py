@@ -1,130 +1,49 @@
-"""The scheduling service: placement, admission, and the tenant turnstile.
+"""The scheduling service: band placement and memory admission.
 
-Combines the :class:`~repro.core.scheduler.Scheduler` (band placement
-and load accounting) with the :class:`~repro.core.memory_control`
-subsystem (footprint estimator, admission ledger, degraded-worker state,
-dispatch gates) behind one flat message interface — what the paper's
-supervisor-side scheduling service owns.  The
-:class:`GraphExecutor` talks to this service (directly or through the
-``service/scheduling`` actor ref) instead of reaching into scheduler or
-pressure internals.
-
-On a shared cluster the service additionally owns the **fair-share
-turnstile** (:class:`FairShareQueue`): concurrent sessions serialize
-their *stage accounting* through it in weighted stride order, so N
-tenant threads interleave at stage granularity — a weight-2 tenant gets
-stage turns twice as often as a weight-1 tenant — while each stage's
-deterministic accounting walk runs unshared.
+Places subtasks on bands (Section V-B: breadth-first initial placement,
+locality-aware successor placement) and fronts the
+:class:`~repro.core.memory_control` subsystem (footprint estimator,
+admission ledger, degraded-worker state, dispatch gates) behind one
+flat message interface — what the paper's supervisor-side scheduling
+service owns.  The :class:`GraphExecutor` talks to this service
+(directly or through the ``service/scheduling`` actor ref) instead of
+reaching into pressure internals.
 """
 
 from __future__ import annotations
 
-import threading
+from collections import defaultdict
 
 from ..core.memory_control import MemoryPressure
-from ..core.scheduler import Scheduler
-
-
-class FairShareQueue:
-    """Weighted fair-share turnstile over shared-plane stage grants.
-
-    Stride scheduling: each tenant carries a *pass* value advanced by
-    ``1 / weight`` per granted turn; among waiting tenants the lowest
-    pass (ties broken by arrival order) goes next.
-
-    The holder may re-enter (``acquire`` is reentrant per tenant with a
-    depth count) — fetch-time recovery runs ``execute`` inside an
-    already-held turn.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        #: tenant -> (weight, pass value)
-        self._tenants: dict[str, list[float]] = {}
-        self._global_pass = 0.0
-        self._arrivals = 0
-        #: tenant -> arrival seq, set while waiting.
-        self._waiting: dict[str, int] = {}
-        self._holder: str | None = None
-        self._depth = 0
-        self.turns_granted: dict[str, int] = {}
-
-    def register(self, session: str, weight: float = 1.0) -> None:
-        with self._lock:
-            weight = max(float(weight), 1e-9)
-            # late joiners start at the current pass front, not at zero —
-            # otherwise a fresh tenant would monopolize the turnstile
-            # until it caught up with everyone's accumulated pass.
-            self._tenants[session] = [weight, self._global_pass]
-
-    def unregister(self, session: str) -> None:
-        with self._lock:
-            self._tenants.pop(session, None)
-            self._waiting.pop(session, None)
-            self._cond.notify_all()
-
-    def _next_in_line(self) -> str | None:
-        if not self._waiting:
-            return None
-        return min(
-            self._waiting,
-            key=lambda s: (self._tenants.get(s, [1.0, 0.0])[1],
-                           self._waiting[s]),
-        )
-
-    def acquire(self, session: str) -> None:
-        """Block until it is ``session``'s turn; reentrant for the holder."""
-        with self._lock:
-            if self._holder == session:
-                self._depth += 1
-                return
-            self._waiting[session] = self._arrivals
-            self._arrivals += 1
-            self._cond.notify_all()
-            while not (self._holder is None
-                       and self._next_in_line() == session):
-                self._cond.wait()
-            del self._waiting[session]
-            self._holder = session
-            self._depth = 1
-            entry = self._tenants.get(session)
-            if entry is not None:
-                entry[1] += 1.0 / entry[0]
-                self._global_pass = max(self._global_pass, entry[1])
-            self.turns_granted[session] = (
-                self.turns_granted.get(session, 0) + 1)
-
-    def release(self, session: str) -> None:
-        with self._lock:
-            if self._holder != session:
-                return
-            self._depth -= 1
-            if self._depth <= 0:
-                self._holder = None
-                self._depth = 0
-                self._cond.notify_all()
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "tenants": {
-                    s: {"weight": w, "pass": p}
-                    for s, (w, p) in self._tenants.items()
-                },
-                "waiting": len(self._waiting),
-                "holder": self._holder,
-                "turns_granted": dict(self.turns_granted),
-            }
+from ..errors import SchedulingError
 
 
 class SchedulingService:
-    """Band placement + band-load accounting + memory admission."""
+    """Band placement + band-load accounting + memory admission.
 
-    def __init__(self, scheduler: Scheduler, pressure: MemoryPressure):
-        self._scheduler = scheduler
+    - *Breadth-first*: initial subtasks (no predecessors in the graph) are
+      spread band-by-band in worker-major order, filling one worker's
+      bands before moving to the next, so co-resident sources stay close.
+    - *Locality-aware*: a successor subtask goes to the band holding the
+      most input bytes (predecessor outputs plus chunks already resident
+      in storage), breaking ties toward the least-loaded band.
+
+    ``chunk_band`` records where every produced chunk lives; it persists
+    across the partial executions of a run so later stages see earlier
+    placements.
+    """
+
+    def __init__(self, cluster, config, pressure: MemoryPressure):
+        self.cluster = cluster
+        self.config = config
         self._pressure = pressure
-        self._turnstile = FairShareQueue()
+        self.chunk_band: dict[str, str] = {}
+        self._band_load: dict[str, float] = {b.name: 0.0 for b in cluster.bands}
+        self._rr_cursor = 0
+        #: presumed size of a chunk with no recorded metadata yet: a fresh
+        #: full chunk. Without this, small *known* inputs (e.g. a broadcast
+        #: table) would dominate locality and funnel work onto one band.
+        self._default_nbytes = max(config.chunk_store_limit, 1)
 
     @classmethod
     def create(cls, cluster, config, meta, storage) -> "SchedulingService":
@@ -133,48 +52,117 @@ class SchedulingService:
         The handles may be plain services or actor refs — the pressure
         subsystem only calls methods on them.
         """
-        return cls(Scheduler(cluster, config),
+        return cls(cluster, config,
                    MemoryPressure(config, cluster, meta, storage))
 
     # -- placement ---------------------------------------------------------
-    def assign(self, subtask_graph, input_nbytes) -> None:
-        self._scheduler.assign(subtask_graph, input_nbytes)
+    def assign(self, graph, input_nbytes: dict[str, int] | None = None) -> None:
+        """Set ``subtask.band`` and ``subtask.priority`` for every node.
+
+        ``priority`` is the subtask's topological position: the parallel
+        band runner uses it to drain each band's ready queue in the same
+        order the serial walk would reach the work, keeping dispatch
+        deterministic.
+        """
+        input_nbytes = input_nbytes or {}
+        bands = [band.name for band in self.cluster.bands]
+        if not bands:
+            raise SchedulingError("cluster has no bands")
+        for position, subtask in enumerate(graph.topological_order()):
+            subtask.priority = position
+            preds = graph.predecessors(subtask)
+            has_located_input = any(
+                key in self.chunk_band for key in subtask.input_keys
+            )
+            if not preds and not has_located_input:
+                band = bands[self._rr_cursor % len(bands)]
+                self._rr_cursor += 1
+            elif self.config.locality_scheduling:
+                band = self._most_local_band(subtask, input_nbytes, bands)
+            else:
+                band = self._least_loaded(bands)
+            subtask.band = band
+            estimated = sum(
+                input_nbytes.get(key, self._default_nbytes)
+                for key in subtask.input_keys
+            ) + 1
+            subtask.load_estimate = estimated
+            self._band_load[band] += estimated
+            for key in subtask.output_keys:
+                self.chunk_band[key] = band
+
+    def _most_local_band(self, subtask, input_nbytes: dict[str, int],
+                         bands: list[str]) -> str:
+        local_bytes: dict[str, int] = defaultdict(int)
+        for key in subtask.input_keys:
+            band = self.chunk_band.get(key)
+            if band is not None:
+                local_bytes[band] += input_nbytes.get(key, self._default_nbytes)
+        if not local_bytes:
+            return self._least_loaded(bands)
+        best_bytes = max(local_bytes.values())
+        candidates = [b for b, n in local_bytes.items() if n == best_bytes]
+        chosen = min(candidates, key=lambda b: self._band_load[b])
+        # balance valve: locality must not pile everything on one band —
+        # when the locality choice is far more loaded than the idlest
+        # band, moving the data is cheaper than waiting for the band.
+        least = self._least_loaded(bands)
+        if self._band_load[chosen] > 2.0 * self._band_load[least] + best_bytes:
+            return least
+        return chosen
+
+    def _least_loaded(self, bands: list[str]) -> str:
+        return min(bands, key=lambda b: self._band_load[b])
+
+    def note_completed(self, subtask) -> None:
+        """Release a finished (or moved) subtask's estimated band load.
+
+        Without this, ``_band_load`` only ever accumulates across the
+        partial executions of a run, so ``_least_loaded`` and the
+        locality balance valve skew toward whichever bands happened to
+        run the first stage.
+        """
+        band = subtask.band
+        if band is None or band not in self._band_load:
+            return
+        self._band_load[band] = max(
+            0.0, self._band_load[band] - subtask.load_estimate
+        )
 
     def reassign(self, subtask, band: str) -> None:
-        self._scheduler.reassign(subtask, band)
+        """Move a subtask (and its future outputs) to another band.
+
+        Used by the OOM ladder's reschedule rung: the estimated load
+        follows the subtask, and output placements are re-recorded so
+        locality follows the data to its new home.
+        """
+        self.note_completed(subtask)
+        subtask.band = band
+        self._band_load[band] = (
+            self._band_load.get(band, 0.0) + subtask.load_estimate
+        )
+        for key in subtask.output_keys:
+            self.chunk_band[key] = band
 
     def record_chunk(self, key: str, band: str) -> None:
-        self._scheduler.record_chunk(key, band)
+        self.chunk_band[key] = band
 
     def forget_chunk(self, key: str) -> None:
-        self._scheduler.forget_chunk(key)
+        """Drop a lost chunk's placement so locality never chases dead data.
 
-    # -- fair-share turnstile ----------------------------------------------
-    def register_tenant(self, session: str, weight: float = 1.0) -> None:
-        self._turnstile.register(session, weight)
-
-    def unregister_tenant(self, session: str) -> None:
-        self._turnstile.unregister(session)
-        self._pressure.drop_session(session)
-
-    def acquire_turn(self, session: str) -> None:
-        self._turnstile.acquire(session)
-
-    def release_turn(self, session: str) -> None:
-        self._turnstile.release(session)
-
-    def fair_share_snapshot(self) -> dict:
-        return self._turnstile.snapshot()
+        Called when fault injection drops a chunk or kills a worker;
+        recovery re-records the placement when the chunk is recomputed.
+        """
+        self.chunk_band.pop(key, None)
 
     # -- memory admission --------------------------------------------------
-    def begin_stage(self, base: float | None = None) -> None:
+    def begin_stage(self, base: float) -> None:
         self._pressure.admission.begin_stage(base)
 
     # -- per-subtask composites --------------------------------------------
     def admit_subtask(self, subtask, worker: str, working_set: int,
-                      ready_time: float, used: int, limit: int,
-                      allow_wait: bool = True, session: str = "",
-                      quota: int | None = None):
+                      ready_time: float, used: int, limit: int, *,
+                      allow_wait: bool, session: str, quota: int | None):
         """One message for the executor's whole admission round-trip.
 
         Folds estimate → degraded-check → admit into a single call;
@@ -200,17 +188,21 @@ class SchedulingService:
         """
         self._pressure.admission.commit(decision, end)
         self._pressure.estimator.observe(subtask, sizes)
-        self._scheduler.note_completed(subtask)
+        self.note_completed(subtask)
 
     # -- pressure state ----------------------------------------------------
-    def degrade(self, worker: str, session: str = "") -> None:
+    def degrade(self, worker: str, session: str) -> None:
         self._pressure.degrade(worker, session)
 
     def freest_worker(self) -> str:
         return self._pressure.freest_worker()
 
-    def dispatch_gate(self, order, session: str = ""):
+    def dispatch_gate(self, order, session: str):
         return self._pressure.dispatch_gate(order, session)
+
+    def drop_session(self, session: str) -> None:
+        """A session left the cluster: forget its degraded workers."""
+        self._pressure.drop_session(session)
 
     # -- introspection -----------------------------------------------------
     def memory_pressure(self) -> MemoryPressure:

@@ -30,6 +30,7 @@ from collections import Counter
 import numpy as np
 
 from repro import frame as pf
+from repro.cluster import ClusterState
 from repro.config import Config
 from repro.core import Session
 from repro.core.tiler import TilingEngine
@@ -49,9 +50,9 @@ CHAOS = {
 }
 
 
-def make_session(parallel: bool = False, chunk_limit: int = 8_000,
-                 faults: dict | None = None,
-                 memory_limit: int | None = None, **overrides) -> Session:
+def make_config(parallel: bool = False, chunk_limit: int = 8_000,
+                faults: dict | None = None,
+                memory_limit: int | None = None, **overrides) -> Config:
     """``parallel`` picks the execution mode: process pool, or inline."""
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
@@ -62,7 +63,12 @@ def make_session(parallel: bool = False, chunk_limit: int = 8_000,
         setattr(cfg.faults, name, value)
     for name, value in overrides.items():
         setattr(cfg, name, value)
-    return Session(cfg)
+    return cfg
+
+
+def make_session(**kwargs) -> Session:
+    """A session that builds its own cluster (:func:`make_config` args)."""
+    return Session(make_config(**kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +203,7 @@ def collect_report(session: Session, plan=()) -> dict:
         "sim": _dump(session.executor.report, fields["sim"]),
         "run": _dump(session.last_report, fields["run"]),
         "fault_events": [
-            (e.point, e.stage, e.priority)
-            for e in session.cluster.faults.events
+            (e.point, e.stage, e.priority) for e in session.faults.events
         ],
         "plan": list(plan),
     }
@@ -239,9 +244,18 @@ def scenarios() -> list[tuple[str, dict]]:
     return out
 
 
-def run_scenario(spec: dict) -> dict:
+def run_scenario(spec: dict, lone_tenant: bool = False) -> dict:
+    """Run one scenario in a session that builds its own cluster, or —
+    ``lone_tenant`` — as the only tenant of a cluster built beside it."""
     spec = dict(spec)
     workload, _ = WORKLOADS[spec.pop("workload")]
-    with make_session(**spec) as session, record_plan() as plan:
-        workload(session)
-        return collect_report(session, plan)
+    cfg = make_config(**spec)
+    cluster = ClusterState(cfg) if lone_tenant else None
+    try:
+        with Session(cfg, cluster=cluster) as session, \
+                record_plan() as plan:
+            workload(session)
+            return collect_report(session, plan)
+    finally:
+        if cluster is not None:
+            cluster.shutdown()

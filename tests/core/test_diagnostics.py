@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import diagnostics
+from repro.cluster import ClusterState
 from repro.config import Config
 from repro.core import Session, build_tileable_graph
 from repro.core.tiler import chunk_closure
@@ -102,6 +103,25 @@ class TestRuntimeReports:
             from_frame(local, tight).groupby("k").agg({"v": "sum"}).fetch()
             assert tight.executor.report.admission_wait_time > 0.0
             assert "memory pressure:" in diagnostics.session_summary(tight)
+
+
+class TestRecoveryReport:
+    def test_tenant_report_shows_its_own_faults(self):
+        cfg = Config()
+        cfg.chunk_store_limit = 4_000
+        cluster = ClusterState(cfg)
+        try:
+            with Session(cluster=cluster) as tenant:
+                tenant.faults.script_chunk_loss(0, 0)
+                local = pf.DataFrame({"k": np.arange(300) % 4,
+                                      "v": np.arange(300.0)})
+                from_frame(local, tenant).groupby("k").agg(
+                    {"v": "sum"}).fetch()
+                text = diagnostics.recovery_report(tenant)
+        finally:
+            cluster.shutdown()
+        assert "injected events:     1" in text
+        assert "[chunk_loss]" in text
 
 
 class TestServiceReport:

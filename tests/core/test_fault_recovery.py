@@ -60,7 +60,7 @@ def report_tuple(session: Session):
 def event_signature(session: Session):
     """Structural identities of fired injections (session-independent)."""
     return [(e.point, e.stage, e.priority)
-            for e in session.cluster.faults.events]
+            for e in session.faults.events]
 
 
 def assert_same_result(actual, expected):
@@ -231,7 +231,7 @@ class TestScriptedInjection:
         with make_session() as clean:
             expected = tensor_fanout(clean)
         with make_session() as chaotic:
-            chaotic.cluster.faults.script_compute_fault(0, 0)
+            chaotic.faults.script_compute_fault(0, 0)
             actual = tensor_fanout(chaotic)
             report = chaotic.executor.report
             assert report.retries == 1
@@ -244,7 +244,7 @@ class TestScriptedInjection:
         with make_session() as clean:
             expected = tensor_fanout(clean)
         with make_session() as chaotic:
-            chaotic.cluster.faults.script_chunk_loss(0, 0)
+            chaotic.faults.script_chunk_loss(0, 0)
             actual = tensor_fanout(chaotic)
             report = chaotic.executor.report
             assert report.recomputed_subtasks >= 1
@@ -257,7 +257,7 @@ class TestScriptedInjection:
             expected = tensor_fanout(clean)
             clean_makespan = clean.cluster.clock.makespan
         with make_session() as chaotic:
-            chaotic.cluster.faults.script_worker_kill(0, 0)
+            chaotic.faults.script_worker_kill(0, 0)
             actual = tensor_fanout(chaotic)
             report = chaotic.executor.report
             assert report.recomputed_subtasks >= 1
@@ -350,7 +350,7 @@ class TestChaosMatrix:
                     or report.forced_spill_bytes > 0
                 )
                 assert any(e.point == "mem_squeeze"
-                           for e in session.cluster.faults.events)
+                           for e in session.faults.events)
                 verify_memory_invariants(session)
         assert reports[True] == reports[False]
         assert pressured[True] and pressured[False]
@@ -386,7 +386,7 @@ class TestShuffleRecovery:
                     return True
                 return False
 
-            chaotic.cluster.faults.on_store(drop_one_partition)
+            chaotic.faults.on_store(drop_one_partition)
             actual = groupby_shuffle(chaotic)
             assert fired, "workload scheduled no shuffle mappers"
             assert chaotic.shuffle.reregistered_count() >= 1
@@ -419,7 +419,7 @@ class TestShuffleRecovery:
         # structural identities are stable across sessions: script the
         # same reducer's output loss in a brand-new session.
         with make_session(**self.OVERRIDES) as chaotic:
-            chaotic.cluster.faults.script_chunk_loss(*ident)
+            chaotic.faults.script_chunk_loss(*ident)
             actual = groupby_shuffle(chaotic)
             report = chaotic.executor.report
             assert ("chunk_loss",) + ident in event_signature(chaotic)
@@ -453,7 +453,7 @@ class TestShuffleRecovery:
                     return stages[-1]
 
                 monkeypatch.setattr(executor_module, "SimReport", recorded)
-                session.cluster.faults.script_worker_kill(*last)
+                session.faults.script_worker_kill(*last)
                 groupby_shuffle(session)
                 monkeypatch.undo()
                 report = session.executor.report

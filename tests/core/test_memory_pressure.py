@@ -24,13 +24,13 @@ from repro.core.memory_control import (
 )
 from repro.core.meta import ChunkMeta, MetaService
 from repro.core.operator import Operator
-from repro.core.scheduler import Scheduler
 from repro.cluster import ClusterState
 from repro.dataframe import from_frame
 from repro.errors import WorkerOutOfMemory
 from repro.graph.dag import DAG
 from repro.graph.entity import ChunkData
 from repro.graph.subtask import Subtask
+from repro.services.scheduling import SchedulingService
 from repro.storage import StorageService
 from repro.tensor import rand
 from repro.tensor.core import tensor_from_numpy
@@ -170,7 +170,7 @@ class TestMemoryAdmission:
     def test_fits_starts_immediately(self):
         ledger = MemoryAdmission()
         decision = ledger.admit("w", 100, 1.0, used=0, limit=1_000,
-                                allow_wait=True)
+                                allow_wait=True, session="s")
         assert decision.start == 1.0 and decision.wait == 0.0
         assert not decision.forced
         ledger.commit(decision, 2.0)
@@ -181,10 +181,10 @@ class TestMemoryAdmission:
         ledger = MemoryAdmission()
         for end, nbytes in ((5.0, 400), (3.0, 400)):
             d = ledger.admit("w", nbytes, 0.0, used=0, limit=1_000,
-                             allow_wait=True)
+                             allow_wait=True, session="s")
             ledger.commit(d, end)
         decision = ledger.admit("w", 400, 1.0, used=0, limit=1_000,
-                                allow_wait=True)
+                                allow_wait=True, session="s")
         # 3 * 400 > 1000: wait for the grant ending at 3.0, not 5.0
         assert decision.start == 3.0
         assert decision.wait == 2.0
@@ -193,10 +193,11 @@ class TestMemoryAdmission:
 
     def test_deadlock_guard_forces_after_drain(self):
         ledger = MemoryAdmission()
-        d = ledger.admit("w", 800, 0.0, used=0, limit=1_000, allow_wait=True)
+        d = ledger.admit("w", 800, 0.0, used=0, limit=1_000,
+                         allow_wait=True, session="s")
         ledger.commit(d, 4.0)
         decision = ledger.admit("w", 900, 0.0, used=300, limit=1_000,
-                                allow_wait=True)
+                                allow_wait=True, session="s")
         # even alone it oversubscribes (300 + 900 > 1000): admitted
         # anyway once every grant drained, with zero concurrent bytes.
         assert decision.start == 4.0
@@ -206,35 +207,41 @@ class TestMemoryAdmission:
 
     def test_no_wait_mode_admits_into_pressure(self):
         ledger = MemoryAdmission()
-        d = ledger.admit("w", 800, 0.0, used=0, limit=1_000, allow_wait=False)
+        d = ledger.admit("w", 800, 0.0, used=0, limit=1_000,
+                         allow_wait=False, session="s")
         ledger.commit(d, 4.0)
         decision = ledger.admit("w", 800, 1.0, used=0, limit=1_000,
-                                allow_wait=False)
+                                allow_wait=False, session="s")
         assert decision.start == 1.0 and decision.active == 800
 
     def test_exclusive_drains_everything(self):
         ledger = MemoryAdmission()
         for end in (2.0, 6.0):
             d = ledger.admit("w", 10, 0.0, used=0, limit=1_000,
-                             allow_wait=True)
+                             allow_wait=True, session="s")
             ledger.commit(d, end)
         decision = ledger.admit("w", 10, 1.0, used=0, limit=1_000,
-                                allow_wait=True, exclusive=True)
+                                allow_wait=True, session="s",
+                                exclusive=True)
         assert decision.start == 6.0 and decision.active == 0
 
     def test_begin_stage_clears_grants(self):
         ledger = MemoryAdmission()
-        d = ledger.admit("w", 10, 0.0, used=0, limit=100, allow_wait=True)
-        ledger.commit(d, 99.0)
-        ledger.begin_stage()
-        assert ledger.outstanding(0.0) == 0
+        for end in (99.0, 120.0):
+            d = ledger.admit("w", 10, 0.0, used=0, limit=100,
+                             allow_wait=True, session="s")
+            ledger.commit(d, end)
+        # grants that ended by the stage's base go; a later one stays.
+        ledger.begin_stage(99.0)
+        assert ledger.outstanding(0.0) == 10
 
 
 class TestSchedulerLoadAccounting:
     def _assigned(self):
         cfg = Config()
         cluster = ClusterState(cfg)
-        scheduler = Scheduler(cluster, cfg)
+        scheduler = SchedulingService.create(cluster, cfg, MetaService(),
+                                             storage=None)
         graph: DAG = DAG()
         subtasks = [
             _stub_subtask([f"o{i}"], priority=i, band=None) for i in range(4)
@@ -337,10 +344,10 @@ class TestOOMLadder:
         with make_session() as free:
             expected = tensor_fanout_exact(free)
         with make_session(memory_limit=64 * 1024) as session:
-            session.cluster.faults.script_memory_squeeze(0, 0, factor=0.25)
+            session.faults.script_memory_squeeze(0, 0, factor=0.25)
             actual = tensor_fanout_exact(session)
             events = [
-                e for e in session.cluster.faults.events
+                e for e in session.faults.events
                 if e.point == "mem_squeeze"
             ]
             assert len(events) == 1

@@ -26,12 +26,11 @@ import pytest
 
 import repro
 from repro import frame as pf
-from repro.cluster.cluster import ClusterState
+from repro.cluster.cluster import ClusterState, FairShareQueue
 from repro.config import Config
 from repro.core import Session
 from repro.core.session import SessionError
 from repro.dataframe import from_frame
-from repro.services.scheduling import FairShareQueue
 from repro.workloads.tpch import ALL_QUERIES, generate_tables
 from repro.workloads.tpch.queries import materialize
 
@@ -511,31 +510,40 @@ class TestSharedClusterExecution:
         chaos_cfg = make_config(chunk_store_limit=64 * KiB)
         for name, value in CHAOS.items():
             setattr(chaos_cfg.faults, name, value)
+
+        def recovery(session: Session) -> int:
+            return (session.last_report.retries
+                    + session.last_report.recomputed_subtasks)
+
+        def events(session: Session) -> list[tuple]:
+            return [(e.point, e.stage, e.priority)
+                    for e in session.faults.events]
+
+        # q1 at this size is a handful of subtasks the seeded rates never
+        # hit: kill the worker under the first one, so there is recovery
+        # to compare.
         with Session(chaos_cfg) as solo_chaos:
+            solo_chaos.faults.script_worker_kill(0, 0)
             ref_chaos = repr(run_tpch(solo_chaos, tables, "q1"))
-            solo_chaos_retries = (
-                solo_chaos.last_report.retries
-                + solo_chaos.last_report.recomputed_subtasks
-            )
+            solo_chaos_retries = recovery(solo_chaos)
+            solo_events = events(solo_chaos)
+        assert solo_events and solo_chaos_retries >= 1
 
         cluster = ClusterState(make_config(chunk_store_limit=64 * KiB))
         chaos = Session(chaos_cfg, cluster=cluster)
+        chaos.faults.script_worker_kill(0, 0)
         clean = Session(cluster=cluster)
         out: dict = {}
 
         def run_chaos():
             out["chaos"] = repr(run_tpch(chaos, tables, "q1"))
-            out["chaos_retries"] = (
-                chaos.last_report.retries
-                + chaos.last_report.recomputed_subtasks
-            )
+            out["chaos_retries"] = recovery(chaos)
+            out["chaos_events"] = events(chaos)
 
         def run_clean():
             out["clean"] = repr(run_tpch(clean, tables, "q6"))
-            out["clean_retries"] = (
-                clean.last_report.retries
-                + clean.last_report.recomputed_subtasks
-            )
+            out["clean_retries"] = recovery(clean)
+            out["clean_events"] = events(clean)
 
         t1 = threading.Thread(target=run_chaos)
         t2 = threading.Thread(target=run_clean)
@@ -550,10 +558,12 @@ class TestSharedClusterExecution:
         # the chaos tenant recovers to the same value its solo chaos run
         # produced, with the same fault draws (structural identities).
         assert out["chaos"] == ref_chaos
+        assert out["chaos_events"] == solo_events
         assert out["chaos_retries"] == solo_chaos_retries
         # the clean tenant sees none of the chaos: identical value, zero
         # recovery activity.
         assert out["clean"] == ref_clean
+        assert out["clean_events"] == []
         assert out["clean_retries"] == 0
 
     def test_quota_tenant_completes_without_stalling_neighbour(self):
@@ -588,11 +598,11 @@ class TestSharedClusterExecution:
         cluster = ClusterState(make_config())
         a = Session(cluster=cluster, tenant_weight=2.5)
         try:
-            snap = a.scheduler.fair_share_snapshot()
+            snap = cluster.turnstile.snapshot()
             assert snap["tenants"][a.session_id]["weight"] == 2.5
         finally:
             a.close()
-            snap = cluster.services.scheduling.fair_share_snapshot()
+            snap = cluster.turnstile.snapshot()
             assert a.session_id not in snap["tenants"]
             cluster.shutdown()
 

@@ -209,7 +209,8 @@ class TestNoLeak:
             assert session.executor.report.pressure_splits >= 1
             stored = session.storage.all_keys()
             # the plan is forgotten with the run: nothing is held now.
-            assert session.lifecycle.held(stored, set()) == []
+            assert session.lifecycle.held(
+                stored, set(), session.session_id) == []
         assert len(stored) == 1  # the scalar sum's single chunk
         assert value == np.arange(2048 * 8).sum() * 2 + 2048 * 8
 

@@ -195,7 +195,7 @@ class TestInvalidation:
         with make_session(**overrides) as plain:
             expected = repr(workload(plain))
         with cached_session(**overrides) as session:
-            session.cluster.faults.script_chunk_loss(0, 0)
+            session.faults.script_chunk_loss(0, 0)
             assert repr(workload(session)) == expected
             cached = set(session.cache.cached_chunk_keys())
             for key in cached:

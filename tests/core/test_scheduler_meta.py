@@ -1,14 +1,15 @@
-"""Unit tests for the scheduler (breadth-first + locality) and meta service."""
+"""Unit tests for placement (breadth-first + locality) and the meta service."""
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterState
 from repro.config import Config
-from repro.core import MetaService, Scheduler, meta_from_value
+from repro.core import MetaService, meta_from_value
 from repro.core.operator import Operator
 from repro.frame import DataFrame, Series
 from repro.graph import DAG, ChunkData, Subtask
+from repro.services.scheduling import SchedulingService
 
 
 class PassOp(Operator):
@@ -23,6 +24,11 @@ def make_cluster(n_workers=2, bands_per_worker=2):
     return ClusterState(cfg), cfg
 
 
+def make_scheduler(cluster, cfg) -> SchedulingService:
+    """The scheduling service alone: placement needs no meta or storage."""
+    return SchedulingService.create(cluster, cfg, MetaService(), storage=None)
+
+
 def chunk(idx, inputs=()):
     if inputs:
         op = PassOp()
@@ -33,7 +39,7 @@ def chunk(idx, inputs=()):
 class TestBreadthFirst:
     def test_initial_subtasks_fill_bands_in_order(self):
         cluster, cfg = make_cluster()
-        scheduler = Scheduler(cluster, cfg)
+        scheduler = make_scheduler(cluster, cfg)
         graph = DAG()
         subtasks = [Subtask([chunk(i)]) for i in range(4)]
         for s in subtasks:
@@ -47,7 +53,7 @@ class TestBreadthFirst:
 
     def test_wraps_around_when_more_sources_than_bands(self):
         cluster, cfg = make_cluster(n_workers=1, bands_per_worker=2)
-        scheduler = Scheduler(cluster, cfg)
+        scheduler = make_scheduler(cluster, cfg)
         graph = DAG()
         subtasks = [Subtask([chunk(i)]) for i in range(5)]
         for s in subtasks:
@@ -70,7 +76,7 @@ class TestLocality:
 
     def test_successor_follows_predecessor(self):
         cluster, cfg = make_cluster()
-        scheduler = Scheduler(cluster, cfg)
+        scheduler = make_scheduler(cluster, cfg)
         graph, src, dep = self._graph_with_dependency()
         scheduler.assign(graph)
         assert dep.band == src.band
@@ -78,7 +84,7 @@ class TestLocality:
     def test_locality_disabled_spreads(self):
         cluster, cfg = make_cluster()
         cfg.locality_scheduling = False
-        scheduler = Scheduler(cluster, cfg)
+        scheduler = make_scheduler(cluster, cfg)
         graph, src, dep = self._graph_with_dependency()
         scheduler.assign(graph)
         # least-loaded placement: the successor avoids the already-loaded band
@@ -86,7 +92,7 @@ class TestLocality:
 
     def test_majority_bytes_wins(self):
         cluster, cfg = make_cluster()
-        scheduler = Scheduler(cluster, cfg)
+        scheduler = make_scheduler(cluster, cfg)
         big = chunk(0)
         small = chunk(1)
         join_chunk = chunk(2, [big, small])
@@ -102,7 +108,7 @@ class TestLocality:
 
     def test_chunk_band_recorded(self):
         cluster, cfg = make_cluster()
-        scheduler = Scheduler(cluster, cfg)
+        scheduler = make_scheduler(cluster, cfg)
         c = chunk(0)
         s = Subtask([c])
         s.output_keys = [c.key]

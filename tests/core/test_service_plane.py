@@ -64,6 +64,18 @@ class TestGoldenReports:
         )
 
 
+class TestOneSessionShape:
+    """A session that builds its cluster and the lone tenant of a cluster
+    built beside it are one shape: same simulated numbers, same faults,
+    same tiling decisions — chaos included."""
+
+    @pytest.mark.parametrize(
+        "name,spec", scenarios(), ids=[name for name, _ in scenarios()],
+    )
+    def test_lone_tenant_reports_like_private_session(self, name, spec):
+        assert run_scenario(spec, lone_tenant=True) == run_scenario(spec)
+
+
 # ---------------------------------------------------------------------------
 # 2. message trace: the log records the promised service topology
 # ---------------------------------------------------------------------------

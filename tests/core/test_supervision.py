@@ -210,17 +210,20 @@ class TestIdempotentEndpoints:
             ResultCacheService(storage, Config()))
         storage.put("in-a", np.ones(4), worker)
         # two consumers hold the input; one finish releases one of them.
-        lifecycle.begin_stage({"in-a": 2})
+        lifecycle.begin_stage({"in-a": 2}, "session-1")
         subtask = _FakeSubtask(["in-a"], ["out-a"])
         token = ("session-1", 3)
-        freed = lifecycle.finish_subtask(subtask, dedup_token=token)
+        freed = lifecycle.finish_subtask(subtask, "session-1",
+                                         dedup_token=token)
         assert freed == []
         # duplicate delivery: must NOT burn the second consumer's ref.
-        assert lifecycle.finish_subtask(subtask, dedup_token=token) == []
+        assert lifecycle.finish_subtask(
+            subtask, "session-1", dedup_token=token) == []
         assert storage.contains("in-a")
         # the genuinely distinct second finish drops it to zero.
         freed = lifecycle.finish_subtask(
-            _FakeSubtask(["in-a"], ["out-b"]), dedup_token=("session-1", 4))
+            _FakeSubtask(["in-a"], ["out-b"]), "session-1",
+            dedup_token=("session-1", 4))
         assert freed == ["in-a"]
         cluster.shutdown()
 
@@ -235,9 +238,10 @@ class TestIdempotentEndpoints:
         storage.put("c-1", np.ones(8), worker)
         entries = [("ident-1", "c-1", 64, frozenset(), False)]
         token = ("session-1", 9)
-        evicted = cache.record_many(entries, dedup_token=token)
+        evicted = cache.record_many(entries, "session-1", dedup_token=token)
         snap = cache.stats_snapshot()
-        assert cache.record_many(entries, dedup_token=token) == evicted
+        assert cache.record_many(entries, "session-1",
+                                 dedup_token=token) == evicted
         again = cache.stats_snapshot()
         assert again["entries"] == snap["entries"] == 1
         assert again["bytes_cached"] == snap["bytes_cached"]

@@ -64,7 +64,9 @@ def groupby_shuffle(session: Session):
 
 WORKLOADS = [
     ("tpch_q5", tpch_query("q5", 0.25), 64 * 1024),
-    ("tpch_q1", tpch_query("q1", 0.25), 64 * 1024),
+    # q1 reads 7 of lineitem's 16 columns: at 16 KiB its first stage
+    # still has the two subtasks the scripted actor kills name.
+    ("tpch_q1", tpch_query("q1", 0.25), 16 * 1024),
     ("groupby_shuffle", groupby_shuffle, 4_000),
 ]
 

@@ -52,10 +52,6 @@ ALLOWED = {
     "MetaService": {
         "repro/core/meta.py", "repro/core/__init__.py", "repro/services/",
     },
-    "Scheduler": {
-        "repro/core/scheduler.py", "repro/core/__init__.py",
-        "repro/services/",
-    },
     "MemoryPressure": {"repro/core/memory_control.py", "repro/services/"},
     "RecoveryManager": {"repro/core/recovery.py", "repro/services/"},
     # the services themselves: constructed by deploy, never by the
