@@ -41,7 +41,7 @@ from ..errors import (
     WorkerProcessCrash,
 )
 from ..graph.dag import DAG
-from ..graph.entity import ChunkData
+from ..graph.entity import ChunkData, TileableData
 from ..graph.identity import IdentityContext, compute_chunk_identities
 from ..graph.subtask import Subtask, build_subtask_graph
 from ..services.runner import run_subtask_kernels
@@ -249,10 +249,6 @@ class GraphExecutor:
         #: runtime chunk keys whose tileables called ``.cache()``: their
         #: cache entries are explicit (never budget-evicted).
         self.explicit_cache_keys: set[str] = set()
-        #: this run's identity/ancestor maps (runtime chunk key -> ...),
-        #: filled by the cache pass, consumed at record time.
-        self._chunk_idents: dict[str, str | None] = {}
-        self._chunk_deps: dict[str, frozenset] = {}
         #: identity's execute-scoped memo (source fingerprints, operator
         #: tokens), shared by every partial execute of one run; the
         #: session actor resets it when a run starts.
@@ -454,7 +450,7 @@ class GraphExecutor:
                      order: list[ChunkData], stored: set[str]):
         """The cache-lookup + graph-pruning pass (planning time).
 
-        Computes every chunk's structural identity, rewires chunks whose
+        Stamps every chunk's structural identity, rewires chunks whose
         identity already has a live cached result onto the cached chunk
         key, and rebuilds the graph from its sinks so satisfied subtrees
         drop out entirely. Runs on the accounting thread, before any
@@ -463,23 +459,14 @@ class GraphExecutor:
         added to ``stored``. Returns ``(graph, order, hit_chunks,
         reused_bytes)``.
         """
-        old_keys = [node.key for node in order]
-        known = self.cache.known_identities(old_keys)
-        idents, ancestors = compute_chunk_identities(
-            order, known, self.identity)
-        for key, ident in idents.items():
-            if ident is not None:
-                self._chunk_idents[key] = ident
-                self._chunk_deps[key] = ancestors.get(key, frozenset())
+        compute_chunk_identities(order, self.identity, stored)
         # sinks must be taken before any rebind: rebinding changes node
         # hashes, which silently breaks the DAG's internal dicts.
         sinks = chunk_graph.sinks()
         candidates: dict[str, list[ChunkData]] = {}
         for node in order:
-            ident = idents.get(node.key)
-            if ident is None or node.key in stored:
-                continue
-            candidates.setdefault(ident, []).append(node)
+            if node.ident is not None and node.key not in stored:
+                candidates.setdefault(node.ident, []).append(node)
         hits = self.cache.lookup_many(list(candidates), self.session_id)
         n_hits = 0
         reused = 0
@@ -492,19 +479,6 @@ class GraphExecutor:
                 node.rebind_key(cached_key)
                 n_hits += 1
                 reused += nbytes
-        # bind final runtime keys to identities so later passes (partial
-        # executes of this run, the next run's boundary chunks) resolve
-        # them without recomputing the chain.
-        self.cache.note_identities([
-            (node.key, idents[old_key], tuple(ancestors.get(old_key, ())))
-            for node, old_key in zip(order, old_keys)
-            if idents.get(old_key) is not None
-        ])
-        for node, old_key in zip(order, old_keys):
-            if node.key != old_key and idents.get(old_key) is not None:
-                self._chunk_idents[node.key] = idents[old_key]
-                self._chunk_deps[node.key] = ancestors.get(
-                    old_key, frozenset())
         if n_hits:
             # every node reachable from the sinks carries an old key or
             # a hit key, so ``stored`` answers for all of storage here.
@@ -512,6 +486,16 @@ class GraphExecutor:
             chunk_graph = chunk_closure(sinks, stored.__contains__)
             order = chunk_graph.topological_order()
         return chunk_graph, order, n_hits, reused
+
+    def query_keys(self, plan: DAG[TileableData],
+                   results: list[TileableData]) -> list[str | None]:
+        """The query-level cache key of each of ``results`` (``None`` =
+        uncacheable), over the pruned logical ``plan``: its operators'
+        digests, the source columns they read and the session config.
+        Hashed behind the same span as the chunk identities."""
+        compute_chunk_identities(plan.topological_order(), self.identity,
+                                 config=self.config)
+        return [tileable.ident for tileable in results]
 
     def _collect_cache_record(self, subtask: Subtask,
                               stored_by_key: dict[str, int],
@@ -529,13 +513,11 @@ class GraphExecutor:
                 continue
             if not getattr(chunk, "terminal", False) and key not in requested:
                 continue
-            ident = self._chunk_idents.get(key)
-            if ident is None:
+            if chunk.ident is None:
                 continue
-            explicit = key in self.explicit_cache_keys
             self._pending_cache_records[key] = (
-                ident, key, stored_by_key[key],
-                tuple(self._chunk_deps.get(key, ())), explicit,
+                chunk.ident, key, stored_by_key[key],
+                key in self.explicit_cache_keys,
             )
 
     def _flush_cache_records(self) -> None:
@@ -747,12 +729,10 @@ class GraphExecutor:
         self.storage.delete(key)
         self.scheduling.forget_chunk(key)
         if self.config.result_cache:
-            # a lost chunk must never be registered, and anything cached
-            # on top of it descends from vanished bytes. The transitive
-            # walk is scoped to this session's entries — a neighbour's
-            # materialized results stay valid.
+            # a lost chunk must never be registered, and no entry may
+            # keep pointing at its vanished bytes.
             self._pending_cache_records.pop(key, None)
-            self.lifecycle.invalidate_cached([key], self.session_id)
+            self.lifecycle.invalidate_cached([key])
 
     def _kill_actor(self, uid: str) -> None:
         """Crash one service/runner actor (scripted chaos).

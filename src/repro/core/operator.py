@@ -257,6 +257,11 @@ class Operator:
         """
         return [None for _ in self.inputs]
 
+    def identity_attrs(self) -> dict[str, Any]:
+        """Result-cache hook: the attributes besides ``params`` this
+        op's output depends on. Default: every instance attribute."""
+        return vars(self)
+
     # -- introspection ----------------------------------------------------------
     @property
     def display_name(self) -> str:

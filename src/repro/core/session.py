@@ -45,9 +45,14 @@ from ..cluster.simulation import counter_growth
 from ..config import Config, default_config
 from ..engine.base import engine_of
 from ..engine.local import DataFrame, Series, concat
-from ..errors import ActorError, SessionError, WorkerOutOfMemory
+from ..errors import (
+    ActorError,
+    SessionError,
+    StorageKeyError,
+    WorkerOutOfMemory,
+)
 from ..graph.dag import DAG
-from ..graph.entity import TileableData
+from ..graph.entity import ChunkData, TileableData
 from ..services import session_actor_uid
 from ..services.deploy import ServiceHandles, deploy_cluster_services
 from ..utils import key_namespace
@@ -174,74 +179,53 @@ class SessionActor(Actor):
 
     def _execute_tileables(self,
                            tileables: Sequence[TileableData]) -> list[Any]:
-        storage = self.services.storage
-        session = self.session_id
+        tileables = list(tileables)
         # identity memoizes source fingerprints for the span of one run
         # only: data mutated between two executes must hash afresh.
         self.executor.identity.reset()
         totals_before = self._totals()
         report_before = dataclasses.replace(self.executor.report)
 
-        saved_chunk_limit = self.config.chunk_store_limit
+        values = keys = None
         try:
-            # memory-aware re-tiling (the OOM ladder's last rung): when
-            # the executor's in-place recovery is exhausted, halve the
-            # chunk limit and re-enter dynamic tiling — smaller chunks
-            # mean smaller working sets, the paper's Section IV machinery
-            # pointed at robustness instead of performance.
-            retile_attempts = 0
-            pretiled: set[str] = set()
-            stored_before: set[str] = set()
-            while True:
-                self.services.lifecycle.reset_plan(session=session)
-                graph = build_tileable_graph(list(tileables))
-                if retile_attempts == 0:
-                    if self.config.column_pruning:
-                        # may un-tile nodes an earlier query tiled too
-                        # narrow: ``graph`` grows by their ancestors
-                        prune_columns(graph, list(tileables))
-                    pretiled = {
-                        node.key for node in graph.nodes() if node.is_tiled
-                    }
-                    stored_before = set(storage.all_keys())
-                try:
-                    chunk_graph = self.tiler.tile(graph, list(tileables))
-                    results = {
-                        chunk.key for t in tileables for chunk in t.chunks
-                    }
-                    self.executor.explicit_cache_keys.update(
-                        chunk.key for t in tileables
-                        if getattr(t, "cache_requested", False)
-                        for chunk in t.chunks
-                    )
-                    self.executor.execute(chunk_graph, requested=results)
-                    break
-                except WorkerOutOfMemory:
-                    retile_attempts += 1
-                    if (not self.config.oom_recovery
-                            or retile_attempts > PRESSURE_RETILE_LIMIT):
-                        raise
-                    self.executor.report.pressure_splits += 1
-                    self._reset_for_retile(graph, pretiled, stored_before)
-                    self.config.chunk_store_limit = max(
-                        1, self.config.chunk_store_limit // 2
-                    )
+            graph = build_tileable_graph(tileables)
+            if self.config.column_pruning:
+                # may un-tile nodes an earlier query tiled too narrow:
+                # ``graph`` grows by their ancestors
+                prune_columns(graph, tileables)
+            if self.config.result_cache and not any(
+                    t.is_tiled for t in tileables):
+                keys = self.executor.query_keys(graph, tileables)
+                values = self._answer_from_cache(tileables, keys)
+            if values is None:
+                stored_before, retiled = self._tile_and_execute(
+                    graph, tileables)
         finally:
-            self.config.chunk_store_limit = saved_chunk_limit
             # the memo references every source frame and chunk operator
             # of the run: let go of them with the run.
             self.executor.identity.reset()
 
-        # fetch before building the report: fetch-time recovery of lost
-        # terminal chunks must land in this run's recovery accounting.
-        values = [self.fetch_tileable(t) for t in tileables]
-        # the plan is done: whatever this run stored that outlived its
-        # readers (a reader cut off by a cache hit, fetch-time recovery's
-        # intermediates) goes now — storage keeps results, cache entries
-        # and what it held before.
-        with self.executor.turn():
-            self._drop(self.services.lifecycle.reset_plan(
-                self._stored_since(stored_before), session=session))
+        if values is None:
+            # fetch before building the report: fetch-time recovery of
+            # lost terminal chunks must land in this run's recovery
+            # accounting.
+            values = [self.fetch_tileable(t) for t in tileables]
+            # the plan is done: whatever this run stored that outlived
+            # its readers (a reader cut off by a cache hit, fetch-time
+            # recovery's intermediates) goes now — storage keeps
+            # results, cache entries and what it held before.
+            with self.executor.turn():
+                self._drop(self.services.lifecycle.reset_plan(
+                    self._stored_since(stored_before),
+                    session=self.session_id))
+            if keys is not None and not retiled:
+                # a re-tiled run's chunking is not what the config says
+                # it is: the next run of the query would not reproduce it.
+                for tileable, key in zip(tileables, keys):
+                    if key is not None:
+                        self.services.cache.record_query(
+                            key, (tileable.nsplits,
+                                  tuple(map(_chunk_spec, tileable.chunks))))
 
         totals = self._totals()
         grown = counter_growth(self.executor.report, report_before)
@@ -254,6 +238,80 @@ class SessionActor(Actor):
                if f.name in grown},
         )
         return values
+
+    def _answer_from_cache(self, tileables: list[TileableData],
+                           keys: list[str | None]) -> list[Any] | None:
+        """A repeated query's values, straight from its query-level
+        entries: the results are bound to the cached chunks, and nothing
+        is tiled or executed. ``None`` — the run takes the tiled path —
+        unless every result has a live entry and every chunk is still
+        there to fetch."""
+        if None in keys:
+            return None
+        hits = []
+        for key in keys:
+            hit = self.services.cache.lookup_query(key, self.session_id)
+            if hit is None:
+                return None
+            hits.append(hit)
+        for tileable, ((nsplits, specs), _) in zip(tileables, hits):
+            tileable.with_chunks([_chunk_from_spec(s) for s in specs], nsplits)
+        try:
+            values = [self._assemble(t) for t in tileables]
+        except StorageKeyError:
+            # gone between lookup and fetch (a neighbour's eviction):
+            # compute it instead.
+            for tileable in tileables:
+                tileable.chunks, tileable.nsplits = [], ()
+            return None
+        report = self.executor.report
+        report.cache_hit_chunks += sum(len(t.chunks) for t in tileables)
+        report.cache_reused_bytes += sum(nbytes for _, nbytes in hits)
+        return values
+
+    def _tile_and_execute(self, graph: DAG,
+                          tileables: list[TileableData]) -> tuple[set, bool]:
+        """Tile the pruned plan ``graph`` and run it. Returns the keys
+        storage held before, and whether memory pressure re-tiled."""
+        session = self.session_id
+        pretiled = {node.key for node in graph.nodes() if node.is_tiled}
+        stored_before = set(self.services.storage.all_keys())
+        saved_chunk_limit = self.config.chunk_store_limit
+        # memory-aware re-tiling (the OOM ladder's last rung): when the
+        # executor's in-place recovery is exhausted, halve the chunk
+        # limit and re-enter dynamic tiling — smaller chunks mean
+        # smaller working sets, the paper's Section IV machinery pointed
+        # at robustness instead of performance.
+        retile_attempts = 0
+        try:
+            while True:
+                self.services.lifecycle.reset_plan(session=session)
+                if retile_attempts:
+                    graph = build_tileable_graph(tileables)
+                try:
+                    chunk_graph = self.tiler.tile(graph, tileables)
+                    results = {
+                        chunk.key for t in tileables for chunk in t.chunks
+                    }
+                    self.executor.explicit_cache_keys.update(
+                        chunk.key for t in tileables
+                        if getattr(t, "cache_requested", False)
+                        for chunk in t.chunks
+                    )
+                    self.executor.execute(chunk_graph, requested=results)
+                    return stored_before, retile_attempts > 0
+                except WorkerOutOfMemory:
+                    retile_attempts += 1
+                    if (not self.config.oom_recovery
+                            or retile_attempts > PRESSURE_RETILE_LIMIT):
+                        raise
+                    self.executor.report.pressure_splits += 1
+                    self._reset_for_retile(graph, pretiled, stored_before)
+                    self.config.chunk_store_limit = max(
+                        1, self.config.chunk_store_limit // 2
+                    )
+        finally:
+            self.config.chunk_store_limit = saved_chunk_limit
 
     # ------------------------------------------------------------------
     def _reset_for_retile(self, graph: DAG, pretiled: set[str],
@@ -274,11 +332,9 @@ class SessionActor(Actor):
         dropped = self._stored_since(stored_before)
         with self.executor.turn():
             if dropped and self.config.result_cache:
-                # re-tiling regenerates these chunks under new keys — any
-                # cache entry recorded on them (or on top of them) is
-                # stale.
-                self.services.lifecycle.invalidate_cached(
-                    dropped, self.session_id)
+                # re-tiling regenerates these chunks under new keys: no
+                # cache entry may point at the bytes dropped below.
+                self.services.lifecycle.invalidate_cached(dropped)
             self._drop(dropped)
 
     def _stored_since(self, stored_before: set[str]) -> list[str]:
@@ -310,6 +366,9 @@ class SessionActor(Actor):
         self.executor.ensure_available(
             [chunk.key for chunk in tileable.chunks]
         )
+        return self._assemble(tileable)
+
+    def _assemble(self, tileable: TileableData) -> Any:
         # storage holds physical chunk values; assembly (and the user)
         # work on logical frames, so decode through the session's engine.
         engine = engine_of(self.config)
@@ -334,8 +393,7 @@ class SessionActor(Actor):
         keys = [chunk.key for chunk in tileable.chunks]
         with self.executor.turn():
             if keys and self.config.result_cache:
-                self.services.lifecycle.invalidate_cached(
-                    keys, self.session_id)
+                self.services.lifecycle.invalidate_cached(keys)
             for key in keys:
                 self.services.storage.delete(key)
 
@@ -561,6 +619,23 @@ class Session:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _chunk_spec(chunk: ChunkData) -> tuple:
+    """What a query-level cache entry keeps of a result chunk: plain
+    values, never the chunk — that would pin the plan and its sources."""
+    return (chunk.key, chunk.kind, chunk.shape, chunk.index, chunk.dtype,
+            chunk.columns, chunk.name, chunk.ident)
+
+
+def _chunk_from_spec(spec: tuple) -> ChunkData:
+    """A stored result chunk rebuilt from its :func:`_chunk_spec`."""
+    key, kind, shape, index, dtype, columns, name, ident = spec
+    chunk = ChunkData(kind, shape, index, dtype=dtype, columns=columns,
+                      name=name, key=key)
+    chunk.ident = ident
+    chunk.terminal = True
+    return chunk
 
 
 def assemble(kind: str, values: dict[tuple, Any]) -> Any:

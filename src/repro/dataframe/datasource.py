@@ -46,11 +46,19 @@ class FromFrame(DataSourceOp):
         super().__init__(**params)
         self.frame = frame
 
-    def tile(self, ctx: TileContext):
+    def _read_frame(self) -> DataFrame:
+        """The client frame narrowed to the columns read (no copy)."""
         frame = self.frame
         columns = columns_to_read(self, frame.columns.to_list())
-        if len(columns) < len(frame.columns):
-            frame = frame[columns]
+        return frame[columns] if len(columns) < len(frame.columns) else frame
+
+    def identity_attrs(self):
+        # the cache fingerprints the columns read, not the whole frame.
+        return {"frame": self._read_frame()}
+
+    def tile(self, ctx: TileContext):
+        frame = self._read_frame()
+        columns = frame.columns.to_list()
         n = len(frame)
         bytes_per_row = max(frame.nbytes // max(n, 1), 1)
         splits = balanced_splits(n, ctx.config.chunk_store_limit, bytes_per_row)
@@ -87,6 +95,8 @@ class ReadParquet(DataSourceOp):
     Tiling reads only metadata (row count, columns, file size); each chunk
     reads its own row range, and only the pruned columns, at execution.
     """
+
+    file_params = ("path",)
 
     def __init__(self, path, columns: Optional[list] = None, **params):
         super().__init__(path=path, **params)
@@ -136,6 +146,8 @@ class ReadParquetChunk(Operator):
 
 class ReadCSV(DataSourceOp):
     """Read a CSV file as a distributed dataframe (row-range chunks)."""
+
+    file_params = ("path",)
 
     def __init__(self, path, columns: Optional[list] = None,
                  parse_dates: Optional[list] = None, **params):

@@ -31,7 +31,7 @@ class EntityData:
     """Shared fields of tileable and chunk data nodes."""
 
     __slots__ = ("key", "op", "kind", "shape", "dtype", "columns", "name",
-                 "_hash")
+                 "ident", "_hash")
 
     def __init__(self, kind: str, shape: tuple, op=None,
                  dtype: Any = None, columns: Optional[list] = None,
@@ -45,6 +45,10 @@ class EntityData:
         self.columns = list(columns) if columns is not None else None
         self.name = name
         self.key = key if key is not None else new_key(self._key_prefix())
+        #: structural identity (``graph.identity``), stamped when the
+        #: result cache is on; it names the computation, so it survives
+        #: ``rebind_key``. A tileable's is its query-level key.
+        self.ident: str | None = None
         self._hash = hash(self.key)
 
     def _key_prefix(self) -> str:

@@ -1,4 +1,4 @@
-"""Structural identities: the engine's one blake2b hashing surface.
+"""Structural identities: the engine's one hashing surface.
 
 Three consumers share the canonical hashing that used to be spread over
 ``core/recovery.py`` (fault draws), ``utils.py`` (``tokenize``) and ad
@@ -10,37 +10,37 @@ hoc per-feature code:
   and process execution mode and across sessions;
 - **the result cache** addresses stored chunk values by
   *content-derived* identities: :func:`compute_chunk_identities` hashes
-  each chunk's operator chain, canonicalized parameters and source-data
-  fingerprints into a key that is stable across sessions (runtime chunk
-  keys are canonicalized away) — the same computation always hashes to
-  the same identity, and a mutated source hashes to a different one;
+  each chunk's operator digest (canonicalized parameters, source-data
+  fingerprints) with its inputs' identities into a key that is stable
+  across sessions (runtime chunk keys are canonicalized away) — the
+  same computation always hashes to the same identity, and a mutated
+  source hashes to a different one. Run over a query's tileables, the
+  same pass yields the query-level key a repeated query is answered
+  from without tiling;
 - **tests/utilities** use :func:`tokenize` for short deterministic
   digests of plain values.
 
 Identities must never depend on process-global state: runtime keys
-(``c-00000123``-style counters), object addresses and unhashable opaque
-objects are either canonicalized to placeholders or poison the identity
-(``None`` = uncacheable), never silently hashed.
+(``c-00000123``-style counters) only name plumbing — a shuffle's
+registration id — which the identity leaves out, and object addresses
+and unhashable opaque objects poison the identity (``None`` =
+uncacheable), never silently hashed. A string parameter is always
+hashed as written, whatever it looks like.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import marshal
 import os
 import re
 import types
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Container, Iterable, Optional
 
 import numpy as np
 
-#: process-global runtime keys produced by ``utils.new_key``:
-#: ``<prefix>-<8 digits>``, optionally under a session key namespace
-#: (``session-3/c-00000042``). They differ across sessions for the same
-#: program, so canonicalization replaces them with their bare prefix —
-#: the namespace is stripped too, keeping identities session-stable
-#: (cross-tenant cache hits depend on this).
-_RUNTIME_KEY_RE = re.compile(r"^(?:[\w.-]+/)*[a-z]+-\d{8}$")
+from .entity import TileableData
 
 #: default ``repr`` of address-carrying objects — opaque, uncacheable.
 _ADDR_RE = re.compile(r" at 0x[0-9a-fA-F]+")
@@ -69,6 +69,15 @@ def tokenize(*parts: Any) -> str:
     for part in parts:
         hasher.update(repr(part).encode())
     return hasher.hexdigest()
+
+
+def _digest_of(*parts: Any) -> str:
+    """:func:`tokenize` for canonical forms — tuples of strings, numbers,
+    bytes and ``None`` only: their ``marshal`` encoding (format 0: no
+    back-references, no interning) is exact and several times cheaper to
+    build than a ``repr``."""
+    return hashlib.blake2b(marshal.dumps(parts, 0),
+                           digest_size=10).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +156,9 @@ def _array_fingerprint(arr: np.ndarray, hasher) -> bool:
     deterministically. Plain buffers are hashed in place; only a strided
     view is copied first, so it hashes like its contiguous copy.
     """
-    hasher.update(str(arr.dtype).encode())
+    # ``dtype.str`` is C-level; only a record dtype needs its field names.
+    dtype = arr.dtype
+    hasher.update((str(dtype) if dtype.names else dtype.str).encode())
     hasher.update(str(arr.shape).encode())
     if arr.dtype == object:
         return _object_fingerprint(arr, hasher)
@@ -166,11 +177,12 @@ def value_fingerprint(value: Any) -> Optional[str]:
     typed on their ``_data``/``_columns``/``_index`` internals so this
     module stays free of upward imports). A fingerprint covers dtype,
     shape, column names, index labels and raw bytes — any in-place
-    mutation changes it.
+    mutation changes it. Source bytes go through SHA-256, which CPUs
+    with SHA extensions hash several times faster than blake2b.
     """
-    hasher = hashlib.blake2b(digest_size=16)
+    hasher = hashlib.sha256()
     if _feed_value(value, hasher):
-        return hasher.hexdigest()
+        return hasher.hexdigest()[:32]
     return None
 
 
@@ -227,31 +239,41 @@ def _feed_index(index: Any, hasher) -> bool:
 class IdentityContext:
     """What one ``Session.execute`` call may remember between its stages.
 
-    Source fingerprints, file stats, operator, callable and code tokens
+    Source fingerprints, file stats, operator, callable and code digests
     are memoized here across every partial execute of one run: a source
     frame is hashed once however many chunks and stages read it, and no
-    operator is tokenized twice. Entries are keyed by ``id`` and keep a
-    reference to the object they describe, so an address cannot be
-    recycled into an alias while its entry lives. The owner resets the
-    context when a run starts — data mutated, or a file rewritten,
-    *between* two executes is therefore always read again.
+    operator is digested twice. Entries are keyed by ``id`` — a frame by
+    the ``id``s of its columns and index, so the column subsets a source
+    reads share one fingerprint — and keep a reference to the object
+    they describe, so an address cannot be recycled into an alias while
+    its entry lives. ``idents`` maps the chunk keys identified so far in
+    the run to their identities (several chunk objects may share a key).
+    The owner resets the context when a run starts — data mutated, or a
+    file rewritten, *between* two executes is therefore always read
+    again.
     """
 
-    __slots__ = ("_by_id",)
+    __slots__ = ("_memo", "idents")
 
     def __init__(self):
-        self._by_id: dict[int, tuple[Any, Any]] = {}
+        self._memo: dict[Any, tuple[Any, Any]] = {}
+        self.idents: dict[str, Optional[str]] = {}
 
     def reset(self) -> None:
-        self._by_id.clear()
+        self._memo.clear()
+        self.idents.clear()
 
     def memoized(self, obj: Any,
-                 compute: Callable[[Any, "IdentityContext"], Any]) -> Any:
-        """``compute(obj, self)``, evaluated once per object and reset
-        (an object is only ever memoized under one ``compute``)."""
-        entry = self._by_id.get(id(obj))
+                 compute: Callable[[Any, "IdentityContext"], Any],
+                 key: Any = None) -> Any:
+        """``compute(obj, self)``, evaluated once per object (or per
+        ``key``) and reset; an object is only ever memoized under one
+        ``compute``."""
+        if key is None:
+            key = id(obj)
+        entry = self._memo.get(key)
         if entry is None:
-            entry = self._by_id[id(obj)] = (obj, compute(obj, self))
+            entry = self._memo[key] = (obj, compute(obj, self))
         return entry[1]
 
 
@@ -259,63 +281,90 @@ class IdentityContext:
 # parameter canonicalization: strip runtime/process-local state
 # ---------------------------------------------------------------------------
 
+#: exact types that are their own canonical form (``marshal`` keeps
+#: ``"1"`` / ``1`` / ``1.0`` / ``True`` / ``b"1"`` / ``None`` apart, and
+#: containers canonicalize to tagged tuples). Subclasses —
+#: ``np.float64``, enums, ``np.str_`` — are tagged with their type.
+_SELF_CANONICAL = frozenset({str, int, float, bool, bytes, type(None)})
+_LITERALS = (str, int, float, bytes, np.generic)
+
+
+def _canonical_items(values, ctx: IdentityContext | None) -> Any:
+    """The canonical forms of ``values`` as a list, or OPAQUE."""
+    items = []
+    for item in values:
+        if type(item) not in _SELF_CANONICAL:
+            item = canonical_param(item, ctx)
+            if item is OPAQUE:
+                return OPAQUE
+        items.append(item)
+    return items
+
+
+def _sorted(items: list) -> tuple:
+    """``items`` in a deterministic order, whatever their types."""
+    try:
+        items.sort()
+    except TypeError:
+        items.sort(key=repr)
+    return tuple(items)
+
+
 def canonical_param(value: Any, ctx: IdentityContext | None = None) -> Any:
     """A session-stable token for an operator parameter.
 
-    Returns a nested structure of plain values safe to ``repr``-hash, or
-    :data:`OPAQUE` when the parameter cannot be canonicalized (the
-    operator is then uncacheable). Handles:
+    Returns a nested structure of tuples, strings, numbers, bytes and
+    ``None`` (what :func:`_digest_of` hashes), or :data:`OPAQUE` when the
+    parameter cannot be canonicalized (the operator is then
+    uncacheable). Handles:
 
-    - runtime keys (``new_key`` counters) → their prefix placeholder;
-    - callables → module/qualname/bytecode/consts plus the canonical
-      values of their closure cells (two lambdas sharing a qualname but
-      closing over different values hash differently);
+    - callables → a digest of module/qualname/bytecode/consts plus the
+      canonical values of their closure cells (two lambdas sharing a
+      qualname but closing over different values hash differently);
     - data values (arrays, frames) → content fingerprints;
     - graph entities, actors, open handles → :data:`OPAQUE`.
     """
+    kind = type(value)
+    if kind in _SELF_CANONICAL:
+        return value
+    if isinstance(value, _LITERALS):
+        return ("lit", kind.__qualname__, repr(value))
+    if kind is dict and not value:
+        return ("map", ())
+    if isinstance(value, (list, tuple)):
+        items = _canonical_items(value, ctx)
+        if items is OPAQUE:
+            return OPAQUE
+        return (kind.__name__, tuple(items))
+    if isinstance(value, (set, frozenset)):
+        items = _canonical_items(value, ctx)
+        if items is OPAQUE:
+            return OPAQUE
+        return ("set", _sorted(items))
+    if isinstance(value, dict):
+        keys = _canonical_items(value, ctx)
+        items = _canonical_items(value.values(), ctx)
+        if keys is OPAQUE or items is OPAQUE:
+            return OPAQUE
+        return ("map", _sorted(list(zip(keys, items))))
     if ctx is None:
         ctx = IdentityContext()
-    if value is None or isinstance(value, (bool, int, float, bytes,
-                                           np.generic)):
-        return ("lit", repr(value))
-    if isinstance(value, str):
-        if _RUNTIME_KEY_RE.match(value):
-            return ("rtkey", value.rsplit("/", 1)[-1].split("-", 1)[0])
-        return ("lit", value)
     if isinstance(value, np.dtype):
         return ("dtype", str(value))
     if isinstance(value, type):
         return ("type", value.__module__, value.__qualname__)
-    if isinstance(value, (list, tuple)):
-        items = []
-        for item in value:
-            canon = canonical_param(item, ctx)
-            if canon is OPAQUE:
-                return OPAQUE
-            items.append(canon)
-        return ("seq", type(value).__name__, tuple(items))
-    if isinstance(value, (set, frozenset)):
-        items = []
-        for item in value:
-            canon = canonical_param(item, ctx)
-            if canon is OPAQUE:
-                return OPAQUE
-            items.append(canon)
-        return ("set", tuple(sorted(items, key=repr)))
-    if isinstance(value, dict):
-        items = []
-        for key, item in value.items():
-            ck = canonical_param(key, ctx)
-            cv = canonical_param(item, ctx)
-            if ck is OPAQUE or cv is OPAQUE:
-                return OPAQUE
-            items.append((ck, cv))
-        return ("map", tuple(sorted(items, key=repr)))
     data = getattr(value, "_data", None)
-    if (isinstance(value, np.ndarray) or isinstance(data, dict)
+    if isinstance(data, dict):
+        # a repro.frame.DataFrame: fingerprint content, never repr — once
+        # per execute for every frame built of the same columns.
+        columns = getattr(value, "_columns", None)
+        key = ("frame", tuple((name, id(data[name]))
+                              for name in (data if columns is None
+                                           else columns)),
+               id(getattr(value, "_index", None)))
+        return ctx.memoized(value, _data_token, key)
+    if (isinstance(value, np.ndarray)
             or isinstance(getattr(value, "values", None), np.ndarray)):
-        # arrays and repro.frame containers: fingerprint content, never
-        # repr — once per execute, however many chunks hold the value.
         return ctx.memoized(value, _data_token)
     if isinstance(value, functools.partial):
         func = canonical_param(value.func, ctx)
@@ -353,18 +402,21 @@ def _file_token(path: Any, _ctx: IdentityContext) -> Any:
     return ("file", real, stat.st_size, stat.st_mtime_ns)
 
 
-def _code_token(code: types.CodeType, ctx: IdentityContext) -> Any:
+def _code_digest(code: types.CodeType, ctx: IdentityContext) -> Any:
     consts = []
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            canon = ctx.memoized(const, _code_token)
+            canon = ctx.memoized(const, _code_digest)
         else:
             canon = canonical_param(const, ctx)
         if canon is OPAQUE:
             return OPAQUE
         consts.append(canon)
-    return ("code", code.co_name, code.co_code.hex(), tuple(consts),
-            code.co_names, code.co_varnames[:code.co_argcount])
+    # a digest, not the token: every chunk operator that holds the
+    # function would otherwise repeat its bytecode in its own token.
+    return ("code", _digest_of(code.co_name, code.co_code, tuple(consts),
+                               code.co_names,
+                               code.co_varnames[:code.co_argcount]))
 
 
 def _callable_token(func: Callable, ctx: IdentityContext) -> Any:
@@ -376,7 +428,7 @@ def _callable_token(func: Callable, ctx: IdentityContext) -> Any:
         if module is None or qualname is None:
             return OPAQUE
         return ("builtin", module, qualname)
-    code_tok = ctx.memoized(code, _code_token)
+    code_tok = ctx.memoized(code, _code_digest)
     if code_tok is OPAQUE:
         return OPAQUE
     cells = []
@@ -393,114 +445,160 @@ def _callable_token(func: Callable, ctx: IdentityContext) -> Any:
     defaults = canonical_param(tuple(func.__defaults__ or ()), ctx)
     if defaults is OPAQUE:
         return OPAQUE
-    return ("fn", module, qualname, code_tok, tuple(cells), defaults)
+    return ("fn", _digest_of(module, qualname, code_tok, tuple(cells),
+                             defaults))
 
 
 # ---------------------------------------------------------------------------
 # chunk identities: the content-addressed cache keys
 # ---------------------------------------------------------------------------
 
-#: operator attributes that are graph plumbing, not parameters.
-_SKIP_ATTRS = frozenset({"params", "inputs", "outputs", "stage"})
+#: operator attributes that are graph plumbing, not parameters. A
+#: shuffle's id is a runtime key that names where its partitions
+#: register: it differs between sessions running the same program and
+#: never shapes a value.
+_SKIP_ATTRS = frozenset({"params", "inputs", "outputs", "stage",
+                         "shuffle_id"})
 
 
-def _op_token(op: Any, ctx: IdentityContext) -> Any:
-    """Canonical token of one operator: class, stage, params, data attrs.
+def _op_digest(op: Any, ctx: IdentityContext) -> Any:
+    """Digest of one operator: class, stage, params, data attributes.
 
     Data-bearing instance attributes outside ``params`` (e.g. the source
-    frame a ``FromFrameSlice`` holds) are captured by walking
-    ``vars(op)`` — that is where source-content fingerprints enter the
-    identity. An operator that reads files names the parameters holding
-    their paths in ``file_params``; each such file's stat joins the
-    token, so rewriting the file changes the identity.
+    frame a ``FromFrameSlice`` holds) are captured by walking what
+    ``op.identity_attrs()`` returns (its instance attributes, unless the
+    operator narrows them) — that is where source-content fingerprints
+    enter the identity. An operator that reads files names the
+    parameters holding their paths in ``file_params``; each such file's
+    stat joins the digest, so rewriting the file changes the identity.
+    Every sub-token is itself a short digest, so this hashes a few
+    hundred bytes however large the data or deep the callables.
+
+    Memoized per execute on what the digest reads: operators of one
+    class and stage whose attributes and params are the very same
+    objects — the chunks one tileable operator was cut into, mostly —
+    are digested once.
     """
-    parts: list[Any] = [
-        ("op", type(op).__module__, type(op).__qualname__),
-        ("stage", op.stage),
-    ]
-    attrs = dict(vars(op))
-    for name in sorted(attrs):
-        if name in _SKIP_ATTRS or name.startswith("_"):
-            continue
-        canon = canonical_param(attrs[name], ctx)
-        if canon is OPAQUE:
-            return OPAQUE
+    attrs = op.identity_attrs()
+    names = tuple(sorted(name for name in attrs
+                         if name not in _SKIP_ATTRS and name[0] != "_"))
+    values = tuple(map(attrs.__getitem__, names))
+    params = op.params
+    key = (type(op), op.stage, names, tuple(map(id, values)),
+           tuple(params), tuple(map(id, params.values())))
+    return ctx.memoized(
+        (type(op), op.stage, names, values, tuple(params.items())),
+        _spec_digest, key)
+
+
+def _spec_digest(spec: tuple, ctx: IdentityContext) -> Any:
+    cls, stage, names, values, params = spec
+    parts: list[Any] = [cls.__module__, cls.__qualname__, stage]
+    for name, canon in zip(names, values):
+        if type(canon) not in _SELF_CANONICAL:
+            canon = canonical_param(canon, ctx)
+            if canon is OPAQUE:
+                return OPAQUE
         parts.append((name, canon))
-    canon_params = canonical_param(op.params, ctx)
+    params = dict(params)
+    canon_params = canonical_param(params, ctx)
     if canon_params is OPAQUE:
         return OPAQUE
-    parts.append(("params", canon_params))
-    for name in op.file_params:
-        stat = ctx.memoized(op.params[name], _file_token)
+    parts.append(canon_params)
+    for name in cls.file_params:
+        stat = ctx.memoized(params[name], _file_token)
         if stat is OPAQUE:
             return OPAQUE
-        parts.append((name, stat))
-    return tuple(parts)
+        parts.append(stat)
+    return _digest_of(*parts)
+
+
+def _output_position(op: Any, node: Any) -> int:
+    for position, out in enumerate(op.outputs):
+        if out is node:
+            return position
+    return 0
+
+
+def _chunk_identity(chunk: Any, ctx: IdentityContext) -> Optional[str]:
+    """``chunk``'s operator digest, index and output position, and its
+    inputs' identities (``None`` if any of them is uncacheable)."""
+    op = chunk.op
+    if op is None:
+        return None
+    known = ctx.idents
+    deps = [known.get(dep.key, dep.ident) for dep in op.inputs]
+    if None in deps:
+        return None
+    digest = _op_digest(op, ctx)
+    if digest is OPAQUE:
+        return None
+    return _digest_of(digest, chunk.index, _output_position(op, chunk),
+                      tuple(deps))
+
+
+def _query_identity(tileable: Any, ctx: IdentityContext,
+                    salt: str) -> Optional[str]:
+    """A tileable's query-level key: what it computes, under which
+    configuration. A tiled tileable stands for the chunks it was cut
+    into; an untiled one for its operator, the columns pruning said its
+    chunks carry, and its inputs' keys."""
+    if tileable.is_tiled:
+        parts = [chunk.ident for chunk in tileable.chunks]
+        if None in parts:
+            return None
+        return _digest_of(salt, tuple(parts))
+    op = tileable.op
+    if op is None:
+        return None
+    deps = [dep.ident for dep in op.inputs]
+    if None in deps:
+        return None
+    digest = _op_digest(op, ctx)
+    if digest is OPAQUE:
+        return None
+    carried = canonical_param(tileable.carried_columns, ctx)
+    if carried is OPAQUE:
+        return None
+    return _digest_of(salt, digest, _output_position(op, tileable), carried,
+                      tuple(deps))
+
+
+def _config_digest(config: Any, _ctx: IdentityContext) -> str:
+    return tokenize(config)  # a dataclass: its repr names every field
 
 
 def compute_chunk_identities(
-    chunks_in_order: Iterable[Any],
-    known: dict[str, tuple[Optional[str], tuple]] | None = None,
+    nodes_in_order: Iterable[Any],
     context: IdentityContext | None = None,
-) -> tuple[dict[str, Optional[str]], dict[str, frozenset]]:
-    """Content-addressed identity of every chunk, in one topological pass.
+    stored: Container[str] = frozenset(),
+    config: Any = None,
+) -> None:
+    """Stamp the content-addressed ``ident`` of every node, in one
+    topological pass (producers before consumers); ``None`` =
+    uncacheable, and it poisons every node downstream.
 
-    ``chunks_in_order`` must be topologically ordered chunk data nodes
-    (producers before consumers). ``known`` resolves boundary chunks —
-    materialized sources whose producing inputs are not in the graph —
-    to ``(identity, ancestor identities)`` recorded by an earlier pass.
-    ``context`` carries the memo shared by the passes of one execute
-    (default: a fresh one, nothing remembered).
+    Chunk nodes: a chunk whose key is in ``stored`` keeps the identity
+    it carries (its value is what the pass that identified it
+    described); every other chunk hashes its operator's digest, chunk
+    index, output position and its inputs' identities. ``context``
+    carries the memo shared by the passes of one execute (default: a
+    fresh one, nothing remembered).
 
-    Returns ``(identities, ancestors)``: runtime chunk key → identity
-    hex digest (``None`` = uncacheable) and runtime chunk key → the
-    frozenset of all ancestor identities (the cache's invalidation
-    edges). A ``None`` identity poisons every downstream chunk.
+    Tileable nodes are a query's logical plan: their identity is the
+    query-level key, salted with the digest of ``config`` — the session
+    configuration decides the chunking, and with it float rounding.
     """
-    known = known or {}
     ctx = context if context is not None else IdentityContext()
-    identities: dict[str, Optional[str]] = {}
-    ancestors: dict[str, frozenset] = {}
-    for chunk in chunks_in_order:
-        key = chunk.key
-        resolved = known.get(key)
-        if resolved is not None and resolved[0] is not None:
-            identities[key] = resolved[0]
-            ancestors[key] = frozenset(resolved[1])
+    salt = None if config is None else ctx.memoized(config, _config_digest)
+    known = ctx.idents
+    for node in nodes_in_order:
+        if isinstance(node, TileableData):
+            node.ident = _query_identity(node, ctx, salt)
             continue
-        # uncacheable until every input and the operator prove otherwise.
-        identities[key] = None
-        ancestors[key] = frozenset()
-        op = chunk.op
-        if op is None:
-            continue
-        dep_idents: list[str] = []
-        dep_anc: set[str] = set()
-        for dep in op.inputs:
-            ident = identities.get(dep.key)
-            if ident is None:
-                dep_resolved = known.get(dep.key)
-                if dep_resolved is not None and dep_resolved[0] is not None:
-                    ident = dep_resolved[0]
-                    identities[dep.key] = ident
-                    ancestors[dep.key] = frozenset(dep_resolved[1])
-            if ident is None:
-                break
-            dep_idents.append(ident)
-            dep_anc.add(ident)
-            dep_anc.update(ancestors.get(dep.key, ()))
+        key = node.key
+        if key in stored:
+            node.ident = known.get(key, node.ident)
         else:
-            op_tok = ctx.memoized(op, _op_token)
-            if op_tok is OPAQUE:
-                continue
-            out_pos = 0
-            for i, out in enumerate(op.outputs):
-                if out.key == key:
-                    out_pos = i
-                    break
-            identities[key] = tokenize(
-                op_tok, ("index", chunk.index), ("out", out_pos),
-                ("deps", tuple(dep_idents)),
-            )
-            ancestors[key] = frozenset(dep_anc)
-    return identities, ancestors
+            node.ident = _chunk_identity(node, ctx)
+        known[key] = node.ident

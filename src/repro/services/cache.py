@@ -1,27 +1,31 @@
 """The result cache service: content-addressed reuse of stored chunks.
 
-Maps structural identities (:mod:`repro.graph.identity`) to live stored
-chunk values, so a re-run of a subgraph whose identity matches an
-earlier run is pruned from the execution graph and its consumers are
-rewired to the cached chunks (xorq-style content addressing, ROADMAP
-item 2).
+Two directories over live stored chunk values, both keyed by structural
+identities (:mod:`repro.graph.identity`):
+
+- **chunk entries** (identity → chunk key): a re-run of a subgraph whose
+  identity matches an earlier run is pruned from the execution graph
+  and its consumers are rewired to the cached chunks (xorq-style content
+  addressing);
+- **query entries** (query-level key → the result's chunk keys and
+  ``nsplits``): a repeated query is answered from its expression alone,
+  without tiling or executing anything. A query entry stands on the
+  chunk entries of its result chunks: it is recorded only while all of
+  them are live, and dropped with the first of them to go.
 
 The cache never owns bytes — values live in ordinary storage tiers and
 participate in spill/pin accounting. What the cache owns is the
-*directory* (identity → chunk key + size + ancestor identities) plus an
-LRU byte budget of its own: when recorded entries exceed
-``config.result_cache_budget`` the least-recently-hit non-explicit
-entries are dropped and their now-unprotected chunks become ordinary
-freeable intermediates.
+directory plus an LRU byte budget of its own: when recorded chunk
+entries exceed ``config.result_cache_budget`` the least-recently-hit
+non-explicit entries are dropped and their now-unprotected chunks become
+ordinary freeable intermediates.
 
-Two removal paths with different semantics:
-
-- **eviction** (budget pressure) forgets an entry but leaves entries
-  built on top of it valid — their values are already materialized and
-  correct;
-- **invalidation** (chunk lost, source mutated, tileable freed) drops
-  the entry *and every entry whose ancestor set contains it* — their
-  recorded values descend from data that no longer exists or changed.
+An entry goes when its own bytes do: budget *eviction*, *invalidation*
+(the chunk was lost, freed or re-tiled away), or a lookup that finds the
+chunk gone from storage. Entries computed from it stay — their values
+are materialized under their own keys, and content addressing means a
+changed source can only ever produce new identities, never hit an old
+one.
 """
 
 from __future__ import annotations
@@ -35,12 +39,11 @@ from ..utils import DedupLog
 
 @dataclass
 class CacheEntry:
-    """One cached result: where its value lives and what it depends on."""
+    """One cached chunk: where its value lives."""
 
     ident: str
     chunk_key: str
     nbytes: int
-    deps: frozenset  # ancestor identities (invalidation edges)
     explicit: bool   # from .cache(): never budget-evicted
     session: str
 
@@ -56,7 +59,8 @@ class CacheStats:
 
 
 class ResultCacheService:
-    """Identity → stored-chunk directory with an LRU byte budget."""
+    """Identity → stored-chunk directory with an LRU byte budget, plus
+    the query-level entries that stand on it."""
 
     def __init__(self, storage, config=None):
         self._storage = storage
@@ -65,11 +69,11 @@ class ResultCacheService:
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         #: chunk key -> identity (reverse index for invalidation).
         self._by_chunk: dict[str, str] = {}
-        #: identity -> ancestor identities for chunks whose values were
-        #: *observed* this planning pass but not necessarily cached —
-        #: boundary resolution for later passes (dynamic tiling runs
-        #: several partial executes per session run).
-        self._known: dict[str, tuple[str, frozenset]] = {}
+        #: query-level key -> ``(nsplits, chunk specs)`` of its result;
+        #: each spec is a tuple whose first item is the chunk key.
+        self._queries: dict[str, tuple] = {}
+        #: chunk key -> the query-level keys whose result holds it.
+        self._queries_on: dict[str, set[str]] = {}
         self._bytes = 0
         self.stats = CacheStats()
         #: memo of applied ``record_many`` tokens (at-least-once).
@@ -82,27 +86,18 @@ class ResultCacheService:
         budget = getattr(self._config, "result_cache_budget", 0)
         return int(budget) if budget else None
 
+    def _count(self, session: str, hits: int, misses: int,
+               nbytes: int) -> None:
+        sess = self.stats.per_session.setdefault(
+            session, {"hits": 0, "misses": 0, "bytes_reused": 0})
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.bytes_reused += nbytes
+        sess["hits"] += hits
+        sess["misses"] += misses
+        sess["bytes_reused"] += nbytes
+
     # -- planning-time lookups ---------------------------------------------
-    def known_identities(self, chunk_keys: Iterable[str]) -> dict:
-        """Resolve already-identified chunks for a planning pass.
-
-        Returns ``{chunk_key: (identity, ancestor identities)}`` for
-        every requested chunk the cache has seen before — the ``known``
-        argument of ``compute_chunk_identities``, letting partial
-        executes chain identities across tiling yields.
-        """
-        out = {}
-        for key in chunk_keys:
-            resolved = self._known.get(key)
-            if resolved is not None:
-                out[key] = resolved
-        return out
-
-    def note_identities(self, triples: Iterable[tuple]) -> None:
-        """Remember ``(chunk_key, identity, ancestor idents)`` bindings."""
-        for chunk_key, ident, deps in triples:
-            self._known[chunk_key] = (ident, frozenset(deps))
-
     def lookup_many(self, idents: Iterable[str],
                     session: str) -> dict[str, tuple[str, int]]:
         """Hit test a batch of identities against live storage.
@@ -113,8 +108,7 @@ class ResultCacheService:
         order and count into the stats; misses count too.
         """
         hits: dict[str, tuple[str, int]] = {}
-        sess = self.stats.per_session.setdefault(
-            session, {"hits": 0, "misses": 0, "bytes_reused": 0})
+        misses = 0
         for ident in idents:
             entry = self._entries.get(ident)
             if entry is not None and not self._storage.contains(
@@ -122,23 +116,43 @@ class ResultCacheService:
                 self._forget(ident)
                 entry = None
             if entry is None:
-                self.stats.misses += 1
-                sess["misses"] += 1
+                misses += 1
                 continue
             self._entries.move_to_end(ident)
-            self.stats.hits += 1
-            self.stats.bytes_reused += entry.nbytes
-            sess["hits"] += 1
-            sess["bytes_reused"] += entry.nbytes
             hits[ident] = (entry.chunk_key, entry.nbytes)
+        self._count(session, len(hits), misses,
+                    sum(nbytes for _, nbytes in hits.values()))
         return hits
+
+    def lookup_query(self, ident: str,
+                     session: str) -> Optional[tuple[tuple, int]]:
+        """The ``(layout, nbytes)`` a query-level key was recorded with,
+        or ``None``. A hit is a hit on each of the result's chunk
+        entries (stats, LRU order); an entry one of whose chunks has
+        left storage is dropped instead."""
+        layout = self._queries.get(ident)
+        if layout is not None:
+            keys = [spec[0] for spec in layout[1]]
+            if self._storage.missing_keys(keys):
+                self._forget_query(ident)
+                layout = None
+        if layout is None:
+            self._count(session, 0, 1, 0)
+            return None
+        nbytes = 0
+        for key in keys:
+            chunk_ident = self._by_chunk[key]
+            self._entries.move_to_end(chunk_ident)
+            nbytes += self._entries[chunk_ident].nbytes
+        self._count(session, len(keys), 0, nbytes)
+        return layout, nbytes
 
     # -- recording ---------------------------------------------------------
     def record_many(self, entries: Iterable[tuple],
                     session: str, dedup_token=None) -> list[str]:
         """Insert executed results; returns chunk keys evicted for budget.
 
-        ``entries`` holds ``(ident, chunk_key, nbytes, deps, explicit)``
+        ``entries`` holds ``(ident, chunk_key, nbytes, explicit)``
         tuples. The caller (lifecycle) unpins/frees the returned chunk
         keys — eviction here only updates the directory.
 
@@ -150,21 +164,32 @@ class ResultCacheService:
         if seen:
             return memo
         evicted: list[str] = []
-        for ident, chunk_key, nbytes, deps, explicit in entries:
-            old = self._entries.get(ident)
-            if old is not None:
-                self._forget(ident)
-            entry = CacheEntry(ident, chunk_key, int(nbytes),
-                               frozenset(deps), bool(explicit), session)
+        for ident, chunk_key, nbytes, explicit in entries:
+            self._forget(ident)
+            entry = CacheEntry(ident, chunk_key, int(nbytes), bool(explicit),
+                               session)
             self._entries[ident] = entry
             self._by_chunk[chunk_key] = ident
-            self._known[chunk_key] = (ident, entry.deps)
             self._bytes += entry.nbytes
         budget = self._budget()
         if budget is not None:
             evicted.extend(self._evict_to(budget))
         self._dedup.record(dedup_token, evicted)
         return evicted
+
+    def record_query(self, ident: str, layout: tuple) -> bool:
+        """Answer query-level key ``ident`` with ``layout`` — ``(nsplits,
+        chunk specs)`` — from now on. Refused (``False``) unless every
+        result chunk has a live chunk entry: the query entry must go
+        when any of them does."""
+        keys = [spec[0] for spec in layout[1]]
+        if not all(key in self._by_chunk for key in keys):
+            return False
+        self._forget_query(ident)
+        self._queries[ident] = layout
+        for key in keys:
+            self._queries_on.setdefault(key, set()).add(ident)
+        return True
 
     def _evict_to(self, budget: int) -> list[str]:
         evicted: list[str] = []
@@ -186,52 +211,37 @@ class ResultCacheService:
         if entry is None:
             return
         self._bytes -= entry.nbytes
-        self._by_chunk.pop(entry.chunk_key, None)
+        key = entry.chunk_key
+        if self._by_chunk.get(key) == ident:
+            del self._by_chunk[key]
+            for query in list(self._queries_on.get(key, ())):
+                self._forget_query(query)
+
+    def _forget_query(self, ident: str) -> None:
+        layout = self._queries.pop(ident, None)
+        if layout is None:
+            return
+        for spec in layout[1]:
+            owners = self._queries_on.get(spec[0])
+            if owners is not None:
+                owners.discard(ident)
+                if not owners:
+                    del self._queries_on[spec[0]]
 
     # -- invalidation ------------------------------------------------------
-    def invalidate_chunks(self, chunk_keys: Iterable[str],
-                          session: str) -> list[str]:
-        """``session`` lost or changed a chunk's bytes: drop dependents too.
-
-        Every entry whose identity *is* one of the lost chunks' — or
-        whose ancestor set contains one — is removed. Returns the chunk
-        keys of all dropped entries so lifecycle can unprotect them.
-
-        The *transitive* part of the walk is limited to ``session``'s
-        own entries: an entry pointing directly at a lost chunk is always
-        dropped (its bytes are gone), but downstream dependents belonging
-        to other sessions keep their entries — their values are already
-        materialized under their own chunk keys, so like budget eviction
-        this loses reuse, never correctness.
-        """
-        lost_keys = set(chunk_keys)
-        lost_idents = set()
-        for key in lost_keys:
-            known = self._known.pop(key, None)
-            if known is not None:
-                lost_idents.add(known[0])
-            ident = self._by_chunk.get(key)
-            if ident is not None:
-                lost_idents.add(ident)
-        if not lost_idents:
-            return []
+    def invalidate_chunks(self, chunk_keys: Iterable[str]) -> list[str]:
+        """The bytes of ``chunk_keys`` were lost, freed or re-tiled away:
+        drop the entries pointing at them, and every query entry whose
+        result holds one. Returns the chunk keys of the dropped entries
+        so lifecycle can unprotect them."""
         dropped: list[str] = []
-        for ident in list(self._entries):
-            entry = self._entries[ident]
-            if entry.chunk_key not in lost_keys and entry.session != session:
+        for key in chunk_keys:
+            ident = self._by_chunk.get(key)
+            if ident is None:
                 continue
-            if ident in lost_idents or (entry.deps & lost_idents):
-                dropped.append(entry.chunk_key)
-                self._forget(ident)
-                self.stats.invalidations += 1
-        # boundary bindings downstream of the loss are stale too.
-        prefix = f"{session}/"
-        for key in list(self._known):
-            if not key.startswith(prefix):
-                continue
-            ident, deps = self._known[key]
-            if ident in lost_idents or (deps & lost_idents):
-                del self._known[key]
+            self._forget(ident)
+            self.stats.invalidations += 1
+            dropped.append(key)
         return dropped
 
     # -- introspection -----------------------------------------------------
@@ -250,6 +260,7 @@ class ResultCacheService:
             "evictions": self.stats.evictions,
             "bytes_reused": self.stats.bytes_reused,
             "entries": len(self._entries),
+            "queries": len(self._queries),
             "bytes_cached": self._bytes,
             "per_session": {k: dict(v)
                             for k, v in self.stats.per_session.items()},
@@ -260,6 +271,7 @@ class ResultCacheService:
         dropped = list(self._by_chunk)
         self._entries.clear()
         self._by_chunk.clear()
-        self._known.clear()
+        self._queries.clear()
+        self._queries_on.clear()
         self._bytes = 0
         return dropped

@@ -170,7 +170,7 @@ class LifecycleService:
                      dedup_token=None) -> list[str]:
         """Register executed results with the cache; handle evictions.
 
-        ``entries`` holds ``(ident, chunk_key, nbytes, deps, explicit)``
+        ``entries`` holds ``(ident, chunk_key, nbytes, explicit)``
         tuples. Newly cached chunks become protected from refcount
         frees; chunks the cache evicted for budget lose protection and
         — under eager-release semantics — are deleted outright unless
@@ -186,23 +186,19 @@ class LifecycleService:
         entries = list(entries)
         evicted = self._cache.record_many(entries, session_id,
                                           dedup_token=dedup_token)
-        for _ident, chunk_key, _nbytes, _deps, _explicit in entries:
+        for _ident, chunk_key, _nbytes, _explicit in entries:
             self._cache_protected.add(chunk_key)
         result = self._unprotect(evicted)
         self._dedup.record(dedup_token, result)
         return result
 
-    def invalidate_cached(self, chunk_keys, session: str) -> list[str]:
-        """Chunk bytes vanished or changed: drop dependent cache entries.
-
-        ``session`` scopes the *transitive* part of the invalidation to
-        its own entries (see ``ResultCacheService.invalidate_chunks``) —
-        another session's still-valid entries survive this one's chunk
-        loss or ``free()``.  Returns the chunk keys whose entries were
+    def invalidate_cached(self, chunk_keys) -> list[str]:
+        """Chunk bytes vanished or are about to: drop the cache entries
+        pointing at them.  Returns the chunk keys whose entries were
         dropped (their values, where still stored, become ordinary
         freeable intermediates).
         """
-        dropped = self._cache.invalidate_chunks(list(chunk_keys), session)
+        dropped = self._cache.invalidate_chunks(list(chunk_keys))
         return self._unprotect(dropped)
 
     def _unprotect(self, chunk_keys) -> list[str]:

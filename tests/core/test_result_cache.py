@@ -14,13 +14,18 @@ import numpy as np
 import pytest
 
 from repro import frame as pf
+from repro.cluster import ClusterState
+from repro.core import Session
+from repro.core.executor import GraphExecutor
 from repro.dataframe import from_frame, read_csv, read_parquet
 from repro.frame import io as frame_io
+from repro.tensor import tensor_from_numpy
 from repro.workloads.tpch import ALL_QUERIES, generate_tables
 from repro.workloads.tpch.queries import materialize
 from tests.core.golden_harness import (
     CHAOS,
     WORKLOADS,
+    make_config,
     make_session,
     tpch_q5,
 )
@@ -29,6 +34,49 @@ from tests.core.golden_harness import (
 def cached_session(**overrides):
     overrides.setdefault("result_cache", True)
     return make_session(**overrides)
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """How many executor stages (``GraphExecutor.execute`` calls) ran."""
+    calls = []
+    real = GraphExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.session_id)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphExecutor, "execute", counting)
+    return calls
+
+
+def tpch_query(session, name: str, tables):
+    """``name`` over fresh handles: a repeat hits by structure alone."""
+    handles = {table: from_frame(frame, session)
+               for table, frame in tables.items()}
+    return repr(materialize(ALL_QUERIES[name](handles)))
+
+
+def keyed_sums(session, local, scale=1.0):
+    # the lambda closes over ``scale``: its value is part of the query.
+    remote = from_frame(local, session)
+    return remote.assign(w=lambda d: d["v"] * scale).groupby("k").agg(
+        {"w": "sum"})
+
+
+def small_frame(seed: int = 3) -> pf.DataFrame:
+    rng = np.random.default_rng(seed)
+    return pf.DataFrame({"k": rng.integers(0, 20, 2_000),
+                         "v": rng.normal(size=2_000)})
+
+
+def service_state(session) -> int:
+    """Records of every dict and set the cache service itself holds."""
+    ref = session.cache
+    service = (session.cluster.actor_system.get_pool(ref.address)
+               .lookup(ref.uid)._service)
+    return sum(len(value) for value in vars(service).values()
+               if isinstance(value, (dict, set)))
 
 
 class TestWarmReuse:
@@ -261,3 +309,164 @@ class TestBudget:
             stats = session.cache.stats_snapshot()
         assert warm == cold
         assert stats["invalidations"] == 0
+
+
+class TestQueryLevel:
+    """A repeated query is answered from its expression: no tiling, no
+    stage, and the same ``repr`` as the cache-off engine."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return generate_tables(sf=0.5, seed=7)
+
+    @pytest.mark.parametrize("name", ["q1", "q5"])
+    def test_warm_query_runs_no_stage(self, name, stages, tables):
+        with make_session(chunk_limit=16 * 1024) as plain:
+            expected = tpch_query(plain, name, tables)
+        with cached_session(chunk_limit=16 * 1024) as session:
+            assert tpch_query(session, name, tables) == expected
+            cold = session.last_report
+            partial, n_stages = session.tiler.yield_count, len(stages)
+            assert tpch_query(session, name, tables) == expected
+            warm = session.last_report
+            assert session.tiler.yield_count == partial
+            assert len(stages) == n_stages
+        assert cold.n_subtasks > 0
+        assert warm.n_subtasks == 0 and warm.makespan == 0.0
+        assert warm.cache_hit_chunks > 0 and warm.cache_reused_bytes > 0
+
+    def test_mutated_source_is_read_again(self, stages):
+        local = small_frame()
+        with cached_session(chunk_limit=4_000) as session:
+            keyed_sums(session, local).fetch()
+            n_stages = len(stages)
+            keyed_sums(session, local).fetch()
+            assert len(stages) == n_stages  # answered from the entry
+            local["v"].values[:50] += 1.0
+            fresh = repr(keyed_sums(session, local).fetch())
+            assert len(stages) > n_stages
+        with make_session(chunk_limit=4_000) as plain:
+            assert fresh == repr(keyed_sums(plain, local).fetch())
+
+    def test_tenants_with_other_chunking_never_share_an_entry(self, stages,
+                                                              tables):
+        wide, narrow = make_config(chunk_limit=16 * 1024), make_config(
+            chunk_limit=4 * 1024)
+        expected = {}
+        for cfg in (wide, narrow):
+            with Session(cfg.copy()) as plain:
+                expected[cfg.chunk_store_limit] = tpch_query(
+                    plain, "q1", tables)
+        cluster = ClusterState(wide.copy(result_cache=True))
+        a = Session(wide.copy(result_cache=True), cluster=cluster)
+        b = Session(narrow.copy(result_cache=True), cluster=cluster)
+        try:
+            # each tenant's first run is cold, its repeat its own hit.
+            for tenant, cold in ((a, True), (b, True), (a, False),
+                                 (b, False)):
+                before = len(stages)
+                got = tpch_query(tenant, "q1", tables)
+                assert got == expected[tenant.config.chunk_store_limit]
+                ran = [s for s in stages[before:] if s == tenant.session_id]
+                assert bool(ran) is cold
+            assert cluster.services.cache.stats_snapshot()["queries"] == 2
+        finally:
+            a.close()
+            b.close()
+            cluster.shutdown()
+
+    def test_lambda_over_another_constant_misses(self, stages):
+        local = small_frame()
+        with cached_session(chunk_limit=4_000) as session:
+            keyed_sums(session, local, 1.0).fetch()
+            n_stages = len(stages)
+            doubled = repr(keyed_sums(session, local, 2.0).fetch())
+            assert len(stages) > n_stages
+        with make_session(chunk_limit=4_000) as plain:
+            assert doubled == repr(keyed_sums(plain, local, 2.0).fetch())
+
+    def test_free_then_rerun(self):
+        local = small_frame()
+        with make_session(chunk_limit=4_000) as plain:
+            expected = repr(keyed_sums(plain, local).fetch())
+        with cached_session(chunk_limit=4_000) as session:
+            result = keyed_sums(session, local)
+            assert repr(result.fetch()) == expected
+            session.free(result.data)
+            assert session.cache.stats_snapshot()["queries"] == 0
+            assert repr(keyed_sums(session, local).fetch()) == expected
+            assert session.last_report.n_subtasks > 0
+
+    @pytest.mark.parametrize("seen_by_cache", [True, False])
+    def test_lost_result_chunk_is_recomputed(self, seen_by_cache, stages):
+        local = small_frame()
+        with make_session(chunk_limit=4_000) as plain:
+            expected = repr(keyed_sums(plain, local).fetch())
+        with cached_session(chunk_limit=4_000) as session:
+            result = keyed_sums(session, local)
+            assert repr(result.fetch()) == expected
+            lost = result.data.chunks[-1].key
+            if seen_by_cache:
+                # what a chunk-loss fault does: delete and invalidate.
+                session.executor._lose_chunk(lost)
+                assert session.cache.stats_snapshot()["queries"] == 0
+            else:
+                # gone behind the cache's back: the lookup must notice.
+                session.storage.delete(lost)
+            n_stages = len(stages)
+            assert repr(keyed_sums(session, local).fetch()) == expected
+            assert len(stages) > n_stages
+
+    def test_retiled_run_records_no_entry(self):
+        def fanout(session):
+            data = np.arange(2048 * 8, dtype=np.int64).reshape(2048, 8)
+            t = tensor_from_numpy(data, session=session)
+            return repr(np.asarray(((t * 2 + 1).sum()).fetch()))
+
+        with cached_session() as roomy:
+            expected = fanout(roomy)
+            assert roomy.cache.stats_snapshot()["queries"] == 1
+        with cached_session(memory_limit=16 * 1024) as tight:
+            assert fanout(tight) == expected
+            assert tight.last_report.pressure_splits >= 1
+            assert tight.cache.stats_snapshot()["queries"] == 0
+            assert fanout(tight) == expected
+            assert tight.last_report.n_subtasks > 0
+
+
+    def test_literals_shaped_like_runtime_keys_stay_apart(self):
+        # "order-20240115" has the shape of a runtime key: it must still
+        # hash as the value it is, or the second filter is answered with
+        # the first one's sum.
+        ids = np.array(["order-20240115", "order-20240116"] * 50,
+                       dtype=object)
+        local = pf.DataFrame({"id": ids, "v": np.arange(100.0)})
+
+        def total(session, wanted):
+            remote = from_frame(local, session)
+            return remote[remote["id"] == wanted]["v"].sum().fetch()
+
+        with cached_session(chunk_limit=4_000) as session:
+            got = [total(session, w) for w in ids[:2]]
+        with make_session(chunk_limit=4_000) as plain:
+            assert got == [total(plain, w) for w in ids[:2]]
+        assert got[0] != got[1]
+
+
+class TestBoundedState:
+    def test_repeated_rounds_hold_no_more_state(self):
+        # the cache service is shared by every tenant of a cluster:
+        # what it holds per chunk must stand on its live entries, not
+        # grow with every query planned.
+        tables = generate_tables(sf=0.25, seed=3)
+        with cached_session(chunk_limit=8 * 1024) as session:
+            sizes = []
+            for _ in range(3):
+                for name in ("q1", "q6", "q3", "q5"):
+                    tpch_query(session, name, tables)
+                stats = session.cache.stats_snapshot()
+                sizes.append(service_state(session))
+            assert sizes[0] == sizes[1] == sizes[2]
+            # per entry: itself and its reverse index; per query entry:
+            # itself and one owner record per result chunk (an entry).
+            assert sizes[0] <= 3 * stats["entries"] + stats["queries"]

@@ -236,7 +236,7 @@ class TestIdempotentEndpoints:
         cfg.result_cache_budget = 10**9
         cache = ResultCacheService(storage, cfg)
         storage.put("c-1", np.ones(8), worker)
-        entries = [("ident-1", "c-1", 64, frozenset(), False)]
+        entries = [("ident-1", "c-1", 64, False)]
         token = ("session-1", 9)
         evicted = cache.record_many(entries, "session-1", dedup_token=token)
         snap = cache.stats_snapshot()

@@ -72,10 +72,24 @@ class TestStructuralDraw:
 
 class TestCanonicalParam:
     def test_runtime_keys_are_canonicalized(self):
-        assert canonical_param("c-00000123") == canonical_param("c-99999999")
-        assert canonical_param("c-00000123") != canonical_param("s-00000123")
-        # near-misses stay literal strings
-        assert canonical_param("c-123") != canonical_param("c-456")
+        # a shuffle's id is the one runtime key an operator holds; it
+        # names plumbing, so two sessions' mappers still digest alike.
+        from repro.dataframe.groupby import GroupByPartition
+        from repro.graph.identity import IdentityContext, _op_digest
+
+        def mapper(shuffle_id):
+            return GroupByPartition(by=["k"], boundaries=[], n_reducers=4,
+                                    shuffle_id=shuffle_id)
+
+        assert (_op_digest(mapper("session-1/shuffle-00000007"),
+                           IdentityContext())
+                == _op_digest(mapper("session-2/shuffle-00000042"),
+                              IdentityContext()))
+        # a string that merely looks like a runtime key is a value: two
+        # of them are two different filters.
+        assert canonical_param("order-20240115") != canonical_param(
+            "order-20240116")
+        assert canonical_param("c-00000123") != canonical_param("c-99999999")
 
     def test_lambdas_distinguished_by_closure(self):
         def make(n):
@@ -200,30 +214,45 @@ class TestExecuteScope:
             assert session.last_report.cache_hit_chunks > 0
         assert len(hashed) == 6
 
-    def test_mutation_between_executes_changes_every_identity(self):
+    def test_mutation_between_executes_changes_every_identity(
+            self, monkeypatch):
         # same frame object at the same address, and a boundary shift
         # ("ab", "c" -> "a", "bc") at that: only a memo reset between
         # the two runs, and an unambiguous encoding, can notice.
         local = pf.DataFrame({"name": cells(*["ab", "c"] * 1_000),
                               "v": np.arange(2_000.0)})
+        stamped = record_identities(monkeypatch)
 
         def run(session):
+            stamped.clear()
             out = from_frame(local, session).groupby("name").agg({"v": "sum"})
-            return repr(out.fetch())
+            return repr(out.fetch()), dict(stamped)
 
         with make_session() as session:
-            idents = session.executor._chunk_idents
-            first = run(session)
-            before = dict(idents)
+            first, before = run(session)
             assert before and None not in before.values()
             local["name"].values[6:8] = ["a", "bc"]
-            second = run(session)
-            after = {key: ident for key, ident in idents.items()
-                     if key not in before}
+            second, after = run(session)
             assert session.last_report.cache_hit_chunks == 0
         assert second != first
         assert len(after) == len(before)
         assert not set(after.values()) & set(before.values())
+
+
+def record_identities(monkeypatch) -> dict:
+    """Every identity the executor stamps from now on, by node key."""
+    from repro.core import executor
+
+    stamped = {}
+    real = executor.compute_chunk_identities
+
+    def recording(nodes, *args, **kwargs):
+        nodes = list(nodes)
+        real(nodes, *args, **kwargs)
+        stamped.update((node.key, node.ident) for node in nodes)
+
+    monkeypatch.setattr(executor, "compute_chunk_identities", recording)
+    return stamped
 
 
 class TestCrossSessionStability:
@@ -282,11 +311,10 @@ class TestComputeChunkIdentities:
         good_op = MapPartitionsChunk(func=lambda f: f)
         good = good_op.new_chunk([bad], "dataframe", (4, 1), (0, 0))
 
-        idents, deps = compute_chunk_identities([src, bad, good])
-        assert idents[src.key] is not None
-        assert idents[bad.key] is None    # opaque default argument
-        assert idents[good.key] is None   # poisoned by its dep
-        assert deps[good.key] == frozenset()
+        compute_chunk_identities([src, bad, good])
+        assert src.ident is not None
+        assert bad.ident is None    # opaque default argument
+        assert good.ident is None   # poisoned by its dep
 
     def test_known_resolves_boundaries(self):
         from repro.dataframe.arithmetic import MapPartitionsChunk
@@ -300,12 +328,73 @@ class TestComputeChunkIdentities:
         consumer = consumer_op.new_chunk(
             [boundary], "dataframe", (4, 1), (0, 0))
 
-        cold, _ = compute_chunk_identities([boundary, consumer])
-        assert cold[consumer.key] is None  # unresolvable boundary
+        compute_chunk_identities([boundary, consumer], stored={boundary.key})
+        assert consumer.ident is None  # unresolvable boundary
 
-        known = {boundary.key: ("abc123", ("dep1",))}
-        idents, deps = compute_chunk_identities([boundary, consumer], known)
-        assert idents[boundary.key] == "abc123"
-        assert idents[consumer.key] is not None
-        assert "abc123" in deps[consumer.key]
-        assert "dep1" in deps[consumer.key]
+        # the identity a stored chunk carries resolves it — it rides on
+        # the chunk, so it survives a cache hit's key rebind too.
+        boundary.ident = "abc123"
+        boundary.rebind_key("c-00000001")
+        compute_chunk_identities([boundary, consumer], stored={boundary.key})
+        assert boundary.ident == "abc123"
+        assert consumer.ident is not None
+        before = consumer.ident
+        boundary.ident = "abc124"
+        compute_chunk_identities([boundary, consumer], stored={boundary.key})
+        assert consumer.ident != before
+
+    def test_operators_are_digested_once_to_a_short_digest(
+            self, monkeypatch):
+        # the chunks one operator was cut into share their function: it
+        # is canonicalized — data fingerprint and all — once per execute,
+        # and each chunk's identity hashes a 20-character digest of it.
+        from repro.dataframe.arithmetic import MapPartitionsChunk
+        from repro.graph import identity
+
+        big = np.arange(50_000.0)
+        func = lambda f, table=big: f  # noqa: E731
+        ops = [MapPartitionsChunk(func=func) for _ in range(4)]
+        computed = []
+        real = identity._spec_digest
+        monkeypatch.setattr(identity, "_spec_digest", lambda spec, ctx: (
+            computed.append(spec) or real(spec, ctx)))
+        ctx = identity.IdentityContext()
+        digests = {identity._op_digest(op, ctx) for op in ops}
+        assert len(computed) == 1
+        (digest,) = digests
+        assert isinstance(digest, str) and len(digest) == 20
+
+
+class TestQueryKeys:
+    """The query-level key: a tileable plan's identity, salted with the
+    session configuration."""
+
+    @staticmethod
+    def keys(session, local, how="sum"):
+        from repro.core.tiler import build_tileable_graph
+
+        out = from_frame(local, session).groupby("k").agg({"v": how})
+        graph = build_tileable_graph([out.data])
+        return session.executor.query_keys(graph, [out.data])[0]
+
+    def test_fresh_handles_and_sessions_agree(self):
+        rng = np.random.default_rng(5)
+        local = pf.DataFrame({"k": rng.integers(0, 6, 500),
+                              "v": rng.normal(size=500)})
+        with make_session() as s1, make_session() as s2:
+            first = self.keys(s1, local)
+            assert first is not None
+            assert self.keys(s1, local) == first
+            assert self.keys(s2, local) == first
+            assert self.keys(s1, local, "mean") != first
+
+    def test_config_and_data_change_the_key(self):
+        rng = np.random.default_rng(5)
+        local = pf.DataFrame({"k": rng.integers(0, 6, 500),
+                              "v": rng.normal(size=500)})
+        with make_session() as s1, make_session(chunk_store_limit=4_000) as s2:
+            first = self.keys(s1, local)
+            assert self.keys(s2, local) != first
+            s1.executor.identity.reset()  # what a new execute() does
+            local["v"].values[0] += 1.0
+            assert self.keys(s1, local) != first

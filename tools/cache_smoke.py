@@ -4,7 +4,8 @@ Two gates, checked end-to-end on a fresh interpreter:
 
 1. **warm reuse** — TPC-H q1 run twice in one cached session: the warm
    run must skip at least half the subtasks and produce a byte-identical
-   result;
+   result, answered from its query-level entry alone — no partial
+   execute, no executor stage, at least one cache hit;
 2. **golden safety** — the 14 golden engine scenarios replayed with the
    cache *disabled* (the default) must stay bit-identical to the
    committed reports: the cache must be invisible when off.
@@ -22,6 +23,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.config import Config
 from repro.core import Session
+from repro.core.executor import GraphExecutor
 from repro.dataframe import from_frame
 from repro.workloads.tpch import ALL_QUERIES, generate_tables
 from repro.workloads.tpch.queries import materialize
@@ -34,16 +36,30 @@ def warm_q1_smoke() -> int:
     cfg.result_cache = True
     failures = 0
     tables = generate_tables(sf=0.5, seed=7)
-    with Session(cfg) as session:
-        runs = []
-        for _ in range(2):
-            handles = {
-                name: from_frame(frame, session)
-                for name, frame in tables.items()
-            }
-            value = materialize(ALL_QUERIES["q1"](handles))
-            runs.append((repr(value), session.last_report))
-        (cold_repr, cold), (warm_repr, warm) = runs
+    stages = []  # one entry per executor stage
+    execute = GraphExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        stages.append(1)
+        return execute(self, *args, **kwargs)
+
+    GraphExecutor.execute = counting
+    try:
+        with Session(cfg) as session:
+            runs = []
+            for _ in range(2):
+                handles = {
+                    name: from_frame(frame, session)
+                    for name, frame in tables.items()
+                }
+                before = (len(stages), session.tiler.yield_count)
+                value = materialize(ALL_QUERIES["q1"](handles))
+                ran = (len(stages) - before[0],
+                       session.tiler.yield_count - before[1])
+                runs.append((repr(value), session.last_report, ran))
+    finally:
+        GraphExecutor.execute = execute
+    (cold_repr, cold, _), (warm_repr, warm, (warm_stages, warm_partial)) = runs
     if warm_repr != cold_repr:
         print("FAIL warm q1: result diverged from the cold run")
         failures += 1
@@ -58,9 +74,13 @@ def warm_q1_smoke() -> int:
     if warm.cache_hit_chunks == 0:
         print("FAIL warm q1: no cache hits recorded")
         failures += 1
+    if warm_stages or warm_partial:
+        print(f"FAIL warm q1: ran {warm_stages} executor stages and "
+              f"{warm_partial} partial executes (want 0 and 0)")
+        failures += 1
     if not failures:
         print(f"OK warm q1: {cold.n_subtasks} -> {warm.n_subtasks} "
-              f"subtasks, {warm.cache_hit_chunks} chunks reused, "
+              f"subtasks, 0 stages, {warm.cache_hit_chunks} chunks reused, "
               "identical result")
     return failures
 
