@@ -7,12 +7,6 @@ machinery cost: retries, lineage recomputation, bytes restored, backoff
 charged to the virtual clock, and the makespan inflation over the
 fault-free baseline.
 
-A second sweep runs *message-level* chaos — seeded drop/delay/duplicate
-faults on the actor plane's token-carrying data messages — where the
-contract is stronger: at-least-once delivery over idempotent endpoints
-must keep the makespan bit-identical to the clean run (the transport
-faults are wall-clock phenomena; no simulated number may move).
-
 Writes ``BENCH_recovery.json`` (repo root) with one row per fault
 rate so future PRs can track the overhead trajectory. Run standalone::
 
@@ -45,13 +39,6 @@ RATE_POINTS = [
     ("5%", 0.05, 0.03, 0.01),
 ]
 
-#: (label, drop rate, delay rate, duplicate rate) for the message-chaos
-#: sweep: transport faults absorbed by idempotent endpoints.
-MESSAGE_POINTS = [
-    ("msg 2%", 0.02, 0.02, 0.02),
-    ("msg 10%", 0.10, 0.10, 0.10),
-]
-
 
 def run_q5(sf: float, compute_rate: float, loss_rate: float,
            kill_rate: float):
@@ -75,41 +62,6 @@ def run_q5(sf: float, compute_rate: float, loss_rate: float,
         return value, {
             "makespan": session.cluster.clock.makespan,
             "injected_events": len(session.faults.events),
-            "retries": report.retries,
-            "recomputed_subtasks": report.recomputed_subtasks,
-            "recovery_bytes": report.recovery_bytes,
-            "backoff_time": report.backoff_time,
-        }
-    finally:
-        session.close()
-
-
-def run_q5_message_chaos(sf: float, drop: float, delay: float,
-                         duplicate: float):
-    cfg = default_config()
-    cfg.cluster.n_workers = 4
-    cfg.cluster.memory_limit = 256 * MiB
-    cfg.chunk_store_limit = 64 * 1024
-    cfg.message_faults.seed = FAULT_SEED
-    cfg.message_faults.drop_rate = drop
-    cfg.message_faults.delay_rate = delay
-    cfg.message_faults.duplicate_rate = duplicate
-    session = Session(cfg)
-    try:
-        tables = generate_tables(sf=sf, seed=7)
-        handles = {
-            name: from_frame(frame, session)
-            for name, frame in tables.items()
-        }
-        value = materialize(ALL_QUERIES["q5"](handles))
-        report = session.executor.report
-        chaos = session.cluster.actor_system.chaos
-        snap = chaos.snapshot() if chaos is not None else {}
-        return value, {
-            "makespan": session.cluster.clock.makespan,
-            "injected_events": (snap.get("dropped", 0)
-                                + snap.get("delayed", 0)
-                                + snap.get("duplicated", 0)),
             "retries": report.retries,
             "recomputed_subtasks": report.recomputed_subtasks,
             "recovery_bytes": report.recovery_bytes,
@@ -145,29 +97,6 @@ def run_recovery(sf: float) -> list[dict]:
             "recovery_bytes": stats["recovery_bytes"],
             "backoff_time": round(stats["backoff_time"], 4),
         })
-    # message-level chaos: results AND makespan must match the clean run
-    # exactly — idempotent endpoints absorb the transport faults.
-    for label, drop, delay, duplicate in MESSAGE_POINTS:
-        value, stats = run_q5_message_chaos(sf, drop, delay, duplicate)
-        if not baseline.equals(value):
-            raise AssertionError(
-                f"q5 result diverged from fault-free run at {label}"
-            )
-        if stats["makespan"] != baseline_makespan:
-            raise AssertionError(
-                f"q5 makespan moved under message chaos at {label}: "
-                f"{stats['makespan']} != {baseline_makespan}"
-            )
-        rows.append({
-            "fault_rate": label,
-            "makespan": round(stats["makespan"], 4),
-            "makespan_overhead": 1.0,
-            "injected_events": stats["injected_events"],
-            "retries": stats["retries"],
-            "recomputed_subtasks": stats["recomputed_subtasks"],
-            "recovery_bytes": stats["recovery_bytes"],
-            "backoff_time": round(stats["backoff_time"], 4),
-        })
     return rows
 
 
@@ -196,9 +125,7 @@ def save_and_render(rows: list[dict], sf: float) -> str:
          "recomputed", "backoff"],
         table_rows,
         note=(f"sf={sf}, seed={FAULT_SEED}; every faulted run's result is "
-              "verified identical to the fault-free run; 'msg' rows are "
-              "message-level chaos (drop/delay/duplicate), where the "
-              "makespan is additionally bit-identical to fault-free."),
+              "verified identical to the fault-free run."),
     )
 
 
@@ -207,9 +134,7 @@ def main() -> int:
     sf = 0.25 if smoke else 1.0
     rows = run_recovery(sf)
     print(save_and_render(rows, sf))
-    faulted = [row for row in rows
-               if row["fault_rate"] not in ("0%",)
-               and not row["fault_rate"].startswith("msg")]
+    faulted = [row for row in rows if row["fault_rate"] != "0%"]
     if not any(row["injected_events"] for row in faulted):
         print("WARNING: no faults fired at non-zero rates; the chaos "
               "path was not exercised")

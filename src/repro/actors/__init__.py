@@ -6,7 +6,7 @@ decomposition (Fig. 1) without requiring real processes.
 """
 
 from .actor import Actor, ActorRef
-from .message import ChaosEvent, Message, MessageChaos, MessageLog
+from .message import Message, MessageLog
 from .pool import ActorPool, ActorSystem
 from .supervisor import Supervisor
 
@@ -15,9 +15,7 @@ __all__ = [
     "ActorPool",
     "ActorRef",
     "ActorSystem",
-    "ChaosEvent",
     "Message",
-    "MessageChaos",
     "MessageLog",
     "Supervisor",
 ]

@@ -110,107 +110,3 @@ class MessageLog:
                 "edges": dict(self._edge_counts),
             }
 
-
-@dataclass
-class ChaosEvent:
-    """One message-level fault that fired (drop, delay, or duplicate)."""
-
-    kind: str
-    method: str
-    token: Any
-
-    def describe(self) -> str:
-        return f"{self.kind} {self.method} token={self.token!r}"
-
-
-class MessageChaos:
-    """Seeded drop/delay/duplicate decisions for token-carrying messages.
-
-    Decisions hash ``(seed, kind, method, seq)`` through
-    ``structural_draw``, where ``seq`` is the dedup token's per-session
-    message sequence number, minted on the deterministic accounting
-    walk — so for one seed the same messages fault in serial
-    and process execution mode regardless of delivery interleaving.
-    The token's *session* component is deliberately excluded from the
-    draw: session ids come from a process-global counter, and the same
-    workload must draw the same faults no matter how many sessions ran
-    before it in the process (or in a mode-comparison harness).
-
-    The chaos layer models an at-least-once transport over idempotent
-    endpoints: a *drop* consumes the first transmission and is followed by
-    an immediate retransmission; a *delay* holds the message briefly (the
-    RPC stays synchronous, virtual time is not charged — latency variance
-    is a wall-clock phenomenon here); a *duplicate* delivers the message
-    twice and relies on the endpoint's dedup log to suppress the second
-    application. Net effect: every mutation applies exactly once, in
-    accounting-walk order, so reports stay bit-identical under chaos.
-    """
-
-    def __init__(self, spec, capacity: int = 4096):
-        self.spec = spec
-        self._lock = threading.Lock()
-        self._events: list[ChaosEvent] = []
-        self.capacity = capacity
-        self.dropped = 0
-        self.delayed = 0
-        self.duplicated = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.spec is not None and self.spec.any_rate
-
-    def _draw(self, kind: str, method: str, token: Any) -> float:
-        from ..graph.identity import structural_draw
-
-        # (session, seq) token -> draw on seq only (mode/history-invariant).
-        if isinstance(token, tuple) and len(token) > 1:
-            parts = token[1:]
-        elif isinstance(token, tuple):
-            parts = token
-        else:
-            parts = (token,)
-        return structural_draw(self.spec.seed, kind, method, *parts)
-
-    def plan(self, method: str, token: Any) -> tuple[bool, bool, bool]:
-        """``(dropped, delayed, duplicated)`` for one message delivery."""
-        spec = self.spec
-        dropped = (spec.drop_rate > 0.0
-                   and self._draw("drop", method, token) < spec.drop_rate)
-        delayed = (spec.delay_rate > 0.0
-                   and self._draw("delay", method, token) < spec.delay_rate)
-        duplicated = (spec.duplicate_rate > 0.0
-                      and self._draw("dup", method, token)
-                      < spec.duplicate_rate)
-        if dropped or delayed or duplicated:
-            with self._lock:
-                if dropped:
-                    self.dropped += 1
-                    self._record(ChaosEvent("drop", method, token))
-                if delayed:
-                    self.delayed += 1
-                    self._record(ChaosEvent("delay", method, token))
-                if duplicated:
-                    self.duplicated += 1
-                    self._record(ChaosEvent("duplicate", method, token))
-        return dropped, delayed, duplicated
-
-    def _record(self, event: ChaosEvent) -> None:
-        self._events.append(event)
-        if len(self._events) > self.capacity:
-            del self._events[: len(self._events) - self.capacity]
-
-    @property
-    def total_fired(self) -> int:
-        return self.dropped + self.delayed + self.duplicated
-
-    def events(self) -> list[ChaosEvent]:
-        with self._lock:
-            return list(self._events)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "dropped": self.dropped,
-                "delayed": self.delayed,
-                "duplicated": self.duplicated,
-            }

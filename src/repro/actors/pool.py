@@ -13,7 +13,7 @@ from typing import Any, Type
 
 from ..errors import ActorError, ActorNotFound
 from .actor import Actor, ActorRef
-from .message import Message, MessageChaos, MessageLog
+from .message import Message, MessageLog
 
 
 class ActorPool:
@@ -60,9 +60,6 @@ class ActorSystem:
         #: optional Supervisor: deliveries to a dead-but-supervised uid
         #: restart the actor transparently instead of failing.
         self.supervisor = None
-        #: optional MessageChaos: seeded drop/delay/duplicate faults on
-        #: token-carrying (mutating) messages. ``None``/zero rates = off.
-        self.chaos: MessageChaos | None = None
         #: per-thread delivery state: parallel band runners deliver
         #: concurrently with the accounting thread, so the "which actor
         #: is currently handling a message" marker must be thread-local —
@@ -176,26 +173,8 @@ class ActorSystem:
             sender = getattr(self._tls, "sender_label", None) or "<external>"
         self.log.record(Message(sender=sender, recipient=uid, method=method,
                                 args=args, kwargs=kwargs))
-        chaos = self.chaos
-        duplicated = False
-        if chaos is not None:
-            token = kwargs.get("dedup_token")
-            if token is not None and chaos.enabled:
-                # drops are absorbed by the at-least-once layer: the
-                # first transmission is consumed, the retransmission
-                # below is the delivery that reaches the endpoint.
-                # Delays keep synchronous RPC semantics (recorded only).
-                _, _, duplicated = chaos.plan(method, token)
         self._current_actor = actor
         try:
-            if duplicated:
-                # stray redelivery: the endpoint's dedup log makes the
-                # second application a no-op returning the memoized
-                # result, which is also what the caller sees.
-                self.log.record(Message(sender=sender, recipient=uid,
-                                        method=method, args=args,
-                                        kwargs=kwargs))
-                handler(*args, **kwargs)
             return handler(*args, **kwargs)
         finally:
             self._current_actor = current

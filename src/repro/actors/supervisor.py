@@ -1,10 +1,10 @@
 """Actor supervision: per-uid restart policy with storm limiting.
 
 The :class:`Supervisor` owns a registry of respawn factories, one per
-service uid. When an actor dies (scripted kill, destroyed pool entry, a
-chaos experiment), the next delivery to its uid — or an explicit health
-probe — restarts it through its factory and the actor resumes serving
-from authoritative state:
+service uid. When an actor dies (scripted kill, destroyed pool entry),
+the next delivery to its uid — or the executor's stage-boundary probe —
+restarts it through its factory and the actor resumes serving from
+authoritative state:
 
 * per-worker storage actor factories close over the worker's durable
   ``WorkerStorage`` unit (captured at deploy time, before the router
@@ -88,9 +88,10 @@ class Supervisor:
         with self._lock:
             self._registry.clear()
 
-    def supervised(self) -> list[str]:
+    def supervised(self) -> dict[str, str]:
+        """uid -> kind (``"service"`` or ``"runner"``) of every adoptee."""
         with self._lock:
-            return list(self._registry)
+            return {uid: reg.kind for uid, reg in self._registry.items()}
 
     def address_of(self, uid: str) -> str | None:
         with self._lock:
@@ -107,7 +108,7 @@ class Supervisor:
         """Remove ``uid`` abruptly (no ``on_stop``), simulating a crash.
 
         Returns whether the actor was alive. Restart happens lazily on
-        the next delivery to the uid, or at the next health probe.
+        the next delivery to the uid, or at the next stage-boundary probe.
         """
         with self._lock:
             reg = self._registry.get(uid)

@@ -9,7 +9,7 @@ cluster shape, and the cost model of the discrete-event simulation.
 Every field here is set by some test, bench, tool, example or baseline
 profile (``tests/test_said_once.py`` takes the census); a value nobody
 chooses differently is a constant next to the code that uses it, not a
-field (42 settable values across the five dataclasses). All five
+field (35 settable values across the four dataclasses). All four
 use ``__slots__``: assigning to a name that is not a field — a typo, or a
 knob a later change deleted — raises ``AttributeError`` instead of silently
 doing nothing.
@@ -81,41 +81,6 @@ class FaultSpec:
         return (self.compute_fault_rate > 0.0 or self.chunk_loss_rate > 0.0
                 or self.worker_kill_rate > 0.0
                 or self.memory_squeeze_rate > 0.0)
-
-
-@dataclass(slots=True)
-class MessageFaultSpec:
-    """Deterministic message-level chaos for the actor plane.
-
-    Rates are per-message probabilities in ``[0, 1]`` applied to mutating
-    service RPCs that carry a dedup token (``storage.put_many``,
-    ``shuffle.register_partitions``, ``lifecycle.finish_subtask``,
-    ``cache.record_many``). Draws hash the token — minted on the
-    deterministic accounting walk — through ``structural_draw``, never the
-    delivery order, so for one seed the same messages are dropped, delayed
-    and duplicated in serial and process execution mode.
-
-    The delivery layer is at-least-once and the endpoints are idempotent:
-    a dropped message is retransmitted, a duplicated one is suppressed by
-    the endpoint's dedup log, so effective state transitions happen exactly
-    once and ``SimReport`` stays bit-identical to the fault-free run.
-    """
-
-    seed: int = 0
-    #: probability that a message's first transmission is dropped (the
-    #: at-least-once layer retransmits it).
-    drop_rate: float = 0.0
-    #: probability that a message is delivered late (recorded for the
-    #: chaos report; synchronous RPC semantics are preserved).
-    delay_rate: float = 0.0
-    #: probability that a message is delivered twice (the endpoint's
-    #: dedup token suppresses the second application).
-    duplicate_rate: float = 0.0
-
-    @property
-    def any_rate(self) -> bool:
-        return (self.drop_rate > 0.0 or self.delay_rate > 0.0
-                or self.duplicate_rate > 0.0)
 
 
 @dataclass(slots=True)
@@ -207,16 +172,6 @@ class Config:
     #: it. Explicit ``.cache()`` entries never count as eviction victims.
     result_cache_budget: int = 256 * MiB
 
-    # --- actor-plane supervision & chaos ------------------------------------
-    #: deterministic message-level chaos on the service actor plane (all
-    #: rates default to zero = off; goldens are untouched).
-    message_faults: MessageFaultSpec = field(default_factory=MessageFaultSpec)
-    #: virtual seconds between expected runner heartbeats; the health
-    #: monitor declares a runner dead after ``heartbeat_miss_limit``
-    #: missed beats. ``0`` disables liveness tracking.
-    heartbeat_interval: float = 1.0
-    heartbeat_miss_limit: int = 3
-
     # --- cluster & costs ----------------------------------------------------
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     cost_model: CostModel = field(default_factory=CostModel)
@@ -234,7 +189,6 @@ class Config:
             cluster=dataclasses.replace(self.cluster),
             cost_model=dataclasses.replace(self.cost_model),
             faults=dataclasses.replace(self.faults),
-            message_faults=dataclasses.replace(self.message_faults),
         )
         for key, value in overrides.items():
             if not hasattr(new, key):

@@ -255,24 +255,6 @@ class GraphExecutor:
         self.identity = IdentityContext()
         #: records accumulated during a stage, flushed to lifecycle once.
         self._pending_cache_records: dict[str, tuple] = {}
-        #: monotonic sequence for dedup tokens on mutating service
-        #: messages. Minted on the accounting walk only, so the token
-        #: stream — and therefore every message-chaos draw keyed on it —
-        #: is identical across serial and process execution. A retry
-        #: or recovery re-run mints a *fresh* token: only genuine
-        #: duplicate deliveries of one call are ever suppressed.
-        self._msg_seq = 0
-
-    def _mint_token(self) -> tuple[str, int]:
-        """A fresh dedup token for one mutating service message.
-
-        ``(session, seq)`` with the sequence advanced on the accounting
-        walk: structurally identical runs mint identical token streams
-        in every execution mode, and concurrent tenants' streams never
-        collide (the session id namespaces them).
-        """
-        self._msg_seq += 1
-        return (self.session_id, self._msg_seq)
 
     @contextmanager
     def turn(self):
@@ -415,7 +397,7 @@ class GraphExecutor:
         return subtask_graph
 
     def _begin_stage(self, order: list[Subtask], stage: _Stage) -> None:
-        """Stage-boundary state: structural ids, health, ledger, refcounts."""
+        """Stage-boundary state: structural ids, liveness, ledger, refcounts."""
         # stamp the structural identity fault injection and retry
         # accounting key on: (stage_index, priority) is stable across
         # execution modes and sessions, unlike the process-global keys.
@@ -426,16 +408,10 @@ class GraphExecutor:
             raise ExecutionHang(
                 "repro", f"subtask graph of {len(order)} nodes exceeds step budget"
             )
-        # stage-boundary health sweep: restart anything dead (the kill
+        # stage-boundary liveness sweep: restart anything dead (the kill
         # may have landed between messages, with no delivery to trigger
-        # the supervisor) and arm heartbeat leases for every band about
-        # to receive work. Runs at the deterministic stage base time, so
-        # health verdicts are identical across execution modes; restarts
-        # charge no virtual time.
-        supervision = self.cluster.supervision
-        supervision.probe(stage.base_time)
-        for band in {s.band for s in order if s.band}:
-            supervision.expect_runner(band, stage.base_time)
+        # the supervisor). Restarts charge no virtual time.
+        self.cluster.supervision.probe()
         # stage boundary: grants ending by this session's base are
         # pruned (all of its own); other sessions' grants survive.
         self.scheduling.begin_stage(stage.base_time)
@@ -525,8 +501,7 @@ class GraphExecutor:
             return
         records = list(self._pending_cache_records.values())
         self._pending_cache_records.clear()
-        self.lifecycle.cache_record(records, self.session_id,
-                                    dedup_token=self._mint_token())
+        self.lifecycle.cache_record(records, self.session_id)
 
     # ------------------------------------------------------------------
     def _start_dispatcher(self, order: list[Subtask],
@@ -594,8 +569,7 @@ class GraphExecutor:
         try:
             if not self.faults.enabled:
                 end = self._run_guarded(subtask, stage, computed)
-                self.lifecycle.finish_subtask(subtask, self.session_id,
-                                              dedup_token=self._mint_token())
+                self.lifecycle.finish_subtask(subtask, self.session_id)
                 return end
             ident = (subtask.stage_index, subtask.priority)
             extra_delay = 0.0
@@ -627,8 +601,7 @@ class GraphExecutor:
                     if lost:
                         self._recover_lost(lost, stage)
                     continue
-                self.lifecycle.finish_subtask(subtask, self.session_id,
-                                              dedup_token=self._mint_token())
+                self.lifecycle.finish_subtask(subtask, self.session_id)
                 self._inject_post_subtask(subtask)
                 return end
         finally:
@@ -819,10 +792,6 @@ class GraphExecutor:
             duration = self._duration(band, env, cpu_bytes, len(steps))
             end = self.cluster.clock.run_subtask(band, ready_time, duration)
             self.frontier = max(self.frontier, end)
-            # virtual-clock heartbeat: a completion on the band renews its
-            # runner's liveness lease (accounting walk — identical beats in
-            # every execution mode).
-            self.cluster.supervision.beat_runner(subtask.band, end)
             for key in subtask.output_keys:
                 self.chunk_ready_at[key] = end
             if decision is not None:
@@ -977,8 +946,7 @@ class GraphExecutor:
             if key not in env.values:
                 raise KeyError(f"subtask produced no value for output {key!r}")
             put_entries.append((key, env.values[key], env.sizes.get(key)))
-        stored_sizes = self.storage.put_many(put_entries, worker,
-                                             dedup_token=self._mint_token())
+        stored_sizes = self.storage.put_many(put_entries, worker)
         register_entries = []
         meta_entries = []
         for (key, value, _), stored in zip(put_entries, stored_sizes):
@@ -993,8 +961,7 @@ class GraphExecutor:
                 self.scheduling.record_chunk(key, subtask.band)
             meta_entries.append((key, value, self._pending_extra.pop(key, None)))
         if register_entries:
-            self.shuffle.register_partitions(register_entries,
-                                             dedup_token=self._mint_token())
+            self.shuffle.register_partitions(register_entries)
         if meta_entries:
             self.meta.set_from_values(meta_entries)
         if not stage.recovering and self.config.result_cache:

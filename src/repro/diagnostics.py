@@ -176,12 +176,11 @@ def cache_report(session: Session) -> str:
 
 
 def supervision_report(session: Session) -> str:
-    """Actor-plane health: restarts, heartbeat leases, message chaos.
+    """Actor-plane supervision: supervised actors, restarts and kills.
 
     Reads the cluster's :class:`~repro.core.supervision.SupervisionPlane`
-    (restart/kill counters, per-uid heartbeat state) and the actor
-    system's :class:`~repro.actors.MessageChaos` counters.  All zeros on
-    a healthy, chaos-free run.
+    (restart/kill counters by kind and by uid).  All zeros on a healthy
+    run.
     """
     lines = ["actor supervision:"]
     plane = getattr(session.cluster, "supervision", None)
@@ -190,30 +189,15 @@ def supervision_report(session: Session) -> str:
     else:
         snap = plane.snapshot()
         sup = snap["supervisor"]
-        health = snap["health"]
         lines.extend([
             f"  supervised actors:   {sup['supervised']}",
             f"  restarts / kills:    {sup['total_restarts']} / "
             f"{sup['total_kills']}",
             f"  service restarts:    {snap['service_restarts']}",
             f"  runner restarts:     {snap['runner_restarts']}",
-            f"  heartbeat leases:    {health['armed']} armed of "
-            f"{health['watched']} watched",
-            f"  runners dead:        {health['deaths_declared']}",
         ])
         for uid, count in sorted(sup["restarts_by_uid"].items()):
             lines.append(f"    {uid:24s} restarted x{count}")
-    chaos = session.cluster.actor_system.chaos
-    if chaos is None or not chaos.enabled:
-        lines.append("  message chaos:       off")
-    else:
-        snap = chaos.snapshot()
-        lines.extend([
-            "  message chaos:",
-            f"    dropped:           {snap['dropped']}",
-            f"    delayed:           {snap['delayed']}",
-            f"    duplicated:        {snap['duplicated']}",
-        ])
     return "\n".join(lines)
 
 

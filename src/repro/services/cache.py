@@ -34,8 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..utils import DedupLog
-
 
 @dataclass
 class CacheEntry:
@@ -76,8 +74,6 @@ class ResultCacheService:
         self._queries_on: dict[str, set[str]] = {}
         self._bytes = 0
         self.stats = CacheStats()
-        #: memo of applied ``record_many`` tokens (at-least-once).
-        self._dedup = DedupLog()
 
     # -- configuration -----------------------------------------------------
     def _budget(self) -> Optional[int]:
@@ -149,20 +145,13 @@ class ResultCacheService:
 
     # -- recording ---------------------------------------------------------
     def record_many(self, entries: Iterable[tuple],
-                    session: str, dedup_token=None) -> list[str]:
+                    session: str) -> list[str]:
         """Insert executed results; returns chunk keys evicted for budget.
 
         ``entries`` holds ``(ident, chunk_key, nbytes, explicit)``
         tuples. The caller (lifecycle) unpins/frees the returned chunk
         keys — eviction here only updates the directory.
-
-        Idempotent under at-least-once delivery: a redelivered batch
-        (same ``dedup_token``) returns the memoized evicted list, so
-        duplicates never double-count directory bytes or re-run the LRU.
         """
-        seen, memo = self._dedup.check(dedup_token)
-        if seen:
-            return memo
         evicted: list[str] = []
         for ident, chunk_key, nbytes, explicit in entries:
             self._forget(ident)
@@ -174,7 +163,6 @@ class ResultCacheService:
         budget = self._budget()
         if budget is not None:
             evicted.extend(self._evict_to(budget))
-        self._dedup.record(dedup_token, evicted)
         return evicted
 
     def record_query(self, ident: str, layout: tuple) -> bool:

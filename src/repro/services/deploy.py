@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..actors.message import MessageChaos
 from ..cluster.cluster import SUPERVISOR_ADDRESS, ClusterState
 from ..config import Config
 from ..core.meta import MetaService
@@ -77,19 +76,17 @@ def deploy_services(cluster: ClusterState, config: Config) -> ServiceHandles:
     system = cluster.actor_system
 
     # the supervision plane comes up first so every actor created below
-    # can register its respawn factory. Message chaos is installed on
-    # the system too (zero rates = off, the default).
-    plane = SupervisionPlane(system, config)
+    # can register its respawn factory.
+    plane = SupervisionPlane(system)
     cluster.supervision = plane
-    system.supervisor = plane.supervisor
-    system.chaos = MessageChaos(config.message_faults)
+    supervisor = system.supervisor = plane.supervisor
 
     def serve(address: str, uid: str, service: Any):
         """``service`` behind a supervised actor: the object outlives
         the actor, so a respawn re-wraps it with its state intact."""
         ref = system.create_actor(address, ServiceActor, service, uid=uid)
-        plane.register_service(address, uid,
-                               lambda: (ServiceActor, (service,), {}))
+        supervisor.register(address, uid,
+                            lambda: (ServiceActor, (service,), {}))
         return ref
 
     meta = serve(SUPERVISOR_ADDRESS, META_UID, MetaService())
@@ -126,9 +123,10 @@ def deploy_services(cluster: ClusterState, config: Config) -> ServiceHandles:
         # runners are stateless: the factory builds a *fresh* one — any
         # compute lost with the old actor re-runs through the executor's
         # inline retry, and lost chunks replay via lifecycle lineage.
-        plane.register_runner(
-            band.name, band.worker, uid,
-            lambda name=band.name: (ServiceActor, (fresh_runner(name),), {}))
+        supervisor.register(
+            band.worker, uid,
+            lambda name=band.name: (ServiceActor, (fresh_runner(name),), {}),
+            kind="runner")
 
     handles = ServiceHandles(
         meta=meta, storage=storage, scheduling=scheduling,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ..core.recovery import RecoveryManager
-from ..utils import DedupLog
 
 
 #: the plan reader standing for the caller of ``execute()``.
@@ -64,8 +63,6 @@ class LifecycleService:
         #: chunk keys the result cache points at — exempt from
         #: refcount-driven frees until evicted or invalidated.
         self._cache_protected: set[str] = set()
-        #: memo of applied ``finish_subtask`` tokens (at-least-once).
-        self._dedup = DedupLog()
 
     # -- stage refcounting -------------------------------------------------
     def register_terminals(self, terminal_by_key: dict[str, bool]) -> None:
@@ -132,21 +129,13 @@ class LifecycleService:
             self._shuffle.forget_keys(freed)
         return freed
 
-    def finish_subtask(self, subtask, session: str,
-                       dedup_token=None) -> list[str]:
+    def finish_subtask(self, subtask, session: str) -> list[str]:
         """One message for a subtask's whole lifecycle epilogue.
 
         Releases the consumer refcounts its inputs held, retires its
         operators as plan readers (freeing what nobody reads any more)
         and records its lineage; returns the freed keys.
-
-        Idempotent under at-least-once delivery: a redelivered message
-        (same ``dedup_token``) returns the memoized freed list without
-        decrementing refcounts a second time.
         """
-        seen, memo = self._dedup.check(dedup_token)
-        if seen:
-            return memo
         scope = self._scopes[session]
         for key in subtask.input_keys:
             scope.consumers[key] -= 1
@@ -155,7 +144,6 @@ class LifecycleService:
             for chunk in subtask.chunks
         ])
         self._recovery.record(subtask)
-        self._dedup.record(dedup_token, freed)
         return freed
 
     def drop_session(self, session: str) -> None:
@@ -166,8 +154,7 @@ class LifecycleService:
             del self._terminal[key]
 
     # -- result cache ------------------------------------------------------
-    def cache_record(self, entries, session_id: str,
-                     dedup_token=None) -> list[str]:
+    def cache_record(self, entries, session_id: str) -> list[str]:
         """Register executed results with the cache; handle evictions.
 
         ``entries`` holds ``(ident, chunk_key, nbytes, explicit)``
@@ -175,22 +162,12 @@ class LifecycleService:
         frees; chunks the cache evicted for budget lose protection and
         — under eager-release semantics — are deleted outright unless
         a running plan still reads them.
-
-        The dedup token guards this hop *and* is forwarded to
-        ``record_many``, so a duplicate on either the client->lifecycle
-        or the lifecycle->cache edge applies the recording once.
         """
-        seen, memo = self._dedup.check(dedup_token)
-        if seen:
-            return memo
         entries = list(entries)
-        evicted = self._cache.record_many(entries, session_id,
-                                          dedup_token=dedup_token)
+        evicted = self._cache.record_many(entries, session_id)
         for _ident, chunk_key, _nbytes, _explicit in entries:
             self._cache_protected.add(chunk_key)
-        result = self._unprotect(evicted)
-        self._dedup.record(dedup_token, result)
-        return result
+        return self._unprotect(evicted)
 
     def invalidate_cached(self, chunk_keys) -> list[str]:
         """Chunk bytes vanished or are about to: drop the cache entries

@@ -32,7 +32,7 @@ from typing import Any
 from ..cluster.cluster import ClusterState
 from ..config import Config
 from ..errors import StorageKeyError
-from ..utils import DedupLog, sizeof
+from ..utils import sizeof
 from .base import DISK_PENALTY, AccessInfo, StorageLevel, StoredItem
 from .remote import RemoteBackend
 from .worker import WorkerStorage
@@ -72,8 +72,6 @@ class StorageService:
         #: is migrated to the new owner so unpin always balances.
         self._pin_routes: dict[str, list[str | None]] = {}
         self._transferred_bytes = 0
-        #: memo of applied ``put_many`` tokens (at-least-once delivery).
-        self._dedup = DedupLog()
 
     def use_worker_handles(self, handles: dict[str, Any]) -> None:
         """Swap worker units for actor refs (the service deployment).
@@ -348,29 +346,19 @@ class StorageService:
         with self._lock:
             return [key for key in keys if key not in self._locations]
 
-    def put_many(self, entries, worker: str,
-                 dedup_token: Any = None) -> list[int]:
+    def put_many(self, entries, worker: str) -> list[int]:
         """Batched :meth:`put`: ``entries`` is ``(key, value, nbytes)``.
 
         One message stores a subtask's whole output set; each entry goes
         through the same put path (delete-if-exists, spill-or-raise, pin
         migration) in order, so worker state after the batch is exactly
         what the per-key puts would leave.
-
-        Idempotent under at-least-once delivery: a redelivered message
-        (same ``dedup_token``) returns the memoized sizes without
-        touching the tiers again.
         """
         with self._lock:
-            seen, memo = self._dedup.check(dedup_token)
-            if seen:
-                return memo
-            sizes = [
+            return [
                 self.put(key, value, worker, nbytes=nbytes)
                 for key, value, nbytes in entries
             ]
-            self._dedup.record(dedup_token, sizes)
-            return sizes
 
     def delete_many(self, keys) -> None:
         """Batched :meth:`delete` (refcount frees arrive in bulk)."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any
 
-from ..utils import DedupLog
 from .base import StorageLevel
 from .service import StorageService
 
@@ -48,8 +47,6 @@ class ShuffleManager:
         #: already indexed — i.e. mapper re-execution during fault
         #: recovery replacing a stale entry.
         self.reregistered_partitions = 0
-        #: memo of applied ``register_partitions`` tokens.
-        self._dedup = DedupLog()
 
     # -- mapper side ------------------------------------------------------
     def register_partition(self, shuffle_id: str, mapper: int, reducer: int,
@@ -71,25 +68,17 @@ class ShuffleManager:
         self._key_index[key] = (shuffle_id, reducer)
         self.total_shuffle_bytes += nbytes
 
-    def register_partitions(self, entries, dedup_token: Any = None) -> None:
+    def register_partitions(self, entries) -> None:
         """Batched :meth:`register_partition`.
 
         ``entries`` is ``(shuffle_id, mapper, reducer, key, worker,
         nbytes)`` tuples — a subtask's shuffle-map outputs index in one
         message.
-
-        Idempotent under at-least-once delivery: a redelivered batch
-        (same ``dedup_token``) is a no-op, so duplicates never inflate
-        ``total_shuffle_bytes`` or the re-registration counter.
         """
-        seen, _ = self._dedup.check(dedup_token)
-        if seen:
-            return
         for shuffle_id, mapper, reducer, key, worker, nbytes in entries:
             self.register_partition(
                 shuffle_id, mapper, reducer, key, worker, nbytes
             )
-        self._dedup.record(dedup_token, None)
 
     def write_partition(self, shuffle_id: str, mapper: int, reducer: int,
                         data: Any, worker: str) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import itertools
 import math
@@ -202,45 +201,3 @@ def geomean(values: Sequence[float]) -> float:
         raise ValueError("geomean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
-
-class DedupLog:
-    """Bounded memo of ``dedup_token -> result`` for at-least-once endpoints.
-
-    Mutating service methods record the result of each token-carrying call;
-    a redelivered message with a token already seen returns the memoized
-    result instead of re-applying the mutation. Tokens are minted per call
-    on the accounting walk (never reused across retry attempts), so only
-    genuine duplicate deliveries of the *same* call are suppressed —
-    legitimate retries carry fresh tokens and always apply.
-
-    Thread-safe: endpoints are hit from the accounting thread and (via
-    nested service calls) band-runner threads.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._seen: "collections.OrderedDict[Any, Any]" = collections.OrderedDict()
-        self.suppressed = 0
-
-    def check(self, token: Any) -> tuple[bool, Any]:
-        """``(seen_before, memoized_result)`` for ``token``."""
-        if token is None:
-            return False, None
-        with self._lock:
-            if token in self._seen:
-                self.suppressed += 1
-                self._seen.move_to_end(token)
-                return True, self._seen[token]
-            return False, None
-
-    def record(self, token: Any, result: Any) -> None:
-        if token is None:
-            return
-        with self._lock:
-            self._seen[token] = result
-            self._seen.move_to_end(token)
-            while len(self._seen) > self.capacity:
-                self._seen.popitem(last=False)

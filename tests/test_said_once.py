@@ -17,13 +17,7 @@ import pytest
 import repro.core.executor as executor_module
 from repro import frame as pf
 from repro.cluster.simulation import SimReport, counter_growth, fold_report
-from repro.config import (
-    ClusterSpec,
-    Config,
-    CostModel,
-    FaultSpec,
-    MessageFaultSpec,
-)
+from repro.config import ClusterSpec, Config, CostModel, FaultSpec
 from repro.core import Session
 from repro.core.session import RunReport
 from repro.dataframe import from_frame
@@ -202,7 +196,7 @@ def test_every_config_field_is_set_by_some_caller():
     """``config.py`` says a value nobody chooses differently is a
     constant, not a field; this is the census that keeps it true."""
     assigned = _names_set_by_callers()
-    specs = (Config, ClusterSpec, CostModel, FaultSpec, MessageFaultSpec)
+    specs = (Config, ClusterSpec, CostModel, FaultSpec)
     unset = [
         f"{spec.__name__}.{field.name}"
         for spec in specs for field in dataclasses.fields(spec)

@@ -1,12 +1,11 @@
-"""CI smoke for actor-plane chaos: message faults must be invisible.
+"""CI smoke for actor kills: supervised restarts must be invisible.
 
 Runs TPC-H q5, TPC-H q1 and a groupby shuffle twice per execution mode
-(serial, process): once fault-free and once under 2% message
-drop/delay/duplicate chaos plus one scripted service-actor kill and one
-scripted runner death.  The chaos run must produce byte-identical
-results and a bit-identical ``SimReport`` — at-least-once delivery over
-idempotent endpoints, supervised restarts and lineage recovery are the
-machinery under test, end-to-end on a fresh interpreter.
+(serial, process): once fault-free and once with one scripted
+service-actor kill and one scripted runner death.  The killed run must
+produce byte-identical results and a bit-identical ``SimReport`` —
+supervised restarts and lineage recovery are the machinery under test,
+end-to-end on a fresh interpreter.
 
 Run: ``PYTHONPATH=src python tools/chaos_smoke.py``
 """
@@ -25,21 +24,13 @@ from repro.services import LIFECYCLE_UID, runner_uid
 from repro.workloads.tpch import ALL_QUERIES, generate_tables
 from repro.workloads.tpch.queries import materialize
 
-CHAOS_SEED = 20240806
-CHAOS_RATES = {"drop_rate": 0.02, "delay_rate": 0.02,
-               "duplicate_rate": 0.02}
-
 MODES = ("serial", "process")
 
 
-def make_session(mode: str, chunk_limit: int, chaos: bool) -> Session:
+def make_session(mode: str, chunk_limit: int) -> Session:
     cfg = Config()
     cfg.chunk_store_limit = chunk_limit
     cfg.execution_mode = mode
-    if chaos:
-        cfg.message_faults.seed = CHAOS_SEED
-        for name, value in CHAOS_RATES.items():
-            setattr(cfg.message_faults, name, value)
     return Session(cfg)
 
 
@@ -98,42 +89,34 @@ def same_value(a, b) -> bool:
 
 def run(name: str, workload, chunk_limit: int) -> int:
     failures = 0
-    fired_by_mode = {}
     for mode in MODES:
-        with make_session(mode, chunk_limit, chaos=False) as clean:
+        with make_session(mode, chunk_limit) as clean:
             expected = workload(clean)
             baseline = report_tuple(clean)
 
-        with make_session(mode, chunk_limit, chaos=True) as session:
+        with make_session(mode, chunk_limit) as session:
             band = session.cluster.bands[0].name
             session.faults.script_actor_kill(0, 0, LIFECYCLE_UID)
             session.faults.script_actor_kill(0, 1, runner_uid(band))
             result = workload(session)
-            chaotic = report_tuple(session)
-            chaos = session.cluster.actor_system.chaos
-            fired = chaos.total_fired if chaos is not None else 0
-            plane = session.cluster.supervision
-            kills = plane.supervisor.total_kills
-            restarts = plane.supervisor.total_restarts
+            killed = report_tuple(session)
+            supervisor = session.cluster.supervision.supervisor
+            kills = supervisor.total_kills
+            restarts = supervisor.total_restarts
 
         if not same_value(result, expected):
-            print(f"FAIL {name}/{mode}: chaos result diverged")
+            print(f"FAIL {name}/{mode}: result diverged under actor kills")
             failures += 1
-        elif chaotic != baseline:
-            print(f"FAIL {name}/{mode}: SimReport diverged under chaos")
+        elif killed != baseline:
+            print(f"FAIL {name}/{mode}: SimReport diverged under actor kills")
             failures += 1
         elif kills != 2 or restarts < 2:
             print(f"FAIL {name}/{mode}: expected 2 kills + restarts, "
                   f"got {kills}/{restarts}")
             failures += 1
         else:
-            fired_by_mode[mode] = fired
-            print(f"OK {name}/{mode}: bit-identical under chaos "
-                  f"({fired} message faults, {restarts} restarts)")
-    if len(set(fired_by_mode.values())) > 1:
-        print(f"FAIL {name}: fault counts diverged across modes "
-              f"({fired_by_mode})")
-        failures += 1
+            print(f"OK {name}/{mode}: bit-identical under actor kills "
+                  f"({restarts} restarts)")
     return failures
 
 
@@ -142,9 +125,9 @@ def main() -> int:
     for name, workload, chunk_limit in WORKLOADS:
         failures += run(name, workload, chunk_limit)
     if failures:
-        print(f"{failures} chaos smoke failure(s)")
+        print(f"{failures} actor-kill smoke failure(s)")
         return 1
-    print("chaos smoke passed: message faults and actor deaths invisible")
+    print("actor-kill smoke passed: actor deaths invisible")
     return 0
 
 
