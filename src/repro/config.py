@@ -161,11 +161,11 @@ class Config:
     oom_recovery: bool = True
 
     # --- result cache -------------------------------------------------------
-    #: content-addressed result cache: subtasks whose structural identity
-    #: (operator chain + parameters + source fingerprints) already has a
-    #: live stored result are pruned from the execution graph and their
-    #: consumers rewired to the cached chunks. Off by default — the
-    #: golden scenarios pin the uncached engine bit-for-bit.
+    #: expression-keyed result cache: a tileable whose key (operator
+    #: chain + parameters + source fingerprints + config) has a live
+    #: stored result is bound to the cached chunks instead of being
+    #: tiled and run. Off by default — the golden scenarios pin the
+    #: uncached engine bit-for-bit.
     result_cache: bool = False
     #: byte budget for auto-cached results; the least-recently-hit
     #: entries are dropped (and their chunks freed) when recording past

@@ -96,15 +96,13 @@ class _Stage:
     """What one accounting walk shares across its subtasks.
 
     A recovery walk — lineage re-execution, at fetch time or from inside
-    a stage's retry loop — has no subtask graph, was asked for nothing,
-    and charges into the report of whoever noticed the loss.
+    a stage's retry loop — has no subtask graph and charges into the
+    report of whoever noticed the loss.
     """
 
     report: SimReport
     base_time: float
     graph: DAG[Subtask] | None = None
-    #: the keys the stage was asked for (worth caching when stored).
-    requested: set[str] = field(default_factory=set)
     #: completion virtual time of every subtask accounted so far.
     completion: dict[str, float] = field(default_factory=dict)
 
@@ -199,7 +197,7 @@ class GraphExecutor:
     def __init__(self, cluster: ClusterState, storage: Any,
                  meta: Any, config: Config, *, session_id: str,
                  faults: FaultInjector, memory_quota: float,
-                 scheduling: Any, shuffle: Any, lifecycle: Any, cache: Any,
+                 scheduling: Any, shuffle: Any, lifecycle: Any,
                  runners: dict[str, Any]):
         """Every service argument is a *handle* from the deployed
         service plane (``repro.services.deploy``): the executor only
@@ -223,8 +221,6 @@ class GraphExecutor:
         self.shuffle = shuffle
         #: the scheduling service: placement, band load, memory admission.
         self.scheduling = scheduling
-        #: the result cache: structural identity -> stored chunk key.
-        self.cache = cache
         #: the lifecycle service: chunk refcounts, terminal flags, lineage.
         self.lifecycle = lifecycle
         #: band name -> subtask runner handle (the compute phase).
@@ -246,15 +242,9 @@ class GraphExecutor:
         #: session's stage barrier never delays another's independent
         #: subtasks — stages interleave into band idle time.
         self.frontier = 0.0
-        #: runtime chunk keys whose tileables called ``.cache()``: their
-        #: cache entries are explicit (never budget-evicted).
-        self.explicit_cache_keys: set[str] = set()
         #: identity's execute-scoped memo (source fingerprints, operator
-        #: tokens), shared by every partial execute of one run; the
-        #: session actor resets it when a run starts.
+        #: tokens); the session actor resets it when a run starts.
         self.identity = IdentityContext()
-        #: records accumulated during a stage, flushed to lifecycle once.
-        self._pending_cache_records: dict[str, tuple] = {}
 
     @contextmanager
     def turn(self):
@@ -277,20 +267,16 @@ class GraphExecutor:
         return self.lifecycle.recovery_manager()
 
     # ------------------------------------------------------------------
-    def execute(self, chunk_graph: DAG[ChunkData],
-                requested: set[str] | None = None) -> SimReport:
+    def execute(self, chunk_graph: DAG[ChunkData]) -> SimReport:
         """Run every not-yet-materialized chunk of ``chunk_graph``.
 
-        ``requested`` names the chunks the caller is after (a tiling
-        yield, the results): the non-terminal chunks worth a cache
-        entry. What outlives the stage is the lifecycle service's call —
+        What outlives the stage is the lifecycle service's call —
         whatever the plan it was told about still reads.
         """
         with self.turn():
-            return self._execute_stage(chunk_graph, set(requested or ()))
+            return self._execute_stage(chunk_graph)
 
-    def _execute_stage(self, chunk_graph: DAG[ChunkData],
-                       requested: set[str]) -> SimReport:
+    def _execute_stage(self, chunk_graph: DAG[ChunkData]) -> SimReport:
         """plan → begin → walk (admit, replay, commit per subtask) → fold."""
         report = SimReport()
         subtask_graph = self._plan_stage(chunk_graph, report)
@@ -305,8 +291,7 @@ class GraphExecutor:
         # via ``clock.run_subtask``).
         dispatch = (self.config.cost_model.dispatch_overhead
                     * report.n_graph_nodes)
-        stage = _Stage(report, self.frontier + dispatch, subtask_graph,
-                       requested)
+        stage = _Stage(report, self.frontier + dispatch, subtask_graph)
         order = subtask_graph.topological_order()
         self._begin_stage(order, stage)
         # the compute phase: on a process-mode plane a stage that can
@@ -357,27 +342,28 @@ class GraphExecutor:
             report.n_subtasks = len(stage.completion)
             report.peak_memory = self.cluster.peak_memory()
             report.band_busy = dict(self.cluster.clock.band_busy)
-            self._flush_cache_records()
             fold_report(self.report, report)
         return report
 
     def _plan_stage(self, chunk_graph: DAG[ChunkData],
                     report: SimReport) -> DAG[Subtask] | None:
-        """Prune what is stored or cached, fuse the rest into placed
-        subtasks; ``None`` when nothing is left to run. Notes the graph
-        size and the cache's share in ``report``."""
+        """Prune what is stored, fuse the rest into placed subtasks;
+        ``None`` when nothing is left to run. Notes the graph size in
+        ``report``."""
         order_nodes = chunk_graph.topological_order()
         keys = [node.key for node in order_nodes]
         stored = set(keys).difference(self.storage.missing_keys(keys))
-        if self.config.result_cache:
-            (chunk_graph, order_nodes, report.cache_hit_chunks,
-             report.cache_reused_bytes) = self._apply_cache(
-                chunk_graph, order_nodes, stored)
         self.lifecycle.register_terminals({
             node.key: getattr(node, "terminal", False)
             for node in chunk_graph.nodes()
         })
         pending = [node for node in order_nodes if node.key not in stored]
+        # a chunk the result cache bound into the plan has no operator
+        # here: gone since it was bound, it comes back through lineage.
+        lost = [node.key for node in pending if node.op is None]
+        if lost:
+            self.ensure_available(lost)
+            pending = [node for node in pending if node.op is not None]
         if not pending:
             return None
         pending_graph = chunk_graph.subgraph(pending)
@@ -422,86 +408,20 @@ class GraphExecutor:
         self.lifecycle.begin_stage(dict(consumers), self.session_id)
 
     # -- result cache ---------------------------------------------------
-    def _apply_cache(self, chunk_graph: DAG[ChunkData],
-                     order: list[ChunkData], stored: set[str]):
-        """The cache-lookup + graph-pruning pass (planning time).
-
-        Stamps every chunk's structural identity, rewires chunks whose
-        identity already has a live cached result onto the cached chunk
-        key, and rebuilds the graph from its sinks so satisfied subtrees
-        drop out entirely. Runs on the accounting thread, before any
-        stage state exists. ``order`` is the graph's topological order
-        and ``stored`` the keys of it that sit in storage; hit keys are
-        added to ``stored``. Returns ``(graph, order, hit_chunks,
-        reused_bytes)``.
-        """
-        compute_chunk_identities(order, self.identity, stored)
-        # sinks must be taken before any rebind: rebinding changes node
-        # hashes, which silently breaks the DAG's internal dicts.
-        sinks = chunk_graph.sinks()
-        candidates: dict[str, list[ChunkData]] = {}
-        for node in order:
-            if node.ident is not None and node.key not in stored:
-                candidates.setdefault(node.ident, []).append(node)
-        hits = self.cache.lookup_many(list(candidates), self.session_id)
-        n_hits = 0
-        reused = 0
-        for ident, (cached_key, nbytes) in hits.items():
-            # a hit is a live stored chunk (``lookup_many`` checked).
-            stored.add(cached_key)
-            for node in candidates[ident]:
-                if node.key == cached_key:
-                    continue
-                node.rebind_key(cached_key)
-                n_hits += 1
-                reused += nbytes
-        if n_hits:
-            # every node reachable from the sinks carries an old key or
-            # a hit key, so ``stored`` answers for all of storage here.
-            from .tiler import chunk_closure
-            chunk_graph = chunk_closure(sinks, stored.__contains__)
-            order = chunk_graph.topological_order()
-        return chunk_graph, order, n_hits, reused
-
     def query_keys(self, plan: DAG[TileableData],
                    results: list[TileableData]) -> list[str | None]:
-        """The query-level cache key of each of ``results`` (``None`` =
-        uncacheable), over the pruned logical ``plan``: its operators'
-        digests, the source columns they read and the session config.
-        Hashed behind the same span as the chunk identities."""
-        compute_chunk_identities(plan.topological_order(), self.identity,
-                                 config=self.config)
+        """Stamp the cache key of every tileable of the pruned logical
+        ``plan`` — its operators' digests, the source columns they read,
+        the session config — and return those of ``results`` (``None`` =
+        uncacheable). A tiled node keeps its key only while storage holds
+        all of its chunks."""
+        order = plan.topological_order()
+        chunks = [chunk.key for node in order if node.is_tiled
+                  for chunk in node.chunks]
+        stored = set(chunks).difference(
+            self.storage.missing_keys(chunks)) if chunks else ()
+        compute_chunk_identities(order, self.identity, stored, self.config)
         return [tileable.ident for tileable in results]
-
-    def _collect_cache_record(self, subtask: Subtask,
-                              stored_by_key: dict[str, int],
-                              requested: set[str]) -> None:
-        """Queue freshly stored reusable outputs for cache registration.
-
-        Two kinds of chunks are worth caching: terminal (tileable
-        boundary) chunks, and requested chunks — the ones a dynamic
-        tiling yield demanded, which the next run's tiling pass will
-        demand again at the same structural position.
-        """
-        for chunk in subtask.chunks:
-            key = chunk.key
-            if key not in stored_by_key:
-                continue
-            if not getattr(chunk, "terminal", False) and key not in requested:
-                continue
-            if chunk.ident is None:
-                continue
-            self._pending_cache_records[key] = (
-                chunk.ident, key, stored_by_key[key],
-                key in self.explicit_cache_keys,
-            )
-
-    def _flush_cache_records(self) -> None:
-        if not self._pending_cache_records:
-            return
-        records = list(self._pending_cache_records.values())
-        self._pending_cache_records.clear()
-        self.lifecycle.cache_record(records, self.session_id)
 
     # ------------------------------------------------------------------
     def _start_dispatcher(self, order: list[Subtask],
@@ -702,9 +622,7 @@ class GraphExecutor:
         self.storage.delete(key)
         self.scheduling.forget_chunk(key)
         if self.config.result_cache:
-            # a lost chunk must never be registered, and no entry may
-            # keep pointing at its vanished bytes.
-            self._pending_cache_records.pop(key, None)
+            # no entry may keep pointing at its vanished bytes.
             self.lifecycle.invalidate_cached([key])
 
     def _kill_actor(self, uid: str) -> None:
@@ -928,7 +846,7 @@ class GraphExecutor:
 
     def _store_outputs(self, subtask: Subtask, stage: _Stage,
                        env: _Env) -> None:
-        """Write the outputs back: storage, shuffle index, meta, cache."""
+        """Write the outputs back: storage, shuffle index, meta."""
         worker = worker_of_band(subtask.band)
         shuffle_chunks = {
             c.key: c for c in subtask.chunks
@@ -964,12 +882,6 @@ class GraphExecutor:
             self.shuffle.register_partitions(register_entries)
         if meta_entries:
             self.meta.set_from_values(meta_entries)
-        if not stage.recovering and self.config.result_cache:
-            stored_by_key = {
-                key: stored
-                for (key, _, _), stored in zip(put_entries, stored_sizes)
-            }
-            self._collect_cache_record(subtask, stored_by_key, stage.requested)
 
     def _duration(self, band, env: _Env, cpu_bytes: int,
                   n_steps: int) -> float:

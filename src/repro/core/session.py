@@ -102,8 +102,8 @@ class RunReport:
     degraded_subtasks: int = 0
     pressure_splits: int = 0
     forced_spill_bytes: int = 0
-    #: result cache (zero with ``result_cache`` off): chunks pruned from
-    #: the execution graph by a hit, and the stored bytes they reused.
+    #: result cache (zero with ``result_cache`` off): stored chunks the
+    #: plan was bound to by a hit, and the bytes they reused.
     cache_hit_chunks: int = 0
     cache_reused_bytes: int = 0
     peak_memory: dict[str, int] = field(default_factory=dict)
@@ -136,8 +136,7 @@ class SessionActor(Actor):
             session_id=session_id, faults=FaultInjector(config.faults),
             memory_quota=memory_quota,
             scheduling=services.scheduling, shuffle=services.shuffle,
-            lifecycle=services.lifecycle, cache=services.cache,
-            runners=dict(services.runners),
+            lifecycle=services.lifecycle, runners=dict(services.runners),
         )
         self.tiler = TilingEngine(self.executor, services.meta, config)
         self.last_report = RunReport()
@@ -161,8 +160,8 @@ class SessionActor(Actor):
         # session key namespace: every runtime key minted while tiling
         # and executing (chunk keys, shuffle ids, subtask keys) carries
         # this session's prefix, so sessions sharing storage/shuffle/LRU
-        # state cannot collide. Structural identities strip the prefix,
-        # keeping the shared result cache session-stable.
+        # state cannot collide. Result-cache keys never contain a
+        # runtime key, keeping the shared cache session-stable.
         with key_namespace(f"{self.session_id}/"):
             return self._execute_tileables(tileables)
 
@@ -186,23 +185,20 @@ class SessionActor(Actor):
         totals_before = self._totals()
         report_before = dataclasses.replace(self.executor.report)
 
-        values = keys = None
+        values = None
         try:
             graph = build_tileable_graph(tileables)
             if self.config.column_pruning:
                 # may un-tile nodes an earlier query tiled too narrow:
                 # ``graph`` grows by their ancestors
                 prune_columns(graph, tileables)
-            if self.config.result_cache and not any(
-                    t.is_tiled for t in tileables):
-                keys = self.executor.query_keys(graph, tileables)
-                values = self._answer_from_cache(tileables, keys)
+            if self.config.result_cache:
+                values, graph = self._bind_from_cache(graph, tileables)
             if values is None:
-                stored_before, retiled = self._tile_and_execute(
-                    graph, tileables)
+                stored_before = self._tile_and_execute(graph, tileables)
         finally:
-            # the memo references every source frame and chunk operator
-            # of the run: let go of them with the run.
+            # the memo references every source frame and operator of the
+            # run: let go of them with the run.
             self.executor.identity.reset()
 
         if values is None:
@@ -210,22 +206,18 @@ class SessionActor(Actor):
             # lost terminal chunks must land in this run's recovery
             # accounting.
             values = [self.fetch_tileable(t) for t in tileables]
-            # the plan is done: whatever this run stored that outlived
-            # its readers (a reader cut off by a cache hit, fetch-time
-            # recovery's intermediates) goes now — storage keeps
-            # results, cache entries and what it held before.
             with self.executor.turn():
+                if self.config.result_cache:
+                    # while the plan still reads its results: an entry
+                    # evicted at once must not take their bytes along.
+                    self._record(tileables)
+                # the plan is done: whatever this run stored that
+                # outlived its readers (fetch-time recovery's
+                # intermediates, say) goes now — storage keeps results,
+                # cache entries and what it held before.
                 self._drop(self.services.lifecycle.reset_plan(
                     self._stored_since(stored_before),
                     session=self.session_id))
-            if keys is not None and not retiled:
-                # a re-tiled run's chunking is not what the config says
-                # it is: the next run of the query would not reproduce it.
-                for tileable, key in zip(tileables, keys):
-                    if key is not None:
-                        self.services.cache.record_query(
-                            key, (tileable.nsplits,
-                                  tuple(map(_chunk_spec, tileable.chunks))))
 
         totals = self._totals()
         grown = counter_growth(self.executor.report, report_before)
@@ -239,40 +231,75 @@ class SessionActor(Actor):
         )
         return values
 
-    def _answer_from_cache(self, tileables: list[TileableData],
-                           keys: list[str | None]) -> list[Any] | None:
-        """A repeated query's values, straight from its query-level
-        entries: the results are bound to the cached chunks, and nothing
-        is tiled or executed. ``None`` — the run takes the tiled path —
-        unless every result has a live entry and every chunk is still
-        there to fetch."""
-        if None in keys:
-            return None
-        hits = []
-        for key in keys:
-            hit = self.services.cache.lookup_query(key, self.session_id)
+    def _bind_from_cache(self, graph: DAG, results: list[TileableData]
+                         ) -> tuple[list[Any] | None, DAG]:
+        """Bind the pruned plan ``graph`` to what the result cache holds.
+
+        Every tileable is stamped with its key and the untiled ones are
+        looked up in one message. Walking back from the results, each
+        untiled node with a live entry is bound to its cached chunks, and
+        its ancestors are not visited. Returns the results' values when
+        every result is bound and still there to fetch — nothing is tiled
+        or executed — else ``None`` and the plan left to tile: rebuilt
+        when nodes were bound, which makes them its sources."""
+        self.executor.query_keys(graph, results)
+        keys = [node.ident for node in graph
+                if not node.is_tiled and node.ident is not None]
+        hits = (self.services.cache.lookup_many(keys, self.session_id)
+                if keys else {})
+        bound: dict[str, TileableData] = {}
+        reused = 0
+        stack, seen = list(results), set()
+        while stack:
+            node = stack.pop()
+            if node.key in seen or node.is_tiled:
+                continue
+            seen.add(node.key)
+            hit = hits.get(node.ident)
             if hit is None:
-                return None
-            hits.append(hit)
-        for tileable, ((nsplits, specs), _) in zip(tileables, hits):
-            tileable.with_chunks([_chunk_from_spec(s) for s in specs], nsplits)
-        try:
-            values = [self._assemble(t) for t in tileables]
-        except StorageKeyError:
-            # gone between lookup and fetch (a neighbour's eviction):
-            # compute it instead.
-            for tileable in tileables:
-                tileable.chunks, tileable.nsplits = [], ()
-            return None
+                stack += node.inputs
+                continue
+            nsplits, specs, nbytes = hit
+            node.with_chunks([_chunk_from_spec(s) for s in specs], nsplits)
+            bound[node.key] = node
+            reused += nbytes
+        if not bound:
+            return None, graph
+        values = None
+        if all(t.key in bound for t in results):
+            try:
+                values = [self._assemble(t) for t in results]
+            except StorageKeyError:
+                # gone between lookup and fetch (a neighbour's eviction):
+                # compute it instead.
+                for node in bound.values():
+                    node.chunks, node.nsplits = [], ()
+                return None, graph
         report = self.executor.report
-        report.cache_hit_chunks += sum(len(t.chunks) for t in tileables)
-        report.cache_reused_bytes += sum(nbytes for _, nbytes in hits)
-        return values
+        report.cache_hit_chunks += sum(len(t.chunks) for t in bound.values())
+        report.cache_reused_bytes += reused
+        if values is None:
+            graph = build_tileable_graph(results)
+        return values, graph
+
+    def _record(self, results: list[TileableData]) -> None:
+        """Enter every result that has a key into the cache, with the
+        bytes its chunks weigh."""
+        results = [t for t in results if t.ident is not None]
+        if not results:
+            return
+        metas = self.services.meta.get_many(
+            [chunk.key for t in results for chunk in t.chunks])
+        self.services.lifecycle.cache_record([
+            (t.ident, t.nsplits, tuple(map(_chunk_spec, t.chunks)),
+             sum(metas[chunk.key].nbytes for chunk in t.chunks),
+             t.cache_requested)
+            for t in results], self.session_id)
 
     def _tile_and_execute(self, graph: DAG,
-                          tileables: list[TileableData]) -> tuple[set, bool]:
+                          tileables: list[TileableData]) -> set[str]:
         """Tile the pruned plan ``graph`` and run it. Returns the keys
-        storage held before, and whether memory pressure re-tiled."""
+        storage held before."""
         session = self.session_id
         pretiled = {node.key for node in graph.nodes() if node.is_tiled}
         stored_before = set(self.services.storage.all_keys())
@@ -289,17 +316,8 @@ class SessionActor(Actor):
                 if retile_attempts:
                     graph = build_tileable_graph(tileables)
                 try:
-                    chunk_graph = self.tiler.tile(graph, tileables)
-                    results = {
-                        chunk.key for t in tileables for chunk in t.chunks
-                    }
-                    self.executor.explicit_cache_keys.update(
-                        chunk.key for t in tileables
-                        if getattr(t, "cache_requested", False)
-                        for chunk in t.chunks
-                    )
-                    self.executor.execute(chunk_graph, requested=results)
-                    return stored_before, retile_attempts > 0
+                    self.executor.execute(self.tiler.tile(graph, tileables))
+                    return stored_before
                 except WorkerOutOfMemory:
                     retile_attempts += 1
                     if (not self.config.oom_recovery
@@ -322,11 +340,15 @@ class SessionActor(Actor):
         and every chunk this attempt stored is dropped from storage,
         shuffle registry and scheduler placement. Tileables that were
         already tiled before the call (prior executes) keep their chunks
-        and their stored data — re-tiling must not invalidate them.
+        and their stored data — re-tiling must not invalidate them. The
+        others lose their cache keys too: the halved chunk limit they
+        are tiled with next is not the chunking a key says, and the next
+        run of the query would round differently.
         """
         for node in graph.nodes():
-            if node.key in pretiled or not node.is_tiled:
+            if node.key in pretiled:
                 continue
+            node.ident = None
             node.chunks = []
             node.nsplits = ()
         dropped = self._stored_since(stored_before)
@@ -408,7 +430,7 @@ class SessionActor(Actor):
         Deletes this session's stored chunks — except ones the shared
         result cache points at, which stay behind as warm cross-session
         state — and drops its scoped service state (lifecycle scope,
-        degraded-worker set, fair-share registration).
+        degraded-worker set, cache stats, fair-share registration).
         """
         prefix = f"{self.session_id}/"
         protected = set(self.services.lifecycle.cache_protected())
@@ -418,6 +440,7 @@ class SessionActor(Actor):
         )
         self.services.lifecycle.drop_session(self.session_id)
         self.services.scheduling.drop_session(self.session_id)
+        self.services.cache.drop_session(self.session_id)
         self.cluster.turnstile.unregister(self.session_id)
 
 
@@ -622,18 +645,17 @@ class Session:
 
 
 def _chunk_spec(chunk: ChunkData) -> tuple:
-    """What a query-level cache entry keeps of a result chunk: plain
-    values, never the chunk — that would pin the plan and its sources."""
+    """What a cache entry keeps of a result chunk: plain values, never
+    the chunk — that would pin the plan and its sources."""
     return (chunk.key, chunk.kind, chunk.shape, chunk.index, chunk.dtype,
-            chunk.columns, chunk.name, chunk.ident)
+            chunk.columns, chunk.name)
 
 
 def _chunk_from_spec(spec: tuple) -> ChunkData:
     """A stored result chunk rebuilt from its :func:`_chunk_spec`."""
-    key, kind, shape, index, dtype, columns, name, ident = spec
+    key, kind, shape, index, dtype, columns, name = spec
     chunk = ChunkData(kind, shape, index, dtype=dtype, columns=columns,
                       name=name, key=key)
-    chunk.ident = ident
     chunk.terminal = True
     return chunk
 

@@ -200,8 +200,7 @@ class TilingEngine:
     def _execute_partial(self, chunks: list[ChunkData]) -> None:
         """Run the yielded chunks now and refresh their observed shapes."""
         self.yield_count += 1
-        self.executor.execute(self._closure(chunks),
-                              requested={c.key for c in chunks})
+        self.executor.execute(self._closure(chunks))
         self._refresh_chunks(chunks)
 
     def _refresh_chunks(self, chunks: list[ChunkData]) -> None:

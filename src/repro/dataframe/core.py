@@ -53,10 +53,10 @@ class Remote:
     def cache(self):
         """Mark this object's results for the cluster result cache.
 
-        With ``config.result_cache`` on, the chunks are recorded as
-        *explicit* cache entries — kept across runs regardless of the
-        cache's byte budget — so any later computation with the same
-        lineage reuses them instead of recomputing. Returns self
+        With ``config.result_cache`` on, executing this object records
+        it as an *explicit* cache entry — kept across runs regardless of
+        the cache's byte budget — so any later query built on the same
+        expression reuses it instead of recomputing. Returns self
         (chainable); a no-op while the cache is disabled.
         """
         self.data.cache_requested = True

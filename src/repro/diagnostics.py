@@ -150,9 +150,10 @@ def cache_report(session: Session) -> str:
     """Result-cache state: hits, misses, invalidations, bytes reused.
 
     Reads the :class:`~repro.services.cache.ResultCacheService`
-    counters through the session's cache actor ref, plus the
-    executor-side view (chunks actually pruned from execution graphs),
-    broken down per session for multi-tenant clusters.
+    counters through the session's cache actor ref — a hit is a key of a
+    plan found with a live entry, a live entry is one stored result —
+    plus the session's own view (stored chunks its plans were bound to),
+    with the directory's counters broken down per live tenant.
     """
     stats = session.cache.stats_snapshot()
     report = session.executor.report
@@ -165,7 +166,7 @@ def cache_report(session: Session) -> str:
         f"  bytes reused:        {human_bytes(stats['bytes_reused'])}",
         f"  live entries:        {stats['entries']} "
         f"({human_bytes(stats['bytes_cached'])})",
-        f"  chunks pruned:       {report.cache_hit_chunks}",
+        f"  chunks bound:        {report.cache_hit_chunks}",
     ]
     for name, sess in sorted(stats["per_session"].items()):
         lines.append(

@@ -31,7 +31,7 @@ class EntityData:
     """Shared fields of tileable and chunk data nodes."""
 
     __slots__ = ("key", "op", "kind", "shape", "dtype", "columns", "name",
-                 "ident", "_hash")
+                 "_hash")
 
     def __init__(self, kind: str, shape: tuple, op=None,
                  dtype: Any = None, columns: Optional[list] = None,
@@ -45,10 +45,6 @@ class EntityData:
         self.columns = list(columns) if columns is not None else None
         self.name = name
         self.key = key if key is not None else new_key(self._key_prefix())
-        #: structural identity (``graph.identity``), stamped when the
-        #: result cache is on; it names the computation, so it survives
-        #: ``rebind_key``. A tileable's is its query-level key.
-        self.ident: str | None = None
         self._hash = hash(self.key)
 
     def _key_prefix(self) -> str:
@@ -71,15 +67,6 @@ class EntityData:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EntityData) and other.key == self.key
-
-    def rebind_key(self, key: str) -> None:
-        """Point this node at an already-stored value (result-cache hit).
-
-        Changes the node's hash, so any graph containing it must be
-        rebuilt afterwards (``tiler.chunk_closure`` over the sinks).
-        """
-        self.key = key
-        self._hash = hash(key)
 
 
 class ChunkData(EntityData):
@@ -118,7 +105,8 @@ class ChunkData(EntityData):
 class TileableData(EntityData):
     """One logical dataset node of the tileable graph."""
 
-    __slots__ = ("chunks", "nsplits", "cache_requested", "carried_columns")
+    __slots__ = ("chunks", "nsplits", "cache_requested", "carried_columns",
+                 "ident")
 
     def __init__(self, kind: str, shape: tuple, op=None,
                  dtype: Any = None, columns: Optional[list] = None,
@@ -136,6 +124,10 @@ class TileableData(EntityData):
         #: recorded them before tiling (``None`` = all of them). A later
         #: query that needs more un-tiles the node (``core.pruning``).
         self.carried_columns: Optional[frozenset] = None
+        #: the result-cache key of what this node computes
+        #: (``graph.identity``; ``None`` = uncacheable), stamped when a
+        #: plan holding it is run with the cache on.
+        self.ident: Optional[str] = None
 
     def _key_prefix(self) -> str:
         return "t"

@@ -8,15 +8,13 @@ hoc per-feature code:
   identity — ``(stage index, topological priority, attempt)`` — via
   :func:`structural_draw`, so one seed fires the same faults in serial
   and process execution mode and across sessions;
-- **the result cache** addresses stored chunk values by
-  *content-derived* identities: :func:`compute_chunk_identities` hashes
-  each chunk's operator digest (canonicalized parameters, source-data
-  fingerprints) with its inputs' identities into a key that is stable
-  across sessions (runtime chunk keys are canonicalized away) — the
-  same computation always hashes to the same identity, and a mutated
-  source hashes to a different one. Run over a query's tileables, the
-  same pass yields the query-level key a repeated query is answered
-  from without tiling;
+- **the result cache** addresses stored results by the expression
+  that computed them: :func:`compute_chunk_identities` hashes each
+  tileable's operator digest (canonicalized parameters, source-data
+  fingerprints) with its inputs' keys into a key that is stable across
+  sessions (runtime keys never enter it) — the same computation always
+  hashes to the same key, and a mutated source hashes to a different
+  one;
 - **tests/utilities** use :func:`tokenize` for short deterministic
   digests of plain values.
 
@@ -30,6 +28,7 @@ hashed as written, whatever it looks like.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import marshal
@@ -40,14 +39,12 @@ from typing import Any, Callable, Container, Iterable, Optional
 
 import numpy as np
 
-from .entity import TileableData
-
 #: default ``repr`` of address-carrying objects — opaque, uncacheable.
 _ADDR_RE = re.compile(r" at 0x[0-9a-fA-F]+")
 
 #: sentinel: a value that cannot be canonicalized deterministically.
-#: Its presence anywhere in an operator's parameters poisons the chunk's
-#: identity (the chunk — and everything downstream — is uncacheable).
+#: Its presence anywhere in an operator's parameters poisons the node's
+#: identity (the node — and everything downstream — is uncacheable).
 OPAQUE = object()
 
 
@@ -237,31 +234,27 @@ def _feed_index(index: Any, hasher) -> bool:
 # ---------------------------------------------------------------------------
 
 class IdentityContext:
-    """What one ``Session.execute`` call may remember between its stages.
+    """What one ``Session.execute`` call may remember while it runs.
 
     Source fingerprints, file stats, operator, callable and code digests
-    are memoized here across every partial execute of one run: a source
-    frame is hashed once however many chunks and stages read it, and no
-    operator is digested twice. Entries are keyed by ``id`` — a frame by
-    the ``id``s of its columns and index, so the column subsets a source
-    reads share one fingerprint — and keep a reference to the object
-    they describe, so an address cannot be recycled into an alias while
-    its entry lives. ``idents`` maps the chunk keys identified so far in
-    the run to their identities (several chunk objects may share a key).
+    are memoized here for the span of one run: a source frame is hashed
+    once however many nodes read it, and no operator is digested twice.
+    Entries are keyed by ``id`` — a frame by the ``id``s of its columns
+    and index, so the column subsets a source reads share one
+    fingerprint — and keep a reference to the object they describe, so
+    an address cannot be recycled into an alias while its entry lives.
     The owner resets the context when a run starts — data mutated, or a
     file rewritten, *between* two executes is therefore always read
     again.
     """
 
-    __slots__ = ("_memo", "idents")
+    __slots__ = ("_memo",)
 
     def __init__(self):
         self._memo: dict[Any, tuple[Any, Any]] = {}
-        self.idents: dict[str, Optional[str]] = {}
 
     def reset(self) -> None:
         self._memo.clear()
-        self.idents.clear()
 
     def memoized(self, obj: Any,
                  compute: Callable[[Any, "IdentityContext"], Any],
@@ -450,7 +443,7 @@ def _callable_token(func: Callable, ctx: IdentityContext) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# chunk identities: the content-addressed cache keys
+# tileable identities: the result cache's keys
 # ---------------------------------------------------------------------------
 
 #: operator attributes that are graph plumbing, not parameters. A
@@ -476,7 +469,7 @@ def _op_digest(op: Any, ctx: IdentityContext) -> Any:
 
     Memoized per execute on what the digest reads: operators of one
     class and stage whose attributes and params are the very same
-    objects — the chunks one tileable operator was cut into, mostly —
+    objects — one expression built twice over the same handles, say —
     are digested once.
     """
     attrs = op.identity_attrs()
@@ -520,34 +513,11 @@ def _output_position(op: Any, node: Any) -> int:
     return 0
 
 
-def _chunk_identity(chunk: Any, ctx: IdentityContext) -> Optional[str]:
-    """``chunk``'s operator digest, index and output position, and its
-    inputs' identities (``None`` if any of them is uncacheable)."""
-    op = chunk.op
-    if op is None:
-        return None
-    known = ctx.idents
-    deps = [known.get(dep.key, dep.ident) for dep in op.inputs]
-    if None in deps:
-        return None
-    digest = _op_digest(op, ctx)
-    if digest is OPAQUE:
-        return None
-    return _digest_of(digest, chunk.index, _output_position(op, chunk),
-                      tuple(deps))
-
-
 def _query_identity(tileable: Any, ctx: IdentityContext,
                     salt: str) -> Optional[str]:
-    """A tileable's query-level key: what it computes, under which
-    configuration. A tiled tileable stands for the chunks it was cut
-    into; an untiled one for its operator, the columns pruning said its
-    chunks carry, and its inputs' keys."""
-    if tileable.is_tiled:
-        parts = [chunk.ident for chunk in tileable.chunks]
-        if None in parts:
-            return None
-        return _digest_of(salt, tuple(parts))
+    """An untiled tileable's key: its operator, the columns pruning said
+    its chunks carry, its inputs' keys, and the configuration that will
+    chunk it."""
     op = tileable.op
     if op is None:
         return None
@@ -565,7 +535,10 @@ def _query_identity(tileable: Any, ctx: IdentityContext,
 
 
 def _config_digest(config: Any, _ctx: IdentityContext) -> str:
-    return tokenize(config)  # a dataclass: its repr names every field
+    # a dataclass: its repr names every field. Where kernels run changes
+    # wall-clock only (serial == process, bit for bit), so it is left out.
+    return tokenize(dataclasses.replace(config, execution_mode="serial",
+                                        parallel_execution=True))
 
 
 def compute_chunk_identities(
@@ -574,31 +547,22 @@ def compute_chunk_identities(
     stored: Container[str] = frozenset(),
     config: Any = None,
 ) -> None:
-    """Stamp the content-addressed ``ident`` of every node, in one
-    topological pass (producers before consumers); ``None`` =
-    uncacheable, and it poisons every node downstream.
+    """Stamp the result-cache key (``ident``) of every tileable of a
+    plan, in one topological pass (producers before consumers); ``None``
+    = uncacheable, and it poisons every node downstream.
 
-    Chunk nodes: a chunk whose key is in ``stored`` keeps the identity
-    it carries (its value is what the pass that identified it
-    described); every other chunk hashes its operator's digest, chunk
-    index, output position and its inputs' identities. ``context``
-    carries the memo shared by the passes of one execute (default: a
-    fresh one, nothing remembered).
-
-    Tileable nodes are a query's logical plan: their identity is the
-    query-level key, salted with the digest of ``config`` — the session
-    configuration decides the chunking, and with it float rounding.
+    An untiled tileable hashes what it computes (:func:`_query_identity`),
+    salted with the digest of ``config`` — the session configuration
+    decides the chunking, and with it float rounding. A tiled one keeps
+    the key it was stamped with when it was planned, but only while every
+    one of its chunks is in ``stored``: a chunk computed again would
+    re-read a source that may have changed since, so the key goes for
+    good. ``context`` carries the run's memo (default: a fresh one).
     """
     ctx = context if context is not None else IdentityContext()
     salt = None if config is None else ctx.memoized(config, _config_digest)
-    known = ctx.idents
     for node in nodes_in_order:
-        if isinstance(node, TileableData):
+        if not node.is_tiled:
             node.ident = _query_identity(node, ctx, salt)
-            continue
-        key = node.key
-        if key in stored:
-            node.ident = known.get(key, node.ident)
-        else:
-            node.ident = _chunk_identity(node, ctx)
-        known[key] = node.ident
+        elif not all(chunk.key in stored for chunk in node.chunks):
+            node.ident = None

@@ -1,31 +1,28 @@
-"""The result cache service: content-addressed reuse of stored chunks.
+"""The result cache service: stored results, addressed by expression.
 
-Two directories over live stored chunk values, both keyed by structural
-identities (:mod:`repro.graph.identity`):
-
-- **chunk entries** (identity → chunk key): a re-run of a subgraph whose
-  identity matches an earlier run is pruned from the execution graph
-  and its consumers are rewired to the cached chunks (xorq-style content
-  addressing);
-- **query entries** (query-level key → the result's chunk keys and
-  ``nsplits``): a repeated query is answered from its expression alone,
-  without tiling or executing anything. A query entry stands on the
-  chunk entries of its result chunks: it is recorded only while all of
-  them are live, and dropped with the first of them to go.
+One directory, keyed by the result-cache key of a tileable
+(:mod:`repro.graph.identity`): what it computes — operators, the source
+columns they read, the session configuration — never where or when.
+An entry is a result's layout: its ``nsplits`` and the specs of its
+stored chunks. A run looks every untiled tileable of its pruned plan up
+in one message and binds the ones that hit to their cached chunks, so a
+repeated query is answered without tiling or executing anything, and a
+query built on an earlier one's result runs only its own tail
+(xorq-style: the declarative expression is the key).
 
 The cache never owns bytes — values live in ordinary storage tiers and
 participate in spill/pin accounting. What the cache owns is the
-directory plus an LRU byte budget of its own: when recorded chunk
-entries exceed ``config.result_cache_budget`` the least-recently-hit
+directory plus an LRU byte budget of its own: when recorded entries
+exceed ``config.result_cache_budget`` the least-recently-hit
 non-explicit entries are dropped and their now-unprotected chunks become
 ordinary freeable intermediates.
 
-An entry goes when its own bytes do: budget *eviction*, *invalidation*
-(the chunk was lost, freed or re-tiled away), or a lookup that finds the
-chunk gone from storage. Entries computed from it stay — their values
-are materialized under their own keys, and content addressing means a
-changed source can only ever produce new identities, never hit an old
-one.
+An entry goes when any of its bytes do: budget *eviction*,
+*invalidation* (a chunk was lost, freed or re-tiled away), or a lookup
+that finds a chunk gone from storage. Entries computed from it stay —
+their values are materialized under their own keys, and content
+addressing means a changed source can only ever produce new keys, never
+hit an old one.
 """
 
 from __future__ import annotations
@@ -37,13 +34,18 @@ from typing import Iterable, Optional
 
 @dataclass
 class CacheEntry:
-    """One cached chunk: where its value lives."""
+    """One cached result: its layout and what its chunks weigh."""
 
-    ident: str
-    chunk_key: str
+    nsplits: tuple
+    #: one spec per chunk; each spec's first item is the chunk key.
+    specs: tuple
     nbytes: int
     explicit: bool   # from .cache(): never budget-evicted
     session: str
+
+    @property
+    def chunk_keys(self) -> list[str]:
+        return [spec[0] for spec in self.specs]
 
 
 @dataclass
@@ -57,21 +59,15 @@ class CacheStats:
 
 
 class ResultCacheService:
-    """Identity → stored-chunk directory with an LRU byte budget, plus
-    the query-level entries that stand on it."""
+    """Key → stored-result directory with an LRU byte budget."""
 
     def __init__(self, storage, config=None):
         self._storage = storage
         self._config = config
-        #: identity -> entry, in least-recently-hit-first order.
+        #: key -> entry, in least-recently-hit-first order.
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        #: chunk key -> identity (reverse index for invalidation).
-        self._by_chunk: dict[str, str] = {}
-        #: query-level key -> ``(nsplits, chunk specs)`` of its result;
-        #: each spec is a tuple whose first item is the chunk key.
-        self._queries: dict[str, tuple] = {}
-        #: chunk key -> the query-level keys whose result holds it.
-        self._queries_on: dict[str, set[str]] = {}
+        #: chunk key -> the keys whose entry holds it (for invalidation).
+        self._by_chunk: dict[str, set[str]] = {}
         self._bytes = 0
         self.stats = CacheStats()
 
@@ -93,151 +89,110 @@ class ResultCacheService:
         sess["misses"] += misses
         sess["bytes_reused"] += nbytes
 
-    # -- planning-time lookups ---------------------------------------------
-    def lookup_many(self, idents: Iterable[str],
-                    session: str) -> dict[str, tuple[str, int]]:
-        """Hit test a batch of identities against live storage.
+    # -- planning-time lookup ----------------------------------------------
+    def lookup_many(self, keys: Iterable[str],
+                    session: str) -> dict[str, tuple[tuple, tuple, int]]:
+        """Hit test a plan's keys against live storage.
 
-        Returns ``{identity: (chunk_key, nbytes)}`` for every hit. An
-        entry whose chunk no longer sits in storage (freed outside the
-        cache's sight) is dropped rather than returned. Hits refresh LRU
-        order and count into the stats; misses count too.
+        Returns ``{key: (nsplits, chunk specs, nbytes)}`` for every key
+        with a live entry. An entry one of whose chunks is no longer in
+        storage (freed outside the cache's sight) is dropped rather than
+        returned. Hits refresh LRU order and count into the stats;
+        misses count too.
         """
-        hits: dict[str, tuple[str, int]] = {}
-        misses = 0
-        for ident in idents:
-            entry = self._entries.get(ident)
-            if entry is not None and not self._storage.contains(
-                    entry.chunk_key):
-                self._forget(ident)
-                entry = None
-            if entry is None:
-                misses += 1
+        keys = list(dict.fromkeys(keys))
+        found = {key: self._entries[key] for key in keys
+                 if key in self._entries}
+        missing = set(self._storage.missing_keys(
+            [chunk for entry in found.values() for chunk in entry.chunk_keys]
+        )) if found else set()
+        hits: dict[str, tuple[tuple, tuple, int]] = {}
+        for key, entry in found.items():
+            if missing.intersection(entry.chunk_keys):
+                self._forget(key)
                 continue
-            self._entries.move_to_end(ident)
-            hits[ident] = (entry.chunk_key, entry.nbytes)
-        self._count(session, len(hits), misses,
-                    sum(nbytes for _, nbytes in hits.values()))
+            self._entries.move_to_end(key)
+            hits[key] = (entry.nsplits, entry.specs, entry.nbytes)
+        self._count(session, len(hits), len(keys) - len(hits),
+                    sum(nbytes for _, _, nbytes in hits.values()))
         return hits
-
-    def lookup_query(self, ident: str,
-                     session: str) -> Optional[tuple[tuple, int]]:
-        """The ``(layout, nbytes)`` a query-level key was recorded with,
-        or ``None``. A hit is a hit on each of the result's chunk
-        entries (stats, LRU order); an entry one of whose chunks has
-        left storage is dropped instead."""
-        layout = self._queries.get(ident)
-        if layout is not None:
-            keys = [spec[0] for spec in layout[1]]
-            if self._storage.missing_keys(keys):
-                self._forget_query(ident)
-                layout = None
-        if layout is None:
-            self._count(session, 0, 1, 0)
-            return None
-        nbytes = 0
-        for key in keys:
-            chunk_ident = self._by_chunk[key]
-            self._entries.move_to_end(chunk_ident)
-            nbytes += self._entries[chunk_ident].nbytes
-        self._count(session, len(keys), 0, nbytes)
-        return layout, nbytes
 
     # -- recording ---------------------------------------------------------
     def record_many(self, entries: Iterable[tuple],
                     session: str) -> list[str]:
-        """Insert executed results; returns chunk keys evicted for budget.
+        """Answer each key from its result's layout from now on.
 
-        ``entries`` holds ``(ident, chunk_key, nbytes, explicit)``
-        tuples. The caller (lifecycle) unpins/frees the returned chunk
-        keys — eviction here only updates the directory.
+        ``entries`` holds ``(key, nsplits, chunk specs, nbytes,
+        explicit)`` tuples. Returns the chunk keys no entry holds any
+        more (a replaced entry's, or those evicted for budget): the
+        caller (lifecycle) unprotects them — the directory never frees.
         """
-        evicted: list[str] = []
-        for ident, chunk_key, nbytes, explicit in entries:
-            self._forget(ident)
-            entry = CacheEntry(ident, chunk_key, int(nbytes), bool(explicit),
-                               session)
-            self._entries[ident] = entry
-            self._by_chunk[chunk_key] = ident
+        dropped: list[str] = []
+        for key, nsplits, specs, nbytes, explicit in entries:
+            dropped += self._forget(key)
+            entry = CacheEntry(tuple(nsplits), tuple(specs), int(nbytes),
+                               bool(explicit), session)
+            self._entries[key] = entry
+            for chunk in entry.chunk_keys:
+                self._by_chunk.setdefault(chunk, set()).add(key)
             self._bytes += entry.nbytes
         budget = self._budget()
         if budget is not None:
-            evicted.extend(self._evict_to(budget))
-        return evicted
-
-    def record_query(self, ident: str, layout: tuple) -> bool:
-        """Answer query-level key ``ident`` with ``layout`` — ``(nsplits,
-        chunk specs)`` — from now on. Refused (``False``) unless every
-        result chunk has a live chunk entry: the query entry must go
-        when any of them does."""
-        keys = [spec[0] for spec in layout[1]]
-        if not all(key in self._by_chunk for key in keys):
-            return False
-        self._forget_query(ident)
-        self._queries[ident] = layout
-        for key in keys:
-            self._queries_on.setdefault(key, set()).add(ident)
-        return True
+            dropped += self._evict_to(budget)
+        return self._orphans(dropped)
 
     def _evict_to(self, budget: int) -> list[str]:
         evicted: list[str] = []
-        if self._bytes <= budget:
-            return evicted
-        for ident in list(self._entries):
+        for key in list(self._entries):
             if self._bytes <= budget:
                 break
-            entry = self._entries[ident]
-            if entry.explicit:
+            if self._entries[key].explicit:
                 continue
-            evicted.append(entry.chunk_key)
-            self._forget(ident)
+            evicted += self._forget(key)
             self.stats.evictions += 1
         return evicted
 
-    def _forget(self, ident: str) -> None:
-        entry = self._entries.pop(ident, None)
+    def _forget(self, key: str) -> list[str]:
+        """Drop ``key``'s entry; returns its chunk keys."""
+        entry = self._entries.pop(key, None)
         if entry is None:
-            return
+            return []
         self._bytes -= entry.nbytes
-        key = entry.chunk_key
-        if self._by_chunk.get(key) == ident:
-            del self._by_chunk[key]
-            for query in list(self._queries_on.get(key, ())):
-                self._forget_query(query)
-
-    def _forget_query(self, ident: str) -> None:
-        layout = self._queries.pop(ident, None)
-        if layout is None:
-            return
-        for spec in layout[1]:
-            owners = self._queries_on.get(spec[0])
+        for chunk in entry.chunk_keys:
+            owners = self._by_chunk.get(chunk)
             if owners is not None:
-                owners.discard(ident)
+                owners.discard(key)
                 if not owners:
-                    del self._queries_on[spec[0]]
+                    del self._by_chunk[chunk]
+        return entry.chunk_keys
+
+    def _orphans(self, chunk_keys: list[str]) -> list[str]:
+        """Those of ``chunk_keys`` that no entry holds."""
+        return [chunk for chunk in dict.fromkeys(chunk_keys)
+                if chunk not in self._by_chunk]
 
     # -- invalidation ------------------------------------------------------
     def invalidate_chunks(self, chunk_keys: Iterable[str]) -> list[str]:
         """The bytes of ``chunk_keys`` were lost, freed or re-tiled away:
-        drop the entries pointing at them, and every query entry whose
-        result holds one. Returns the chunk keys of the dropped entries
-        so lifecycle can unprotect them."""
+        drop every entry holding one of them. Returns the chunk keys no
+        entry holds any more, so lifecycle can unprotect them."""
         dropped: list[str] = []
-        for key in chunk_keys:
-            ident = self._by_chunk.get(key)
-            if ident is None:
-                continue
-            self._forget(ident)
-            self.stats.invalidations += 1
-            dropped.append(key)
-        return dropped
+        for chunk in chunk_keys:
+            for key in list(self._by_chunk.get(chunk, ())):
+                dropped += self._forget(key)
+                self.stats.invalidations += 1
+        return self._orphans(dropped)
+
+    def drop_session(self, session: str) -> None:
+        """A tenant left: forget its stats (its entries stay, shared)."""
+        self.stats.per_session.pop(session, None)
 
     # -- introspection -----------------------------------------------------
     def cached_chunk_keys(self) -> list[str]:
         return list(self._by_chunk)
 
     def entry_identities(self) -> list[str]:
-        """Sorted identities of all live entries (stability tests)."""
+        """Sorted keys of all live entries (stability tests)."""
         return sorted(self._entries)
 
     def stats_snapshot(self) -> dict:
@@ -248,18 +203,7 @@ class ResultCacheService:
             "evictions": self.stats.evictions,
             "bytes_reused": self.stats.bytes_reused,
             "entries": len(self._entries),
-            "queries": len(self._queries),
             "bytes_cached": self._bytes,
             "per_session": {k: dict(v)
                             for k, v in self.stats.per_session.items()},
         }
-
-    def clear(self) -> list[str]:
-        """Drop every entry; returns the previously protected chunk keys."""
-        dropped = list(self._by_chunk)
-        self._entries.clear()
-        self._by_chunk.clear()
-        self._queries.clear()
-        self._queries_on.clear()
-        self._bytes = 0
-        return dropped

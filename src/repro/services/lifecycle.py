@@ -157,23 +157,25 @@ class LifecycleService:
     def cache_record(self, entries, session_id: str) -> list[str]:
         """Register executed results with the cache; handle evictions.
 
-        ``entries`` holds ``(ident, chunk_key, nbytes, explicit)``
-        tuples. Newly cached chunks become protected from refcount
-        frees; chunks the cache evicted for budget lose protection and
-        — under eager-release semantics — are deleted outright unless
-        a running plan still reads them.
+        ``entries`` holds ``(key, nsplits, chunk specs, nbytes,
+        explicit)`` tuples (a spec's first item is its chunk key). The
+        result chunks become protected from refcount frees; chunks no
+        entry holds any more lose protection and — under eager-release
+        semantics — are deleted outright unless a running plan still
+        reads them.
         """
         entries = list(entries)
         evicted = self._cache.record_many(entries, session_id)
-        for _ident, chunk_key, _nbytes, _explicit in entries:
-            self._cache_protected.add(chunk_key)
+        self._cache_protected.update(
+            spec[0] for _key, _nsplits, specs, _nbytes, _explicit in entries
+            for spec in specs)
         return self._unprotect(evicted)
 
     def invalidate_cached(self, chunk_keys) -> list[str]:
         """Chunk bytes vanished or are about to: drop the cache entries
-        pointing at them.  Returns the chunk keys whose entries were
-        dropped (their values, where still stored, become ordinary
-        freeable intermediates).
+        holding them.  Returns the chunk keys no entry holds any more
+        (their values, where still stored, become ordinary freeable
+        intermediates).
         """
         dropped = self._cache.invalidate_chunks(list(chunk_keys))
         return self._unprotect(dropped)

@@ -3,7 +3,6 @@
 from .base import AccessInfo, StorageBackend, StorageLevel, StoredItem
 from .disk import DiskBackend
 from .memory import MemoryBackend
-from .remote import RemoteBackend
 from .service import StorageService
 from .shuffle import ShuffleManager, shuffle_key
 
@@ -11,7 +10,6 @@ __all__ = [
     "AccessInfo",
     "DiskBackend",
     "MemoryBackend",
-    "RemoteBackend",
     "ShuffleManager",
     "StorageBackend",
     "StorageLevel",

@@ -2,7 +2,7 @@
 
 The paper's storage service (Section V-C) hides *where* a chunk lives
 behind ``put``/``get`` with a unique key. Backends form a memory hierarchy
-(memory, disk, remote filesystem); the service spills across levels.
+(memory, disk); the service spills across levels.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ class StorageLevel(IntEnum):
 
     MEMORY = 1
     DISK = 2
-    REMOTE = 3
 
 
 @dataclass

@@ -17,7 +17,7 @@ LRU ring, pins and spill counters live in a
 :class:`~repro.storage.worker.WorkerStorage` unit — fronted by a
 per-worker actor (``worker/<w>/storage``) in the deployment.  This
 class is the supervisor-side *router*: it owns only the key -> owner-worker index,
-the remote tier, the transfer ledger, and pin routing; every tier
+the transfer ledger, and pin routing; every tier
 operation is delegated to the owning worker's unit through its message
 interface.  Units are duck-typed — a plain :class:`WorkerStorage` or an
 ``ActorRef`` to its actor both work, since the router only ever
@@ -33,12 +33,8 @@ from ..cluster.cluster import ClusterState
 from ..config import Config
 from ..errors import StorageKeyError
 from ..utils import sizeof
-from .base import DISK_PENALTY, AccessInfo, StorageLevel, StoredItem
-from .remote import RemoteBackend
+from .base import DISK_PENALTY, AccessInfo, StorageLevel
 from .worker import WorkerStorage
-
-#: owner marker for chunks living in the remote (object-store) tier.
-REMOTE_OWNER = ""
 
 
 class StorageService:
@@ -60,9 +56,8 @@ class StorageService:
                                        self.config)
             for worker in cluster.workers
         }
-        self._remote = RemoteBackend()
-        #: key -> owner worker name (:data:`REMOTE_OWNER` for remote).
-        #: Tier level is worker-local state; ask the owner when needed.
+        #: key -> owner worker name. Tier level is worker-local state;
+        #: ask the owner when needed.
         self._locations: dict[str, str] = {}
         #: key -> pin route stack: one entry per outstanding pin, naming
         #: the worker the pin was routed to (None when the key was not
@@ -105,12 +100,6 @@ class StorageService:
                 self.delete(key)
             if nbytes is None:
                 nbytes = sizeof(value)
-            if level == StorageLevel.REMOTE:
-                self._remote.put(StoredItem(key, value, nbytes, level,
-                                            REMOTE_OWNER))
-                self._locations[key] = REMOTE_OWNER
-                self._migrate_pins(key, None)
-                return nbytes
             self._workers[worker].put_local(key, value, nbytes, level)
             self._locations[key] = worker
             self._migrate_pins(key, worker)
@@ -169,7 +158,7 @@ class StorageService:
         i, n = 0, len(keys)
         while i < n:
             owner = self._locations.get(keys[i])
-            if owner is None or owner == REMOTE_OWNER:
+            if owner is None:
                 infos.append(self._get_locked(keys[i], requesting_worker))
                 i += 1
                 continue
@@ -213,13 +202,6 @@ class StorageService:
         owner = self._locations.get(key)
         if owner is None:
             raise StorageKeyError(key)
-        if owner == REMOTE_OWNER:
-            item = self._remote.get(key)
-            self._transferred_bytes += item.nbytes
-            return AccessInfo(item.value, item.nbytes,
-                              transferred_bytes=item.nbytes,
-                              tier_penalty=DISK_PENALTY,
-                              source_worker="<remote>")
         value, nbytes, level = self._workers[owner].get_local(key, touch_lru)
         transferred = nbytes if owner != requesting_worker else 0
         self._transferred_bytes += transferred
@@ -256,8 +238,6 @@ class StorageService:
         owner = self._locations.get(key)
         if owner is None:
             raise StorageKeyError(key)
-        if owner == REMOTE_OWNER:
-            return self._remote.get(key).value
         return self._workers[owner].value_of(key)
 
     def peek_values(self, keys) -> dict[str, Any]:
@@ -280,8 +260,7 @@ class StorageService:
         with self._lock:
             by_worker: dict[str, list[str]] = {}
             for key in keys:
-                owner = self._locations.get(key)
-                worker = owner if owner else None
+                worker = self._locations.get(key)
                 if worker is not None:
                     by_worker.setdefault(worker, []).append(key)
                 self._pin_routes.setdefault(key, []).append(worker)
@@ -371,8 +350,6 @@ class StorageService:
             owner = self._locations.get(key)
             if owner is None:
                 raise StorageKeyError(key)
-            if owner == REMOTE_OWNER:
-                return (REMOTE_OWNER, StorageLevel.REMOTE)
             return (owner, self._workers[owner].level_of(key))
 
     def nbytes_of(self, key: str) -> int:
@@ -380,22 +357,13 @@ class StorageService:
             owner = self._locations.get(key)
             if owner is None:
                 raise StorageKeyError(key)
-            if owner == REMOTE_OWNER:
-                return self._remote.get(key).nbytes
             return self._workers[owner].nbytes_of_local(key)
 
     def delete(self, key: str) -> None:
         with self._lock:
             owner = self._locations.pop(key, None)
-            if owner is None:
-                return
-            if owner == REMOTE_OWNER:
-                try:
-                    self._remote.delete(key)
-                except KeyError:
-                    pass
-                return
-            self._workers[owner].delete_local(key)
+            if owner is not None:
+                self._workers[owner].delete_local(key)
 
     # -- counters -----------------------------------------------------------
     def transferred_bytes(self) -> int:

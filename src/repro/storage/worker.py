@@ -7,7 +7,7 @@ The service plane partitions that keyspace by owner worker: each
 spill/pin/quota decisions against its own :class:`MemoryTracker`, and is
 fronted by a per-worker actor (``worker/<w>/storage``) in the
 deployment.  The supervisor-side router only keeps the key -> owner
-index and the remote tier.
+index.
 
 Every method here is part of the worker storage *message interface*:
 callers (the router) never reach into the backends directly, and no

@@ -181,6 +181,6 @@ class TestCacheReport:
         assert f"hits / misses:       {stats['hits']} /" in text
         assert stats["hits"] > 0
         assert "bytes reused:" in text
-        assert "chunks pruned:" in text
+        assert "chunks bound:" in text
         # the per-session breakdown names the session that hit.
         assert session.session_id in text

@@ -433,14 +433,15 @@ def pipelines(draw):
     for name in names[1:]:
         data[name] = [float(v) for v in draw(st.lists(
             st.integers(-50, 50), min_size=n_rows, max_size=n_rows))]
-    columns, steps, fresh = list(names), [], 0
+    # ``strings``: the object columns (a merge brings ``n``; a rename
+    # carries it along), which no arithmetic step may read.
+    columns, strings, steps, fresh = list(names), set(), [], 0
     for _ in range(draw(st.integers(1, 6))):
-        numeric = [c for c in columns
-                   if c != "n" and not c.startswith("n_")]
+        numeric = [c for c in columns if c not in strings]
         kind = draw(st.sampled_from(
             ["filter", "getitem", "setitem", "rename", "drop", "merge",
              "groupby"]))
-        if kind == "filter":
+        if kind == "filter" and numeric:
             steps.append(("filter", draw(st.sampled_from(numeric)),
                           draw(st.integers(-20, 20))))
         elif kind == "getitem":
@@ -448,32 +449,39 @@ def pipelines(draw):
                                  unique=True))
             steps.append(("getitem", keep))
             columns = list(keep)
-        elif kind == "setitem":
+            strings &= set(keep)
+        elif kind == "setitem" and numeric:
             target = draw(st.sampled_from(columns + [f"new{fresh}"]))
             fresh += 1
             steps.append(("setitem", target, draw(st.sampled_from(numeric)),
                           draw(st.sampled_from(numeric))))
             if target not in columns:
                 columns.append(target)
+            strings.discard(target)
         elif kind == "rename":
             old = draw(st.sampled_from(columns))
             steps.append(("rename", old, f"r{fresh}"))
             columns[columns.index(old)] = f"r{fresh}"
+            if old in strings:
+                strings.remove(old)
+                strings.add(f"r{fresh}")
             fresh += 1
         elif kind == "drop" and len(columns) > 1:
             gone = draw(st.sampled_from(columns))
             steps.append(("drop", gone))
             columns.remove(gone)
+            strings.discard(gone)
         elif kind == "merge" and "k" in columns \
                 and not {"m", "n"} & set(columns):
             steps.append(("merge",))
             columns += ["m", "n"]
+            strings.add("n")
         elif kind == "groupby" and len(numeric) > 1:
             key = draw(st.sampled_from(numeric))
             value = draw(st.sampled_from([c for c in numeric if c != key]))
             how = draw(st.sampled_from(["sum", "max", "count"]))
             steps.append(("groupby", key, value, how))
-            columns = [key, value]
+            columns, strings = [key, value], set()
     return pf.DataFrame(data), steps
 
 

@@ -17,6 +17,7 @@ from repro import frame as pf
 from repro.cluster import ClusterState
 from repro.core import Session
 from repro.core.executor import GraphExecutor
+from repro.core.tiler import TilingEngine
 from repro.dataframe import from_frame, read_csv, read_parquet
 from repro.frame import io as frame_io
 from repro.tensor import tensor_from_numpy
@@ -70,12 +71,15 @@ def small_frame(seed: int = 3) -> pf.DataFrame:
                          "v": rng.normal(size=2_000)})
 
 
-def service_state(session) -> int:
-    """Records of every dict and set the cache service itself holds."""
-    ref = session.cache
-    service = (session.cluster.actor_system.get_pool(ref.address)
+def service_state(cluster) -> int:
+    """Records of every dict and set the cache service itself holds,
+    its stats included."""
+    ref = cluster.services.cache
+    service = (cluster.actor_system.get_pool(ref.address)
                .lookup(ref.uid)._service)
-    return sum(len(value) for value in vars(service).values()
+    return sum(len(value)
+               for value in (*vars(service).values(),
+                             *vars(service.stats).values())
                if isinstance(value, (dict, set)))
 
 
@@ -235,6 +239,48 @@ class TestInvalidation:
                 .agg({"v": "sum"}).fetch())
         assert warm == cold
 
+    def test_reused_handle_missing_a_chunk_reads_its_source_again(
+            self, stages):
+        # a tiled handle keeps the key it was planned with only while all
+        # of its chunks are stored: the freed one is computed again from
+        # the mutated frame, so the stamped key no longer describes it.
+        def run(session, local):
+            agg = from_frame(local, session).groupby("k").agg({"v": "sum"})
+            agg.fetch()
+            first = repr(agg.sort_values("v").fetch())
+            session.storage.delete(agg.data.chunks[0].key)
+            local["v"].values[:] += 100.0
+            n_stages = len(stages)
+            second = repr(agg.sort_values("v").fetch())
+            return first, second, len(stages) > n_stages
+
+        with make_session(chunk_limit=4_000) as plain:
+            expected = run(plain, small_frame())
+        with cached_session(chunk_limit=4_000) as session:
+            assert run(session, small_frame()) == expected
+            assert session.last_report.cache_hit_chunks == 0
+        assert expected[0] != expected[1] and expected[2]
+
+    def test_bound_chunk_lost_before_its_reader_runs(self, monkeypatch):
+        # the plan binds the earlier result; its chunk is deleted behind
+        # the cache's back before the tail runs: lineage brings it back.
+        local = small_frame()
+        with make_session(chunk_limit=4_000) as plain:
+            expected = repr(keyed_sums(plain, local).sort_values("w").fetch())
+        with cached_session(chunk_limit=4_000) as session:
+            keyed_sums(session, local).fetch()
+            (lost,) = session.cache.cached_chunk_keys()
+            tile = TilingEngine.tile
+
+            def losing(self, *args):
+                session.storage.delete(lost)
+                return tile(self, *args)
+
+            monkeypatch.setattr(TilingEngine, "tile", losing)
+            got = repr(keyed_sums(session, local).sort_values("w").fetch())
+            assert session.last_report.cache_hit_chunks == 1
+        assert got == expected
+
     def test_chunk_loss_purges_cache_entries(self):
         # a scripted chunk loss during the cold run must leave no cache
         # entry pointing at the lost bytes — the warm run may reuse what
@@ -369,7 +415,7 @@ class TestQueryLevel:
                 assert got == expected[tenant.config.chunk_store_limit]
                 ran = [s for s in stages[before:] if s == tenant.session_id]
                 assert bool(ran) is cold
-            assert cluster.services.cache.stats_snapshot()["queries"] == 2
+            assert cluster.services.cache.stats_snapshot()["entries"] == 2
         finally:
             a.close()
             b.close()
@@ -393,7 +439,7 @@ class TestQueryLevel:
             result = keyed_sums(session, local)
             assert repr(result.fetch()) == expected
             session.free(result.data)
-            assert session.cache.stats_snapshot()["queries"] == 0
+            assert session.cache.stats_snapshot()["entries"] == 0
             assert repr(keyed_sums(session, local).fetch()) == expected
             assert session.last_report.n_subtasks > 0
 
@@ -409,7 +455,7 @@ class TestQueryLevel:
             if seen_by_cache:
                 # what a chunk-loss fault does: delete and invalidate.
                 session.executor._lose_chunk(lost)
-                assert session.cache.stats_snapshot()["queries"] == 0
+                assert session.cache.stats_snapshot()["entries"] == 0
             else:
                 # gone behind the cache's back: the lookup must notice.
                 session.storage.delete(lost)
@@ -425,11 +471,11 @@ class TestQueryLevel:
 
         with cached_session() as roomy:
             expected = fanout(roomy)
-            assert roomy.cache.stats_snapshot()["queries"] == 1
+            assert roomy.cache.stats_snapshot()["entries"] == 1
         with cached_session(memory_limit=16 * 1024) as tight:
             assert fanout(tight) == expected
             assert tight.last_report.pressure_splits >= 1
-            assert tight.cache.stats_snapshot()["queries"] == 0
+            assert tight.cache.stats_snapshot()["entries"] == 0
             assert fanout(tight) == expected
             assert tight.last_report.n_subtasks > 0
 
@@ -465,8 +511,27 @@ class TestBoundedState:
                 for name in ("q1", "q6", "q3", "q5"):
                     tpch_query(session, name, tables)
                 stats = session.cache.stats_snapshot()
-                sizes.append(service_state(session))
+                sizes.append(service_state(session.cluster))
             assert sizes[0] == sizes[1] == sizes[2]
-            # per entry: itself and its reverse index; per query entry:
-            # itself and one owner record per result chunk (an entry).
-            assert sizes[0] <= 3 * stats["entries"] + stats["queries"]
+            # per entry: itself; per result chunk: one reverse-index
+            # record; per tenant: its stats.
+            assert sizes[0] == (stats["entries"]
+                                + len(session.cache.cached_chunk_keys())
+                                + len(stats["per_session"]))
+
+    def test_tenants_that_leave_take_their_stats_along(self):
+        # twenty tenants attach, run one groupby and close: the shared
+        # service keeps the entry they all hit, not a record per tenant.
+        cluster = ClusterState(make_config(chunk_limit=4_000,
+                                           result_cache=True))
+        local = small_frame()
+        try:
+            sizes = []
+            for _ in range(20):
+                with Session(cluster=cluster) as tenant:
+                    keyed_sums(tenant, local).fetch()
+                sizes.append(service_state(cluster))
+            assert sizes == sizes[:1] * 20
+            assert cluster.services.cache.stats_snapshot()["per_session"] == {}
+        finally:
+            cluster.shutdown()

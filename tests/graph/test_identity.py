@@ -5,8 +5,8 @@ The identity module backs two consumers with different invariants:
 - fault injection needs ``structural_draw`` to be byte-identical to the
   hashing it replaced (one seed ⇒ the same faults, forever);
 - the result cache needs ``compute_chunk_identities`` to produce the
-  same keys for the same program across sessions (runtime chunk keys
-  differ every time) and across serial/process execution modes.
+  same keys for the same program across sessions (runtime keys differ
+  every time) and across serial/process execution modes.
 """
 
 import hashlib
@@ -297,51 +297,55 @@ class TestCrossSessionStability:
 
 
 class TestComputeChunkIdentities:
-    def test_poison_propagates_downstream(self):
-        from repro.dataframe.arithmetic import MapPartitionsChunk
-        from repro.dataframe.datasource import FromFrameSlice
+    """The pass stamps a plan's tileables: an untiled one hashes what it
+    computes, a tiled one keeps its stamp while its chunks are stored."""
+
+    @staticmethod
+    def plan(func):
+        from repro.dataframe.arithmetic import MapPartitions
+        from repro.dataframe.datasource import FromFrame
 
         frame = pf.DataFrame({"x": np.arange(4.0)})
-        src_op = FromFrameSlice(frame=frame, start=0, stop=4)
-        src = src_op.new_chunk([], "dataframe", (4, 1), (0, 0))
+        src = FromFrame(frame=frame).new_tileable(
+            [], "dataframe", (4, 1), columns=["x"])
+        mid = MapPartitions(func=func, out_kind="dataframe").new_tileable(
+            [src], "dataframe", (4, 1))
+        top = MapPartitions(func=lambda f: f, out_kind="dataframe"
+                            ).new_tileable([mid], "dataframe", (4, 1))
+        return src, mid, top
 
+    def test_poison_propagates_downstream(self):
         opaque = object()
-        bad_op = MapPartitionsChunk(func=lambda f, h=opaque: f)
-        bad = bad_op.new_chunk([src], "dataframe", (4, 1), (0, 0))
-        good_op = MapPartitionsChunk(func=lambda f: f)
-        good = good_op.new_chunk([bad], "dataframe", (4, 1), (0, 0))
-
+        src, bad, good = self.plan(lambda f, h=opaque: f)
         compute_chunk_identities([src, bad, good])
         assert src.ident is not None
         assert bad.ident is None    # opaque default argument
         assert good.ident is None   # poisoned by its dep
 
     def test_known_resolves_boundaries(self):
-        from repro.dataframe.arithmetic import MapPartitionsChunk
+        from repro.graph.entity import ChunkData
 
-        # a materialized boundary chunk with no producer in the graph —
-        # the shape a partial execute sees after a dynamic-tiling yield.
-        boundary_op = MapPartitionsChunk(func=lambda f: f)
-        boundary = boundary_op.new_chunk([], "dataframe", (4, 1), (0, 0))
-        boundary.op = None
-        consumer_op = MapPartitionsChunk(func=lambda f: f)
-        consumer = consumer_op.new_chunk(
-            [boundary], "dataframe", (4, 1), (0, 0))
+        # a tiled input — a reused handle — is a boundary of the plan:
+        # while its chunks are stored it stands for the key it was
+        # stamped with when it was planned.
+        src, mid, top = self.plan(lambda f: f)
+        compute_chunk_identities([src, mid, top])
+        planned = mid.ident, top.ident
+        chunk = ChunkData("dataframe", (4, 1), (0, 0))
+        mid.with_chunks([chunk], ((4,), (1,)))
+        compute_chunk_identities([mid, top], stored={chunk.key})
+        assert (mid.ident, top.ident) == planned
+        mid.ident = "abc124"
+        compute_chunk_identities([mid, top], stored={chunk.key})
+        assert top.ident not in (None, planned[1])
 
-        compute_chunk_identities([boundary, consumer], stored={boundary.key})
-        assert consumer.ident is None  # unresolvable boundary
-
-        # the identity a stored chunk carries resolves it — it rides on
-        # the chunk, so it survives a cache hit's key rebind too.
-        boundary.ident = "abc123"
-        boundary.rebind_key("c-00000001")
-        compute_chunk_identities([boundary, consumer], stored={boundary.key})
-        assert boundary.ident == "abc123"
-        assert consumer.ident is not None
-        before = consumer.ident
-        boundary.ident = "abc124"
-        compute_chunk_identities([boundary, consumer], stored={boundary.key})
-        assert consumer.ident != before
+        # a chunk gone: computing it again would re-read the source, so
+        # the stamp goes for good and poisons what reads the node.
+        mid.ident = planned[0]
+        compute_chunk_identities([mid, top])
+        assert mid.ident is None and top.ident is None
+        compute_chunk_identities([mid, top], stored={chunk.key})
+        assert mid.ident is None and top.ident is None
 
     def test_operators_are_digested_once_to_a_short_digest(
             self, monkeypatch):

@@ -151,16 +151,6 @@ class TestSpill:
         assert cluster.memory["worker-0"].available >= 1800
 
 
-class TestRemoteLevel:
-    def test_remote_put_get(self):
-        service, cluster = make_service()
-        service.put("k", np.arange(10), "worker-0", level=StorageLevel.REMOTE)
-        assert cluster.memory["worker-0"].used == 0
-        info = service.get("k", "worker-1")
-        assert info.transferred_bytes > 0
-        assert info.tier_penalty > 1.0
-
-
 class TestShuffle:
     def test_write_and_gather(self):
         service, _ = make_service()

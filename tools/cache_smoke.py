@@ -1,12 +1,16 @@
-"""CI smoke for the lineage-keyed result cache.
+"""CI smoke for the expression-keyed result cache.
 
-Two gates, checked end-to-end on a fresh interpreter:
+Three gates, checked end-to-end on a fresh interpreter:
 
 1. **warm reuse** — TPC-H q1 run twice in one cached session: the warm
    run must skip at least half the subtasks and produce a byte-identical
-   result, answered from its query-level entry alone — no partial
-   execute, no executor stage, at least one cache hit;
-2. **golden safety** — the 14 golden engine scenarios replayed with the
+   result, answered from its cache entry alone — no partial execute, no
+   executor stage, at least one cache hit;
+2. **prefix reuse** — after q1, q1's expression plus a ``sort_values``
+   tail over fresh handles must bind q1's result from the cache and run
+   only the tail's subtasks (as many as the same tail over q1's
+   still-tiled handle runs with the cache off), with the cache-off value;
+3. **golden safety** — the 14 golden engine scenarios replayed with the
    cache *disabled* (the default) must stay bit-identical to the
    committed reports: the cache must be invisible when off.
 
@@ -29,13 +33,23 @@ from repro.workloads.tpch import ALL_QUERIES, generate_tables
 from repro.workloads.tpch.queries import materialize
 
 
-def warm_q1_smoke() -> int:
+def make_config(cache: bool) -> Config:
     cfg = Config()
     cfg.chunk_store_limit = 64 * 1024
     cfg.parallel_execution = False
-    cfg.result_cache = True
+    cfg.result_cache = cache
+    return cfg
+
+
+def q1(session, tables):
+    """TPC-H q1 over fresh handles: reuse is by expression alone."""
+    return ALL_QUERIES["q1"]({name: from_frame(frame, session)
+                              for name, frame in tables.items()})
+
+
+def warm_q1_smoke(tables) -> int:
+    cfg = make_config(cache=True)
     failures = 0
-    tables = generate_tables(sf=0.5, seed=7)
     stages = []  # one entry per executor stage
     execute = GraphExecutor.execute
 
@@ -48,12 +62,8 @@ def warm_q1_smoke() -> int:
         with Session(cfg) as session:
             runs = []
             for _ in range(2):
-                handles = {
-                    name: from_frame(frame, session)
-                    for name, frame in tables.items()
-                }
                 before = (len(stages), session.tiler.yield_count)
-                value = materialize(ALL_QUERIES["q1"](handles))
+                value = materialize(q1(session, tables))
                 ran = (len(stages) - before[0],
                        session.tiler.yield_count - before[1])
                 runs.append((repr(value), session.last_report, ran))
@@ -85,6 +95,34 @@ def warm_q1_smoke() -> int:
     return failures
 
 
+def prefix_smoke(tables) -> int:
+    with Session(make_config(cache=False)) as plain:
+        base = q1(plain, tables)
+        base.fetch()
+        expected = repr(base.sort_values("charge").fetch())
+        tail = plain.last_report.n_subtasks
+    with Session(make_config(cache=True)) as session:
+        q1(session, tables).fetch()
+        got = repr(q1(session, tables).sort_values("charge").fetch())
+        run = session.last_report
+    failures = 0
+    if got != expected:
+        print("FAIL prefix: result diverged from the cache-off engine")
+        failures += 1
+    if run.cache_hit_chunks == 0:
+        print("FAIL prefix: q1's result was not bound from the cache")
+        failures += 1
+    if run.n_subtasks != tail:
+        print(f"FAIL prefix: ran {run.n_subtasks} subtasks, the "
+              f"sort_values tail alone runs {tail}")
+        failures += 1
+    if not failures:
+        print(f"OK prefix: q1 + sort_values ran its tail's {tail} "
+              f"subtasks, {run.cache_hit_chunks} chunks reused, "
+              "identical result")
+    return failures
+
+
 def goldens_smoke() -> int:
     from tests.core.golden_harness import GOLDEN_PATH, run_scenario, scenarios
 
@@ -103,7 +141,9 @@ def goldens_smoke() -> int:
 
 
 def main() -> int:
-    failures = warm_q1_smoke()
+    tables = generate_tables(sf=0.5, seed=7)
+    failures = warm_q1_smoke(tables)
+    failures += prefix_smoke(tables)
     failures += goldens_smoke()
     if failures:
         print(f"{failures} cache smoke failure(s)")
