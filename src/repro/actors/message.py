@@ -108,5 +108,6 @@ class MessageLog:
                 "total_delivered": self.total_delivered,
                 "recipients": dict(self._recipient_counts),
                 "edges": dict(self._edge_counts),
+                "methods": dict(self._method_counts),
             }
 

@@ -6,12 +6,10 @@ the next delivery to its uid — or the executor's stage-boundary probe —
 restarts it through its factory and the actor resumes serving from
 authoritative state:
 
-* per-worker storage actor factories close over the worker's durable
-  ``WorkerStorage`` unit (captured at deploy time, before the router
-  swaps handles), so stored bytes, tiers and pins survive the actor.
-* Supervisor-pool service actors (meta, storage router, shuffle,
-  scheduling, cache, lifecycle) close over their long-lived service
-  objects; the actor shell is stateless.
+* Supervisor-pool service actors (meta, storage, shuffle, scheduling,
+  cache, lifecycle) close over their long-lived service objects; the
+  actor shell is stateless, so the storage service's tiers, pins and
+  spill state survive it.
 * band runner actor factories build a fresh stateless runner; any
   compute lost with the old one re-runs through the executor's inline
   retry, and lost chunks replay through ``LifecycleService`` lineage

@@ -7,7 +7,6 @@ from .meta import ChunkMeta, MetaService, meta_from_value
 from .operator import (
     DataSourceOp,
     ExecContext,
-    FetchOp,
     Operator,
     TileContext,
     run_tile,
@@ -29,7 +28,6 @@ __all__ = [
     "ChunkMeta",
     "DataSourceOp",
     "ExecContext",
-    "FetchOp",
     "GraphExecutor",
     "MetaService",
     "Operator",

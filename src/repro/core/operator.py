@@ -293,20 +293,3 @@ def run_tile(op: Operator, ctx: TileContext):
 
 class DataSourceOp(Operator):
     """Marker base for operators with no tileable inputs (read/create)."""
-
-
-class FetchOp(Operator):
-    """Placeholder op for a chunk whose value already sits in storage.
-
-    Dynamic tiling swaps executed chunks for fetch nodes so partial graphs
-    submitted later treat them as data sources.
-    """
-
-    def __init__(self, source_key: str, **params: Any):
-        super().__init__(source_key=source_key, **params)
-        self.source_key = source_key
-
-    def execute(self, ctx: ExecContext) -> Any:
-        # pass the stored value through physically: decoding here would
-        # make the subsequent persist a decode/re-encode round-trip.
-        return ctx.get_physical(self.source_key)

@@ -10,6 +10,9 @@ supervisor uid           fronts
 =======================  ============================================
 ``service/meta``         :class:`~repro.core.meta.MetaService`
 ``service/storage``      :class:`~repro.storage.service.StorageService`
+                         (every worker's tiers, as plain
+                         :class:`~repro.storage.worker.WorkerStorage`
+                         state)
 ``service/shuffle``      :class:`~repro.storage.shuffle.ShuffleManager`
 ``service/scheduling``   :class:`~repro.services.scheduling.SchedulingService`
 ``service/cache``        :class:`~repro.services.cache.ResultCacheService`
@@ -18,9 +21,8 @@ supervisor uid           fronts
 =======================  ============================================
 
 =======================  ============================================
-worker/band uid          fronts
+band uid                 fronts
 =======================  ============================================
-``worker/<w>/storage``   :class:`~repro.storage.worker.WorkerStorage`
 ``runner/<band>``        :class:`~repro.services.runner.SubtaskRunner`
 =======================  ============================================
 
@@ -42,13 +44,9 @@ LIFECYCLE_UID = "service/lifecycle"
 CACHE_UID = "service/cache"
 
 
-def worker_storage_uid(worker: str) -> str:
-    """Uid of the per-worker storage actor (lives on the worker's pool)."""
-    return f"worker/{worker}/storage"
-
-
 def runner_uid(band: str) -> str:
-    """Uid of the per-band subtask runner actor."""
+    """Uid of the per-band subtask runner actor (lives on its worker's
+    pool, the only actor there)."""
     return f"runner/{band}"
 
 
@@ -64,7 +62,6 @@ __all__ = [
     "SCHEDULING_UID",
     "LIFECYCLE_UID",
     "CACHE_UID",
-    "worker_storage_uid",
     "runner_uid",
     "session_actor_uid",
 ]

@@ -25,7 +25,6 @@ from . import (
     SHUFFLE_UID,
     STORAGE_UID,
     runner_uid,
-    worker_storage_uid,
 )
 from .base import ServiceActor
 from .cache import ResultCacheService
@@ -66,9 +65,9 @@ def deploy_cluster_services(cluster: ClusterState) -> ServiceHandles:
 def deploy_services(cluster: ClusterState, config: Config) -> ServiceHandles:
     """Stand up the full service plane on ``cluster``'s pools.
 
-    Supervisor pool: meta, storage router, shuffle index, scheduling,
-    lifecycle.  Worker pools: one storage actor per worker (owning that
-    worker's tiers) and one subtask runner actor per band.
+    Supervisor pool: meta, storage (holding every worker's tiers),
+    shuffle index, scheduling, cache, lifecycle.  Worker pools: one
+    subtask runner actor per band.
     """
     mode, modes = config.execution_mode, ("serial", "process")
     if mode not in modes:
@@ -90,17 +89,8 @@ def deploy_services(cluster: ClusterState, config: Config) -> ServiceHandles:
         return ref
 
     meta = serve(SUPERVISOR_ADDRESS, META_UID, MetaService())
-    router = StorageService(cluster, config)
-    # the router swaps its plain worker units for refs to them: tier
-    # operations become messages to the worker's own pool, and a
-    # respawned actor re-attaches to the same durable unit, so tiers,
-    # pins and spill state survive the actor's death.
-    router.use_worker_handles({
-        worker.name: serve(worker.name, worker_storage_uid(worker.name),
-                           router.worker_unit(worker.name))
-        for worker in cluster.workers
-    })
-    storage = serve(SUPERVISOR_ADDRESS, STORAGE_UID, router)
+    storage = serve(SUPERVISOR_ADDRESS, STORAGE_UID,
+                    StorageService(cluster, config))
     shuffle = serve(SUPERVISOR_ADDRESS, SHUFFLE_UID, ShuffleManager(storage))
     scheduling = serve(
         SUPERVISOR_ADDRESS, SCHEDULING_UID,

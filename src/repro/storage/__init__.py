@@ -1,17 +1,12 @@
 """``repro.storage`` — tiered storage service for intermediate chunks."""
 
-from .base import AccessInfo, StorageBackend, StorageLevel, StoredItem
-from .disk import DiskBackend
-from .memory import MemoryBackend
+from .base import AccessInfo, StorageLevel, StoredItem
 from .service import StorageService
 from .shuffle import ShuffleManager, shuffle_key
 
 __all__ = [
     "AccessInfo",
-    "DiskBackend",
-    "MemoryBackend",
     "ShuffleManager",
-    "StorageBackend",
     "StorageLevel",
     "StorageService",
     "StoredItem",

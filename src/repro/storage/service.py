@@ -1,4 +1,4 @@
-"""The storage service: a supervisor-side router over per-worker stores.
+"""The storage service: every worker's tiers behind one actor.
 
 Responsibilities (Section V-C):
 
@@ -12,16 +12,12 @@ Responsibilities (Section V-C):
 - track data location by key so shuffles and locality-aware scheduling
   know where chunks live.
 
-The service plane splits this into two layers.  Each worker's tiers,
-LRU ring, pins and spill counters live in a
-:class:`~repro.storage.worker.WorkerStorage` unit — fronted by a
-per-worker actor (``worker/<w>/storage``) in the deployment.  This
-class is the supervisor-side *router*: it owns only the key -> owner-worker index,
-the transfer ledger, and pin routing; every tier
-operation is delegated to the owning worker's unit through its message
-interface.  Units are duck-typed — a plain :class:`WorkerStorage` or an
-``ActorRef`` to its actor both work, since the router only ever
-calls methods on them.
+Each worker's tiers and spill policy live in a
+:class:`~repro.storage.worker.WorkerStorage` unit, which is plain state
+of this class: the deployment fronts the whole service with one actor
+(``service/storage``) and every tier operation is a direct call on the
+owning worker's unit.  This class owns the key -> owner-worker index,
+the per-key pin counts and the transfer ledger.
 """
 
 from __future__ import annotations
@@ -38,51 +34,30 @@ from .worker import WorkerStorage
 
 
 class StorageService:
-    """Cluster-wide chunk routing over worker-local tiered stores."""
+    """Cluster-wide chunk store over worker-local tiers."""
 
     def __init__(self, cluster: ClusterState, config: Config | None = None):
         self.cluster = cluster
         self.config = config if config is not None else cluster.config
-        #: guards every location/route mutation and makes each public
-        #: operation atomic: the accounting walk owns all *charged*
-        #: accesses, but the parallel band runner's compute phase peeks
-        #: values concurrently (and a spill may move the peeked item
-        #: between tiers mid-read).  Worker units are only ever invoked
-        #: under this lock, so they need no locking of their own.
+        #: guards every mutation and makes each public operation atomic:
+        #: the accounting walk owns all *charged* accesses, but the
+        #: parallel band runner's compute phase peeks values concurrently
+        #: (and a spill may move the peeked item between tiers mid-read).
+        #: The worker units are only ever called under this lock.
         self._lock = threading.RLock()
-        #: worker name -> worker storage handle (plain unit or actor ref).
-        self._workers: dict[str, Any] = {
+        #: key -> pin count; pinned chunks are never spill victims.  Pins
+        #: are per key, not per stored copy: nested pins (a chunk read by
+        #: two in-flight subtasks) survive the first unpin, and a pinned
+        #: key deleted and re-put on any worker is still protected.
+        self._pins: dict[str, int] = {}
+        self._workers: dict[str, WorkerStorage] = {
             worker.name: WorkerStorage(worker.name, cluster.memory[worker.name],
-                                       self.config)
+                                       self.config, self._pins)
             for worker in cluster.workers
         }
-        #: key -> owner worker name. Tier level is worker-local state;
-        #: ask the owner when needed.
+        #: key -> owner worker name.
         self._locations: dict[str, str] = {}
-        #: key -> pin route stack: one entry per outstanding pin, naming
-        #: the worker the pin was routed to (None when the key was not
-        #: stored anywhere at pin time).  Pins are counted, so nested
-        #: pins (a chunk read by two in-flight subtasks) survive the
-        #: first unpin; and they survive delete/re-put — the route stack
-        #: is migrated to the new owner so unpin always balances.
-        self._pin_routes: dict[str, list[str | None]] = {}
         self._transferred_bytes = 0
-
-    def use_worker_handles(self, handles: dict[str, Any]) -> None:
-        """Swap worker units for actor refs (the service deployment).
-
-        ``handles`` maps worker name -> handle fronting that worker's
-        existing :class:`WorkerStorage` state.
-        """
-        with self._lock:
-            unknown = set(handles) - set(self._workers)
-            if unknown:
-                raise KeyError(f"unknown workers: {sorted(unknown)}")
-            self._workers.update(handles)
-
-    def worker_unit(self, worker: str) -> Any:
-        """The storage handle owning ``worker``'s tiers."""
-        return self._workers[worker]
 
     # -- writes -----------------------------------------------------------
     def put(self, key: str, value: Any, worker: str,
@@ -100,9 +75,8 @@ class StorageService:
                 self.delete(key)
             if nbytes is None:
                 nbytes = sizeof(value)
-            self._workers[worker].put_local(key, value, nbytes, level)
+            self._workers[worker].put(key, value, nbytes, level)
             self._locations[key] = worker
-            self._migrate_pins(key, worker)
             return nbytes
 
     def ensure_free(self, worker: str, nbytes: int) -> None:
@@ -111,7 +85,7 @@ class StorageService:
         Raises :class:`WorkerOutOfMemory` when spilling cannot make room.
         """
         with self._lock:
-            self._workers[worker].ensure_free_local(nbytes)
+            self._workers[worker].ensure_free(nbytes)
 
     def force_spill(self, worker: str) -> int:
         """Evict every unpinned memory-resident chunk of ``worker`` to disk.
@@ -122,7 +96,7 @@ class StorageService:
         forced-spill counter, not the LRU spill metric.
         """
         with self._lock:
-            return self._workers[worker].force_spill_local()
+            return self._workers[worker].force_spill()
 
     # -- reads ------------------------------------------------------------
     def get(self, key: str, requesting_worker: str) -> AccessInfo:
@@ -139,46 +113,11 @@ class StorageService:
         """Batched :meth:`get`: one lock acquisition for a whole fetch set.
 
         Subtask input gathering and shuffle reducers read many keys at
-        once; fetching them under a single critical section skips the
-        per-key lock round-trips without changing any charged number.
+        once. Keys are charged and LRU-touched in order, and a missing
+        key raises at its position, exactly as the per-key calls would.
         """
         with self._lock:
-            return self._get_many_locked(list(keys), requesting_worker)
-
-    def _get_many_locked(self, keys: list[str],
-                         requesting_worker: str) -> list[AccessInfo]:
-        """Grouped fetch: consecutive same-owner keys become one unit call.
-
-        Runs are *consecutive* on purpose: per-key charging order, the
-        owner's LRU touch order, and the exact position a missing key
-        raises at all match the per-key loop this replaces — only the
-        number of worker-unit messages changes.
-        """
-        infos: list[AccessInfo] = []
-        i, n = 0, len(keys)
-        while i < n:
-            owner = self._locations.get(keys[i])
-            if owner is None:
-                infos.append(self._get_locked(keys[i], requesting_worker))
-                i += 1
-                continue
-            j = i + 1
-            while j < n and self._locations.get(keys[j]) == owner:
-                j += 1
-            run = keys[i:j]
-            for key, (value, nbytes, level) in zip(
-                run, self._workers[owner].get_local_many(run)
-            ):
-                transferred = nbytes if owner != requesting_worker else 0
-                self._transferred_bytes += transferred
-                infos.append(AccessInfo(
-                    value, nbytes, transferred_bytes=transferred,
-                    tier_penalty=(DISK_PENALTY if level == StorageLevel.DISK
-                                  else 1.0),
-                    source_worker=owner,
-                ))
-            i = j
-        return infos
+            return [self._get_locked(key, requesting_worker) for key in keys]
 
     def acquire_many(self, keys, requesting_worker: str) -> list[AccessInfo]:
         """Pin + fetch a subtask's whole input set in one critical section.
@@ -192,25 +131,28 @@ class StorageService:
         with self._lock:
             self.pin(keys)
             try:
-                return self._get_many_locked(keys, requesting_worker)
+                return [self._get_locked(key, requesting_worker)
+                        for key in keys]
             except BaseException:
                 self.unpin(keys)
                 raise
 
-    def _get_locked(self, key: str, requesting_worker: str,
-                    touch_lru: bool = True) -> AccessInfo:
+    def _owner(self, key: str) -> str:
         owner = self._locations.get(key)
         if owner is None:
             raise StorageKeyError(key)
-        value, nbytes, level = self._workers[owner].get_local(key, touch_lru)
+        return owner
+
+    def _get_locked(self, key: str, requesting_worker: str,
+                    touch_lru: bool = True) -> AccessInfo:
+        owner = self._owner(key)
+        value, nbytes, level = self._workers[owner].get(key, touch_lru)
         transferred = nbytes if owner != requesting_worker else 0
         self._transferred_bytes += transferred
-        if level == StorageLevel.DISK:
-            return AccessInfo(value, nbytes, transferred_bytes=transferred,
-                              tier_penalty=DISK_PENALTY,
-                              source_worker=owner)
-        return AccessInfo(value, nbytes, transferred_bytes=transferred,
-                          source_worker=owner)
+        return AccessInfo(
+            value, nbytes, transferred_bytes=transferred,
+            tier_penalty=DISK_PENALTY if level == StorageLevel.DISK else 1.0,
+            source_worker=owner)
 
     def peek(self, key: str) -> Any:
         """Driver-side fetch: charged as a transfer from the owner worker.
@@ -235,10 +177,7 @@ class StorageService:
             return self._peek_value_locked(key)
 
     def _peek_value_locked(self, key: str) -> Any:
-        owner = self._locations.get(key)
-        if owner is None:
-            raise StorageKeyError(key)
-        return self._workers[owner].value_of(key)
+        return self._workers[self._owner(key)].get(key, touch_lru=False)[0]
 
     def peek_values(self, keys) -> dict[str, Any]:
         """Batched :meth:`peek_value`: one message for a whole input set.
@@ -251,66 +190,30 @@ class StorageService:
 
     # -- pinning ------------------------------------------------------------
     def pin(self, keys) -> None:
-        """Protect ``keys`` from LRU spill while a subtask reads them.
-
-        Each pin is routed to the key's current owner worker, which keeps
-        the chunk out of its spill victim set; the route is remembered so
-        the matching unpin reaches the same worker.
-        """
+        """Protect ``keys`` from spill while a subtask reads them: one pin
+        level per key, whether and wherever the key is stored."""
         with self._lock:
-            by_worker: dict[str, list[str]] = {}
             for key in keys:
-                worker = self._locations.get(key)
-                if worker is not None:
-                    by_worker.setdefault(worker, []).append(key)
-                self._pin_routes.setdefault(key, []).append(worker)
-            # pins are counters, so one grouped message per owner worker
-            # is state-identical to the per-key calls it replaces.
-            for worker, worker_keys in by_worker.items():
-                self._workers[worker].pin_local(worker_keys)
+                self._pins[key] = self._pins.get(key, 0) + 1
 
     def unpin(self, keys) -> None:
         """Release one pin level on each of ``keys``."""
         with self._lock:
-            by_worker: dict[str, list[str]] = {}
             for key in keys:
-                routes = self._pin_routes.get(key)
-                if not routes:
-                    continue
-                worker = routes.pop()
-                if not routes:
-                    del self._pin_routes[key]
-                if worker is not None:
-                    by_worker.setdefault(worker, []).append(key)
-            for worker, worker_keys in by_worker.items():
-                self._workers[worker].unpin_local(worker_keys)
-
-    def _migrate_pins(self, key: str, new_worker: str | None) -> None:
-        """Re-route ``key``'s outstanding pins after a (re-)put.
-
-        A pinned chunk can be deleted and recreated on a different worker
-        (recovery recompute, overwrite); the global pin contract says it
-        stays protected wherever it lands, so move the worker-local pin
-        counts to the new owner and rewrite the route stack.
-        """
-        routes = self._pin_routes.get(key)
-        if not routes:
-            return
-        for old in set(routes):
-            if old is not None and old != new_worker:
-                self._workers[old].drop_pins_local(key)
-        if new_worker is not None:
-            self._workers[new_worker].set_pin_count_local(key, len(routes))
-        self._pin_routes[key] = [new_worker] * len(routes)
+                count = self._pins.get(key, 0)
+                if count > 1:
+                    self._pins[key] = count - 1
+                elif count:
+                    del self._pins[key]
 
     def is_pinned(self, key: str) -> bool:
         with self._lock:
-            return bool(self._pin_routes.get(key))
+            return key in self._pins
 
     def pinned_keys(self) -> list[str]:
         """Keys currently pin-protected (empty between subtasks)."""
         with self._lock:
-            return [key for key, routes in self._pin_routes.items() if routes]
+            return list(self._pins)
 
     # -- bookkeeping --------------------------------------------------------
     def contains(self, key: str) -> bool:
@@ -329,9 +232,9 @@ class StorageService:
         """Batched :meth:`put`: ``entries`` is ``(key, value, nbytes)``.
 
         One message stores a subtask's whole output set; each entry goes
-        through the same put path (delete-if-exists, spill-or-raise, pin
-        migration) in order, so worker state after the batch is exactly
-        what the per-key puts would leave.
+        through the same put path (delete-if-exists, spill-or-raise) in
+        order, so worker state after the batch is exactly what the
+        per-key puts would leave.
         """
         with self._lock:
             return [
@@ -347,55 +250,56 @@ class StorageService:
 
     def location_of(self, key: str) -> tuple[str, StorageLevel]:
         with self._lock:
-            owner = self._locations.get(key)
-            if owner is None:
-                raise StorageKeyError(key)
-            return (owner, self._workers[owner].level_of(key))
+            owner = self._owner(key)
+            return owner, self._workers[owner].level_of(key)
 
     def nbytes_of(self, key: str) -> int:
         with self._lock:
-            owner = self._locations.get(key)
-            if owner is None:
-                raise StorageKeyError(key)
-            return self._workers[owner].nbytes_of_local(key)
+            return self._workers[self._owner(key)].get(key, touch_lru=False)[1]
 
     def delete(self, key: str) -> None:
         with self._lock:
             owner = self._locations.pop(key, None)
             if owner is not None:
-                self._workers[owner].delete_local(key)
+                self._workers[owner].delete(key)
 
     # -- counters -----------------------------------------------------------
     def transferred_bytes(self) -> int:
-        """Bytes that crossed the network (router-charged)."""
+        """Bytes that crossed the network."""
         with self._lock:
             return self._transferred_bytes
 
     def spilled_bytes(self) -> int:
         """LRU spill bytes that bought an admission, across workers."""
         with self._lock:
-            return sum(unit.spilled_bytes() for unit in self._workers.values())
+            return sum(unit.spilled_bytes for unit in self._workers.values())
 
     def failed_admission_spill_bytes(self) -> int:
         """Bytes spilled by admissions that still ended out-of-memory."""
         with self._lock:
-            return sum(unit.failed_admission_spill_bytes()
+            return sum(unit.failed_admission_spill_bytes
                        for unit in self._workers.values())
 
     def forced_spill_bytes(self) -> int:
         """Bytes evicted by the OOM ladder's force-spill rung."""
         with self._lock:
-            return sum(unit.forced_spill_bytes()
+            return sum(unit.forced_spill_bytes
                        for unit in self._workers.values())
 
     def memory_bytes(self, worker: str) -> int:
-        return self._workers[worker].memory_bytes_local()
+        with self._lock:
+            return sum(item.nbytes
+                       for item in self._workers[worker].memory.values())
 
     def disk_bytes(self, worker: str) -> int:
-        return self._workers[worker].disk_bytes_local()
+        with self._lock:
+            return sum(item.nbytes
+                       for item in self._workers[worker].disk.values())
 
     def keys_on(self, worker: str) -> list[str]:
-        return self._workers[worker].keys_local()
+        with self._lock:
+            unit = self._workers[worker]
+            return [*unit.memory, *unit.disk]
 
     def all_keys(self) -> list[str]:
         """Every stored key across workers and tiers (re-tile snapshots)."""
@@ -406,6 +310,4 @@ class StorageService:
         with self._lock:
             for key in list(self._locations):
                 self.delete(key)
-            self._pin_routes.clear()
-            for unit in self._workers.values():
-                unit.clear_pins_local()
+            self._pins.clear()

@@ -5,7 +5,6 @@ import pytest
 from repro.core.operator import (
     DataSourceOp,
     ExecContext,
-    FetchOp,
     Operator,
     TileContext,
     run_tile,
@@ -120,11 +119,6 @@ class TestContexts:
         assert not ctx.has_value("any")
         with pytest.raises(RuntimeError):
             ctx.peek("any")
-
-    def test_fetch_op(self):
-        op = FetchOp(source_key="src")
-        ctx = ExecContext({"src": 99}, Config())
-        assert op.execute(ctx) == 99
 
     def test_data_source_marker(self):
         assert issubclass(DataSourceOp, Operator)

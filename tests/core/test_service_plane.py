@@ -10,7 +10,7 @@ Three pillars:
 2. **A real RPC trace** — a TPC-H q5 run leaves a message log whose
    sender -> recipient edges are exactly the service topology the
    architecture promises (session actor fan-out, lifecycle-owned frees,
-   router-to-worker tier calls, runner-attributed compute reads).
+   runner-attributed compute reads, runners alone on worker pools).
 3. **Lifecycle** — sessions are thin clients holding actor refs only,
    close is idempotent and destroys the plane, and the actor system
    survives pools being stopped mid-delivery.
@@ -42,7 +42,6 @@ from repro.services import (
     STORAGE_UID,
     runner_uid,
     session_actor_uid,
-    worker_storage_uid,
 )
 
 with open(GOLDEN_PATH) as f:
@@ -98,8 +97,6 @@ class TestMessageTrace:
         for uid in (META_UID, STORAGE_UID, SCHEDULING_UID, LIFECYCLE_UID,
                     SHUFFLE_UID, session_uid):
             assert log.count_for(uid) > 0, f"{uid} never got a message"
-        worker = q5_session.cluster.workers[0].name
-        assert log.count_for(worker_storage_uid(worker)) > 0
         band = q5_session.cluster.bands[0].name
         assert log.count_for(runner_uid(band)) > 0
 
@@ -119,7 +116,6 @@ class TestMessageTrace:
         edges = q5_session.cluster.actor_system.log.edges()
         session_uid = session_actor_uid(q5_session.session_id)
         band = q5_session.cluster.bands[0].name
-        worker = q5_session.cluster.workers[0].name
         expected = {
             # the thin client talks to its coordinator only.
             ("<external>", session_uid),
@@ -133,8 +129,6 @@ class TestMessageTrace:
             # data to storage, stale index entries to shuffle.
             (LIFECYCLE_UID, STORAGE_UID),
             (LIFECYCLE_UID, SHUFFLE_UID),
-            # the storage router delegates tier ops to worker actors.
-            (STORAGE_UID, worker_storage_uid(worker)),
             # serial-mode compute reads are attributed to the runner.
             (runner_uid(band), STORAGE_UID),
         }
@@ -143,13 +137,25 @@ class TestMessageTrace:
 
     def test_client_never_calls_backends_directly(self, q5_session):
         """``<external>`` (the thin client) only reaches the session
-        actor and read-only service counters — never worker tiers."""
+        actor and read-only service counters — never a worker's actors."""
         edges = q5_session.cluster.actor_system.log.edges()
+        system = q5_session.cluster.actor_system
         worker_uids = {
-            worker_storage_uid(w.name) for w in q5_session.cluster.workers
+            uid for w in q5_session.cluster.workers
+            for uid in system.get_pool(w.name).uids()
         }
         external = {r for s, r in edges if s == "<external>"}
-        assert not external & worker_uids
+        assert worker_uids and not external & worker_uids
+
+    def test_worker_pools_hold_only_their_band_runners(self, q5_session):
+        """Storage is one supervisor actor: a worker's pool holds the
+        runners of that worker's bands and nothing else."""
+        cluster = q5_session.cluster
+        for worker in cluster.workers:
+            runners = {runner_uid(band.name) for band in cluster.bands
+                       if band.worker == worker.name}
+            pool = cluster.actor_system.get_pool(worker.name)
+            assert runners and set(pool.uids()) == runners
 
     def test_parallel_compute_attributed_to_band_runner(self):
         _, overrides = WORKLOADS["groupby_shuffle"]

@@ -203,7 +203,7 @@ class TestAccountingInvariants:
     """
 
     def _lru_order(self, service, worker="worker-0"):
-        return list(service.worker_unit(worker)._lru)
+        return list(service._workers[worker].memory)
 
     def test_peek_does_not_touch_lru(self):
         service, _ = make_service(memory_limit=100_000)
@@ -290,3 +290,26 @@ class TestAccountingInvariants:
         assert service.location_of("old") == (
             "worker-0", StorageLevel.MEMORY)
         assert service.location_of("mid") == ("worker-0", StorageLevel.DISK)
+
+    def test_pins_follow_the_key_through_delete_and_reput(self):
+        """A pin protects a key wherever it is stored next: a chunk
+        deleted and recomputed on another worker while a reader still
+        holds it stays out of that worker's spill victims, and the pins
+        balance level by level."""
+        service, _ = make_service(memory_limit=100_000)
+        a = np.zeros(100)
+        service.put("k", a, "worker-0")
+        service.pin(["k"])
+        service.pin(["k"])
+        service.delete("k")
+        service.put("k", a, "worker-1")
+        service.put("loose", a, "worker-1")
+        assert service.force_spill("worker-1") == a.nbytes
+        assert service.location_of("k") == ("worker-1", StorageLevel.MEMORY)
+        service.unpin(["k"])
+        assert service.pinned_keys() == ["k"]
+        assert service.force_spill("worker-1") == 0
+        service.unpin(["k"])
+        assert service.pinned_keys() == []
+        assert service.force_spill("worker-1") == a.nbytes
+        assert service.location_of("k") == ("worker-1", StorageLevel.DISK)

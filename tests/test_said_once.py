@@ -123,8 +123,6 @@ def test_every_public_service_method_is_a_message():
             if field.name != "runners"
         }
         refs.update(services.runners)
-        for worker in session.cluster.workers:
-            refs[worker.name] = services.storage.worker_unit(worker.name)
         saw_data_attribute = False
         for label, ref in refs.items():
             actor = system.get_pool(ref.address).lookup(ref.uid)

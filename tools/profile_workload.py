@@ -37,8 +37,16 @@ whatever its own config says, and first prints the median of seven
 alternating untraced iterations on each engine and their columnar / row
 ratio.
 
+``--messages`` counts the actor plane's deliveries over one iteration's
+session (the total is that iteration's ``actors.messages``), by recipient
+kind (``runner/*`` for every band's runner, ``session-*/actor`` for every
+session actor) and method, and the messages per subtask (the
+``bench-smoke`` CI job runs this for ``groupby_shuffle`` and
+``tpch_join``).
+
 Run: ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --top 15``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --ops``
+     ``PYTHONPATH=src python tools/profile_workload.py tpch_join --messages``
      ``PYTHONPATH=src python tools/profile_workload.py strkey_columnar --encodes``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --columns``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --engine columnar``
@@ -51,10 +59,11 @@ import cProfile
 import itertools
 import os
 import pstats
+import re
 import statistics
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from unittest import mock
 
@@ -63,6 +72,7 @@ SRC = os.path.join(ROOT, "src") + os.sep
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "benchmarks", "e2e"))
 
+import workloads  # noqa: E402
 from workloads import WORKLOADS, run_iteration  # noqa: E402
 
 from repro.core import session as core_session  # noqa: E402
@@ -275,6 +285,50 @@ def columns_report(rows: list[list]) -> tuple[list[str], int]:
     return lines, offenders
 
 
+@contextmanager
+def count_messages():
+    """Snapshot each iteration's message log where the loop reads
+    ``actors.messages`` (``session_counters``, before its own storage
+    reads); yields the list of snapshots, one per iteration."""
+    snapshots: list[dict] = []
+    session_counters = workloads.session_counters
+
+    def counted(session):
+        snapshots.append(session.cluster.actor_system.log.snapshot())
+        return session_counters(session)
+
+    with mock.patch.object(workloads, "session_counters", counted):
+        yield snapshots
+
+
+def recipient_kind(uid: str) -> str:
+    """``runner/worker-0/band-1`` -> ``runner/*``, ``session-7/actor`` ->
+    ``session-*/actor``; service uids stay as they are."""
+    return re.sub(r"^session-\d+/", "session-*/",
+                  re.sub(r"^runner/.*", "runner/*", uid))
+
+
+def messages_report(snapshot: dict, n_subtasks: int) -> list[str]:
+    """Deliveries per recipient kind, each with its methods, busiest
+    first, and the total per subtask."""
+    by_kind: Counter[str] = Counter()
+    by_method: Counter[tuple[str, str]] = Counter()
+    for (_, recipient, method), n in snapshot["methods"].items():
+        kind = recipient_kind(recipient)
+        by_kind[kind] += n
+        by_method[(kind, method)] += n
+    lines = [f"{'messages':>9}  recipient kind / method"]
+    for kind, n in sorted(by_kind.items(), key=lambda item: (-item[1], item[0])):
+        lines.append(f"{n:9d}  {kind}")
+        methods = sorted(((m, count) for (k, m), count in by_method.items()
+                          if k == kind), key=lambda item: (-item[1], item[0]))
+        lines.extend(f"{count:9d}    .{method}" for method, count in methods)
+    total = snapshot["total_delivered"]
+    lines.append(f"{total:9d}  total: {total / max(n_subtasks, 1):.1f} "
+                 f"per subtask")
+    return lines
+
+
 def _label(func: tuple) -> str:
     path, line, name = func
     if path.startswith(SRC):
@@ -315,6 +369,9 @@ def main(argv=None) -> int:
                         help="columns declared / required / carried and "
                              "chunks per source and execute(); exit 1 if a "
                              "source is read whole for a narrower result")
+    parser.add_argument("--messages", action="store_true",
+                        help="actor-plane deliveries by recipient kind and "
+                             "method, and messages per subtask")
     parser.add_argument("--engine", choices=("row", "columnar"),
                         help="run the plan on this chunk engine; prints the "
                              "7-iteration median wall_s of both first")
@@ -364,6 +421,14 @@ def main(argv=None) -> int:
                   "result that shows fewer: an operator on the way does not "
                   "pass requirements through")
         return 1 if offenders else 0
+    if args.messages:
+        with count_messages() as snapshots:
+            iteration = iterate()
+        n_subtasks = iteration.counters["graph.n_subtasks"]
+        print(f"{args.workload} seed={args.seed} scale={args.scale}: "
+              f"{n_subtasks} subtasks")
+        print("\n".join(messages_report(snapshots[-1], n_subtasks)))
+        return 0
     if args.ops:
         with count_op_calls() as calls:
             iteration = iterate()
