@@ -7,10 +7,17 @@ pruning: a source reads only the columns its tileable is to carry
 (``TileableData.carried_columns``), and chunk sizes follow the bytes
 *read* — a source read a quarter as wide is cut into a quarter as many
 chunks.
+
+An in-memory source meets the chunk engine once per handle: the first
+slice that reads a column asks the engine what its ``persist`` makes of
+the whole column (:class:`SourceDictionary`), and every slice after that
+hands out a window of the answer — on the columnar engine a string
+column is hashed once per handle, not once per slice and execute.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 import numpy as np
@@ -18,6 +25,7 @@ import numpy as np
 from ..core.operator import DataSourceOp, ExecContext, Operator, TileContext
 from ..core.rechunk import balanced_splits
 from ..engine.local import DataFrame, RangeIndex
+from ..engine.local import dtypes
 from ..engine.local import io as frame_io
 from ..utils import sizeof
 from .utils import chunk_index
@@ -39,12 +47,106 @@ def columns_to_read(op: DataSourceOp, columns: list) -> list:
     return [c for c in columns if c in carried] or columns[:1]
 
 
+_ADDRESS = np.dtype(np.uintp)
+
+
+class _Addresses:
+    """An object array's cells as the addresses they point at: the same
+    buffer, typed ``uintp`` and read-only (NumPy refuses ``view`` on an
+    array of references, not an ``__array_interface__``)."""
+
+    def __init__(self, cells: np.ndarray):
+        face = cells.__array_interface__
+        self.__array_interface__ = dict(
+            face, typestr=_ADDRESS.str, descr=[("", _ADDRESS.str)],
+            data=(face["data"][0], True))
+        self.cells = cells  # the view keeps the buffer alive
+
+
+def _same_cells(live: np.ndarray, pinned: np.ndarray) -> bool:
+    """Whether ``live`` still holds the cells of its snapshot ``pinned``:
+    the same objects, or equal values of the exact same type (an equal
+    ``np.str_`` is not the ``str`` it equals).  While ``pinned`` holds a
+    reference to a cell no other object can take its address, so the
+    identity test is an integer compare; only moved cells are looked at."""
+    if live.shape != pinned.shape or live.dtype != pinned.dtype:
+        return False
+    if live.dtype.kind != "O":
+        return live.tobytes() == pinned.tobytes()
+    moved = np.flatnonzero(np.asarray(_Addresses(live))
+                           != np.asarray(_Addresses(pinned)))
+    return all(type(now) is type(then) and now == then for now, then in
+               zip(live[moved].tolist(), pinned[moved].tolist()))
+
+
+#: a column no entry may serve yet: never read, or its witness failed
+_STALE = object()
+
+
+class SourceDictionary:
+    """What the chunk engine's ``persist`` makes of a source's columns,
+    worked out once per handle, lazily, by the first slice that reads
+    each column (:meth:`ChunkEngine.persisted_column`).
+
+    An entry is ``None`` when the engine keeps the column as it is (every
+    column on the row engine), else a copy of the engine's form: a
+    snapshot of the client cells that were encoded, their dictionary
+    riding along.  The snapshot is the witness — a slice is served from
+    it only while its window of the client column still holds the same
+    cells, so a client frame written between two executes is encoded
+    again, never served stale.
+
+    One lock makes the first encode of a column happen once, whichever
+    band gets there first; it is deterministic, so which one does not
+    matter.  Lives on the :class:`FromFrame` and never crosses a process
+    boundary: a slice run in a worker process reads its cells as before.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        #: ``(engine, {column name: entry})``, swapped whole
+        self._state: tuple = (None, {})
+
+    def window(self, engine, frame: DataFrame, name,
+               rows: slice) -> Optional[np.ndarray]:
+        """``engine``'s form of ``frame[name][rows]``, or ``None`` to
+        serve the client cells as they are."""
+        entry = self._valid_entry(engine, frame, name, rows)
+        if entry is _STALE:
+            with self._lock:
+                entry = self._valid_entry(engine, frame, name, rows)
+                if entry is _STALE:
+                    owner, entries = self._state
+                    if owner is not engine:
+                        entries = {}
+                        self._state = (engine, entries)
+                    entry = entries[name] = _encode(engine,
+                                                    frame[name].values)
+        # a copy: the piece is the slice's to keep, the entry the handle's
+        return None if entry is None else dtypes.take(entry, rows).copy()
+
+    def _valid_entry(self, engine, frame, name, rows):
+        owner, entries = self._state
+        entry = entries.get(name, _STALE) if owner is engine else _STALE
+        if entry is None or entry is _STALE or _same_cells(
+                frame[name].values[rows], entry[rows]):
+            return entry
+        return _STALE
+
+
+def _encode(engine, column: np.ndarray) -> Optional[np.ndarray]:
+    form = engine.persisted_column(column)
+    return None if form is column else form.copy()
+
+
 class FromFrame(DataSourceOp):
     """Distribute an in-memory single-node frame (client-side data)."""
 
     def __init__(self, frame: DataFrame, **params):
         super().__init__(**params)
         self.frame = frame
+        #: made by the first tiling, filled by the first slices to run
+        self._dictionary: Optional[SourceDictionary] = None
 
     def _read_frame(self) -> DataFrame:
         """The client frame narrowed to the columns read (no copy)."""
@@ -64,10 +166,14 @@ class FromFrame(DataSourceOp):
         splits = balanced_splits(n, ctx.config.chunk_store_limit, bytes_per_row)
         if not splits:
             splits = [0]
+        if self._dictionary is None:
+            self._dictionary = SourceDictionary()
         chunks = []
         offset = 0
         for i, rows in enumerate(splits):
-            chunk_op = FromFrameSlice(frame=frame, start=offset, stop=offset + rows)
+            chunk_op = FromFrameSlice(frame=frame, start=offset,
+                                      stop=offset + rows,
+                                      dictionary=self._dictionary)
             chunks.append(chunk_op.new_chunk(
                 [], "dataframe", (rows, len(columns)), chunk_index("dataframe", i),
                 columns=columns,
@@ -79,14 +185,33 @@ class FromFrame(DataSourceOp):
 class FromFrameSlice(Operator):
     """One row-range of a client frame."""
 
-    def __init__(self, frame: DataFrame, start: int, stop: int, **params):
+    #: the handle's dictionary; it stays in this process, so a slice
+    #: unpickled elsewhere reads its cells as they are
+    _dictionary: Optional[SourceDictionary] = None
+
+    def __init__(self, frame: DataFrame, start: int, stop: int,
+                 dictionary: Optional[SourceDictionary] = None, **params):
         super().__init__(start=start, stop=stop, **params)
         self.frame = frame
         self.start = start
         self.stop = stop
+        self._dictionary = dictionary
 
     def execute(self, ctx: ExecContext):
-        return self.frame.iloc[self.start:self.stop]
+        piece = self.frame.iloc[self.start:self.stop]
+        if self._dictionary is None:
+            return piece
+        rows = slice(self.start, self.stop)
+        for name in piece.columns.to_list():
+            form = self._dictionary.window(ctx.engine, self.frame, name, rows)
+            if form is not None:
+                piece[name] = form
+        return piece
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        state.pop("_dictionary", None)
+        return state
 
 
 class ReadParquet(DataSourceOp):

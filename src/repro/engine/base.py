@@ -30,6 +30,10 @@ kernels that group, join or sort read codes, and ``persist`` of a column
 that still knows its dictionary is an integer compaction, not a hash of
 every cell.  Any kernel that ignores the encoding sees an ordinary
 object array and its result simply arrives at ``persist`` without one.
+Sources meet the engine before their first ``persist``: a client
+frame's column is put in its :meth:`ChunkEngine.persisted_column` form
+once per handle, so its slices arrive encoded too; only UDF outputs
+(and file sources) arrive without a dictionary and are hashed.
 
 Accounting follows the split: ``sizeof`` (storage tiers, shuffle/wire
 byte counters) charges the *physical* value — a columnar chunk pays its
@@ -79,6 +83,14 @@ class ChunkEngine(ABC):
     @abstractmethod
     def compute(self, value: Any) -> Any:
         """Physical → logical: materialize a value for kernel use."""
+
+    def persisted_column(self, column: np.ndarray) -> np.ndarray:
+        """``column`` in the form whose row windows ``persist`` takes
+        without hashing a cell: the same cells (possibly the very array)
+        with whatever ``persist`` would otherwise work out from them.  A
+        source asks once per handle and hands its slices windows of the
+        answer.  Default: the column itself, at no cost."""
+        return column
 
     def to_wire(self, value: Any) -> Any:
         """Physical → picklable wire form (procpool IPC)."""

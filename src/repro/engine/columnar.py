@@ -24,8 +24,10 @@ Everything observable except byte counters is backend-invariant:
   ``frame.dtypes.DictArray`` — real cells that still know their
   dictionary — and ``persist`` of a column that still knows it is an
   integer compaction to the entries in use: the ``DictColumn`` a fresh
-  encode would build, without hashing a cell.  Only columns that arrive
-  without one (sources, UDF outputs) are hashed.
+  encode would build, without hashing a cell.  A client frame's string
+  column is encoded once per handle (``persisted_column``) and its
+  slices arrive with their codes; only columns that arrive without a
+  dictionary (UDF outputs, file sources) are hashed.
 - **hash draws** — string keys are hashed by *decoded value*:
   ``hash_array(categories)[codes]`` equals the elementwise FNV-1a hash
   of the decoded column because elementwise maps commute with gathers.
@@ -270,6 +272,12 @@ class ColumnarEngine(ChunkEngine):
         if isinstance(value, (ColumnarFrame, ColumnarSeries)):
             return value.decode()
         return value
+
+    def persisted_column(self, column: np.ndarray) -> np.ndarray:
+        encoded = encode_column(column)
+        if not isinstance(encoded, DictColumn):
+            return column
+        return dtypes.encoded(encoded.categories, encoded.codes, cells=column)
 
     def to_wire(self, value: Any) -> Any:
         if isinstance(value, ColumnarFrame):

@@ -3,11 +3,14 @@
 One ``strkey_columnar``-shaped run (string-keyed groupby over a shuffle,
 then a merge with a dimension and a groupby of its label) on the columnar
 engine at small scale, with ``factorize_cells`` — the one place string
-cells are hashed — wrapped to count the cells it is handed.  The sources'
-string cells have to be hashed once per ``execute`` that slices them;
-every operator after that consumes and produces codes, so anything beyond
-O(uniques) per kernel means some operator's output was re-encoded from
-its strings.  The count repeats exactly from run to run.
+cells are hashed — wrapped to count the cells it is handed, both where
+kernels call it and where the columnar engine encodes a column (the call
+a source's encode makes).  A source's string cells are hashed once per
+handle, by the first slice that reads them, however many slices and
+``execute`` calls read them after; every operator after that consumes and
+produces codes, so anything beyond O(uniques) per kernel means some
+operator's output was re-encoded from its strings.  The count repeats
+exactly from run to run.
 """
 
 import numpy as np
@@ -63,12 +66,13 @@ def test_only_sources_hash_their_strings(hashed_cells, combine):
             {"v": "sum"}).fetch()
         n_kernels = session.executor.report.n_subtasks
     assert len(by_key) == N_KEYS and len(by_label) == 7
-    # two executes slice ``fact``, one slices ``dim``
-    source_cells = 2 * N_ROWS + N_KEYS
+    # two executes slice ``fact`` and one slices ``dim``; each handle's
+    # string column is hashed once
+    source_cells = N_ROWS + N_KEYS
     assert sum(hashed_cells) >= source_cells
     assert sum(hashed_cells) <= source_cells + n_kernels * N_KEYS
-    # and the only calls handed more cells than there are keys sliced ``fact``
-    assert sum(n for n in hashed_cells if n > N_KEYS) == 2 * N_ROWS
+    # and the only call handed more cells than there are keys read ``fact``
+    assert sum(n for n in hashed_cells if n > N_KEYS) == N_ROWS
 
 
 def test_the_counter_sees_a_dropped_dictionary(hashed_cells, monkeypatch):

@@ -19,8 +19,11 @@ engine: per operator class, the rows its kernels produced against the
 string cells hashed (``factorize_cells``) while the kernel ran and while
 its result was persisted.  A dictionary made at the source rides with the
 column, so only operators without inputs should hash; the exit status is
-non-zero when any other class hashes half as many cells as it produced rows
-(the ``engine-smoke`` CI job runs this for ``strkey_columnar``).
+non-zero when any other class hashes half as many cells as it produced rows,
+or when the in-memory source (``FromFrameSlice``, which books its handle's
+once-per-handle encode) hashes more cells than the string columns of the
+handles it read hold rows (the ``engine-smoke`` CI job runs this for
+``strkey_columnar``).
 
 ``--columns`` shows what column pruning made of each source, again
 without a clock: per ``execute()`` and source tileable, the columns the
@@ -78,7 +81,11 @@ from workloads import WORKLOADS, run_iteration  # noqa: E402
 from repro.core import session as core_session  # noqa: E402
 from repro.core.operator import DataSourceOp, Operator  # noqa: E402
 from repro.core.opfusion import CompiledStep  # noqa: E402
-from repro.dataframe.datasource import columns_to_read  # noqa: E402
+from repro.dataframe.datasource import (  # noqa: E402
+    FromFrame,
+    FromFrameSlice,
+    columns_to_read,
+)
 from repro.core.session import Session  # noqa: E402
 from repro.engine import columnar  # noqa: E402
 from repro.frame import groupby as frame_groupby  # noqa: E402
@@ -166,15 +173,26 @@ def ops_report(calls: dict[str, list]) -> tuple[list[str], int]:
 @contextmanager
 def count_encodes():
     """Book every ``factorize_cells`` call on the operator whose kernel,
-    or whose result's ``persist``, made it; yields ``{class name:
-    [is_source, calls, rows out, cells hashed]}``.  Kernels run one after
-    another (in-process only, like :func:`count_op_calls`), so the cells
-    hashed since the previous operator's ``persist`` returned are this
-    operator's."""
+    or whose result's ``persist``, made it; yields ``({class name:
+    [is_source, calls, rows out, cells hashed]}, {(handle, column): rows})``
+    — the second maps every string column an in-memory source was tiled to
+    read to its rows.  Kernels run one after another (in-process only, like
+    :func:`count_op_calls`), so the cells hashed since the previous
+    operator's ``persist`` returned are this operator's."""
     table: dict[str, list] = defaultdict(lambda: [False, 0, 0, 0])
+    string_rows: dict[tuple, int] = {}
     pending = [0]
     factorize_cells = frame_groupby.factorize_cells
     persist_result = runner.persist_result
+    tile = FromFrame.tile
+
+    def recorded_tile(op, ctx):
+        frame = op._read_frame()
+        for name in frame.columns.to_list():
+            cells = frame[name].values.tolist()
+            if cells and set(map(type, cells)) == {str}:
+                string_rows[op, name] = len(cells)
+        return tile(op, ctx)
 
     def counted_factorize(cells):
         pending[0] += len(cells)
@@ -197,21 +215,32 @@ def count_encodes():
                            counted_factorize), \
             mock.patch.object(columnar, "factorize_cells",
                               counted_factorize), \
-            mock.patch.object(runner, "persist_result", counted_persist):
-        yield table
+            mock.patch.object(runner, "persist_result", counted_persist), \
+            mock.patch.object(FromFrame, "tile", recorded_tile):
+        yield table, string_rows
 
 
-def encodes_report(table: dict[str, list]) -> tuple[list[str], list[str]]:
-    """The per-class table, and the classes that re-encode their rows."""
+def encodes_report(table: dict[str, list],
+                   string_rows: dict[tuple, int]) -> tuple[list[str], list[str]]:
+    """The per-class table, and the classes that re-encode their rows:
+    an operator with inputs that hashes O(rows) cells, or an in-memory
+    source that hashes its handles' strings more than once."""
     lines = [f"{'calls':>7} {'rows out':>10} {'cells hashed':>13}  "
              "operator class"]
     offenders = []
+    once = sum(string_rows.values())
     for name, (is_source, calls, rows, hashed) in sorted(
             table.items(), key=lambda item: -item[1][3]):
-        bad = not is_source and hashed > 0 and 2 * hashed >= rows
+        if name == FromFrameSlice.__name__:
+            bad = hashed > once
+            note = (f"  (source; its handles' string columns hold {once} "
+                    "rows)" + ("  <-- re-hashes them" if bad else ""))
+        else:
+            bad = not is_source and hashed > 0 and 2 * hashed >= rows
+            note = ("  (source)" if is_source
+                    else "  <-- re-encodes" if bad else "")
         if bad:
             offenders.append(name)
-        note = "  (source)" if is_source else "  <-- re-encodes" if bad else ""
         lines.append(f"{calls:7d} {rows:10d} {hashed:13d}  {name}{note}")
     return lines, offenders
 
@@ -364,7 +393,8 @@ def main(argv=None) -> int:
                              "of profiling; exit 1 if any instance re-ran")
     parser.add_argument("--encodes", action="store_true",
                         help="count string cells hashed per operator class; "
-                             "exit 1 if a non-source operator re-encodes")
+                             "exit 1 if a non-source operator re-encodes or "
+                             "a source hashes its strings twice")
     parser.add_argument("--columns", action="store_true",
                         help="columns declared / required / carried and "
                              "chunks per source and execute(); exit 1 if a "
@@ -399,15 +429,15 @@ def main(argv=None) -> int:
               f"{median['columnar']:.4f}  columnar / row "
               f"{median['columnar'] / median['row']:.2f}")
     if args.encodes:
-        with count_encodes() as table:
+        with count_encodes() as (table, string_rows):
             iteration = iterate()
-        lines, offenders = encodes_report(table)
+        lines, offenders = encodes_report(table, string_rows)
         print(f"{args.workload} seed={args.seed} scale={args.scale}: "
               f"{iteration.counters['graph.n_subtasks']} subtasks")
         print("\n".join(lines))
         if offenders:
             print(f"FAIL: {', '.join(offenders)} hashed O(rows) cells: a "
-                  "dictionary was dropped on the way")
+                  "dictionary was dropped on the way or made twice")
         return 1 if offenders else 0
     if args.columns:
         with count_source_columns() as rows:
