@@ -3,8 +3,8 @@
 Runs TPC-H Q5 and a shuffle-heavy groupby at 100%, 50% and 25% of a
 "comfortable" per-worker budget (1.25x the workload's unconstrained
 per-worker peak), once with the full memory-pressure machinery
-(admission-controlled dispatch + the OOM recovery ladder) and once with
-it disabled (the no-backpressure seed engine). The full engine must
+(admission-controlled dispatch, one retry on another worker and
+memory-aware re-tiling) and once with it disabled (the no-backpressure seed engine). The full engine must
 complete every point with results identical to the unconstrained run;
 the seed engine is expected to OOM as the budget shrinks — the paper's
 "OOM or Killed" column in miniature.
@@ -75,7 +75,6 @@ def make_session(overrides: dict, memory_limit: int | None,
     if memory_limit is not None:
         cfg.cluster.memory_limit = memory_limit
     cfg.admission_control = full_engine
-    cfg.oom_recovery = full_engine
     return Session(cfg)
 
 
@@ -95,9 +94,7 @@ def run_point(workload, overrides: dict, memory_limit: int | None,
             "peak_memory": peak,
             "admission_wait_time": round(report.admission_wait_time, 4),
             "oom_retries": report.oom_retries,
-            "degraded_subtasks": report.degraded_subtasks,
             "pressure_splits": report.pressure_splits,
-            "forced_spill_bytes": report.forced_spill_bytes,
             "spilled_bytes": session.storage.spilled_bytes(),
         }
     finally:

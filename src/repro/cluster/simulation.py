@@ -40,16 +40,12 @@ class SimReport:
     recovery_bytes: int = 0
     #: virtual seconds of retry backoff charged to the simulated clock.
     backoff_time: float = 0.0
-    #: OOM-ladder retry attempts (force-spill / reschedule / degrade).
+    #: out-of-memory subtasks retried on another worker.
     oom_retries: int = 0
     #: virtual seconds subtasks waited for a memory admission grant.
     admission_wait_time: float = 0.0
-    #: subtasks executed under a degraded (serialized) worker.
-    degraded_subtasks: int = 0
-    #: memory-aware re-tiling passes taken after the OOM ladder ran dry.
+    #: memory-aware re-tiling passes taken after that retry failed too.
     pressure_splits: int = 0
-    #: bytes force-spilled by the OOM ladder's first rung.
-    forced_spill_bytes: int = 0
     #: chunks pruned from the graph by a result-cache hit.
     cache_hit_chunks: int = 0
     #: stored bytes those cache hits reused instead of recomputing.

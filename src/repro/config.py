@@ -9,7 +9,7 @@ cluster shape, and the cost model of the discrete-event simulation.
 Every field here is set by some test, bench, tool, example or baseline
 profile (``tests/test_said_once.py`` takes the census); a value nobody
 chooses differently is a constant next to the code that uses it, not a
-field (35 settable values across the four dataclasses). All four
+field (34 settable values across the four dataclasses). All four
 use ``__slots__``: assigning to a name that is not a field — a typo, or a
 knob a later change deleted — raises ``AttributeError`` instead of silently
 doing nothing.
@@ -147,18 +147,16 @@ class Config:
     #: Eager engines (Modin-like) materialize and pin every intermediate
     #: result instead — the accumulation that kills their workers at scale.
     eager_release: bool = True
-    #: memory-pressure backpressure: before a subtask starts, its
-    #: estimated footprint must be granted by the per-worker
-    #: ``MemoryAdmission`` ledger; when concurrent working sets would
-    #: exceed the worker budget the subtask *waits* in virtual time
-    #: (``admission_wait_time``) instead of dispatching into an OOM.
-    #: Off reproduces the seed engine's dispatch-and-pray behaviour.
+    #: memory-pressure control. Before a subtask starts, its estimated
+    #: footprint must be granted by the per-worker ``MemoryAdmission``
+    #: ledger; when concurrent working sets would exceed the worker
+    #: budget the subtask *waits* in virtual time
+    #: (``admission_wait_time``) instead of dispatching into an OOM. A
+    #: subtask that still hits WorkerOutOfMemory retries once on the
+    #: freest other worker, then (with ``dynamic_tiling`` on) the
+    #: session re-tiles with a halved chunk limit. Off reproduces the seed engine: no backpressure, and an
+    #: OOM is fatal.
     admission_control: bool = True
-    #: OOM recovery ladder: on WorkerOutOfMemory escalate through
-    #: force-spill → reschedule to the freest worker → degrade the worker
-    #: to serial execution → memory-aware re-tiling. Off makes OOM fatal
-    #: (the seed behaviour).
-    oom_recovery: bool = True
 
     # --- result cache -------------------------------------------------------
     #: expression-keyed result cache: a tileable whose key (operator

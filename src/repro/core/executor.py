@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from ..cluster.cluster import ClusterState
 from ..cluster.simulation import SimReport, fold_report
@@ -189,9 +189,9 @@ class GraphExecutor:
 
     Every session is a tenant of its cluster, alone or not: its stages
     take the cluster's turnstile, its service state (admission grants,
-    degraded workers, lifecycle refcounts, cache invalidation, worker
-    kills) is scoped by ``session_id``, its faults come from its own
-    ``faults`` injector, and its stages start from its own ``frontier``.
+    lifecycle refcounts, cache invalidation, worker kills) is scoped by
+    ``session_id``, its faults come from its own ``faults`` injector,
+    and its stages start from its own ``frontier``.
     """
 
     def __init__(self, cluster: ClusterState, storage: Any,
@@ -440,7 +440,7 @@ class GraphExecutor:
         # the gate reads no mutable shared state; it never affects any
         # simulated number (see memory_control.DispatchGate).
         gate = (
-            self.scheduling.dispatch_gate(order, self.session_id)
+            self.scheduling.dispatch_gate(order)
             if self.config.admission_control else None
         )
         system = self.cluster.actor_system
@@ -464,7 +464,7 @@ class GraphExecutor:
     def _run_subtask_with_recovery(
             self, subtask: Subtask, stage: _Stage,
             computed: SubtaskComputation | None) -> float:
-        """Retry loop around the OOM ladder.
+        """Retry loop around the guarded attempt (:meth:`_run_guarded`).
 
         Runs entirely on the accounting thread in both execution modes,
         so injection draws, retries, backoff and lineage recomputation
@@ -479,10 +479,10 @@ class GraphExecutor:
             factor = self.faults.squeeze_memory(subtask)
             if factor is not None:
                 # transient memory squeeze: the subtask's worker loses
-                # part of its budget for the whole admission/ladder span
-                # of this subtask, restored afterwards. Applied on the
-                # accounting thread, so serial and parallel runs squeeze
-                # identically.
+                # part of its budget for the whole admission/OOM-retry
+                # span of this subtask, restored afterwards. Applied on
+                # the accounting thread, so serial and parallel runs
+                # squeeze identically.
                 squeezed = self.cluster.memory[worker_of_band(subtask.band)]
                 squeezed_limit = squeezed.limit
                 squeezed.set_limit(max(1, int(squeezed_limit * factor)))
@@ -531,57 +531,36 @@ class GraphExecutor:
     def _run_guarded(self, subtask: Subtask, stage: _Stage,
                      computed: SubtaskComputation | None = None,
                      extra_delay: float = 0.0) -> float:
-        """The OOM recovery ladder around :meth:`_run_subtask`.
+        """:meth:`_run_subtask`, retried once on another worker.
 
-        On :class:`WorkerOutOfMemory`, climb :meth:`_oom_rungs` one rung
-        per failure and retry; out of rungs — or with ``oom_recovery``
-        off — the OOM bubbles to ``Session.execute``, which re-enters
-        dynamic tiling with a halved chunk limit (memory-aware
-        re-tiling, counted as ``pressure_splits``).
+        On :class:`WorkerOutOfMemory` a first run moves to the freest
+        other worker (its earliest-free band) and retries there, counted
+        as ``oom_retries``: the failed worker would fail the same way
+        again. A second OOM bubbles to ``Session.execute``, which
+        re-enters dynamic tiling with a halved chunk limit (memory-aware
+        re-tiling, counted as ``pressure_splits``); so does the first
+        one on a one-worker cluster, on a recovery re-execution (it
+        stays where its lineage put it), or with ``admission_control``
+        off.
 
-        Every rung runs on the accounting thread from deterministic
-        state, so the ladder's path — and all its counters — are
-        bit-identical between serial and parallel modes.
+        The move is decided on the accounting thread from deterministic
+        state, so it — and its counter — is bit-identical between serial
+        and parallel modes.
         """
-        rungs = (self._oom_rungs(subtask, stage)
-                 if self.config.oom_recovery else iter(()))
-        while True:
-            try:
-                return self._run_subtask(subtask, stage, computed,
-                                         extra_delay)
-            except WorkerOutOfMemory:
-                if next(rungs, None) is None:
-                    raise
-
-    def _oom_rungs(self, subtask: Subtask, stage: _Stage) -> Iterator[str]:
-        """The ladder, one rung per ``next``: each is applied when it is
-        reached, from the state the failed retry before it left behind,
-        and counts as one ``oom_retries``."""
-        worker = worker_of_band(subtask.band)
-        # force-spill every unpinned resident of the worker, retry in place.
+        try:
+            return self._run_subtask(subtask, stage, computed, extra_delay)
+        except WorkerOutOfMemory:
+            target = self.scheduling.freest_worker(
+                worker_of_band(subtask.band))
+            if (not self.config.admission_control or stage.recovering
+                    or target is None):
+                raise
         stage.report.oom_retries += 1
-        stage.report.forced_spill_bytes += self.storage.force_spill(worker)
-        yield "force-spill"
-        # reschedule onto the worker with the most free memory (its
-        # earliest-free band); a recovery re-execution stays where its
-        # lineage put it.
-        target = self.scheduling.freest_worker()
-        if target != worker and not stage.recovering:
-            stage.report.oom_retries += 1
-            bands = [b.name for b in self.cluster.bands if b.worker == target]
-            new_band = min(
-                bands,
-                key=lambda name: (self.cluster.clock.band_free[name], name),
-            )
-            self.scheduling.reassign(subtask, new_band)
-            worker = target
-            yield "reschedule"
-        # degrade the worker to one subtask at a time and retry under
-        # exclusive admission; a failure past this rung means the subtask
-        # cannot fit even alone — nothing is left but re-tiling.
-        stage.report.oom_retries += 1
-        self.scheduling.degrade(worker, self.session_id)
-        yield "degrade"
+        bands = [b.name for b in self.cluster.bands if b.worker == target]
+        self.scheduling.reassign(subtask, min(
+            bands, key=lambda name: (self.cluster.clock.band_free[name], name)
+        ))
+        return self._run_subtask(subtask, stage, computed, extra_delay)
 
     def _recover_lost(self, keys: list[str], stage: _Stage) -> None:
         """Re-execute the minimal lineage closure that restores ``keys``.
@@ -813,11 +792,11 @@ class GraphExecutor:
         # still respect the budget via spill.
         headroom = working_set
         if not stage.recovering:
-            # one scheduling message folds estimate → degraded-check →
-            # admit; the ledger still reserves the *estimated* footprint
-            # (what a real scheduler knows pre-execution), floored by
-            # the actual working set the simulator just measured.
-            decision, exclusive = self.scheduling.admit_subtask(
+            # one scheduling message folds estimate → admit; the ledger
+            # still reserves the *estimated* footprint (what a real
+            # scheduler knows pre-execution), floored by the actual
+            # working set the simulator just measured.
+            decision = self.scheduling.admit_subtask(
                 subtask, worker, working_set, ready_time,
                 tracker.used, tracker.limit,
                 allow_wait=self.config.admission_control,
@@ -825,8 +804,6 @@ class GraphExecutor:
                 quota=(max(1, int(self.memory_quota * tracker.limit))
                        if self.memory_quota > 0.0 else None),
             )
-            if exclusive:
-                stage.report.degraded_subtasks += 1
             stage.report.admission_wait_time += decision.wait
             # concurrent grants still active at our start count against
             # the budget: without backpressure this is exactly how the
@@ -837,9 +814,6 @@ class GraphExecutor:
             # the seed engine's own check).
             headroom += decision.active
         if not tracker.can_fit(headroom):
-            if not self.config.spill_to_disk:
-                raise WorkerOutOfMemory(worker, headroom, tracker.limit,
-                                        tracker.used)
             self.storage.ensure_free(worker, headroom)
         tracker.note_transient(working_set)
         return decision

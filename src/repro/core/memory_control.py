@@ -1,5 +1,5 @@
 """Memory-pressure control: admission ledger, footprint estimation,
-OOM-degradation state, and the wall-clock dispatch gate.
+the OOM reschedule target, and the wall-clock dispatch gate.
 
 The paper's headline robustness claim (Table II, "OOM or Killed") is
 that the engine *completes* memory-hungry workloads where eager
@@ -22,10 +22,9 @@ dataframe systems die. This module supplies the machinery:
   is then admitted even oversubscribed (``forced_admissions``) — a
   budget smaller than any two subtasks serializes instead of deadlocking.
 
-- :class:`MemoryPressure` — the facade the executor owns. It also holds
-  the degraded-worker set (the OOM ladder's third rung: a degraded
-  worker runs one subtask at a time, i.e. admission drains to zero
-  active grants before every start).
+- :class:`MemoryPressure` — the facade the executor owns. It also names
+  the freest other worker, where a subtask that ran out of memory
+  retries once before the session re-tiles.
 
 - :class:`DispatchGate` — the wall-clock mirror of the ledger for the
   parallel band runner: pool threads must not *actually* run N kernels
@@ -178,7 +177,7 @@ class AdmissionDecision:
         #: concurrent granted bytes still active at ``start``.
         self.active = active
         #: admitted oversubscribed after draining every grant — the
-        #: deadlock guard fired (caller escalates to spill / the ladder).
+        #: deadlock guard fired (caller escalates to spill / OOM retry).
         self.forced = forced
         #: the session this grant belongs to.
         self.session = session
@@ -230,7 +229,6 @@ class MemoryAdmission:
 
     def admit(self, worker: str, nbytes: int, ready_time: float,
               used: int, limit: int, allow_wait: bool, *, session: str,
-              exclusive: bool = False,
               quota: int | None = None) -> AdmissionDecision:
         """Grant ``nbytes`` on ``worker`` no earlier than ``ready_time``.
 
@@ -240,11 +238,6 @@ class MemoryAdmission:
         the earliest-ending grants until ``used + active + nbytes``
         fits — or every grant has ended, at which point the lone waiter
         is admitted even oversubscribed (the deadlock guard).
-
-        ``exclusive`` (degraded worker) drains this *session's* grants
-        to zero first — one of the tenant's subtasks at a time. Other
-        tenants' grants are untouched: a degraded tenant never
-        serializes its neighbours.
 
         ``quota`` caps the bytes this ``session`` may hold concurrently
         on the worker. A tenant at its quota waits for its own grants to
@@ -265,12 +258,7 @@ class MemoryAdmission:
                 return False
             return True
 
-        if exclusive:
-            for end, _, sess in grants:
-                if end > start and sess == session:
-                    start = end
-            active = sum(n for end, n, _ in grants if end > start)
-        elif allow_wait:
+        if allow_wait:
             ends = sorted(end for end, _, _ in grants if end > start)
             for end in ends:
                 if fits():
@@ -281,7 +269,7 @@ class MemoryAdmission:
                     own = sum(n for e, n, s in grants
                               if e > start and s == session)
         forced = used + active + nbytes > limit
-        if forced and (allow_wait or exclusive):
+        if forced and allow_wait:
             self.forced_admissions += 1
         wait = start - ready_time
         self.total_wait += wait
@@ -296,58 +284,27 @@ class MemoryAdmission:
 
 
 class MemoryPressure:
-    """Facade owned by the executor: estimator + ledger + degradation."""
+    """Facade owned by the executor: estimator + ledger."""
 
     def __init__(self, config: "Config", cluster: "ClusterState",
                  meta: "MetaService", storage: "StorageService"):
-        self.config = config
         self.cluster = cluster
         self.estimator = FootprintEstimator(config, meta, storage)
         self.admission = MemoryAdmission()
-        #: session -> workers that session's OOM ladder degraded to
-        #: serial one-subtask-at-a-time execution; sticky for the rest of
-        #: the session, and scoped to it so one session's ladder never
-        #: serializes another's subtasks.
-        self._degraded: dict[str, set[str]] = {}
-        self._degraded_lock = threading.Lock()
 
-    def degrade(self, worker: str, session: str) -> bool:
-        """Mark a worker serialized for ``session``; returns False if it
-        already was."""
-        with self._degraded_lock:
-            degraded = self._degraded.setdefault(session, set())
-            if worker in degraded:
-                return False
-            degraded.add(worker)
-            return True
+    def freest_worker(self, other_than: str) -> str | None:
+        """The worker other than ``other_than`` with the most available
+        budget (deterministic name tie-break) — where a subtask that ran
+        out of memory on ``other_than`` retries. ``None`` on a
+        one-worker cluster."""
+        others = [t for t in self.cluster.memory.values()
+                  if t.worker != other_than]
+        if not others:
+            return None
+        return min(others,
+                   key=lambda t: (-(t.limit - t.used), t.worker)).worker
 
-    def is_degraded(self, worker: str, session: str) -> bool:
-        with self._degraded_lock:
-            return worker in self._degraded.get(session, ())
-
-    def drop_session(self, session: str) -> None:
-        """Forget a closed session's degraded-worker set."""
-        with self._degraded_lock:
-            self._degraded.pop(session, None)
-
-    @property
-    def degraded_workers(self) -> set[str]:
-        with self._degraded_lock:
-            out: set[str] = set()
-            for workers in self._degraded.values():
-                out |= workers
-            return out
-
-    def freest_worker(self) -> str:
-        """The worker with the most available budget (deterministic
-        name tie-break) — the OOM ladder's reschedule target."""
-        return min(
-            self.cluster.memory.values(),
-            key=lambda t: (-(t.limit - t.used), t.worker),
-        ).worker
-
-    def dispatch_gate(self, order: list[Subtask],
-                      session: str) -> "DispatchGate":
+    def dispatch_gate(self, order: list[Subtask]) -> "DispatchGate":
         """A wall-clock gate for one stage, with estimates snapshotted
         on the accounting thread before the band runner starts."""
         estimates = {s.key: self.estimator.estimate(s) for s in order}
@@ -355,7 +312,7 @@ class MemoryPressure:
             name: tracker.limit
             for name, tracker in self.cluster.memory.items()
         }
-        return DispatchGate(estimates, limits, self, session)
+        return DispatchGate(estimates, limits)
 
 
 class DispatchGate:
@@ -369,12 +326,9 @@ class DispatchGate:
     progresses.
     """
 
-    def __init__(self, estimates: dict[str, int], limits: dict[str, int],
-                 pressure: MemoryPressure, session: str):
+    def __init__(self, estimates: dict[str, int], limits: dict[str, int]):
         self._estimates = estimates
         self._limits = limits
-        self._pressure = pressure
-        self._session = session
         self._inflight_bytes: dict[str, int] = {}
         self._inflight_count: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -389,8 +343,6 @@ class DispatchGate:
             count = self._inflight_count.get(worker, 0)
             if count == 0:
                 pass  # idle-worker guard: always admit
-            elif self._pressure.is_degraded(worker, self._session):
-                return False
             elif limit is not None and (
                 self._inflight_bytes.get(worker, 0) + estimate > limit
             ):

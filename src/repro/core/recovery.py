@@ -153,7 +153,7 @@ class FaultInjector:
         Returns the factor to multiply the worker's memory limit by for
         the duration of the subtask's admission/execution, or ``None``.
         Drawn once per subtask (not per attempt): the squeeze models
-        external pressure lasting across the OOM ladder's retries.
+        external pressure lasting across the subtask's OOM retry.
         """
         ident = ("mem_squeeze", subtask.stage_index, subtask.priority)
         factor = self._scripted_squeeze.pop(ident, None)

@@ -19,8 +19,8 @@ cluster-scoped singletons deployed once; each session adds only its own
 chunk/shuffle keys become ``session-N/c-00000042`` so sessions can never
 collide in storage or shuffle accounting), takes the cluster's weighted
 fair-share turnstile for every stage it accounts, owns its fault
-injector (``session.faults``), and scopes its OOM degradation,
-admission grants, lifecycle refcounts and cache invalidation to itself.
+injector (``session.faults``), and scopes its admission grants,
+lifecycle refcounts and cache invalidation to itself.
 
 Virtual time is the session's own: its stages start at its
 ``frontier`` — the latest completion of any subtask it accounted,
@@ -57,14 +57,26 @@ from ..services import session_actor_uid
 from ..services.deploy import ServiceHandles, deploy_cluster_services
 from ..utils import key_namespace
 from .executor import GraphExecutor
+from .memory_control import PEAK_FACTOR
 from .pruning import prune_columns
 from .recovery import FaultInjector
 from .tiler import TilingEngine, build_tileable_graph
 
 
-#: how many times one ``execute`` may halve ``chunk_store_limit`` and
-#: re-tile after the executor's OOM ladder is exhausted.
-PRESSURE_RETILE_LIMIT = 3
+def retile_pays(oom: WorkerOutOfMemory, chunk_limit: int) -> bool:
+    """Whether halving ``chunk_limit`` can help the run that raised ``oom``.
+
+    Re-tiling shrinks working sets, not the data a worker already holds,
+    and a working set only down to chunk size. So it pays while the
+    failing request outweighs the worker's residents and overshoots the
+    budget by no more than the working set of a subtask that reads one
+    chunk at the limit and writes one. Past that the subtask is big from
+    fan-in, and smaller chunks only widen the fan-in. A limit of one byte
+    cannot halve.
+    """
+    overshoot = oom.requested + oom.used - oom.limit
+    return (1 < chunk_limit and oom.used < oom.requested
+            and overshoot <= PEAK_FACTOR * 2 * chunk_limit)
 
 
 @dataclass
@@ -93,15 +105,12 @@ class RunReport:
     recomputed_subtasks: int = 0
     recovery_bytes: int = 0
     backoff_time: float = 0.0
-    #: memory pressure (zero in unconstrained runs): OOM-ladder retries,
-    #: virtual seconds of admission backpressure, subtasks run on
-    #: degraded (serialized) workers, memory-aware re-tiling passes,
-    #: bytes force-spilled by the ladder.
+    #: memory pressure (zero in unconstrained runs): out-of-memory
+    #: subtasks retried on another worker, virtual seconds of
+    #: admission backpressure, memory-aware re-tiling passes.
     oom_retries: int = 0
     admission_wait_time: float = 0.0
-    degraded_subtasks: int = 0
     pressure_splits: int = 0
-    forced_spill_bytes: int = 0
     #: result cache (zero with ``result_cache`` off): stored chunks the
     #: plan was bound to by a hit, and the bytes they reused.
     cache_hit_chunks: int = 0
@@ -304,30 +313,31 @@ class SessionActor(Actor):
         pretiled = {node.key for node in graph.nodes() if node.is_tiled}
         stored_before = set(self.services.storage.all_keys())
         saved_chunk_limit = self.config.chunk_store_limit
-        # memory-aware re-tiling (the OOM ladder's last rung): when the
-        # executor's in-place recovery is exhausted, halve the chunk
-        # limit and re-enter dynamic tiling — smaller chunks mean
-        # smaller working sets, the paper's Section IV machinery pointed
-        # at robustness instead of performance.
-        retile_attempts = 0
+        # memory-aware re-tiling: when the executor's retry on another
+        # worker OOMs too, halve the chunk limit and re-enter dynamic
+        # tiling — smaller chunks mean smaller working sets, the paper's
+        # Section IV machinery pointed at robustness instead of
+        # performance. Static tiling (the baseline profiles) keeps its
+        # chunks and dies of the OOM.
+        retiled = False
         try:
             while True:
                 self.services.lifecycle.reset_plan(session=session)
-                if retile_attempts:
+                if retiled:
                     graph = build_tileable_graph(tileables)
                 try:
                     self.executor.execute(self.tiler.tile(graph, tileables))
                     return stored_before
-                except WorkerOutOfMemory:
-                    retile_attempts += 1
-                    if (not self.config.oom_recovery
-                            or retile_attempts > PRESSURE_RETILE_LIMIT):
+                except WorkerOutOfMemory as oom:
+                    limit = self.config.chunk_store_limit
+                    if not (self.config.admission_control
+                            and self.config.dynamic_tiling
+                            and retile_pays(oom, limit)):
                         raise
+                    retiled = True
                     self.executor.report.pressure_splits += 1
                     self._reset_for_retile(graph, pretiled, stored_before)
-                    self.config.chunk_store_limit = max(
-                        1, self.config.chunk_store_limit // 2
-                    )
+                    self.config.chunk_store_limit = limit // 2
         finally:
             self.config.chunk_store_limit = saved_chunk_limit
 
@@ -430,7 +440,7 @@ class SessionActor(Actor):
         Deletes this session's stored chunks — except ones the shared
         result cache points at, which stay behind as warm cross-session
         state — and drops its scoped service state (lifecycle scope,
-        degraded-worker set, cache stats, fair-share registration).
+        cache stats, fair-share registration).
         """
         prefix = f"{self.session_id}/"
         protected = set(self.services.lifecycle.cache_protected())
@@ -439,7 +449,6 @@ class SessionActor(Actor):
             if key.startswith(prefix) and key not in protected
         )
         self.services.lifecycle.drop_session(self.session_id)
-        self.services.scheduling.drop_session(self.session_id)
         self.services.cache.drop_session(self.session_id)
         self.cluster.turnstile.unregister(self.session_id)
 

@@ -128,21 +128,16 @@ def recovery_report(session: Session) -> str:
 
 
 def pressure_report(session: Session) -> str:
-    """Memory-pressure state: backpressure, OOM ladder, re-tiling."""
+    """Memory-pressure state: backpressure, OOM retries, re-tiling."""
     report = session.executor.report
     pressure = session.executor.pressure
     lines = [
         "memory pressure:",
         f"  admission wait:      {report.admission_wait_time:.4f}s",
         f"  forced admissions:   {pressure.admission.forced_admissions}",
-        f"  oom ladder retries:  {report.oom_retries}",
-        f"  forced spill:        {human_bytes(report.forced_spill_bytes)}",
-        f"  degraded subtasks:   {report.degraded_subtasks}",
+        f"  oom retries:         {report.oom_retries}",
         f"  re-tiling passes:    {report.pressure_splits}",
     ]
-    degraded = sorted(pressure.degraded_workers)
-    if degraded:
-        lines.append(f"  degraded workers:    {', '.join(degraded)}")
     return "\n".join(lines)
 
 
@@ -261,6 +256,6 @@ def session_summary(session: Session) -> str:
     if report.retries or report.recomputed_subtasks:
         parts.append(recovery_report(session))
     if (report.admission_wait_time or report.oom_retries
-            or report.pressure_splits or report.degraded_subtasks):
+            or report.pressure_splits):
         parts.append(pressure_report(session))
     return "\n\n".join(parts)

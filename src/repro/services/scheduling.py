@@ -3,9 +3,8 @@
 Places subtasks on bands (Section V-B: breadth-first initial placement,
 locality-aware successor placement) and fronts the
 :class:`~repro.core.memory_control` subsystem (footprint estimator,
-admission ledger, degraded-worker state, dispatch gates) behind one
-flat message interface — what the paper's supervisor-side scheduling
-service owns.  The :class:`GraphExecutor` talks to this service
+admission ledger, dispatch gates) behind one flat message interface —
+what the paper's supervisor-side scheduling service owns.  The :class:`GraphExecutor` talks to this service
 (directly or through the ``service/scheduling`` actor ref) instead of
 reaching into pressure internals.
 """
@@ -132,7 +131,7 @@ class SchedulingService:
     def reassign(self, subtask, band: str) -> None:
         """Move a subtask (and its future outputs) to another band.
 
-        Used by the OOM ladder's reschedule rung: the estimated load
+        Used by the out-of-memory retry: the estimated load
         follows the subtask, and output placements are re-recorded so
         locality follows the data to its new home.
         """
@@ -165,19 +164,15 @@ class SchedulingService:
                       allow_wait: bool, session: str, quota: int | None):
         """One message for the executor's whole admission round-trip.
 
-        Folds estimate → degraded-check → admit into a single call;
-        returns ``(decision, exclusive)``.  The ledger request is the
-        estimated footprint floored by the measured working set, exactly
-        as the three separate calls computed it.
+        Folds estimate → admit into a single call and returns the
+        decision.  The ledger request is the estimated footprint floored
+        by the measured working set.
         """
         request = max(working_set, self._pressure.estimator.estimate(subtask))
-        exclusive = self._pressure.is_degraded(worker, session)
-        decision = self._pressure.admission.admit(
+        return self._pressure.admission.admit(
             worker, request, ready_time, used, limit,
-            allow_wait=allow_wait, exclusive=exclusive,
-            session=session, quota=quota,
+            allow_wait=allow_wait, session=session, quota=quota,
         )
-        return decision, exclusive
 
     def finish_subtask(self, decision, end: float, subtask, sizes) -> None:
         """One message for the post-subtask scheduling epilogue.
@@ -191,18 +186,11 @@ class SchedulingService:
         self.note_completed(subtask)
 
     # -- pressure state ----------------------------------------------------
-    def degrade(self, worker: str, session: str) -> None:
-        self._pressure.degrade(worker, session)
+    def freest_worker(self, other_than: str) -> str | None:
+        return self._pressure.freest_worker(other_than)
 
-    def freest_worker(self) -> str:
-        return self._pressure.freest_worker()
-
-    def dispatch_gate(self, order, session: str):
-        return self._pressure.dispatch_gate(order, session)
-
-    def drop_session(self, session: str) -> None:
-        """A session left the cluster: forget its degraded workers."""
-        self._pressure.drop_session(session)
+    def dispatch_gate(self, order):
+        return self._pressure.dispatch_gate(order)
 
     # -- introspection -----------------------------------------------------
     def memory_pressure(self) -> MemoryPressure:

@@ -87,17 +87,6 @@ class StorageService:
         with self._lock:
             self._workers[worker].ensure_free(nbytes)
 
-    def force_spill(self, worker: str) -> int:
-        """Evict every unpinned memory-resident chunk of ``worker`` to disk.
-
-        The OOM recovery ladder's first rung: empties the worker's memory
-        tier (minus in-flight pins) so the failing subtask can retry in
-        place. Returns the bytes moved; the worker charges them to its
-        forced-spill counter, not the LRU spill metric.
-        """
-        with self._lock:
-            return self._workers[worker].force_spill()
-
     # -- reads ------------------------------------------------------------
     def get(self, key: str, requesting_worker: str) -> AccessInfo:
         """Fetch a chunk from wherever it lives.
@@ -278,12 +267,6 @@ class StorageService:
         """Bytes spilled by admissions that still ended out-of-memory."""
         with self._lock:
             return sum(unit.failed_admission_spill_bytes
-                       for unit in self._workers.values())
-
-    def forced_spill_bytes(self) -> int:
-        """Bytes evicted by the OOM ladder's force-spill rung."""
-        with self._lock:
-            return sum(unit.forced_spill_bytes
                        for unit in self._workers.values())
 
     def memory_bytes(self, worker: str) -> int:

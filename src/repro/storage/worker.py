@@ -37,8 +37,6 @@ class WorkerStorage:
         self.spilled_bytes = 0
         #: bytes spilled by admissions that still ended out-of-memory.
         self.failed_admission_spill_bytes = 0
-        #: bytes evicted by the OOM ladder's force-spill rung.
-        self.forced_spill_bytes = 0
 
     def put(self, key: str, value: Any, nbytes: int,
             level: StorageLevel = StorageLevel.MEMORY) -> None:
@@ -46,14 +44,14 @@ class WorkerStorage:
         if level == StorageLevel.DISK:
             self.disk[key] = StoredItem(value, nbytes)
             return
-        if not self.tracker.can_fit(nbytes) and self.config.spill_to_disk:
+        if not self.tracker.can_fit(nbytes):
             self.ensure_free(nbytes)
-        self.tracker.allocate(nbytes)  # raises WorkerOutOfMemory if full
+        self.tracker.allocate(nbytes)
         self.memory[key] = StoredItem(value, nbytes)
 
     def ensure_free(self, nbytes: int) -> None:
         """Move least-recently-used *unpinned* chunks to disk until
-        ``nbytes`` fit.
+        ``nbytes`` fit (with ``spill_to_disk`` off, none move).
 
         If the budget still cannot fit after spilling every candidate,
         the partial spill is charged to the failed-admission counter
@@ -61,7 +59,8 @@ class WorkerStorage:
         :class:`WorkerOutOfMemory` propagates.
         """
         spilled_now = 0
-        for key in list(self.memory):
+        victims = list(self.memory) if self.config.spill_to_disk else []
+        for key in victims:
             if self.tracker.can_fit(nbytes):
                 break
             if key not in self._pins:
@@ -72,19 +71,6 @@ class WorkerStorage:
             self.failed_admission_spill_bytes += spilled_now
             raise WorkerOutOfMemory(self.worker, nbytes, self.tracker.limit,
                                     self.tracker.used)
-
-    def force_spill(self) -> int:
-        """Evict every unpinned memory-resident chunk to disk.
-
-        The OOM recovery ladder's first rung; returns the bytes moved
-        (charged to the forced-spill counter, not the LRU one).
-        """
-        if not self.config.spill_to_disk:
-            return 0
-        spilled = sum(self._spill(key) for key in list(self.memory)
-                      if key not in self._pins)
-        self.forced_spill_bytes += spilled
-        return spilled
 
     def _spill(self, key: str) -> int:
         item = self.disk[key] = self.memory.pop(key)

@@ -230,26 +230,62 @@ def scenarios() -> list[tuple[str, dict]]:
                 {"workload": name, "parallel": parallel,
                  "faults": dict(CHAOS), **overrides},
             ))
-    # memory squeeze: quartered budget forces admission waits and spill.
-    base = Config()
-    squeezed = max(1, base.cluster.memory_limit // 4)
+    # memory squeeze: a budget of SQUEEZE x the plain run's largest
+    # per-worker peak (``run_scenario`` resolves it).
     for parallel in (False, True):
         mode = "parallel" if parallel else "serial"
         _, overrides = WORKLOADS["groupby_shuffle"]
         out.append((
             f"groupby_shuffle/squeezed/{mode}",
             {"workload": "groupby_shuffle", "parallel": parallel,
-             "memory_limit": squeezed, **overrides},
+             "squeeze": SQUEEZE, **overrides},
         ))
     return out
+
+
+#: the squeezed scenarios' budget as a fraction of the plain run's
+#: largest per-worker peak. From 0.26 up the squeeze only spills; 0.22 to
+#: 0.25 also fail a subtask on two workers and re-tile once; 0.21 is
+#: fatal.
+SQUEEZE = 0.23
+
+
+@functools.cache
+def plain_peak(workload: str) -> int:
+    """The largest per-worker peak of ``workload``'s plain serial run."""
+    _, overrides = WORKLOADS[workload]
+    report = run_scenario({"workload": workload, **overrides})
+    return max(report["sim"]["peak_memory"].values())
+
+
+def check_fires(name: str, report: dict) -> None:
+    """A scenario fires what it names: a squeeze spills and re-tiles, and
+    chaos retries or recomputes."""
+    sim, run = report["sim"], report["run"]
+    if "/squeezed/" in name:
+        assert run["spilled_bytes"] > 0 and sim["pressure_splits"] >= 1, (
+            f"{name} squeezed nothing")
+    if "/chaos/" in name:
+        assert sim["retries"] + sim["recomputed_subtasks"] > 0, (
+            f"{name} recovered from nothing")
+
+
+def scenario_config(spec: dict) -> tuple[str, Config]:
+    """A scenario's workload name and session config; a ``squeeze``
+    becomes the budget it names."""
+    spec = dict(spec)
+    name = spec.pop("workload")
+    squeeze = spec.pop("squeeze", None)
+    if squeeze is not None:
+        spec["memory_limit"] = int(squeeze * plain_peak(name))
+    return name, make_config(**spec)
 
 
 def run_scenario(spec: dict, lone_tenant: bool = False) -> dict:
     """Run one scenario in a session that builds its own cluster, or —
     ``lone_tenant`` — as the only tenant of a cluster built beside it."""
-    spec = dict(spec)
-    workload, _ = WORKLOADS[spec.pop("workload")]
-    cfg = make_config(**spec)
+    name, cfg = scenario_config(spec)
+    workload, _ = WORKLOADS[name]
     cluster = ClusterState(cfg) if lone_tenant else None
     try:
         with Session(cfg, cluster=cluster) as session, \

@@ -1,7 +1,8 @@
-"""Memory-pressure suite: admission ledger, OOM ladder, re-tiling.
+"""Memory-pressure suite: admission ledger, OOM retry, re-tiling.
 
 The contract under test (DESIGN.md §Memory pressure): with admission
-control and the OOM recovery ladder on, workloads complete — with
+control on (backpressure, one retry on another worker, re-tiling),
+workloads complete — with
 results identical to an unconstrained run — at worker budgets where the
 no-backpressure engine dies; backpressure is charged to virtual time
 (``admission_wait_time``) deterministically in both execution modes; and
@@ -15,6 +16,8 @@ import pytest
 from repro import frame as pf
 from repro.config import Config
 from repro.core import Session
+from repro.core import session as session_module
+from repro.core.executor import GraphExecutor
 from repro.core.memory_control import (
     PEAK_FACTOR,
     FootprintEstimator,
@@ -24,6 +27,7 @@ from repro.core.memory_control import (
 )
 from repro.core.meta import ChunkMeta, MetaService
 from repro.core.operator import Operator
+from repro.core.session import retile_pays
 from repro.cluster import ClusterState
 from repro.dataframe import from_frame
 from repro.errors import WorkerOutOfMemory
@@ -86,8 +90,8 @@ def groupby_shuffle(session: Session):
     return from_frame(local, session).groupby("k").agg({"v": "sum"}).fetch()
 
 
-def tpch_q5(session: Session):
-    tables = generate_tables(sf=1.0, seed=7)
+def tpch_q5(session: Session, sf: float = 1.0):
+    tables = generate_tables(sf=sf, seed=7)
     handles = {
         name: from_frame(frame, session) for name, frame in tables.items()
     }
@@ -214,17 +218,6 @@ class TestMemoryAdmission:
                                 allow_wait=False, session="s")
         assert decision.start == 1.0 and decision.active == 800
 
-    def test_exclusive_drains_everything(self):
-        ledger = MemoryAdmission()
-        for end in (2.0, 6.0):
-            d = ledger.admit("w", 10, 0.0, used=0, limit=1_000,
-                             allow_wait=True, session="s")
-            ledger.commit(d, end)
-        decision = ledger.admit("w", 10, 1.0, used=0, limit=1_000,
-                                allow_wait=True, session="s",
-                                exclusive=True)
-        assert decision.start == 6.0 and decision.active == 0
-
     def test_begin_stage_clears_grants(self):
         ledger = MemoryAdmission()
         for end in (99.0, 120.0):
@@ -295,7 +288,7 @@ class TestAdmissionBackpressure:
             verify_memory_invariants(tight)
         assert_same_result(actual, expected)
         with make_session(memory_limit=self.LIMIT, admission_control=False,
-                          oom_recovery=False, **self.GROUPBY) as seedlike:
+                          **self.GROUPBY) as seedlike:
             with pytest.raises(WorkerOutOfMemory):
                 groupby_shuffle(seedlike)
 
@@ -310,9 +303,7 @@ class TestAdmissionBackpressure:
                     report.makespan,
                     report.admission_wait_time,
                     report.oom_retries,
-                    report.degraded_subtasks,
                     report.pressure_splits,
-                    report.forced_spill_bytes,
                     dict(report.peak_memory),
                 )
                 verify_memory_invariants(session)
@@ -321,24 +312,76 @@ class TestAdmissionBackpressure:
 
 
 class TestOOMLadder:
-    def test_ladder_escalates_to_retile_and_completes(self):
+    """Each rung in front of a fatal OOM is named by a point it rescues:
+    with the rung taken out, that point dies."""
+
+    Q5_LIMIT = {"chunk_limit": 64 * 1024}
+
+    def test_ladder_escalates_to_retile_and_completes(self, monkeypatch):
         with make_session() as free:
             expected = tensor_fanout_exact(free)
         with make_session(memory_limit=16 * 1024) as tight:
             actual = tensor_fanout_exact(tight)
-            report = tight.executor.report
-            assert report.oom_retries > 0
-            assert report.degraded_subtasks > 0
-            assert report.pressure_splits >= 1
-            assert tight.last_report.pressure_splits >= 1
             verify_memory_invariants(tight)
         assert_same_result(actual, expected)
-
-    def test_oom_recovery_off_is_fatal(self):
-        with make_session(memory_limit=16 * 1024,
-                          oom_recovery=False) as session:
+        monkeypatch.setattr(session_module, "retile_pays",
+                            lambda oom, chunk_limit: False)
+        with make_session(memory_limit=16 * 1024) as tight:
             with pytest.raises(WorkerOutOfMemory):
-                tensor_fanout_exact(session)
+                tensor_fanout_exact(tight)
+
+    def test_retry_on_another_worker_completes(self, monkeypatch):
+        """q5 at sf 0.5 with 0.1x its comfortable 86,016 B budget:
+        re-tiling alone runs out of chunk to halve."""
+        with make_session(**self.Q5_LIMIT) as free:
+            expected = tpch_q5(free, sf=0.5)
+        with make_session(memory_limit=8_601, **self.Q5_LIMIT) as tight:
+            actual = tpch_q5(tight, sf=0.5)
+            verify_memory_invariants(tight)
+        assert_same_result(actual, expected)
+        monkeypatch.setattr(GraphExecutor, "_run_guarded",
+                            GraphExecutor._run_subtask)
+        with make_session(memory_limit=8_601, **self.Q5_LIMIT) as tight:
+            with pytest.raises(WorkerOutOfMemory):
+                tpch_q5(tight, sf=0.5)
+
+    def test_retile_halves_past_chunks_already_below_the_limit(self):
+        """At 0.25x the comfortable budget, q5 sf 0.25 fails the same
+        request at 64, 32 and 16 KiB, whose limits are all above its
+        12 KB source chunk; the fourth halving (to 4 KiB) completes."""
+        with make_session(**self.Q5_LIMIT) as free:
+            expected = tpch_q5(free, sf=0.25)
+        with make_session(memory_limit=12_288, **self.Q5_LIMIT) as tight:
+            actual = tpch_q5(tight, sf=0.25)
+            assert tight.last_report.pressure_splits == 4
+        assert_same_result(actual, expected)
+
+    def test_retile_pays_only_where_chunking_shrinks_the_request(self):
+        # 11,712 B over the budget; one chunk in and one out at a limit of
+        # 3,904 B weigh PEAK_FACTOR * 7,808 = 11,712 B.
+        oom = WorkerOutOfMemory("worker-0", requested=24_000, limit=12_288,
+                                used=0)
+        assert retile_pays(oom, 8_000)
+        assert retile_pays(oom, 3_904)
+        assert not retile_pays(oom, 3_903)
+        # fan-in: resident bytes count toward the overshoot (8,659 B here).
+        fan_in = WorkerOutOfMemory("worker-3", requested=18_804,
+                                   limit=10_649, used=504)
+        assert not retile_pays(fan_in, 1_000)
+        # a worker full of stored chunks (spill off): re-tiling would
+        # only make room for more of them.
+        full = WorkerOutOfMemory("worker-0", requested=12_096, limit=40_000,
+                                 used=32_256)
+        assert not retile_pays(full, 4_000)
+        # a one-byte limit cannot halve, however small the overshoot.
+        assert not retile_pays(WorkerOutOfMemory("w", 2, 1, 0), 1)
+
+    def test_static_tiling_does_not_retile(self):
+        with make_session(memory_limit=16 * 1024,
+                          dynamic_tiling=False) as tight:
+            with pytest.raises(WorkerOutOfMemory):
+                tensor_fanout_exact(tight)
+            assert tight.executor.report.pressure_splits == 0
 
     def test_scripted_squeeze_fires_once_and_recovers(self):
         with make_session() as free:
@@ -395,8 +438,7 @@ class TestShrinkingBudgetSweep:
             try:
                 with make_session(chunk_limit=64 * 1024,
                                   memory_limit=limk * 1024,
-                                  admission_control=admission,
-                                  oom_recovery=admission) as session:
+                                  admission_control=admission) as session:
                     tpch_q5(session)
                     verify_memory_invariants(session)
                 floor = limk

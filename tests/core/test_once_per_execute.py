@@ -215,13 +215,16 @@ class TestNoLeak:
         assert value == np.arange(2048 * 8).sum() * 2 + 2048 * 8
 
     def test_held_chunks_are_not_pinned(self):
-        # a chunk held for a later stage is still a spill victim.
+        # a chunk held for a later stage is still a spill victim: asking
+        # each worker for its whole budget spills everything it holds.
         workload, overrides = WORKLOADS["groupby_shuffle"]
         with make_session(**overrides) as session:
             workload(session)
-            for worker in session.cluster.workers:
-                assert session.storage.force_spill(worker.name) >= 0
             assert not session.storage.pinned_keys()
+            for worker in session.cluster.workers:
+                tracker = session.cluster.memory[worker.name]
+                session.storage.ensure_free(worker.name, tracker.limit)
+                assert tracker.used == 0
 
 
 class TestSiblingRecovery:

@@ -25,6 +25,7 @@ import pytest
 from tests.core.golden_harness import (
     GOLDEN_PATH,
     WORKLOADS,
+    check_fires,
     make_session,
     run_scenario,
     scenarios,
@@ -58,6 +59,7 @@ class TestGoldenReports:
     )
     def test_report_bit_identical(self, name, spec):
         got = json.loads(json.dumps(run_scenario(spec)))
+        check_fires(name, got)
         assert got == GOLDENS[name], (
             f"scenario {name} diverged from the pre-refactor engine"
         )

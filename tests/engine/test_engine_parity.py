@@ -9,7 +9,7 @@ serial and process execution modes.
 
 The scenarios replayed here are exactly the 14 golden scenarios of
 ``tests/core/golden_harness.scenarios()`` — the tier-1 workloads
-fault-free, under seeded chaos, and under a quartered memory budget.
+fault-free, under seeded chaos, and under a squeezed memory budget.
 The row engine's bit-identity against the committed goldens is covered
 by ``tests/core/test_service_plane.py``; this suite pins the columnar
 engine to the row engine.
@@ -26,9 +26,11 @@ from tests.core.golden_harness import (
     collect_report,
     make_session,
     record_plan,
+    scenario_config,
     scenarios,
 )
 
+from repro.core import Session
 from repro.frame import DataFrame, Series
 from repro.frame.dtypes import values_equal
 
@@ -47,9 +49,9 @@ TOPOLOGY_FIELDS = (
 
 
 def run_with_engine(spec: dict, engine: str):
-    spec = dict(spec)
-    workload, _ = WORKLOADS[spec.pop("workload")]
-    with make_session(chunk_engine=engine, **spec) as session:
+    name, cfg = scenario_config({**spec, "chunk_engine": engine})
+    workload, _ = WORKLOADS[name]
+    with Session(cfg) as session:
         value = workload(session)
         report = collect_report(session)
     return value, report
@@ -87,7 +89,7 @@ class TestColumnarMatchesRow:
 
         assert_values_identical(row_value, col_value)
 
-        # Under a quartered memory budget the *byte* sizes of chunks
+        # Under the squeezed memory budget the *byte* sizes of chunks
         # drive admission, spill and pressure splits — columnar chunks
         # are smaller, so the squeeze trajectory may legitimately
         # differ.  Everywhere else structure is pinned.

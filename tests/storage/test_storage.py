@@ -1,5 +1,7 @@
 """Unit tests for the storage service and shuffle manager."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,17 @@ def make_service(memory_limit=10_000, spill=True, n_workers=2):
     cfg.spill_to_disk = spill
     cluster = ClusterState(cfg)
     return StorageService(cluster, cfg), cluster
+
+
+def force_spill(service, worker):
+    """Ask ``worker`` for its whole budget, the way an admission asks for
+    room: LRU spill moves every unpinned resident to disk, and a pinned
+    one (or no disk tier) leaves the request short, which raises.
+    Returns the bytes moved to disk."""
+    before = service.disk_bytes(worker)
+    with contextlib.suppress(WorkerOutOfMemory):
+        service.ensure_free(worker, service.cluster.memory[worker].limit)
+    return service.disk_bytes(worker) - before
 
 
 class TestPutGet:
@@ -118,18 +131,22 @@ class TestSpill:
         service.put("keep", a, "worker-0")
         service.put("drop", a, "worker-0")
         service.pin(["keep"])
-        freed = service.force_spill("worker-0")
+        freed = force_spill(service, "worker-0")
         assert freed == a.nbytes
         assert service.location_of("keep")[1] == StorageLevel.MEMORY
         assert service.location_of("drop")[1] == StorageLevel.DISK
-        assert service.forced_spill_bytes() == freed
+        # the pin left the request short: the spill bought no admission.
+        assert service.failed_admission_spill_bytes() == freed
+        assert service.spilled_bytes() == 0
         assert cluster.memory["worker-0"].used == a.nbytes
         service.unpin(["keep"])
 
     def test_force_spill_without_disk_frees_nothing(self):
         service, _ = make_service(memory_limit=10_000, spill=False)
         service.put("a", np.zeros(100), "worker-0")
-        assert service.force_spill("worker-0") == 0
+        with pytest.raises(WorkerOutOfMemory):
+            service.ensure_free("worker-0", 10_000)
+        assert force_spill(service, "worker-0") == 0
         assert service.location_of("a")[1] == StorageLevel.MEMORY
 
     def test_no_spill_raises_oom(self):
@@ -250,7 +267,7 @@ class TestAccountingInvariants:
         service.put("loose1", a, "worker-0")
         service.put("loose2", a, "worker-0")
         service.pin(["pinned"])
-        moved = service.force_spill("worker-0")
+        moved = force_spill(service, "worker-0")
         assert moved == 2 * a.nbytes
         assert service.location_of("pinned") == (
             "worker-0", StorageLevel.MEMORY)
@@ -259,7 +276,7 @@ class TestAccountingInvariants:
         assert service.location_of("loose2") == (
             "worker-0", StorageLevel.DISK)
         service.unpin(["pinned"])
-        assert service.force_spill("worker-0") == a.nbytes
+        assert force_spill(service, "worker-0") == a.nbytes
 
     def test_failed_acquire_many_leaves_nothing_pinned(self):
         """A fetch that raises must release the pins it took: the
@@ -271,7 +288,7 @@ class TestAccountingInvariants:
         with pytest.raises(StorageKeyError):
             service.acquire_many(["present", "absent"], "worker-0")
         assert service.pinned_keys() == []
-        assert service.force_spill("worker-0") == a.nbytes
+        assert force_spill(service, "worker-0") == a.nbytes
         assert service.location_of("present") == (
             "worker-0", StorageLevel.DISK)
         # the successful path still pins until the caller unpins.
@@ -304,12 +321,12 @@ class TestAccountingInvariants:
         service.delete("k")
         service.put("k", a, "worker-1")
         service.put("loose", a, "worker-1")
-        assert service.force_spill("worker-1") == a.nbytes
+        assert force_spill(service, "worker-1") == a.nbytes
         assert service.location_of("k") == ("worker-1", StorageLevel.MEMORY)
         service.unpin(["k"])
         assert service.pinned_keys() == ["k"]
-        assert service.force_spill("worker-1") == 0
+        assert force_spill(service, "worker-1") == 0
         service.unpin(["k"])
         assert service.pinned_keys() == []
-        assert service.force_spill("worker-1") == a.nbytes
+        assert force_spill(service, "worker-1") == a.nbytes
         assert service.location_of("k") == ("worker-1", StorageLevel.DISK)

@@ -25,6 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from tests.core.golden_harness import (  # noqa: E402
     GOLDEN_PATH,
+    check_fires,
     run_scenario,
     scenarios,
 )
@@ -35,6 +36,7 @@ def main() -> None:
     for name, spec in scenarios():
         print(f"running {name} ...", flush=True)
         goldens[name] = run_scenario(spec)
+        check_fires(name, goldens[name])
     path = os.path.join(os.path.dirname(__file__), "..", GOLDEN_PATH)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as f:
