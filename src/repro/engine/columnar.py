@@ -55,6 +55,7 @@ from .base import ChunkEngine, register_describer, register_engine
 from .partition import (
     assign_hash_partitions,
     assign_range_partitions,
+    partition_order,
     split_by_assignment,
 )
 from ..frame import DataFrame, Series, dtypes
@@ -325,9 +326,7 @@ class ColumnarEngine(ChunkEngine):
             frame = self.compute(value)
             return [self.persist(part) for part in
                     split_by_assignment(frame, assignment, n_parts)]
-        order = np.argsort(assignment, kind="stable")
-        sorted_assign = assignment[order]
-        bounds = np.searchsorted(sorted_assign, np.arange(n_parts + 1))
+        order, bounds = partition_order(assignment, n_parts)
         # ``take`` gathers an ndarray's rows or a DictColumn's codes
         gathered = {name: value._data[name].take(order)
                     for name in value._columns}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from functools import partial
 from itertools import compress, repeat
 from typing import Any, Iterable
@@ -185,19 +186,41 @@ def isna_array(arr: np.ndarray) -> np.ndarray:
     if arr.dtype == object:
         if dictionary_of(arr) is not None:  # every cell is a str
             return np.zeros(len(arr), dtype=bool)
-        # the type census picks the passes: an all-``str`` column pays for
-        # neither, and no cell kind is looked at in the interpreter.
-        cells = arr.tolist()
-        kinds = set(map(type, cells))
-        mask = (isnone_array(arr) if type(None) in kinds
-                else np.zeros(len(cells), dtype=bool))
-        if any(issubclass(kind, float) for kind in kinds):
-            is_float = np.fromiter(map(isinstance, cells, repeat(float)),
-                                   dtype=bool, count=len(cells))
-            mask[is_float] = np.fromiter(
-                map(math.isnan, compress(cells, is_float.tolist())), dtype=bool)
-        return mask
+        return isna_cells(arr.tolist())
     return np.zeros(len(arr), dtype=bool)
+
+
+def isna_cells(cells: list) -> np.ndarray:
+    """Mask of the missing cells of a list: ``None`` and ``float`` NaN.
+
+    The type census picks the passes: an all-``str`` list pays for
+    neither, and no cell kind is looked at in the interpreter.
+    """
+    kinds = set(map(type, cells))
+    mask = (np.fromiter(map(_is_none, cells), dtype=bool, count=len(cells))
+            if type(None) in kinds else np.zeros(len(cells), dtype=bool))
+    if any(issubclass(kind, float) for kind in kinds):
+        is_float = np.fromiter(map(isinstance, cells, repeat(float)),
+                               dtype=bool, count=len(cells))
+        mask[is_float] = np.fromiter(
+            map(math.isnan, compress(cells, is_float.tolist())), dtype=bool)
+    return mask
+
+
+def first_seen(cells: list) -> tuple[np.ndarray, list]:
+    """Each cell's position among the distinct cells, and those cells in
+    first-seen order — one C pass that hashes every cell once.
+
+    A ``defaultdict`` whose factory is its own ``__len__`` numbers a key
+    the first time it is looked up, so equality is the dict's: ``1``,
+    ``1.0`` and ``True`` collapse onto whichever came first, and ``None``
+    and each NaN object are cells like any other.
+    """
+    position: defaultdict = defaultdict()
+    position.default_factory = position.__len__
+    codes = np.fromiter(map(position.__getitem__, cells), dtype=np.int64,
+                        count=len(cells))
+    return codes, list(position)
 
 
 def isnone_array(arr: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ what the engine can distribute.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
+from itertools import compress
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -16,6 +18,7 @@ from . import dtypes
 from .dataframe import DataFrame
 from .index import Index, MultiIndex
 from .series import Series
+from .sorting import argsort_ids
 
 #: aggregations with a NumPy ``reduceat`` fast path.
 _REDUCEAT_OPS = {"sum", "min", "max"}
@@ -33,38 +36,51 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(codes, uniques)`` with uniques in sorted order, so equal key
     sets factorize identically on every chunk — a property the distributed
     shuffle relies on.  An encoded column's codes are compacted, not its
-    cells hashed, and its uniques come back encoded.
+    cells hashed, and its uniques come back encoded; integers whose range
+    is no wider than the column are counted, not sorted.
     """
     dictionary = dtypes.dictionary_of(values)
     if dictionary is not None:
         uniques, codes = dtypes.compact_dictionary(*dictionary)
         return codes.astype(np.int64), dtypes.encoded(
             uniques, np.arange(len(uniques), dtype=np.int32))
+    if dtypes.is_object(values.dtype):
+        return factorize_cells(values.tolist())
+    if dtypes.is_integer(values.dtype) and len(values):
+        low = values.min()
+        if int(values.max()) - int(low) < len(values):
+            # the count table is no longer than the codes: count, not
+            # sort.  Offsets from the minimum are read unsigned, so a small
+            # signed type's wrap-around cannot make them negative.
+            ids = (values - low).view(f"u{values.itemsize}").astype(np.int64)
+            used = np.bincount(ids) > 0
+            return ((np.cumsum(used) - 1)[ids],
+                    low + np.flatnonzero(used).astype(values.dtype))
     present = ~dtypes.isna_array(values)
     codes = np.full(len(values), -1, dtype=np.int64)
-    if dtypes.is_object(values.dtype):
-        codes[present], uniques = factorize_cells(values[present].tolist())
-    else:
-        uniques, codes[present] = np.unique(values[present], return_inverse=True)
+    uniques, codes[present] = np.unique(values[present], return_inverse=True)
     return codes, uniques
 
 
 def factorize_cells(cells: list) -> tuple[np.ndarray, np.ndarray]:
-    """Codes into the sorted uniques of NA-free object cells.
+    """Codes into the sorted uniques of object cells; missing cells
+    (``None``, ``float`` NaN) get code -1.
 
-    The dict does the O(rows) work in C and fixes the equality (``1``,
-    ``1.0`` and ``True`` collapse onto the first seen); Python only sorts
-    and numbers the uniques.
+    One first-seen pass hashes every cell once and fixes the equality
+    (``1``, ``1.0`` and ``True`` collapse onto the first seen); Python
+    only finds the missing ones among the distinct cells, sorts the rest
+    and numbers them, and a gather turns first-seen codes into sorted ones.
     """
-    seen = dict.fromkeys(cells)
-    if set(map(type, seen)) <= {str}:
-        uniques_list = sorted(seen)
-    else:
-        uniques_list = sorted(seen, key=_mixed_key)
-    position = dict(zip(uniques_list, range(len(uniques_list))))
-    codes = np.fromiter(map(position.__getitem__, cells),
-                        dtype=np.int64, count=len(cells))
-    return codes, np.array(uniques_list, dtype=object)
+    first, distinct = dtypes.first_seen(cells)
+    present = ~dtypes.isna_cells(distinct)
+    kept = list(compress(distinct, present.tolist()))
+    key = (kept.__getitem__ if set(map(type, kept)) <= {str}
+           else lambda i: _mixed_key(kept[i]))
+    order = sorted(range(len(kept)), key=key)
+    remap = np.full(len(distinct), -1, dtype=np.int64)
+    remap[np.flatnonzero(present)[order]] = np.arange(len(order))
+    uniques = np.array(list(map(kept.__getitem__, order)), dtype=object)
+    return remap[first], uniques
 
 
 def _mixed_key(value):
@@ -91,16 +107,23 @@ class Grouper:
             #: per key, the label of each dense group id
             self.levels: list[np.ndarray] = uniques_list
             return
-        combined = codes_list[0].copy()
+        combined = codes_list[0]
         valid = codes_list[0] >= 0
         for codes, uniques in zip(codes_list[1:], uniques_list[1:]):
             combined = combined * len(uniques) + codes
             valid &= codes >= 0
-        combined[~valid] = -1
-        # compress combined codes to dense 0..k-1 in sorted-key order
-        present = np.unique(combined[valid])
+        # compress combined codes to dense 0..k-1 in sorted-key order: by
+        # counting when the count table is no longer than the codes, else
+        # by sorting the codes present
+        kept, space = combined[valid], math.prod(map(len, uniques_list))
         self.codes = np.full(len(combined), -1, dtype=np.int64)
-        self.codes[valid] = np.searchsorted(present, combined[valid])
+        if space <= len(combined):
+            used = np.bincount(kept, minlength=space) > 0
+            present = np.flatnonzero(used)
+            self.codes[valid] = (np.cumsum(used) - 1)[kept]
+        else:
+            present = np.unique(kept)
+            self.codes[valid] = np.searchsorted(present, kept)
         self.n_groups = len(present)
         # per-level labels of each dense group id: peel the levels off the
         # combined code, last level first, then one gather per level
@@ -141,15 +164,13 @@ class Grouper:
         Returns ``(order, starts)`` where ``order`` drops NA-key rows and
         ``starts`` has one entry per group (positions into ``order``).
         """
-        valid = np.flatnonzero(self.codes >= 0)
-        order = valid[np.argsort(self.codes[valid], kind="stable")]
-        sorted_codes = self.codes[order]
-        if len(order) == 0:
-            return order, np.array([], dtype=np.int64)
-        starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(sorted_codes)) + 1]
-        ).astype(np.int64)
-        return order, starts
+        # NA rows (code -1) sort first as id 0 and are cut off the front
+        ids = self.codes + 1
+        sizes = np.bincount(ids, minlength=self.n_groups + 1)
+        order = argsort_ids(ids, len(sizes))[sizes[0]:]
+        sizes = sizes[1:]
+        starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+        return order, starts.astype(np.int64)
 
 
 def _maybe_tighten(values: np.ndarray) -> np.ndarray:

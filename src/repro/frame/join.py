@@ -15,6 +15,7 @@ import numpy as np
 from . import dtypes
 from .dataframe import DataFrame
 from .index import default_index
+from .sorting import argsort_ids
 
 _HOW_VALUES = ("inner", "left", "right", "outer")
 
@@ -144,27 +145,48 @@ def _encode_keys(left_arrays: Sequence[np.ndarray],
 
 
 def _match_ranges(codes_l: np.ndarray, codes_r: np.ndarray):
-    """For each left code, the range of matching positions in sorted right."""
-    sort_r = np.argsort(codes_r, kind="stable")
-    sorted_r = codes_r[sort_r]
-    lo = np.searchsorted(sorted_r, codes_l, side="left")
-    hi = np.searchsorted(sorted_r, codes_l, side="right")
-    counts = hi - lo
+    """The right rows in stable code order (NA first), and for each left
+    row where its matches start in that order and how many there are.
+
+    Counted when the count table (one entry per code) is no longer than
+    the codes; a wider code space is sorted and searched instead.
+    """
+    space = max(codes_l.max(initial=-1), codes_r.max(initial=-1)) + 2
+    if space > len(codes_l) + len(codes_r):
+        sort_r = np.argsort(codes_r, kind="stable")
+        sorted_r = codes_r[sort_r]
+        lo = np.searchsorted(sorted_r, codes_l, side="left")
+        counts = np.searchsorted(sorted_r, codes_l, side="right") - lo
+    else:
+        # code + 1 is the id, so NA (-1) is id 0
+        ids_l, ids_r = codes_l + 1, codes_r + 1
+        per_id = np.bincount(ids_r, minlength=space)
+        sort_r = argsort_ids(ids_r, space)
+        lo = (np.cumsum(per_id) - per_id)[ids_l]
+        counts = per_id[ids_l]
     counts[codes_l < 0] = 0
     return sort_r, lo, counts
 
 
-def _inner_indexers(codes_l, codes_r):
+def _pairs_in_left_order(codes_l: np.ndarray, codes_r: np.ndarray,
+                         keep_unmatched: bool):
+    """Row pairs of the inner join, in left order and, within a left row,
+    in right order; ``keep_unmatched`` adds each left row that matched
+    nothing once, paired with -1."""
     sort_r, lo, counts = _match_ranges(codes_l, codes_r)
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(codes_l), dtype=np.int64), counts)
+    emitted = np.maximum(counts, 1) if keep_unmatched else counts
+    left_idx = np.repeat(np.arange(len(codes_l), dtype=np.int64), emitted)
+    total = len(left_idx)
     if total == 0:
         return left_idx, np.array([], dtype=np.int64)
-    out_starts = np.cumsum(counts) - counts
-    flat = (np.arange(total, dtype=np.int64)
-            - np.repeat(out_starts, counts)
-            + np.repeat(lo, counts))
-    right_idx = sort_r[flat]
+    # output slot k of left row i pairs with sorted right row lo[i] + k
+    out_starts = np.cumsum(emitted) - emitted
+    flat = np.arange(total, dtype=np.int64) + np.repeat(lo - out_starts, emitted)
+    if not keep_unmatched:
+        return left_idx, sort_r[flat]
+    matched = np.repeat(counts > 0, emitted)
+    right_idx = np.full(total, -1, dtype=np.int64)
+    right_idx[matched] = sort_r[flat[matched]]
     return left_idx, right_idx
 
 
@@ -172,22 +194,13 @@ def _join_indexers(codes_l: np.ndarray, codes_r: np.ndarray, how: str):
     if how == "right":
         right_out, left_out = _join_indexers(codes_r, codes_l, "left")
         return left_out, right_out
-    inner_l, inner_r = _inner_indexers(codes_l, codes_r)
-    if how == "inner":
-        return inner_l, inner_r
-    _, __, counts = _match_ranges(codes_l, codes_r)
-    unmatched_l = np.flatnonzero(counts == 0)
-    left_idx = np.concatenate([inner_l, unmatched_l]).astype(np.int64)
-    right_idx = np.concatenate(
-        [inner_r, np.full(len(unmatched_l), -1, dtype=np.int64)]
-    )
-    order = np.argsort(left_idx, kind="stable")
-    left_idx, right_idx = left_idx[order], right_idx[order]
-    if how == "left":
+    left_idx, right_idx = _pairs_in_left_order(
+        codes_l, codes_r, keep_unmatched=how != "inner")
+    if how != "outer":
         return left_idx, right_idx
     # outer: also append right rows that matched nothing, in right order
     matched_r = np.zeros(len(codes_r), dtype=bool)
-    matched_r[inner_r] = True
+    matched_r[right_idx[right_idx >= 0]] = True
     extra_r = np.flatnonzero(~matched_r)
     left_idx = np.concatenate([left_idx, np.full(len(extra_r), -1, dtype=np.int64)])
     right_idx = np.concatenate([right_idx, extra_r]).astype(np.int64)

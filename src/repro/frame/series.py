@@ -392,12 +392,7 @@ class Series:
     def unique(self) -> np.ndarray:
         values = self._values
         if dtypes.is_object(values.dtype):
-            seen: dict = {}
-            for value in values:
-                key = value if value is not None else "__repro_na__"
-                if key not in seen:
-                    seen[key] = value
-            return np.array(list(seen.values()), dtype=object)
+            return np.array(dtypes.first_seen(values.tolist())[1], dtype=object)
         if dtypes.is_float(values.dtype):
             mask = np.isnan(values)
             uniques = np.unique(values[~mask])
@@ -414,16 +409,15 @@ class Series:
 
     def value_counts(self, ascending: bool = False) -> "Series":
         values = self._values
-        mask = ~dtypes.isna_array(values)
-        kept = values[mask]
-        if dtypes.is_object(kept.dtype):
-            counts: dict = {}
-            for value in kept:
-                counts[value] = counts.get(value, 0) + 1
-            labels = np.array(list(counts.keys()), dtype=object)
-            freq = np.array(list(counts.values()), dtype=np.int64)
+        if dtypes.is_object(values.dtype):
+            codes, distinct = dtypes.first_seen(values.tolist())
+            present = ~dtypes.isna_cells(distinct)
+            labels = np.array(list(compress(distinct, present.tolist())),
+                              dtype=object)
+            freq = np.bincount(codes, minlength=len(distinct))[present]
         else:
-            labels, freq = np.unique(kept, return_counts=True)
+            labels, freq = np.unique(values[~dtypes.isna_array(values)],
+                                     return_counts=True)
         order = np.argsort(freq, kind="stable")
         if not ascending:
             order = order[::-1]

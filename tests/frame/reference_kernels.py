@@ -1,14 +1,25 @@
-"""The per-cell kernels ``repro.frame`` ran before they moved to C speed.
+"""The kernels ``repro.frame`` ran before they were made faster.
 
-These are the loop bodies of ``dtypes.isna_array`` / ``values_equal``,
-``groupby.factorize``, ``groupby.Grouper.__init__``,
-``series._object_binop`` / ``_tighten``,
-``engine.columnar.encode_column`` and ``concat._concat_rows`` /
-``_concat_series`` as of the commit that replaced them,
-kept verbatim as the oracle: the library's
-kernels must return identical values, dtypes and unique order on every
-cell kind (``test_kernel_encoding.py``, ``test_property_based.py``).
-Nothing here is imported by ``src/``.
+Two generations are kept verbatim as the oracle, each as of the commit
+that replaced it:
+
+- **per-cell loops**, before the kernels moved to C speed: the loop
+  bodies of ``dtypes.isna_array`` / ``values_equal``,
+  ``groupby.factorize``, ``groupby.Grouper.__init__``,
+  ``series._object_binop`` / ``_tighten``,
+  ``engine.columnar.encode_column`` and ``concat._concat_rows`` /
+  ``_concat_series``;
+- **second hashes and comparison sorts**, before each key cell was
+  hashed once and integer work became a count or a byte-wide radix
+  sort: ``groupby.factorize_cells``, ``Grouper.sorted_layout``, the
+  multi-key compaction of ``Grouper.__init__``, ``join._match_ranges``
+  / ``_join_indexers`` and the partition order of
+  ``partition.split_by_assignment``.
+
+The library's kernels must return identical values, dtypes, unique order
+and row order on every cell kind and size (``test_kernel_encoding.py``,
+``test_counting_kernels.py``, ``test_property_based.py``).  Nothing here
+is imported by ``src/``.
 """
 
 from __future__ import annotations
@@ -95,6 +106,109 @@ def grouper(key_arrays) -> tuple[np.ndarray, int, list[tuple]]:
             tuple(uniques_list[level][p] for level, p in enumerate(parts))
         )
     return dense, len(present), group_keys
+
+
+def sorted_layout(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Grouper.sorted_layout`` of a grouper's ``codes``: ``(order,
+    starts)``."""
+    valid = np.flatnonzero(codes >= 0)
+    order = valid[np.argsort(codes[valid], kind="stable")]
+    sorted_codes = codes[order]
+    if len(order) == 0:
+        return order, np.array([], dtype=np.int64)
+    starts = np.concatenate(
+        [[0], np.flatnonzero(np.diff(sorted_codes)) + 1]
+    ).astype(np.int64)
+    return order, starts
+
+
+def compact_codes(codes_list, uniques_list) -> tuple[np.ndarray, np.ndarray]:
+    """``Grouper.__init__``'s multi-key compaction of the keys' factorized
+    codes: ``(dense codes, combined code of each dense group)``."""
+    combined = codes_list[0].copy()
+    valid = codes_list[0] >= 0
+    for codes, uniques in zip(codes_list[1:], uniques_list[1:]):
+        combined = combined * len(uniques) + codes
+        valid &= codes >= 0
+    combined[~valid] = -1
+    # compress combined codes to dense 0..k-1 in sorted-key order
+    present = np.unique(combined[valid])
+    dense = np.full(len(combined), -1, dtype=np.int64)
+    dense[valid] = np.searchsorted(present, combined[valid])
+    return dense, present
+
+
+def match_ranges(codes_l: np.ndarray, codes_r: np.ndarray):
+    """For each left code, the range of matching positions in sorted right."""
+    sort_r = np.argsort(codes_r, kind="stable")
+    sorted_r = codes_r[sort_r]
+    lo = np.searchsorted(sorted_r, codes_l, side="left")
+    hi = np.searchsorted(sorted_r, codes_l, side="right")
+    counts = hi - lo
+    counts[codes_l < 0] = 0
+    return sort_r, lo, counts
+
+
+def inner_indexers(codes_l, codes_r):
+    sort_r, lo, counts = match_ranges(codes_l, codes_r)
+    total = int(counts.sum())
+    left_idx = np.repeat(np.arange(len(codes_l), dtype=np.int64), counts)
+    if total == 0:
+        return left_idx, np.array([], dtype=np.int64)
+    out_starts = np.cumsum(counts) - counts
+    flat = (np.arange(total, dtype=np.int64)
+            - np.repeat(out_starts, counts)
+            + np.repeat(lo, counts))
+    right_idx = sort_r[flat]
+    return left_idx, right_idx
+
+
+def join_indexers(codes_l: np.ndarray, codes_r: np.ndarray, how: str):
+    if how == "right":
+        right_out, left_out = join_indexers(codes_r, codes_l, "left")
+        return left_out, right_out
+    inner_l, inner_r = inner_indexers(codes_l, codes_r)
+    if how == "inner":
+        return inner_l, inner_r
+    _, __, counts = match_ranges(codes_l, codes_r)
+    unmatched_l = np.flatnonzero(counts == 0)
+    left_idx = np.concatenate([inner_l, unmatched_l]).astype(np.int64)
+    right_idx = np.concatenate(
+        [inner_r, np.full(len(unmatched_l), -1, dtype=np.int64)]
+    )
+    order = np.argsort(left_idx, kind="stable")
+    left_idx, right_idx = left_idx[order], right_idx[order]
+    if how == "left":
+        return left_idx, right_idx
+    # outer: also append right rows that matched nothing, in right order
+    matched_r = np.zeros(len(codes_r), dtype=bool)
+    matched_r[inner_r] = True
+    extra_r = np.flatnonzero(~matched_r)
+    left_idx = np.concatenate([left_idx, np.full(len(extra_r), -1, dtype=np.int64)])
+    right_idx = np.concatenate([right_idx, extra_r]).astype(np.int64)
+    return left_idx, right_idx
+
+
+def partition_order(assignment: np.ndarray, n_parts: int):
+    """``split_by_assignment``'s row order and partition bounds."""
+    order = np.argsort(assignment, kind="stable")
+    sorted_assign = assignment[order]
+    bounds = np.searchsorted(sorted_assign, np.arange(n_parts + 1))
+    return order, bounds
+
+
+def factorize_cells(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """``groupby.factorize_cells`` when it hashed every cell twice: once
+    into ``dict.fromkeys``, once more to look its code up."""
+    seen = dict.fromkeys(cells)
+    if set(map(type, seen)) <= {str}:
+        uniques_list = sorted(seen)
+    else:
+        uniques_list = sorted(seen, key=_mixed_key)
+    position = dict(zip(uniques_list, range(len(uniques_list))))
+    codes = np.fromiter(map(position.__getitem__, cells),
+                        dtype=np.int64, count=len(cells))
+    return codes, np.array(uniques_list, dtype=object)
 
 
 def encode_column(arr: np.ndarray):

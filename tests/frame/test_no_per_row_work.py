@@ -96,6 +96,15 @@ KERNELS = {
         lambda arr=string_keys(n)[0]: factorize(arr)),
     "factorize-none-nan": lambda n: (
         lambda arr=with_cells(n, None, float("nan")): factorize(arr)),
+    "series-unique": lambda n: (
+        lambda s=pf.Series(with_cells(n, None)): s.unique()),
+    "series-value-counts": lambda n: (
+        lambda s=pf.Series(with_cells(n, None, float("nan"))):
+            s.value_counts()),
+    "merge-left": lambda n: (
+        lambda df=frame_of(n), dim=pf.DataFrame(
+            {"k1": string_keys(10)[0][:7], "label": np.arange(7)}):
+            df.merge(dim, on="k1", how="left")),
     "isna-all-str": lambda n: (
         lambda arr=string_keys(n)[0]: dtypes.isna_array(arr)),
     "isna-none": lambda n: (
