@@ -55,11 +55,11 @@ from .base import ChunkEngine, register_describer, register_engine
 from .partition import (
     assign_hash_partitions,
     assign_range_partitions,
-    partition_order,
     split_by_assignment,
 )
 from ..frame import DataFrame, Series, dtypes
 from ..frame.groupby import factorize_cells
+from ..frame.sorting import id_runs
 from ..utils import register_sizeof
 
 #: object-array byte charge per element / per array, mirroring
@@ -326,7 +326,7 @@ class ColumnarEngine(ChunkEngine):
             frame = self.compute(value)
             return [self.persist(part) for part in
                     split_by_assignment(frame, assignment, n_parts)]
-        order, bounds = partition_order(assignment, n_parts)
+        order, bounds = id_runs(assignment, n_parts)
         # ``take`` gathers an ndarray's rows or a DictColumn's codes
         gathered = {name: value._data[name].take(order)
                     for name in value._columns}

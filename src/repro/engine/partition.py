@@ -30,7 +30,7 @@ import numpy as np
 from ..frame import DataFrame
 from ..frame import dtypes
 from ..frame.hashing import hash_array
-from ..frame.sorting import argsort_ids
+from ..frame.sorting import id_runs
 
 
 def assign_hash_partitions(keys: np.ndarray, n_parts: int) -> np.ndarray:
@@ -61,26 +61,16 @@ def assign_range_partitions(keys: np.ndarray,
     return np.searchsorted(bounds, keys, side="left").astype(np.int64)
 
 
-def partition_order(assignment: np.ndarray,
-                    n_parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in stable partition order, and the ``n_parts + 1``
-    bounds of each partition's run in that order: a count of the ids and
-    a stable sort at the narrowest width that holds them."""
-    sizes = np.bincount(assignment, minlength=n_parts)
-    order = argsort_ids(assignment, len(sizes))
-    return order, np.concatenate([[0], np.cumsum(sizes[:n_parts])])
-
-
 def split_by_assignment(frame: DataFrame, assignment: np.ndarray,
                         n_parts: int) -> list[DataFrame]:
     """Split ``frame`` into ``n_parts`` frames by per-row partition id.
 
-    Reorders the frame once (:func:`partition_order`) and slices each
+    Reorders the frame once (``sorting.id_runs``) and slices each
     partition out of the gathered columns — two passes over the data
     regardless of ``n_parts``. Row order within each partition is the
     original chunk order.
     """
-    order, bounds = partition_order(assignment, n_parts)
+    order, bounds = id_runs(assignment, n_parts)
     gathered = {name: dtypes.take(frame._data[name], order)
                 for name in frame._columns}
     parts: list[DataFrame] = []

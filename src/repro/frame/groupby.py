@@ -18,7 +18,7 @@ from . import dtypes
 from .dataframe import DataFrame
 from .index import Index, MultiIndex
 from .series import Series
-from .sorting import argsort_ids
+from .sorting import id_runs
 
 #: aggregations with a NumPy ``reduceat`` fast path.
 _REDUCEAT_OPS = {"sum", "min", "max"}
@@ -36,8 +36,7 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(codes, uniques)`` with uniques in sorted order, so equal key
     sets factorize identically on every chunk — a property the distributed
     shuffle relies on.  An encoded column's codes are compacted, not its
-    cells hashed, and its uniques come back encoded; integers whose range
-    is no wider than the column are counted, not sorted.
+    cells hashed, and its uniques come back encoded.
     """
     dictionary = dtypes.dictionary_of(values)
     if dictionary is not None:
@@ -46,16 +45,6 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             uniques, np.arange(len(uniques), dtype=np.int32))
     if dtypes.is_object(values.dtype):
         return factorize_cells(values.tolist())
-    if dtypes.is_integer(values.dtype) and len(values):
-        low = values.min()
-        if int(values.max()) - int(low) < len(values):
-            # the count table is no longer than the codes: count, not
-            # sort.  Offsets from the minimum are read unsigned, so a small
-            # signed type's wrap-around cannot make them negative.
-            ids = (values - low).view(f"u{values.itemsize}").astype(np.int64)
-            used = np.bincount(ids) > 0
-            return ((np.cumsum(used) - 1)[ids],
-                    low + np.flatnonzero(used).astype(values.dtype))
     present = ~dtypes.isna_array(values)
     codes = np.full(len(values), -1, dtype=np.int64)
     uniques, codes[present] = np.unique(values[present], return_inverse=True)
@@ -164,13 +153,10 @@ class Grouper:
         Returns ``(order, starts)`` where ``order`` drops NA-key rows and
         ``starts`` has one entry per group (positions into ``order``).
         """
-        # NA rows (code -1) sort first as id 0 and are cut off the front
-        ids = self.codes + 1
-        sizes = np.bincount(ids, minlength=self.n_groups + 1)
-        order = argsort_ids(ids, len(sizes))[sizes[0]:]
-        sizes = sizes[1:]
-        starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-        return order, starts.astype(np.int64)
+        # NA rows (code -1) run first as id 0 and are cut off the front;
+        # every group id has rows, so each run starts a group
+        order, bounds = id_runs(self.codes + 1, self.n_groups + 1)
+        return order[bounds[1]:], bounds[1:-1] - bounds[1]
 
 
 def _maybe_tighten(values: np.ndarray) -> np.ndarray:

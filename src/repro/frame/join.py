@@ -15,7 +15,7 @@ import numpy as np
 from . import dtypes
 from .dataframe import DataFrame
 from .index import default_index
-from .sorting import argsort_ids
+from .sorting import id_runs
 
 _HOW_VALUES = ("inner", "left", "right", "outer")
 
@@ -159,11 +159,10 @@ def _match_ranges(codes_l: np.ndarray, codes_r: np.ndarray):
         counts = np.searchsorted(sorted_r, codes_l, side="right") - lo
     else:
         # code + 1 is the id, so NA (-1) is id 0
-        ids_l, ids_r = codes_l + 1, codes_r + 1
-        per_id = np.bincount(ids_r, minlength=space)
-        sort_r = argsort_ids(ids_r, space)
-        lo = (np.cumsum(per_id) - per_id)[ids_l]
-        counts = per_id[ids_l]
+        sort_r, bounds = id_runs(codes_r + 1, space)
+        ids_l = codes_l + 1
+        lo = bounds[ids_l]
+        counts = bounds[ids_l + 1] - lo
     counts[codes_l < 0] = 0
     return sort_r, lo, counts
 

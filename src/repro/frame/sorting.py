@@ -24,7 +24,7 @@ def argsort_values(values: np.ndarray, ascending: bool = True,
     if dictionary is not None:
         # categories are sorted and no cell is NA: the codes' order is
         # the cells' order
-        order = argsort_ids(dictionary[1], len(dictionary[0]))
+        order = np.argsort(dictionary[1], kind="stable")
         return (order if ascending else order[::-1]).astype(np.int64)
     na_mask = dtypes.isna_array(values)
     valid_positions = np.flatnonzero(~na_mask)
@@ -45,18 +45,21 @@ def argsort_values(values: np.ndarray, ascending: bool = True,
     return np.concatenate([sorted_valid, na_positions]).astype(np.int64)
 
 
-def argsort_ids(ids: np.ndarray, n_ids: int) -> np.ndarray:
-    """``np.argsort(ids, kind="stable")`` of ids in ``[0, n_ids)``.
+def id_runs(ids: np.ndarray, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(ids, kind="stable")`` of ids in ``[0, n_ids)``, and the
+    ``n_ids + 1`` bounds of each id's run in that order.
 
-    A stable sort's answer is unique, so the ids are sorted at the
-    narrowest unsigned width that holds them: NumPy radix-sorts 8- and
-    16-bit keys in O(rows).
+    The bounds are a count of the ids.  A stable sort's answer is unique,
+    so the ids are sorted at the narrowest unsigned width that holds them:
+    NumPy radix-sorts 8- and 16-bit keys in O(rows).
     """
+    bounds = np.zeros(n_ids + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n_ids), out=bounds[1:])
     if n_ids <= 1 << 8:
         ids = ids.astype(np.uint8)
     elif n_ids <= 1 << 16:
         ids = ids.astype(np.uint16)
-    return np.argsort(ids, kind="stable")
+    return np.argsort(ids, kind="stable"), bounds
 
 
 def _total_key(value):

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro import frame as pf
-from repro.engine.partition import partition_order
 from repro.frame import Series, dtypes, join
 from repro.frame.groupby import Grouper, factorize, factorize_cells
+from repro.frame.sorting import id_runs
 
 from . import reference_kernels as reference
 from .reference_kernels import key_signature, signature
@@ -53,32 +53,6 @@ na_columns = pytest.mark.parametrize("arr", NA_COLUMNS.values(),
                                      ids=NA_COLUMNS.keys())
 
 
-def integer_columns() -> dict:
-    """Every integer width at its extremes (a range too wide to count)
-    and over a narrow range (counted); the 8- and 16-bit ones also over
-    their whole range, where a signed offset would wrap."""
-    rng = np.random.default_rng(3)
-    columns = {}
-    for dtype in [np.int8, np.uint8, np.int16, np.uint16,
-                  np.int32, np.uint32, np.int64, np.uint64]:
-        info, name = np.iinfo(dtype), np.dtype(dtype).name
-        columns[f"{name}-extremes"] = np.array(
-            [info.max, info.min, info.max], dtype=dtype)
-        columns[f"{name}-top"] = np.array(
-            [info.max, info.max - 1, info.max], dtype=dtype)
-        columns[f"{name}-narrow"] = rng.integers(0, 100, 300).astype(dtype)
-        if np.dtype(dtype).itemsize <= 2:
-            every = np.arange(info.min, info.max + 1).astype(dtype)
-            columns[f"{name}-whole-range"] = np.concatenate(
-                [every[::-1], every, every[:5]])
-    columns["negative"] = rng.integers(-1_000, 1_000, 500)
-    columns["zero-rows"] = np.array([], dtype=np.int64)
-    return columns
-
-
-INTEGER_COLUMNS = integer_columns()
-
-
 def scrambled_keys(n_groups: int, with_na: bool) -> np.ndarray:
     """``n_groups`` distinct float keys over about twice as many rows,
     in a seeded order, with NaN rows cycled in when ``with_na``."""
@@ -93,11 +67,6 @@ def scrambled_keys(n_groups: int, with_na: bool) -> np.ndarray:
 class TestFactorize:
     @na_columns
     def test_matches_the_per_cell_loop(self, arr):
-        same(factorize(arr), reference.factorize(arr))
-
-    @pytest.mark.parametrize("arr", INTEGER_COLUMNS.values(),
-                             ids=INTEGER_COLUMNS.keys())
-    def test_integers_match_the_sort(self, arr):
         same(factorize(arr), reference.factorize(arr))
 
     @na_columns
@@ -262,15 +231,17 @@ class TestJoin:
 
 
 class TestPartitionOrder:
+    """Both engines split a chunk in ``id_runs`` order."""
+
     @pytest.mark.parametrize("n_parts", WIDTHS)
     def test_partition_counts_around_the_sort_widths(self, n_parts):
         rng = np.random.default_rng(n_parts)
         assignment = rng.integers(0, n_parts, 2 * n_parts + 100).astype(np.int64)
-        same(partition_order(assignment, n_parts),
+        same(id_runs(assignment, n_parts),
              reference.partition_order(assignment, n_parts))
 
     def test_empty_partitions_and_zero_rows(self):
         for assignment in [np.array([3, 3, 0], dtype=np.int64),
                            np.array([], dtype=np.int64)]:
-            same(partition_order(assignment, 5),
+            same(id_runs(assignment, 5),
                  reference.partition_order(assignment, 5))
