@@ -132,12 +132,12 @@ class Config:
     #: numbers are bit-identical across both. Any other value is refused
     #: when the service plane is deployed.
     execution_mode: str = "serial"
-    #: physical chunk representation (``repro.engine`` registry key):
-    #: "row" keeps chunks as ``repro.frame`` containers (bit-identical
-    #: to the pre-seam engine and the golden scenarios); "columnar"
-    #: stores per-column contiguous arrays with dictionary-encoded
-    #: string columns — value-identical results, fewer shuffle bytes on
-    #: low-cardinality string keys, byte counters reported per-engine.
+    #: how kernel results are stored (``repro.engine`` registry key):
+    #: "row" stores them as they are; "columnar" stores the same
+    #: ``repro.frame`` containers with every all-string column carrying
+    #: its dictionary, which kernels read instead of hashing cells.
+    #: Like ``execution_mode`` it changes wall-clock only: values and
+    #: every SimReport number are identical across both.
     chunk_engine: str = "row"
     #: pre-aggregate each mapper's partition input before it hits storage
     #: (groupby shuffle-reduce only): shuffle bytes then shrink with key

@@ -32,10 +32,8 @@ class ChunkMeta:
 def meta_from_value(value: Any, extra: dict | None = None) -> ChunkMeta:
     """Derive a :class:`ChunkMeta` from an executed chunk's value.
 
-    Dispatches through the engine seam (``repro.engine``): chunk values
-    are physical, and each backend registers describers for its own
-    types — a columnar chunk reports its dictionary-encoded byte size,
-    which is what storage budgets and footprint EWMAs must see.
+    A chunk is charged by its cells on every engine (``utils.sizeof``),
+    so size-driven tiling decisions do not depend on ``chunk_engine``.
     """
     return ChunkMeta(**describe_value(value, extra))
 

@@ -71,9 +71,7 @@ class TileContext:
         if not self._storage.contains(chunk_key) and self._recoverable(
                 chunk_key):
             self._executor.ensure_available([chunk_key])
-        # storage holds physical (engine-encoded) values; sampling code
-        # reasons about logical frames, so decode on the way out.
-        return engine_of(self.config).compute(self._storage.peek(chunk_key))
+        return self._storage.peek(chunk_key)
 
     def chunk_meta(self, chunk: ChunkData) -> Optional[ChunkMeta]:
         return self.meta.get(chunk.key)
@@ -119,13 +117,10 @@ class ExecContext:
     """What an operator sees while executing on a worker.
 
     ``get`` returns input chunk values (already fetched from storage by
-    the executor) decoded to *logical* frames — the environment holds
-    whatever physical form ``Config.chunk_engine`` selected, but kernels
-    always compute on ``repro.frame`` containers. ``get_physical`` hands
-    out the raw stored value for kernels that partition/split through
-    the engine without materializing rows. ``extra_meta`` lets operators
-    attach sampling facts (e.g. pre/post aggregation sizes) that dynamic
-    tiling reads later.
+    the executor); ``engine`` is the chunk engine shuffle maps partition
+    and split through. ``extra_meta`` lets operators attach sampling
+    facts (e.g. pre/post aggregation sizes) that dynamic tiling reads
+    later.
     """
 
     def __init__(self, values: dict[str, Any], config: Config):
@@ -135,9 +130,6 @@ class ExecContext:
         self.extra_meta: dict[str, dict] = {}
 
     def get(self, key: str) -> Any:
-        return self.engine.compute(self._values[key])
-
-    def get_physical(self, key: str) -> Any:
         return self._values[key]
 
     def has(self, key: str) -> bool:

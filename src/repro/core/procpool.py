@@ -25,6 +25,11 @@ the actual chunk data — travel one of two ways:
   ndarray-backed chunks cross the process boundary without a copy in
   either direction.
 
+Chunks cross as the values kernels computed on; a string column's
+dictionary (``frame.dtypes.DictArray``) is left behind and the column
+crosses as its plain cells, so the columnar engine's ``persist`` hashes
+it again on the other side.
+
 Ownership rules (POSIX ``SharedMemory`` registers with the resource
 tracker on *every* init, create and attach alike):
 
@@ -59,7 +64,6 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context, resource_tracker, shared_memory
 from typing import Any
 
-from ..engine.base import engine_of
 from ..errors import WorkerProcessCrash
 
 try:  # the kernels close over lambdas; plain pickle cannot ship those
@@ -73,24 +77,6 @@ PROTOCOL = 5
 #: bytes — the copy is cheaper than an shm segment. Measured, not
 #: chosen: ``benchmarks/bench_ipc.py`` finds the crossover.
 INLINE_THRESHOLD = 64 * 1024
-
-
-def _wire_map(value: Any, fn, memo: dict) -> Any:
-    """Map ``fn`` over a chunk value (or a multi-output dict of them).
-
-    ``memo`` keeps identity sharing intact: the same physical object
-    appearing in both ``op_results`` and ``outputs`` maps to the *same*
-    wire object, so one pickle memoizes it once and the other side
-    reconstructs one shared value — exactly the identity the in-process
-    paths have.
-    """
-    if isinstance(value, dict):
-        return {k: _wire_map(v, fn, memo) for k, v in value.items()}
-    mapped = memo.get(id(value))
-    if mapped is None:
-        mapped = fn(value)
-        memo[id(value)] = mapped
-    return mapped
 
 
 def iter_subtask_ops(subtask) -> list:
@@ -254,18 +240,11 @@ def _worker_run(payload):
     (subtask, inputs, config), in_shm = decode_payload(payload, child=True)
     if in_shm is not None:
         _worker_arena.adopt(in_shm)
-    engine = engine_of(config)
-    memo: dict = {}
-    inputs = {
-        key: _wire_map(value, engine.from_wire, memo)
-        for key, value in inputs.items()
-    }
     record = run_subtask_kernels(subtask, inputs, config)
     ops = iter_subtask_ops(subtask)
-    memo = {}
     result = {
         "op_results": {
-            index: _wire_map(record.op_results[id(op)], engine.to_wire, memo)
+            index: record.op_results[id(op)]
             for index, op in enumerate(ops)
             if id(op) in record.op_results
         },
@@ -274,10 +253,7 @@ def _worker_run(payload):
             for index, op in enumerate(ops)
             if id(op) in record.op_extra_meta
         },
-        "outputs": {
-            key: _wire_map(value, engine.to_wire, memo)
-            for key, value in record.outputs.items()
-        },
+        "outputs": record.outputs,
     }
     out_payload, out_shm = encode_payload(
         result, INLINE_THRESHOLD, child=True,
@@ -367,14 +343,8 @@ class ProcPoolClient:
         """
         from .dispatch import SubtaskComputation
 
-        engine = engine_of(config)
-        memo: dict = {}
-        wire_inputs = {
-            key: _wire_map(value, engine.to_wire, memo)
-            for key, value in inputs.items()
-        }
         payload, in_shm = encode_payload(
-            (subtask, wire_inputs, config), INLINE_THRESHOLD,
+            (subtask, inputs, config), INLINE_THRESHOLD,
         )
         executor = self._ensure_executor()
         try:
@@ -394,17 +364,12 @@ class ProcPoolClient:
         if out_shm is not None:
             self._arena.adopt(out_shm)
         ops = iter_subtask_ops(subtask)
-        memo = {}
         op_results = {
-            id(ops[index]): _wire_map(value, engine.from_wire, memo)
+            id(ops[index]): value
             for index, value in result["op_results"].items()
         }
         op_extra = {
             id(ops[index]): value
             for index, value in result["op_extra"].items()
         }
-        outputs = {
-            key: _wire_map(value, engine.from_wire, memo)
-            for key, value in result["outputs"].items()
-        }
-        return SubtaskComputation(op_results, op_extra, outputs)
+        return SubtaskComputation(op_results, op_extra, result["outputs"])

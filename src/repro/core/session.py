@@ -43,7 +43,6 @@ from ..actors import Actor
 from ..cluster.cluster import SUPERVISOR_ADDRESS, ClusterState
 from ..cluster.simulation import counter_growth
 from ..config import Config, default_config
-from ..engine.base import engine_of
 from ..engine.local import DataFrame, Series, concat
 from ..errors import (
     ActorError,
@@ -401,11 +400,8 @@ class SessionActor(Actor):
         return self._assemble(tileable)
 
     def _assemble(self, tileable: TileableData) -> Any:
-        # storage holds physical chunk values; assembly (and the user)
-        # work on logical frames, so decode through the session's engine.
-        engine = engine_of(self.config)
         values = {
-            chunk.index: engine.compute(self.services.storage.peek(chunk.key))
+            chunk.index: self.services.storage.peek(chunk.key)
             for chunk in tileable.chunks
         }
         return assemble(tileable.kind, values)

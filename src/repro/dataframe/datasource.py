@@ -86,7 +86,7 @@ _STALE = object()
 class SourceDictionary:
     """What the chunk engine's ``persist`` makes of a source's columns,
     worked out once per handle, lazily, by the first slice that reads
-    each column (:meth:`ChunkEngine.persisted_column`).
+    each column (:meth:`RowEngine.persisted_column`).
 
     An entry is ``None`` when the engine keeps the column as it is (every
     column on the row engine), else a copy of the engine's form: a

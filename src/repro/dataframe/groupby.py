@@ -417,23 +417,19 @@ class GroupByPartition(Operator):
 
     def execute(self, ctx: ExecContext):
         engine = ctx.engine
-        value = ctx.get_physical(self.inputs[0].key)
+        frame = ctx.get(self.inputs[0].key)
         # mapper-side combine: auto merge glues map partials together
         # *without* re-aggregating, so a merged chunk carries duplicate
         # group keys. Folding them here — before the partitions hit
         # storage — shrinks shuffle bytes with key cardinality.
         if (self.plan is not None and ctx.config.mapper_side_combine
-                and len(value) > 0):
-            frame = engine.compute(value)
+                and len(frame) > 0):
             combined = merge_partial_frames([frame], self.by, self.plan)
             dropped = len(frame) - len(combined)
             if dropped > 0:
                 ctx.annotate(self.outputs[0].key,
                              **{COMBINE_DROPPED_KEY: dropped})
-                value = engine.persist(combined)
-        # partition/split run on the physical chunk: the columnar
-        # backend assigns over dictionary categories and gathers int32
-        # codes, never materializing rows.
-        assignment = engine.range_partition(value, self.by[0], self.boundaries)
-        parts = engine.split(value, assignment, self.n_reducers)
+                frame = combined
+        assignment = engine.range_partition(frame, self.by[0], self.boundaries)
+        parts = engine.split(frame, assignment, self.n_reducers)
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}

@@ -254,7 +254,7 @@ class MergePartition(Operator):
 
     def execute(self, ctx: ExecContext):
         engine = ctx.engine
-        value = ctx.get_physical(self.inputs[0].key)
+        value = ctx.get(self.inputs[0].key)
         if self.hash_mode:
             assignment = engine.hash_partition(value, self.key, self.n_parts)
         else:

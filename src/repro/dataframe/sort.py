@@ -138,7 +138,7 @@ class SortPartition(Operator):
 
     def execute(self, ctx: ExecContext):
         engine = ctx.engine
-        value = ctx.get_physical(self.inputs[0].key)
+        value = ctx.get(self.inputs[0].key)
         assignment = engine.range_partition(value, self.key, self.boundaries)
         n_parts = len(self.outputs)
         parts = engine.split(value, assignment, n_parts)

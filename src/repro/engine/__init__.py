@@ -1,20 +1,17 @@
-"""``repro.engine`` — the pluggable chunk-engine seam.
+"""``repro.engine`` — the chunk-engine seam.
 
-Select a backend with ``Config.chunk_engine`` (``"row"`` is the default
-and bit-identical to the pre-seam executor; ``"columnar"`` stores chunks
-as contiguous per-column arrays with dictionary-encoded strings).  See
-:mod:`repro.engine.base` for the contract and DESIGN.md for the seam's
-place in the architecture.
+Select a backend with ``Config.chunk_engine``: ``"row"`` (the default)
+stores kernel results as they are; ``"columnar"`` stores the same
+``repro.frame`` containers with each all-string column carrying its
+dictionary, which changes wall-clock only.  See :mod:`repro.engine.base`
+for the contract and DESIGN.md for the seam's place in the architecture.
 """
 
 from .base import (
-    ChunkEngine,
-    compiled_fusion_enabled,
     describe_value,
     engine_of,
     get_engine,
     persist_result,
-    register_describer,
     register_engine,
 )
 from .columnar import COLUMNAR_ENGINE, ColumnarEngine
@@ -22,15 +19,12 @@ from .row import ROW_ENGINE, RowEngine
 
 __all__ = [
     "COLUMNAR_ENGINE",
-    "ChunkEngine",
     "ColumnarEngine",
     "ROW_ENGINE",
     "RowEngine",
-    "compiled_fusion_enabled",
     "describe_value",
     "engine_of",
     "get_engine",
     "persist_result",
-    "register_describer",
     "register_engine",
 ]

@@ -1,139 +1,61 @@
-"""The chunk-engine seam: pluggable physical chunk representations.
+"""The chunk-engine seam: how a kernel's result is stored.
 
-The tiling layer is deliberately backend-agnostic — operators tile into
-chunks whose *physical* representation is an implementation detail — yet
-for nine PRs every layer of this repository imported ``repro.frame``
-directly, hard-wiring one row-oriented layout into kernels, executor,
-shuffle plane and workloads alike.  This module is the seam that undoes
-that: a :class:`ChunkEngine` ABC (in the spirit of Ludwig's
-``DataFrameEngine``) plus a registry keyed by ``Config.chunk_engine``.
+Every engine stores the same thing kernels compute on — the
+``repro.frame`` containers (``DataFrame`` / ``Series``), NumPy arrays and
+scalars — so there is one value space: what a kernel returns is what the
+executor environment, the storage service, the shuffle plane and the
+process-pool wire hold, and what the next kernel, a tiling sample and
+the session's fetch read back.  An engine differs only in what
+:meth:`~repro.engine.row.RowEngine.persist` attaches to a result
+before it is stored: the default :class:`~repro.engine.row.RowEngine`
+attaches nothing; its subclass
+:class:`~repro.engine.columnar.ColumnarEngine` gives each all-``str``
+column its dictionary (a :class:`repro.frame.dtypes.DictArray`), which
+the ``repro.frame`` kernels read instead of hashing cells.  A source
+asks :meth:`~repro.engine.row.RowEngine.persisted_column` once per
+handle, so its slices arrive already in that form.
 
-Value spaces
-------------
-
-Every engine distinguishes two value spaces:
-
-- **logical** values — what operator kernels compute with: the
-  ``repro.frame`` containers (``DataFrame``/``Series``), NumPy arrays
-  and scalars.  ``ExecContext.get`` always hands kernels logical values.
-- **physical** values — what sits in the executor environment, the
-  storage service, and on the shuffle/IPC wire.  ``persist`` maps
-  logical → physical; ``compute`` maps physical → logical.  For the
-  default :class:`~repro.engine.row.RowEngine` both maps are the
-  identity, so the row backend is bit-identical to the pre-seam engine.
-
-A logical value may carry its physical encoding along: the columnar
-``compute`` hands kernels string columns as
-:class:`repro.frame.dtypes.DictArray` — real cells that still know
-their ``(categories, codes)`` — so kernels that move rows move codes,
-kernels that group, join or sort read codes, and ``persist`` of a column
-that still knows its dictionary is an integer compaction, not a hash of
-every cell.  Any kernel that ignores the encoding sees an ordinary
-object array and its result simply arrives at ``persist`` without one.
-Sources meet the engine before their first ``persist``: a client
-frame's column is put in its :meth:`ChunkEngine.persisted_column` form
-once per handle, so its slices arrive encoded too; only UDF outputs
-(and file sources) arrive without a dictionary and are hashed.
-
-Accounting follows the split: ``sizeof`` (storage tiers, shuffle/wire
-byte counters) charges the *physical* value — a columnar chunk pays its
-dictionary-encoded size, which is what actually travels — while meta
-(:func:`describe_value`, feeding size-driven tiling decisions) reports
-the *logical* row-space size, so plan topology never depends on the
-backend.
+Because an attached dictionary changes no cell, ``chunk_engine`` changes
+wall-clock only, as ``execution_mode`` does: ``utils.sizeof`` and meta
+(:func:`describe_value`) charge every object column by its cells on
+either engine, partition draws hash the cells
+(:mod:`repro.engine.partition`), and a ``DictArray`` crosses the process
+boundary as its plain cells.
 
 Boundary rule (enforced by ``tools/check_service_boundaries.py``):
 outside ``repro/frame/`` and ``repro/engine/`` no module may import
 ``repro.frame`` — the frame API is re-exported by
-:mod:`repro.engine.local` and physical behaviour goes through an engine
+:mod:`repro.engine.local` and storage behaviour goes through an engine
 handle.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..frame import DataFrame, Series
 from ..utils import sizeof
 
-
-class ChunkEngine(ABC):
-    """One physical chunk representation, behind a uniform surface."""
-
-    #: registry key (``Config.chunk_engine``).
-    name: str = "abstract"
-    #: compiled expression fusion evaluates templates against raw
-    #: environment values, which only makes sense when physical ==
-    #: logical; non-row engines decline and the fused step is
-    #: interpreted operator-by-operator instead.
-    supports_compiled_fusion: bool = False
-
-    # -- representation -------------------------------------------------
-    @abstractmethod
-    def persist(self, value: Any) -> Any:
-        """Logical → physical: the storage/shuffle form of a value.
-
-        Must be idempotent (``persist(persist(v)) == persist(v)``) and
-        exact: ``compute(persist(v))`` is value-identical to ``v``.
-        """
-
-    @abstractmethod
-    def compute(self, value: Any) -> Any:
-        """Physical → logical: materialize a value for kernel use."""
-
-    def persisted_column(self, column: np.ndarray) -> np.ndarray:
-        """``column`` in the form whose row windows ``persist`` takes
-        without hashing a cell: the same cells (possibly the very array)
-        with whatever ``persist`` would otherwise work out from them.  A
-        source asks once per handle and hands its slices windows of the
-        answer.  Default: the column itself, at no cost."""
-        return column
-
-    def to_wire(self, value: Any) -> Any:
-        """Physical → picklable wire form (procpool IPC)."""
-        return value
-
-    def from_wire(self, value: Any) -> Any:
-        """Wire → physical (inverse of :meth:`to_wire`)."""
-        return value
-
-    # -- shuffle partition kernels -------------------------------------
-    @abstractmethod
-    def hash_partition(self, value: Any, key: Any,
-                       n_parts: int) -> np.ndarray:
-        """Per-row partition ids of ``value``'s ``key`` column by the
-        deterministic content hash.  Backend-invariant: every engine
-        must produce the draws of ``repro.frame.hashing`` over the
-        *decoded* key values."""
-
-    @abstractmethod
-    def range_partition(self, value: Any, key: Any,
-                        boundaries: list) -> np.ndarray:
-        """Per-row partition ids by search over sampled boundaries."""
-
-    @abstractmethod
-    def split(self, value: Any, assignment: np.ndarray,
-              n_parts: int) -> list:
-        """Split a physical chunk into ``n_parts`` physical chunks."""
+if TYPE_CHECKING:
+    from .row import RowEngine
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-_ENGINES: dict[str, ChunkEngine] = {}
+_ENGINES: dict[str, RowEngine] = {}
 
 
-def register_engine(engine: ChunkEngine) -> ChunkEngine:
+def register_engine(engine: RowEngine) -> RowEngine:
     """Register an engine singleton under ``engine.name``."""
     _ENGINES[engine.name] = engine
     return engine
 
 
-def get_engine(name: str = "row") -> ChunkEngine:
+def get_engine(name: str = "row") -> RowEngine:
     """The engine registered as ``name`` (``Config.chunk_engine``)."""
     try:
         return _ENGINES[name]
@@ -144,20 +66,9 @@ def get_engine(name: str = "row") -> ChunkEngine:
         ) from None
 
 
-def engine_of(config) -> ChunkEngine:
+def engine_of(config) -> RowEngine:
     """The engine a :class:`~repro.config.Config` selects."""
     return get_engine(config.chunk_engine)
-
-
-def compiled_fusion_enabled(config) -> bool:
-    """Whether the kernel loop may compile fused steps to evaluators.
-
-    Eligible fused elementwise/filter chains become one generated
-    evaluator (one call per step, intermediates in locals — the
-    numexpr-style single pass of Section V-A); a non-row engine declines
-    and the fused step is interpreted one operator at a time.
-    """
-    return engine_of(config).supports_compiled_fusion
 
 
 def is_multi_output(op, result: Any) -> bool:
@@ -168,39 +79,18 @@ def is_multi_output(op, result: Any) -> bool:
             and {out.key for out in op.outputs}.issuperset(result))
 
 
-def persist_result(engine: ChunkEngine, op, result: Any) -> Any:
+def persist_result(engine: RowEngine, op, result: Any) -> Any:
     """Persist an operator kernel's result before it enters the env."""
     if is_multi_output(op, result):
         return {key: engine.persist(value) for key, value in result.items()}
     return engine.persist(result)
 
 
-# ---------------------------------------------------------------------------
-# schema introspection (meta service)
-# ---------------------------------------------------------------------------
-
-#: physical-type describers contributed by engine backends:
-#: ``type -> fn(value, extra) -> dict`` of ChunkMeta fields.
-_DESCRIBERS: dict[type, Callable[[Any, dict], dict]] = {}
-
-
-def register_describer(cls: type,
-                       fn: Callable[[Any, dict], dict]) -> None:
-    _DESCRIBERS[cls] = fn
-
-
 def describe_value(value: Any, extra: dict | None = None) -> dict:
-    """Engine-dispatched schema facts of an executed chunk value.
-
-    Returns the field dict of a :class:`repro.core.meta.ChunkMeta`
-    (shape/nbytes/kind/dtype/columns/extra).  Backends register
-    describers for their physical types so columnar chunks report their
-    schema without decoding.
-    """
+    """Schema facts of an executed chunk value: the field dict of a
+    :class:`repro.core.meta.ChunkMeta` (shape/nbytes/kind/dtype/columns/
+    extra)."""
     extra = dict(extra or {})
-    describer = _DESCRIBERS.get(type(value))
-    if describer is not None:
-        return describer(value, extra)
     if isinstance(value, DataFrame):
         return dict(shape=value.shape, nbytes=sizeof(value),
                     kind="dataframe", columns=value.columns.to_list(),

@@ -1,12 +1,10 @@
-"""The logical value API, re-exported for everything outside the seam.
+"""The frame API, re-exported for everything outside the seam.
 
-Operator kernels, workloads and baselines compute with *logical* values
-— the ``repro.frame`` containers — regardless of which engine holds the
-physical chunks.  They import those names from here, never from
-``repro.frame`` directly (the boundary linter enforces it), so the
-single-node library stays a private implementation detail of the row
-value space and the engine package remains the only module that knows
-both representations.
+Operator kernels, workloads and baselines compute with the
+``repro.frame`` containers, whichever engine stores the chunks.  They
+import those names from here, never from ``repro.frame`` directly (the
+boundary linter enforces it), so the single-node library stays a private
+implementation detail behind the engine package.
 
 This is a pure re-export: no behaviour lives here.
 """

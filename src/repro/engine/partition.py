@@ -11,11 +11,12 @@ passes total. The scalar per-row definitions they must match bit for bit
 order), same index labels — live in
 ``tests/dataframe/test_partition_kernels.py`` as the parity oracle.
 
-These kernels operate on *logical* (row-engine) frames; engine backends
-layer their own physical fast paths on top (see
-:meth:`repro.engine.columnar.ColumnarEngine.split`) but must match these
-draws exactly — partition assignment is part of the deterministic
-accounting walk, so it is backend-invariant by contract.
+Both engines share these kernels.  A key column that carries its
+dictionary (``frame.dtypes.DictArray``, the columnar engine's string
+columns) is assigned over its categories and gathered by its codes:
+elementwise maps commute with gathers, so the draw is the one its cells
+would get, at dictionary cost — partition assignment is part of the
+deterministic accounting walk, so it must not depend on the engine.
 
 NA routing convention (inherited from the original binary search, where
 ``None <= boundary`` was simply never true): missing keys — ``None`` and
@@ -35,6 +36,10 @@ from ..frame.sorting import id_runs
 
 def assign_hash_partitions(keys: np.ndarray, n_parts: int) -> np.ndarray:
     """Per-row partition ids via the deterministic content hash."""
+    dictionary = dtypes.dictionary_of(keys)
+    if dictionary is not None:
+        categories, codes = dictionary
+        return (hash_array(categories) % n_parts)[codes]
     return hash_array(keys) % n_parts
 
 
@@ -47,6 +52,10 @@ def assign_range_partitions(keys: np.ndarray,
     """
     if not boundaries:
         return np.zeros(len(keys), dtype=np.int64)
+    dictionary = dtypes.dictionary_of(keys)
+    if dictionary is not None:
+        categories, codes = dictionary
+        return assign_range_partitions(categories, boundaries)[codes]
     keys = np.asarray(keys)
     if keys.dtype.kind in ("O", "U", "S"):
         bounds = dtypes.object_array(boundaries)

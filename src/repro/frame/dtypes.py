@@ -34,9 +34,9 @@ class DictArray(np.ndarray):
     dictionary honest —
 
     - **gathers keep it**: :func:`take` moves the codes with the cells;
-    - **consumers use it**: grouping, joining, sorting, the NA census and
-      the columnar engine's ``persist`` read :func:`dictionary_of` and
-      hash no cell;
+    - **consumers use it**: grouping, joining, sorting, shuffle
+      partitioning, the NA census and the columnar engine's ``persist``
+      read :func:`dictionary_of` and hash no cell;
     - **everyone else drops it**: whatever NumPy derives from the array
       (a copy excepted) starts without one, and writing into the array,
       or into a slice of it, forgets it.  Nothing in ``repro.frame``

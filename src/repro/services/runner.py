@@ -31,12 +31,7 @@ from typing import Any
 from ..core.dispatch import SubtaskComputation
 from ..core.operator import ExecContext
 from ..core.opfusion import compile_step, plan_subtask
-from ..engine.base import (
-    compiled_fusion_enabled,
-    engine_of,
-    is_multi_output,
-    persist_result,
-)
+from ..engine.base import engine_of, is_multi_output, persist_result
 
 
 def run_subtask_kernels(subtask, inputs: dict[str, Any],
@@ -55,13 +50,10 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
     executed_ops: set[int] = set()
     op_results: dict[int, Any] = {}
     op_extra: dict[int, dict[str, dict]] = {}
-    # compiled evaluators run against raw env values, so fusion codegen
-    # is gated on the engine (row-only). Only the step's final result is
-    # recorded, which is how the accounting replay recognises the step
-    # as fused.
-    use_compiled = compiled_fusion_enabled(config)
+    # only a compiled step's final result is recorded, which is how the
+    # accounting replay recognises the step as fused.
     for step in steps:
-        compiled = compile_step(step) if use_compiled else None
+        compiled = compile_step(step)
         if compiled is not None:
             result = compiled.run(env)
             env[compiled.output_key] = result
@@ -76,9 +68,6 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
                 continue
             executed_ops.add(id(op))
             ctx = ExecContext(env, config)
-            # results enter the env in physical (engine-encoded) form:
-            # downstream ctx.get decodes, storage/wire/sizeof see the
-            # encoded value.
             result = persist_result(engine, op, op.execute(ctx))
             if is_multi_output(op, result):
                 env.update(result)

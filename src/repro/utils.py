@@ -6,24 +6,12 @@ import contextlib
 import itertools
 import math
 import threading
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 _token_counter = itertools.count()
 _key_ns = threading.local()
-
-#: exact-type sizeof handlers contributed by chunk-engine backends
-#: (``repro.engine``): ``type -> fn(value) -> int``. Registration keeps
-#: this module free of engine imports while letting FootprintEstimator
-#: EWMAs and storage budgets price engine-specific physical chunks
-#: accurately instead of falling through to the generic container walk.
-_SIZEOF_HANDLERS: dict[type, Callable[[Any], int]] = {}
-
-
-def register_sizeof(cls: type, handler: Callable[[Any], int]) -> None:
-    """Register a byte-size handler for an engine's physical chunk type."""
-    _SIZEOF_HANDLERS[cls] = handler
 
 
 def new_key(prefix: str = "k") -> str:
@@ -77,9 +65,6 @@ def sizeof(obj: Any) -> int:
         return int(obj.nbytes)
     if obj is None:
         return 16
-    handler = _SIZEOF_HANDLERS.get(type(obj))
-    if handler is not None:
-        return int(handler(obj))
     nbytes = getattr(obj, "nbytes", None)
     if nbytes is not None:
         return int(nbytes)

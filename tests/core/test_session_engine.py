@@ -13,7 +13,6 @@ from repro.core.session import init_session, get_default_session, stop_session
 from repro.errors import SessionError, TilingError
 from repro import frame as pf
 from repro.dataframe import from_frame
-from repro.engine import engine_of
 from repro.tensor import rand
 
 
@@ -152,7 +151,7 @@ class TestSessionLifecycle:
             total = df.groupby("k").agg({"v": "sum"})
             s.execute(df.data, total.data)
             stored = s.storage.peek(df.data.chunks[0].key)
-            source_column = engine_of(cfg).compute(stored)["v"].values
+            source_column = stored["v"].values
             alive = [weakref.ref(s.cluster),
                      weakref.ref(s.cluster.actor_system),
                      weakref.ref(source_column)]

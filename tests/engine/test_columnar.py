@@ -1,10 +1,10 @@
 """Unit tests for the columnar chunk engine.
 
 Covers the pieces the end-to-end parity suite can't isolate: the
-dictionary encoder's eligibility rules, the hash/range draw-parity
-gather trick against the row-space oracles, per-partition dictionary
-compaction in ``split``, the procpool wire format, sizeof dispatch and
-meta introspection.
+dictionary encoder's eligibility rules, the hash/range draw parity of
+the shared partition kernels on a dictionary column against the row
+oracles, ``split`` parity, and that a stored columnar chunk is a
+``repro.frame`` container charged and described like its row twin.
 """
 
 from __future__ import annotations
@@ -13,20 +13,18 @@ import numpy as np
 import pytest
 
 from repro import frame as pf
+from repro.config import Config
+from repro.core import Session
+from repro.dataframe import from_frame
 from repro.engine import COLUMNAR_ENGINE, ROW_ENGINE
 from repro.engine.base import describe_value, engine_of, get_engine
-from repro.engine.columnar import (
-    ColumnarFrame,
-    ColumnarSeries,
-    DictColumn,
-    encode_column,
-)
+from repro.engine.columnar import encode_column
 from repro.engine.partition import (
     assign_hash_partitions,
     assign_range_partitions,
     split_by_assignment,
 )
-from repro.frame.dtypes import values_equal
+from repro.frame.dtypes import dictionary_of, values_equal
 from repro.utils import sizeof
 from tests.dataframe.test_partition_kernels import (
     reference_hash_partitions,
@@ -60,8 +58,6 @@ class TestRegistry:
             get_engine("arrow2")
 
     def test_engine_of_config(self):
-        from repro.config import Config
-
         cfg = Config()
         assert engine_of(cfg) is ROW_ENGINE
         cfg.chunk_engine = "columnar"
@@ -76,10 +72,11 @@ class TestEncoding:
     def test_all_string_column_dict_encodes(self):
         arr = np.array(["b", "a", "b", "c", "a"], dtype=object)
         col = encode_column(arr)
-        assert isinstance(col, DictColumn)
-        assert col.codes.dtype == np.int32
-        assert col.categories.tolist() == ["a", "b", "c"]  # sorted unique
-        assert col.decode().tolist() == arr.tolist()
+        categories, codes = dictionary_of(col)
+        assert codes.dtype == np.int32
+        assert categories.tolist() == ["a", "b", "c"]  # sorted unique
+        assert col.tolist() == arr.tolist()
+        assert encode_column(col) is col  # encoded once
 
     @pytest.mark.parametrize("raw", [
         np.array(["a", None, "b"], dtype=object),       # None-bearing
@@ -94,11 +91,10 @@ class TestEncoding:
 
     def test_frame_roundtrip(self):
         frame = make_string_frame()
-        phys = COLUMNAR_ENGINE.persist(frame)
-        assert isinstance(phys, ColumnarFrame)
-        assert isinstance(phys._data["k"], DictColumn)
-        assert isinstance(phys._data["v"], np.ndarray)
-        back = COLUMNAR_ENGINE.compute(phys)
+        back = COLUMNAR_ENGINE.persist(frame)
+        assert isinstance(back, pf.DataFrame)
+        assert dictionary_of(back["k"].values) is not None
+        assert back["v"].values is frame["v"].values
         assert back.columns.to_list() == frame.columns.to_list()
         for name in frame.columns.to_list():
             assert values_equal(back[name].values, frame[name].values)
@@ -114,10 +110,9 @@ class TestEncoding:
         series = pf.Series(
             np.array(["x", "y", "x"], dtype=object), name="s"
         )
-        phys = COLUMNAR_ENGINE.persist(series)
-        assert isinstance(phys, ColumnarSeries)
-        assert isinstance(phys._values, DictColumn)
-        back = COLUMNAR_ENGINE.compute(phys)
+        back = COLUMNAR_ENGINE.persist(series)
+        assert isinstance(back, pf.Series)
+        assert dictionary_of(back.values) is not None
         assert back.name == "s"
         assert values_equal(back.values, series.values)
 
@@ -161,7 +156,7 @@ class TestDrawParity:
 
 
 # ---------------------------------------------------------------------------
-# split: value parity + per-partition dictionary compaction
+# split: value parity
 # ---------------------------------------------------------------------------
 
 class TestSplit:
@@ -172,8 +167,8 @@ class TestSplit:
         phys = COLUMNAR_ENGINE.persist(frame)
         col_parts = COLUMNAR_ENGINE.split(phys, assignment, n_parts)
         row_parts = split_by_assignment(frame, assignment, n_parts)
-        for col_part, row_part in zip(col_parts, row_parts):
-            back = COLUMNAR_ENGINE.compute(col_part)
+        for back, row_part in zip(col_parts, row_parts):
+            assert dictionary_of(back["k"].values) is not None
             for name in frame.columns.to_list():
                 assert values_equal(back[name].values, row_part[name].values)
             assert values_equal(
@@ -181,103 +176,55 @@ class TestSplit:
                 np.asarray(row_part.index.values),
             )
 
-    def test_split_compacts_partition_dictionaries(self):
-        # 40 categories hashed into 8 partitions: each partition sees a
-        # strict subset of the dictionary and must carry *only* that
-        # subset — the byte win the bench measures depends on it.
-        rng = np.random.default_rng(7)
-        keys = np.array(
-            [f"cust-{k:05d}" for k in rng.integers(0, 40, 2_000)],
-            dtype=object,
-        )
-        frame = pf.DataFrame({"k": keys, "v": rng.normal(size=2_000)})
-        phys = COLUMNAR_ENGINE.persist(frame)
-        n_parts = 8
-        assignment = COLUMNAR_ENGINE.hash_partition(phys, "k", n_parts)
-        parts = COLUMNAR_ENGINE.split(phys, assignment, n_parts)
-        full_nbytes = phys._data["k"].categories.size
-        for part in parts:
-            col = part._data["k"]
-            assert isinstance(col, DictColumn)
-            decoded = col.decode()
-            # dictionary is exactly the values present, sorted unique
-            assert col.categories.tolist() == sorted(set(decoded.tolist()))
-            assert col.categories.size < full_nbytes
-            assert col.codes.dtype == np.int32
-        # partitions together still cover every input row
-        assert sum(len(p) for p in parts) == len(frame)
-
 
 # ---------------------------------------------------------------------------
-# wire format (procpool boundary)
-# ---------------------------------------------------------------------------
-
-class TestWire:
-    def test_frame_wire_roundtrip(self):
-        phys = COLUMNAR_ENGINE.persist(make_string_frame())
-        wire = COLUMNAR_ENGINE.to_wire(phys)
-        assert isinstance(wire, tuple) and wire[0] == "__columnar_frame__"
-        back = COLUMNAR_ENGINE.from_wire(wire)
-        assert isinstance(back, ColumnarFrame)
-        assert values_equal(
-            back._data["k"].decode(), phys._data["k"].decode()
-        )
-        np.testing.assert_array_equal(back._data["v"], phys._data["v"])
-
-    def test_series_wire_roundtrip(self):
-        phys = COLUMNAR_ENGINE.persist(
-            pf.Series(np.array(["a", "b", "a"], dtype=object), name="s"))
-        back = COLUMNAR_ENGINE.from_wire(COLUMNAR_ENGINE.to_wire(phys))
-        assert isinstance(back, ColumnarSeries)
-        assert back.name == "s"
-        assert values_equal(back._values.decode(), phys._values.decode())
-
-    def test_plain_values_pass_through(self):
-        arr = np.arange(8)
-        assert COLUMNAR_ENGINE.to_wire(arr) is arr
-        assert COLUMNAR_ENGINE.from_wire(arr) is arr
-        assert ROW_ENGINE.to_wire(arr) is arr
-
-
-# ---------------------------------------------------------------------------
-# satellite 2: sizeof dispatches through the registry
+# a stored chunk is the row engine's container, charged by its cells
 # ---------------------------------------------------------------------------
 
 class TestSizeof:
     def test_sizeof_uses_nbytes(self):
-        phys = COLUMNAR_ENGINE.persist(make_string_frame())
-        assert sizeof(phys) == phys.nbytes
-        assert sizeof(phys._data["k"]) == phys._data["k"].nbytes
+        frame = make_string_frame()
+        phys = COLUMNAR_ENGINE.persist(frame)
+        assert sizeof(phys) == phys.nbytes == sizeof(frame)
 
-    def test_dictionary_is_smaller_than_rows(self):
-        # low-cardinality string column: codes + small dictionary must
-        # undercut the per-pointer object charge of the row layout.
-        frame = make_string_frame(n=2_000, n_keys=10)
-        row_bytes = sizeof(ROW_ENGINE.persist(frame))
-        col_bytes = sizeof(COLUMNAR_ENGINE.persist(frame))
-        assert col_bytes < row_bytes
-
-
-# ---------------------------------------------------------------------------
-# meta introspection
-# ---------------------------------------------------------------------------
 
 class TestMeta:
     def test_describe_columnar_frame(self):
         frame = make_string_frame()
-        phys = COLUMNAR_ENGINE.persist(frame)
-        fields = describe_value(phys, {})
+        fields = describe_value(COLUMNAR_ENGINE.persist(frame), {})
         assert fields["kind"] == "dataframe"
         assert fields["columns"] == ["k", "v", "n"]
-        # meta nbytes are *logical*: exactly what the row engine's meta
-        # would report, so size-driven tiling is engine-invariant.
-        assert fields["nbytes"] == describe_value(frame, {})["nbytes"]
-        assert fields["nbytes"] > phys.nbytes  # dictionary win is physical
-        assert fields["shape"] == phys.shape
+        assert fields == describe_value(frame, {})
 
     def test_describe_columnar_series(self):
-        phys = COLUMNAR_ENGINE.persist(
-            pf.Series(np.array(["a", "b"], dtype=object), name="s"))
-        fields = describe_value(phys, {})
+        series = pf.Series(np.array(["a", "b"], dtype=object), name="s")
+        fields = describe_value(COLUMNAR_ENGINE.persist(series), {})
         assert fields["kind"] == "series"
         assert fields["shape"] == (2,)
+        assert fields == describe_value(series, {})
+
+
+class TestStoredChunk:
+    @staticmethod
+    def stored(engine: str):
+        cfg = Config()
+        cfg.chunk_engine = engine
+        cfg.chunk_store_limit = 8_000
+        with Session(cfg) as session:
+            df = from_frame(make_string_frame(), session)
+            filtered = df[df["v"] > 0.0]
+            session.execute(filtered.data)
+            return [session.storage.peek(chunk.key)
+                    for chunk in filtered.data.chunks]
+
+    def test_stored_chunk_is_a_frame_with_its_dictionary(self):
+        row_chunks = self.stored("row")
+        col_chunks = self.stored("columnar")
+        assert len(col_chunks) == len(row_chunks) > 1
+        for col, row in zip(col_chunks, row_chunks):
+            assert type(col) is pf.DataFrame
+            assert dictionary_of(col["k"].values) is not None
+            assert dictionary_of(row["k"].values) is None
+            assert values_equal(col["k"].values, row["k"].values)
+            assert sizeof(col) == sizeof(row)
+            assert describe_value(col) == describe_value(row)

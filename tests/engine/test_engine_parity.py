@@ -1,11 +1,12 @@
 """Cross-backend parity for the chunk-engine seam.
 
-The seam's contract (ISSUE 10): swapping ``Config.chunk_engine`` from
-``"row"`` to ``"columnar"`` may change *byte counters only*.  Every
-value a session fetches, and every structural number in the reports
-(subtask/shuffle topology, fault events, combine drops, retries), must
-be identical across backends — and, within the columnar backend, across
-serial and process execution modes.
+Swapping ``Config.chunk_engine`` from ``"row"`` to ``"columnar"`` changes
+wall-clock only, as ``execution_mode`` does: a columnar chunk is the row
+engine's ``repro.frame`` container with its string columns carrying a
+dictionary, charged by its cells.  Every value a session fetches and
+the whole report — simulated numbers, run counters, fault events and
+tiling decisions — must be identical across backends, and, within the
+columnar backend, across serial and process execution modes.
 
 The scenarios replayed here are exactly the 14 golden scenarios of
 ``tests/core/golden_harness.scenarios()`` — the tier-1 workloads
@@ -34,26 +35,12 @@ from repro.core import Session
 from repro.frame import DataFrame, Series
 from repro.frame.dtypes import values_equal
 
-#: report fields that describe graph/shuffle *structure* rather than
-#: bytes or simulated time — these must never move across backends.
-#: (Byte-derived counters — makespan, transfer/shuffle bytes, peak
-#: memory, spill — are legitimately per-engine: a dictionary-encoded
-#: chunk is smaller than its row twin.)
-TOPOLOGY_FIELDS = (
-    "n_subtasks",
-    "n_graph_nodes",
-    "combine_dropped_rows",
-    "retries",
-    "recomputed_subtasks",
-)
-
-
 def run_with_engine(spec: dict, engine: str):
     name, cfg = scenario_config({**spec, "chunk_engine": engine})
     workload, _ = WORKLOADS[name]
-    with Session(cfg) as session:
+    with Session(cfg) as session, record_plan() as plan:
         value = workload(session)
-        report = collect_report(session)
+        report = collect_report(session, plan)
     return value, report
 
 
@@ -79,7 +66,8 @@ def assert_values_identical(left, right):
 
 
 class TestColumnarMatchesRow:
-    """All 14 golden scenarios, row vs columnar, value for value."""
+    """All 14 golden scenarios, row vs columnar: the same values and the
+    same report, squeezed scenarios included."""
 
     @pytest.mark.parametrize("name,spec", scenarios(),
                              ids=[name for name, _ in scenarios()])
@@ -88,28 +76,17 @@ class TestColumnarMatchesRow:
         col_value, col_report = run_with_engine(spec, "columnar")
 
         assert_values_identical(row_value, col_value)
-
-        # Under the squeezed memory budget the *byte* sizes of chunks
-        # drive admission, spill and pressure splits — columnar chunks
-        # are smaller, so the squeeze trajectory may legitimately
-        # differ.  Everywhere else structure is pinned.
-        if "squeezed" in name:
-            return
-        assert row_report["fault_events"] == col_report["fault_events"]
-        for field in TOPOLOGY_FIELDS:
-            assert row_report["sim"][field] == col_report["sim"][field], field
-            assert row_report["run"][field] == col_report["run"][field], field
-        assert (row_report["run"]["dynamic_yields"]
-                == col_report["run"]["dynamic_yields"])
+        assert col_report == row_report
 
 
 class TestColumnarModeAgreement:
-    """Columnar reports are bit-identical serial / process.
+    """Columnar reports are bit-identical serial / process, and equal
+    the serial row report.
 
     The deterministic accounting walk promises SimReport does not
     depend on which runner executed the kernels; that promise must
-    survive the new physical representation (including the procpool
-    wire format for dictionary columns).
+    survive the dictionary columns, which cross the process boundary as
+    plain cells and are encoded again on the other side.
     """
 
     @pytest.mark.parametrize("workload", ["groupby_shuffle", "tpch_q5"])
@@ -120,10 +97,13 @@ class TestColumnarModeAgreement:
             {**spec, "parallel": False}, "columnar")
         process_value, process = run_with_engine(
             {**spec, "parallel": True}, "columnar")
+        row_value, row = run_with_engine({**spec, "parallel": False}, "row")
 
         assert_values_identical(serial_value, process_value)
-        assert serial["sim"] == process["sim"]
-        assert serial["fault_events"] == process["fault_events"]
+        assert_values_identical(row_value, process_value)
+        for section in ("sim", "fault_events", "plan"):
+            assert serial[section] == process[section] == row[section], \
+                section
 
 
 class TestStringKeyHashParity:
@@ -157,28 +137,17 @@ class TestStringKeyHashParity:
                 results[engine] = (self._string_groupby(session),
                                    collect_report(session))
         assert_values_identical(results["row"][0], results["columnar"][0])
-        for field in TOPOLOGY_FIELDS:
-            assert (results["row"][1]["sim"][field]
-                    == results["columnar"][1]["sim"][field]), field
+        assert results["row"][1] == results["columnar"][1]
 
 
 class TestColumnarBytesPinned:
     """The dictionary riding with the column changes no byte and no
-    decision: a ``persist`` that compacts codes stores exactly the
-    ``DictColumn`` a fresh encode of the same cells would, so the
-    columnar engine's own byte counters, virtual makespan and tiling
-    decisions on the string-key shuffle are the numbers recorded before
-    kernels consumed codes (commit 8ab297c), in both execution modes.
+    decision: on the string-key shuffle the columnar engine's byte
+    counters, virtual makespan and whole report are the row engine's, in
+    both execution modes, and its tiling decisions are the ones recorded
+    before kernels consumed codes (commit 8ab297c).
     """
 
-    PINNED_SIM = {
-        "n_subtasks": 126,
-        "total_shuffle_bytes": 282_340,
-        "total_transfer_bytes": 211_784,
-        "makespan": 0.6045439551658928,
-        "peak_memory": {"worker-0": 136_784, "worker-1": 140_850,
-                        "worker-2": 140_340, "worker-3": 118_136},
-    }
     PINNED_PLAN = [
         {"op": "FromFrame", "chunks": [55],
          "chunk_ops": {"FromFrameSlice": 55}, "partitioners": []},
@@ -196,12 +165,16 @@ class TestColumnarBytesPinned:
                              ids=["serial", "process"])
     @pytest.mark.parametrize("combine", [True, False])
     def test_string_shuffle_counters(self, combine, parallel):
-        with make_session(
-            parallel=parallel, chunk_limit=4_000, tree_reduce_threshold=1,
-            chunk_engine="columnar", mapper_side_combine=combine,
-        ) as session, record_plan() as plan:
-            TestStringKeyHashParity._string_groupby(session)
-            report = collect_report(session, plan)
-        assert {name: report["sim"][name]
-                for name in self.PINNED_SIM} == self.PINNED_SIM
-        assert json.loads(json.dumps(report["plan"])) == self.PINNED_PLAN
+        reports = {}
+        for engine in ("row", "columnar"):
+            with make_session(
+                parallel=parallel, chunk_limit=4_000,
+                tree_reduce_threshold=1, chunk_engine=engine,
+                mapper_side_combine=combine,
+            ) as session, record_plan() as plan:
+                TestStringKeyHashParity._string_groupby(session)
+                reports[engine] = collect_report(session, plan)
+        assert reports["columnar"] == reports["row"]
+        assert reports["columnar"]["sim"]["total_shuffle_bytes"] > 0
+        assert (json.loads(json.dumps(reports["columnar"]["plan"]))
+                == self.PINNED_PLAN)
