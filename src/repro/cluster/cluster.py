@@ -1,5 +1,5 @@
 """Cluster state: supervisor + workers, their pools, trackers and clocks,
-and the fair-share turnstile every session's stage accounting takes."""
+and the turnstile lock every session's stage accounting takes."""
 
 from __future__ import annotations
 
@@ -11,99 +11,6 @@ from .resource import Band, MemoryTracker, WorkerSpec, build_workers
 from .simulation import SimClock
 
 SUPERVISOR_ADDRESS = "supervisor"
-
-
-class FairShareQueue:
-    """Weighted fair-share turnstile over the cluster's stage grants.
-
-    Stride scheduling: each tenant carries a *pass* value advanced by
-    ``1 / weight`` per granted turn; among waiting tenants the lowest
-    pass (ties broken by arrival order) goes next.
-
-    The holder may re-enter (``acquire`` is reentrant per tenant with a
-    depth count) — fetch-time recovery runs ``execute`` inside an
-    already-held turn.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        #: tenant -> (weight, pass value)
-        self._tenants: dict[str, list[float]] = {}
-        self._global_pass = 0.0
-        self._arrivals = 0
-        #: tenant -> arrival seq, set while waiting.
-        self._waiting: dict[str, int] = {}
-        self._holder: str | None = None
-        self._depth = 0
-        self.turns_granted: dict[str, int] = {}
-
-    def register(self, session: str, weight: float = 1.0) -> None:
-        with self._lock:
-            weight = max(float(weight), 1e-9)
-            # late joiners start at the current pass front, not at zero —
-            # otherwise a fresh tenant would monopolize the turnstile
-            # until it caught up with everyone's accumulated pass.
-            self._tenants[session] = [weight, self._global_pass]
-
-    def unregister(self, session: str) -> None:
-        with self._lock:
-            self._tenants.pop(session, None)
-            self._waiting.pop(session, None)
-            self._cond.notify_all()
-
-    def _next_in_line(self) -> str | None:
-        if not self._waiting:
-            return None
-        return min(
-            self._waiting,
-            key=lambda s: (self._tenants.get(s, [1.0, 0.0])[1],
-                           self._waiting[s]),
-        )
-
-    def acquire(self, session: str) -> None:
-        """Block until it is ``session``'s turn; reentrant for the holder."""
-        with self._lock:
-            if self._holder == session:
-                self._depth += 1
-                return
-            self._waiting[session] = self._arrivals
-            self._arrivals += 1
-            self._cond.notify_all()
-            while not (self._holder is None
-                       and self._next_in_line() == session):
-                self._cond.wait()
-            del self._waiting[session]
-            self._holder = session
-            self._depth = 1
-            entry = self._tenants.get(session)
-            if entry is not None:
-                entry[1] += 1.0 / entry[0]
-                self._global_pass = max(self._global_pass, entry[1])
-            self.turns_granted[session] = (
-                self.turns_granted.get(session, 0) + 1)
-
-    def release(self, session: str) -> None:
-        with self._lock:
-            if self._holder != session:
-                return
-            self._depth -= 1
-            if self._depth <= 0:
-                self._holder = None
-                self._depth = 0
-                self._cond.notify_all()
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "tenants": {
-                    s: {"weight": w, "pass": p}
-                    for s, (w, p) in self._tenants.items()
-                },
-                "waiting": len(self._waiting),
-                "holder": self._holder,
-                "turns_granted": dict(self.turns_granted),
-            }
 
 
 class ClusterState:
@@ -130,9 +37,10 @@ class ClusterState:
             for worker in self.workers
         }
         self.clock = SimClock(self.bands, config.cost_model)
-        #: every session on the cluster takes a turn here for each stage
-        #: it accounts (a lock, not a service: no actor message).
-        self.turnstile = FairShareQueue()
+        #: every session on the cluster holds this for each stage it
+        #: accounts (a lock, not a service: no actor message). Reentrant:
+        #: fetch-time recovery runs a stage inside an already-held turn.
+        self.turnstile = threading.RLock()
         #: actor-plane supervision (``SupervisionPlane``) — installed by
         #: ``deploy_services`` alongside the service actors.
         self.supervision = None

@@ -22,7 +22,6 @@ changes.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -188,7 +187,7 @@ class GraphExecutor:
     """Executes one session's chunk graphs on a cluster's services.
 
     Every session is a tenant of its cluster, alone or not: its stages
-    take the cluster's turnstile, its service state (admission grants,
+    hold the cluster's turnstile lock, its service state (placement,
     lifecycle refcounts, cache invalidation, worker kills) is scoped by
     ``session_id``, its faults come from its own ``faults`` injector,
     and its stages start from its own ``frontier``.
@@ -196,7 +195,7 @@ class GraphExecutor:
 
     def __init__(self, cluster: ClusterState, storage: Any,
                  meta: Any, config: Config, *, session_id: str,
-                 faults: FaultInjector, memory_quota: float,
+                 faults: FaultInjector,
                  scheduling: Any, shuffle: Any, lifecycle: Any,
                  runners: dict[str, Any]):
         """Every service argument is a *handle* from the deployed
@@ -210,9 +209,6 @@ class GraphExecutor:
         self.session_id = session_id
         #: this session's deterministic chaos source.
         self.faults = faults
-        #: fraction of each worker's memory budget this session's
-        #: admission grants may hold concurrently (``0`` = no cap).
-        self.memory_quota = memory_quota
         self.storage = storage
         self.meta = meta
         self.config = config
@@ -246,15 +242,6 @@ class GraphExecutor:
         #: tokens); the session actor resets it when a run starts.
         self.identity = IdentityContext()
 
-    @contextmanager
-    def turn(self):
-        """Hold the cluster's stage turnstile; reentrant for this session."""
-        self.cluster.turnstile.acquire(self.session_id)
-        try:
-            yield
-        finally:
-            self.cluster.turnstile.release(self.session_id)
-
     # -- service introspection (diagnostics / tests) --------------------
     @property
     def pressure(self):
@@ -273,7 +260,7 @@ class GraphExecutor:
         What outlives the stage is the lifecycle service's call —
         whatever the plan it was told about still reads.
         """
-        with self.turn():
+        with self.cluster.turnstile:
             return self._execute_stage(chunk_graph)
 
     def _execute_stage(self, chunk_graph: DAG[ChunkData]) -> SimReport:
@@ -379,7 +366,8 @@ class GraphExecutor:
                                    self.session_id)
         subtask_graph = build_subtask_graph(pending_graph, groups, set(held))
         self.scheduling.assign(subtask_graph,
-                               self._known_nbytes(subtask_graph))
+                               self._known_nbytes(subtask_graph),
+                               session=self.session_id)
         return subtask_graph
 
     def _begin_stage(self, order: list[Subtask], stage: _Stage) -> None:
@@ -398,8 +386,8 @@ class GraphExecutor:
         # may have landed between messages, with no delivery to trigger
         # the supervisor). Restarts charge no virtual time.
         self.cluster.supervision.probe()
-        # stage boundary: grants ending by this session's base are
-        # pruned (all of its own); other sessions' grants survive.
+        # stage boundary: grants that ended by this session's base are
+        # pruned (all of its own); other sessions' later grants survive.
         self.scheduling.begin_stage(stage.base_time)
         consumers: dict[str, int] = defaultdict(int)
         for subtask in stage.graph.nodes():
@@ -559,7 +547,7 @@ class GraphExecutor:
         bands = [b.name for b in self.cluster.bands if b.worker == target]
         self.scheduling.reassign(subtask, min(
             bands, key=lambda name: (self.cluster.clock.band_free[name], name)
-        ))
+        ), self.session_id)
         return self._run_subtask(subtask, stage, computed, extra_delay)
 
     def _recover_lost(self, keys: list[str], stage: _Stage) -> None:
@@ -648,7 +636,7 @@ class GraphExecutor:
         missing = self.storage.missing_keys(keys)
         if not missing:
             return
-        with self.turn():
+        with self.cluster.turnstile:
             stage = _Stage(SimReport(), self.frontier)
             self._recover_lost(missing, stage)
             fold_report(self.report, stage.report)
@@ -702,7 +690,7 @@ class GraphExecutor:
                 # original run already consumed its inputs' refcounts, and
                 # recoveries are never first-class successes.
                 self.scheduling.finish_subtask(decision, end, subtask,
-                                               env.sizes)
+                                               env.sizes, self.session_id)
             stage.report.total_compute_seconds += duration
             stage.report.total_transfer_bytes += env.transferred
             return end
@@ -800,9 +788,6 @@ class GraphExecutor:
                 subtask, worker, working_set, ready_time,
                 tracker.used, tracker.limit,
                 allow_wait=self.config.admission_control,
-                session=self.session_id,
-                quota=(max(1, int(self.memory_quota * tracker.limit))
-                       if self.memory_quota > 0.0 else None),
             )
             stage.report.admission_wait_time += decision.wait
             # concurrent grants still active at our start count against

@@ -162,11 +162,10 @@ class FootprintEstimator:
 class AdmissionDecision:
     """Outcome of one :meth:`MemoryAdmission.admit` call."""
 
-    __slots__ = ("worker", "nbytes", "start", "wait", "active", "forced",
-                 "session")
+    __slots__ = ("worker", "nbytes", "start", "wait", "active", "forced")
 
     def __init__(self, worker: str, nbytes: int, start: float, wait: float,
-                 active: int, forced: bool, session: str):
+                 active: int, forced: bool):
         self.worker = worker
         #: bytes this grant reserves when committed.
         self.nbytes = nbytes
@@ -179,8 +178,6 @@ class AdmissionDecision:
         #: admitted oversubscribed after draining every grant — the
         #: deadlock guard fired (caller escalates to spill / OOM retry).
         self.forced = forced
-        #: the session this grant belongs to.
-        self.session = session
 
 
 class MemoryAdmission:
@@ -196,8 +193,8 @@ class MemoryAdmission:
     """
 
     def __init__(self):
-        #: worker -> sorted list of (end_time, nbytes, session) grants.
-        self._grants: dict[str, list[tuple[float, int, str]]] = {}
+        #: worker -> sorted list of (end_time, nbytes) grants.
+        self._grants: dict[str, list[tuple[float, int]]] = {}
         self.forced_admissions = 0
         self.total_wait = 0.0
 
@@ -217,7 +214,7 @@ class MemoryAdmission:
 
     def active_bytes(self, worker: str, at: float) -> int:
         return sum(
-            nbytes for end, nbytes, _ in self._grants.get(worker, ())
+            nbytes for end, nbytes in self._grants.get(worker, ())
             if end > at
         )
 
@@ -228,8 +225,7 @@ class MemoryAdmission:
         )
 
     def admit(self, worker: str, nbytes: int, ready_time: float,
-              used: int, limit: int, allow_wait: bool, *, session: str,
-              quota: int | None = None) -> AdmissionDecision:
+              used: int, limit: int, allow_wait: bool) -> AdmissionDecision:
         """Grant ``nbytes`` on ``worker`` no earlier than ``ready_time``.
 
         ``allow_wait`` off reproduces the seed engine: the request is
@@ -238,49 +234,29 @@ class MemoryAdmission:
         the earliest-ending grants until ``used + active + nbytes``
         fits — or every grant has ended, at which point the lone waiter
         is admitted even oversubscribed (the deadlock guard).
-
-        ``quota`` caps the bytes this ``session`` may hold concurrently
-        on the worker. A tenant at its quota waits for its own grants to
-        end; once it holds nothing and still exceeds the quota, it is
-        admitted anyway (the per-tenant deadlock guard — a quota smaller
-        than one subtask serializes the tenant, never wedges it).
         """
         grants = self._grants.get(worker, ())
         start = ready_time
-        active = sum(n for end, n, _ in grants if end > start)
-        own = (sum(n for end, n, s in grants if end > start and s == session)
-               if quota is not None else 0)
-
-        def fits() -> bool:
-            if used + active + nbytes > limit:
-                return False
-            if quota is not None and own > 0 and own + nbytes > quota:
-                return False
-            return True
-
+        active = sum(n for end, n in grants if end > start)
         if allow_wait:
-            ends = sorted(end for end, _, _ in grants if end > start)
+            ends = sorted(end for end, _ in grants if end > start)
             for end in ends:
-                if fits():
+                if used + active + nbytes <= limit:
                     break
                 start = end
-                active = sum(n for e, n, _ in grants if e > start)
-                if quota is not None:
-                    own = sum(n for e, n, s in grants
-                              if e > start and s == session)
+                active = sum(n for e, n in grants if e > start)
         forced = used + active + nbytes > limit
         if forced and allow_wait:
             self.forced_admissions += 1
         wait = start - ready_time
         self.total_wait += wait
-        return AdmissionDecision(worker, nbytes, start, wait, active, forced,
-                                 session)
+        return AdmissionDecision(worker, nbytes, start, wait, active, forced)
 
     def commit(self, decision: AdmissionDecision, end_time: float) -> None:
         """Record the admitted subtask's grant now that its virtual
         completion time is known."""
         grants = self._grants.setdefault(decision.worker, [])
-        bisect.insort(grants, (end_time, decision.nbytes, decision.session))
+        bisect.insort(grants, (end_time, decision.nbytes))
 
 
 class MemoryPressure:

@@ -17,10 +17,10 @@ its clock and shuts it down.  Either way the service plane is a set of
 cluster-scoped singletons deployed once; each session adds only its own
 :class:`SessionActor`, executes under a session key namespace (runtime
 chunk/shuffle keys become ``session-N/c-00000042`` so sessions can never
-collide in storage or shuffle accounting), takes the cluster's weighted
-fair-share turnstile for every stage it accounts, owns its fault
-injector (``session.faults``), and scopes its admission grants,
-lifecycle refcounts and cache invalidation to itself.
+collide in storage or shuffle accounting), holds the cluster's turnstile
+lock for every stage it accounts, owns its fault injector
+(``session.faults``), and scopes its placement, lifecycle refcounts and
+cache invalidation to itself.
 
 Virtual time is the session's own: its stages start at its
 ``frontier`` — the latest completion of any subtask it accounted,
@@ -130,8 +130,7 @@ class SessionActor(Actor):
     """
 
     def __init__(self, session_id: str, cluster: ClusterState,
-                 config: Config, services: ServiceHandles, *,
-                 memory_quota: float):
+                 config: Config, services: ServiceHandles):
         super().__init__()
         self.session_id = session_id
         self.cluster = cluster
@@ -142,7 +141,6 @@ class SessionActor(Actor):
         self.executor = GraphExecutor(
             cluster, services.storage, services.meta, config,
             session_id=session_id, faults=FaultInjector(config.faults),
-            memory_quota=memory_quota,
             scheduling=services.scheduling, shuffle=services.shuffle,
             lifecycle=services.lifecycle, runners=dict(services.runners),
         )
@@ -214,7 +212,7 @@ class SessionActor(Actor):
             # lost terminal chunks must land in this run's recovery
             # accounting.
             values = [self.fetch_tileable(t) for t in tileables]
-            with self.executor.turn():
+            with self.cluster.turnstile:
                 if self.config.result_cache:
                     # while the plan still reads its results: an entry
                     # evicted at once must not take their bytes along.
@@ -361,7 +359,7 @@ class SessionActor(Actor):
             node.chunks = []
             node.nsplits = ()
         dropped = self._stored_since(stored_before)
-        with self.executor.turn():
+        with self.cluster.turnstile:
             if dropped and self.config.result_cache:
                 # re-tiling regenerates these chunks under new keys: no
                 # cache entry may point at the bytes dropped below.
@@ -419,7 +417,7 @@ class SessionActor(Actor):
     def free_tileable(self, tileable: TileableData) -> None:
         """Drop a tileable's cached chunk data (it can be recomputed)."""
         keys = [chunk.key for chunk in tileable.chunks]
-        with self.executor.turn():
+        with self.cluster.turnstile:
             if keys and self.config.result_cache:
                 self.services.lifecycle.invalidate_cached(keys)
             for key in keys:
@@ -436,17 +434,19 @@ class SessionActor(Actor):
         Deletes this session's stored chunks — except ones the shared
         result cache points at, which stay behind as warm cross-session
         state — and drops its scoped service state (lifecycle scope,
-        cache stats, fair-share registration).
+        cache stats, placement cursor and band loads). It holds the
+        turnstile: a neighbour's stage mutates the same service state.
         """
         prefix = f"{self.session_id}/"
-        protected = set(self.services.lifecycle.cache_protected())
-        self._drop(
-            key for key in self.services.storage.all_keys()
-            if key.startswith(prefix) and key not in protected
-        )
-        self.services.lifecycle.drop_session(self.session_id)
-        self.services.cache.drop_session(self.session_id)
-        self.cluster.turnstile.unregister(self.session_id)
+        with self.cluster.turnstile:
+            protected = set(self.services.lifecycle.cache_protected())
+            self._drop(
+                key for key in self.services.storage.all_keys()
+                if key.startswith(prefix) and key not in protected
+            )
+            self.services.lifecycle.drop_session(self.session_id)
+            self.services.cache.drop_session(self.session_id)
+            self.services.scheduling.drop_session(self.session_id)
 
 
 class Session:
@@ -460,21 +460,14 @@ class Session:
 
     Every session is a tenant of a cluster: ``cluster=`` attaches it to
     one that already runs, and without it the session builds its own
-    (and is its lone tenant until it closes it). A tenant has fair-share
-    weight ``tenant_weight`` (a weight-2 tenant gets stage turns twice
-    as often as a weight-1 tenant) and its admission grants may hold at
-    most ``tenant_memory_quota`` of each worker's memory budget at once
-    (``0`` = no cap; a tenant at its quota waits in virtual time without
-    stalling its neighbours).
+    (and is its lone tenant until it closes it).
     """
 
     _counter = 0
     _counter_lock = threading.Lock()
 
     def __init__(self, config: Config | None = None,
-                 cluster: ClusterState | None = None, *,
-                 tenant_weight: float = 1.0,
-                 tenant_memory_quota: float = 0.0):
+                 cluster: ClusterState | None = None):
         self._owns_cluster = cluster is None
         if self._owns_cluster:
             self.config = config if config is not None else default_config()
@@ -500,11 +493,9 @@ class Session:
             Session._counter += 1
             count = Session._counter
         self.session_id = f"session-{count}"
-        self.cluster.turnstile.register(self.session_id, float(tenant_weight))
         self._actor_ref = self.cluster.actor_system.create_actor(
             SUPERVISOR_ADDRESS, SessionActor, self.session_id, self.cluster,
-            self.config, services, memory_quota=float(tenant_memory_quota),
-            uid=session_actor_uid(self.session_id),
+            self.config, services, uid=session_actor_uid(self.session_id),
         )
         self.closed = False
         #: close/execute coordination: close() waits for in-flight runs

@@ -174,7 +174,7 @@ class TestMemoryAdmission:
     def test_fits_starts_immediately(self):
         ledger = MemoryAdmission()
         decision = ledger.admit("w", 100, 1.0, used=0, limit=1_000,
-                                allow_wait=True, session="s")
+                                allow_wait=True)
         assert decision.start == 1.0 and decision.wait == 0.0
         assert not decision.forced
         ledger.commit(decision, 2.0)
@@ -185,10 +185,10 @@ class TestMemoryAdmission:
         ledger = MemoryAdmission()
         for end, nbytes in ((5.0, 400), (3.0, 400)):
             d = ledger.admit("w", nbytes, 0.0, used=0, limit=1_000,
-                             allow_wait=True, session="s")
+                             allow_wait=True)
             ledger.commit(d, end)
         decision = ledger.admit("w", 400, 1.0, used=0, limit=1_000,
-                                allow_wait=True, session="s")
+                                allow_wait=True)
         # 3 * 400 > 1000: wait for the grant ending at 3.0, not 5.0
         assert decision.start == 3.0
         assert decision.wait == 2.0
@@ -198,10 +198,10 @@ class TestMemoryAdmission:
     def test_deadlock_guard_forces_after_drain(self):
         ledger = MemoryAdmission()
         d = ledger.admit("w", 800, 0.0, used=0, limit=1_000,
-                         allow_wait=True, session="s")
+                         allow_wait=True)
         ledger.commit(d, 4.0)
         decision = ledger.admit("w", 900, 0.0, used=300, limit=1_000,
-                                allow_wait=True, session="s")
+                                allow_wait=True)
         # even alone it oversubscribes (300 + 900 > 1000): admitted
         # anyway once every grant drained, with zero concurrent bytes.
         assert decision.start == 4.0
@@ -212,17 +212,17 @@ class TestMemoryAdmission:
     def test_no_wait_mode_admits_into_pressure(self):
         ledger = MemoryAdmission()
         d = ledger.admit("w", 800, 0.0, used=0, limit=1_000,
-                         allow_wait=False, session="s")
+                         allow_wait=False)
         ledger.commit(d, 4.0)
         decision = ledger.admit("w", 800, 1.0, used=0, limit=1_000,
-                                allow_wait=False, session="s")
+                                allow_wait=False)
         assert decision.start == 1.0 and decision.active == 800
 
     def test_begin_stage_clears_grants(self):
         ledger = MemoryAdmission()
         for end in (99.0, 120.0):
             d = ledger.admit("w", 10, 0.0, used=0, limit=100,
-                             allow_wait=True, session="s")
+                             allow_wait=True)
             ledger.commit(d, end)
         # grants that ended by the stage's base go; a later one stays.
         ledger.begin_stage(99.0)
@@ -241,17 +241,17 @@ class TestSchedulerLoadAccounting:
         ]
         for subtask in subtasks:
             graph.add_node(subtask)
-        scheduler.assign(graph)
+        scheduler.assign(graph, session="s")
         return scheduler, subtasks
 
     def test_completion_releases_estimated_load(self):
         scheduler, subtasks = self._assigned()
-        assert sum(scheduler._band_load.values()) > 0
+        assert sum(scheduler._band_load["s"].values()) > 0
         for subtask in subtasks:
             assert subtask.load_estimate > 0
-            scheduler.note_completed(subtask)
+            scheduler.note_completed(subtask, "s")
         # S1: load decays back to zero instead of accumulating forever
-        assert sum(scheduler._band_load.values()) == 0
+        assert sum(scheduler._band_load["s"].values()) == 0
 
     def test_reassign_moves_load_and_placement(self):
         scheduler, subtasks = self._assigned()
@@ -260,10 +260,10 @@ class TestSchedulerLoadAccounting:
         target = next(
             b.name for b in scheduler.cluster.bands if b.name != source
         )
-        before_target = scheduler._band_load[target]
-        scheduler.reassign(victim, target)
+        before_target = scheduler._band_load["s"][target]
+        scheduler.reassign(victim, target, "s")
         assert victim.band == target
-        assert scheduler._band_load[target] == pytest.approx(
+        assert scheduler._band_load["s"][target] == pytest.approx(
             before_target + victim.load_estimate
         )
         assert all(

@@ -2,13 +2,14 @@
 
 Each test here fails if a hand-kept copy comes back: a counter merged or
 rebuilt field by field, a service method allow-list, a config knob no
-caller sets.
+caller sets, a ``Session`` keyword no program passes.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 
 import numpy as np
@@ -201,3 +202,31 @@ def test_every_config_field_is_set_by_some_caller():
         if field.name not in assigned
     ]
     assert not unset, f"fields no caller sets (make them constants): {unset}"
+
+
+# ---------------------------------------------------------------------------
+# (d) one reason to be a Session keyword: a program passes it
+# ---------------------------------------------------------------------------
+
+#: callers that count for a ``Session`` keyword: programs, not tests.
+PROGRAM_DIRS = ("src", "benchmarks", "tools", "examples")
+
+
+def test_every_session_keyword_is_passed_by_some_program():
+    """The ``Config`` census for the client's own parameters: a keyword
+    only tests pass is a knob nobody outside them chooses."""
+    params = [name for name in inspect.signature(Session.__init__).parameters
+              if name != "self"]
+    passed: set[str] = set()
+    for directory in PROGRAM_DIRS:
+        for path in (REPO / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "Session":
+                    passed.update(params[:len(node.args)])
+                    passed.update(k.arg for k in node.keywords if k.arg)
+    unpassed = [name for name in params if name not in passed]
+    assert not unpassed, f"Session keywords no program passes: {unpassed}"
