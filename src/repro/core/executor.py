@@ -187,8 +187,8 @@ class GraphExecutor:
     """Executes one session's chunk graphs on a cluster's services.
 
     Every session is a tenant of its cluster, alone or not: its stages
-    hold the cluster's turnstile lock, its service state (placement,
-    lifecycle refcounts, cache invalidation, worker kills) is scoped by
+    hold the cluster's turnstile lock, its service state (lifecycle
+    refcounts, cache invalidation, worker kills) is scoped by
     ``session_id``, its faults come from its own ``faults`` injector,
     and its stages start from its own ``frontier``.
     """
@@ -366,8 +366,7 @@ class GraphExecutor:
                                    self.session_id)
         subtask_graph = build_subtask_graph(pending_graph, groups, set(held))
         self.scheduling.assign(subtask_graph,
-                               self._known_nbytes(subtask_graph),
-                               session=self.session_id)
+                               self._known_nbytes(subtask_graph))
         return subtask_graph
 
     def _begin_stage(self, order: list[Subtask], stage: _Stage) -> None:
@@ -547,7 +546,7 @@ class GraphExecutor:
         bands = [b.name for b in self.cluster.bands if b.worker == target]
         self.scheduling.reassign(subtask, min(
             bands, key=lambda name: (self.cluster.clock.band_free[name], name)
-        ), self.session_id)
+        ))
         return self._run_subtask(subtask, stage, computed, extra_delay)
 
     def _recover_lost(self, keys: list[str], stage: _Stage) -> None:
@@ -690,7 +689,7 @@ class GraphExecutor:
                 # original run already consumed its inputs' refcounts, and
                 # recoveries are never first-class successes.
                 self.scheduling.finish_subtask(decision, end, subtask,
-                                               env.sizes, self.session_id)
+                                               env.sizes)
             stage.report.total_compute_seconds += duration
             stage.report.total_transfer_bytes += env.transferred
             return end

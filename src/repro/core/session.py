@@ -19,8 +19,8 @@ cluster-scoped singletons deployed once; each session adds only its own
 chunk/shuffle keys become ``session-N/c-00000042`` so sessions can never
 collide in storage or shuffle accounting), holds the cluster's turnstile
 lock for every stage it accounts, owns its fault injector
-(``session.faults``), and scopes its placement, lifecycle refcounts and
-cache invalidation to itself.
+(``session.faults``), and scopes its lifecycle refcounts and cache
+invalidation to itself.
 
 Virtual time is the session's own: its stages start at its
 ``frontier`` — the latest completion of any subtask it accounted,
@@ -434,19 +434,16 @@ class SessionActor(Actor):
         Deletes this session's stored chunks — except ones the shared
         result cache points at, which stay behind as warm cross-session
         state — and drops its scoped service state (lifecycle scope,
-        cache stats, placement cursor and band loads). It holds the
-        turnstile: a neighbour's stage mutates the same service state.
+        cache stats).
         """
         prefix = f"{self.session_id}/"
-        with self.cluster.turnstile:
-            protected = set(self.services.lifecycle.cache_protected())
-            self._drop(
-                key for key in self.services.storage.all_keys()
-                if key.startswith(prefix) and key not in protected
-            )
-            self.services.lifecycle.drop_session(self.session_id)
-            self.services.cache.drop_session(self.session_id)
-            self.services.scheduling.drop_session(self.session_id)
+        protected = set(self.services.lifecycle.cache_protected())
+        self._drop(
+            key for key in self.services.storage.all_keys()
+            if key.startswith(prefix) and key not in protected
+        )
+        self.services.lifecycle.drop_session(self.session_id)
+        self.services.cache.drop_session(self.session_id)
 
 
 class Session:

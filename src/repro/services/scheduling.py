@@ -29,10 +29,7 @@ class SchedulingService:
 
     ``chunk_band`` records where every produced chunk lives; it persists
     across the partial executions of a run so later stages see earlier
-    placements, and it is cluster-wide so a tenant's successors follow
-    shared cache chunks. The breadth-first cursor and the band loads are
-    per session: a co-tenant's work never moves where a tenant's sources
-    land, so its placement equals its solo placement.
+    placements.
     """
 
     def __init__(self, cluster, config, pressure: MemoryPressure):
@@ -40,12 +37,8 @@ class SchedulingService:
         self.config = config
         self._pressure = pressure
         self.chunk_band: dict[str, str] = {}
-        #: session -> band name -> estimated bytes of its assigned,
-        #: unfinished subtasks.
-        self._band_load: dict[str, dict[str, float]] = defaultdict(
-            lambda: {b.name: 0.0 for b in cluster.bands})
-        #: session -> breadth-first position of its next initial subtask.
-        self._rr_cursor: dict[str, int] = defaultdict(int)
+        self._band_load: dict[str, float] = {b.name: 0.0 for b in cluster.bands}
+        self._rr_cursor = 0
         #: presumed size of a chunk with no recorded metadata yet: a fresh
         #: full chunk. Without this, small *known* inputs (e.g. a broadcast
         #: table) would dominate locality and funnel work onto one band.
@@ -62,8 +55,7 @@ class SchedulingService:
                    MemoryPressure(config, cluster, meta, storage))
 
     # -- placement ---------------------------------------------------------
-    def assign(self, graph, input_nbytes: dict[str, int] | None = None, *,
-               session: str) -> None:
+    def assign(self, graph, input_nbytes: dict[str, int] | None = None) -> None:
         """Set ``subtask.band`` and ``subtask.priority`` for every node.
 
         ``priority`` is the subtask's topological position: the parallel
@@ -75,7 +67,6 @@ class SchedulingService:
         bands = [band.name for band in self.cluster.bands]
         if not bands:
             raise SchedulingError("cluster has no bands")
-        load = self._band_load[session]
         for position, subtask in enumerate(graph.topological_order()):
             subtask.priority = position
             preds = graph.predecessors(subtask)
@@ -83,68 +74,72 @@ class SchedulingService:
                 key in self.chunk_band for key in subtask.input_keys
             )
             if not preds and not has_located_input:
-                band = bands[self._rr_cursor[session] % len(bands)]
-                self._rr_cursor[session] += 1
+                band = bands[self._rr_cursor % len(bands)]
+                self._rr_cursor += 1
             elif self.config.locality_scheduling:
-                band = self._most_local_band(subtask, input_nbytes, bands,
-                                             load)
+                band = self._most_local_band(subtask, input_nbytes, bands)
             else:
-                band = min(bands, key=load.__getitem__)
+                band = self._least_loaded(bands)
             subtask.band = band
             estimated = sum(
                 input_nbytes.get(key, self._default_nbytes)
                 for key in subtask.input_keys
             ) + 1
             subtask.load_estimate = estimated
-            load[band] += estimated
+            self._band_load[band] += estimated
             for key in subtask.output_keys:
                 self.chunk_band[key] = band
 
     def _most_local_band(self, subtask, input_nbytes: dict[str, int],
-                         bands: list[str], load: dict[str, float]) -> str:
+                         bands: list[str]) -> str:
         local_bytes: dict[str, int] = defaultdict(int)
         for key in subtask.input_keys:
             band = self.chunk_band.get(key)
             if band is not None:
                 local_bytes[band] += input_nbytes.get(key, self._default_nbytes)
-        least = min(bands, key=load.__getitem__)
         if not local_bytes:
-            return least
+            return self._least_loaded(bands)
         best_bytes = max(local_bytes.values())
         candidates = [b for b, n in local_bytes.items() if n == best_bytes]
-        chosen = min(candidates, key=load.__getitem__)
+        chosen = min(candidates, key=lambda b: self._band_load[b])
         # balance valve: locality must not pile everything on one band —
         # when the locality choice is far more loaded than the idlest
         # band, moving the data is cheaper than waiting for the band.
-        if load[chosen] > 2.0 * load[least] + best_bytes:
+        least = self._least_loaded(bands)
+        if self._band_load[chosen] > 2.0 * self._band_load[least] + best_bytes:
             return least
         return chosen
 
-    def note_completed(self, subtask, session: str) -> None:
+    def _least_loaded(self, bands: list[str]) -> str:
+        return min(bands, key=lambda b: self._band_load[b])
+
+    def note_completed(self, subtask) -> None:
         """Release a finished (or moved) subtask's estimated band load.
 
         Without this, ``_band_load`` only ever accumulates across the
-        partial executions of a run, so least-loaded placement and the
+        partial executions of a run, so ``_least_loaded`` and the
         locality balance valve skew toward whichever bands happened to
         run the first stage.
         """
-        load = self._band_load[session]
         band = subtask.band
-        if band is None or band not in load:
+        if band is None or band not in self._band_load:
             return
-        load[band] = max(0.0, load[band] - subtask.load_estimate)
+        self._band_load[band] = max(
+            0.0, self._band_load[band] - subtask.load_estimate
+        )
 
-    def reassign(self, subtask, band: str, session: str) -> None:
+    def reassign(self, subtask, band: str) -> None:
         """Move a subtask (and its future outputs) to another band.
 
         Used by the out-of-memory retry: the estimated load
         follows the subtask, and output placements are re-recorded so
         locality follows the data to its new home.
         """
-        self.note_completed(subtask, session)
+        self.note_completed(subtask)
         subtask.band = band
-        load = self._band_load[session]
-        load[band] = load.get(band, 0.0) + subtask.load_estimate
+        self._band_load[band] = (
+            self._band_load.get(band, 0.0) + subtask.load_estimate
+        )
         for key in subtask.output_keys:
             self.chunk_band[key] = band
 
@@ -158,11 +153,6 @@ class SchedulingService:
         recovery re-records the placement when the chunk is recomputed.
         """
         self.chunk_band.pop(key, None)
-
-    def drop_session(self, session: str) -> None:
-        """Forget a detaching session's cursor and band loads."""
-        self._band_load.pop(session, None)
-        self._rr_cursor.pop(session, None)
 
     # -- memory admission --------------------------------------------------
     def begin_stage(self, base: float) -> None:
@@ -182,8 +172,7 @@ class SchedulingService:
         return self._pressure.admission.admit(
             worker, request, ready_time, used, limit, allow_wait=allow_wait)
 
-    def finish_subtask(self, decision, end: float, subtask, sizes,
-                       session: str) -> None:
+    def finish_subtask(self, decision, end: float, subtask, sizes) -> None:
         """One message for the post-subtask scheduling epilogue.
 
         Commits the admission grant through ``end``, feeds the measured
@@ -192,7 +181,7 @@ class SchedulingService:
         """
         self._pressure.admission.commit(decision, end)
         self._pressure.estimator.observe(subtask, sizes)
-        self.note_completed(subtask, session)
+        self.note_completed(subtask)
 
     # -- pressure state ----------------------------------------------------
     def freest_worker(self, other_than: str) -> str | None:

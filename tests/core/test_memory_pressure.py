@@ -241,17 +241,17 @@ class TestSchedulerLoadAccounting:
         ]
         for subtask in subtasks:
             graph.add_node(subtask)
-        scheduler.assign(graph, session="s")
+        scheduler.assign(graph)
         return scheduler, subtasks
 
     def test_completion_releases_estimated_load(self):
         scheduler, subtasks = self._assigned()
-        assert sum(scheduler._band_load["s"].values()) > 0
+        assert sum(scheduler._band_load.values()) > 0
         for subtask in subtasks:
             assert subtask.load_estimate > 0
-            scheduler.note_completed(subtask, "s")
+            scheduler.note_completed(subtask)
         # S1: load decays back to zero instead of accumulating forever
-        assert sum(scheduler._band_load["s"].values()) == 0
+        assert sum(scheduler._band_load.values()) == 0
 
     def test_reassign_moves_load_and_placement(self):
         scheduler, subtasks = self._assigned()
@@ -260,10 +260,10 @@ class TestSchedulerLoadAccounting:
         target = next(
             b.name for b in scheduler.cluster.bands if b.name != source
         )
-        before_target = scheduler._band_load["s"][target]
-        scheduler.reassign(victim, target, "s")
+        before_target = scheduler._band_load[target]
+        scheduler.reassign(victim, target)
         assert victim.band == target
-        assert scheduler._band_load["s"][target] == pytest.approx(
+        assert scheduler._band_load[target] == pytest.approx(
             before_target + victim.load_estimate
         )
         assert all(

@@ -44,7 +44,7 @@ class TestBreadthFirst:
         subtasks = [Subtask([chunk(i)]) for i in range(4)]
         for s in subtasks:
             graph.add_node(s)
-        scheduler.assign(graph, session="s")
+        scheduler.assign(graph)
         bands = [s.band for s in subtasks]
         assert bands == [
             "worker-0/band-0", "worker-0/band-1",
@@ -58,7 +58,7 @@ class TestBreadthFirst:
         subtasks = [Subtask([chunk(i)]) for i in range(5)]
         for s in subtasks:
             graph.add_node(s)
-        scheduler.assign(graph, session="s")
+        scheduler.assign(graph)
         assert subtasks[0].band == subtasks[2].band == subtasks[4].band
 
 
@@ -78,7 +78,7 @@ class TestLocality:
         cluster, cfg = make_cluster()
         scheduler = make_scheduler(cluster, cfg)
         graph, src, dep = self._graph_with_dependency()
-        scheduler.assign(graph, session="s")
+        scheduler.assign(graph)
         assert dep.band == src.band
 
     def test_locality_disabled_spreads(self):
@@ -86,7 +86,7 @@ class TestLocality:
         cfg.locality_scheduling = False
         scheduler = make_scheduler(cluster, cfg)
         graph, src, dep = self._graph_with_dependency()
-        scheduler.assign(graph, session="s")
+        scheduler.assign(graph)
         # least-loaded placement: the successor avoids the already-loaded band
         assert dep.band != src.band
 
@@ -103,8 +103,7 @@ class TestLocality:
         graph = DAG()
         graph.add_edge(s_big, s_join)
         graph.add_edge(s_small, s_join)
-        scheduler.assign(graph, input_nbytes={big.key: 1000, small.key: 10},
-                         session="s")
+        scheduler.assign(graph, input_nbytes={big.key: 1000, small.key: 10})
         assert s_join.band == s_big.band
 
     def test_chunk_band_recorded(self):
@@ -115,7 +114,7 @@ class TestLocality:
         s.output_keys = [c.key]
         graph = DAG()
         graph.add_node(s)
-        scheduler.assign(graph, session="s")
+        scheduler.assign(graph)
         assert scheduler.chunk_band[c.key] == s.band
 
 
