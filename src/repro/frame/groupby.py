@@ -30,13 +30,28 @@ AGGREGATIONS = (
 )
 
 
+#: an integer column whose value range (``max - min + 1``) is at most this
+#: many times its rows is counted, not sorted; past it a count table costs
+#: more than ``np.unique`` (DESIGN.md, "Local kernels", has the crossover)
+DENSE_RANGE = 2
+
+
+def dense_ids(ids: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes of ``ids`` in ``[0, space)`` numbered in id order, and
+    the ids present: a count, its running sum and one gather — what
+    ``np.unique(ids, return_inverse=True)`` answers, without sorting."""
+    used = np.bincount(ids, minlength=space) > 0
+    return (np.cumsum(used) - 1)[ids], np.flatnonzero(used)
+
+
 def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Encode values as integer codes; missing entries get code -1.
 
     Returns ``(codes, uniques)`` with uniques in sorted order, so equal key
     sets factorize identically on every chunk — a property the distributed
     shuffle relies on.  An encoded column's codes are compacted, not its
-    cells hashed, and its uniques come back encoded.
+    cells hashed, and its uniques come back encoded; integers whose range
+    is within ``DENSE_RANGE`` times the column are counted, not sorted.
     """
     dictionary = dtypes.dictionary_of(values)
     if dictionary is not None:
@@ -45,6 +60,16 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             uniques, np.arange(len(uniques), dtype=np.int32))
     if dtypes.is_object(values.dtype):
         return factorize_cells(values.tolist())
+    if dtypes.is_integer(values.dtype) and len(values):
+        low = values.min()
+        space = int(values.max()) - int(low) + 1
+        if space <= DENSE_RANGE * len(values):
+            # offsets from the minimum, read unsigned: a signed type's
+            # wrap-around cannot make them negative.  Uniques are rebuilt
+            # in the column's dtype, where the add wraps back exactly.
+            ids = (values - low).view(f"u{values.itemsize}").astype(np.int64)
+            codes, used = dense_ids(ids, space)
+            return codes, used.astype(values.dtype) + low
     present = ~dtypes.isna_array(values)
     codes = np.full(len(values), -1, dtype=np.int64)
     uniques, codes[present] = np.unique(values[present], return_inverse=True)
@@ -102,14 +127,11 @@ class Grouper:
             combined = combined * len(uniques) + codes
             valid &= codes >= 0
         # compress combined codes to dense 0..k-1 in sorted-key order: by
-        # counting when the count table is no longer than the codes, else
-        # by sorting the codes present
+        # counting within factorize's bound, else by sorting the codes
         kept, space = combined[valid], math.prod(map(len, uniques_list))
         self.codes = np.full(len(combined), -1, dtype=np.int64)
-        if space <= len(combined):
-            used = np.bincount(kept, minlength=space) > 0
-            present = np.flatnonzero(used)
-            self.codes[valid] = (np.cumsum(used) - 1)[kept]
+        if space <= DENSE_RANGE * len(combined):
+            self.codes[valid], present = dense_ids(kept, space)
         else:
             present = np.unique(kept)
             self.codes[valid] = np.searchsorted(present, kept)
@@ -131,15 +153,16 @@ class Grouper:
         return list(zip(*self.levels))
 
     def key_columns(self) -> list[np.ndarray]:
-        """The group labels as one column per key: a lone key tightened
-        like any aggregate, several keys as the cells of their tuples.
-        A level is a column of cells already unless it is typed (cells
-        are its NumPy scalars) or 2-D (equal-length tuple keys: its rows)
-        — then iterating it yields them."""
-        cells = [level if dtypes.is_object(level.dtype) and level.ndim == 1
-                 else np.fromiter(level, dtype=object, count=len(level))
-                 for level in self.levels]
-        return [_maybe_tighten(cells[0])] if len(cells) == 1 else cells
+        """The group labels as one column per key.  A 1-D level is its
+        column as it stands, typed or not; a 2-D one (equal-length tuple
+        keys) becomes a column of its rows.  A lone object key is
+        tightened like any aggregate."""
+        columns = [level if level.ndim == 1
+                   else np.fromiter(level, dtype=object, count=len(level))
+                   for level in self.levels]
+        if len(columns) == 1 and dtypes.is_object(columns[0].dtype):
+            return [_maybe_tighten(columns[0])]
+        return columns
 
     def result_index(self) -> Index:
         columns = self.key_columns()

@@ -132,7 +132,8 @@ def _encode_keys(left_arrays: Sequence[np.ndarray],
             uniques, (cl, cr) = dtypes.union_dictionaries([la, ra])
         else:
             dtype = dtypes.common_dtype([la.dtype, ra.dtype])
-            both = np.concatenate([la.astype(dtype), ra.astype(dtype)])
+            both = np.concatenate([la.astype(dtype, copy=False),
+                                   ra.astype(dtype, copy=False)])
             codes, uniques = factorize(both)
             cl, cr = codes[: len(la)], codes[len(la):]
         valid_l &= cl >= 0

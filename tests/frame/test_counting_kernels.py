@@ -6,8 +6,9 @@ kernel is run here next to its verbatim predecessor in
 ``reference_kernels`` on the inputs where the two could part: missing
 cells of every kind, collapsing equal keys, zero rows, group and
 partition counts either side of the 8- and 16-bit sort widths, and code
-spaces either side of the count table's memory bound.  "Exactly" is
-values, dtypes, unique order and row order (``reference.signature``).
+spaces either side of the count table's memory bound, and integer
+columns either side of ``DENSE_RANGE``.  "Exactly" is values, dtypes,
+unique order and row order (``reference.signature``).
 """
 
 from unittest import mock
@@ -16,8 +17,13 @@ import numpy as np
 import pytest
 
 from repro import frame as pf
-from repro.frame import Series, dtypes, join
-from repro.frame.groupby import Grouper, factorize, factorize_cells
+from repro.frame import Series, dtypes, groupby, join
+from repro.frame.groupby import (
+    DENSE_RANGE,
+    Grouper,
+    factorize,
+    factorize_cells,
+)
 from repro.frame.sorting import id_runs
 
 from . import reference_kernels as reference
@@ -53,6 +59,35 @@ na_columns = pytest.mark.parametrize("arr", NA_COLUMNS.values(),
                                      ids=NA_COLUMNS.keys())
 
 
+def spread(n_rows: int, space: int, dtype="int64", low: int = 0) -> np.ndarray:
+    """``n_rows`` integers from ``low`` whose range is exactly ``space``
+    (both ends present), in a seeded order with repeats."""
+    rng = np.random.default_rng(space)
+    offsets = rng.integers(0, space, n_rows)
+    offsets[:2] = 0, space - 1
+    return (rng.permutation(offsets).astype(object) + low).astype(dtype)
+
+
+I64, U64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+
+#: ``(column, counted)``: whether its range is within ``DENSE_RANGE``
+INT_COLUMNS = {
+    "range-2n": (spread(100, DENSE_RANGE * 100), True),
+    "range-2n+1": (spread(100, DENSE_RANGE * 100 + 1), False),
+    "negative": (spread(50, 80, low=-60), True),
+    "int8-full-range": (spread(200, 256, "int8", low=-128), True),
+    "int8-wide": (spread(20, 256, "int8", low=-128), False),
+    "int32": (spread(1_000, 1_500, "int32", low=-700), True),
+    "int64-at-min": (spread(10, 12, low=I64.min), True),
+    "int64-at-max": (spread(10, 12, low=I64.max - 11), True),
+    "int64-min-and-max": (np.array([I64.max, I64.min, 0]), False),
+    "uint64-past-2**63": (spread(30, 40, "uint64", low=2**63 + 5), True),
+    "uint64-at-max": (spread(10, 12, "uint64", low=U64.max - 11), True),
+    "one-row": (np.array([-4], dtype=np.int64), True),
+    "zero-rows": (np.array([], dtype=np.int32), False),
+}
+
+
 def scrambled_keys(n_groups: int, with_na: bool) -> np.ndarray:
     """``n_groups`` distinct float keys over about twice as many rows,
     in a seeded order, with NaN rows cycled in when ``with_na``."""
@@ -77,6 +112,15 @@ class TestFactorize:
             arr[present].tolist())
         same((codes[present], uniques), (want_codes, want_uniques))
         assert (codes[~present] == -1).all()
+
+    @pytest.mark.parametrize("arr, counted", INT_COLUMNS.values(),
+                             ids=INT_COLUMNS.keys())
+    def test_integer_columns_match_np_unique(self, arr, counted):
+        with mock.patch.object(groupby, "dense_ids",
+                               wraps=groupby.dense_ids) as dense_ids:
+            got = factorize(arr)
+        assert dense_ids.called == counted
+        same(got, reference.factorize(arr))
 
 
 class TestSeriesUnique:
@@ -160,6 +204,21 @@ class TestMultiKeyCompaction:
         second[::11] = np.nan
         assert len(np.unique(first)) * len(np.unique(second[~np.isnan(second)])) > 1_000
         assert_same_compaction([first, second])
+
+    @pytest.mark.parametrize("shape, counted", [
+        ((9, 10), True),    # 90 codes over 45 rows: twice the rows
+        ((7, 13), False),   # 91 codes over 45 rows: one past it
+    ])
+    def test_code_space_either_side_of_the_dense_range(self, shape, counted):
+        """Float keys sort in ``factorize``, so the compaction is the
+        only caller that may count."""
+        rows = np.arange(45)
+        keys = [(rows % n).astype(np.float64) for n in shape]
+        assert np.prod(shape) == DENSE_RANGE * 45 + (not counted)
+        with mock.patch.object(groupby, "dense_ids",
+                               wraps=groupby.dense_ids) as dense_ids:
+            assert_same_compaction(keys)
+        assert dense_ids.called == counted
 
     @pytest.mark.parametrize("n_groups", WIDTHS)
     def test_group_counts_around_the_sort_widths(self, n_groups):

@@ -47,12 +47,22 @@ session actor) and method, and the messages per subtask (the
 ``bench-smoke`` CI job runs this for ``groupby_shuffle`` and
 ``tpch_join``).
 
+``--keys`` books every ``factorize`` call on the operator class whose
+kernel made it, by the path it took — ``dictionary`` (an encoded
+column's codes, compacted), ``counting`` (integers within
+``DENSE_RANGE``), ``sort`` (``np.unique``) or ``hashed`` (object cells)
+— with the calls and rows each path took.  The exit status is non-zero
+when a kernel returns an object column whose cells are all NumPy scalars
+of one type: a typed column that lost its dtype on the way (the
+``bench-smoke`` CI job runs this for ``tpch_join`` and ``plan_sweep``).
+
 Run: ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --top 15``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --ops``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --messages``
      ``PYTHONPATH=src python tools/profile_workload.py strkey_columnar --encodes``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --columns``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --engine columnar``
+     ``PYTHONPATH=src python tools/profile_workload.py tpch_join --keys``
 """
 
 from __future__ import annotations
@@ -69,6 +79,8 @@ import time
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from unittest import mock
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src") + os.sep
@@ -88,6 +100,8 @@ from repro.dataframe.datasource import (  # noqa: E402
 )
 from repro.core.session import Session  # noqa: E402
 from repro.engine import columnar  # noqa: E402
+from repro.frame import DataFrame, Series  # noqa: E402
+from repro.frame import dtypes as frame_dtypes  # noqa: E402
 from repro.frame import groupby as frame_groupby  # noqa: E402
 from repro.services import runner  # noqa: E402
 
@@ -99,11 +113,13 @@ def _subclasses(cls: type):
 
 
 @contextmanager
-def count_op_calls():
+def count_op_calls(running: list | None = None, on_result=None):
     """Wrap every kernel entry point; yields ``{class name: [(instance,
     seconds), ...]}``, one pair per call, where ``instance`` names an
     operator object within one ``Session.execute`` (two queries over the
     same handles each slice their sources: two executes, no repeat).
+    While a kernel runs its class name is the last item of ``running``;
+    ``on_result(class name, result)`` sees what each call returned.
 
     The entry points are each ``Operator`` subclass's own ``execute`` and
     ``CompiledStep.run`` (a compiled fused chain runs as one call,
@@ -115,18 +131,24 @@ def count_op_calls():
     patched: list[tuple[type, str, object]] = []
     executes = itertools.count()
     current = [next(executes)]
+    running = [] if running is None else running
 
     def wrap(owner: type, attr: str, label):
         original = owner.__dict__[attr]
 
         def counted(self, *args, **kwargs):
+            op, name = label(self)  # the op itself: ids get reused
+            running.append(name)
             start = time.perf_counter()
             try:
-                return original(self, *args, **kwargs)
+                result = original(self, *args, **kwargs)
             finally:
-                op, name = label(self)  # the op itself: ids get reused
+                running.pop()
                 calls[name].append(((current[0], op),
                                     time.perf_counter() - start))
+            if on_result is not None:
+                on_result(name, result)
+            return result
 
         patched.append((owner, attr, original))
         setattr(owner, attr, counted)
@@ -243,6 +265,85 @@ def encodes_report(table: dict[str, list],
             offenders.append(name)
         lines.append(f"{calls:7d} {rows:10d} {hashed:13d}  {name}{note}")
     return lines, offenders
+
+
+#: ``factorize``'s paths; every one but ``sort`` calls a helper of its own
+KEY_PATHS = ("dictionary", "counting", "sort", "hashed")
+
+
+@contextmanager
+def count_key_paths():
+    """Book every ``factorize`` call on the operator class whose kernel
+    made it (``(outside kernels)`` for the rest), by the path it took;
+    yields ``({class name: {path: [calls, rows]}}, [(class name,
+    column, scalar type)])`` — the second lists each kernel-output object
+    column whose cells are all NumPy scalars of one type.
+
+    A call takes the ``sort`` path unless, while it runs, it compacts a
+    dictionary, counts its ids or hashes its cells.  In-process only, like
+    :func:`count_op_calls`."""
+    paths: dict[str, dict] = defaultdict(
+        lambda: {path: [0, 0] for path in KEY_PATHS})
+    lost: list[tuple] = []
+    running: list[str] = ["(outside kernels)"]
+    taken: list[str] = []  # the path of the factorize call in flight
+
+    def marking(path, helper):
+        def marked(*args, **kwargs):
+            if taken:
+                taken[-1] = path
+            return helper(*args, **kwargs)
+        return marked
+
+    def booked(values):
+        taken.append("sort")
+        try:
+            return factorize(values)
+        finally:
+            row = paths[running[-1]][taken.pop()]
+            row[0] += 1
+            row[1] += len(values)
+
+    def typed_cells(name, result):
+        for value in (result.values() if isinstance(result, dict)
+                      else [result]):
+            columns = (value._data.items() if isinstance(value, DataFrame)
+                       else [(value.name, value.values)]
+                       if isinstance(value, Series) else [])
+            for column, values in columns:
+                if not frame_dtypes.is_object(values.dtype):
+                    continue
+                kinds = set(map(type, values.tolist()))
+                if len(kinds) == 1 and issubclass(*kinds, np.generic):
+                    lost.append((name, column, kinds.pop().__name__))
+
+    factorize = frame_groupby.factorize
+    with count_op_calls(running, typed_cells), \
+            mock.patch.object(frame_groupby, "factorize", booked), \
+            mock.patch.object(frame_groupby, "dense_ids", marking(
+                "counting", frame_groupby.dense_ids)), \
+            mock.patch.object(frame_groupby, "factorize_cells", marking(
+                "hashed", frame_groupby.factorize_cells)), \
+            mock.patch.object(frame_dtypes, "compact_dictionary", marking(
+                "dictionary", frame_dtypes.compact_dictionary)):
+        yield paths, lost
+
+
+def key_paths_report(paths: dict[str, dict]) -> list[str]:
+    """Per operator class (most rows first), the calls and rows of each
+    path it took, then the totals per path."""
+    lines = [f"{'calls':>7} {'rows':>10}  {'path':<11} operator class"]
+    totals = {path: [0, 0] for path in KEY_PATHS}
+    for name, taken in sorted(paths.items(), key=lambda item: -sum(
+            rows for _, rows in item[1].values())):
+        for path, (calls, rows) in taken.items():
+            if calls:
+                totals[path][0] += calls
+                totals[path][1] += rows
+                lines.append(f"{calls:7d} {rows:10d}  {path:<11} {name}")
+    lines.extend(f"{calls:7d} {rows:10d}  {path:<11} total"
+                 for path, (calls, rows) in totals.items())
+    return lines
 
 
 @contextmanager
@@ -402,6 +503,10 @@ def main(argv=None) -> int:
     parser.add_argument("--messages", action="store_true",
                         help="actor-plane deliveries by recipient kind and "
                              "method, and messages per subtask")
+    parser.add_argument("--keys", action="store_true",
+                        help="factorize calls and rows per operator class "
+                             "and path; exit 1 if a kernel returns a typed "
+                             "column as NumPy scalars in an object column")
     parser.add_argument("--engine", choices=("row", "columnar"),
                         help="run the plan on this chunk engine; prints the "
                              "7-iteration median wall_s of both first")
@@ -439,6 +544,16 @@ def main(argv=None) -> int:
             print(f"FAIL: {', '.join(offenders)} hashed O(rows) cells: a "
                   "dictionary was dropped on the way or made twice")
         return 1 if offenders else 0
+    if args.keys:
+        with count_key_paths() as (paths, lost):
+            iteration = iterate()
+        print(f"{args.workload} seed={args.seed} scale={args.scale}: "
+              f"{iteration.counters['graph.n_subtasks']} subtasks")
+        print("\n".join(key_paths_report(paths)))
+        for name, column, kind in sorted(set(lost)):
+            print(f"FAIL: {name} returned column {column!r} as object "
+                  f"cells of {kind}: a typed column lost its dtype")
+        return 1 if lost else 0
     if args.columns:
         with count_source_columns() as rows:
             iteration = iterate()
