@@ -434,16 +434,18 @@ class SessionActor(Actor):
         Deletes this session's stored chunks — except ones the shared
         result cache points at, which stay behind as warm cross-session
         state — and drops its scoped service state (lifecycle scope,
-        cache stats).
+        cache stats).  Takes the turnstile: a neighbour's stage registers
+        terminal flags and stores chunks in the same service state.
         """
         prefix = f"{self.session_id}/"
-        protected = set(self.services.lifecycle.cache_protected())
-        self._drop(
-            key for key in self.services.storage.all_keys()
-            if key.startswith(prefix) and key not in protected
-        )
-        self.services.lifecycle.drop_session(self.session_id)
-        self.services.cache.drop_session(self.session_id)
+        with self.cluster.turnstile:
+            protected = set(self.services.lifecycle.cache_protected())
+            self._drop(
+                key for key in self.services.storage.all_keys()
+                if key.startswith(prefix) and key not in protected
+            )
+            self.services.lifecycle.drop_session(self.session_id)
+            self.services.cache.drop_session(self.session_id)
 
 
 class Session:

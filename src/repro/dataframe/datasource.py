@@ -47,22 +47,6 @@ def columns_to_read(op: DataSourceOp, columns: list) -> list:
     return [c for c in columns if c in carried] or columns[:1]
 
 
-_ADDRESS = np.dtype(np.uintp)
-
-
-class _Addresses:
-    """An object array's cells as the addresses they point at: the same
-    buffer, typed ``uintp`` and read-only (NumPy refuses ``view`` on an
-    array of references, not an ``__array_interface__``)."""
-
-    def __init__(self, cells: np.ndarray):
-        face = cells.__array_interface__
-        self.__array_interface__ = dict(
-            face, typestr=_ADDRESS.str, descr=[("", _ADDRESS.str)],
-            data=(face["data"][0], True))
-        self.cells = cells  # the view keeps the buffer alive
-
-
 def _same_cells(live: np.ndarray, pinned: np.ndarray) -> bool:
     """Whether ``live`` still holds the cells of its snapshot ``pinned``:
     the same objects, or equal values of the exact same type (an equal
@@ -73,8 +57,8 @@ def _same_cells(live: np.ndarray, pinned: np.ndarray) -> bool:
         return False
     if live.dtype.kind != "O":
         return live.tobytes() == pinned.tobytes()
-    moved = np.flatnonzero(np.asarray(_Addresses(live))
-                           != np.asarray(_Addresses(pinned)))
+    moved = np.flatnonzero(dtypes.addresses(live)
+                           != dtypes.addresses(pinned))
     return all(type(now) is type(then) and now == then for now, then in
                zip(live[moved].tolist(), pinned[moved].tolist()))
 

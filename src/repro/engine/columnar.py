@@ -38,14 +38,17 @@ from ..frame.groupby import factorize_cells
 def encode_column(arr: np.ndarray) -> np.ndarray:
     """``arr`` remembering its dictionary when it is an all-``str``
     object column; any other column, or one that already remembers it,
-    is returned as it is.  The one place this engine hashes cells."""
+    is returned as it is.  The one place this engine hashes cells.
+
+    The type census runs over the column's distinct objects when it is
+    a few shared ones (every cell is one of them), else over its cells."""
     if (arr.dtype.kind != "O" or arr.size == 0
             or dtypes.dictionary_of(arr) is not None):
         return arr
-    cells = arr.tolist()
-    if set(map(type, cells)) != {str}:
+    shared = dtypes.shared_objects(arr)
+    if set(map(type, arr if shared is None else shared[1])) != {str}:
         return arr
-    codes, categories = factorize_cells(cells)
+    codes, categories = factorize_cells(arr)
     return dtypes.encoded(categories, codes.astype(np.int32), cells=arr)
 
 

@@ -207,9 +207,75 @@ def isna_cells(cells: list) -> np.ndarray:
     return mask
 
 
-def first_seen(cells: list) -> tuple[np.ndarray, list]:
-    """Each cell's position among the distinct cells, and those cells in
-    first-seen order — one C pass that hashes every cell once.
+_ADDRESS = np.dtype(np.uintp)
+
+
+class _Addresses:
+    """An object array's cells as the addresses they point at: the same
+    buffer, typed ``uintp`` and read-only (NumPy refuses ``view`` on an
+    array of references, not an ``__array_interface__``)."""
+
+    def __init__(self, cells: np.ndarray):
+        face = cells.__array_interface__
+        self.__array_interface__ = dict(
+            face, typestr=_ADDRESS.str, descr=[("", _ADDRESS.str)],
+            data=(face["data"][0], True))
+        self.cells = cells  # the view keeps the buffer alive
+
+
+def addresses(cells: np.ndarray) -> np.ndarray:
+    """The object array ``cells`` read as ``uintp`` addresses, no copy.
+    While ``cells`` holds a reference to an object no other object can
+    take its address, so equal addresses are the same object."""
+    return np.asarray(_Addresses(cells))
+
+
+#: an object column of at least ``IDENTITY_ROWS`` cells whose first
+#: ``IDENTITY_WINDOW`` are at most ``IDENTITY_BOUND`` distinct objects is
+#: numbered by address, a few NumPy passes per object, and only its
+#: objects are hashed.  A shorter column costs less to hash than the
+#: path's fixed cost; the bound caps the passes a column that turns out
+#: to hold more objects wastes (DESIGN.md, "Local kernels", has the
+#: crossover)
+IDENTITY_ROWS = 1024
+IDENTITY_WINDOW = 64
+IDENTITY_BOUND = 8
+
+
+def shared_objects(cells: np.ndarray) -> tuple[np.ndarray, list] | None:
+    """``(ids, objects)`` when the object array ``cells`` is long enough,
+    passes the window gate and holds at most ``IDENTITY_BOUND`` distinct
+    objects: ``objects`` in first-seen order, ``cells[i] is
+    objects[ids[i]]``.  ``None`` otherwise — after at most
+    ``IDENTITY_BOUND`` compares."""
+    n = len(cells)
+    if n < IDENTITY_ROWS:
+        return None
+    address = addresses(cells)
+    if len(np.unique(address[:IDENTITY_WINDOW])) > IDENTITY_BOUND:
+        return None
+    # each object is the first row no earlier object is: first-seen
+    # order.  A row gains 1 for every object found while it is still
+    # left, so its id is the number of objects found before its own
+    ids = np.zeros(n, dtype=np.int8)
+    left = np.ones(n, dtype=bool)
+    hit = np.empty(n, dtype=bool)
+    objects, start = [], 0
+    while True:
+        if len(objects) == IDENTITY_BOUND:
+            return None
+        objects.append(cells[start])
+        np.equal(address, address[start], out=hit)
+        np.greater(left, hit, out=left)
+        start = int(left.argmax())
+        if not left[start]:
+            return ids, objects
+        np.add(ids, left.view(np.int8), out=ids)
+
+
+def hash_cells(cells: list) -> tuple[np.ndarray, list]:
+    """Each cell's position among the distinct cells of a list, and those
+    cells in first-seen order — one C pass that hashes every cell once.
 
     A ``defaultdict`` whose factory is its own ``__len__`` numbers a key
     the first time it is looked up, so equality is the dict's: ``1``,
@@ -221,6 +287,22 @@ def first_seen(cells: list) -> tuple[np.ndarray, list]:
     codes = np.fromiter(map(position.__getitem__, cells), dtype=np.int64,
                         count=len(cells))
     return codes, list(position)
+
+
+def first_seen(cells: np.ndarray) -> tuple[np.ndarray, list]:
+    """:func:`hash_cells` of a 1-D object array.  A column of a few
+    distinct objects (:func:`shared_objects`) hashes only those objects
+    and gathers: a dict checks identity before equality, so an object
+    numbers as every cell that is it would — codes, distinct cells and
+    their representatives are the per-cell pass's."""
+    shared = shared_objects(cells)
+    if shared is None:
+        return hash_cells(cells.tolist())
+    ids, objects = shared
+    codes, distinct = hash_cells(objects)
+    ids = ids.astype(np.int64)
+    # no two objects equal: each numbers as its own first-seen position
+    return (ids if len(distinct) == len(objects) else codes[ids]), distinct
 
 
 def isnone_array(arr: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return codes.astype(np.int64), dtypes.encoded(
             uniques, np.arange(len(uniques), dtype=np.int32))
     if dtypes.is_object(values.dtype):
-        return factorize_cells(values.tolist())
+        return factorize_cells(values)
     if dtypes.is_integer(values.dtype) and len(values):
         low = values.min()
         space = int(values.max()) - int(low) + 1
@@ -76,16 +76,17 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, uniques
 
 
-def factorize_cells(cells: list) -> tuple[np.ndarray, np.ndarray]:
-    """Codes into the sorted uniques of object cells; missing cells
+def factorize_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into the sorted uniques of an object column; missing cells
     (``None``, ``float`` NaN) get code -1.
 
-    One first-seen pass hashes every cell once and fixes the equality
-    (``1``, ``1.0`` and ``True`` collapse onto the first seen); Python
-    only finds the missing ones among the distinct cells, sorts the rest
-    and numbers them, and a gather turns first-seen codes into sorted ones.
+    One first-seen pass hashes every cell once, or only the distinct
+    objects of a column of a few, and fixes the equality (``1``, ``1.0``
+    and ``True`` collapse onto the first seen); Python only finds the
+    missing ones among the distinct cells, sorts the rest and numbers
+    them, and a gather turns first-seen codes into sorted ones.
     """
-    first, distinct = dtypes.first_seen(cells)
+    first, distinct = dtypes.first_seen(values)
     present = ~dtypes.isna_cells(distinct)
     kept = list(compress(distinct, present.tolist()))
     key = (kept.__getitem__ if set(map(type, kept)) <= {str}

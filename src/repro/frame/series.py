@@ -392,7 +392,7 @@ class Series:
     def unique(self) -> np.ndarray:
         values = self._values
         if dtypes.is_object(values.dtype):
-            return np.array(dtypes.first_seen(values.tolist())[1], dtype=object)
+            return np.array(dtypes.first_seen(values)[1], dtype=object)
         if dtypes.is_float(values.dtype):
             mask = np.isnan(values)
             uniques = np.unique(values[~mask])
@@ -410,7 +410,7 @@ class Series:
     def value_counts(self, ascending: bool = False) -> "Series":
         values = self._values
         if dtypes.is_object(values.dtype):
-            codes, distinct = dtypes.first_seen(values.tolist())
+            codes, distinct = dtypes.first_seen(values)
             present = ~dtypes.isna_cells(distinct)
             labels = np.array(list(compress(distinct, present.tolist())),
                               dtype=object)

@@ -19,6 +19,7 @@ and the session-isolation bugfixes that make it safe:
 from __future__ import annotations
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.config import Config
 from repro.core import Session
 from repro.core.session import SessionError
 from repro.dataframe import from_frame
+from repro.services.lifecycle import LifecycleService
 from repro.workloads.tpch import ALL_QUERIES, generate_tables
 from repro.workloads.tpch.queries import materialize
 
@@ -438,6 +440,70 @@ class TestTurnstile:
             assert out["a"] is not None and out["b"] is not None
         finally:
             a.close()
+            b.close()
+            cluster.shutdown()
+
+    def test_close_waits_for_the_turnstile(self):
+        # detach edits service state a neighbour's stage writes too (its
+        # terminal flags, its stored chunks): it takes the turnstile.
+        cluster = ClusterState(make_config(result_cache=False))
+        a = Session(cluster=cluster)
+        b = Session(cluster=cluster)
+        turnstile = cluster.turnstile
+        held, release, blocked = (threading.Event() for _ in range(3))
+
+        class Watched:
+            """The turnstile, noting a thread that has to wait for it."""
+
+            def __enter__(self):
+                if not turnstile.acquire(blocking=False):
+                    blocked.set()
+                    turnstile.acquire()
+
+            def __exit__(self, *exc):
+                turnstile.release()
+
+        def hold():
+            with turnstile:
+                held.set()
+                release.wait(timeout=60)
+
+        services = []
+        drop_session = LifecycleService.drop_session
+
+        def dropping(service, session):
+            services.append(service)
+            return drop_session(service, session)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        closer = threading.Thread(target=a.close, daemon=True)
+        try:
+            run_groupby(a)
+            agg_b, val_b = run_groupby(b, seed=23)
+            prefix = f"{a.session_id}/"
+            assert any(k.startswith(prefix) for k in b.storage.all_keys())
+            with mock.patch.object(cluster, "turnstile", Watched()), \
+                    mock.patch.object(LifecycleService, "drop_session",
+                                      dropping):
+                holder.start()
+                assert held.wait(timeout=30)
+                closer.start()
+                assert blocked.wait(timeout=30)
+                # the closer waits on a lock the holder has not let go of
+                assert closer.is_alive() and not services
+                release.set()
+                holder.join(timeout=60)
+                closer.join(timeout=60)
+            assert not holder.is_alive() and not closer.is_alive()
+            (lifecycle,) = services
+            assert a.session_id not in lifecycle._scopes
+            assert not any(k.startswith(prefix) for k in lifecycle._terminal)
+            assert not any(k.startswith(prefix) for k in b.storage.all_keys())
+            assert repr(b.fetch(agg_b.data)) == repr(val_b)
+        finally:
+            release.set()
+            if not a.closed:
+                a.close()
             b.close()
             cluster.shutdown()
 

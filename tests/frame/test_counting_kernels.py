@@ -5,18 +5,21 @@ joining and partitioning is a count or a byte-wide radix sort.  Every such
 kernel is run here next to its verbatim predecessor in
 ``reference_kernels`` on the inputs where the two could part: missing
 cells of every kind, collapsing equal keys, zero rows, group and
-partition counts either side of the 8- and 16-bit sort widths, and code
-spaces either side of the count table's memory bound, and integer
-columns either side of ``DENSE_RANGE``.  "Exactly" is values, dtypes,
-unique order and row order (``reference.signature``).
+partition counts either side of the 8- and 16-bit sort widths, code
+spaces either side of the count table's memory bound, integer columns
+either side of ``DENSE_RANGE``, and object columns either side of the
+identity path's row floor, window and object bound.  "Exactly" is
+values, dtypes, unique order and row order (``reference.signature``).
 """
 
+import operator
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import frame as pf
+from repro.engine import columnar
 from repro.frame import Series, dtypes, groupby, join
 from repro.frame.groupby import (
     DENSE_RANGE,
@@ -107,7 +110,7 @@ class TestFactorize:
     @na_columns
     def test_matches_the_two_pass_cells_on_what_is_present(self, arr):
         present = ~reference.isna_array(arr)
-        codes, uniques = factorize_cells(arr.tolist())
+        codes, uniques = factorize_cells(arr)
         want_codes, want_uniques = reference.factorize_cells(
             arr[present].tolist())
         same((codes[present], uniques), (want_codes, want_uniques))
@@ -123,6 +126,30 @@ class TestFactorize:
         same(got, reference.factorize(arr))
 
 
+def assert_first_seen_order_and_counts(arr: np.ndarray) -> None:
+    """``Series.unique`` and ``value_counts`` against a per-cell loop."""
+    series = Series(arr)
+    seen: dict = {}
+    for cell in arr.tolist():
+        seen.setdefault(cell, cell)
+    assert signature(series.unique()) == signature(
+        np.array(list(seen.values()), dtype=object))
+    counts = series.value_counts()
+    present = ~reference.isna_array(arr)
+    labels, freq = [], []
+    for cell in arr[present].tolist():
+        if cell in labels:
+            freq[labels.index(cell)] += 1
+        else:
+            labels.append(cell)
+            freq.append(1)
+    order = np.argsort(np.array(freq, dtype=np.int64), kind="stable")[::-1]
+    assert signature(counts.values) == signature(
+        np.array(freq, dtype=np.int64)[order])
+    assert signature(counts.index.values) == signature(
+        np.array(labels, dtype=object)[order])
+
+
 class TestSeriesUnique:
     """``Series.unique`` / ``value_counts`` once stood ``"__repro_na__"``
     in for ``None``, so a real cell of that text and ``None`` were one."""
@@ -135,30 +162,125 @@ class TestSeriesUnique:
 
     @na_columns
     def test_first_seen_order_and_counts(self, arr):
-        series = Series(arr)
-        seen: dict = {}
-        for cell in arr.tolist():
-            seen.setdefault(cell, cell)
-        assert signature(series.unique()) == signature(
-            np.array(list(seen.values()), dtype=object))
-        counts = series.value_counts()
-        present = ~reference.isna_array(arr)
-        labels, freq = [], []
-        for cell in arr[present].tolist():
-            if cell in labels:
-                freq[labels.index(cell)] += 1
-            else:
-                labels.append(cell)
-                freq.append(1)
-        order = np.argsort(np.array(freq, dtype=np.int64), kind="stable")[::-1]
-        assert signature(counts.values) == signature(
-            np.array(freq, dtype=np.int64)[order])
-        assert signature(counts.index.values) == signature(
-            np.array(labels, dtype=object)[order])
+        assert_first_seen_order_and_counts(arr)
 
     def test_groupby_nunique_sees_both(self):
         frame = pf.DataFrame({"k": [1, 1, 1], "v": [None, "__repro_na__", "a"]})
         assert frame.groupby("k")["v"].agg("nunique").values.tolist() == [2]
+
+
+ROWS, WINDOW, BOUND = (dtypes.IDENTITY_ROWS, dtypes.IDENTITY_WINDOW,
+                       dtypes.IDENTITY_BOUND)
+
+
+def fresh(text: str) -> str:
+    """An equal string that is a new object."""
+    return "".join(list(text))
+
+
+def scattered(objects: list, n_rows: int = ROWS + 100,
+              seed: int = 0) -> np.ndarray:
+    """``n_rows`` cells, each one of ``objects`` (shared, not copied),
+    every object present, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, len(objects), n_rows)
+    picks[:len(objects)] = np.arange(len(objects))
+    return dtypes.object_array(objects[i] for i in rng.permutation(picks))
+
+
+def runs(objects: list, run: int) -> np.ndarray:
+    """``objects`` in order, each repeated ``run`` times: a sorted column."""
+    return dtypes.object_array(o for o in objects for _ in range(run))
+
+
+NAN = float("nan")
+SHARED = [f"key-{i}" for i in range(BOUND + 1)]
+STRIDED_BASE = scattered(SHARED[:3] + [None], 3 * ROWS + 1, seed=4)
+
+#: ``(column, identity)``: whether it is numbered by address
+IDENTITY_COLUMNS = {
+    "shared-equal-objects": (scattered(["a", "b"]), True),
+    "distinct-equal-objects": (scattered(
+        [fresh("key"), fresh("key"), "x", fresh("x")]), True),
+    "every-cell-its-own-object": (dtypes.object_array(
+        fresh("key") for _ in range(ROWS)), False),
+    "object-after-the-window": (dtypes.object_array(
+        ["a"] * (WINDOW + 10) + ["z"] + ["a"] * ROWS), True),
+    "sorted-window-one-object": (runs(SHARED[:3], ROWS // 2), True),
+    "sorted-past-the-bound": (runs(SHARED + ["zz"], ROWS // 8), False),
+    "k-at-the-bound": (scattered(SHARED[:BOUND]), True),
+    "k-past-the-bound-in-window": (scattered(SHARED), False),
+    "k-past-the-bound-after-window": (dtypes.object_array(
+        SHARED[:BOUND] * (WINDOW // BOUND) + SHARED * (ROWS // BOUND)),
+        False),
+    "one-collapse": (scattered([1, 1.0, True, 0, False, 2.5]), True),
+    "true-first": (scattered([True, 1, 1.0, None]), True),
+    "str-and-np-str": (scattered(["a", np.str_("a"), "b"]), True),
+    "none": (scattered([None, "a"]), True),
+    "one-nan-object": (scattered([NAN, "a", None]), True),
+    "several-nan-objects": (scattered(
+        [float("nan"), "a", np.float64("nan"), float("nan")]), True),
+    "strided": (STRIDED_BASE[::2], True),
+    "reversed": (STRIDED_BASE[::-3], True),
+    "zero-rows": (cells(), False),
+    "one-row": (cells("a"), False),
+    "window-rows": (scattered(["a", "b"], WINDOW), False),
+    "window-plus-one-rows": (scattered(["a", "b"], WINDOW + 1), False),
+    "rows-below-the-floor": (scattered(["a", "b"], ROWS - 1), False),
+    "rows-at-the-floor": (scattered(["a", "b"], ROWS), True),
+}
+
+
+class TestIdentityPath:
+    """A long column of a few shared objects is numbered by address and
+    only its objects are hashed; the answers are the per-cell pass's."""
+
+    @pytest.fixture(params=IDENTITY_COLUMNS.values(),
+                    ids=IDENTITY_COLUMNS.keys())
+    def column(self, request):
+        arr, identity = request.param
+        shared = dtypes.shared_objects(arr)
+        assert (shared is not None) == identity
+        return arr
+
+    def test_first_seen_is_the_per_cell_pass(self, column):
+        codes, distinct = dtypes.first_seen(column)
+        want_codes, want_distinct = dtypes.hash_cells(column.tolist())
+        assert signature(codes) == signature(want_codes)
+        # the same representatives, not just equal ones
+        assert len(distinct) == len(want_distinct)
+        assert all(map(operator.is_, distinct, want_distinct))
+
+    def test_shared_objects_are_the_cells(self, column):
+        shared = dtypes.shared_objects(column)
+        if shared is not None:
+            ids, objects = shared
+            assert len(set(map(id, objects))) == len(objects) <= BOUND
+            rebuilt = dtypes.object_array(objects)[ids]
+            assert all(map(operator.is_, rebuilt.tolist(), column.tolist()))
+
+    def test_factorize_matches_the_per_cell_loop(self, column):
+        same(factorize(column), reference.factorize(column))
+
+    def test_factorize_cells_matches_the_two_pass_cells(self, column):
+        present = ~reference.isna_array(column)
+        codes, uniques = factorize_cells(column)
+        want_codes, want_uniques = reference.factorize_cells(
+            column[present].tolist())
+        same((codes[present], uniques), (want_codes, want_uniques))
+        assert (codes[~present] == -1).all()
+
+    def test_series_unique_and_value_counts(self, column):
+        assert_first_seen_order_and_counts(column)
+
+    def test_encode_column_matches_the_per_cell_encode(self, column):
+        got = columnar.encode_column(column)
+        want = reference.encode_column(column)
+        if want is None:
+            assert dtypes.dictionary_of(got) is None
+        else:
+            categories, codes = dtypes.dictionary_of(got)
+            same((categories, codes), want)
 
 
 class TestSortedLayout:

@@ -16,7 +16,8 @@ runs this for ``tpch_join`` and ``groupby_shuffle``).
 
 ``--encodes`` does the same for dictionary encoding on the columnar
 engine: per operator class, the rows its kernels produced against the
-string cells hashed (``factorize_cells``) while the kernel ran and while
+cells hashed (``dtypes.hash_cells``: every cell of a column, or only the
+objects of a column of a few shared ones) while the kernel ran and while
 its result was persisted.  A dictionary made at the source rides with the
 column, so only operators without inputs should hash; the exit status is
 non-zero when any other class hashes half as many cells as it produced rows,
@@ -50,11 +51,15 @@ session actor) and method, and the messages per subtask (the
 ``--keys`` books every ``factorize`` call on the operator class whose
 kernel made it, by the path it took — ``dictionary`` (an encoded
 column's codes, compacted), ``counting`` (integers within
-``DENSE_RANGE``), ``sort`` (``np.unique``) or ``hashed`` (object cells)
-— with the calls and rows each path took.  The exit status is non-zero
-when a kernel returns an object column whose cells are all NumPy scalars
-of one type: a typed column that lost its dtype on the way (the
-``bench-smoke`` CI job runs this for ``tpch_join`` and ``plan_sweep``).
+``DENSE_RANGE``), ``sort`` (``np.unique``), ``identity`` (an object
+column of at most ``IDENTITY_BOUND`` shared objects, numbered by
+address) or ``hashed`` (object cells, one by one) — with the calls, rows
+and cells hashed each path took.  The exit status is non-zero when a
+kernel returns an object column whose cells are all NumPy scalars of one
+type (a typed column that lost its dtype on the way), or when an object
+column of at least ``IDENTITY_ROWS`` cells and at most ``IDENTITY_BOUND``
+distinct objects was hashed cell by cell (the ``bench-smoke`` CI job runs
+this for ``tpch_join``, ``plan_sweep`` and ``tpch_scan``).
 
 Run: ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --top 15``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --ops``
@@ -99,7 +104,6 @@ from repro.dataframe.datasource import (  # noqa: E402
     columns_to_read,
 )
 from repro.core.session import Session  # noqa: E402
-from repro.engine import columnar  # noqa: E402
 from repro.frame import DataFrame, Series  # noqa: E402
 from repro.frame import dtypes as frame_dtypes  # noqa: E402
 from repro.frame import groupby as frame_groupby  # noqa: E402
@@ -194,9 +198,10 @@ def ops_report(calls: dict[str, list]) -> tuple[list[str], int]:
 
 @contextmanager
 def count_encodes():
-    """Book every ``factorize_cells`` call on the operator whose kernel,
-    or whose result's ``persist``, made it; yields ``({class name:
-    [is_source, calls, rows out, cells hashed]}, {(handle, column): rows})``
+    """Book the cells every ``dtypes.hash_cells`` call hashed on the
+    operator whose kernel, or whose result's ``persist``, made it; yields
+    ``({class name: [is_source, calls, rows out, cells hashed]},
+    {(handle, column): rows})``
     — the second maps every string column an in-memory source was tiled to
     read to its rows.  Kernels run one after another (in-process only, like
     :func:`count_op_calls`), so the cells hashed since the previous
@@ -204,7 +209,7 @@ def count_encodes():
     table: dict[str, list] = defaultdict(lambda: [False, 0, 0, 0])
     string_rows: dict[tuple, int] = {}
     pending = [0]
-    factorize_cells = frame_groupby.factorize_cells
+    hash_cells = frame_dtypes.hash_cells
     persist_result = runner.persist_result
     tile = FromFrame.tile
 
@@ -216,9 +221,9 @@ def count_encodes():
                 string_rows[op, name] = len(cells)
         return tile(op, ctx)
 
-    def counted_factorize(cells):
+    def counted_hash(cells):
         pending[0] += len(cells)
-        return factorize_cells(cells)
+        return hash_cells(cells)
 
     def counted_persist(engine, op, result):
         values = result.values() if runner.is_multi_output(op, result) \
@@ -233,10 +238,7 @@ def count_encodes():
             row[3] += pending[0]
             pending[0] = 0
 
-    with mock.patch.object(frame_groupby, "factorize_cells",
-                           counted_factorize), \
-            mock.patch.object(columnar, "factorize_cells",
-                              counted_factorize), \
+    with mock.patch.object(frame_dtypes, "hash_cells", counted_hash), \
             mock.patch.object(runner, "persist_result", counted_persist), \
             mock.patch.object(FromFrame, "tile", recorded_tile):
         yield table, string_rows
@@ -268,41 +270,63 @@ def encodes_report(table: dict[str, list],
 
 
 #: ``factorize``'s paths; every one but ``sort`` calls a helper of its own
-KEY_PATHS = ("dictionary", "counting", "sort", "hashed")
+KEY_PATHS = ("dictionary", "counting", "sort", "identity", "hashed")
 
 
 @contextmanager
 def count_key_paths():
     """Book every ``factorize`` call on the operator class whose kernel
     made it (``(outside kernels)`` for the rest), by the path it took;
-    yields ``({class name: {path: [calls, rows]}}, [(class name,
-    column, scalar type)])`` — the second lists each kernel-output object
-    column whose cells are all NumPy scalars of one type.
+    yields ``({class name: {path: [calls, rows, cells hashed]}},
+    [(class name, column, scalar type)], [(class name, rows, objects)])``
+    — the second lists each kernel-output object column whose cells are
+    all NumPy scalars of one type, the third each object column of at
+    least ``IDENTITY_ROWS`` cells and at most ``IDENTITY_BOUND`` distinct
+    objects that was hashed cell by cell.
 
     A call takes the ``sort`` path unless, while it runs, it compacts a
-    dictionary, counts its ids or hashes its cells.  In-process only, like
-    :func:`count_op_calls`."""
+    dictionary, counts its ids, numbers its shared objects or hashes its
+    cells.  In-process only, like :func:`count_op_calls`."""
     paths: dict[str, dict] = defaultdict(
-        lambda: {path: [0, 0] for path in KEY_PATHS})
+        lambda: {path: [0, 0, 0] for path in KEY_PATHS})
     lost: list[tuple] = []
+    per_cell: list[tuple] = []
     running: list[str] = ["(outside kernels)"]
-    taken: list[str] = []  # the path of the factorize call in flight
+    taken: list[list] = []  # [path, cells hashed] of the call in flight
 
     def marking(path, helper):
         def marked(*args, **kwargs):
             if taken:
-                taken[-1] = path
+                taken[-1][0] = path
             return helper(*args, **kwargs)
         return marked
 
+    def identified(cells):
+        shared = shared_objects(cells)
+        if shared is not None and taken:
+            taken[-1][0] = "identity"
+        return shared
+
+    def hashed(cells):
+        if taken:
+            taken[-1][1] += len(cells)
+        return hash_cells(cells)
+
     def booked(values):
-        taken.append("sort")
+        taken.append(["sort", 0])
         try:
             return factorize(values)
         finally:
-            row = paths[running[-1]][taken.pop()]
+            path, n_hashed = taken.pop()
+            row = paths[running[-1]][path]
             row[0] += 1
             row[1] += len(values)
+            row[2] += n_hashed
+            if (path == "hashed"
+                    and len(values) >= frame_dtypes.IDENTITY_ROWS):
+                objects = len(np.unique(frame_dtypes.addresses(values)))
+                if objects <= frame_dtypes.IDENTITY_BOUND:
+                    per_cell.append((running[-1], len(values), objects))
 
     def typed_cells(name, result):
         for value in (result.values() if isinstance(result, dict)
@@ -318,6 +342,8 @@ def count_key_paths():
                     lost.append((name, column, kinds.pop().__name__))
 
     factorize = frame_groupby.factorize
+    shared_objects = frame_dtypes.shared_objects
+    hash_cells = frame_dtypes.hash_cells
     with count_op_calls(running, typed_cells), \
             mock.patch.object(frame_groupby, "factorize", booked), \
             mock.patch.object(frame_groupby, "dense_ids", marking(
@@ -325,24 +351,27 @@ def count_key_paths():
             mock.patch.object(frame_groupby, "factorize_cells", marking(
                 "hashed", frame_groupby.factorize_cells)), \
             mock.patch.object(frame_dtypes, "compact_dictionary", marking(
-                "dictionary", frame_dtypes.compact_dictionary)):
-        yield paths, lost
+                "dictionary", frame_dtypes.compact_dictionary)), \
+            mock.patch.object(frame_dtypes, "shared_objects", identified), \
+            mock.patch.object(frame_dtypes, "hash_cells", hashed):
+        yield paths, lost, per_cell
 
 
 def key_paths_report(paths: dict[str, dict]) -> list[str]:
-    """Per operator class (most rows first), the calls and rows of each
-    path it took, then the totals per path."""
-    lines = [f"{'calls':>7} {'rows':>10}  {'path':<11} operator class"]
-    totals = {path: [0, 0] for path in KEY_PATHS}
+    """Per operator class (most rows first), the calls, rows and cells
+    hashed of each path it took, then the totals per path."""
+    lines = [f"{'calls':>7} {'rows':>10} {'hashed':>10}  {'path':<11} "
+             "operator class"]
+    totals = {path: [0, 0, 0] for path in KEY_PATHS}
     for name, taken in sorted(paths.items(), key=lambda item: -sum(
-            rows for _, rows in item[1].values())):
-        for path, (calls, rows) in taken.items():
-            if calls:
-                totals[path][0] += calls
-                totals[path][1] += rows
-                lines.append(f"{calls:7d} {rows:10d}  {path:<11} {name}")
-    lines.extend(f"{calls:7d} {rows:10d}  {path:<11} total"
-                 for path, (calls, rows) in totals.items())
+            row[1] for row in item[1].values())):
+        for path, row in taken.items():
+            if row[0]:
+                totals[path] = [a + b for a, b in zip(totals[path], row)]
+                lines.append(f"{row[0]:7d} {row[1]:10d} {row[2]:10d}  "
+                             f"{path:<11} {name}")
+    lines.extend(f"{calls:7d} {rows:10d} {n_hashed:10d}  {path:<11} total"
+                 for path, (calls, rows, n_hashed) in totals.items())
     return lines
 
 
@@ -493,7 +522,7 @@ def main(argv=None) -> int:
                         help="count kernel calls per operator class instead "
                              "of profiling; exit 1 if any instance re-ran")
     parser.add_argument("--encodes", action="store_true",
-                        help="count string cells hashed per operator class; "
+                        help="count cells hashed per operator class; "
                              "exit 1 if a non-source operator re-encodes or "
                              "a source hashes its strings twice")
     parser.add_argument("--columns", action="store_true",
@@ -504,9 +533,11 @@ def main(argv=None) -> int:
                         help="actor-plane deliveries by recipient kind and "
                              "method, and messages per subtask")
     parser.add_argument("--keys", action="store_true",
-                        help="factorize calls and rows per operator class "
-                             "and path; exit 1 if a kernel returns a typed "
-                             "column as NumPy scalars in an object column")
+                        help="factorize calls, rows and cells hashed per "
+                             "operator class and path; exit 1 if a kernel "
+                             "returns a typed column as NumPy scalars in an "
+                             "object column, or hashes a column of a few "
+                             "shared objects cell by cell")
     parser.add_argument("--engine", choices=("row", "columnar"),
                         help="run the plan on this chunk engine; prints the "
                              "7-iteration median wall_s of both first")
@@ -545,7 +576,7 @@ def main(argv=None) -> int:
                   "dictionary was dropped on the way or made twice")
         return 1 if offenders else 0
     if args.keys:
-        with count_key_paths() as (paths, lost):
+        with count_key_paths() as (paths, lost, per_cell):
             iteration = iterate()
         print(f"{args.workload} seed={args.seed} scale={args.scale}: "
               f"{iteration.counters['graph.n_subtasks']} subtasks")
@@ -553,7 +584,10 @@ def main(argv=None) -> int:
         for name, column, kind in sorted(set(lost)):
             print(f"FAIL: {name} returned column {column!r} as object "
                   f"cells of {kind}: a typed column lost its dtype")
-        return 1 if lost else 0
+        for name, rows, objects in sorted(set(per_cell)):
+            print(f"FAIL: {name} hashed {rows} key cells one by one that "
+                  f"are {objects} objects: the identity path was missed")
+        return 1 if lost or per_cell else 0
     if args.columns:
         with count_source_columns() as rows:
             iteration = iterate()
