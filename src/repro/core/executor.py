@@ -28,7 +28,7 @@ from typing import Any
 from ..cluster.cluster import ClusterState
 from ..cluster.simulation import SimReport, fold_report
 from ..config import Config
-from ..engine.base import is_multi_output
+from ..engine.base import is_multi_output, unshared
 from ..errors import (
     ActorNotFound,
     ChunkLostError,
@@ -817,11 +817,18 @@ class GraphExecutor:
         # walks the full single-put path in key order (delete-if-exists,
         # spill-or-raise, pin migration), so storage state after the
         # batch matches the interleaved per-key calls it replaces.
+        # a source slice's columns are the client's, borrowed for the
+        # kernels after it: what is kept here is copied off them once
+        borrowed = [arr for c in subtask.chunks if c.op is not None
+                    for arr in c.op.borrowed_arrays()]
         put_entries = []
         for key in subtask.output_keys:
             if key not in env.values:
                 raise KeyError(f"subtask produced no value for output {key!r}")
-            put_entries.append((key, env.values[key], env.sizes.get(key)))
+            value = env.values[key]
+            if borrowed:
+                value = unshared(value, borrowed)
+            put_entries.append((key, value, env.sizes.get(key)))
         stored_sizes = self.storage.put_many(put_entries, worker)
         register_entries = []
         meta_entries = []

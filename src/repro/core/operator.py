@@ -249,6 +249,13 @@ class Operator:
         """
         return [None for _ in self.inputs]
 
+    def borrowed_arrays(self) -> list:
+        """Arrays the client owns that this op's result may share memory
+        with (a source slice borrows the client's columns): the executor
+        copies a stored column that overlaps one, so what storage keeps
+        never changes under a client's in-place write. Default: none."""
+        return []
+
     def identity_attrs(self) -> dict[str, Any]:
         """Result-cache hook: the attributes besides ``params`` this
         op's output depends on. Default: every instance attribute."""

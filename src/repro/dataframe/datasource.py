@@ -166,8 +166,18 @@ class FromFrame(DataSourceOp):
         return [(chunks, (tuple(splits), (len(columns),)))]
 
 
+def _borrowed(column: np.ndarray, rows: slice) -> np.ndarray:
+    """A read-only window of a client column: no bytes move, and a
+    kernel that writes into it raises instead of editing the client."""
+    window = dtypes.take(column, rows)
+    window.flags.writeable = False
+    return window
+
+
 class FromFrameSlice(Operator):
-    """One row-range of a client frame."""
+    """One row-range of a client frame, its columns borrowed: the next
+    kernel reads them where they are, and the executor copies one only
+    if it is about to be stored (:meth:`borrowed_arrays`)."""
 
     #: the handle's dictionary; it stays in this process, so a slice
     #: unpickled elsewhere reads its cells as they are
@@ -182,15 +192,18 @@ class FromFrameSlice(Operator):
         self._dictionary = dictionary
 
     def execute(self, ctx: ExecContext):
-        piece = self.frame.iloc[self.start:self.stop]
-        if self._dictionary is None:
-            return piece
+        frame = self.frame
         rows = slice(self.start, self.stop)
-        for name in piece.columns.to_list():
-            form = self._dictionary.window(ctx.engine, self.frame, name, rows)
-            if form is not None:
-                piece[name] = form
-        return piece
+        data = {}
+        for name in frame:
+            form = (None if self._dictionary is None else
+                    self._dictionary.window(ctx.engine, frame, name, rows))
+            data[name] = (_borrowed(frame._data[name], rows) if form is None
+                          else form)
+        return DataFrame._new(data, frame.index.take(rows), list(frame))
+
+    def borrowed_arrays(self) -> list:
+        return [self.frame._data[name] for name in self.frame]
 
     def __getstate__(self):
         state = dict(vars(self))

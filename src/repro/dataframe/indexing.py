@@ -44,6 +44,21 @@ class Filter(Operator):
     def input_column_requirements(self, required):
         return [required, None]  # the mask series has no columns
 
+    def _gathered(self, data_chunk) -> Optional[list]:
+        """What a frame filter's chunk over ``data_chunk`` gathers: the
+        columns the pruning pass said its output is to carry, in
+        ``out_columns`` order and never none at all (``[]`` keeps the
+        input's first column, as a source keeps its first); ``None``
+        gathers whatever the input chunk has."""
+        carried = self.outputs[0].carried_columns
+        if (carried is None or self.out_kind != "dataframe"
+                or self.out_columns is None):
+            return None
+        present = (self.out_columns if data_chunk.columns is None
+                   else data_chunk.columns)
+        return [c for c in self.out_columns
+                if c in carried and c in present]
+
     def tile(self, ctx: TileContext):
         data_chunks = list(self.inputs[0].chunks)
         mask_chunks = list(self.inputs[1].chunks)
@@ -52,15 +67,18 @@ class Filter(Operator):
             [self.inputs[0].kind, self.inputs[1].kind],
         )
         data_chunks, mask_chunks = aligned
-        n_cols = len(self.out_columns) if self.out_columns is not None else None
+        columns = self._gathered(data_chunks[0]) if data_chunks else None
+        out_columns = self.out_columns if columns is None else (
+            columns or (data_chunks[0].columns or self.out_columns)[:1])
+        n_cols = len(out_columns) if out_columns is not None else None
         out_chunks = []
         for i, (data, mask) in enumerate(zip(data_chunks, mask_chunks)):
-            chunk_op = FilterChunk()
+            chunk_op = FilterChunk(columns=columns)
             shape = ((None, n_cols) if self.out_kind == "dataframe" else (None,))
             out_chunks.append(chunk_op.new_chunk(
                 [data, mask], self.out_kind, shape,
                 chunk_index(self.out_kind, i),
-                dtype=self.out_dtype, columns=self.out_columns,
+                dtype=self.out_dtype, columns=out_columns,
                 name=self.out_name,
             ))
         nsplits = nsplits_from_chunks(ctx, out_chunks, self.out_kind, n_cols)
@@ -68,13 +86,26 @@ class Filter(Operator):
 
 
 class FilterChunk(Operator):
+    """One chunk's ``data[mask]``. A frame filter told its ``columns``
+    projects to them before the gather (``[]``: the input's first
+    column; the rows ride on a column), so a column no later kernel
+    reads is not moved."""
+
     is_elementwise = True
-    fuse_expr = "{0}[{1}]"
+    fuse_expr = "call"
+
+    def __init__(self, columns: Optional[list] = None, **params):
+        super().__init__(columns=columns, **params)
+
+    def func(self, data, mask):
+        columns = self.params["columns"]
+        if columns is not None:
+            data = data[columns or list(data)[:1]]
+        return data[mask]
 
     def execute(self, ctx: ExecContext):
-        data = ctx.get(self.inputs[0].key)
-        mask = ctx.get(self.inputs[1].key)
-        return data[mask]
+        return self.func(ctx.get(self.inputs[0].key),
+                         ctx.get(self.inputs[1].key))
 
 
 class ILocRows(Operator):

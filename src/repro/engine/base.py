@@ -86,6 +86,33 @@ def persist_result(engine: RowEngine, op, result: Any) -> Any:
     return engine.persist(result)
 
 
+def unshared(value: Any, arrays: list) -> Any:
+    """``value`` with every column (a frame's, a series' or a bare
+    array) that may share memory with one of ``arrays`` copied; the
+    rest, and anything else, as it is. A column that owns its buffer
+    (``base is None``) is a fresh allocation and overlaps nothing
+    alive; ``DictArray.copy`` keeps the dictionary."""
+    def own(column):
+        if column.base is None or not any(
+                np.may_share_memory(column, arr) for arr in arrays):
+            return column
+        return column.copy()
+
+    if isinstance(value, DataFrame):
+        data = {name: own(value._data[name]) for name in value._columns}
+        if all(data[name] is value._data[name] for name in data):
+            return value
+        return DataFrame._new(data, value.index, list(value._columns))
+    if isinstance(value, Series):
+        column = own(value.values)
+        if column is value.values:
+            return value
+        return Series(column, index=value.index, name=value.name)
+    if isinstance(value, np.ndarray):
+        return own(value)
+    return value
+
+
 def describe_value(value: Any, extra: dict | None = None) -> dict:
     """Schema facts of an executed chunk value: the field dict of a
     :class:`repro.core.meta.ChunkMeta` (shape/nbytes/kind/dtype/columns/

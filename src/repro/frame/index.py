@@ -17,9 +17,10 @@ from . import dtypes
 
 def take_rows(arr: np.ndarray, rows) -> np.ndarray:
     """``arr[rows]`` as an array the result owns: a basic slice is a view,
-    so it is copied — a stored source chunk aliasing the client's frame
-    would change under its result-cache identity on an in-place write.
-    An encoded column's dictionary moves with the rows."""
+    so it is copied — a view would keep its whole base buffer alive after
+    the input it came from is freed, while the memory accounting charges
+    only the window (a source slice, which borrows on purpose, does not
+    come here). An encoded column's dictionary moves with the rows."""
     out = dtypes.take(arr, rows)
     return out.copy() if isinstance(rows, slice) else out
 

@@ -346,12 +346,13 @@ class TestOOMLadder:
                 tpch_q5(tight, sf=0.5)
 
     def test_retile_halves_past_chunks_already_below_the_limit(self):
-        """At 0.25x the comfortable budget, q5 sf 0.25 fails the same
-        request at 64, 32 and 16 KiB, whose limits are all above its
-        12 KB source chunk; the fourth halving (to 4 KiB) completes."""
+        """At a 10 KiB budget q5 sf 0.25 fails the same 18,096 B request
+        at 64, 32 and 16 KiB, whose limits are all above its 12 KB source
+        chunk, and an 11,580 B one at 8 KiB; the fourth halving (to 4 KiB)
+        completes. (An 11,808 B budget takes three, an 8,809 B one five.)"""
         with make_session(**self.Q5_LIMIT) as free:
             expected = tpch_q5(free, sf=0.25)
-        with make_session(memory_limit=12_288, **self.Q5_LIMIT) as tight:
+        with make_session(memory_limit=10_240, **self.Q5_LIMIT) as tight:
             actual = tpch_q5(tight, sf=0.25)
             assert tight.last_report.pressure_splits == 4
         assert_same_result(actual, expected)

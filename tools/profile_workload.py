@@ -30,11 +30,17 @@ handles it read hold rows (the ``engine-smoke`` CI job runs this for
 without a clock: per ``execute()`` and source tileable, the columns the
 source declares, the columns that plan requires of it, the columns its
 chunks carry (more than required when an earlier query over the same
-handle needed others) and the chunks it was cut into.  The exit status is
-non-zero when a source is read whole although no result of that
-``execute()`` shows all of its columns: some operator between the two
-answered "everything" (the ``bench-smoke`` CI job runs this for
-``tpch_join`` and ``tpch_scan``).
+handle needed others) and the chunks it was cut into.  Then the columns
+moved: per row-moving kernel class (``FilterChunk``, ``MergeChunk``,
+``ILocChunk``, ``SortChunk``) the columns its calls emitted against the
+columns its tileable carries, and per source class the bytes it handed
+out: borrowed (a window of the client's column), encoded (the columnar
+engine's dictionary window, a copy by design) or copied.  The exit
+status is non-zero when a source is read whole although no result of
+that ``execute()`` shows all of its columns (some operator between the
+two answered "everything"), when a ``FilterChunk`` emits a column its
+tileable does not carry, or when a ``FromFrameSlice`` copies bytes (the
+``bench-smoke`` CI job runs this for ``tpch_join`` and ``tpch_scan``).
 
 ``--engine row|columnar`` runs the workload's plan on that chunk engine
 whatever its own config says, and first prints the median of seven
@@ -103,6 +109,9 @@ from repro.dataframe.datasource import (  # noqa: E402
     FromFrameSlice,
     columns_to_read,
 )
+from repro.dataframe.indexing import FilterChunk, ILocChunk  # noqa: E402
+from repro.dataframe.merge import MergeChunk  # noqa: E402
+from repro.dataframe.sort import SortChunk  # noqa: E402
 from repro.core.session import Session  # noqa: E402
 from repro.frame import DataFrame, Series  # noqa: E402
 from repro.frame import dtypes as frame_dtypes  # noqa: E402
@@ -444,6 +453,151 @@ def columns_report(rows: list[list]) -> tuple[list[str], int]:
     return lines, offenders
 
 
+#: kernels that gather rows: every column they emit is moved once more
+ROW_MOVERS = (FilterChunk, MergeChunk, ILocChunk, SortChunk)
+
+
+def _columns_of(value) -> dict:
+    """``{name: array}`` of a frame, series or array result (else empty)."""
+    if isinstance(value, DataFrame):
+        return dict(value._data)
+    if isinstance(value, Series):
+        return {value.name: value.values}
+    if isinstance(value, np.ndarray):
+        return {None: value}
+    return {}
+
+
+@contextmanager
+def count_moved_columns():
+    """Wrap the row-moving kernels, every source chunk's ``execute`` and
+    the pruning pass; yields ``({class name: [calls, emitted, carried,
+    not carried]}, {class name: [calls, bytes, borrowed, encoded,
+    copied]})``.
+
+    A row mover's call emits its result's columns; its tileable (the one
+    whose chunks its output is, known once the ``execute()`` is over)
+    carries ``carried_columns``, or all of its columns when that is
+    ``None``.  A filter inside a compiled fused chain is seen through
+    ``FilterChunk.func``, the call the chain makes.  A source's column is
+    borrowed when it may share memory with an array the op says it
+    borrows (``Operator.borrowed_arrays``), encoded when it is a
+    dictionary-carrying window (the columnar engine's copy of a
+    source's strings), else copied.  In-process only, like
+    :func:`count_op_calls`."""
+    movers: dict[str, list] = defaultdict(lambda: [0, 0, 0, 0])
+    sources: dict[str, list] = defaultdict(lambda: [0, 0, 0, 0, 0])
+    emitted: list[tuple] = []  # (op, names) of this execute's calls
+    graphs: list = []
+    patched: list[tuple[type, str, object]] = []
+    prune_columns = core_session.prune_columns
+    session_execute = Session.__dict__["execute"]
+
+    def wrap(owner: type, attr: str, on_result):
+        original = owner.__dict__[attr]
+
+        def counted(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            on_result(self, result)
+            return result
+
+        patched.append((owner, attr, original))
+        setattr(owner, attr, counted)
+
+    def moved(op, result):
+        emitted.append((op, list(_columns_of(result))))
+
+    def read(op, result):
+        row = sources[type(op).__name__]
+        row[0] += 1
+        client = op.borrowed_arrays()
+        for column in _columns_of(result).values():
+            kind = (2 if any(np.may_share_memory(column, arr)
+                             for arr in client)
+                    else 3 if frame_dtypes.dictionary_of(column) is not None
+                    else 4)
+            row[1] += column.nbytes
+            row[kind] += column.nbytes
+
+    def recorded(graph, results):
+        graphs.append(graph)
+        return prune_columns(graph, results)
+
+    def execute(self, *tileables):
+        try:
+            return session_execute(self, *tileables)
+        finally:
+            owner = {id(chunk.op): node for graph in graphs
+                     for node in graph.nodes() for chunk in node.chunks}
+            seen = set()
+            for op, names in emitted:
+                node = owner.get(id(op))
+                if node is None or (id(op), tuple(names)) in seen:
+                    continue  # not a tileable's chunk, or seen twice
+                seen.add((id(op), tuple(names)))
+                carried = set(node.columns or names)
+                if node.carried_columns is not None:
+                    carried &= node.carried_columns
+                row = movers[type(op).__name__]
+                row[0] += 1
+                row[1] += len(names)
+                row[2] += len(carried)
+                row[3] += sum(name not in carried for name in names)
+            emitted.clear()
+            graphs.clear()
+
+    for cls in ROW_MOVERS:
+        wrap(cls, "execute", moved)
+    wrap(FilterChunk, "func", moved)
+    wrap(CompiledStep, "run", lambda step, result: moved(step.final_op,
+                                                         result))
+    for cls in {Operator, *_subclasses(Operator)}:
+        if "execute" in cls.__dict__ and cls not in ROW_MOVERS \
+                and not issubclass(cls, DataSourceOp):
+            wrap(cls, "execute", lambda op, result: (
+                None if op.inputs else read(op, result)))
+    patched.append((Session, "execute", session_execute))
+    Session.execute = execute
+    try:
+        with mock.patch.object(core_session, "prune_columns", recorded):
+            yield movers, sources
+    finally:
+        for owner, attr, original in patched:
+            setattr(owner, attr, original)
+
+
+def moved_columns_report(movers: dict[str, list], sources: dict[str, list]
+                         ) -> tuple[list[str], list[str]]:
+    """The row-mover and source tables, and what fails the gate: a
+    ``FilterChunk`` emitting a column its tileable does not carry, a
+    ``FromFrameSlice`` copying bytes."""
+    lines = [f"{'calls':>7} {'emitted':>9} {'carried':>9} {'not carried':>12}"
+             "  row-moving kernel class (columns summed over calls)"]
+    failures = []
+    for name in [cls.__name__ for cls in ROW_MOVERS]:
+        if name not in movers:
+            continue
+        calls, out, carried, extra = movers[name]
+        bad = name == FilterChunk.__name__ and extra > 0
+        lines.append(f"{calls:7d} {out:9d} {carried:9d} {extra:12d}  {name}"
+                     + ("  <-- gathers columns nothing reads" if bad else ""))
+        if bad:
+            failures.append(f"{name} emitted {extra} columns its tileables "
+                            "do not carry")
+    lines.append(f"{'calls':>7} {'bytes':>11} {'borrowed':>11} "
+                 f"{'encoded':>11} {'copied':>11}  source class")
+    for name, (calls, total, borrowed, encoded, copied) in sorted(
+            sources.items()):
+        bad = name == FromFrameSlice.__name__ and copied > 0
+        lines.append(f"{calls:7d} {total:11d} {borrowed:11d} {encoded:11d} "
+                     f"{copied:11d}  {name}"
+                     + ("  <-- copies the client's cells" if bad else ""))
+        if bad:
+            failures.append(f"{name} copied {copied} bytes of client "
+                            "columns it could borrow")
+    return lines, failures
+
+
 @contextmanager
 def count_messages():
     """Snapshot each iteration's message log where the loop reads
@@ -527,8 +681,12 @@ def main(argv=None) -> int:
                              "a source hashes its strings twice")
     parser.add_argument("--columns", action="store_true",
                         help="columns declared / required / carried and "
-                             "chunks per source and execute(); exit 1 if a "
-                             "source is read whole for a narrower result")
+                             "chunks per source and execute(), columns moved "
+                             "per row-moving kernel and bytes copied per "
+                             "source; exit 1 if a source is read whole for a "
+                             "narrower result, a filter gathers a column its "
+                             "tileable does not carry or a source slice "
+                             "copies the client's cells")
     parser.add_argument("--messages", action="store_true",
                         help="actor-plane deliveries by recipient kind and "
                              "method, and messages per subtask")
@@ -589,17 +747,21 @@ def main(argv=None) -> int:
                   f"are {objects} objects: the identity path was missed")
         return 1 if lost or per_cell else 0
     if args.columns:
-        with count_source_columns() as rows:
+        with count_source_columns() as rows, \
+                count_moved_columns() as (movers, sources):
             iteration = iterate()
         lines, offenders = columns_report(rows)
+        moved_lines, failures = moved_columns_report(movers, sources)
         print(f"{args.workload} seed={args.seed} scale={args.scale}: "
               f"{iteration.counters['graph.n_subtasks']} subtasks")
-        print("\n".join(lines))
+        print("\n".join(lines + moved_lines))
         if offenders:
             print(f"FAIL: {offenders} source reads take every column for a "
                   "result that shows fewer: an operator on the way does not "
                   "pass requirements through")
-        return 1 if offenders else 0
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        return 1 if offenders or failures else 0
     if args.messages:
         with count_messages() as snapshots:
             iteration = iterate()
