@@ -15,7 +15,7 @@ import numpy as np
 from . import dtypes
 from .dataframe import DataFrame
 from .index import default_index
-from .sorting import id_runs
+from .sorting import id_dtype, id_runs
 
 _HOW_VALUES = ("inner", "left", "right", "outer")
 
@@ -28,11 +28,15 @@ def merge(left: DataFrame, right: DataFrame, how: str = "inner", on=None,
         raise ValueError(f"how must be one of {_HOW_VALUES}, got {how!r}")
     left_keys, right_keys, shared = _resolve_keys(left, right, on, left_on, right_on)
 
-    codes_l, codes_r = _encode_keys(
+    codes_l, codes_r, space = _encode_keys(
         [left._data[k] for k in left_keys],
         [right._data[k] for k in right_keys],
     )
-    left_idx, right_idx = _join_indexers(codes_l, codes_r, how)
+    left_idx, right_idx = _join_indexers(codes_l, codes_r, how, space)
+    # only a right or outer join leaves a left slot empty, only a left or
+    # outer join a right one
+    missing_l = _unmatched(left_idx) if how in ("right", "outer") else None
+    missing_r = _unmatched(right_idx) if how in ("left", "outer") else None
 
     data: dict = {}
     left_cols = list(left._columns)
@@ -48,13 +52,13 @@ def merge(left: DataFrame, right: DataFrame, how: str = "inner", on=None,
         out_name = f"{name}{suffixes[0]}" if name in overlap else name
         if name in shared:
             data[out_name] = _coalesce_key(
-                left._data[name], right._data[name], left_idx, right_idx
-            )
+                left._data[name], right._data[name], left_idx, right_idx,
+                missing_l, missing_r)
         else:
-            data[out_name] = _take_with_na(left._data[name], left_idx)
+            data[out_name] = _take_with_na(left._data[name], left_idx, missing_l)
     for name in right_out_cols:
         out_name = f"{name}{suffixes[1]}" if name in overlap else name
-        data[out_name] = _take_with_na(right._data[name], right_idx)
+        data[out_name] = _take_with_na(right._data[name], right_idx, missing_r)
 
     result = DataFrame(data, index=default_index(len(left_idx)))
     if sort and shared:
@@ -114,88 +118,169 @@ def _check_keys(frame: DataFrame, keys: Sequence[str], side: str) -> None:
 
 
 def _encode_keys(left_arrays: Sequence[np.ndarray],
-                 right_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize key columns over the union of both sides.
+                 right_arrays: Sequence[np.ndarray]):
+    """Codes of each row's key, equal exactly where the keys are equal.
 
-    Returns combined single-integer codes per row with -1 marking rows whose
-    key contains a missing value (those never match, as in pandas).
+    Returns ``(codes_l, codes_r, space)`` with every code in
+    ``[-1, space)``; -1 marks a key that can match nothing (a missing
+    cell, as in pandas, or an integer the other side's dtype cannot
+    hold).  ``space`` is at most ``DENSE_RANGE`` times the rows of both
+    sides: a wider code space is compacted, so the matching kernel's
+    count table stays linear in the rows.
     """
+    from .groupby import DENSE_RANGE
+
+    bound = DENSE_RANGE * (len(left_arrays[0]) + len(right_arrays[0]))
+    if len(left_arrays) == 1:
+        offsets = _offsets(left_arrays[0], right_arrays[0], bound)
+        if offsets is not None:
+            return offsets
+    codes_l, codes_r, space = _encode_pair(left_arrays[0], right_arrays[0])
+    for la, ra in zip(left_arrays[1:], right_arrays[1:]):
+        if space > bound:
+            codes_l, codes_r, space = _compacted(codes_l, codes_r)
+        cl, cr, width = _encode_pair(la, ra)
+        codes_l = np.where((codes_l < 0) | (cl < 0), -1, codes_l * width + cl)
+        codes_r = np.where((codes_r < 0) | (cr < 0), -1, codes_r * width + cr)
+        space *= width
+    if space > bound:
+        codes_l, codes_r, space = _compacted(codes_l, codes_r)
+    return codes_l, codes_r, space
+
+
+def _offsets(la: np.ndarray, ra: np.ndarray, bound: int):
+    """A single integer key pair's offsets from its joint minimum, when its
+    joint range is at most ``bound``: codes that need no sort, no
+    concatenation and no arithmetic across the two sides; else ``None``.
+
+    Each side's offsets from its own minimum are read unsigned, so a
+    signed type's wrap-around cannot make them negative, at any width
+    and either signedness; the gap between the two minimums is a Python
+    int, so it is exact too.
+    """
+    if not (dtypes.is_integer(la.dtype) and dtypes.is_integer(ra.dtype)):
+        return None
+    lows = [side.min() if len(side) else None for side in (la, ra)]
+    highs = [int(side.max()) for side in (la, ra) if len(side)]
+    low = min((int(own) for own in lows if own is not None), default=0)
+    space = max(highs, default=low - 1) - low + 1
+    if space > bound:
+        return None
+    codes_l, codes_r = (_offsets_from(side, own, low)
+                        for side, own in zip((la, ra), lows))
+    return codes_l, codes_r, space
+
+
+def _offsets_from(side: np.ndarray, own, low: int) -> np.ndarray:
+    """``side - low`` as int64, given the side's own minimum ``own``."""
+    if own is None:
+        return np.zeros(0, dtype=np.int64)
+    ids = (side - own).view(f"u{side.itemsize}")
+    ids = ids.view(np.int64) if side.itemsize == 8 else ids.astype(np.int64)
+    if int(own) != low:
+        ids += int(own) - low
+    return ids
+
+
+def _encode_pair(la: np.ndarray, ra: np.ndarray):
+    """One key column pair's codes over the union of both sides, and
+    their width: dictionary codes, or ``factorize`` of the two sides in
+    a dtype that holds both exactly."""
     from .groupby import factorize
 
-    n_left = len(left_arrays[0]) if left_arrays else 0
-    codes_l = np.zeros(n_left, dtype=np.int64)
-    codes_r = np.zeros(len(right_arrays[0]) if right_arrays else 0, dtype=np.int64)
-    valid_l = np.ones(len(codes_l), dtype=bool)
-    valid_r = np.ones(len(codes_r), dtype=bool)
-    for la, ra in zip(left_arrays, right_arrays):
-        if dtypes.dictionary_of(la) and dtypes.dictionary_of(ra):
-            uniques, (cl, cr) = dtypes.union_dictionaries([la, ra])
-        else:
-            dtype = dtypes.common_dtype([la.dtype, ra.dtype])
-            both = np.concatenate([la.astype(dtype, copy=False),
-                                   ra.astype(dtype, copy=False)])
-            codes, uniques = factorize(both)
-            cl, cr = codes[: len(la)], codes[len(la):]
-        valid_l &= cl >= 0
-        valid_r &= cr >= 0
-        codes_l = codes_l * (len(uniques) + 1) + np.maximum(cl, 0)
-        codes_r = codes_r * (len(uniques) + 1) + np.maximum(cr, 0)
-    codes_l[~valid_l] = -1
-    codes_r[~valid_r] = -1
-    return codes_l, codes_r
+    if dtypes.dictionary_of(la) and dtypes.dictionary_of(ra):
+        # int64, so that combining several keys' codes cannot overflow
+        uniques, (cl, cr) = dtypes.union_dictionaries([la, ra])
+        return cl.astype(np.int64), cr.astype(np.int64), len(uniques)
+    dtype = dtypes.common_dtype([la.dtype, ra.dtype])
+    cut = None
+    if dtypes.is_integer(la.dtype) and dtypes.is_integer(ra.dtype) \
+            and dtype.kind == "f":
+        # uint64 against a signed type meets in float64, which is not
+        # exact past 2^53.  A uint64 past the int64 range equals no
+        # signed value, so it matches nothing; the rest meet in int64.
+        dtype = np.dtype(np.int64)
+        cut = np.concatenate([
+            side > np.iinfo(np.int64).max if side.dtype.kind == "u"
+            else np.zeros(len(side), dtype=bool) for side in (la, ra)])
+    both = np.concatenate([la.astype(dtype, copy=False),
+                           ra.astype(dtype, copy=False)])
+    codes, uniques = factorize(both)
+    if cut is not None:
+        codes[cut] = -1
+    return codes[: len(la)], codes[len(la):], len(uniques)
 
 
-def _match_ranges(codes_l: np.ndarray, codes_r: np.ndarray):
-    """The right rows in stable code order (NA first), and for each left
-    row where its matches start in that order and how many there are.
+def _compacted(codes_l: np.ndarray, codes_r: np.ndarray):
+    """The codes renumbered densely over the ones present; -1 stays."""
+    both = np.concatenate([codes_l, codes_r])
+    valid = both >= 0
+    present, both[valid] = np.unique(both[valid], return_inverse=True)
+    return both[: len(codes_l)], both[len(codes_l):], len(present)
 
-    Counted when the count table (one entry per code) is no longer than
-    the codes; a wider code space is sorted and searched instead.
+
+def _match_ranges(codes_l: np.ndarray, codes_r: np.ndarray, space: int):
+    """The right rows that can match, in runs of equal key (each run in
+    right order), and for each left row where its run starts in that
+    order and how many rows it has.  Codes are in ``[-1, space)``; -1
+    matches nothing.
+
+    The smaller side is counted.  A left side smaller than the right (a
+    broadcast side against a chunk) numbers its codes in a table of
+    ``space + 1`` slots, each naming one of its rows that holds the code
+    (0: none), and the right rows stream past it: only the few that hit
+    are ordered, by slot, at the width the left's rows need.  Otherwise
+    every right row is counted by code, missing ones first.
     """
-    space = max(codes_l.max(initial=-1), codes_r.max(initial=-1)) + 2
-    if space > len(codes_l) + len(codes_r):
-        sort_r = np.argsort(codes_r, kind="stable")
-        sorted_r = codes_r[sort_r]
-        lo = np.searchsorted(sorted_r, codes_l, side="left")
-        counts = np.searchsorted(sorted_r, codes_l, side="right") - lo
+    if len(codes_l) < len(codes_r):
+        n_slots = len(codes_l) + 1
+        slots = np.zeros(space + 1, dtype=id_dtype(n_slots + 1))
+        slots[codes_l] = np.arange(1, n_slots)
+        slots[-1] = 0  # code -1 lands on the extra last slot: no row
+        ids_r = slots[codes_r]
+        rows_r = np.flatnonzero(ids_r)
+        order, bounds = id_runs(ids_r[rows_r], n_slots)
+        order = rows_r[order]
+        ids_l = slots[codes_l]
     else:
-        # code + 1 is the id, so NA (-1) is id 0
-        sort_r, bounds = id_runs(codes_r + 1, space)
+        # code + 1 is the id, so a missing code is id 0
+        order, bounds = id_runs(codes_r + 1, space + 1)
         ids_l = codes_l + 1
-        lo = bounds[ids_l]
-        counts = bounds[ids_l + 1] - lo
+    lo = bounds[ids_l]
+    counts = bounds[ids_l + 1] - lo
     counts[codes_l < 0] = 0
-    return sort_r, lo, counts
+    return order, lo, counts
 
 
 def _pairs_in_left_order(codes_l: np.ndarray, codes_r: np.ndarray,
-                         keep_unmatched: bool):
+                         space: int, keep_unmatched: bool):
     """Row pairs of the inner join, in left order and, within a left row,
     in right order; ``keep_unmatched`` adds each left row that matched
     nothing once, paired with -1."""
-    sort_r, lo, counts = _match_ranges(codes_l, codes_r)
+    order_r, lo, counts = _match_ranges(codes_l, codes_r, space)
     emitted = np.maximum(counts, 1) if keep_unmatched else counts
     left_idx = np.repeat(np.arange(len(codes_l), dtype=np.int64), emitted)
     total = len(left_idx)
     if total == 0:
         return left_idx, np.array([], dtype=np.int64)
-    # output slot k of left row i pairs with sorted right row lo[i] + k
+    # output slot k of left row i pairs with ordered right row lo[i] + k
     out_starts = np.cumsum(emitted) - emitted
     flat = np.arange(total, dtype=np.int64) + np.repeat(lo - out_starts, emitted)
     if not keep_unmatched:
-        return left_idx, sort_r[flat]
+        return left_idx, order_r[flat]
     matched = np.repeat(counts > 0, emitted)
     right_idx = np.full(total, -1, dtype=np.int64)
-    right_idx[matched] = sort_r[flat[matched]]
+    right_idx[matched] = order_r[flat[matched]]
     return left_idx, right_idx
 
 
-def _join_indexers(codes_l: np.ndarray, codes_r: np.ndarray, how: str):
+def _join_indexers(codes_l: np.ndarray, codes_r: np.ndarray, how: str,
+                   space: int):
     if how == "right":
-        right_out, left_out = _join_indexers(codes_r, codes_l, "left")
+        right_out, left_out = _join_indexers(codes_r, codes_l, "left", space)
         return left_out, right_out
     left_idx, right_idx = _pairs_in_left_order(
-        codes_l, codes_r, keep_unmatched=how != "inner")
+        codes_l, codes_r, space, keep_unmatched=how != "inner")
     if how != "outer":
         return left_idx, right_idx
     # outer: also append right rows that matched nothing, in right order
@@ -207,12 +292,20 @@ def _join_indexers(codes_l: np.ndarray, codes_r: np.ndarray, how: str):
     return left_idx, right_idx
 
 
-def _take_with_na(values: np.ndarray, indexer: np.ndarray) -> np.ndarray:
-    """Gather values; -1 positions become the dtype's missing marker."""
+def _unmatched(indexer: np.ndarray):
+    """The mask of an indexer's -1 positions, or ``None`` when it has
+    none — decided once per side, not once per gathered column."""
+    missing = indexer < 0
+    return missing if missing.any() else None
+
+
+def _take_with_na(values: np.ndarray, indexer: np.ndarray,
+                  missing) -> np.ndarray:
+    """Gather values; the ``missing`` positions (-1 in the indexer)
+    become the dtype's missing marker."""
     if len(indexer) == 0:
         return values[:0]
-    missing = indexer < 0
-    if not missing.any():
+    if missing is None:
         return dtypes.take(values, indexer)
     out_values = dtypes.promote_for_na(values)
     if len(values) == 0:  # nothing to gather from: every position is NA
@@ -229,21 +322,21 @@ def _take_with_na(values: np.ndarray, indexer: np.ndarray) -> np.ndarray:
 
 
 def _coalesce_key(left_values: np.ndarray, right_values: np.ndarray,
-                  left_idx: np.ndarray, right_idx: np.ndarray) -> np.ndarray:
+                  left_idx: np.ndarray, right_idx: np.ndarray,
+                  missing_l, missing_r) -> np.ndarray:
     """Key column of the result: left value where present, else right."""
-    use_right = left_idx < 0
-    if not use_right.any():
-        return _take_with_na(left_values, left_idx)
+    if missing_l is None:
+        return _take_with_na(left_values, left_idx, None)
     if (len(left_values) and dtypes.dictionary_of(left_values)
             and dtypes.dictionary_of(right_values)):
         # every row has its key on one side: gather codes, not cells
         union, (codes_l, codes_r) = dtypes.union_dictionaries(
             [left_values, right_values])
         return dtypes.encoded(union, np.where(
-            use_right, codes_r[right_idx], codes_l[left_idx]))
-    base = _take_with_na(left_values, left_idx)
-    filler = _take_with_na(right_values, right_idx)
+            missing_l, codes_r[right_idx], codes_l[left_idx]))
+    base = _take_with_na(left_values, left_idx, missing_l)
+    filler = _take_with_na(right_values, right_idx, missing_r)
     dtype = dtypes.common_dtype([base.dtype, filler.dtype])
     out = base.astype(dtype).copy()
-    out[use_right] = filler.astype(dtype)[use_right]
+    out[missing_l] = filler.astype(dtype)[missing_l]
     return out

@@ -19,6 +19,59 @@ from .index import Index, RangeIndex, default_index, ensure_index
 from .strings import DatetimeMethods, StringMethods
 
 
+#: the items a numeric column's ``isin`` compares as numbers
+_NUMBERS = (bool, int, float, np.bool_, np.integer, np.float16, np.float32,
+            np.float64)
+
+
+def _typed_isin(values: np.ndarray, items: list):
+    """``isin`` of a typed numeric or datetime column as one ``np.isin``,
+    or ``None`` when the column or an item is of another kind.
+
+    It answers what ``cell in set(items)`` answers cell by cell: a cell
+    matches an item it equals exactly (``1 == 1.0 == True``, and an
+    integer past 2^53 is not the float next to it), NaN and NaT match
+    nothing (``np.isin`` compares with ``==``), and a datetime matches
+    only items of its own unit.
+    """
+    kind = values.dtype.kind
+    if kind == "M":
+        if not all(type(v) is np.datetime64 and v.dtype == values.dtype
+                   for v in items):
+            return None
+        wanted = items
+    elif kind in "iub" and all(isinstance(v, _NUMBERS) for v in items):
+        low, high = ((0, 1) if kind == "b" else
+                     (np.iinfo(values.dtype).min, np.iinfo(values.dtype).max))
+        wanted = [n for n in map(_exact_int, items)
+                  if n is not None and low <= n <= high]
+    elif kind == "f" and all(isinstance(v, _NUMBERS) for v in items):
+        values = values.astype(np.float64, copy=False)  # exact for any float
+        wanted = [f for f in map(_exact_float, items) if f is not None]
+    else:
+        return None
+    return np.isin(values, np.array(wanted, dtype=values.dtype))
+
+
+def _exact_int(number):
+    """The int a number equals exactly, or ``None``."""
+    if isinstance(number, (float, np.floating)):
+        return int(number) if float(number).is_integer() else None
+    return int(number)
+
+
+def _exact_float(number):
+    """The float64 a number equals exactly, or ``None``."""
+    if isinstance(number, (float, np.floating)):
+        return float(number)
+    number = int(number)  # a NumPy integer would compare through float64
+    try:
+        as_float = float(number)
+    except OverflowError:  # past the largest float64
+        return None
+    return as_float if as_float == number else None
+
+
 class _SeriesIloc:
     def __init__(self, series: "Series"):
         self._series = series
@@ -346,10 +399,13 @@ class Series:
         return Series(_tighten(out), index=self._index, name=self.name)
 
     def isin(self, values: Iterable) -> "Series":
-        lookup = set(values)
-        out = np.fromiter(
-            (v in lookup for v in self._values), dtype=bool, count=len(self._values)
-        )
+        items = list(values)
+        out = _typed_isin(self._values, items)
+        if out is None:
+            lookup = set(items)
+            out = np.fromiter(
+                (v in lookup for v in self._values), dtype=bool,
+                count=len(self._values))
         return Series(out, index=self._index, name=self.name)
 
     def between(self, left, right, inclusive: str = "both") -> "Series":

@@ -45,21 +45,28 @@ def argsort_values(values: np.ndarray, ascending: bool = True,
     return np.concatenate([sorted_valid, na_positions]).astype(np.int64)
 
 
+def id_dtype(n_ids: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds ids in ``[0, n_ids)``, or
+    ``intp``: NumPy radix-sorts 8- and 16-bit keys in O(rows)."""
+    if n_ids <= 1 << 8:
+        return np.dtype(np.uint8)
+    if n_ids <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.intp)
+
+
 def id_runs(ids: np.ndarray, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.argsort(ids, kind="stable")`` of ids in ``[0, n_ids)``, and the
     ``n_ids + 1`` bounds of each id's run in that order.
 
     The bounds are a count of the ids.  A stable sort's answer is unique,
-    so the ids are sorted at the narrowest unsigned width that holds them:
-    NumPy radix-sorts 8- and 16-bit keys in O(rows).
+    so the ids are sorted at the narrowest width that holds them
+    (``id_dtype``).
     """
     bounds = np.zeros(n_ids + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=n_ids), out=bounds[1:])
-    if n_ids <= 1 << 8:
-        ids = ids.astype(np.uint8)
-    elif n_ids <= 1 << 16:
-        ids = ids.astype(np.uint16)
-    return np.argsort(ids, kind="stable"), bounds
+    return np.argsort(ids.astype(id_dtype(n_ids), copy=False),
+                      kind="stable"), bounds
 
 
 def _total_key(value):

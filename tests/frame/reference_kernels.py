@@ -6,7 +6,7 @@ that replaced it:
 - **per-cell loops**, before the kernels moved to C speed: the loop
   bodies of ``dtypes.isna_array`` / ``values_equal``,
   ``groupby.factorize``, ``groupby.Grouper.__init__``,
-  ``series._object_binop`` / ``_tighten``,
+  ``series._object_binop`` / ``_tighten``, ``Series.isin``,
   ``engine.columnar.encode_column`` and ``concat._concat_rows`` /
   ``_concat_series``;
 - **second hashes and comparison sorts**, before each key cell was
@@ -15,6 +15,10 @@ that replaced it:
   multi-key compaction of ``Grouper.__init__``, ``join._match_ranges``
   / ``_join_indexers`` and the partition order of
   ``partition.split_by_assignment``.
+
+One oracle is not a predecessor: ``encode_keys`` numbers join keys by
+their Python values, because ``join._encode_keys`` once matched
+``int64`` against ``uint64`` through ``float64`` and was not exact.
 
 The library's kernels must return identical values, dtypes, unique order
 and row order on every cell kind and size (``test_kernel_encoding.py``,
@@ -189,6 +193,26 @@ def join_indexers(codes_l: np.ndarray, codes_r: np.ndarray, how: str):
     return left_idx, right_idx
 
 
+def encode_keys(left_arrays, right_arrays):
+    """Join codes by each row's key as a tuple of Python values, so
+    integers match exactly at any width and signedness; a key with a
+    missing cell gets -1.  Returns ``_encode_keys``' ``(codes_l,
+    codes_r, space)``."""
+    table: dict = {}
+
+    def missing(cell):
+        return cell is None or (isinstance(cell, float) and np.isnan(cell))
+
+    def codes(arrays):
+        rows = zip(*[arr.tolist() for arr in arrays])
+        return np.array([-1 if any(map(missing, row))
+                         else table.setdefault(row, len(table))
+                         for row in rows], dtype=np.int64)
+
+    codes_l, codes_r = codes(left_arrays), codes(right_arrays)
+    return codes_l, codes_r, len(table)
+
+
 def partition_order(assignment: np.ndarray, n_parts: int):
     """``split_by_assignment``'s row order and partition bounds."""
     order = np.argsort(assignment, kind="stable")
@@ -221,6 +245,13 @@ def encode_column(arr: np.ndarray):
             return None
     categories, codes = np.unique(arr, return_inverse=True)
     return categories, codes.astype(np.int32)
+
+
+def isin(values: np.ndarray, lookup) -> np.ndarray:
+    """``Series.isin``'s per-row loop: Python ``in`` on a set."""
+    lookup = set(lookup)
+    return np.fromiter((v in lookup for v in values), dtype=bool,
+                       count=len(values))
 
 
 def object_binop(left: np.ndarray, right, func, na_result=None) -> np.ndarray:

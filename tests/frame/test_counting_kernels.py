@@ -362,6 +362,21 @@ def join_codes(n_left: int, n_right: int, space: int, seed: int):
             rng.integers(-1, space, n_right).astype(np.int64))
 
 
+def both_orientations(case):
+    """A case's codes as drawn, and with the sides swapped: each case runs
+    with the left side smaller and with the right side smaller."""
+    codes_l, codes_r = join_codes(*case, seed=case[2])
+    space = case[2]
+    return [(codes_l, codes_r, space), (codes_r, codes_l, space)]
+
+
+def ranged_pairs(order, lo, counts):
+    """The right rows each left row's range names, left row by left row."""
+    starts = np.cumsum(counts) - counts
+    flat = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
+    return order[flat]
+
+
 JOIN_CASES = {
     "counted": (400, 300, 50),
     "one-to-one-dimension": (2_000, 40, 40),
@@ -369,34 +384,107 @@ JOIN_CASES = {
     "ids-past-uint8": (1_000, 500, 256),
     "ids-at-uint16": (90_000, 40_000, 65_535),
     "ids-past-uint16": (90_000, 40_000, 65_536),
+    # a code space far wider than the rows: ``_encode_keys`` compacts
+    # such codes, but the kernel answers exactly on them too
     "wide-fallback": (300, 200, 1_000_000),
+    # a broadcast side against a chunk, as on tpch_join
+    "broadcast-probe": (60_000, 1_800, 60_000),
+    "equal-sides": (300, 300, 100),
     "zero-left": (0, 50, 20),
     "zero-right": (50, 0, 20),
     "zero-rows": (0, 0, 5),
+}
+
+HOWS = ["inner", "left", "right", "outer"]
+
+
+def merge_by_reference(left, right, how, on):
+    """``merge`` on the oracle's exact key codes and indexers."""
+    with mock.patch.object(join, "_encode_keys", reference.encode_keys), \
+            mock.patch.object(join, "_join_indexers",
+                              lambda codes_l, codes_r, how, space:
+                              reference.join_indexers(codes_l, codes_r, how)):
+        return pf.merge(left, right, how=how, on=on)
+
+
+def assert_same_merge(got, want) -> None:
+    assert got.columns.to_list() == want.columns.to_list()
+    for name in got.columns.to_list():
+        assert signature(got[name].values) == signature(want[name].values)
+
+
+def ints(dtype, *values) -> np.ndarray:
+    return np.array(values, dtype=dtype)
+
+
+def around_dense_range(past: bool):
+    """Two int64 key columns of 20 rows in all whose joint range is
+    ``DENSE_RANGE`` times their rows, or one more."""
+    span = DENSE_RANGE * 20 + past
+    return (ints(np.int64, *range(-7, -7 + span, span // 11)[:10], -7 + span - 1),
+            ints(np.int64, *range(-7, -7 + span, 4)[:9]))
+
+
+INTEGER_KEY_PAIRS = {
+    "negatives": (ints(np.int64, -5, -3, -3, 0, 2, -9),
+                  ints(np.int64, -3, 2, 7, -5, -3)),
+    "int8-full-range": (np.random.default_rng(8).permutation(
+                            np.arange(-128, 128).astype(np.int8)),
+                        ints(np.int8, 127, -128, 0, -1, 127, 5)),
+    "uint64-past-2^63": (ints(np.uint64, 2**63 - 1, 2**63, 2**64 - 1, 2**63 + 5),
+                         ints(np.uint64, 2**64 - 1, 2**63, 3, 2**63)),
+    "uint64-past-2^63-wide": (ints(np.uint64, 0, 2**63, 2**64 - 1, 2**63 + 5),
+                              ints(np.uint64, 2**64 - 1, 2**63, 3, 2**63)),
+    "int32-int64": (ints(np.int32, -2**31, 2**31 - 1, 0, 7, 7),
+                    ints(np.int64, 2**31 - 1, 2**31, -2**31, -2**31 - 1, 7)),
+    "int32-int64-dense": (ints(np.int32, -3, -1, 0, 4, 4),
+                          ints(np.int64, 4, -3, 2, 0)),
+    "uint64-int64": (ints(np.uint64, 2**63 + 1, 5, 2**53 + 1, 2**64 - 1),
+                     ints(np.int64, -1, 5, 2**53, 2**53 + 1, 2**63 - 1)),
+    "uint64-int64-dense": (ints(np.uint64, 2**53 + 1, 2**53 + 3, 2**53 + 1),
+                           ints(np.int64, 2**53, 2**53 + 1, 2**53 + 2)),
+    "int64-uint64-past-2^63-dense": (ints(np.int64, 2**63 - 1, 2**63 - 3),
+                                     ints(np.uint64, 2**63, 2**63 + 1, 2**63 - 1)),
+    "just-inside-dense-range": around_dense_range(past=False),
+    "just-past-dense-range": around_dense_range(past=True),
+    "disjoint-dense": (ints(np.int64, *range(10)), ints(np.int64, *range(15, 25))),
+    "disjoint-wide": (ints(np.int64, *range(10)),
+                      ints(np.int64, *range(1_000, 1_010))),
+    "empty-left": (ints(np.int64), ints(np.int64, 3, 1, 3)),
+    "empty-right": (ints(np.uint16, 3, 1, 3), ints(np.uint16)),
+    "empty-both": (ints(np.int8), ints(np.int64)),
 }
 
 
 class TestJoin:
     @pytest.mark.parametrize("case", JOIN_CASES.values(), ids=JOIN_CASES.keys())
     def test_match_ranges(self, case):
-        codes_l, codes_r = join_codes(*case, seed=case[2])
-        same(join._match_ranges(codes_l, codes_r),
-             reference.match_ranges(codes_l, codes_r))
+        """Each left row's range names the right rows the sorted right
+        side gave it, in the same order, whichever side is smaller; a
+        smaller left side orders only the right rows that match."""
+        for codes_l, codes_r, space in both_orientations(case):
+            order, lo, counts = join._match_ranges(codes_l, codes_r, space)
+            want = reference.match_ranges(codes_l, codes_r)
+            same((counts, ranged_pairs(order, lo, counts)),
+                 (want[2], ranged_pairs(*want)))
+            if len(codes_l) < len(codes_r):
+                assert len(order) == len(np.unique(ranged_pairs(order, lo, counts)))
 
-    @pytest.mark.parametrize("how", ["inner", "left", "right", "outer"])
+    @pytest.mark.parametrize("how", HOWS)
     @pytest.mark.parametrize("case", JOIN_CASES.values(), ids=JOIN_CASES.keys())
     def test_indexers(self, case, how):
-        codes_l, codes_r = join_codes(*case, seed=case[2])
-        same(join._join_indexers(codes_l, codes_r, how),
-             reference.join_indexers(codes_l, codes_r, how))
+        for codes_l, codes_r, space in both_orientations(case):
+            same(join._join_indexers(codes_l, codes_r, how, space),
+                 reference.join_indexers(codes_l, codes_r, how))
 
     def test_all_na_keys(self):
         codes = np.full(6, -1, dtype=np.int64)
-        for how in ["inner", "left", "right", "outer"]:
-            same(join._join_indexers(codes, codes[:4], how),
-                 reference.join_indexers(codes, codes[:4], how))
+        for how in HOWS:
+            for codes_l, codes_r in [(codes, codes[:4]), (codes[:4], codes)]:
+                same(join._join_indexers(codes_l, codes_r, how, 0),
+                     reference.join_indexers(codes_l, codes_r, how))
 
-    @pytest.mark.parametrize("how", ["inner", "left", "right", "outer"])
+    @pytest.mark.parametrize("how", HOWS)
     def test_merge_with_missing_keys(self, how):
         left = pf.DataFrame({
             "k": cells("a", None, "b", float("nan"), "a", 1, 1.0, True),
@@ -404,11 +492,87 @@ class TestJoin:
         right = pf.DataFrame({"k": cells(None, "a", "c", 1, "a", float("nan")),
                               "y": np.arange(6) * 10})
         got = pf.merge(left, right, how=how, on="k")
-        with mock.patch.object(join, "_join_indexers", reference.join_indexers):
+        with mock.patch.object(join, "_join_indexers",
+                               lambda codes_l, codes_r, how, space:
+                               reference.join_indexers(codes_l, codes_r, how)):
             want = pf.merge(left, right, how=how, on="k")
-        assert got.columns.to_list() == want.columns.to_list()
-        for name in got.columns.to_list():
-            assert signature(got[name].values) == signature(want[name].values)
+        assert_same_merge(got, want)
+
+    @pytest.mark.parametrize("how", HOWS)
+    @pytest.mark.parametrize("pair", INTEGER_KEY_PAIRS.values(),
+                             ids=INTEGER_KEY_PAIRS.keys())
+    def test_merge_on_integer_keys(self, pair, how):
+        """Integer keys match by exact value at any width and signedness,
+        on the offset path and off it, with either side the smaller."""
+        for keys_l, keys_r in [pair, pair[::-1]]:
+            left = pf.DataFrame({"k": keys_l, "x": np.arange(len(keys_l))})
+            right = pf.DataFrame({"k": keys_r,
+                                  "y": np.arange(len(keys_r)) * 10.0})
+            assert_same_merge(pf.merge(left, right, how=how, on="k"),
+                              merge_by_reference(left, right, how, "k"))
+
+    def test_offset_path_bound(self):
+        """The offset path takes a single integer key pair up to a joint
+        range of ``DENSE_RANGE`` times the rows, and no wider."""
+        inside = around_dense_range(past=False)
+        past = around_dense_range(past=True)
+        bound = DENSE_RANGE * 20
+        assert join._offsets(*inside, bound) is not None
+        assert join._offsets(*past, bound) is None
+        assert join._offsets(*INTEGER_KEY_PAIRS["disjoint-wide"], 40) is None
+        assert join._offsets(*INTEGER_KEY_PAIRS["uint64-int64-dense"], 12) \
+            is not None
+
+    def test_mixed_signedness_matches_exactly(self):
+        """int64 against uint64 matched through float64, where 2**53 and
+        2**53 + 1 are one value."""
+        left = pf.DataFrame({"k": ints(np.int64, 2**53, 2**53 + 1),
+                             "x": np.arange(2)})
+        right = pf.DataFrame({"k": ints(np.uint64, 2**53 + 1), "y": [7]})
+        assert pf.merge(left, right, on="k")["x"].to_list() == [1]
+        wide = pf.DataFrame({"k": ints(np.int64, 0, 2**53 + 1),
+                             "x": np.arange(2)})
+        far = pf.DataFrame({"k": ints(np.uint64, 2**53, 2**64 - 1),
+                            "y": [7, 8]})
+        assert len(pf.merge(wide, far, on="k")) == 0
+
+    def test_multi_key_dictionary_codes_do_not_overflow(self):
+        """Two encoded keys of 60,000 categories each combine past the
+        int32 range the dictionary codes come in."""
+        n = 40_000
+
+        def encoded(prefix, start):
+            codes, categories = factorize(dtypes.object_array(
+                [f"{prefix}{i}" for i in range(start, start + n)]))
+            return dtypes.encoded(categories, codes.astype(np.int32))
+
+        left = pf.DataFrame({"a": encoded("a", 0), "b": encoded("b", 0),
+                             "x": np.arange(n)})
+        right = pf.DataFrame({"a": encoded("a", n // 2),
+                              "b": encoded("b", n // 2), "y": np.arange(n)})
+        got = pf.merge(left, right, on=["a", "b"])
+        assert got["x"].to_list() == list(range(n // 2, n))
+        assert got["y"].to_list() == list(range(n // 2))
+
+    @pytest.mark.parametrize("how", HOWS)
+    def test_multi_key_wide_codes_are_compacted(self, how):
+        """Several keys whose combined code space is far wider than the
+        rows join exactly, and the count table stays within the bound."""
+        rng = np.random.default_rng(3)
+        left = pf.DataFrame({"a": rng.integers(0, 1_000, 300) * 1_000,
+                             "b": rng.integers(0, 3, 300),
+                             "c": cells(*rng.choice(["p", "q", None], 300)),
+                             "x": np.arange(300)})
+        right = pf.DataFrame({"a": rng.integers(0, 1_000, 200) * 1_000,
+                              "b": rng.integers(0, 3, 200),
+                              "c": cells(*rng.choice(["p", "q", None], 200)),
+                              "y": np.arange(200)})
+        keys = ["a", "b", "c"]
+        codes_l, codes_r, space = join._encode_keys(
+            [left[k].values for k in keys], [right[k].values for k in keys])
+        assert space <= DENSE_RANGE * 500
+        assert_same_merge(pf.merge(left, right, how=how, on=keys),
+                          merge_by_reference(left, right, how, keys))
 
 
 class TestPartitionOrder:

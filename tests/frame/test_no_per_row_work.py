@@ -105,6 +105,17 @@ KERNELS = {
         lambda df=frame_of(n), dim=pf.DataFrame(
             {"k1": string_keys(10)[0][:7], "label": np.arange(7)}):
             df.merge(dim, on="k1", how="left")),
+    "merge-int-offset": lambda n: (
+        lambda df=frame_of(n), dim=pf.DataFrame(
+            {"w": np.arange(0, n, 5), "label": np.arange(0, n, 5) % 3}):
+            dim.merge(df, on="w", how="outer")),
+    "isin-int": lambda n: (
+        lambda s=pf.Series(np.arange(n) % 10): s.isin([1, 2.0, True])),
+    "isin-float": lambda n: (
+        lambda s=pf.Series(np.arange(n) / 4.0): s.isin([0.25, 3, float("nan")])),
+    "isin-datetime": lambda n: (
+        lambda s=pf.Series(np.arange(n).astype("datetime64[s]")):
+            s.isin([np.datetime64(5, "s")])),
     "isna-all-str": lambda n: (
         lambda arr=string_keys(n)[0]: dtypes.isna_array(arr)),
     "isna-none": lambda n: (

@@ -60,12 +60,17 @@ column's codes, compacted), ``counting`` (integers within
 ``DENSE_RANGE``), ``sort`` (``np.unique``), ``identity`` (an object
 column of at most ``IDENTITY_BOUND`` shared objects, numbered by
 address) or ``hashed`` (object cells, one by one) — with the calls, rows
-and cells hashed each path took.  The exit status is non-zero when a
-kernel returns an object column whose cells are all NumPy scalars of one
-type (a typed column that lost its dtype on the way), or when an object
-column of at least ``IDENTITY_ROWS`` cells and at most ``IDENTITY_BOUND``
-distinct objects was hashed cell by cell (the ``bench-smoke`` CI job runs
-this for ``tpch_join``, ``plan_sweep`` and ``tpch_scan``).
+and cells hashed each path took, and every merge whose single integer
+key pair joined by ``offset`` (offsets from the joint minimum, no
+``factorize`` at all; rows of both sides).  The exit status is non-zero
+when a kernel returns an object column whose cells are all NumPy scalars
+of one type (a typed column that lost its dtype on the way), when an
+object column of at least ``IDENTITY_ROWS`` cells and at most
+``IDENTITY_BOUND`` distinct objects was hashed cell by cell, or when a
+single integer join key pair whose joint range is within
+``DENSE_RANGE`` times the rows of both sides went through ``factorize``
+(the ``bench-smoke`` CI job runs this for ``tpch_join``, ``plan_sweep``
+and ``tpch_scan``).
 
 Run: ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --top 15``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --ops``
@@ -116,6 +121,7 @@ from repro.core.session import Session  # noqa: E402
 from repro.frame import DataFrame, Series  # noqa: E402
 from repro.frame import dtypes as frame_dtypes  # noqa: E402
 from repro.frame import groupby as frame_groupby  # noqa: E402
+from repro.frame import join as frame_join  # noqa: E402
 from repro.services import runner  # noqa: E402
 
 
@@ -278,8 +284,9 @@ def encodes_report(table: dict[str, list],
     return lines, offenders
 
 
-#: ``factorize``'s paths; every one but ``sort`` calls a helper of its own
-KEY_PATHS = ("dictionary", "counting", "sort", "identity", "hashed")
+#: ``factorize``'s paths, every one but ``sort`` calling a helper of its
+#: own, and a merge's ``offset`` path, which calls no ``factorize``
+KEY_PATHS = ("dictionary", "offset", "counting", "sort", "identity", "hashed")
 
 
 @contextmanager
@@ -287,11 +294,13 @@ def count_key_paths():
     """Book every ``factorize`` call on the operator class whose kernel
     made it (``(outside kernels)`` for the rest), by the path it took;
     yields ``({class name: {path: [calls, rows, cells hashed]}},
-    [(class name, column, scalar type)], [(class name, rows, objects)])``
-    — the second lists each kernel-output object column whose cells are
-    all NumPy scalars of one type, the third each object column of at
-    least ``IDENTITY_ROWS`` cells and at most ``IDENTITY_BOUND`` distinct
-    objects that was hashed cell by cell.
+    [(class name, column, scalar type)], [(class name, rows, objects)],
+    [(class name, rows)])`` — the second lists each kernel-output object
+    column whose cells are all NumPy scalars of one type, the third each
+    object column of at least ``IDENTITY_ROWS`` cells and at most
+    ``IDENTITY_BOUND`` distinct objects that was hashed cell by cell, the
+    fourth each single integer join key pair within the offset bound
+    that was factorized.
 
     A call takes the ``sort`` path unless, while it runs, it compacts a
     dictionary, counts its ids, numbers its shared objects or hashes its
@@ -300,8 +309,10 @@ def count_key_paths():
         lambda: {path: [0, 0, 0] for path in KEY_PATHS})
     lost: list[tuple] = []
     per_cell: list[tuple] = []
+    factorized_offsets: list[tuple] = []
     running: list[str] = ["(outside kernels)"]
     taken: list[list] = []  # [path, cells hashed] of the call in flight
+    offset_keys: list[bool] = []  # per merge encode in flight: offset-able
 
     def marking(path, helper):
         def marked(*args, **kwargs):
@@ -321,7 +332,33 @@ def count_key_paths():
             taken[-1][1] += len(cells)
         return hash_cells(cells)
 
+    def encoding(left_arrays, right_arrays):
+        """Whether the key pair should join by offset, judged apart from
+        the kernel: one integer pair within the bound."""
+        pair = (left_arrays[0], right_arrays[0])
+        present = [side for side in pair if len(side)]
+        offset_keys.append(
+            len(left_arrays) == 1 and bool(present)
+            and all(frame_dtypes.is_integer(side.dtype) for side in pair)
+            and max(int(side.max()) for side in present)
+            - min(int(side.min()) for side in present) + 1
+            <= frame_groupby.DENSE_RANGE * sum(map(len, pair)))
+        try:
+            return encode_keys(left_arrays, right_arrays)
+        finally:
+            offset_keys.pop()
+
+    def offsets(la, ra, bound):
+        found = join_offsets(la, ra, bound)
+        if found is not None:
+            row = paths[running[-1]]["offset"]
+            row[0] += 1
+            row[1] += len(la) + len(ra)
+        return found
+
     def booked(values):
+        if offset_keys and offset_keys[-1]:
+            factorized_offsets.append((running[-1], len(values)))
         taken.append(["sort", 0])
         try:
             return factorize(values)
@@ -353,7 +390,11 @@ def count_key_paths():
     factorize = frame_groupby.factorize
     shared_objects = frame_dtypes.shared_objects
     hash_cells = frame_dtypes.hash_cells
+    encode_keys = frame_join._encode_keys
+    join_offsets = frame_join._offsets
     with count_op_calls(running, typed_cells), \
+            mock.patch.object(frame_join, "_encode_keys", encoding), \
+            mock.patch.object(frame_join, "_offsets", offsets), \
             mock.patch.object(frame_groupby, "factorize", booked), \
             mock.patch.object(frame_groupby, "dense_ids", marking(
                 "counting", frame_groupby.dense_ids)), \
@@ -363,7 +404,7 @@ def count_key_paths():
                 "dictionary", frame_dtypes.compact_dictionary)), \
             mock.patch.object(frame_dtypes, "shared_objects", identified), \
             mock.patch.object(frame_dtypes, "hash_cells", hashed):
-        yield paths, lost, per_cell
+        yield paths, lost, per_cell, factorized_offsets
 
 
 def key_paths_report(paths: dict[str, dict]) -> list[str]:
@@ -692,10 +733,12 @@ def main(argv=None) -> int:
                              "method, and messages per subtask")
     parser.add_argument("--keys", action="store_true",
                         help="factorize calls, rows and cells hashed per "
-                             "operator class and path; exit 1 if a kernel "
-                             "returns a typed column as NumPy scalars in an "
-                             "object column, or hashes a column of a few "
-                             "shared objects cell by cell")
+                             "operator class and path, and merges joined by "
+                             "offset; exit 1 if a kernel returns a typed "
+                             "column as NumPy scalars in an object column, "
+                             "hashes a column of a few shared objects cell "
+                             "by cell, or factorizes a single integer join "
+                             "key pair within the offset bound")
     parser.add_argument("--engine", choices=("row", "columnar"),
                         help="run the plan on this chunk engine; prints the "
                              "7-iteration median wall_s of both first")
@@ -734,7 +777,7 @@ def main(argv=None) -> int:
                   "dictionary was dropped on the way or made twice")
         return 1 if offenders else 0
     if args.keys:
-        with count_key_paths() as (paths, lost, per_cell):
+        with count_key_paths() as (paths, lost, per_cell, factorized):
             iteration = iterate()
         print(f"{args.workload} seed={args.seed} scale={args.scale}: "
               f"{iteration.counters['graph.n_subtasks']} subtasks")
@@ -745,7 +788,10 @@ def main(argv=None) -> int:
         for name, rows, objects in sorted(set(per_cell)):
             print(f"FAIL: {name} hashed {rows} key cells one by one that "
                   f"are {objects} objects: the identity path was missed")
-        return 1 if lost or per_cell else 0
+        for name, rows in sorted(set(factorized)):
+            print(f"FAIL: {name} factorized a single integer join key "
+                  f"pair of {rows} rows within the offset bound")
+        return 1 if lost or per_cell or factorized else 0
     if args.columns:
         with count_source_columns() as rows, \
                 count_moved_columns() as (movers, sources):
