@@ -809,8 +809,6 @@ class GraphExecutor:
         shuffle_chunks = {
             c.key: c for c in subtask.chunks
             if c.op is not None and c.op.is_shuffle_map
-            and getattr(c.op, "shuffle_id", None) is not None
-            and len(c.index) >= 2
         }
         # outputs go out in three batched messages — all puts, then all
         # shuffle registrations, then all meta records. Each put still

@@ -32,6 +32,9 @@ class TileContext:
         self.meta = meta
         self._storage = storage
         self._executor = executor
+        #: chunk keys the operator being tiled has yielded: the plan holds
+        #: them until its ``tile`` returns (``TilingEngine._tile_one``).
+        self.yielded: set[str] = set()
 
     def _recoverable(self, chunk_key: str) -> bool:
         """A fault took this executed chunk, but lineage can restore it.
@@ -53,8 +56,11 @@ class TileContext:
         chunks), so sampling code must check this — not ``meta.has`` —
         before ``peek``-ing. Under fault injection a chunk that was
         executed but lost still counts: ``peek`` recovers it, so tiling
-        takes the same branch it would in a fault-free run.
+        takes the same branch it would in a fault-free run. A chunk the
+        operator being tiled yielded is held, so it needs no storage call.
         """
+        if chunk_key in self.yielded:
+            return True
         if self._storage is not None and self._storage.contains(chunk_key):
             return True
         return self._recoverable(chunk_key)

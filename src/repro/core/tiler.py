@@ -149,6 +149,7 @@ class TilingEngine:
     def _tile_one(self, op, ctx: TileContext) -> None:
         gen = run_tile(op, ctx)
         asked: list[str] = []  # every chunk key ``op`` yielded so far
+        ctx.yielded = set()
         while True:
             try:
                 yielded = next(gen)
@@ -166,6 +167,7 @@ class TilingEngine:
                 )
             chunks = list(yielded)
             asked += [chunk.key for chunk in chunks]
+            ctx.yielded.update(asked)
             # ``op`` may build its output chunks on what it yields.
             self._plan(chunks, [(op, asked)])
             self._execute_partial(chunks)

@@ -35,8 +35,9 @@ from ..core.operator import (
 )
 from ..engine.local import DataFrame, _how_name, concat
 from ..graph.entity import ChunkData
-from ..utils import COMBINE_ARITY, batched, new_key
-from .utils import SAMPLE_CHUNKS, chunk_index, spread_sample
+from ..utils import COMBINE_ARITY, batched
+from .shuffle import ShufflePartition, fan_out, is_missing, range_cuts
+from .utils import SAMPLE_CHUNKS, auto_merge_chunks, chunk_index, spread_sample
 
 #: aggregations this operator can decompose for distributed execution.
 DISTRIBUTABLE = (
@@ -171,8 +172,7 @@ class GroupByAgg(Operator):
         map_chunks = [self._new_stage_chunk([c], self.STAGE_MAP, i)
                       for i, c in enumerate(in_chunks)]
 
-        use_shuffle = False
-        boundaries = None
+        boundaries = None  # sampled cuts, when the reduce shuffles
         if ctx.config.dynamic_tiling and len(map_chunks) > 1:
             sample = spread_sample(map_chunks, SAMPLE_CHUNKS)
             yield sample
@@ -180,28 +180,26 @@ class GroupByAgg(Operator):
             mean_bytes = sum(sampled_bytes) / max(len(sampled_bytes), 1)
             est_total = mean_bytes * len(map_chunks)
             if est_total > ctx.config.tree_reduce_threshold:
-                use_shuffle = True
                 n_reducers = int(np.clip(
                     math.ceil(est_total / ctx.config.chunk_store_limit),
                     2, 2 * ctx.config.cluster.n_bands,
                 ))
-                # range boundaries need keys from EVERY map chunk — group
-                # keys are often contiguous across chunks, so partial
-                # sampling would leave unsampled spans that funnel into
-                # one reducer. The maps run now anyway; this only trades
-                # pipeline overlap.
+                # the cuts read every map chunk, so run them all now;
+                # this only trades pipeline overlap
                 yield map_chunks
-                boundaries = self._sample_boundaries(ctx, map_chunks,
-                                                     n_reducers)
+                boundaries = yield from range_cuts(
+                    ctx, [(c, self.by[0]) for c in map_chunks], n_reducers)
                 # auto merge (Section IV-C): with real sizes known, glue
                 # undersized map partials together so the shuffle stage
                 # dispatches fewer, right-sized chunks
-                from .utils import auto_merge_chunks
-
                 map_chunks = auto_merge_chunks(ctx, map_chunks, "dataframe")
 
-        if use_shuffle and boundaries is not None:
-            out_chunks = self._tile_shuffle(map_chunks, boundaries)
+        if boundaries is not None:
+            partitions = fan_out(map_chunks, len(boundaries) + 1,
+                                 GroupByPartition, by=self.by,
+                                 boundaries=boundaries, plan=self.plan)
+            out_chunks = [self._new_stage_chunk(part, self.STAGE_REDUCE, r)
+                          for r, part in enumerate(partitions)]
         else:
             out_chunks = self._tile_tree(ctx, map_chunks)
 
@@ -237,58 +235,6 @@ class GroupByAgg(Operator):
                     position += 1
                 level = next_level
         return [self._new_stage_chunk(level, self.STAGE_REDUCE, 0)]
-
-    def _sample_boundaries(self, ctx: TileContext, sample: list[ChunkData],
-                           n_reducers: int) -> list:
-        """Range-partition boundaries from executed map chunks' keys."""
-        first_key = self.by[0]
-        per_chunk = max(4000 // max(len(sample), 1), 20)
-        collected: list = []
-        for chunk in sample:
-            partial = ctx.peek(chunk.key)
-            values = partial[first_key].values
-            if len(values) > per_chunk:
-                stride = max(len(values) // per_chunk, 1)
-                values = values[::stride]
-            collected.extend(v for v in values.tolist() if v is not None)
-        if not collected:
-            return []
-        collected.sort()
-        cuts: list = []
-        for r in range(1, n_reducers):
-            cut = collected[min(
-                int(len(collected) * r / n_reducers), len(collected) - 1
-            )]
-            if not cuts or cut > cuts[-1]:
-                cuts.append(cut)
-        return cuts
-
-    def _tile_shuffle(self, map_chunks: list[ChunkData],
-                      boundaries: list) -> list[ChunkData]:
-        n_reducers = len(boundaries) + 1
-        partitions: list[list[ChunkData]] = [[] for _ in range(n_reducers)]
-        shuffle_id = new_key("shuffle")
-        for m, map_chunk in enumerate(map_chunks):
-            part_op = GroupByPartition(
-                by=self.by, boundaries=boundaries, n_reducers=n_reducers,
-                plan=self.plan, shuffle_id=shuffle_id,
-            )
-            specs = [
-                {
-                    "kind": "dataframe", "shape": (None, None),
-                    "index": (m, r),
-                }
-                for r in range(n_reducers)
-            ]
-            outs = part_op.new_chunks([map_chunk], specs)
-            for r, out in enumerate(outs):
-                partitions[r].append(out)
-        out_chunks = []
-        for r in range(n_reducers):
-            out_chunks.append(self._new_stage_chunk(
-                partitions[r], self.STAGE_REDUCE, r
-            ))
-        return out_chunks
 
     # -- execution ---------------------------------------------------------------
     def execute(self, ctx: ExecContext):
@@ -380,8 +326,7 @@ def _map_stat_func(stat: str):
     if stat == "set":
         return lambda s: frozenset(s.dropna().values.tolist())
     if stat == "list":
-        return lambda s: [v for v in s.values.tolist()
-                          if v is not None and not _is_nan(v)]
+        return lambda s: [v for v in s.values.tolist() if not is_missing(v)]
     if stat == "sumsq":
         return "sum"
     if stat == "any":
@@ -391,32 +336,21 @@ def _map_stat_func(stat: str):
     return stat
 
 
-def _is_nan(value) -> bool:
-    return isinstance(value, float) and math.isnan(value)
+class GroupByPartition(ShufflePartition):
+    """Shuffle map of a map-stage partial frame, by the first group key.
 
-
-class GroupByPartition(Operator):
-    """Shuffle-map: split a map-stage partial frame into key ranges.
-
-    Produces one output chunk per reducer; ranges come from boundaries
-    sampled during dynamic tiling, so reducers receive balanced, ordered
-    key ranges and the concatenated result is globally key-sorted.
+    Sampled boundaries give reducers balanced, ordered key ranges, so
+    the concatenated result is globally key-sorted. With ``plan`` it
+    folds duplicate keys before splitting (mapper-side combine).
     """
 
-    is_shuffle_map = True
-
-    def __init__(self, by: Sequence, boundaries: list, n_reducers: int,
-                 plan: Sequence[tuple] | None = None,
-                 shuffle_id: str | None = None, **params):
-        super().__init__(**params)
+    def __init__(self, by: Sequence, boundaries: list, shuffle_id: str,
+                 plan: Sequence[tuple] | None = None, **params):
+        super().__init__(by[0], boundaries, shuffle_id, **params)
         self.by = list(by)
-        self.boundaries = boundaries
-        self.n_reducers = n_reducers
         self.plan = [tuple(p) for p in plan] if plan is not None else None
-        self.shuffle_id = shuffle_id
 
     def execute(self, ctx: ExecContext):
-        engine = ctx.engine
         frame = ctx.get(self.inputs[0].key)
         # mapper-side combine: auto merge glues map partials together
         # *without* re-aggregating, so a merged chunk carries duplicate
@@ -430,6 +364,4 @@ class GroupByPartition(Operator):
                 ctx.annotate(self.outputs[0].key,
                              **{COMBINE_DROPPED_KEY: dropped})
                 frame = combined
-        assignment = engine.range_partition(frame, self.by[0], self.boundaries)
-        parts = engine.split(frame, assignment, self.n_reducers)
-        return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
+        return self._split(ctx, frame)

@@ -20,16 +20,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
-from ..engine.local import DataFrame, concat, merge as frame_merge
+from ..engine.local import concat, merge as frame_merge
 from ..graph.entity import ChunkData
-from ..utils import new_key
-from .utils import (
-    SAMPLE_CHUNKS,
-    ConcatChunks,
-    chunk_index,
-    nsplits_from_chunks,
-    spread_sample,
-)
+from .shuffle import fan_out, range_cuts
+from .utils import SAMPLE_CHUNKS, ConcatChunks, chunk_index, nsplits_from_chunks
 
 
 def _estimate_total(ctx: TileContext, chunks: list[ChunkData]) -> float:
@@ -98,19 +92,25 @@ class Merge(Operator):
                     ctx, right_chunks, left_chunks, broadcast_right=False
                 )
             else:
-                boundaries = yield from self._sampled_boundaries(
-                    ctx, left_chunks, right_chunks, left_est + right_est
-                )
+                # a reducer holds both sides' partitions plus the join
+                # output, which is wider than either input: size
+                # partitions for ~3x the input bytes so a reducer's
+                # working set stays near one chunk
+                n_parts = int(np.clip(
+                    math.ceil(3.0 * (left_est + right_est) / threshold),
+                    2, 4 * ctx.config.cluster.n_bands,
+                ))
+                cuts = yield from range_cuts(
+                    ctx, [(c, self.left_on[0]) for c in left_chunks]
+                    + [(c, self.right_on[0]) for c in right_chunks], n_parts)
                 out_chunks = self._tile_shuffle(
-                    left_chunks, right_chunks, boundaries, hash_mode=False
-                )
+                    left_chunks, right_chunks, cuts, n_parts)
         else:
             # static plan: hash-shuffle both sides, one partition per
             # large-side chunk — the skew-prone baseline strategy
             n_parts = max(len(left_chunks), len(right_chunks))
             out_chunks = self._tile_shuffle(
-                left_chunks, right_chunks, n_parts, hash_mode=True
-            )
+                left_chunks, right_chunks, [], n_parts)
 
         n_cols = len(self.out_columns) if self.out_columns is not None else None
         return [(out_chunks,
@@ -127,140 +127,36 @@ class Merge(Operator):
                 small, "dataframe", (None, small[0].shape[-1]),
                 chunk_index("dataframe", 0), columns=small[0].columns,
             )
-        out_chunks = []
-        for i, chunk in enumerate(big):
-            merge_op = MergeChunk(
-                how=self.how, left_on=self.left_on, right_on=self.right_on,
-                suffixes=self.suffixes, swapped=not broadcast_right,
-            )
-            inputs = [chunk, small_all]
-            out_chunks.append(merge_op.new_chunk(
-                inputs, "dataframe", (None, None),
-                chunk_index("dataframe", i), columns=self.out_columns,
-            ))
-        return out_chunks
+        return [self._merge_chunk([chunk, small_all], i,
+                                  swapped=not broadcast_right)
+                for i, chunk in enumerate(big)]
 
     # -- shuffle strategy ----------------------------------------------------------
-    def _sampled_boundaries(self, ctx: TileContext, left_chunks, right_chunks,
-                            est_bytes: float):
-        """Range boundaries for the shuffle, sampled from executed chunks."""
-        # Boundaries need rows from EVERY chunk of both sides: join keys
-        # are often laid out contiguously across chunks (generated ids),
-        # so quantiles over a few chunks leave giant unsampled key spans
-        # that funnel into single partitions. Like the sort operator (and
-        # Spark's RangePartitioner), run the inputs and sample each chunk.
-        sample = [(chunk, self.left_on[0]) for chunk in left_chunks] \
-            + [(chunk, self.right_on[0]) for chunk in right_chunks]
-        pending = [c for c, _ in sample if not ctx.has_value(c.key)]
-        if pending:
-            yield pending
-        per_chunk = max(4000 // max(len(sample), 1), 20)
-        collected: list = []
-        for chunk, key in sample:
-            frame = ctx.peek(chunk.key)
-            if key in frame.columns.to_list():
-                values = frame[key].values
-                if len(values) > per_chunk:
-                    stride = max(len(values) // per_chunk, 1)
-                    values = values[::stride]
-                collected.extend(
-                    v for v in values.tolist() if v is not None
-                )
-        # a reducer holds both sides' partitions plus the join output,
-        # which is wider than either input: size partitions for ~3x the
-        # input bytes so a reducer's working set stays near one chunk
-        n_parts = int(np.clip(
-            math.ceil(3.0 * est_bytes / ctx.config.chunk_store_limit),
-            2, 4 * ctx.config.cluster.n_bands,
-        ))
-        if not collected:
-            return n_parts  # degenerate: fall back to hash partitioning
-        collected.sort()
-        cuts: list = []
-        for r in range(1, n_parts):
-            cut = collected[min(
-                int(len(collected) * r / n_parts), len(collected) - 1
-            )]
-            if not cuts or cut > cuts[-1]:
-                cuts.append(cut)  # duplicates would leave empty ranges
-        if not cuts:
-            return n_parts
-        return cuts
+    def _tile_shuffle(self, left_chunks, right_chunks, cuts: list,
+                      n_parts: int):
+        """Co-partition both sides into the ranges ``cuts`` bound, or,
+        without cuts, by key hash into ``n_parts``; merge each pair."""
+        if cuts:
+            n_parts = len(cuts) + 1
+        left_parts = fan_out(left_chunks, n_parts, key=self.left_on[0],
+                             boundaries=cuts or None)
+        right_parts = fan_out(right_chunks, n_parts, key=self.right_on[0],
+                              boundaries=cuts or None)
+        return [self._merge_chunk(left_parts[r] + right_parts[r], r,
+                                  n_left=len(left_parts[r]))
+                for r in range(n_parts)]
 
-    def _tile_shuffle(self, left_chunks, right_chunks, boundaries,
-                      hash_mode: bool):
-        if isinstance(boundaries, int):  # degenerate sampled case
-            n_parts, boundaries, hash_mode = boundaries, [], True
-        elif hash_mode:
-            n_parts, boundaries = int(boundaries), []
-        else:
-            n_parts = len(boundaries) + 1
-        left_parts = self._partition_side(
-            left_chunks, self.left_on[0], boundaries, n_parts, hash_mode, 0
-        )
-        right_parts = self._partition_side(
-            right_chunks, self.right_on[0], boundaries, n_parts, hash_mode, 1
-        )
-        out_chunks = []
-        for r in range(n_parts):
-            merge_op = MergeChunk(
-                how=self.how, left_on=self.left_on, right_on=self.right_on,
-                suffixes=self.suffixes, swapped=False,
-                n_left=len(left_parts[r]),
-            )
-            inputs = left_parts[r] + right_parts[r]
-            out_chunks.append(merge_op.new_chunk(
-                inputs, "dataframe", (None, None),
-                chunk_index("dataframe", r), columns=self.out_columns,
-            ))
-        return out_chunks
-
-    def _partition_side(self, chunks, key, boundaries, n_parts,
-                        hash_mode, side):
-        partitions: list[list[ChunkData]] = [[] for _ in range(n_parts)]
-        shuffle_id = new_key("shuffle")  # one dataset per shuffled side
-        for m, chunk in enumerate(chunks):
-            part_op = MergePartition(
-                key=key, boundaries=boundaries, n_parts=n_parts,
-                hash_mode=hash_mode, shuffle_id=shuffle_id,
-            )
-            specs = [
-                {"kind": "dataframe", "shape": (None, None),
-                 "index": (m, r)}
-                for r in range(n_parts)
-            ]
-            outs = part_op.new_chunks([chunk], specs)
-            for r, out in enumerate(outs):
-                partitions[r].append(out)
-        return partitions
+    def _merge_chunk(self, inputs: list[ChunkData], position: int,
+                     **params) -> ChunkData:
+        merge_op = MergeChunk(how=self.how, left_on=self.left_on,
+                              right_on=self.right_on, suffixes=self.suffixes,
+                              **params)
+        return merge_op.new_chunk(inputs, "dataframe", (None, None),
+                                  chunk_index("dataframe", position),
+                                  columns=self.out_columns)
 
     def execute(self, ctx: ExecContext):  # tileable-level op never executes
         raise NotImplementedError
-
-
-class MergePartition(Operator):
-    """Shuffle-map for merge: split one side's chunk into partitions."""
-
-    is_shuffle_map = True
-
-    def __init__(self, key, boundaries: list, n_parts: int, hash_mode: bool,
-                 shuffle_id: str | None = None, **params):
-        super().__init__(**params)
-        self.key = key
-        self.boundaries = boundaries
-        self.n_parts = n_parts
-        self.hash_mode = hash_mode
-        self.shuffle_id = shuffle_id
-
-    def execute(self, ctx: ExecContext):
-        engine = ctx.engine
-        value = ctx.get(self.inputs[0].key)
-        if self.hash_mode:
-            assignment = engine.hash_partition(value, self.key, self.n_parts)
-        else:
-            assignment = engine.range_partition(value, self.key, self.boundaries)
-        parts = engine.split(value, assignment, self.n_parts)
-        return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
 
 
 class MergeChunk(Operator):

@@ -53,7 +53,7 @@ def merge(left: DataFrame, right: DataFrame, how: str = "inner", on=None,
         if name in shared:
             data[out_name] = _coalesce_key(
                 left._data[name], right._data[name], left_idx, right_idx,
-                missing_l, missing_r)
+                missing_l)
         else:
             data[out_name] = _take_with_na(left._data[name], left_idx, missing_l)
     for name in right_out_cols:
@@ -192,6 +192,8 @@ def _encode_pair(la: np.ndarray, ra: np.ndarray):
         # int64, so that combining several keys' codes cannot overflow
         uniques, (cl, cr) = dtypes.union_dictionaries([la, ra])
         return cl.astype(np.int64), cr.astype(np.int64), len(uniques)
+    if {la.dtype.kind, ra.dtype.kind} in ({"i", "f"}, {"u", "f"}):
+        return _encode_int_float(la, ra)
     dtype = dtypes.common_dtype([la.dtype, ra.dtype])
     cut = None
     if dtypes.is_integer(la.dtype) and dtypes.is_integer(ra.dtype) \
@@ -209,6 +211,24 @@ def _encode_pair(la: np.ndarray, ra: np.ndarray):
     if cut is not None:
         codes[cut] = -1
     return codes[: len(la)], codes[len(la):], len(uniques)
+
+
+def _encode_int_float(la: np.ndarray, ra: np.ndarray):
+    """An integer key column against a float one. In float64 the two
+    meet inexactly past 2^53, so a float is compared as an integer
+    instead: only an integral float inside the integer dtype's range
+    can equal one, and every other float matches nothing."""
+    ints, floats = (la, ra) if dtypes.is_integer(la.dtype) else (ra, la)
+    info = np.iinfo(ints.dtype)
+    # NaN fails the first test, an infinity the range
+    fits = ((floats == np.floor(floats)) & (floats >= float(info.min))
+            & (floats < float(info.max) + 1))
+    codes_i, codes_f, width = _encode_pair(
+        ints, np.where(fits, floats, 0).astype(ints.dtype))
+    codes_f[~fits] = -1
+    if ints is la:
+        return codes_i, codes_f, width
+    return codes_f, codes_i, width
 
 
 def _compacted(codes_l: np.ndarray, codes_r: np.ndarray):
@@ -323,8 +343,9 @@ def _take_with_na(values: np.ndarray, indexer: np.ndarray,
 
 def _coalesce_key(left_values: np.ndarray, right_values: np.ndarray,
                   left_idx: np.ndarray, right_idx: np.ndarray,
-                  missing_l, missing_r) -> np.ndarray:
-    """Key column of the result: left value where present, else right."""
+                  missing_l) -> np.ndarray:
+    """Key column of the result: left value where present, else right.
+    Every row has its key on exactly one side, so none is missing."""
     if missing_l is None:
         return _take_with_na(left_values, left_idx, None)
     if (len(left_values) and dtypes.dictionary_of(left_values)
@@ -334,9 +355,27 @@ def _coalesce_key(left_values: np.ndarray, right_values: np.ndarray,
             [left_values, right_values])
         return dtypes.encoded(union, np.where(
             missing_l, codes_r[right_idx], codes_l[left_idx]))
-    base = _take_with_na(left_values, left_idx, missing_l)
-    filler = _take_with_na(right_values, right_idx, missing_r)
-    dtype = dtypes.common_dtype([base.dtype, filler.dtype])
-    out = base.astype(dtype).copy()
-    out[missing_l] = filler.astype(dtype)[missing_l]
+    from_l = left_values[left_idx[~missing_l]]
+    from_r = right_values[right_idx[missing_l]]
+    out = np.empty(len(missing_l), dtype=_coalesced_dtype(from_l, from_r))
+    out[~missing_l] = from_l
+    out[missing_l] = from_r
     return out
+
+
+def _coalesced_dtype(from_l: np.ndarray, from_r: np.ndarray) -> np.dtype:
+    """Both sides' common dtype, unless that is float64 for two integer
+    sides (a signed one against ``uint64``), which rounds past 2^53:
+    then ``int64`` when every value fits it, ``uint64`` when none is
+    negative, else object."""
+    dtype = dtypes.common_dtype([from_l.dtype, from_r.dtype])
+    if dtype.kind != "f" or not all(dtypes.is_integer(side.dtype)
+                                    for side in (from_l, from_r)):
+        return dtype
+    sides = [side for side in (from_l, from_r) if len(side)]
+    if all(side.dtype.kind == "i" or side.max() <= np.iinfo(np.int64).max
+           for side in sides):
+        return np.dtype(np.int64)
+    if all(side.dtype.kind == "u" or side.min() >= 0 for side in sides):
+        return np.dtype(np.uint64)
+    return np.dtype(object)

@@ -453,6 +453,13 @@ INTEGER_KEY_PAIRS = {
     "empty-left": (ints(np.int64), ints(np.int64, 3, 1, 3)),
     "empty-right": (ints(np.uint16, 3, 1, 3), ints(np.uint16)),
     "empty-both": (ints(np.int8), ints(np.int64)),
+    # a float equals an integer only when integral and in the int's range
+    "int64-float64": (ints(np.int64, 2**53 + 1, 2**53, 3, -2**63, 2**63 - 1, 7),
+                      np.array([2.0**53, 3.0, 3.5, np.nan, 2.0**63, -2.0**63,
+                                np.inf, 7.0, -0.0])),
+    "uint8-float32": (ints(np.uint8, 255, 0, 3, 3),
+                      np.array([255.0, 256.0, -0.0, 3.0, -1.0, 2.5],
+                               dtype=np.float32)),
 }
 
 
@@ -535,6 +542,27 @@ class TestJoin:
         far = pf.DataFrame({"k": ints(np.uint64, 2**53, 2**64 - 1),
                             "y": [7, 8]})
         assert len(pf.merge(wide, far, on="k")) == 0
+
+    @pytest.mark.parametrize("how", ["outer", "right"])
+    def test_coalesced_integer_key_is_exact(self, how):
+        """The key column of a signed side against a uint64 side is int64
+        when every value fits it, uint64 when none is negative, and
+        object otherwise; never float64, which rounds past 2**53."""
+        cases = [(ints(np.int64, 2**53 + 1), ints(np.uint64, 5), np.int64),
+                 (ints(np.int64, 3), ints(np.uint64, 2**63 + 1), np.uint64),
+                 (ints(np.int64, -1), ints(np.uint64, 2**63, 2**53 + 1),
+                  object)]
+        for keys_l, keys_r, dtype in cases:
+            left = pf.DataFrame({"k": keys_l, "x": np.arange(len(keys_l))})
+            right = pf.DataFrame({"k": keys_r, "y": np.arange(len(keys_r))})
+            got = pf.merge(left, right, how=how, on="k")["k"].values
+            want = (keys_l.tolist() if how == "outer" else []) \
+                + keys_r.tolist()
+            assert got.tolist() == want
+            if how == "outer":
+                assert got.dtype == dtype
+            if got.dtype == object:  # cells are Python ints
+                assert all(type(v) is int for v in got)
 
     def test_multi_key_dictionary_codes_do_not_overflow(self):
         """Two encoded keys of 60,000 categories each combine past the

@@ -74,11 +74,11 @@ class TestCanonicalParam:
     def test_runtime_keys_are_canonicalized(self):
         # a shuffle's id is the one runtime key an operator holds; it
         # names plumbing, so two sessions' mappers still digest alike.
-        from repro.dataframe.groupby import GroupByPartition
+        from repro.dataframe.shuffle import ShufflePartition
         from repro.graph.identity import IdentityContext, _op_digest
 
         def mapper(shuffle_id):
-            return GroupByPartition(by=["k"], boundaries=[], n_reducers=4,
+            return ShufflePartition(key="k", boundaries=[],
                                     shuffle_id=shuffle_id)
 
         assert (_op_digest(mapper("session-1/shuffle-00000007"),
