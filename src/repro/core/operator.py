@@ -167,6 +167,12 @@ class Operator:
     #: variables, e.g. ``"{0}[{1}]"`` for boolean-mask filtering. Ops that
     #: annotate ``ExecContext.extra_meta`` must decline.
     fuse_expr: str | None = None
+    #: whether the kernel takes a ``Selection`` (the rows a filter kept,
+    #: not yet gathered) where it takes a frame.  The kernel loop
+    #: (``services.runner``) hands every other op the materialized frame.
+    #: ``ElementwiseChunk`` sets it per instance (column reads,
+    #: projections and assignments).
+    reads_selection = False
     #: names of the ``params`` that hold paths of files this op reads:
     #: each file's stat joins the chunk's result-cache identity, so a
     #: rewritten file is read again instead of hitting a stale entry.

@@ -15,6 +15,7 @@ In the execution model a fused step
 
 from __future__ import annotations
 
+from ..engine.local import materialized
 from ..graph.entity import ChunkData
 from ..graph.subtask import Subtask
 
@@ -133,6 +134,14 @@ def compile_step(step: list[ChunkData]) -> CompiledStep | None:
                 var = f"x{len(input_keys)}"
                 var_of[dep.key] = var
                 input_keys.append(dep.key)
+            elif (dep.key in produced and not op.reads_selection
+                  and step[produced[dep.key]].op.reads_selection):
+                # a selection made inside the step reaches an op that
+                # takes frames only as its frame (the kernel loop sees
+                # to the step's inputs)
+                if materialized not in funcs:
+                    funcs.append(materialized)
+                var = f"f{funcs.index(materialized)}({var})"
             args.append(var)
         if op.fuse_expr == "call":
             func = getattr(op, "func", None)

@@ -29,7 +29,10 @@ class Elementwise(Operator):
       first input the func reads whatever is asked of its output
       (None = all of them: nothing may be pruned);
     - ``cols_produced``: output columns the func creates itself, so a
-      requirement for them asks nothing of the input (``df[name] = ...``).
+      requirement for them asks nothing of the input (``df[name] = ...``);
+    - ``by_name``: the func touches its first input only by reading,
+      projecting or assigning columns by name, so its chunks take a
+      selection as they take a frame (``reads_selection``).
     """
 
     is_elementwise = True
@@ -38,7 +41,8 @@ class Elementwise(Operator):
                  out_columns: Optional[list] = None,
                  out_dtype=None, out_name=None,
                  cols_required: Optional[list] = None,
-                 cols_produced: Sequence = (), **params):
+                 cols_produced: Sequence = (), by_name: bool = False,
+                 **params):
         super().__init__(**params)
         self.func = func
         self.out_kind = out_kind
@@ -47,6 +51,7 @@ class Elementwise(Operator):
         self.out_name = out_name
         self.cols_required = cols_required
         self.cols_produced = list(cols_produced)
+        self.by_name = by_name
 
     def input_column_requirements(self, required):
         # exact for projections and assignments: the first input needs
@@ -80,7 +85,8 @@ class Elementwise(Operator):
             ins = [chunks[i] for chunks in aligned]
             rows = first_rows[i]
             shape = (rows, n_cols) if self.out_kind == "dataframe" else (rows,)
-            chunk_op = ElementwiseChunk(func=self.func)
+            chunk_op = ElementwiseChunk(func=self.func,
+                                        reads_selection=self.by_name)
             out_chunks.append(chunk_op.new_chunk(
                 ins, self.out_kind, shape, chunk_index(self.out_kind, i),
                 dtype=self.out_dtype, columns=self.out_columns,
@@ -91,12 +97,19 @@ class Elementwise(Operator):
 
 
 class ElementwiseChunk(Operator):
+    """One chunk's ``func``.  A column read, projection or assignment
+    (``Elementwise.by_name``) reads selections: a column through the
+    rows, a projection without gathering, an assignment at the selected
+    length."""
+
     is_elementwise = True
     fuse_expr = "call"
 
-    def __init__(self, func: Callable, **params):
+    def __init__(self, func: Callable, reads_selection: bool = False,
+                 **params):
         super().__init__(**params)
         self.func = func
+        self.reads_selection = reads_selection
 
     def execute(self, ctx: ExecContext):
         values = [ctx.get(c.key) for c in self.inputs]
@@ -108,12 +121,13 @@ def build_elementwise(inputs: list[TileableData], func: Callable,
                       out_columns: Optional[list] = None,
                       out_dtype=None, out_name=None,
                       cols_required: Optional[list] = None,
-                      cols_produced: Sequence = ()) -> TileableData:
+                      cols_produced: Sequence = (),
+                      by_name: bool = False) -> TileableData:
     """Create the logical node for an elementwise operation."""
     op = Elementwise(func=func, out_kind=out_kind, out_columns=out_columns,
                      out_dtype=out_dtype, out_name=out_name,
                      cols_required=cols_required,
-                     cols_produced=cols_produced)
+                     cols_produced=cols_produced, by_name=by_name)
     return op.new_tileable(inputs, out_kind, out_shape, dtype=out_dtype,
                            columns=out_columns, name=out_name)
 

@@ -503,7 +503,7 @@ class DataFrame(Remote):
             rows = self.data.shape[0] if self.data.shape else None
             out = build_elementwise(
                 [self.data], lambda df: df[item], "series", (rows,),
-                out_name=item, cols_required=[item],
+                out_name=item, cols_required=[item], by_name=True,
             )
             return Series(out, self._session)
         if isinstance(item, list):
@@ -512,6 +512,7 @@ class DataFrame(Remote):
             out = build_elementwise(
                 [self.data], lambda df: df[cols], "dataframe",
                 (rows, len(cols)), out_columns=cols, cols_required=cols,
+                by_name=True,
             )
             return DataFrame(out, self._session)
         if isinstance(item, Series):
@@ -544,6 +545,7 @@ class DataFrame(Remote):
         self.data = build_elementwise(  # rebind: now denotes the new frame
             [self.data] + series, assign, "dataframe", self._shape_plus(name),
             out_columns=columns, cols_required=[], cols_produced=[name],
+            by_name=True,
         )
 
     def _columns_plus(self, name) -> Optional[list]:

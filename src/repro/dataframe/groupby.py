@@ -33,7 +33,14 @@ from ..core.operator import (
     Operator,
     TileContext,
 )
-from ..engine.local import DataFrame, _how_name, concat
+from ..engine.local import (
+    DataFrame,
+    Series,
+    _how_name,
+    aggregate_sorted,
+    concat,
+    group_rows,
+)
 from ..graph.entity import ChunkData
 from ..utils import COMBINE_ARITY, batched
 from .shuffle import ShufflePartition, fan_out, is_missing, range_cuts
@@ -150,7 +157,12 @@ def merge_partial_frames(partials: list[DataFrame], by: Sequence,
 
 
 class GroupByAgg(Operator):
-    """Tileable-level groupby.agg; also the class of its stage chunk ops."""
+    """Tileable-level groupby.agg; also the class of its stage chunk ops.
+
+    The map stage reads a filter's selection through its rows; the other
+    stages read map partials, which are always frames."""
+
+    reads_selection = True
 
     def __init__(self, by: Sequence, plan: Sequence[tuple],
                  as_index: bool = True, **params):
@@ -252,29 +264,27 @@ class GroupByAgg(Operator):
             return merged
         return self._finalize(merged)
 
-    def _execute_map(self, frame: DataFrame) -> DataFrame:
-        work = frame[[c for c in frame.columns.to_list()]]
-        agg_spec: dict = {}
-        prepared: dict[str, str] = {}  # partial name -> source column
+    def _execute_map(self, frame) -> DataFrame:
+        """The partials of one chunk — a frame, or a filter's selection
+        read through its rows: the keys grouped, then each value column
+        moved once, into group order, and reduced per partial."""
+        keys, starts, take = group_rows(frame, self.by)
+        data = dict(zip(self.by, keys))
+        in_order: dict = {}  # column -> its values in group order
         for i, (_out, col, how) in enumerate(self.plan):
+            if col not in in_order:
+                in_order[col] = take(col)
+            values = in_order[col]
             for partial_name, _merge in _partial_columns(i, how):
                 stat = partial_name.rsplit("_", 1)[1]
                 if stat == "sumsq":
-                    sq_col = f"__sq{i}"
-                    if sq_col not in prepared.values():
-                        squared = work[col] * work[col]
-                        work[sq_col] = squared
-                    prepared[partial_name] = sq_col
+                    squared = Series(values) * Series(values)
+                    data[partial_name] = aggregate_sorted(
+                        squared.values, starts, "sum")
                 else:
-                    prepared[partial_name] = col
-        grouped = work.groupby(self.by, as_index=False)
-        named: dict = {}
-        for i, (_out, col, how) in enumerate(self.plan):
-            for partial_name, _merge in _partial_columns(i, how):
-                stat = partial_name.rsplit("_", 1)[1]
-                source = prepared[partial_name]
-                named[partial_name] = (source, _map_stat_func(stat))
-        return grouped.agg(**named)
+                    data[partial_name] = aggregate_sorted(
+                        values, starts, _map_stat_func(stat))
+        return DataFrame(data)
 
     def _merge_partials(self, partials: list[DataFrame]) -> DataFrame:
         return merge_partial_frames(partials, self.by, self.plan)
@@ -327,8 +337,6 @@ def _map_stat_func(stat: str):
         return lambda s: frozenset(s.dropna().values.tolist())
     if stat == "list":
         return lambda s: [v for v in s.values.tolist() if not is_missing(v)]
-    if stat == "sumsq":
-        return "sum"
     if stat == "any":
         return "any"
     if stat == "all":

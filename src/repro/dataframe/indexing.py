@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
+from ..engine.local import DataFrame, Selection
 from ..errors import TilingError
 from ..utils import cumulative_offsets, locate_in_splits
 from .utils import (
@@ -86,13 +87,17 @@ class Filter(Operator):
 
 
 class FilterChunk(Operator):
-    """One chunk's ``data[mask]``. A frame filter told its ``columns``
-    projects to them before the gather (``[]``: the input's first
-    column; the rows ride on a column), so a column no later kernel
-    reads is not moved."""
+    """One chunk's ``data[mask]``. A frame's (or a selection's) rows come
+    out as a ``Selection``: chosen, not gathered — a filter after it
+    composes the rows, and the kernel that reads a column gathers it
+    (``services.runner`` materializes it for every other reader). A
+    frame filter told its ``columns`` projects to them first (``[]``:
+    the input's first column; the rows ride on a column), so a column no
+    later kernel reads is never moved."""
 
     is_elementwise = True
     fuse_expr = "call"
+    reads_selection = True
 
     def __init__(self, columns: Optional[list] = None, **params):
         super().__init__(columns=columns, **params)
@@ -101,6 +106,8 @@ class FilterChunk(Operator):
         columns = self.params["columns"]
         if columns is not None:
             data = data[columns or list(data)[:1]]
+        if isinstance(data, (DataFrame, Selection)):
+            return data.select_rows(mask)
         return data[mask]
 
     def execute(self, ctx: ExecContext):

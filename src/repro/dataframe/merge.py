@@ -138,10 +138,14 @@ class Merge(Operator):
         without cuts, by key hash into ``n_parts``; merge each pair."""
         if cuts:
             n_parts = len(cuts) + 1
+        # a missing key matches nothing: a side whose unmatched rows the
+        # join discards drops its NA-key rows before they are shuffled
         left_parts = fan_out(left_chunks, n_parts, key=self.left_on[0],
-                             boundaries=cuts or None)
+                             boundaries=cuts or None,
+                             drop_na=self.how in ("inner", "right"))
         right_parts = fan_out(right_chunks, n_parts, key=self.right_on[0],
-                              boundaries=cuts or None)
+                              boundaries=cuts or None,
+                              drop_na=self.how in ("inner", "left"))
         return [self._merge_chunk(left_parts[r] + right_parts[r], r,
                                   n_left=len(left_parts[r]))
                 for r in range(n_parts)]
@@ -160,7 +164,12 @@ class Merge(Operator):
 
 
 class MergeChunk(Operator):
-    """Local merge of co-partitioned (or broadcast) chunk pairs."""
+    """Local merge of co-partitioned (or broadcast) chunk pairs. A side
+    that is a filter's selection is joined through its rows: its keys
+    are read at the selected length and each output column is gathered
+    once, through the rows composed with the join's indexer."""
+
+    reads_selection = True
 
     def __init__(self, how: str, left_on, right_on, suffixes,
                  swapped: bool = False, n_left: int | None = None, **params):
@@ -175,6 +184,7 @@ class MergeChunk(Operator):
     def execute(self, ctx: ExecContext):
         values = [ctx.get(c.key) for c in self.inputs]
         if self.n_left is not None:
+            # shuffle partitions come from storage: always frames
             left_parts = values[: self.n_left]
             right_parts = values[self.n_left:]
             left = concat(left_parts, ignore_index=True) if len(left_parts) > 1 \

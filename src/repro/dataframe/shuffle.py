@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 from ..core.operator import ExecContext, Operator, TileContext
+from ..engine.local import dtypes
 from ..graph.entity import ChunkData
 from ..utils import new_key
 
@@ -61,21 +62,28 @@ def is_missing(value) -> bool:
 
 class ShufflePartition(Operator):
     """Shuffle map: split one chunk into one output per partition, by
-    key range, or by key hash when ``boundaries`` is ``None``."""
+    key range, or by key hash when ``boundaries`` is ``None``.
+
+    With ``drop_na`` the rows whose key is missing are dropped first: a
+    join side whose unmatched rows the join discards sends them nowhere
+    (kept, they would all go to the last range)."""
 
     is_shuffle_map = True
 
     def __init__(self, key, boundaries: list | None, shuffle_id: str,
-                 **params):
+                 drop_na: bool = False, **params):
         super().__init__(**params)
         self.key = key
         self.boundaries = boundaries
         self.shuffle_id = shuffle_id
+        self.drop_na = drop_na
 
     def execute(self, ctx: ExecContext):
         return self._split(ctx, ctx.get(self.inputs[0].key))
 
     def _split(self, ctx: ExecContext, frame):
+        if self.drop_na:
+            frame = self._without_missing(frame)
         engine = ctx.engine
         n_parts = len(self.outputs)
         if self.boundaries is None:
@@ -85,6 +93,13 @@ class ShufflePartition(Operator):
                                                 self.boundaries)
         parts = engine.split(frame, assignment, n_parts)
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
+
+    def _without_missing(self, frame):
+        """``frame`` without the rows whose key is missing."""
+        if self.key not in frame:
+            return frame
+        missing = dtypes.isna_array(frame[self.key].values)
+        return frame[~missing] if missing.any() else frame
 
 
 def fan_out(chunks: list[ChunkData], n_parts: int,

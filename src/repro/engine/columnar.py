@@ -33,6 +33,7 @@ from .base import register_engine
 from .row import RowEngine
 from ..frame import DataFrame, Series, dtypes
 from ..frame.groupby import factorize_cells
+from ..frame.selection import materialized
 
 
 def encode_column(arr: np.ndarray) -> np.ndarray:
@@ -58,6 +59,8 @@ class ColumnarEngine(RowEngine):
     name = "columnar"
 
     def persist(self, value: Any) -> Any:
+        # an assigned column of a selection is encoded like any other
+        value = materialized(value)
         if isinstance(value, DataFrame):
             data = {name: encode_column(value._data[name])
                     for name in value._columns}

@@ -42,8 +42,9 @@ from ..frame import (
     to_parquet,
 )
 from ..frame import dtypes, io
-from ..frame.groupby import _how_name
+from ..frame.groupby import _how_name, aggregate_sorted, group_rows
 from ..frame.hashing import hash_array, stable_hash
+from ..frame.selection import Selection, materialized
 
 __all__ = [
     "AGGREGATIONS",
@@ -55,7 +56,9 @@ __all__ = [
     "Rolling",
     "Series",
     "SeriesGroupBy",
+    "Selection",
     "_how_name",
+    "aggregate_sorted",
     "concat",
     "corr",
     "cov",
@@ -65,8 +68,10 @@ __all__ = [
     "describe",
     "dtypes",
     "get_dummies",
+    "group_rows",
     "hash_array",
     "io",
+    "materialized",
     "melt",
     "merge",
     "parquet_file_size",

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import dtypes
 from .index import Index, RangeIndex, default_index, ensure_index, take_rows
+from .selection import Selection
 from .series import Series
 from .sorting import lexsort_columns
 
@@ -315,13 +316,18 @@ class DataFrame:
         raise KeyError(item)
 
     def _filter_mask(self, mask: np.ndarray) -> "DataFrame":
-        if len(mask) != len(self):
+        return self.select_rows(mask).materialize()
+
+    def select_rows(self, mask) -> "Selection | DataFrame":
+        """The rows where the boolean ``mask`` (an array or a series)
+        holds, as a :class:`~repro.frame.selection.Selection`: chosen,
+        not gathered.  Any other ``mask`` is ``self[mask]``."""
+        values = mask.values if isinstance(mask, Series) else mask
+        if not (isinstance(values, np.ndarray) and values.dtype == bool):
+            return self[mask]
+        if len(values) != len(self):
             raise ValueError("boolean mask length mismatch")
-        indexer = np.flatnonzero(mask)
-        data = {name: dtypes.take(self._data[name], indexer)
-                for name in self._columns}
-        return DataFrame._new(data, self._index.take(indexer),
-                              list(self._columns))
+        return Selection(self, np.flatnonzero(values))
 
     def __setitem__(self, name, value):
         if isinstance(value, Series):
@@ -407,7 +413,8 @@ class DataFrame:
             if np.isscalar(index):
                 index = [index]
             drop_positions = set(self._index.get_indexer(list(index)).tolist())
-            mask = np.array([i not in drop_positions for i in range(len(self))])
+            mask = np.array([i not in drop_positions for i in range(len(self))],
+                            dtype=bool)
             return self._filter_mask(mask)
         return self.copy()
 

@@ -289,20 +289,46 @@ def hash_cells(cells: list) -> tuple[np.ndarray, list]:
     return codes, list(position)
 
 
-def first_seen(cells: np.ndarray) -> tuple[np.ndarray, list]:
-    """:func:`hash_cells` of a 1-D object array.  A column of a few
-    distinct objects (:func:`shared_objects`) hashes only those objects
-    and gathers: a dict checks identity before equality, so an object
-    numbers as every cell that is it would — codes, distinct cells and
-    their representatives are the per-cell pass's."""
+def first_seen(cells: np.ndarray, rows=None) -> tuple[np.ndarray, list]:
+    """:func:`hash_cells` of a 1-D object array, or of ``cells[rows]``.
+    A column of a few distinct objects (:func:`shared_objects`) hashes
+    only those objects and gathers: a dict checks identity before
+    equality, so an object numbers as every cell that is it would —
+    codes, distinct cells and their representatives are the per-cell
+    pass's.  With ``rows`` such a column is numbered whole and only its
+    object ids are gathered; any other is gathered, then hashed."""
     shared = shared_objects(cells)
     if shared is None:
-        return hash_cells(cells.tolist())
+        return hash_cells((cells if rows is None else cells[rows]).tolist())
     ids, objects = shared
+    if rows is not None:
+        ids, objects = _present(ids[rows], objects)
     codes, distinct = hash_cells(objects)
     ids = ids.astype(np.int64)
     # no two objects equal: each numbers as its own first-seen position
     return (ids if len(distinct) == len(objects) else codes[ids]), distinct
+
+
+def _present(ids: np.ndarray, objects: list) -> tuple[np.ndarray, list]:
+    """Object ids renumbered over the objects they name, in the order
+    each first appears — what :func:`shared_objects` returns for the
+    gathered cells.  One compare per object (at most
+    ``IDENTITY_BOUND``), and no gather when every object appears and
+    in the base's order."""
+    if not len(ids):
+        return ids, []
+    firsts = []
+    for i in range(len(objects)):
+        hit = ids == i
+        at = int(hit.argmax())
+        if hit[at]:
+            firsts.append((at, i))
+    order = [i for _, i in sorted(firsts)]
+    if order == list(range(len(objects))):
+        return ids, objects
+    renumber = np.zeros(len(objects), dtype=np.int8)
+    renumber[order] = np.arange(len(order))
+    return renumber[ids], [objects[i] for i in order]
 
 
 def isnone_array(arr: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 from . import dtypes
 from .dataframe import DataFrame
 from .index import Index, MultiIndex
+from .selection import Selection, column_of, taker
 from .series import Series
 from .sorting import id_runs
 
@@ -44,7 +45,7 @@ def dense_ids(ids: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(used) - 1)[ids], np.flatnonzero(used)
 
 
-def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def factorize(values: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Encode values as integer codes; missing entries get code -1.
 
     Returns ``(codes, uniques)`` with uniques in sorted order, so equal key
@@ -52,14 +53,23 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shuffle relies on.  An encoded column's codes are compacted, not its
     cells hashed, and its uniques come back encoded; integers whose range
     is within ``DENSE_RANGE`` times the column are counted, not sorted.
+
+    With ``rows`` the answer is ``factorize(values[rows])``'s, but an
+    encoded column gathers only its codes and an object column of a few
+    shared objects only their ids (``dtypes.first_seen``); the cells of
+    neither move.
     """
     dictionary = dtypes.dictionary_of(values)
     if dictionary is not None:
-        uniques, codes = dtypes.compact_dictionary(*dictionary)
+        categories, codes = dictionary
+        uniques, codes = dtypes.compact_dictionary(
+            categories, codes if rows is None else codes[rows])
         return codes.astype(np.int64), dtypes.encoded(
             uniques, np.arange(len(uniques), dtype=np.int32))
     if dtypes.is_object(values.dtype):
-        return factorize_cells(values)
+        return factorize_cells(values, rows)
+    if rows is not None:
+        values = values[rows]
     if dtypes.is_integer(values.dtype) and len(values):
         low = values.min()
         space = int(values.max()) - int(low) + 1
@@ -76,9 +86,11 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, uniques
 
 
-def factorize_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes into the sorted uniques of an object column; missing cells
-    (``None``, ``float`` NaN) get code -1.
+def factorize_cells(values: np.ndarray,
+                    rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into the sorted uniques of an object column (of
+    ``values[rows]``); missing cells (``None``, ``float`` NaN) get
+    code -1.
 
     One first-seen pass hashes every cell once, or only the distinct
     objects of a column of a few, and fixes the equality (``1``, ``1.0``
@@ -86,7 +98,7 @@ def factorize_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     missing ones among the distinct cells, sorts the rest and numbers
     them, and a gather turns first-seen codes into sorted ones.
     """
-    first, distinct = dtypes.first_seen(values)
+    first, distinct = dtypes.first_seen(values, rows)
     present = ~dtypes.isna_cells(distinct)
     kept = list(compress(distinct, present.tolist()))
     key = (kept.__getitem__ if set(map(type, kept)) <= {str}
@@ -105,15 +117,20 @@ def _mixed_key(value):
 
 
 class Grouper:
-    """Resolved grouping: row codes, group labels, and ordering."""
+    """Resolved grouping: row codes, group labels, and ordering.
 
-    def __init__(self, key_arrays: Sequence[np.ndarray], key_names: Sequence):
+    ``rows``, when given, holds per key ``None`` or the row positions its
+    array is to be read at (``factorize(arr, rows)``).
+    """
+
+    def __init__(self, key_arrays: Sequence[np.ndarray], key_names: Sequence,
+                 rows: Sequence | None = None):
         if not key_arrays:
             raise ValueError("groupby requires at least one key")
         self.key_names = list(key_names)
         codes_list, uniques_list = [], []
-        for arr in key_arrays:
-            codes, uniques = factorize(arr)
+        for arr, at in zip(key_arrays, rows or [None] * len(key_arrays)):
+            codes, uniques = factorize(arr, at)
             codes_list.append(codes)
             uniques_list.append(uniques)
         if len(key_arrays) == 1:
@@ -128,14 +145,21 @@ class Grouper:
             combined = combined * len(uniques) + codes
             valid &= codes >= 0
         # compress combined codes to dense 0..k-1 in sorted-key order: by
-        # counting within factorize's bound, else by sorting the codes
-        kept, space = combined[valid], math.prod(map(len, uniques_list))
-        self.codes = np.full(len(combined), -1, dtype=np.int64)
+        # counting within factorize's bound, else by sorting the codes;
+        # with no NA key no row is masked out
+        any_na = not valid.all()
+        kept = combined[valid] if any_na else combined
+        space = math.prod(map(len, uniques_list))
         if space <= DENSE_RANGE * len(combined):
-            self.codes[valid], present = dense_ids(kept, space)
+            dense, present = dense_ids(kept, space)
         else:
             present = np.unique(kept)
-            self.codes[valid] = np.searchsorted(present, kept)
+            dense = np.searchsorted(present, kept)
+        if any_na:
+            self.codes = np.full(len(combined), -1, dtype=np.int64)
+            self.codes[valid] = dense
+        else:
+            self.codes = dense.astype(np.int64, copy=False)
         self.n_groups = len(present)
         # per-level labels of each dense group id: peel the levels off the
         # combined code, last level first, then one gather per level
@@ -198,26 +222,33 @@ def _maybe_tighten(values: np.ndarray) -> np.ndarray:
 def _aggregate_column(values: np.ndarray, order: np.ndarray,
                       starts: np.ndarray, how: str | Callable) -> np.ndarray:
     """Aggregate one column over the grouped layout."""
+    return aggregate_sorted(values[order], starts, how)
+
+
+def aggregate_sorted(sorted_values: np.ndarray, starts: np.ndarray,
+                     how: str | Callable) -> np.ndarray:
+    """Aggregate one column already in group order (``starts``: where
+    each group begins)."""
     n_groups = len(starts)
-    sorted_values = values[order]
+    n_rows = len(sorted_values)
     if callable(how):
         out = np.empty(n_groups, dtype=object)
-        bounds = np.append(starts, len(order))
+        bounds = np.append(starts, n_rows)
         for g in range(n_groups):
             seg = sorted_values[starts[g]:bounds[g + 1]]
             out[g] = how(Series(seg))
         return _maybe_tighten(out)
 
     numeric = dtypes.is_numeric(sorted_values.dtype)
-    if how in _REDUCEAT_OPS and numeric and len(order) and not (
+    if how in _REDUCEAT_OPS and numeric and n_rows and not (
         dtypes.is_float(sorted_values.dtype) and np.isnan(sorted_values).any()
     ):
         ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[how]
         work = sorted_values.astype(np.float64) if how == "sum" and dtypes.is_bool(
             sorted_values.dtype) else sorted_values
         return ufunc.reduceat(work, starts)
-    if how in ("count", "size") and len(order):
-        bounds = np.append(starts, len(order))
+    if how in ("count", "size") and n_rows:
+        bounds = np.append(starts, n_rows)
         lengths = np.diff(bounds)
         if how == "size":
             return lengths.astype(np.int64)
@@ -225,7 +256,7 @@ def _aggregate_column(values: np.ndarray, order: np.ndarray,
         na_per_group = np.add.reduceat(na, starts) if len(starts) else np.array([], dtype=np.int64)
         return (lengths - na_per_group).astype(np.int64)
 
-    bounds = np.append(starts, len(order))
+    bounds = np.append(starts, n_rows)
     out = np.empty(n_groups, dtype=object)
     for g in range(n_groups):
         seg = Series(sorted_values[starts[g]:bounds[g + 1]])
@@ -240,6 +271,33 @@ def _aggregate_column(values: np.ndarray, order: np.ndarray,
         else:
             out[g] = getattr(seg, how)()
     return _maybe_tighten(out)
+
+
+def group_rows(source, by: Sequence) -> tuple[list, np.ndarray, Callable]:
+    """Group a frame's or a :class:`~repro.frame.selection.Selection`'s
+    rows by the columns ``by``, as ``groupby(by, as_index=False)``
+    does: ``(key columns, starts, take)``, where ``take(name)`` is column
+    ``name`` in group order, NA-key rows left out, and ``starts`` is where
+    each group begins.
+
+    A selection's object (or encoded) key is numbered on its base column
+    and only the codes are gathered (``factorize(base, rows)``); any other
+    key is read at the selected length.  ``take`` moves each column once,
+    through ``rows[order]``.
+    """
+    arrays, rows = [], []
+    for name in by:
+        base = (source.base_column(name) if type(source) is Selection
+                else None)
+        if base is not None and dtypes.is_object(base.dtype):
+            arrays.append(base)
+            rows.append(source.rows)
+        else:
+            arrays.append(column_of(source, name))
+            rows.append(None)
+    grouper = Grouper(arrays, list(by), rows)
+    order, starts = grouper.sorted_layout()
+    return grouper.key_columns(), starts, taker(source, order)
 
 
 def _normalize_spec(spec, columns: Sequence, key_names: Sequence,

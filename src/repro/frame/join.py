@@ -15,6 +15,7 @@ import numpy as np
 from . import dtypes
 from .dataframe import DataFrame
 from .index import default_index
+from .selection import Selection, column_of, taker
 from .sorting import id_dtype, id_runs
 
 _HOW_VALUES = ("inner", "left", "right", "outer")
@@ -23,20 +24,28 @@ _HOW_VALUES = ("inner", "left", "right", "outer")
 def merge(left: DataFrame, right: DataFrame, how: str = "inner", on=None,
           left_on=None, right_on=None, suffixes: tuple[str, str] = ("_x", "_y"),
           sort: bool = False) -> DataFrame:
-    """Pandas-style merge of two frames on key columns."""
+    """Pandas-style merge of two frames on key columns.
+
+    Either side may be a :class:`~repro.frame.selection.Selection`: its
+    keys are read at the selected length, and each output column is
+    gathered once, through the selection's rows composed with the join's
+    indexer.
+    """
     if how not in _HOW_VALUES:
         raise ValueError(f"how must be one of {_HOW_VALUES}, got {how!r}")
     left_keys, right_keys, shared = _resolve_keys(left, right, on, left_on, right_on)
 
     codes_l, codes_r, space = _encode_keys(
-        [left._data[k] for k in left_keys],
-        [right._data[k] for k in right_keys],
+        [column_of(left, k) for k in left_keys],
+        [column_of(right, k) for k in right_keys],
     )
     left_idx, right_idx = _join_indexers(codes_l, codes_r, how, space)
     # only a right or outer join leaves a left slot empty, only a left or
     # outer join a right one
     missing_l = _unmatched(left_idx) if how in ("right", "outer") else None
     missing_r = _unmatched(right_idx) if how in ("left", "outer") else None
+    take_l = _side_taker(left, left_idx, missing_l)
+    take_r = _side_taker(right, right_idx, missing_r)
 
     data: dict = {}
     left_cols = list(left._columns)
@@ -52,13 +61,12 @@ def merge(left: DataFrame, right: DataFrame, how: str = "inner", on=None,
         out_name = f"{name}{suffixes[0]}" if name in overlap else name
         if name in shared:
             data[out_name] = _coalesce_key(
-                left._data[name], right._data[name], left_idx, right_idx,
-                missing_l)
+                left, right, name, left_idx, right_idx, missing_l, take_l)
         else:
-            data[out_name] = _take_with_na(left._data[name], left_idx, missing_l)
+            data[out_name] = take_l(name)
     for name in right_out_cols:
         out_name = f"{name}{suffixes[1]}" if name in overlap else name
-        data[out_name] = _take_with_na(right._data[name], right_idx, missing_r)
+        data[out_name] = take_r(name)
 
     result = DataFrame(data, index=default_index(len(left_idx)))
     if sort and shared:
@@ -112,7 +120,7 @@ def _resolve_keys(left: DataFrame, right: DataFrame, on, left_on, right_on):
 
 
 def _check_keys(frame: DataFrame, keys: Sequence[str], side: str) -> None:
-    missing = [k for k in keys if k not in frame._data]
+    missing = [k for k in keys if k not in frame]
     if missing:
         raise KeyError(f"{side} merge keys not found: {missing}")
 
@@ -319,35 +327,46 @@ def _unmatched(indexer: np.ndarray):
     return missing if missing.any() else None
 
 
-def _take_with_na(values: np.ndarray, indexer: np.ndarray,
-                  missing) -> np.ndarray:
-    """Gather values; the ``missing`` positions (-1 in the indexer)
-    become the dtype's missing marker."""
+def _side_taker(side, indexer: np.ndarray, missing):
+    """``take(name)``: column ``name`` of a frame or a selection at
+    ``indexer``, whose ``missing`` positions (-1) become the dtype's
+    missing marker; each column is moved once."""
     if len(indexer) == 0:
-        return values[:0]
+        return lambda name: _no_rows(side, name)
     if missing is None:
-        return dtypes.take(values, indexer)
-    out_values = dtypes.promote_for_na(values)
-    if len(values) == 0:  # nothing to gather from: every position is NA
-        return np.full(len(indexer), dtypes.na_value_for(out_values.dtype),
-                       dtype=out_values.dtype)
-    out = out_values[np.where(missing, 0, indexer)]
-    if out.dtype == object:
-        out = out.copy()
-        out[missing] = None
-    else:
-        out = out.copy()
+        return taker(side, indexer)
+    take = taker(side, np.where(missing, 0, indexer))
+
+    def take_with_na(name) -> np.ndarray:
+        if len(side) == 0:  # nothing to gather from: every position is NA
+            dtype = dtypes.promote_for_na(column_of(side, name)).dtype
+            return np.full(len(indexer), dtypes.na_value_for(dtype),
+                           dtype=dtype)
+        # a gather is a fresh array, and so is a promotion of one
+        out = dtypes.promote_for_na(take(name))
         out[missing] = dtypes.na_value_for(out.dtype)
-    return out
+        return out
+
+    return take_with_na
 
 
-def _coalesce_key(left_values: np.ndarray, right_values: np.ndarray,
-                  left_idx: np.ndarray, right_idx: np.ndarray,
-                  missing_l) -> np.ndarray:
-    """Key column of the result: left value where present, else right.
-    Every row has its key on exactly one side, so none is missing."""
+def _no_rows(side, name) -> np.ndarray:
+    """Column ``name`` of ``side`` cut to no rows."""
+    if type(side) is Selection:
+        base = side.base_column(name)
+        if base is not None:  # owned, not a view of the base
+            return base[:0].copy()
+    return column_of(side, name)[:0]
+
+
+def _coalesce_key(left, right, name, left_idx: np.ndarray,
+                  right_idx: np.ndarray, missing_l, take_l) -> np.ndarray:
+    """Key column ``name`` of the result: left value where present, else
+    right.  Every row has its key on exactly one side, so none is
+    missing."""
     if missing_l is None:
-        return _take_with_na(left_values, left_idx, None)
+        return take_l(name)
+    left_values, right_values = column_of(left, name), column_of(right, name)
     if (len(left_values) and dtypes.dictionary_of(left_values)
             and dtypes.dictionary_of(right_values)):
         # every row has its key on one side: gather codes, not cells

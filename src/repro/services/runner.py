@@ -32,6 +32,7 @@ from ..core.dispatch import SubtaskComputation
 from ..core.operator import ExecContext
 from ..core.opfusion import compile_step, plan_subtask
 from ..engine.base import engine_of, is_multi_output, persist_result
+from ..engine.local import materialized
 
 
 def run_subtask_kernels(subtask, inputs: dict[str, Any],
@@ -43,9 +44,18 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
     compiled-fusion codegen accepts execute as a single generated
     evaluator: only the step's final result is recorded, intermediates
     live and die as locals of the compiled function.
+
+    A filter's result is a ``Selection`` (its rows, not yet gathered),
+    which only ops that declare ``reads_selection`` take.  This loop
+    materializes one — one gather per column, once — as soon as it is
+    made when it is a subtask output, else before the first op that
+    does not read selections takes it; so no output is a selection, and
+    an intermediate no one materialized reports its frame's ``nbytes``
+    to the accounting replay (and pickles as its frame).
     """
     engine = engine_of(config)
     env: dict[str, Any] = dict(inputs)
+    output_keys = set(subtask.output_keys)
     steps = plan_subtask(subtask, enable=config.operator_fusion)
     executed_ops: set[int] = set()
     op_results: dict[int, Any] = {}
@@ -55,7 +65,11 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
     for step in steps:
         compiled = compile_step(step)
         if compiled is not None:
+            for chunk in step:  # its intermediates are the codegen's
+                _materialize_inputs(chunk.op, env)
             result = compiled.run(env)
+            if compiled.output_key in output_keys:
+                result = materialized(result)
             env[compiled.output_key] = result
             final_op = compiled.final_op
             executed_ops.add(id(final_op))
@@ -67,12 +81,16 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
             if op is None or id(op) in executed_ops:
                 continue
             executed_ops.add(id(op))
+            _materialize_inputs(op, env)
             ctx = ExecContext(env, config)
             result = persist_result(engine, op, op.execute(ctx))
             if is_multi_output(op, result):
                 env.update(result)
             else:
-                env[op.outputs[0].key] = result
+                key = op.outputs[0].key
+                if key in output_keys:
+                    result = materialized(result)
+                env[key] = result
             op_results[id(op)] = result
             op_extra[id(op)] = {
                 key: dict(extra) for key, extra in ctx.extra_meta.items()
@@ -81,6 +99,15 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
         key: env[key] for key in subtask.output_keys if key in env
     }
     return SubtaskComputation(op_results, op_extra, outputs)
+
+
+def _materialize_inputs(op, env: dict[str, Any]) -> None:
+    """Give an op that does not read selections its inputs as frames,
+    materializing each selection once, in place in ``env``."""
+    if not op.reads_selection:
+        for dep in op.inputs:
+            if dep.key in env:
+                env[dep.key] = materialized(env[dep.key])
 
 
 class SubtaskRunner:

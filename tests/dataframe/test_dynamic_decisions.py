@@ -2,6 +2,9 @@
 algorithm, which join strategy, whether small chunks get merged, and how
 balanced the sampled range partitions come out."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from repro.config import Config
 from repro.core import Session
 from repro.core.operator import TileContext
 from repro.dataframe import from_frame
-from repro.dataframe.shuffle import range_cuts
+from repro.dataframe.merge import MergeChunk
+from repro.dataframe.shuffle import ShufflePartition, range_cuts
 from repro.dataframe.utils import spread_sample
 from repro.graph.entity import ChunkData
 from repro import frame as pf
@@ -118,29 +122,68 @@ class TestJoinStrategySelection:
     def test_shuffle_reducers_balanced(self):
         """The monotonic-key trap: orderly keys must still spread evenly,
         and so must a float key with missing cells (NaN orders with
-        nothing, so it must not become a cut)."""
+        nothing, so it must not become a cut).  An inner join's shuffle
+        maps drop the NaN-key rows, which can match nothing: kept, they
+        would all land on the last reducer."""
         n = 8_000
         rng = np.random.default_rng(0)
         with_nan = np.arange(n, dtype=np.float64)
         with_nan[rng.random(n) < 0.2] = np.nan
         for left_keys in (np.arange(n), with_nan):
-            session = make_session(chunk_limit=4_000)
             a = pf.DataFrame({"k": left_keys, "v": np.ones(n)})
             b = pf.DataFrame({"k": np.arange(n, dtype=left_keys.dtype),
                               "w": np.ones(n)})
-            out = from_frame(a, session).merge(from_frame(b, session), on="k")
-            got = out.fetch().sort_values("k").reset_index(drop=True)
             want = pf.merge(a, b, on="k").sort_values("k").reset_index(drop=True)
-            assert got.columns.to_list() == want.columns.to_list()
-            for name in want.columns.to_list():
-                assert got[name].to_list() == want[name].to_list()
-            sizes = [
-                session.meta.get(c.key).shape[0]
-                for c in out.data.chunks if session.meta.get(c.key)
-            ]
-            assert len(sizes) > 2
-            assert max(sizes) < 0.5 * sum(sizes), f"skewed reducers: {sizes}"
-            session.close()
+            shuffled = {}
+            for drop in (True, False):
+                left_rows, out, session = self._merge_left_rows(
+                    a, b, keep_missing=not drop)
+                shuffled[drop] = session.executor.report.total_shuffle_bytes
+                got = out.fetch().sort_values("k").reset_index(drop=True)
+                assert got.columns.to_list() == want.columns.to_list()
+                for name in want.columns.to_list():
+                    assert got[name].to_list() == want[name].to_list()
+                if drop:
+                    sizes = [
+                        session.meta.get(c.key).shape[0]
+                        for c in out.data.chunks if session.meta.get(c.key)
+                    ]
+                    assert len(sizes) > 2
+                    assert max(sizes) < 0.5 * sum(sizes), \
+                        f"skewed reducers: {sizes}"
+                    last = left_rows[max(left_rows)]
+                    median = float(np.median(list(left_rows.values())))
+                    assert last <= 1.5 * median, \
+                        f"last reducer holds {last} left rows: {left_rows}"
+                session.close()
+            missing = np.isnan(left_keys)
+            if missing.any():  # about the NaN-key rows' bytes less
+                assert (shuffled[False] - shuffled[True]
+                        >= 0.9 * a[missing].nbytes), shuffled
+            else:
+                assert shuffled[True] == shuffled[False]
+
+    @staticmethod
+    def _merge_left_rows(a, b, keep_missing: bool):
+        """Run the inner merge; the left rows each reducer got, by its
+        position.  ``keep_missing`` ships NaN-key rows as before they
+        were dropped."""
+        left_rows: dict = {}
+        execute = MergeChunk.execute
+
+        def counted(op, ctx):
+            left_rows[op.outputs[0].index[0]] = sum(
+                len(ctx.get(c.key)) for c in op.inputs[: op.n_left])
+            return execute(op, ctx)
+
+        session = make_session(chunk_limit=4_000)
+        with mock.patch.object(MergeChunk, "execute", counted), \
+                mock.patch.object(ShufflePartition, "_without_missing",
+                                  lambda op, frame: frame) if keep_missing \
+                else contextlib.nullcontext():
+            out = from_frame(a, session).merge(from_frame(b, session), on="k")
+            out.execute()
+        return left_rows, out, session
 
 
 class TestAutoMerge:

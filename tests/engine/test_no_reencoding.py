@@ -31,9 +31,9 @@ def hashed_cells(monkeypatch):
     calls: list[int] = []
     factorize_cells = frame_groupby.factorize_cells
 
-    def counted(cells):
-        calls.append(len(cells))
-        return factorize_cells(cells)
+    def counted(cells, rows=None):
+        calls.append(len(cells) if rows is None else len(rows))
+        return factorize_cells(cells, rows)
 
     monkeypatch.setattr(frame_groupby, "factorize_cells", counted)
     monkeypatch.setattr(columnar, "factorize_cells", counted)

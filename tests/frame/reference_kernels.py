@@ -16,6 +16,12 @@ that replaced it:
   / ``_join_indexers`` and the partition order of
   ``partition.split_by_assignment``.
 
+- **gather, then aggregate**, before a filter handed on a row selection:
+  the filtered frame built whole, one gather per column
+  (``DataFrame._filter_mask``), and ``GroupByAgg``'s map stage run on it
+  through the public ``groupby(...).agg(...)`` (``filter_rows``,
+  ``groupby_map``).
+
 One oracle is not a predecessor: ``encode_keys`` numbers join keys by
 their Python values, because ``join._encode_keys`` once matched
 ``int64`` against ``uint64`` through ``float64`` and was not exact.
@@ -233,6 +239,44 @@ def factorize_cells(cells: list) -> tuple[np.ndarray, np.ndarray]:
     codes = np.fromiter(map(position.__getitem__, cells),
                         dtype=np.int64, count=len(cells))
     return codes, np.array(uniques_list, dtype=object)
+
+
+def filter_rows(frame, mask: np.ndarray):
+    """``DataFrame._filter_mask``: every column gathered at the mask."""
+    from repro.frame import DataFrame, dtypes
+
+    indexer = np.flatnonzero(mask)
+    data = {name: dtypes.take(frame._data[name], indexer)
+            for name in frame._columns}
+    return DataFrame._new(data, frame.index.take(indexer),
+                          list(frame._columns))
+
+
+def groupby_map(frame, by, plan):
+    """``GroupByAgg._execute_map`` on a gathered frame: squares made as
+    a column, then ``groupby(by, as_index=False).agg(**named)``."""
+    from repro.dataframe.groupby import _map_stat_func, _partial_columns
+
+    work = frame[[c for c in frame.columns.to_list()]]
+    prepared: dict = {}  # partial name -> source column
+    for i, (_out, col, how) in enumerate(plan):
+        for partial_name, _merge in _partial_columns(i, how):
+            stat = partial_name.rsplit("_", 1)[1]
+            if stat == "sumsq":
+                sq_col = f"__sq{i}"
+                if sq_col not in prepared.values():
+                    work[sq_col] = work[col] * work[col]
+                prepared[partial_name] = sq_col
+            else:
+                prepared[partial_name] = col
+    named: dict = {}
+    for i, (_out, col, how) in enumerate(plan):
+        for partial_name, _merge in _partial_columns(i, how):
+            stat = partial_name.rsplit("_", 1)[1]
+            named[partial_name] = (prepared[partial_name],
+                                   "sum" if stat == "sumsq"
+                                   else _map_stat_func(stat))
+    return work.groupby(by, as_index=False).agg(**named)
 
 
 def encode_column(arr: np.ndarray):

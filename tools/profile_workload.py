@@ -32,15 +32,20 @@ source declares, the columns that plan requires of it, the columns its
 chunks carry (more than required when an earlier query over the same
 handle needed others) and the chunks it was cut into.  Then the columns
 moved: per row-moving kernel class (``FilterChunk``, ``MergeChunk``,
-``ILocChunk``, ``SortChunk``) the columns its calls emitted against the
-columns its tileable carries, and per source class the bytes it handed
-out: borrowed (a window of the client's column), encoded (the columnar
-engine's dictionary window, a copy by design) or copied.  The exit
-status is non-zero when a source is read whole although no result of
-that ``execute()`` shows all of its columns (some operator between the
-two answered "everything"), when a ``FilterChunk`` emits a column its
-tileable does not carry, or when a ``FromFrameSlice`` copies bytes (the
-``bench-smoke`` CI job runs this for ``tpch_join`` and ``tpch_scan``).
+``ILocChunk``, ``SortChunk``) the columns its calls emitted (a filter's
+selection: the columns it passes on) against the columns its tileable
+carries; per kernel class the columns selections gathered for it
+(``Selection.gather``, where a filter's rows are finally moved: in a
+selection-reading kernel, or at ``(materialize)``); and per source class
+the bytes it handed out: borrowed (a window of the client's column),
+encoded (the columnar engine's dictionary window, a copy by design) or
+copied.  The exit status is non-zero when a source is read whole
+although no result of that ``execute()`` shows all of its columns (some
+operator between the two answered "everything"), when a ``FilterChunk``
+passes on a column its tileable does not carry, when a column is
+gathered twice through one selection within one subtask, or when a
+``FromFrameSlice`` copies bytes (the ``bench-smoke`` CI job runs this
+for ``tpch_join`` and ``tpch_scan``).
 
 ``--engine row|columnar`` runs the workload's plan on that chunk engine
 whatever its own config says, and first prints the median of seven
@@ -120,6 +125,7 @@ from repro.dataframe.sort import SortChunk  # noqa: E402
 from repro.core.session import Session  # noqa: E402
 from repro.frame import DataFrame, Series  # noqa: E402
 from repro.frame import dtypes as frame_dtypes  # noqa: E402
+from repro.frame.selection import Selection  # noqa: E402
 from repro.frame import groupby as frame_groupby  # noqa: E402
 from repro.frame import join as frame_join  # noqa: E402
 from repro.services import runner  # noqa: E402
@@ -356,23 +362,24 @@ def count_key_paths():
             row[1] += len(la) + len(ra)
         return found
 
-    def booked(values):
+    def booked(values, rows=None):
+        cells = values if rows is None else values[rows]  # what is keyed
         if offset_keys and offset_keys[-1]:
-            factorized_offsets.append((running[-1], len(values)))
+            factorized_offsets.append((running[-1], len(cells)))
         taken.append(["sort", 0])
         try:
-            return factorize(values)
+            return factorize(values, rows)
         finally:
             path, n_hashed = taken.pop()
             row = paths[running[-1]][path]
             row[0] += 1
-            row[1] += len(values)
+            row[1] += len(cells)
             row[2] += n_hashed
             if (path == "hashed"
-                    and len(values) >= frame_dtypes.IDENTITY_ROWS):
-                objects = len(np.unique(frame_dtypes.addresses(values)))
+                    and len(cells) >= frame_dtypes.IDENTITY_ROWS):
+                objects = len(np.unique(frame_dtypes.addresses(cells)))
                 if objects <= frame_dtypes.IDENTITY_BOUND:
-                    per_cell.append((running[-1], len(values), objects))
+                    per_cell.append((running[-1], len(cells), objects))
 
     def typed_cells(name, result):
         for value in (result.values() if isinstance(result, dict)
@@ -499,9 +506,12 @@ ROW_MOVERS = (FilterChunk, MergeChunk, ILocChunk, SortChunk)
 
 
 def _columns_of(value) -> dict:
-    """``{name: array}`` of a frame, series or array result (else empty)."""
+    """``{name: array}`` of a frame, series or array result, ``{name:
+    None}`` of a selection (else empty)."""
     if isinstance(value, DataFrame):
         return dict(value._data)
+    if isinstance(value, Selection):
+        return dict.fromkeys(value._columns)
     if isinstance(value, Series):
         return {value.name: value.values}
     if isinstance(value, np.ndarray):
@@ -607,10 +617,73 @@ def count_moved_columns():
             setattr(owner, attr, original)
 
 
+@contextmanager
+def count_gathers():
+    """Book every base column a selection gathers (``Selection.gather``,
+    the one place a filter's rows move cells) on the kernel that made it
+    — ``(materialize)`` inside ``Selection.materialize`` — and note each
+    column gathered twice through one selection (one ``rows`` vector)
+    within one subtask (one ``runner.run_subtask_kernels`` call); yields
+    ``({class name: [gathers, rows]}, [(class name, column)])``.
+    In-process only, like :func:`count_op_calls`."""
+    table: dict[str, list] = defaultdict(lambda: [0, 0])
+    twice: list[tuple] = []
+    running: list[str] = ["(outside kernels)"]
+    seen: set[tuple] = set()  # (id(rows), column) gathered this subtask
+    alive: list = []  # those rows, so no id is reused within the subtask
+    gather = Selection.gather
+    materialize = Selection.materialize
+    run_subtask_kernels = runner.run_subtask_kernels
+
+    def counted_gather(self, name, positions):
+        row = table[running[-1]]
+        row[0] += 1
+        row[1] += len(positions)
+        key = (id(self.rows), name)
+        if key in seen:
+            twice.append((running[-1], name))
+        seen.add(key)
+        alive.append(self.rows)
+        return gather(self, name, positions)
+
+    def counted_materialize(self):
+        running.append("(materialize)")
+        try:
+            return materialize(self)
+        finally:
+            running.pop()
+
+    def subtask(*args, **kwargs):
+        seen.clear()
+        alive.clear()
+        return run_subtask_kernels(*args, **kwargs)
+
+    with count_op_calls(running), \
+            mock.patch.object(Selection, "gather", counted_gather), \
+            mock.patch.object(Selection, "materialize", counted_materialize), \
+            mock.patch.object(runner, "run_subtask_kernels", subtask):
+        yield table, twice
+
+
+def gathers_report(table: dict[str, list], twice: list[tuple]
+                   ) -> tuple[list[str], list[str]]:
+    """The per-class gather table, and a failure per column gathered
+    twice through one selection in one subtask."""
+    lines = [f"{'gathers':>7} {'rows':>10}  columns selections gathered, "
+             "by kernel class"]
+    for name, (calls, rows) in sorted(table.items(),
+                                      key=lambda item: -item[1][1]):
+        lines.append(f"{calls:7d} {rows:10d}  {name}")
+    failures = [f"{name} gathered column {column!r} twice through one "
+                "selection in one subtask"
+                for name, column in sorted(set(twice), key=str)]
+    return lines, failures
+
+
 def moved_columns_report(movers: dict[str, list], sources: dict[str, list]
                          ) -> tuple[list[str], list[str]]:
     """The row-mover and source tables, and what fails the gate: a
-    ``FilterChunk`` emitting a column its tileable does not carry, a
+    ``FilterChunk`` passing on a column its tileable does not carry, a
     ``FromFrameSlice`` copying bytes."""
     lines = [f"{'calls':>7} {'emitted':>9} {'carried':>9} {'not carried':>12}"
              "  row-moving kernel class (columns summed over calls)"]
@@ -723,10 +796,12 @@ def main(argv=None) -> int:
     parser.add_argument("--columns", action="store_true",
                         help="columns declared / required / carried and "
                              "chunks per source and execute(), columns moved "
-                             "per row-moving kernel and bytes copied per "
-                             "source; exit 1 if a source is read whole for a "
-                             "narrower result, a filter gathers a column its "
-                             "tileable does not carry or a source slice "
+                             "per row-moving kernel, columns gathered per "
+                             "kernel and bytes copied per source; exit 1 if a "
+                             "source is read whole for a narrower result, a "
+                             "filter passes on a column its tileable does not "
+                             "carry, a column is gathered twice through one "
+                             "selection in one subtask or a source slice "
                              "copies the client's cells")
     parser.add_argument("--messages", action="store_true",
                         help="actor-plane deliveries by recipient kind and "
@@ -794,10 +869,14 @@ def main(argv=None) -> int:
         return 1 if lost or per_cell or factorized else 0
     if args.columns:
         with count_source_columns() as rows, \
-                count_moved_columns() as (movers, sources):
+                count_moved_columns() as (movers, sources), \
+                count_gathers() as (gathered, twice):
             iteration = iterate()
         lines, offenders = columns_report(rows)
         moved_lines, failures = moved_columns_report(movers, sources)
+        gather_lines, doubled = gathers_report(gathered, twice)
+        moved_lines += gather_lines
+        failures += doubled
         print(f"{args.workload} seed={args.seed} scale={args.scale}: "
               f"{iteration.counters['graph.n_subtasks']} subtasks")
         print("\n".join(lines + moved_lines))
