@@ -327,7 +327,7 @@ class DataFrame:
             return self[mask]
         if len(values) != len(self):
             raise ValueError("boolean mask length mismatch")
-        return Selection(self, np.flatnonzero(values))
+        return Selection(self, np.flatnonzero(values), mask=values)
 
     def __setitem__(self, name, value):
         if isinstance(value, Series):

@@ -16,7 +16,7 @@ import operator
 from collections import defaultdict
 from functools import partial
 from itertools import compress, repeat
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -186,8 +186,14 @@ def isna_array(arr: np.ndarray) -> np.ndarray:
     if arr.dtype == object:
         if dictionary_of(arr) is not None:  # every cell is a str
             return np.zeros(len(arr), dtype=bool)
-        return isna_cells(arr.tolist())
+        mask = per_object(arr, isna_cell, bool)
+        return isna_cells(arr.tolist()) if mask is None else mask
     return np.zeros(len(arr), dtype=bool)
+
+
+def isna_cell(cell) -> bool:
+    """Whether one cell is missing: ``None`` or a ``float`` NaN."""
+    return cell is None or (isinstance(cell, float) and math.isnan(cell))
 
 
 def isna_cells(cells: list) -> np.ndarray:
@@ -273,6 +279,30 @@ def shared_objects(cells: np.ndarray) -> tuple[np.ndarray, list] | None:
         np.add(ids, left.view(np.int8), out=ids)
 
 
+def per_object(cells: np.ndarray, func: Callable,
+               dtype) -> np.ndarray | None:
+    """``func(cell)`` for every cell of the object array ``cells``, as an
+    array of ``dtype``, when the cells are a few shared objects
+    (:func:`shared_objects`): ``func`` runs once per object and one
+    gather through the ids hands each row its object's answer.  ``None``
+    otherwise, and the caller walks the cells as before.
+
+    It is exact for a ``func`` that answers an object the same each
+    time it is asked (a comparison, a membership test, a string method):
+    every row that is an object gets the answer that object gave, and
+    every object the rows hold is asked, so a ``func`` that raises on
+    some cell raises here too."""
+    shared = shared_objects(cells)
+    if shared is None:
+        return None
+    ids, objects = shared
+    if np.dtype(dtype) == object:
+        answers = object_array(map(func, objects))
+    else:
+        answers = np.array(list(map(func, objects)), dtype=dtype)
+    return answers[ids]
+
+
 def hash_cells(cells: list) -> tuple[np.ndarray, list]:
     """Each cell's position among the distinct cells of a list, and those
     cells in first-seen order — one C pass that hashes every cell once.
@@ -332,8 +362,10 @@ def _present(ids: np.ndarray, objects: list) -> tuple[np.ndarray, list]:
 
 
 def isnone_array(arr: np.ndarray) -> np.ndarray:
-    """Mask of the ``None`` cells of an object array."""
-    return np.fromiter(map(_is_none, arr.tolist()), dtype=bool, count=len(arr))
+    """Mask of the ``None`` cells of an object array: the cells whose
+    address is ``None``'s, which is ``is None`` for every cell, read in
+    C (:func:`addresses`)."""
+    return addresses(arr) == id(None)
 
 
 def na_value_for(dtype: np.dtype) -> Any:

@@ -35,18 +35,31 @@ from .index import Index, RangeIndex
 from .series import Series
 
 
+#: the share of its base's rows a one-mask selection must keep for an
+#: object column to be compressed by the mask: below it a branchy
+#: compress over every base row loses to gathering the kept ``rows``
+#: (DESIGN.md, "Selections inside a subtask", has the crossover)
+MASK_KEPT = 0.95
+
+
 class Selection:
     """Rows ``rows`` of the frame ``base``, over the columns ``columns``."""
 
-    __slots__ = ("base", "rows", "_columns", "_computed", "_gathered",
-                 "_index", "_frame")
+    __slots__ = ("base", "rows", "mask", "_columns", "_computed",
+                 "_gathered", "_index", "_frame")
 
     def __init__(self, base, rows: np.ndarray, columns: list | None = None,
-                 computed: dict | None = None, gathered: dict | None = None):
+                 computed: dict | None = None, gathered: dict | None = None,
+                 mask: np.ndarray | None = None):
         #: the frame the rows are positions in (never itself a selection)
         self.base = base
         #: ``int64`` positions into ``base``, in order
         self.rows = rows
+        #: the boolean mask over ``base`` that ``rows`` are the true
+        #: positions of, when one mask made them and they are at least
+        #: ``MASK_KEPT`` of the base's rows (else ``None``)
+        self.mask = (mask if mask is not None
+                     and len(rows) >= MASK_KEPT * len(mask) else None)
         self._columns = list(base._columns) if columns is None else columns
         #: columns made at the selected length (assignments); they win
         #: over a base column of the same name
@@ -60,8 +73,14 @@ class Selection:
     # -- the one gather ------------------------------------------------------
     def gather(self, name, positions: np.ndarray) -> np.ndarray:
         """Base column ``name`` at base ``positions``: the only place a
-        selection moves a base column's cells."""
-        return dtypes.take(self.base._data[name], positions)
+        selection moves a base column's cells.  An object column of a
+        selection that kept its mask is compressed by the mask rather
+        than gathered at ``rows``: the same array, faster."""
+        column = self.base._data[name]
+        if (positions is self.rows and self.mask is not None
+                and column.dtype == object):
+            positions = self.mask
+        return dtypes.take(column, positions)
 
     # -- frame protocol --------------------------------------------------------
     def __len__(self) -> int:
@@ -163,7 +182,7 @@ class Selection:
         computed = {name: arr for name, arr in self._computed.items()
                     if name in columns}
         out = Selection(self.base, self.rows, columns, computed,
-                        self._gathered)
+                        self._gathered, self.mask)
         out._index = self._index
         return out
 

@@ -9,6 +9,7 @@ reductions, boolean masking, ``map``/``isin``/``value_counts``, and the
 from __future__ import annotations
 
 import operator
+from functools import partial
 from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Mapping
 
@@ -290,8 +291,14 @@ class Series:
     # -- comparisons -----------------------------------------------------------
     def _compare(self, other, func: Callable) -> "Series":
         other_values = self._coerce_operand(other)
-        if dtypes.is_object(self._values.dtype):
-            result = _object_binop(self._values, other_values, func, na_result=False)
+        values = self._values
+        if dtypes.is_object(values.dtype):
+            result = None
+            if not isinstance(other_values, np.ndarray):  # one compare per object
+                result = dtypes.per_object(
+                    values, partial(_compare_cell, func, other_values), bool)
+            if result is None:
+                result = _object_binop(values, other_values, func, na_result=False)
         else:
             with np.errstate(invalid="ignore"):
                 result = func(self._values, other_values)
@@ -403,9 +410,12 @@ class Series:
         out = _typed_isin(self._values, items)
         if out is None:
             lookup = set(items)
-            out = np.fromiter(
-                (v in lookup for v in self._values), dtype=bool,
-                count=len(self._values))
+            if dtypes.is_object(self._values.dtype):  # one ``in`` per object
+                out = dtypes.per_object(self._values, lookup.__contains__, bool)
+            if out is None:
+                out = np.fromiter(
+                    (v in lookup for v in self._values), dtype=bool,
+                    count=len(self._values))
         return Series(out, index=self._index, name=self.name)
 
     def between(self, left, right, inclusive: str = "both") -> "Series":
@@ -692,6 +702,13 @@ class Series:
         from .window import rank
 
         return rank(self, method=method, ascending=ascending)
+
+
+def _compare_cell(func: Callable, other, cell) -> bool:
+    """One cell's answer in an object column's comparison with a scalar:
+    ``False`` where either side is ``None``, as :func:`_object_binop`
+    answers with ``na_result=False``."""
+    return False if cell is None or other is None else bool(func(cell, other))
 
 
 def _object_binop(left: np.ndarray, right, func: Callable, na_result=None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,11 @@ class StringMethods:
 
     def _map(self, func: Callable, out_dtype=object):
         values = self._series.values
+        na = dtypes.na_value_for(np.dtype(out_dtype))
+        out = dtypes.per_object(  # one call per object
+            values, partial(_map_cell, func, na), out_dtype)
+        if out is not None:
+            return self._series_cls(out, index=self._series.index, name=self._series.name)
         mask = dtypes.isna_array(values)
         out = np.empty(len(values), dtype=object)
         for i, value in enumerate(values):
@@ -78,6 +84,15 @@ class StringMethods:
             left, right = values[i], other_values[i]
             out[i] = None if left is None or right is None else f"{left}{sep}{right}"
         return self._series_cls(out, index=self._series.index, name=self._series.name)
+
+
+def _map_cell(func: Callable, na, cell):
+    """One cell of :meth:`StringMethods._map`: ``na`` where the cell is
+    missing or ``func`` answers ``None``, else ``func``'s answer."""
+    if dtypes.isna_cell(cell):
+        return na
+    out = func(cell)
+    return na if out is None else out
 
 
 class DatetimeMethods:

@@ -97,18 +97,34 @@ def _feed_sized(payload: bytes, hasher) -> None:
 def _object_fingerprint(arr: np.ndarray, hasher) -> bool:
     """Feed an object array's cells into ``hasher``, column-wise in C.
 
-    Cells are grouped by exact type — which types, then (when mixed) the
-    per-cell type codes go in first — and each group is one payload:
-    numbers as their comma-joined ``repr``, strings and bytes NUL-joined.
-    The separator count proves no cell embeds a NUL, so ``["ab", "c"]``
-    and ``["a", "bc"]`` cannot meet; a group that does embed one adds its
-    length vector. Only a column holding some other type pays the
-    per-cell Python loop, which returns False for anything that cannot
-    be hashed deterministically.
+    An all-``str`` column of at most ``IDENTITY_BOUND`` distinct strings
+    goes in as a dictionary (:func:`_feed_dictionary`): when its cells
+    are a few shared objects only those objects are hashed, and a copy
+    built cell by cell, equal in content, takes the same form through a
+    per-cell pass.  Any other column's cells are grouped by exact type —
+    which types, then (when mixed) the per-cell type codes go in first —
+    and each group is one payload: numbers as their comma-joined
+    ``repr``, strings and bytes NUL-joined (:func:`_feed_strings`).
+    Only a column holding some other type pays the per-cell Python loop,
+    which returns False for anything that cannot be hashed
+    deterministically.
     """
+    from ..engine.local import dtypes  # the frame's kernels, read lazily
+
     flat = arr.ravel()
+    shared = dtypes.shared_objects(flat)
+    if shared is not None and set(map(type, shared[1])) == {str}:
+        ids, objects = shared  # ``first_seen`` without a second pass
+        codes, distinct = dtypes.hash_cells(objects)
+        if len(distinct) < len(objects):  # equal strings, distinct objects
+            ids = codes.astype(np.int8)[ids]
+        return _feed_dictionary(ids, distinct, hasher)
     items = flat.tolist()
     census = set(map(type, items))
+    if (shared is None and census == {str}
+            and len(set(items[:dtypes.IDENTITY_WINDOW])) <= dtypes.IDENTITY_BOUND
+            and len(set(items)) <= dtypes.IDENTITY_BOUND):
+        return _feed_dictionary(*dtypes.hash_cells(items), hasher)
     if not census <= _CELL_CODES.keys():
         hasher.update(b"loop")
         for item in items:
@@ -129,21 +145,46 @@ def _object_fingerprint(arr: np.ndarray, hasher) -> bool:
             continue  # the codes say it all
         cells = (items if codes is None
                  else flat[codes == _CELL_CODES[kind]].tolist())
-        if kind not in (str, bytes):
+        if kind is str:
+            _feed_strings(cells, hasher)
+        elif kind is bytes:
+            _feed_joined(b"\0".join(cells), cells, hasher)
+        else:
             _feed_sized(",".join(map(repr, cells)).encode(), hasher)
-            continue
-        joined = (b"\0".join(cells) if kind is bytes else
-                  "\0".join(cells).encode("utf-8", "surrogatepass"))
-        # UTF-8 spends a zero byte on U+0000 alone, so zero bytes count
-        # separators plus embedded NULs (NumPy counts them 7x faster
-        # than ``bytes.count`` when they are this dense).
-        zeros = np.count_nonzero(np.frombuffer(joined, np.uint8) == 0)
-        embedded = zeros != len(cells) - 1
-        hasher.update(b"L" if embedded else b"S")
-        if embedded:
-            hasher.update(np.fromiter(map(len, cells), np.int64, len(cells)))
-        _feed_sized(joined, hasher)
     return True
+
+
+def _feed_dictionary(codes: np.ndarray, distinct: list, hasher) -> bool:
+    """An all-``str`` column as its distinct strings in first-seen order
+    and each cell's position among them (``uint8``: at most
+    ``IDENTITY_BOUND`` of them).  The leading ``0xff`` is no type code,
+    so this form cannot meet the type-grouped one."""
+    hasher.update(b"\xffdict")
+    hasher.update(len(distinct).to_bytes(8, "little"))
+    _feed_strings(distinct, hasher)
+    hasher.update(codes.astype(np.uint8, copy=False))
+    return True
+
+
+def _feed_strings(cells: list, hasher) -> None:
+    """``str`` cells as one NUL-joined UTF-8 payload."""
+    _feed_joined("\0".join(cells).encode("utf-8", "surrogatepass"),
+                 cells, hasher)
+
+
+def _feed_joined(joined: bytes, cells: list, hasher) -> None:
+    """``cells`` joined by NUL.  The separator count proves no cell
+    embeds a NUL, so ``["ab", "c"]`` and ``["a", "bc"]`` cannot meet; a
+    payload that does embed one adds its length vector."""
+    # UTF-8 spends a zero byte on U+0000 alone, so zero bytes count
+    # separators plus embedded NULs (NumPy counts them 7x faster
+    # than ``bytes.count`` when they are this dense).
+    zeros = np.count_nonzero(np.frombuffer(joined, np.uint8) == 0)
+    embedded = zeros != len(cells) - 1
+    hasher.update(b"L" if embedded else b"S")
+    if embedded:
+        hasher.update(np.fromiter(map(len, cells), np.int64, len(cells)))
+    _feed_sized(joined, hasher)
 
 
 def _array_fingerprint(arr: np.ndarray, hasher) -> bool:

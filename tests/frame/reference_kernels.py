@@ -3,10 +3,11 @@
 Two generations are kept verbatim as the oracle, each as of the commit
 that replaced it:
 
-- **per-cell loops**, before the kernels moved to C speed: the loop
-  bodies of ``dtypes.isna_array`` / ``values_equal``,
-  ``groupby.factorize``, ``groupby.Grouper.__init__``,
-  ``series._object_binop`` / ``_tighten``, ``Series.isin``,
+- **per-cell loops**, before the kernels moved to C speed or to one
+  answer per shared object: the loop bodies of ``dtypes.isna_array`` /
+  ``isnone_array`` / ``values_equal``, ``groupby.factorize``,
+  ``groupby.Grouper.__init__``, ``series._object_binop`` /
+  ``_tighten``, ``Series.isin``, ``StringMethods._map``,
   ``engine.columnar.encode_column`` and ``concat._concat_rows`` /
   ``_concat_series``;
 - **second hashes and comparison sorts**, before each key cell was
@@ -296,6 +297,29 @@ def isin(values: np.ndarray, lookup) -> np.ndarray:
     lookup = set(lookup)
     return np.fromiter((v in lookup for v in values), dtype=bool,
                        count=len(values))
+
+
+def isnone_array(arr: np.ndarray) -> np.ndarray:
+    """``dtypes.isnone_array``: ``is None``, cell by cell."""
+    return np.array([value is None for value in arr], dtype=bool)
+
+
+def str_map(values: np.ndarray, func, out_dtype=object) -> np.ndarray:
+    """``StringMethods._map``'s loop: missing cells stay missing, and a
+    typed result writes its NA marker where the loop left ``None``."""
+    from repro.frame import dtypes
+
+    mask = isna_array(values)
+    out = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        out[i] = None if mask[i] else func(value)
+    if out_dtype is not object:
+        return np.array(
+            [dtypes.na_value_for(np.dtype(out_dtype)) if v is None else v
+             for v in out],
+            dtype=out_dtype,
+        )
+    return out
 
 
 def object_binop(left: np.ndarray, right, func, na_result=None) -> np.ndarray:

@@ -54,6 +54,13 @@ def string_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
     return names[rows % 10], names[(rows // 10) % 10]
 
 
+def few_keys(n: int) -> np.ndarray:
+    """A column of five shared objects, ``None`` among them: within
+    ``dtypes.IDENTITY_BOUND``, so answered once per object."""
+    names = dtypes.object_array(["key-0", "key-1", None, "key-3", "key-4"])
+    return names[np.arange(n) % 5]
+
+
 def with_cells(n: int, *extra) -> np.ndarray:
     """A string column with ``extra`` cells cycled in at every third row."""
     column = string_keys(n)[0].copy()
@@ -131,6 +138,14 @@ KERNELS = {
         lambda df=frame_of(n): df.nbytes),
     "compare-str": lambda n: (
         lambda df=frame_of(n): df["k1"] == "key-3"),
+    "compare-shared": lambda n: (
+        lambda s=pf.Series(few_keys(n)): s < "key-3"),
+    "isin-shared": lambda n: (
+        lambda s=pf.Series(few_keys(n)): s.isin(["key-1", None])),
+    "str-shared": lambda n: (
+        lambda s=pf.Series(few_keys(n)): s.str.upper()),
+    "isnone": lambda n: (
+        lambda arr=with_cells(n, None): dtypes.isnone_array(arr)),
     # the same kernels on dictionary-carrying columns, and the ones that
     # are per-row on plain strings but integer work on codes
     "encoded-groupby-agg": lambda n: (

@@ -11,7 +11,7 @@ import pytest
 
 from repro.dataframe.groupby import GroupByAgg
 from repro.engine.columnar import encode_column
-from repro.frame import DataFrame
+from repro.frame import DataFrame, dtypes
 from repro.frame.index import Index
 
 from .reference_kernels import filter_rows, groupby_map, signature
@@ -129,3 +129,42 @@ def test_first_selected_cell_labels_a_group_of_equal_cells():
                                           plan))
         labels.add(repr(signature(got["k"].values)))
     assert len(labels) > 1
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_one_mask_selection_materializes_like_the_gathered_frame(
+        key, monkeypatch):
+    """A selection one mask made over its base compresses its object
+    columns by that mask when it keeps most rows; it, its projections and
+    its assignments materialize to the frame the ``int64`` gather
+    builds, dictionaries included."""
+    compressed = []
+    take = dtypes.take
+
+    def booked(arr, rows):
+        compressed.append(getattr(rows, "dtype", None) == bool)
+        return take(arr, rows)
+
+    rng = np.random.default_rng(sum(map(ord, key)))
+    for keep in (0.0, 0.002, 0.3, 0.99, 1.0):
+        base = frame_of(rng, key, "int")
+        mask = rng.random(N) < keep
+        selected = base.select_rows(mask)
+        assert (selected.mask is mask) is (keep > 0.9)
+        gathered = filter_rows(base, mask)
+        compressed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(dtypes, "take", booked)
+            frame = selected.materialize()
+        assert any(compressed) is (keep > 0.9)
+        assert_identical(frame, gathered)
+        assert frame.index.to_list() == gathered.index.to_list()
+        want = dtypes.dictionary_of(gathered["k1"].values)
+        got = dtypes.dictionary_of(frame["k1"].values)
+        assert (got is None) is (key != "dictionary") is (want is None)
+        if want is not None:
+            assert got[0] is want[0] and np.array_equal(got[1], want[1])
+        narrow = selected[["k1", "v"]].assign(x=selected["v"] * 2.0)
+        assert narrow.mask is selected.mask
+        want = gathered[["k1", "v"]].assign(x=gathered["v"] * 2.0)
+        assert_identical(narrow.materialize(), want)

@@ -196,6 +196,76 @@ class TestColumnEncodings:
                 != value_fingerprint(frame(["a", "bc", None])))
 
 
+def rebuilt(column: np.ndarray) -> np.ndarray:
+    """``column`` with every ``str`` cell a new object of equal content."""
+    return cells(*("".join(list(c)) if isinstance(c, str) else c
+                   for c in column.tolist()))
+
+
+class TestSharedObjectColumns:
+    """A column of a few shared strings is fingerprinted from its objects
+    and their ids; a copy built cell by cell fingerprints the same, and
+    changing any one cell of either changes the fingerprint."""
+
+    N = 3_000
+
+    def shared(self) -> np.ndarray:
+        names = cells("BUILDING", "MACHINERY", "AUTOMOBILE", "HOUSEHOLD")
+        return names[np.arange(self.N) * 7 % 4]
+
+    def test_shared_and_per_cell_copies_fingerprint_alike(self):
+        column = self.shared()
+        copy = rebuilt(column)
+        assert pf.dtypes.shared_objects(column) is not None
+        assert pf.dtypes.shared_objects(copy) is None
+        assert value_fingerprint(column) == value_fingerprint(copy)
+        frame = pf.DataFrame({"k": np.arange(self.N), "s": column})
+        assert (value_fingerprint(frame) == value_fingerprint(
+            pf.DataFrame({"k": np.arange(self.N), "s": copy})))
+        with_none = column.copy()
+        with_none[::5] = None  # not all str: the type-grouped form
+        assert (value_fingerprint(with_none)
+                == value_fingerprint(rebuilt(with_none)))
+
+    @pytest.mark.parametrize("row", [0, 1_500, 2_999])
+    @pytest.mark.parametrize("cell", ["BUILDINGS", "MACHINERY", None])
+    def test_one_changed_cell_changes_the_fingerprint(self, row, cell):
+        column = self.shared()
+        changed = column.copy()
+        if changed[row] == cell:
+            cell = "HOUSEHOLD"
+        changed[row] = cell
+        for original in (column, rebuilt(column)):
+            for mutated in (changed, rebuilt(changed)):
+                assert value_fingerprint(original) != value_fingerprint(
+                    mutated)
+        assert value_fingerprint(changed) == value_fingerprint(
+            rebuilt(changed))
+
+    def test_only_the_shared_objects_are_hashed(self, monkeypatch):
+        booked = []
+        real = pf.dtypes.hash_cells
+
+        def counted(items):
+            booked.append(len(items))
+            return real(items)
+
+        monkeypatch.setattr(pf.dtypes, "hash_cells", counted)
+        value_fingerprint(self.shared())
+        assert booked == [4]
+
+    def test_dictionary_form_meets_no_other_payload(self):
+        """Columns of few strings stay apart from each other and from a
+        mixed column of the same bytes; a column of too many distinct
+        strings for a dictionary still fingerprints like its copy."""
+        few = cells(*"abab")
+        assert value_fingerprint(few) != value_fingerprint(cells(*"abba"))
+        assert value_fingerprint(few) != value_fingerprint(
+            cells(*"ab", "a", b"b"))
+        many = cells(*(f"s{i}" for i in range(9)))
+        assert value_fingerprint(many) == value_fingerprint(rebuilt(many))
+
+
 class TestExecuteScope:
     def test_warm_q5_hashes_each_table_once(self, monkeypatch):
         from repro.graph import identity

@@ -73,9 +73,13 @@ of one type (a typed column that lost its dtype on the way), when an
 object column of at least ``IDENTITY_ROWS`` cells and at most
 ``IDENTITY_BOUND`` distinct objects was hashed cell by cell, or when a
 single integer join key pair whose joint range is within
-``DENSE_RANGE`` times the rows of both sides went through ``factorize``
-(the ``bench-smoke`` CI job runs this for ``tpch_join``, ``plan_sweep``
-and ``tpch_scan``).
+``DENSE_RANGE`` times the rows of both sides went through ``factorize``.
+It also books every comparison with a scalar, ``isin`` and ``.str`` map
+over an object column by whether ``dtypes.per_object`` answered it once
+per distinct object or it walked the cells, and exits non-zero when one
+walked a column of at least ``IDENTITY_ROWS`` cells and at most
+``IDENTITY_BOUND`` distinct objects (the ``bench-smoke`` CI job runs
+this for ``tpch_join``, ``plan_sweep`` and ``tpch_scan``).
 
 Run: ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --top 15``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --ops``
@@ -126,6 +130,7 @@ from repro.core.session import Session  # noqa: E402
 from repro.frame import DataFrame, Series  # noqa: E402
 from repro.frame import dtypes as frame_dtypes  # noqa: E402
 from repro.frame.selection import Selection  # noqa: E402
+from repro.frame.strings import StringMethods  # noqa: E402
 from repro.frame import groupby as frame_groupby  # noqa: E402
 from repro.frame import join as frame_join  # noqa: E402
 from repro.services import runner  # noqa: E402
@@ -301,12 +306,18 @@ def count_key_paths():
     made it (``(outside kernels)`` for the rest), by the path it took;
     yields ``({class name: {path: [calls, rows, cells hashed]}},
     [(class name, column, scalar type)], [(class name, rows, objects)],
-    [(class name, rows)])`` — the second lists each kernel-output object
-    column whose cells are all NumPy scalars of one type, the third each
-    object column of at least ``IDENTITY_ROWS`` cells and at most
-    ``IDENTITY_BOUND`` distinct objects that was hashed cell by cell, the
-    fourth each single integer join key pair within the offset bound
-    that was factorized.
+    [(class name, rows)], {(class name, map, path): [calls, rows]},
+    [(class name, map, rows, objects)])`` — the second lists each
+    kernel-output object column whose cells are all NumPy scalars of one
+    type, the third each object column of at least ``IDENTITY_ROWS``
+    cells and at most ``IDENTITY_BOUND`` distinct objects that was hashed
+    cell by cell, the fourth each single integer join key pair within
+    the offset bound that was factorized.  The fifth books every
+    comparison with a scalar, ``isin`` and ``.str`` map over an object
+    column by whether ``dtypes.per_object`` answered it (``per-object``)
+    or it walked the cells (``per-cell``), and the sixth lists each walk
+    over a column of at least ``IDENTITY_ROWS`` cells and at most
+    ``IDENTITY_BOUND`` distinct objects.
 
     A call takes the ``sort`` path unless, while it runs, it compacts a
     dictionary, counts its ids, numbers its shared objects or hashes its
@@ -381,6 +392,35 @@ def count_key_paths():
                 if objects <= frame_dtypes.IDENTITY_BOUND:
                     per_cell.append((running[-1], len(cells), objects))
 
+    def answering(cells, func, dtype):
+        out = per_object(cells, func, dtype)
+        if out is not None and answered:
+            answered[-1] = True
+        return out
+
+    def watched(label, method, column):
+        """``method`` booked as the object map ``label`` when
+        ``column(self, *args)`` names the object column it maps."""
+        def run(self, *args, **kwargs):
+            values = column(self, *args)
+            if values is None or not frame_dtypes.is_object(values.dtype):
+                return method(self, *args, **kwargs)
+            answered.append(False)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                path = "per-object" if answered.pop() else "per-cell"
+                row = maps[running[-1], label, path]
+                row[0] += 1
+                row[1] += len(values)
+                if (path == "per-cell"
+                        and len(values) >= frame_dtypes.IDENTITY_ROWS):
+                    objects = len(np.unique(frame_dtypes.addresses(values)))
+                    if objects <= frame_dtypes.IDENTITY_BOUND:
+                        walked.append((running[-1], label, len(values),
+                                       objects))
+        return run
+
     def typed_cells(name, result):
         for value in (result.values() if isinstance(result, dict)
                       else [result]):
@@ -394,6 +434,10 @@ def count_key_paths():
                 if len(kinds) == 1 and issubclass(*kinds, np.generic):
                     lost.append((name, column, kinds.pop().__name__))
 
+    maps: dict[tuple, list] = defaultdict(lambda: [0, 0])
+    walked: list[tuple] = []
+    answered: list[bool] = []  # per object map in flight: per_object answered
+    per_object = frame_dtypes.per_object
     factorize = frame_groupby.factorize
     shared_objects = frame_dtypes.shared_objects
     hash_cells = frame_dtypes.hash_cells
@@ -410,8 +454,19 @@ def count_key_paths():
             mock.patch.object(frame_dtypes, "compact_dictionary", marking(
                 "dictionary", frame_dtypes.compact_dictionary)), \
             mock.patch.object(frame_dtypes, "shared_objects", identified), \
-            mock.patch.object(frame_dtypes, "hash_cells", hashed):
-        yield paths, lost, per_cell, factorized_offsets
+            mock.patch.object(frame_dtypes, "hash_cells", hashed), \
+            mock.patch.object(frame_dtypes, "per_object", answering), \
+            mock.patch.object(Series, "_compare", watched(
+                "compare", Series._compare,
+                lambda series, other, *_: None
+                if isinstance(other, (Series, np.ndarray))
+                else series.values)), \
+            mock.patch.object(Series, "isin", watched(
+                "isin", Series.isin, lambda series, *_: series.values)), \
+            mock.patch.object(StringMethods, "_map", watched(
+                ".str", StringMethods._map,
+                lambda methods, *_: methods._series.values)):
+        yield paths, lost, per_cell, factorized_offsets, maps, walked
 
 
 def key_paths_report(paths: dict[str, dict]) -> list[str]:
@@ -429,6 +484,18 @@ def key_paths_report(paths: dict[str, dict]) -> list[str]:
                              f"{path:<11} {name}")
     lines.extend(f"{calls:7d} {rows:10d} {n_hashed:10d}  {path:<11} total"
                  for path, (calls, rows, n_hashed) in totals.items())
+    return lines
+
+
+def object_maps_report(maps: dict[tuple, list]) -> list[str]:
+    """Per operator class, the object-column comparisons, ``isin`` calls
+    and ``.str`` maps by whether they were answered per object or walked
+    cell by cell."""
+    lines = [f"{'calls':>7} {'rows':>10}  {'map':<8} {'path':<11} "
+             "operator class"]
+    lines.extend(f"{calls:7d} {rows:10d}  {label:<8} {path:<11} {name}"
+                 for (name, label, path), (calls, rows) in sorted(
+                     maps.items(), key=lambda item: -item[1][1]))
     return lines
 
 
@@ -812,8 +879,10 @@ def main(argv=None) -> int:
                              "offset; exit 1 if a kernel returns a typed "
                              "column as NumPy scalars in an object column, "
                              "hashes a column of a few shared objects cell "
-                             "by cell, or factorizes a single integer join "
-                             "key pair within the offset bound")
+                             "by cell, factorizes a single integer join "
+                             "key pair within the offset bound, or walks a "
+                             "column of a few shared objects cell by cell "
+                             "in a comparison, isin or .str map")
     parser.add_argument("--engine", choices=("row", "columnar"),
                         help="run the plan on this chunk engine; prints the "
                              "7-iteration median wall_s of both first")
@@ -852,11 +921,13 @@ def main(argv=None) -> int:
                   "dictionary was dropped on the way or made twice")
         return 1 if offenders else 0
     if args.keys:
-        with count_key_paths() as (paths, lost, per_cell, factorized):
+        with count_key_paths() as (paths, lost, per_cell, factorized, maps,
+                                   walked):
             iteration = iterate()
         print(f"{args.workload} seed={args.seed} scale={args.scale}: "
               f"{iteration.counters['graph.n_subtasks']} subtasks")
         print("\n".join(key_paths_report(paths)))
+        print("\n".join(object_maps_report(maps)))
         for name, column, kind in sorted(set(lost)):
             print(f"FAIL: {name} returned column {column!r} as object "
                   f"cells of {kind}: a typed column lost its dtype")
@@ -866,7 +937,11 @@ def main(argv=None) -> int:
         for name, rows in sorted(set(factorized)):
             print(f"FAIL: {name} factorized a single integer join key "
                   f"pair of {rows} rows within the offset bound")
-        return 1 if lost or per_cell or factorized else 0
+        for name, label, rows, objects in sorted(set(walked)):
+            print(f"FAIL: {name} walked {rows} cells one by one in a "
+                  f"{label} map that are {objects} objects: the "
+                  "per-object path was missed")
+        return 1 if lost or per_cell or factorized or walked else 0
     if args.columns:
         with count_source_columns() as rows, \
                 count_moved_columns() as (movers, sources), \
