@@ -43,7 +43,7 @@ from ..engine.local import (
 )
 from ..graph.entity import ChunkData
 from ..utils import COMBINE_ARITY, batched
-from .shuffle import ShufflePartition, fan_out, is_missing, range_cuts
+from .shuffle import ShufflePartition, fan_out, range_cuts
 from .utils import SAMPLE_CHUNKS, auto_merge_chunks, chunk_index, spread_sample
 
 #: aggregations this operator can decompose for distributed execution.
@@ -336,7 +336,7 @@ def _map_stat_func(stat: str):
     if stat == "set":
         return lambda s: frozenset(s.dropna().values.tolist())
     if stat == "list":
-        return lambda s: [v for v in s.values.tolist() if not is_missing(v)]
+        return lambda s: s.dropna().values.tolist()
     if stat == "any":
         return "any"
     if stat == "all":

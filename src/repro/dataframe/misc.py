@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
-from ..engine.local import concat
+from ..engine.local import concat, dtypes
 from ..graph.entity import ChunkData
 from ..utils import COMBINE_ARITY, batched
 from .utils import chunk_index, nsplits_from_chunks
@@ -102,12 +102,7 @@ class UniqueValuesChunk(Operator):
             else:
                 pieces.append(np.asarray(value, dtype=object))
         merged = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        seen: dict = {}
-        for item in merged.tolist():
-            if item not in seen:
-                seen[item] = None
-        out = np.array(list(seen), dtype=object)
-        return out
+        return np.array(dtypes.first_seen(merged)[1], dtype=object)
 
 
 class GatherApply(Operator):

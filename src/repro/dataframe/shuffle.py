@@ -6,8 +6,6 @@ do when the sample cuts nothing.
 
 from __future__ import annotations
 
-import math
-
 from ..core.operator import ExecContext, Operator, TileContext
 from ..engine.local import dtypes
 from ..graph.entity import ChunkData
@@ -28,7 +26,8 @@ def range_cuts(ctx: TileContext, sample: list[tuple[ChunkData, object]],
     laid out contiguously across chunks (generated ids, pre-sorted
     input) leave whole spans unsampled when only a few chunks, or a
     chunk's head, are read. Missing keys order with nothing and are
-    dropped; duplicate cuts collapse, to none when nothing was sampled.
+    dropped, the rest sort by ``dtypes.sort_key``; duplicate cuts
+    collapse, to none when nothing was sampled.
     """
     pending = [chunk for chunk, _ in sample if not ctx.has_value(chunk.key)]
     if pending:
@@ -42,22 +41,19 @@ def range_cuts(ctx: TileContext, sample: list[tuple[ChunkData, object]],
         values = frame[key].values
         if len(values) > per_chunk:
             values = values[::len(values) // per_chunk]
-        collected.extend(v for v in values.tolist() if not is_missing(v))
+        collected.extend(values[~dtypes.isna_array(values)].tolist())
     if not collected:
         return []
-    collected.sort()
+    order = dtypes.sort_key(collected)
+    collected.sort(key=order)
+    ranks = collected if order is None else list(map(order, collected))
     cuts: list = []
     for r in range(1, n_parts):
-        cut = collected[min(len(collected) * r // n_parts,
-                            len(collected) - 1)]
-        if not cuts or cut > cuts[-1]:
-            cuts.append(cut)  # a duplicate would leave an empty range
+        at = min(len(collected) * r // n_parts, len(collected) - 1)
+        if not cuts or ranks[at] > ranks[last]:
+            cuts.append(collected[at])  # a duplicate would leave an empty range
+            last = at
     return cuts
-
-
-def is_missing(value) -> bool:
-    """A missing key cell: ``None`` or a float NaN."""
-    return value is None or (isinstance(value, float) and math.isnan(value))
 
 
 class ShufflePartition(Operator):
@@ -66,17 +62,19 @@ class ShufflePartition(Operator):
 
     With ``drop_na`` the rows whose key is missing are dropped first: a
     join side whose unmatched rows the join discards sends them nowhere
-    (kept, they would all go to the last range)."""
+    (kept, they would all go to the last range). With ``na_first`` they
+    go to the first range instead, which a descending sort puts last."""
 
     is_shuffle_map = True
 
     def __init__(self, key, boundaries: list | None, shuffle_id: str,
-                 drop_na: bool = False, **params):
+                 drop_na: bool = False, na_first: bool = False, **params):
         super().__init__(**params)
         self.key = key
         self.boundaries = boundaries
         self.shuffle_id = shuffle_id
         self.drop_na = drop_na
+        self.na_first = na_first
 
     def execute(self, ctx: ExecContext):
         return self._split(ctx, ctx.get(self.inputs[0].key))
@@ -91,6 +89,8 @@ class ShufflePartition(Operator):
         else:
             assignment = engine.range_partition(frame, self.key,
                                                 self.boundaries)
+            if self.na_first:
+                assignment[dtypes.isna_array(frame[self.key].values)] = 0
         parts = engine.split(frame, assignment, n_parts)
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
 

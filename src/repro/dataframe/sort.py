@@ -46,9 +46,12 @@ class SortValues(Operator):
             cuts = yield from range_cuts(
                 ctx, [(chunk, self.by[0]) for chunk in chunks], n_parts)
             chunks = auto_merge_chunks(ctx, chunks, "dataframe")
-        # without cuts, the single-node plan: gather everything, sort once
+        # without cuts, the single-node plan: gather everything, sort once;
+        # a descending sort reverses the ranges, so NA keys go to the first
         partitions = (fan_out(chunks, len(cuts) + 1, key=self.by[0],
-                              boundaries=cuts) if cuts else [chunks])
+                              boundaries=cuts,
+                              na_first=not self.ascending[0])
+                      if cuts else [chunks])
         if not self.ascending[0]:
             partitions.reverse()
         out_chunks = [

@@ -18,13 +18,16 @@ elementwise maps commute with gathers, so the draw is the one its cells
 would get, at dictionary cost — partition assignment is part of the
 deterministic accounting walk, so it must not depend on the engine.
 
-NA routing convention (inherited from the original binary search, where
-``None <= boundary`` was simply never true): missing keys — ``None`` and
-``NaN`` — fall into the **last** range partition and hash to partition
-``0 % n_parts`` in hash mode.
+Both follow the key contract of ``frame.dtypes``: missing keys (one
+``isna_array`` mask for every dtype) fall into the **last** range
+partition and hash to partition 0; keys equal across dtypes hash alike
+and fall between the same cuts.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -48,26 +51,56 @@ def assign_range_partitions(keys: np.ndarray,
     """Per-row partition ids via search over the sampled boundaries.
 
     Partition ``r`` receives keys with ``boundaries[r-1] < key <=
-    boundaries[r]``; missing keys land in the last partition.
+    boundaries[r]`` in the key contract's order; missing keys land in
+    the last partition.
     """
     if not boundaries:
         return np.zeros(len(keys), dtype=np.int64)
     dictionary = dtypes.dictionary_of(keys)
     if dictionary is not None:
-        categories, codes = dictionary
-        return assign_range_partitions(categories, boundaries)[codes]
+        categories, codes = dictionary  # str cells, none missing
+        return _cuts_below(categories, boundaries)[codes]
     keys = np.asarray(keys)
-    if keys.dtype.kind in ("O", "U", "S"):
-        bounds = dtypes.object_array(boundaries)
-        keys = dtypes.as_array(keys)
-        out = np.full(len(keys), len(boundaries), dtype=np.int64)
-        present = ~dtypes.isna_array(keys)
-        out[present] = np.searchsorted(bounds, keys[present], side="left")
-        return out
-    bounds = np.asarray(boundaries)
-    # NaN sorts after every number in NumPy's order, so float NA keys
-    # fall out of searchsorted already assigned to the last partition.
-    return np.searchsorted(bounds, keys, side="left").astype(np.int64)
+    missing = dtypes.isna_array(keys)
+    if not missing.any():
+        return _cuts_below(keys, boundaries)
+    out = np.full(len(keys), len(boundaries), dtype=np.int64)
+    out[~missing] = _cuts_below(keys[~missing], boundaries)
+    return out
+
+
+def _cuts_below(keys: np.ndarray, cuts: list) -> np.ndarray:
+    """How many ``cuts`` lie below each present key: a typed column
+    searches them in its dtype, Python cells by ``dtypes.sort_key``."""
+    if keys.dtype.kind == "b":  # False and True are the integers 0 and 1
+        keys = keys.view(np.uint8)
+    elif keys.dtype == np.dtype("datetime64[ns]"):  # cells are ns ints
+        keys = keys.view(np.int64)
+    if keys.dtype.kind in "iuf" and all(isinstance(cut, (int, float))
+                                        for cut in cuts):
+        below, bounds = _floors(keys.dtype, cuts)
+        return below + np.searchsorted(bounds, keys, side="left")
+    keys = keys.astype(object, copy=False)  # Python cells
+    key = dtypes.sort_key(chain(keys, cuts))
+    if key is not None:
+        keys, cuts = dtypes.object_array(map(key, keys)), map(key, cuts)
+    return np.searchsorted(dtypes.object_array(cuts), keys, side="left")
+
+
+def _floors(dtype: np.dtype, cuts: list) -> tuple[int, np.ndarray]:
+    """Each cut as the largest value of ``dtype`` not above it, below a
+    key exactly when the cut is; cuts below the whole dtype are counted."""
+    if dtype.kind == "f":
+        bounds = np.array(cuts, dtype=dtype)
+        for i, cut in enumerate(cuts):
+            if float(bounds[i]) > cut:  # rounded up: the float below it
+                bounds[i] = np.nextafter(bounds[i], dtype.type(-np.inf))
+        return 0, bounds
+    info = np.iinfo(dtype)
+    floors = [math.floor(min(max(cut, info.min - 1), info.max))
+              for cut in cuts]
+    below = sum(floor < info.min for floor in floors)
+    return below, np.array(floors[below:], dtype=dtype)
 
 
 def split_by_assignment(frame: DataFrame, assignment: np.ndarray,

@@ -45,7 +45,7 @@ def _concat_values(pieces: list[np.ndarray]) -> np.ndarray:
 
 
 def _concat_series(series_list: Sequence[Series], ignore_index: bool) -> Series:
-    dtype = dtypes.common_dtype([s.dtype for s in series_list])
+    dtype = dtypes.common_dtype([s.values for s in series_list])
     values = _concat_values(
         [s.values.astype(dtype, copy=False) for s in series_list])
     if ignore_index:
@@ -81,11 +81,9 @@ def _concat_rows(frames: Sequence[DataFrame], ignore_index: bool) -> DataFrame:
     data: dict = {}
     for name in columns:
         pieces = []
-        present_dtypes = [
-            f._data[name].dtype for f in non_empty if name in f._data
-        ]
         has_missing_block = any(name not in f._data for f in non_empty)
-        dtype = dtypes.common_dtype(present_dtypes)
+        dtype = dtypes.common_dtype(
+            f._data[name] for f in non_empty if name in f._data)
         if has_missing_block and dtype.kind in ("i", "u", "b"):
             dtype = np.dtype(np.float64)
         for frame in non_empty:

@@ -241,7 +241,7 @@ class DataFrame:
     def values(self) -> np.ndarray:
         if not self._columns:
             return np.empty((len(self._index), 0))
-        dtype = dtypes.common_dtype([self._data[c].dtype for c in self._columns])
+        dtype = dtypes.common_dtype(self._data[c] for c in self._columns)
         out = np.empty((len(self._index), len(self._columns)), dtype=dtype)
         for i, name in enumerate(self._columns):
             out[:, i] = self._data[name]
@@ -534,17 +534,11 @@ class DataFrame:
         return self.sort_values(columns, ascending=True).head(n)
 
     def duplicated(self, subset: Sequence | None = None, keep: str = "first") -> Series:
+        from .groupby import duplicated
+
         names = list(subset) if subset is not None else list(self._columns)
-        seen: set = set()
-        out = np.zeros(len(self), dtype=bool)
-        order = range(len(self)) if keep != "last" else range(len(self) - 1, -1, -1)
-        for i in order:
-            key = tuple(self._data[name][i] for name in names)
-            if key in seen:
-                out[i] = True
-            else:
-                seen.add(key)
-        return Series(out, index=self._index)
+        return Series(duplicated([self._data[name] for name in names], keep),
+                      index=self._index)
 
     def drop_duplicates(self, subset: Sequence | None = None, keep: str = "first") -> "DataFrame":
         mask = ~self.duplicated(subset=subset, keep=keep).values

@@ -31,7 +31,7 @@ def to_datetime(values, errors: str = "raise") -> Series:
         return Series(arr.astype("datetime64[D]"), index=index, name=name)
     out = np.empty(len(arr), dtype="datetime64[D]")
     for i, value in enumerate(arr):
-        if value is None or (isinstance(value, float) and np.isnan(value)):
+        if dtypes.isna_cell(value):
             out[i] = np.datetime64("NaT")
             continue
         try:

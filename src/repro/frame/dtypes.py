@@ -1,12 +1,20 @@
-"""Dtype handling and missing-value semantics for ``repro.frame``.
+"""Dtype handling and the key contract of ``repro.frame``.
 
-The conventions mirror pandas 1.x semantics on NumPy storage:
+The missing-value conventions mirror pandas 1.x semantics on NumPy
+storage:
 
 - float columns use ``nan`` as the missing marker;
 - object columns use ``None`` (``nan`` is also recognized);
 - integer and boolean columns cannot hold missing values — operations that
   would introduce one promote the column to float / object first;
 - ``datetime64[ns]`` columns use ``NaT``.
+
+**The key contract** — which keys are missing, which are equal and how
+they order — is written once, below, for hashing, the range shuffle,
+joins, ``isin``, sorting and duplicates: the NA test
+(:func:`isna_array`), exact equality across dtypes (:func:`exact_int`,
+:func:`exact_float`, :func:`integral_in`, :func:`common_dtype`) and one
+total order (:func:`order_key`).
 """
 
 from __future__ import annotations
@@ -177,6 +185,8 @@ def is_datetime(dtype: np.dtype) -> bool:
     return dtype.kind == "M"
 
 
+# -- the key contract ------------------------------------------------------
+
 def isna_array(arr: np.ndarray) -> np.ndarray:
     """Boolean mask of missing entries under the conventions above."""
     if arr.dtype.kind == "f":
@@ -212,6 +222,60 @@ def isna_cells(cells: list) -> np.ndarray:
             map(math.isnan, compress(cells, is_float.tolist())), dtype=bool)
     return mask
 
+
+def exact_int(number):
+    """The int a number equals exactly, or ``None``."""
+    if isinstance(number, (float, np.floating)):
+        return int(number) if float(number).is_integer() else None
+    return int(number)
+
+
+def exact_float(number):
+    """The float64 a number equals exactly, or ``None``."""
+    if isinstance(number, (float, np.floating)):
+        return float(number)
+    number = int(number)  # a NumPy integer would compare through float64
+    try:
+        as_float = float(number)
+    except OverflowError:  # past the largest float64
+        return None
+    return as_float if as_float == number else None
+
+
+def integral_in(floats: np.ndarray, dtype) -> np.ndarray:
+    """Mask of the floats that equal a value of the integer ``dtype``:
+    integral (not NaN) and inside its range (not infinite), whose bounds
+    are powers of two, exact in float64."""
+    info = np.iinfo(dtype)
+    floats = floats.astype(np.float64, copy=False)
+    return ((floats == np.floor(floats)) & (floats >= float(info.min))
+            & (floats < float(info.max) + 1))
+
+
+def order_key(value):
+    """The total order of present key cells: numbers first, compared as
+    Python ints and floats (``2**53 + 1 > 2.0**53``; ``1 == 1.0 ==
+    True``), then other types by name and value, tuples last."""
+    if isinstance(value, tuple):
+        return (1, "", tuple(map(order_key, value)))
+    if isinstance(value, (float, np.floating)):
+        return (0, "", float(value))
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return (0, "", int(value))
+    return (0, type(value).__name__, value)
+
+
+def sort_key(cells: Iterable):
+    """``None`` when Python's ``<`` orders ``cells`` as :func:`order_key`
+    does (one type other than tuple, or Python numbers only), so a plain
+    sort is exact; else :func:`order_key`."""
+    kinds = set(map(type, cells))
+    if kinds <= {int, float, bool} or (len(kinds) == 1 and tuple not in kinds):
+        return None
+    return order_key
+
+
+# -- shared objects --------------------------------------------------------
 
 _ADDRESS = np.dtype(np.uintp)
 
@@ -296,11 +360,14 @@ def per_object(cells: np.ndarray, func: Callable,
     if shared is None:
         return None
     ids, objects = shared
+    return map_cells(objects, func, dtype)[ids]
+
+
+def map_cells(cells: Iterable, func: Callable, dtype) -> np.ndarray:
+    """``func(cell)`` for every cell, as an array of ``dtype``."""
     if np.dtype(dtype) == object:
-        answers = object_array(map(func, objects))
-    else:
-        answers = np.array(list(map(func, objects)), dtype=dtype)
-    return answers[ids]
+        return object_array(map(func, cells))
+    return np.array(list(map(func, cells)), dtype=dtype)
 
 
 def hash_cells(cells: list) -> tuple[np.ndarray, list]:
@@ -388,24 +455,34 @@ def promote_for_na(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def common_dtype(dtypes: Iterable[np.dtype]) -> np.dtype:
-    """The dtype able to hold values of all ``dtypes`` (pandas-style).
+def common_dtype(arrays: Iterable[np.ndarray]) -> np.dtype:
+    """The dtype able to hold the values of all ``arrays`` (pandas-style).
 
     Mixing object with anything yields object; mixing datetimes with
-    non-datetimes yields object; otherwise defer to NumPy promotion.
+    non-datetimes yields object; otherwise NumPy promotion, unless that
+    meets integer arrays in float64 (a signed one against ``uint64``),
+    which rounds past 2**53: then ``int64`` when every value fits it,
+    ``uint64`` when none is negative, else object.
     """
-    dtype_list = list(dtypes)
-    if not dtype_list:
-        raise ValueError("common_dtype of no dtypes")
-    if any(dt == object for dt in dtype_list):
-        return np.dtype(object)
+    arrays = list(arrays)
+    if not arrays:
+        raise ValueError("common_dtype of no arrays")
+    dtype_list = [arr.dtype for arr in arrays]
     kinds = {dt.kind for dt in dtype_list}
-    if "M" in kinds and kinds != {"M"}:
+    if "O" in kinds or ("M" in kinds and kinds != {"M"}):
         return np.dtype(object)
     result = dtype_list[0]
     for dt in dtype_list[1:]:
         result = np.promote_types(result, dt)
-    return result
+    if result.kind != "f" or not kinds <= {"i", "u"}:
+        return result
+    filled = [arr for arr in arrays if len(arr)]
+    if all(arr.dtype.kind == "i" or arr.max() <= np.iinfo(np.int64).max
+           for arr in filled):
+        return np.dtype(np.int64)
+    if all(arr.dtype.kind == "u" or arr.min() >= 0 for arr in filled):
+        return np.dtype(np.uint64)
+    return np.dtype(object)
 
 
 def values_equal(left: np.ndarray, right: np.ndarray) -> bool:

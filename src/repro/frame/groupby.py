@@ -101,19 +101,13 @@ def factorize_cells(values: np.ndarray,
     first, distinct = dtypes.first_seen(values, rows)
     present = ~dtypes.isna_cells(distinct)
     kept = list(compress(distinct, present.tolist()))
-    key = (kept.__getitem__ if set(map(type, kept)) <= {str}
-           else lambda i: _mixed_key(kept[i]))
-    order = sorted(range(len(kept)), key=key)
+    key = dtypes.sort_key(kept)
+    ranks = kept if key is None else list(map(key, kept))
+    order = sorted(range(len(kept)), key=ranks.__getitem__)
     remap = np.full(len(distinct), -1, dtype=np.int64)
     remap[np.flatnonzero(present)[order]] = np.arange(len(order))
     uniques = np.array(list(map(kept.__getitem__, order)), dtype=object)
     return remap[first], uniques
-
-
-def _mixed_key(value):
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return ("", float(value))
-    return (type(value).__name__, value)
 
 
 class Grouper:
@@ -205,6 +199,20 @@ class Grouper:
         # every group id has rows, so each run starts a group
         order, bounds = id_runs(self.codes + 1, self.n_groups + 1)
         return order[bounds[1]:], bounds[1:-1] - bounds[1]
+
+
+def duplicated(columns: Sequence[np.ndarray], keep: str = "first"
+               ) -> np.ndarray:
+    """Mask of the rows whose key (a cell per column) an earlier row — a
+    later one with ``keep="last"`` — holds: keys compare by ``factorize``
+    codes, a column's missing cells as one value."""
+    grouper = Grouper([factorize(values)[0] + 1 for values in columns],
+                      range(len(columns)))
+    seen = grouper.codes[::-1] if keep == "last" else grouper.codes
+    order, bounds = id_runs(seen, grouper.n_groups)
+    out = np.ones(len(seen), dtype=bool)
+    out[order[bounds[:-1]]] = False
+    return out[::-1] if keep == "last" else out
 
 
 def _maybe_tighten(values: np.ndarray) -> np.ndarray:

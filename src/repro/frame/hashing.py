@@ -9,15 +9,22 @@ Two implementations of the same hash function:
   column, bit-identical to mapping :func:`stable_hash` over the column's
   ``tolist()`` view.
 
+Keys equal under the key contract (``frame.dtypes``) hash alike: a float
+equal to an int takes the integer formula (``1``, ``True`` and ``1.0``
+share a partition), and an object column is numbered by
+``dtypes.first_seen`` and each distinct cell hashed once.
+
 Bit parity is load-bearing — re-executing a chunk must route every row
 to the same partition — so the vectorized integer path leans on two
 number-theory facts: NumPy's uint64 multiplication wraps modulo ``2**64``
 and ``2**31`` divides ``2**64``, hence the low 31 bits of the wrapped
 product equal Python's arbitrary-precision ``v * mult % 2**31``; and the
 two's-complement reinterpretation of a negative int64 is exactly its
-value modulo ``2**64``, so signed keys need no special case. The float
-path relies on float64 products being representable identically in both
-runtimes and on C casts truncating toward zero like Python's ``int()``.
+value modulo ``2**64``, so signed keys need no special case. An integral
+float inside the int64 range casts to it exactly
+(``dtypes.integral_in``); the other floats rely on float64 products
+being representable identically in both runtimes and on C casts
+truncating toward zero like Python's ``int()``.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from . import dtypes
 
 #: hash values live in [0, HASH_MOD).
 HASH_MOD = 2 ** 31
@@ -42,15 +51,19 @@ def stable_hash(value) -> int:
     """Deterministic, content-based hash of one key (scalar reference)."""
     if value is None:
         return 0
-    if isinstance(value, (bool, int, np.integer)):
-        return int(value) * _INT_MULT % HASH_MOD
     if isinstance(value, (float, np.floating)):
+        whole = dtypes.exact_int(value)
+        if whole is not None:  # equal to an int: hash as that int
+            return whole * _INT_MULT % HASH_MOD
+        value = float(value)
         if math.isnan(value):
             return 0  # NaN keys hash like missing values
         prod = value * _FLOAT_MULT
-        if math.isinf(prod):  # inf keys, or finite keys whose product overflows
-            return _fnv(str(float(value)))
+        if math.isinf(prod):  # inf keys
+            return _fnv(str(value))
         return int(prod) % HASH_MOD
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return int(value) * _INT_MULT % HASH_MOD
     return _fnv(str(value))
 
 
@@ -70,54 +83,40 @@ def hash_array(values) -> np.ndarray:
     values = np.asarray(values)
     kind = values.dtype.kind
     if kind in ("i", "b"):
-        wrapped = values.astype(np.int64, copy=False).view(np.uint64)
-        return ((wrapped * np.uint64(_INT_MULT)) & _MASK31).astype(np.int64)
+        return _hash_ints(values.astype(np.int64, copy=False).view(np.uint64))
     if kind == "u":
-        wrapped = values.astype(np.uint64, copy=False)
-        return ((wrapped * np.uint64(_INT_MULT)) & _MASK31).astype(np.int64)
+        return _hash_ints(values.astype(np.uint64, copy=False))
     if kind == "f":
         return _hash_floats(values.astype(np.float64, copy=False))
-    return _hash_objects(values.tolist())
+    if kind == "O":
+        codes, distinct = dtypes.first_seen(values)
+    else:  # datetimes and the rest hash as their Python cells
+        codes, distinct = dtypes.hash_cells(values.tolist())
+    if set(map(type, distinct)) == {str}:
+        return _hash_strings(distinct)[codes]
+    return np.fromiter(map(stable_hash, distinct), dtype=np.int64,
+                       count=len(distinct))[codes]
+
+
+def _hash_ints(wrapped: np.ndarray) -> np.ndarray:
+    return ((wrapped * np.uint64(_INT_MULT)) & _MASK31).astype(np.int64)
 
 
 def _hash_floats(values: np.ndarray) -> np.ndarray:
-    prod = values * np.float64(_FLOAT_MULT)
     out = np.zeros(len(values), dtype=np.int64)
+    whole = dtypes.integral_in(values, np.int64)
+    out[whole] = _hash_ints(values[whole].astype(np.int64).view(np.uint64))
+    prod = values * np.float64(_FLOAT_MULT)
     # products beyond int64 range (or inf) cannot take the C-cast path;
     # NaN stays 0 by the NA convention above.
     with np.errstate(invalid="ignore"):
-        in_range = np.isfinite(prod) & (np.abs(prod) < np.float64(2 ** 63))
+        in_range = ~whole & np.isfinite(prod) & (np.abs(prod)
+                                                 < np.float64(2 ** 63))
     trunc = prod[in_range].astype(np.int64)  # C cast truncates toward zero
     out[in_range] = (trunc.view(np.uint64) & _MASK31).astype(np.int64)
-    oversized = ~in_range & ~np.isnan(prod)
-    for i in np.flatnonzero(oversized):
+    # integral floats past int64, infinities: the scalar path
+    for i in np.flatnonzero(~whole & ~in_range & ~np.isnan(values)):
         out[i] = stable_hash(float(values[i]))
-    return out
-
-
-def _hash_objects(items: list) -> np.ndarray:
-    """Hash a mixed-type key list, memoizing repeated keys.
-
-    The memo key pairs ``type(v)`` with the value because Python dicts
-    unify ``1``, ``1.0`` and ``True`` as keys while :func:`stable_hash`
-    deliberately does not (int and float take different hash paths).
-    """
-    if items and all(type(value) is str for value in items):
-        return _hash_strings(items)
-    memo: dict = {}
-    out = np.empty(len(items), dtype=np.int64)
-    for i, value in enumerate(items):
-        try:
-            token = (type(value), value)
-            h = memo.get(token)
-        except TypeError:  # unhashable key (list, dict, ...)
-            token = None
-            h = None
-        if h is None:
-            h = stable_hash(value)
-            if token is not None:
-                memo[token] = h
-        out[i] = h
     return out
 
 

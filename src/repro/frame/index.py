@@ -13,6 +13,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import dtypes
+from .sorting import argsort_values
 
 
 def take_rows(arr: np.ndarray, rows) -> np.ndarray:
@@ -85,7 +86,7 @@ class Index:
         return Index(take_rows(self.values, indexer), name=self.name)
 
     def append(self, other: "Index") -> "Index":
-        dtype = dtypes.common_dtype([self.dtype, other.dtype])
+        dtype = dtypes.common_dtype([self.values, other.values])
         values = np.concatenate(
             [self.values.astype(dtype), other.values.astype(dtype)]
         )
@@ -121,22 +122,14 @@ class Index:
         return np.flatnonzero(mask)
 
     def argsort(self) -> np.ndarray:
-        if self.dtype == object:
-            return np.array(
-                sorted(range(len(self)), key=lambda i: _sort_key(self.values[i])),
-                dtype=np.int64,
-            )
-        return np.argsort(self.values, kind="stable")
+        return argsort_values(self.values)
 
     def is_monotonic_increasing(self) -> bool:
         if len(self) <= 1:
             return True
         values = self.values
-        if self.dtype == object:
-            return all(
-                not (_sort_key(values[i + 1]) < _sort_key(values[i]))
-                for i in range(len(values) - 1)
-            )
+        if self.dtype == object:  # a stable sort leaves sorted labels be
+            return bool((self.argsort() == np.arange(len(values))).all())
         return bool(np.all(values[1:] >= values[:-1]))
 
     def copy(self) -> "Index":
@@ -144,13 +137,6 @@ class Index:
 
     def to_list(self) -> list:
         return self.values.tolist()
-
-
-def _sort_key(value):
-    """Total order over heterogeneous labels: group by type name first."""
-    if isinstance(value, tuple):
-        return tuple(_sort_key(v) for v in value)
-    return (type(value).__name__, value)
 
 
 class RangeIndex(Index):

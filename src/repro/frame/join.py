@@ -1,8 +1,10 @@
 """Relational joins for ``repro.frame``: hash/sort-merge ``merge``.
 
-The distributed ``DataFrameMerge`` operator shuffles chunks by key hash and
-then calls :func:`merge` on co-partitioned chunk pairs, so the semantics
-here (NA keys never match, suffix handling, key coalescing for outer joins)
+The distributed ``Merge`` operator broadcasts a small side, or
+co-partitions both sides by sampled key ranges (by key hash on the
+static plan), and then calls :func:`merge` on each chunk pair, so the
+semantics here (NA keys never match, keys equal under the key contract
+of ``dtypes`` match, suffix handling, key coalescing for outer joins)
 define the distributed behaviour too.
 """
 
@@ -202,22 +204,12 @@ def _encode_pair(la: np.ndarray, ra: np.ndarray):
         return cl.astype(np.int64), cr.astype(np.int64), len(uniques)
     if {la.dtype.kind, ra.dtype.kind} in ({"i", "f"}, {"u", "f"}):
         return _encode_int_float(la, ra)
-    dtype = dtypes.common_dtype([la.dtype, ra.dtype])
-    cut = None
-    if dtypes.is_integer(la.dtype) and dtypes.is_integer(ra.dtype) \
-            and dtype.kind == "f":
-        # uint64 against a signed type meets in float64, which is not
-        # exact past 2^53.  A uint64 past the int64 range equals no
-        # signed value, so it matches nothing; the rest meet in int64.
-        dtype = np.dtype(np.int64)
-        cut = np.concatenate([
-            side > np.iinfo(np.int64).max if side.dtype.kind == "u"
-            else np.zeros(len(side), dtype=bool) for side in (la, ra)])
+    # uint64 against a signed type meets in int64 or uint64 when the
+    # values fit, else as Python ints: never through float64
+    dtype = dtypes.common_dtype([la, ra])
     both = np.concatenate([la.astype(dtype, copy=False),
                            ra.astype(dtype, copy=False)])
     codes, uniques = factorize(both)
-    if cut is not None:
-        codes[cut] = -1
     return codes[: len(la)], codes[len(la):], len(uniques)
 
 
@@ -227,10 +219,7 @@ def _encode_int_float(la: np.ndarray, ra: np.ndarray):
     instead: only an integral float inside the integer dtype's range
     can equal one, and every other float matches nothing."""
     ints, floats = (la, ra) if dtypes.is_integer(la.dtype) else (ra, la)
-    info = np.iinfo(ints.dtype)
-    # NaN fails the first test, an infinity the range
-    fits = ((floats == np.floor(floats)) & (floats >= float(info.min))
-            & (floats < float(info.max) + 1))
+    fits = dtypes.integral_in(floats, ints.dtype)
     codes_i, codes_f, width = _encode_pair(
         ints, np.where(fits, floats, 0).astype(ints.dtype))
     codes_f[~fits] = -1
@@ -376,25 +365,8 @@ def _coalesce_key(left, right, name, left_idx: np.ndarray,
             missing_l, codes_r[right_idx], codes_l[left_idx]))
     from_l = left_values[left_idx[~missing_l]]
     from_r = right_values[right_idx[missing_l]]
-    out = np.empty(len(missing_l), dtype=_coalesced_dtype(from_l, from_r))
+    out = np.empty(len(missing_l),
+                   dtype=dtypes.common_dtype([from_l, from_r]))
     out[~missing_l] = from_l
     out[missing_l] = from_r
     return out
-
-
-def _coalesced_dtype(from_l: np.ndarray, from_r: np.ndarray) -> np.dtype:
-    """Both sides' common dtype, unless that is float64 for two integer
-    sides (a signed one against ``uint64``), which rounds past 2^53:
-    then ``int64`` when every value fits it, ``uint64`` when none is
-    negative, else object."""
-    dtype = dtypes.common_dtype([from_l.dtype, from_r.dtype])
-    if dtype.kind != "f" or not all(dtypes.is_integer(side.dtype)
-                                    for side in (from_l, from_r)):
-        return dtype
-    sides = [side for side in (from_l, from_r) if len(side)]
-    if all(side.dtype.kind == "i" or side.max() <= np.iinfo(np.int64).max
-           for side in sides):
-        return np.dtype(np.int64)
-    if all(side.dtype.kind == "u" or side.min() >= 0 for side in sides):
-        return np.dtype(np.uint64)
-    return np.dtype(object)

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import dtypes
 from .dataframe import DataFrame
-from .groupby import Grouper, _aggregate_column
+from .groupby import Grouper, _aggregate_column, factorize
 from .index import Index
 
 
@@ -34,36 +34,17 @@ def pivot_table(frame: DataFrame, values=None, index=None, columns=None,
         [frame._data[index], frame._data[columns]], [index, columns]
     )
     order, starts = grouper.sorted_layout()
-    row_labels: list = []
-    row_positions: dict = {}
-    col_labels: list = []
-    col_positions: dict = {}
-    for r_label, c_label in grouper.group_keys:
-        if r_label not in row_positions:
-            row_positions[r_label] = len(row_labels)
-            row_labels.append(r_label)
-        if c_label not in col_positions:
-            col_positions[c_label] = len(col_labels)
-            col_labels.append(c_label)
-    row_labels_sorted = sorted(row_labels, key=_key)
-    col_labels_sorted = sorted(col_labels, key=_key)
-    row_positions = {label: i for i, label in enumerate(row_labels_sorted)}
-    col_positions = {label: i for i, label in enumerate(col_labels_sorted)}
+    # each group's row and column label, numbered in the labels' order
+    rows, row_labels = factorize(grouper.levels[0])
+    cols, col_labels = factorize(grouper.levels[1])
 
     data: dict = {}
     for vcol in value_cols:
         agg = _aggregate_column(frame._data[vcol], order, starts, aggfunc)
-        table = np.full((len(row_labels_sorted), len(col_labels_sorted)), np.nan)
-        for g, (r_label, c_label) in enumerate(grouper.group_keys):
-            table[row_positions[r_label], col_positions[c_label]] = agg[g]
-        for c_label in col_labels_sorted:
+        table = np.full((len(row_labels), len(col_labels)), np.nan)
+        table[rows, cols] = agg
+        for j, c_label in enumerate(col_labels):
             name = c_label if len(value_cols) == 1 else (vcol, c_label)
-            data[name] = table[:, col_positions[c_label]]
-    out_index = Index(np.array(row_labels_sorted, dtype=object), name=index)
+            data[name] = table[:, j]
+    out_index = Index(dtypes.object_array(row_labels), name=index)
     return DataFrame(data, index=out_index)
-
-
-def _key(value):
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return ("", float(value))
-    return (type(value).__name__, value)

@@ -102,11 +102,8 @@ def get_dummies(data: Series | DataFrame, prefix: Optional[str] = None,
 
 
 def _dummies_for(series: Series, prefix) -> DataFrame:
-    categories = [
-        v for v in series.unique().tolist()
-        if v is not None and not (isinstance(v, float) and np.isnan(v))
-    ]
-    categories.sort(key=lambda v: (type(v).__name__, v))
+    categories = sorted((v for v in series.unique().tolist()
+                         if not dtypes.isna_cell(v)), key=dtypes.order_key)
     data: dict = {}
     values = series.values
     for category in categories:
@@ -137,9 +134,7 @@ def melt(frame: DataFrame, id_vars: Sequence, value_vars: Optional[Sequence] = N
     for j, name in enumerate(value_list):
         variable[j * n:(j + 1) * n] = str(name)
     out[var_name] = variable
-    value_dtype = dtypes.common_dtype(
-        [frame[c].dtype for c in value_list]
-    )
+    value_dtype = dtypes.common_dtype(frame[c].values for c in value_list)
     out[value_name] = np.concatenate(
         [frame[c].values.astype(value_dtype) for c in value_list]
     ) if n else np.empty(0, dtype=value_dtype)

@@ -17,12 +17,14 @@ import numpy as np
 
 from . import dtypes
 from .index import Index, RangeIndex, default_index, ensure_index
+from .sorting import argsort_values
 from .strings import DatetimeMethods, StringMethods
 
 
 #: the items a numeric column's ``isin`` compares as numbers
 _NUMBERS = (bool, int, float, np.bool_, np.integer, np.float16, np.float32,
             np.float64)
+_FLOATS = (float, np.floating)
 
 
 def _typed_isin(values: np.ndarray, items: list):
@@ -42,35 +44,20 @@ def _typed_isin(values: np.ndarray, items: list):
             return None
         wanted = items
     elif kind in "iub" and all(isinstance(v, _NUMBERS) for v in items):
-        low, high = ((0, 1) if kind == "b" else
-                     (np.iinfo(values.dtype).min, np.iinfo(values.dtype).max))
-        wanted = [n for n in map(_exact_int, items)
-                  if n is not None and low <= n <= high]
+        if kind == "b":  # False and True are the integers 0 and 1
+            values = values.view(np.uint8)
+        info = np.iinfo(values.dtype)
+        floats = np.array([v for v in items if isinstance(v, _FLOATS)],
+                          dtype=np.float64)
+        ints = [int(v) for v in items if not isinstance(v, _FLOATS)]
+        wanted = [*floats[dtypes.integral_in(floats, values.dtype)].tolist(),
+                  *(n for n in ints if info.min <= n <= info.max)]
     elif kind == "f" and all(isinstance(v, _NUMBERS) for v in items):
         values = values.astype(np.float64, copy=False)  # exact for any float
-        wanted = [f for f in map(_exact_float, items) if f is not None]
+        wanted = [f for f in map(dtypes.exact_float, items) if f is not None]
     else:
         return None
     return np.isin(values, np.array(wanted, dtype=values.dtype))
-
-
-def _exact_int(number):
-    """The int a number equals exactly, or ``None``."""
-    if isinstance(number, (float, np.floating)):
-        return int(number) if float(number).is_integer() else None
-    return int(number)
-
-
-def _exact_float(number):
-    """The float64 a number equals exactly, or ``None``."""
-    if isinstance(number, (float, np.floating)):
-        return float(number)
-    number = int(number)  # a NumPy integer would compare through float64
-    try:
-        as_float = float(number)
-    except OverflowError:  # past the largest float64
-        return None
-    return as_float if as_float == number else None
 
 
 class _SeriesIloc:
@@ -490,17 +477,10 @@ class Series:
         return Series(freq[order], index=Index(labels[order], name=self.name), name="count")
 
     def duplicated(self, keep: str = "first") -> "Series":
-        seen: set = set()
-        out = np.zeros(len(self._values), dtype=bool)
-        order = range(len(self._values)) if keep != "last" else range(len(self._values) - 1, -1, -1)
-        for i in order:
-            value = self._values[i]
-            key = value if not isinstance(value, np.ndarray) else value.tobytes()
-            if key in seen:
-                out[i] = True
-            else:
-                seen.add(key)
-        return Series(out, index=self._index, name=self.name)
+        from .groupby import duplicated
+
+        return Series(duplicated([self._values], keep), index=self._index,
+                      name=self.name)
 
     def drop_duplicates(self, keep: str = "first") -> "Series":
         mask = ~self.duplicated(keep=keep)._values
@@ -510,8 +490,6 @@ class Series:
 
     # -- sorting ---------------------------------------------------------------------
     def sort_values(self, ascending: bool = True, na_position: str = "last") -> "Series":
-        from .sorting import argsort_values
-
         order = argsort_values(self._values, ascending=ascending, na_position=na_position)
         return self.iloc[order]
 
@@ -528,8 +506,6 @@ class Series:
         return self.sort_values(ascending=True).head(n)
 
     def argsort(self) -> np.ndarray:
-        from .sorting import argsort_values
-
         return argsort_values(self._values, ascending=True, na_position="last")
 
     def idxmax(self):

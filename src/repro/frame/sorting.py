@@ -31,12 +31,12 @@ def argsort_values(values: np.ndarray, ascending: bool = True,
     na_positions = np.flatnonzero(na_mask)
     valid = values[valid_positions]
     if dtypes.is_object(valid.dtype):
-        order = np.array(
-            sorted(range(len(valid)), key=lambda i: _total_key(valid[i])),
-            dtype=np.int64,
-        )
-    else:
-        order = np.argsort(valid, kind="stable")
+        # one C-level sort; mixed cell types sort by their order keys
+        cells = valid.tolist()
+        key = dtypes.sort_key(cells)
+        if key is not None:
+            valid = dtypes.object_array(map(key, cells))
+    order = np.argsort(valid, kind="stable")
     if not ascending:
         order = order[::-1]
     sorted_valid = valid_positions[order]
@@ -67,15 +67,6 @@ def id_runs(ids: np.ndarray, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum(np.bincount(ids, minlength=n_ids), out=bounds[1:])
     return np.argsort(ids.astype(id_dtype(n_ids), copy=False),
                       kind="stable"), bounds
-
-
-def _total_key(value):
-    """Sort key giving a total order over heterogeneous objects."""
-    if isinstance(value, tuple):
-        return (1, tuple(_total_key(v) for v in value))
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return (0, ("", float(value)))
-    return (0, (type(value).__name__, value))
 
 
 def lexsort_columns(columns: Sequence[np.ndarray],

@@ -13,7 +13,9 @@ from . import dtypes
 class StringMethods:
     """Vectorized string methods over an object-dtype Series.
 
-    Missing entries propagate as missing, like pandas.
+    Missing entries propagate as missing, like pandas; a predicate
+    (``contains``, ``startswith``, ``endswith``) answers ``False`` on
+    them, as a ``bool`` column.
     """
 
     def __init__(self, series):
@@ -26,21 +28,12 @@ class StringMethods:
 
     def _map(self, func: Callable, out_dtype=object):
         values = self._series.values
-        na = dtypes.na_value_for(np.dtype(out_dtype))
-        out = dtypes.per_object(  # one call per object
-            values, partial(_map_cell, func, na), out_dtype)
-        if out is not None:
-            return self._series_cls(out, index=self._series.index, name=self._series.name)
-        mask = dtypes.isna_array(values)
-        out = np.empty(len(values), dtype=object)
-        for i, value in enumerate(values):
-            out[i] = None if mask[i] else func(value)
-        if out_dtype is not object:
-            filled = np.array(
-                [dtypes.na_value_for(np.dtype(out_dtype)) if v is None else v for v in out],
-                dtype=out_dtype,
-            )
-            return self._series_cls(filled, index=self._series.index, name=self._series.name)
+        na = (False if out_dtype is bool
+              else dtypes.na_value_for(np.dtype(out_dtype)))
+        cell = partial(_map_cell, func, na)
+        out = dtypes.per_object(values, cell, out_dtype)  # one call per object
+        if out is None:
+            out = dtypes.map_cells(values.tolist(), cell, out_dtype)
         return self._series_cls(out, index=self._series.index, name=self._series.name)
 
     def lower(self):
@@ -56,16 +49,13 @@ class StringMethods:
         return self._map(len, out_dtype=np.float64)
 
     def contains(self, pat: str):
-        result = self._map(lambda s: pat in s)
-        return result.fillna(False).astype(bool)
+        return self._map(lambda s: pat in s, bool)
 
     def startswith(self, prefix: str):
-        result = self._map(lambda s: s.startswith(prefix))
-        return result.fillna(False).astype(bool)
+        return self._map(lambda s: s.startswith(prefix), bool)
 
     def endswith(self, suffix: str):
-        result = self._map(lambda s: s.endswith(suffix))
-        return result.fillna(False).astype(bool)
+        return self._map(lambda s: s.endswith(suffix), bool)
 
     def replace(self, old: str, new: str):
         return self._map(lambda s: s.replace(old, new))

@@ -82,6 +82,17 @@ class TestHashParity:
             dtype=object)),
         ("datetime", np.array(["2020-01-01", "NaT", "2021-06-05"],
                               dtype="datetime64[ns]")),
+        # integral floats hash as their ints: past 2**53 the C cast is
+        # exact, past the int64 range the scalar path takes over
+        ("float_integral", np.array([2.0**53, 2.0**53 + 2, -2.0**60,
+                                     2.0**63 - 1024, 2.0**63, 2.0**64,
+                                     -2.0**63, -2.0**70, 2.0**100, 3.0])),
+        ("float32_integral", np.array([2.0**40, 2.0**70, -7.0, 0.5],
+                                      dtype=np.float32)),
+        ("object_numbers", np.array(
+            [2**70, 2.0**70, np.float32(3.0), np.int8(3), np.True_, 0.5,
+             2**53 + 1, 2.0**53, np.float32(0.25), -0.0] * 5,
+            dtype=object)),
     ])
     def test_vectorized_matches_scalar(self, name, values):
         vec = hash_array(values)
@@ -104,11 +115,19 @@ class TestHashParity:
         assert stable_hash(None) == 0
         assert stable_hash(float("nan")) == 0
 
-    def test_int_float_do_not_collide_via_memo(self):
-        # dict keys unify 1 and 1.0; the memoized object path must not.
-        values = np.array([1, 1.0, 1, 1.0], dtype=object)
+    def test_equal_numbers_hash_alike(self):
+        # keys equal under the key contract share a partition: an object
+        # column is hashed once per distinct cell, which a dict numbers
+        # with ``1 == 1.0 == True``
+        values = np.array([1, 1.0, True, 1, 2**70, 2.0**70], dtype=object)
         assert (hash_array(values) == reference_hashes(values)).all()
-        assert stable_hash(1) != stable_hash(1.0)
+        assert stable_hash(1) == stable_hash(1.0) == stable_hash(True)
+        assert stable_hash(2**70) == stable_hash(2.0**70)
+        assert stable_hash(2**53 + 1) != stable_hash(2.0**53)
+        ints = np.array([-3, 0, 7, 2**40], dtype=np.int64)
+        assert (hash_array(ints) == hash_array(ints.astype(np.float64))).all()
+        assert (hash_array(np.array([2**63 + 2048], dtype=np.uint64))
+                == hash_array(np.array([2.0**63 + 2048]))).all()
 
     def test_hash_partition_ids_parity(self):
         keys = np.random.default_rng(3).integers(-10**9, 10**9, 2000)

@@ -9,7 +9,13 @@ that replaced it:
   ``groupby.Grouper.__init__``, ``series._object_binop`` /
   ``_tighten``, ``Series.isin``, ``StringMethods._map``,
   ``engine.columnar.encode_column`` and ``concat._concat_rows`` /
-  ``_concat_series``;
+  ``_concat_series``, and the ``.str`` predicates' object map followed
+  by ``fillna(False).astype(bool)`` (``str_predicate``);
+- **a set of the keys seen**, before duplicate rows were found through
+  ``factorize`` codes: ``Series.duplicated`` / ``DataFrame.duplicated``
+  (``duplicated``), with one change — a column's missing cells are one
+  value, as the key contract has them (the loop once never marked a
+  NaN row);
 - **second hashes and comparison sorts**, before each key cell was
   hashed once and integer work became a count or a byte-wide radix
   sort: ``groupby.factorize_cells``, ``Grouper.sorted_layout``, the
@@ -322,6 +328,36 @@ def str_map(values: np.ndarray, func, out_dtype=object) -> np.ndarray:
     return out
 
 
+def str_predicate(values: np.ndarray, func) -> np.ndarray:
+    """``contains`` / ``startswith`` / ``endswith`` before a missing cell
+    answered ``False`` inside ``_map``: the object map, then
+    ``fillna(False).astype(bool)``."""
+    return np.array([False if v is None else v for v in str_map(values, func)],
+                    dtype=bool)
+
+
+_NA = object()  # every missing cell, as one key
+
+
+def duplicated(columns, keep: str = "first") -> np.ndarray:
+    """``duplicated``'s per-row loop over key columns: a row whose key
+    tuple an earlier row (a later one with ``keep="last"``) held is a
+    duplicate; missing cells (``None``, NaN, NaT) are one value."""
+    cells = [[_NA if v is None or (isinstance(v, float) and v != v) else v
+              for v in np.asarray(column).tolist()] for column in columns]
+    n = len(cells[0])
+    seen: set = set()
+    out = np.zeros(n, dtype=bool)
+    order = range(n) if keep != "last" else range(n - 1, -1, -1)
+    for i in order:
+        key = tuple(column[i] for column in cells)
+        if key in seen:
+            out[i] = True
+        else:
+            seen.add(key)
+    return out
+
+
 def object_binop(left: np.ndarray, right, func, na_result=None) -> np.ndarray:
     out = np.empty(len(left), dtype=object)
     right_is_seq = isinstance(right, np.ndarray)
@@ -390,11 +426,9 @@ def concat_rows(frames, ignore_index: bool):
     data: dict = {}
     for name in columns:
         pieces = []
-        present_dtypes = [
-            f._data[name].dtype for f in non_empty if name in f._data
-        ]
+        present = [f._data[name] for f in non_empty if name in f._data]
         has_missing_block = any(name not in f._data for f in non_empty)
-        dtype = dtypes.common_dtype(present_dtypes)
+        dtype = dtypes.common_dtype(present)  # it takes the arrays now
         if has_missing_block and dtype.kind in ("i", "u", "b"):
             dtype = np.dtype(np.float64)
         for frame in non_empty:
@@ -420,7 +454,7 @@ def concat_series(series_list, ignore_index: bool):
     from repro.frame import Series, dtypes
     from repro.frame.index import default_index
 
-    dtype = dtypes.common_dtype([s.dtype for s in series_list])
+    dtype = dtypes.common_dtype([s.values for s in series_list])
     values = np.concatenate([s.values.astype(dtype) for s in series_list])
     if ignore_index:
         index = default_index(len(values))

@@ -144,6 +144,8 @@ KERNELS = {
         lambda s=pf.Series(few_keys(n)): s.isin(["key-1", None])),
     "str-shared": lambda n: (
         lambda s=pf.Series(few_keys(n)): s.str.upper()),
+    "str-contains-shared": lambda n: (
+        lambda s=pf.Series(few_keys(n)): s.str.contains("-1")),
     "isnone": lambda n: (
         lambda arr=with_cells(n, None): dtypes.isnone_array(arr)),
     # the same kernels on dictionary-carrying columns, and the ones that

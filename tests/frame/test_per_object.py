@@ -126,6 +126,24 @@ def test_str_methods(name, method):
             == outcome(lambda: reference.str_map(column, func, out_dtype)))
 
 
+STR_PREDICATES = {
+    "contains": (lambda s: s.str.contains("b"), lambda s: "b" in s),
+    "startswith": (lambda s: s.str.startswith("a"),
+                   lambda s: s.startswith("a")),
+    "endswith": (lambda s: s.str.endswith("b"), lambda s: s.endswith("b")),
+}
+
+
+@pytest.mark.parametrize("name", STRING_COLUMNS)
+@pytest.mark.parametrize("method", STR_PREDICATES.values(),
+                         ids=STR_PREDICATES)
+def test_str_predicates_answer_false_on_missing_cells(name, method):
+    public, func = method
+    column = COLUMNS[name][0]
+    assert (outcome(lambda: public(Series(column)))
+            == outcome(lambda: reference.str_predicate(column, func)))
+
+
 @pytest.mark.parametrize("name", ["numbers"])
 def test_str_method_raises_like_the_loop(name):
     column = COLUMNS[name][0]

@@ -78,8 +78,16 @@ It also books every comparison with a scalar, ``isin`` and ``.str`` map
 over an object column by whether ``dtypes.per_object`` answered it once
 per distinct object or it walked the cells, and exits non-zero when one
 walked a column of at least ``IDENTITY_ROWS`` cells and at most
-``IDENTITY_BOUND`` distinct objects (the ``bench-smoke`` CI job runs
-this for ``tpch_join``, ``plan_sweep`` and ``tpch_scan``).
+``IDENTITY_BOUND`` distinct objects.  Every range cut
+(``dataframe.shuffle.range_cuts``, booked on the operator that asked for
+it) and range partition (``engine.partition.assign_range_partitions``)
+is booked by the order it compared keys in: ``single-type`` (a typed
+column, or cells of one type: the C-level sort and ``np.searchsorted``)
+or ``order_key`` (cells of mixed types, one ``dtypes.order_key`` per
+cell); the exit status is non-zero when a workload that
+``BENCHMARK.json`` gates took ``order_key`` (the ``bench-smoke`` CI job
+runs this for ``tpch_join``, ``plan_sweep``, ``tpch_scan`` and
+``strkey_columnar``, the gated workload that range-shuffles).
 
 Run: ``PYTHONPATH=src python tools/profile_workload.py tpch_scan --top 15``
      ``PYTHONPATH=src python tools/profile_workload.py tpch_join --ops``
@@ -95,6 +103,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import itertools
+import json
 import os
 import pstats
 import re
@@ -118,6 +127,10 @@ from workloads import WORKLOADS, run_iteration  # noqa: E402
 from repro.core import session as core_session  # noqa: E402
 from repro.core.operator import DataSourceOp, Operator  # noqa: E402
 from repro.core.opfusion import CompiledStep  # noqa: E402
+from repro.dataframe import groupby as dataframe_groupby  # noqa: E402
+from repro.dataframe import merge as dataframe_merge  # noqa: E402
+from repro.dataframe import shuffle as dataframe_shuffle  # noqa: E402
+from repro.dataframe import sort as dataframe_sort  # noqa: E402
 from repro.dataframe.datasource import (  # noqa: E402
     FromFrame,
     FromFrameSlice,
@@ -127,6 +140,8 @@ from repro.dataframe.indexing import FilterChunk, ILocChunk  # noqa: E402
 from repro.dataframe.merge import MergeChunk  # noqa: E402
 from repro.dataframe.sort import SortChunk  # noqa: E402
 from repro.core.session import Session  # noqa: E402
+from repro.engine import partition as engine_partition  # noqa: E402
+from repro.engine import row as row_engine  # noqa: E402
 from repro.frame import DataFrame, Series  # noqa: E402
 from repro.frame import dtypes as frame_dtypes  # noqa: E402
 from repro.frame.selection import Selection  # noqa: E402
@@ -307,7 +322,8 @@ def count_key_paths():
     yields ``({class name: {path: [calls, rows, cells hashed]}},
     [(class name, column, scalar type)], [(class name, rows, objects)],
     [(class name, rows)], {(class name, map, path): [calls, rows]},
-    [(class name, map, rows, objects)])`` — the second lists each
+    [(class name, map, rows, objects)], {(class name, kind, path):
+    [calls, values]})`` — the second lists each
     kernel-output object column whose cells are all NumPy scalars of one
     type, the third each object column of at least ``IDENTITY_ROWS``
     cells and at most ``IDENTITY_BOUND`` distinct objects that was hashed
@@ -317,7 +333,9 @@ def count_key_paths():
     column by whether ``dtypes.per_object`` answered it (``per-object``)
     or it walked the cells (``per-cell``), and the sixth lists each walk
     over a column of at least ``IDENTITY_ROWS`` cells and at most
-    ``IDENTITY_BOUND`` distinct objects.
+    ``IDENTITY_BOUND`` distinct objects.  The seventh books every range
+    cut (values: the cuts) and range partition (values: the keys) by
+    the order it compared keys in, ``single-type`` or ``order_key``.
 
     A call takes the ``sort`` path unless, while it runs, it compacts a
     dictionary, counts its ids, numbers its shared objects or hashes its
@@ -434,6 +452,43 @@ def count_key_paths():
                 if len(kinds) == 1 and issubclass(*kinds, np.generic):
                     lost.append((name, column, kinds.pop().__name__))
 
+    ranging: list[list] = []  # [path] of the range cut or partition in flight
+    ranges: dict[tuple, list] = defaultdict(lambda: [0, 0])
+
+    def ordered(cells):
+        key = sort_key(cells)
+        # only the cut's or the partition's own ordering counts, not a
+        # kernel's that runs while a cut waits for its chunks
+        if (key is not None and ranging
+                and sys._getframe(1).f_code in ranging_code):
+            ranging[-1][0] = "order_key"
+        return key
+
+    def ranged(name, kind, values):
+        path = ranging.pop()[0]
+        row = ranges[name, kind, path]
+        row[0] += 1
+        row[1] += values
+
+    def cutting(name, range_cuts):
+        def cut(*args, **kwargs):
+            ranging.append(["single-type"])
+            try:
+                cuts = yield from range_cuts(*args, **kwargs)
+            except BaseException:
+                ranging.pop()
+                raise
+            ranged(name, "range cut", len(cuts))
+            return cuts
+        return cut
+
+    def partitioning(keys, *args, **kwargs):
+        ranging.append(["single-type"])
+        try:
+            return assign_range_partitions(keys, *args, **kwargs)
+        finally:
+            ranged(running[-1], "range partition", len(keys))
+
     maps: dict[tuple, list] = defaultdict(lambda: [0, 0])
     walked: list[tuple] = []
     answered: list[bool] = []  # per object map in flight: per_object answered
@@ -443,6 +498,10 @@ def count_key_paths():
     hash_cells = frame_dtypes.hash_cells
     encode_keys = frame_join._encode_keys
     join_offsets = frame_join._offsets
+    sort_key = frame_dtypes.sort_key
+    ranging_code = (dataframe_shuffle.range_cuts.__code__,
+                    engine_partition._cuts_below.__code__)
+    assign_range_partitions = row_engine.assign_range_partitions
     with count_op_calls(running, typed_cells), \
             mock.patch.object(frame_join, "_encode_keys", encoding), \
             mock.patch.object(frame_join, "_offsets", offsets), \
@@ -456,6 +515,15 @@ def count_key_paths():
             mock.patch.object(frame_dtypes, "shared_objects", identified), \
             mock.patch.object(frame_dtypes, "hash_cells", hashed), \
             mock.patch.object(frame_dtypes, "per_object", answering), \
+            mock.patch.object(frame_dtypes, "sort_key", ordered), \
+            mock.patch.object(row_engine, "assign_range_partitions",
+                              partitioning), \
+            mock.patch.object(dataframe_merge, "range_cuts", cutting(
+                "Merge", dataframe_merge.range_cuts)), \
+            mock.patch.object(dataframe_groupby, "range_cuts", cutting(
+                "GroupByAgg", dataframe_groupby.range_cuts)), \
+            mock.patch.object(dataframe_sort, "range_cuts", cutting(
+                "SortValues", dataframe_sort.range_cuts)), \
             mock.patch.object(Series, "_compare", watched(
                 "compare", Series._compare,
                 lambda series, other, *_: None
@@ -466,7 +534,7 @@ def count_key_paths():
             mock.patch.object(StringMethods, "_map", watched(
                 ".str", StringMethods._map,
                 lambda methods, *_: methods._series.values)):
-        yield paths, lost, per_cell, factorized_offsets, maps, walked
+        yield paths, lost, per_cell, factorized_offsets, maps, walked, ranges
 
 
 def key_paths_report(paths: dict[str, dict]) -> list[str]:
@@ -484,6 +552,17 @@ def key_paths_report(paths: dict[str, dict]) -> list[str]:
                              f"{path:<11} {name}")
     lines.extend(f"{calls:7d} {rows:10d} {n_hashed:10d}  {path:<11} total"
                  for path, (calls, rows, n_hashed) in totals.items())
+    return lines
+
+
+def ranges_report(ranges: dict[tuple, list]) -> list[str]:
+    """Per operator class, the range cuts and range partitions by the
+    order they compared keys in."""
+    lines = [f"{'calls':>7} {'values':>10}  {'kind':<15} {'order':<11} "
+             "operator class"]
+    lines.extend(f"{calls:7d} {values:10d}  {kind:<15} {path:<11} {name}"
+                 for (name, kind, path), (calls, values) in sorted(
+                     ranges.items(), key=lambda item: -item[1][1]))
     return lines
 
 
@@ -882,7 +961,9 @@ def main(argv=None) -> int:
                              "by cell, factorizes a single integer join "
                              "key pair within the offset bound, or walks a "
                              "column of a few shared objects cell by cell "
-                             "in a comparison, isin or .str map")
+                             "in a comparison, isin or .str map, or a gated "
+                             "workload's range cut or partition takes "
+                             "order_key")
     parser.add_argument("--engine", choices=("row", "columnar"),
                         help="run the plan on this chunk engine; prints the "
                              "7-iteration median wall_s of both first")
@@ -922,12 +1003,24 @@ def main(argv=None) -> int:
         return 1 if offenders else 0
     if args.keys:
         with count_key_paths() as (paths, lost, per_cell, factorized, maps,
-                                   walked):
+                                   walked, ranges):
             iteration = iterate()
         print(f"{args.workload} seed={args.seed} scale={args.scale}: "
               f"{iteration.counters['graph.n_subtasks']} subtasks")
         print("\n".join(key_paths_report(paths)))
         print("\n".join(object_maps_report(maps)))
+        print("\n".join(ranges_report(ranges)))
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as spec:
+            gated = {w["name"] for w in json.load(spec)["workloads"]}
+        mixed = sorted({(name, kind) for name, kind, path in ranges
+                        if path == "order_key"})
+        if args.workload in gated:
+            for name, kind in mixed:
+                print(f"FAIL: {name} took order_key in a {kind} of a gated "
+                      "workload: its keys are of mixed types, or the "
+                      "single-type path was missed")
+        else:
+            mixed = []
         for name, column, kind in sorted(set(lost)):
             print(f"FAIL: {name} returned column {column!r} as object "
                   f"cells of {kind}: a typed column lost its dtype")
@@ -941,7 +1034,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {name} walked {rows} cells one by one in a "
                   f"{label} map that are {objects} objects: the "
                   "per-object path was missed")
-        return 1 if lost or per_cell or factorized or walked else 0
+        return 1 if lost or per_cell or factorized or walked or mixed else 0
     if args.columns:
         with count_source_columns() as rows, \
                 count_moved_columns() as (movers, sources), \
