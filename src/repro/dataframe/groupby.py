@@ -22,6 +22,7 @@ turns out to be large.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional, Sequence
 
@@ -42,7 +43,7 @@ from ..engine.local import (
     group_rows,
 )
 from ..graph.entity import ChunkData
-from ..utils import COMBINE_ARITY, batched
+from ..utils import combine_tree
 from .shuffle import ShufflePartition, fan_out, range_cuts
 from .utils import SAMPLE_CHUNKS, auto_merge_chunks, chunk_index, spread_sample
 
@@ -236,16 +237,10 @@ class GroupByAgg(Operator):
     def _tile_tree(self, ctx: TileContext, map_chunks: list[ChunkData]):
         """Tree-reduce: combine in batches, then one final reduce node."""
         level = map_chunks
-        position = 0
         if ctx.config.combine_stage:
-            while len(level) > COMBINE_ARITY:
-                next_level = []
-                for batch in batched(level, COMBINE_ARITY):
-                    next_level.append(self._new_stage_chunk(
-                        list(batch), self.STAGE_COMBINE, position
-                    ))
-                    position += 1
-                level = next_level
+            positions = itertools.count()
+            level = combine_tree(level, lambda batch, _j: self._new_stage_chunk(
+                batch, self.STAGE_COMBINE, next(positions)))
         return [self._new_stage_chunk(level, self.STAGE_REDUCE, 0)]
 
     # -- execution ---------------------------------------------------------------

@@ -8,9 +8,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
-from ..engine.local import concat, dtypes
+from ..engine.local import Series, concat
 from ..graph.entity import ChunkData
-from ..utils import COMBINE_ARITY, batched
+from ..utils import combine_tree
 from .utils import chunk_index, nsplits_from_chunks
 
 
@@ -30,26 +30,20 @@ class DropDuplicates(Operator):
         self.out_columns = out_columns
 
     def tile(self, ctx: TileContext):
-        chunks = list(self.inputs[0].chunks)
         n_cols = len(self.out_columns) if self.out_columns is not None else None
-        level = []
-        for i, chunk in enumerate(chunks):
+        shape = (None, n_cols) if self.out_kind == "dataframe" else (None,)
+
+        def dedup(inputs: list[ChunkData], j: int) -> ChunkData:
             op = DropDuplicatesChunk(subset=self.subset)
-            shape = (None, n_cols) if self.out_kind == "dataframe" else (None,)
-            level.append(op.new_chunk(
-                [chunk], self.out_kind, shape, chunk_index(self.out_kind, i),
-                columns=self.out_columns,
-            ))
-        while len(level) > 1:
-            next_level = []
-            for j, batch in enumerate(batched(level, COMBINE_ARITY)):
-                op = DropDuplicatesChunk(subset=self.subset)
-                shape = (None, n_cols) if self.out_kind == "dataframe" else (None,)
-                next_level.append(op.new_chunk(
-                    list(batch), self.out_kind, shape,
-                    chunk_index(self.out_kind, j), columns=self.out_columns,
-                ))
-            level = next_level
+            return op.new_chunk(inputs, self.out_kind, shape,
+                                chunk_index(self.out_kind, j),
+                                columns=self.out_columns)
+
+        level = combine_tree(
+            [dedup([chunk], i) for i, chunk in enumerate(self.inputs[0].chunks)],
+            dedup)
+        if len(level) > 1:
+            level = [dedup(level, 0)]
         return [(level, nsplits_from_chunks(ctx, level, self.out_kind, n_cols))]
 
 
@@ -72,37 +66,27 @@ class UniqueValues(Operator):
     """``series.unique()``: per-chunk uniques → union → 1-D array."""
 
     def tile(self, ctx: TileContext):
-        chunks = list(self.inputs[0].chunks)
-        level = []
-        for chunk in chunks:
-            op = UniqueValuesChunk(final=False)
-            level.append(op.new_chunk([chunk], "tensor", (None,), (0,)))
-        while len(level) > 1:
-            next_level = []
-            for batch in batched(level, COMBINE_ARITY):
-                op = UniqueValuesChunk(final=False)
-                next_level.append(op.new_chunk(list(batch), "tensor", (None,), (0,)))
-            level = next_level
-        final_op = UniqueValuesChunk(final=True)
-        out = final_op.new_chunk(level, "tensor", (None,), (0,))
-        return [([out], ((None,),))]
+        def union(inputs: list[ChunkData], _j: int = 0) -> ChunkData:
+            return UniqueValuesChunk().new_chunk(inputs, "tensor", (None,), (0,))
+
+        level = combine_tree(
+            [union([chunk]) for chunk in self.inputs[0].chunks], union)
+        return [([union(level)], ((None,),))]
 
 
 class UniqueValuesChunk(Operator):
-    def __init__(self, final: bool, **params):
-        super().__init__(**params)
-        self.final = final
+    """``Series.unique`` of a chunk, or of the uniques of several chunks
+    concatenated in order: each piece keeps its dtype, so the tree
+    answers what the whole column does — dtype, order and one missing
+    value."""
 
     def execute(self, ctx: ExecContext):
-        values = [ctx.get(c.key) for c in self.inputs]
-        pieces = []
-        for value in values:
-            if hasattr(value, "unique"):
-                pieces.append(np.asarray(value.unique(), dtype=object))
-            else:
-                pieces.append(np.asarray(value, dtype=object))
-        merged = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        return np.array(dtypes.first_seen(merged)[1], dtype=object)
+        pieces = [ctx.get(c.key) for c in self.inputs]
+        pieces = [Series(p) if isinstance(p, np.ndarray) else p
+                  for p in pieces]
+        merged = concat(pieces, ignore_index=True) if len(pieces) > 1 \
+            else pieces[0]
+        return merged.unique()
 
 
 class GatherApply(Operator):
@@ -125,16 +109,13 @@ class GatherApply(Operator):
     def tile(self, ctx: TileContext):
         from .utils import ConcatChunks
 
-        level = list(self.inputs[0].chunks)
-        while len(level) > COMBINE_ARITY:
-            next_level = []
-            for j, batch in enumerate(batched(level, COMBINE_ARITY)):
-                op = ConcatChunks()
-                next_level.append(op.new_chunk(
-                    list(batch), batch[0].kind, (None,) + batch[0].shape[1:],
-                    chunk_index(batch[0].kind, j), columns=batch[0].columns,
-                ))
-            level = next_level
+        def concat_chunks(batch: list[ChunkData], j: int) -> ChunkData:
+            return ConcatChunks().new_chunk(
+                batch, batch[0].kind, (None,) + batch[0].shape[1:],
+                chunk_index(batch[0].kind, j), columns=batch[0].columns,
+            )
+
+        level = combine_tree(self.inputs[0].chunks, concat_chunks)
         op = GatherApplyChunk(func=self.func)
         n_cols = len(self.out_columns) if self.out_columns is not None else None
         shape = (

@@ -8,14 +8,12 @@ the groupby operator uses (mean = sum+count, var = sum+sumsq+count, ...).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
 from ..engine.local import DataFrame, Index, Series
-from ..utils import COMBINE_ARITY, batched
-from .utils import chunk_index
+from ..utils import combine_tree
 
 REDUCTIONS = ("sum", "mean", "min", "max", "count", "nunique", "prod",
               "var", "std", "median", "any", "all")
@@ -114,26 +112,26 @@ def _finalize_partial(part: dict, how: str):
 class SeriesReduction(Operator):
     """Reduce a distributed series to a scalar."""
 
+    #: the final chunk's kind, shape and index
+    out_kind, out_shape, out_index = "scalar", (), ()
+
     def __init__(self, how: str, **params):
         super().__init__(**params)
         self.how = how
 
+    def _chunk_op(self, stage_role: str) -> Operator:
+        return SeriesReductionChunk(how=self.how, stage_role=stage_role)
+
     def tile(self, ctx: TileContext):
-        chunks = list(self.inputs[0].chunks)
-        map_chunks = []
-        for i, chunk in enumerate(chunks):
-            op = SeriesReductionChunk(how=self.how, stage_role="map")
-            map_chunks.append(op.new_chunk([chunk], "scalar", (), ()))
-        level = map_chunks
-        while len(level) > 1:
-            next_level = []
-            for batch in batched(level, COMBINE_ARITY):
-                op = SeriesReductionChunk(how=self.how, stage_role="combine")
-                next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
-            level = next_level
-        final_op = SeriesReductionChunk(how=self.how, stage_role="reduce")
-        out = final_op.new_chunk(level, "scalar", (), ())
-        return [([out], ((),))]
+        def partial(role, inputs):
+            return self._chunk_op(role).new_chunk(inputs, "scalar", (), ())
+
+        level = combine_tree(
+            [partial("map", [chunk]) for chunk in self.inputs[0].chunks],
+            lambda batch, _j: partial("combine", batch))
+        out = self._chunk_op("reduce").new_chunk(
+            level, self.out_kind, self.out_shape, self.out_index)
+        return [([out], (self.out_shape,))]
 
 
 class SeriesReductionChunk(Operator):
@@ -152,37 +150,19 @@ class SeriesReductionChunk(Operator):
         return _finalize_partial(merged, self.how)
 
 
-class DataFrameReduction(Operator):
+class DataFrameReduction(SeriesReduction):
     """Column-wise reduction of a distributed dataframe to a series."""
 
+    out_kind, out_shape, out_index = "series", (None,), (0,)
+
     def __init__(self, how: str, numeric_only: bool = True, **params):
-        super().__init__(**params)
-        self.how = how
+        super().__init__(how, **params)
         self.numeric_only = numeric_only
 
-    def tile(self, ctx: TileContext):
-        chunks = list(self.inputs[0].chunks)
-        map_chunks = []
-        for chunk in chunks:
-            op = DataFrameReductionChunk(
-                how=self.how, numeric_only=self.numeric_only, stage_role="map"
-            )
-            map_chunks.append(op.new_chunk([chunk], "scalar", (), ()))
-        level = map_chunks
-        while len(level) > 1:
-            next_level = []
-            for batch in batched(level, COMBINE_ARITY):
-                op = DataFrameReductionChunk(
-                    how=self.how, numeric_only=self.numeric_only,
-                    stage_role="combine",
-                )
-                next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
-            level = next_level
-        final_op = DataFrameReductionChunk(
-            how=self.how, numeric_only=self.numeric_only, stage_role="reduce"
-        )
-        out = final_op.new_chunk(level, "series", (None,), (0,))
-        return [([out], ((None,),))]
+    def _chunk_op(self, stage_role: str) -> Operator:
+        return DataFrameReductionChunk(how=self.how,
+                                       numeric_only=self.numeric_only,
+                                       stage_role=stage_role)
 
 
 class DataFrameReductionChunk(Operator):

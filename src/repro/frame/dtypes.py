@@ -460,9 +460,11 @@ def common_dtype(arrays: Iterable[np.ndarray]) -> np.dtype:
 
     Mixing object with anything yields object; mixing datetimes with
     non-datetimes yields object; otherwise NumPy promotion, unless that
-    meets integer arrays in float64 (a signed one against ``uint64``),
-    which rounds past 2**53: then ``int64`` when every value fits it,
-    ``uint64`` when none is negative, else object.
+    meets integer arrays in float64, which rounds past 2**53: among
+    integers alone (a signed one against ``uint64``) then ``int64`` when
+    every value fits it, ``uint64`` when none is negative, else object;
+    integers with floats keep float64 only when it holds every integer
+    exactly, else object.
     """
     arrays = list(arrays)
     if not arrays:
@@ -474,15 +476,31 @@ def common_dtype(arrays: Iterable[np.ndarray]) -> np.dtype:
     result = dtype_list[0]
     for dt in dtype_list[1:]:
         result = np.promote_types(result, dt)
-    if result.kind != "f" or not kinds <= {"i", "u"}:
+    if result.kind != "f" or not kinds & {"i", "u"}:
         return result
     filled = [arr for arr in arrays if len(arr)]
+    if not kinds <= {"i", "u"}:
+        exact = all(_exact_in_float64(arr) for arr in filled
+                    if arr.dtype.kind in "iu")
+        return result if exact else np.dtype(object)
     if all(arr.dtype.kind == "i" or arr.max() <= np.iinfo(np.int64).max
            for arr in filled):
         return np.dtype(np.int64)
     if all(arr.dtype.kind == "u" or arr.min() >= 0 for arr in filled):
         return np.dtype(np.uint64)
     return np.dtype(object)
+
+
+def _exact_in_float64(ints: np.ndarray) -> bool:
+    """Whether float64 holds every value of an integer array exactly
+    (the array form of :func:`exact_float`)."""
+    floats = ints.astype(np.float64)
+    # 2**63 (2**64 unsigned) is the first float past the dtype: casting
+    # back from there is undefined, and no value that rounds to it is exact
+    if not (floats < 2.0 ** (8 * ints.dtype.itemsize
+                             - (ints.dtype.kind == "i"))).all():
+        return False
+    return bool((floats.astype(ints.dtype) == ints).all())
 
 
 def values_equal(left: np.ndarray, right: np.ndarray) -> bool:

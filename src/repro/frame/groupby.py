@@ -216,14 +216,20 @@ def duplicated(columns: Sequence[np.ndarray], keep: str = "first"
 
 
 def _maybe_tighten(values: np.ndarray) -> np.ndarray:
-    kinds = set(map(type, values.tolist()))
+    """An object column of numbers as ``int64`` when its cells are ints
+    that fit, as ``float64`` when every cell is exact there
+    (``dtypes.exact_float``: ``2**63 + 1`` is not), else as it stands."""
+    cells = values.tolist()
+    kinds = set(map(type, cells))
     if kinds and kinds <= {int, np.int64}:
         try:
             return values.astype(np.int64)
         except OverflowError:  # an int past 64 bits stays a Python int
             return values
     if kinds and kinds <= {int, float, np.int64, np.float64}:
-        return values.astype(np.float64)
+        exact = list(map(dtypes.exact_float, cells))
+        if None not in exact:
+            return np.array(exact, dtype=np.float64)
     return values
 
 

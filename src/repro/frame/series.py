@@ -443,9 +443,12 @@ class Series:
 
     # -- uniqueness / counting ------------------------------------------------------
     def unique(self) -> np.ndarray:
+        """The distinct values: an object column's in first-seen order,
+        its missing cells one value as ``duplicated`` has them; any
+        other column's sorted, NaN last."""
         values = self._values
         if dtypes.is_object(values.dtype):
-            return np.array(dtypes.first_seen(values)[1], dtype=object)
+            return values[~self.duplicated()._values].view(np.ndarray)
         if dtypes.is_float(values.dtype):
             mask = np.isnan(values)
             uniques = np.unique(values[~mask])

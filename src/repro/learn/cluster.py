@@ -15,7 +15,7 @@ from ..core.operator import ExecContext, Operator, TileContext
 from ..errors import TilingError
 from ..tensor import Tensor
 from ..tensor.linalg import _tall_skinny_layout
-from ..utils import COMBINE_ARITY, batched
+from ..utils import combine_tree
 
 
 def _assign(block: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -35,16 +35,15 @@ class KMeansStep(Operator):
         if x.ndim != 2:
             raise TilingError("kmeans requires a 2-D tensor")
         blocks, _ = _tall_skinny_layout(ctx, x)
-        level = []
-        for block in blocks:
-            op = KMeansPartial(centers=self.centers, role="map")
-            level.append(op.new_chunk([block], "scalar", (), ()))
-        while len(level) > 1:
-            next_level = []
-            for batch in batched(level, COMBINE_ARITY):
-                op = KMeansPartial(centers=self.centers, role="combine")
-                next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
-            level = next_level
+
+        def partial(role, inputs):
+            op = KMeansPartial(centers=self.centers, role=role)
+            return op.new_chunk(inputs, "scalar", (), ())
+
+        level = combine_tree([partial("map", [block]) for block in blocks],
+                             lambda batch, _j: partial("combine", batch))
+        if len(level) > 1:
+            level = [partial("combine", level)]
         return [(level, ((),))]
 
 

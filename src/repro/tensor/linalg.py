@@ -8,8 +8,10 @@ point is *not* the algorithm but the chunking: Dask requires the user to
 Xorbits derives the layout with Algorithm 1 (``dim_to_size={1: n}``)
 automatically — so does this operator.
 
-``lstsq`` solves ordinary least squares via block-summed normal
-equations, the linear-regression workload of Fig. 8(c).
+``lstsq`` solves least squares via block-summed normal equations, the
+linear-regression workload of Fig. 8(c); ``learn.LinearRegression`` and
+``learn.Ridge`` fit through the same operator with a ridge penalty
+``alpha`` of 0 and of their own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..core.operator import ExecContext, Operator, TileContext
 from ..core.rechunk import rechunk_to_splits
 from ..errors import TilingError
 from ..graph.entity import ChunkData, TileableData
-from ..utils import COMBINE_ARITY, batched
+from ..utils import combine_tree
 from .rechunk import rechunk_chunks
 
 
@@ -124,7 +126,12 @@ class TSQRUpdate(Operator):
 
 
 class LstSq(Operator):
-    """OLS fit via block-summed normal equations: β = (XᵀX)⁻¹ Xᵀy."""
+    """Least squares via block-summed normal equations:
+    β = (XᵀX + αI)⁻¹ Xᵀy — ordinary with ``alpha`` 0, ridge otherwise."""
+
+    def __init__(self, alpha: float = 0.0, **params):
+        super().__init__(**params)
+        self.alpha = float(alpha)
 
     def tile(self, ctx: TileContext):
         x, y = self.inputs
@@ -138,18 +145,12 @@ class LstSq(Operator):
         if y.nsplits[0] != x_nsplits[0]:
             y_chunks = rechunk_chunks(y.chunks, y.nsplits, (x_nsplits[0],),
                                       y.dtype)
-        partials = []
-        for xb, yb in zip(x_blocks, y_chunks):
-            op = NormalEquationsMap()
-            partials.append(op.new_chunk([xb, yb], "scalar", (), ()))
-        level = partials
-        while len(level) > 1:
-            next_level = []
-            for batch in batched(level, COMBINE_ARITY):
-                op = NormalEquationsCombine()
-                next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
-            level = next_level
-        solve_op = NormalEquationsSolve()
+        level = combine_tree(
+            [NormalEquationsMap().new_chunk([xb, yb], "scalar", (), ())
+             for xb, yb in zip(x_blocks, y_chunks)],
+            lambda batch, _j: NormalEquationsCombine().new_chunk(
+                batch, "scalar", (), ()))
+        solve_op = NormalEquationsSolve(alpha=self.alpha)
         beta = solve_op.new_chunk(level, "tensor", (n_cols,), (0,),
                                   dtype=np.float64)
         return [([beta], ((n_cols,),))]
@@ -162,18 +163,25 @@ class NormalEquationsMap(Operator):
         return {"xtx": x.T @ x, "xty": x.T @ y}
 
 
+def _sum_partials(parts: list[dict]) -> tuple:
+    return (sum(p["xtx"] for p in parts), sum(p["xty"] for p in parts))
+
+
 class NormalEquationsCombine(Operator):
     def execute(self, ctx: ExecContext):
-        parts = [ctx.get(c.key) for c in self.inputs]
-        return {
-            "xtx": sum(p["xtx"] for p in parts),
-            "xty": sum(p["xty"] for p in parts),
-        }
+        xtx, xty = _sum_partials([ctx.get(c.key) for c in self.inputs])
+        return {"xtx": xtx, "xty": xty}
 
 
 class NormalEquationsSolve(Operator):
+    """The final node: solve (XᵀX + αI) β = Xᵀy."""
+
+    def __init__(self, alpha: float, **params):
+        super().__init__(**params)
+        self.alpha = alpha
+
     def execute(self, ctx: ExecContext):
-        parts = [ctx.get(c.key) for c in self.inputs]
-        xtx = sum(p["xtx"] for p in parts) if len(parts) > 1 else parts[0]["xtx"]
-        xty = sum(p["xty"] for p in parts) if len(parts) > 1 else parts[0]["xty"]
+        xtx, xty = _sum_partials([ctx.get(c.key) for c in self.inputs])
+        if self.alpha:
+            xtx = xtx + self.alpha * np.eye(xtx.shape[0])
         return np.linalg.solve(xtx, xty)

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
 from ..errors import TilingError
-from ..utils import COMBINE_ARITY, batched
+from ..utils import combine_tree
 from .rechunk import rechunk_chunks
 
 
@@ -38,29 +38,24 @@ class MatMul(Operator):
         n_i = len(a.nsplits[0])
         n_k = len(a.nsplits[1])
         n_j = len(b_nsplits[1])
+        dtype = np.result_type(a.dtype, b.dtype)
         out_chunks = []
         for i in range(n_i):
             for j in range(n_j):
-                partials = []
-                for k in range(n_k):
-                    op = MatMulBlock()
-                    partials.append(op.new_chunk(
-                        [a_grid[(i, k)], b_grid[(k, j)]], "tensor",
-                        (a.nsplits[0][i], b_nsplits[1][j]), (i, j),
-                        dtype=np.result_type(a.dtype, b.dtype),
-                    ))
-                level = partials
-                while len(level) > 1:
-                    next_level = []
-                    for batch in batched(level, COMBINE_ARITY):
-                        op = BlockSum()
-                        next_level.append(op.new_chunk(
-                            list(batch), "tensor",
-                            (a.nsplits[0][i], b_nsplits[1][j]), (i, j),
-                            dtype=np.result_type(a.dtype, b.dtype),
-                        ))
-                    level = next_level
-                out_chunks.append(level[0])
+                shape = (a.nsplits[0][i], b_nsplits[1][j])
+
+                def block_sum(batch, _j):
+                    return BlockSum().new_chunk(batch, "tensor", shape, (i, j),
+                                                dtype=dtype)
+
+                level = combine_tree([
+                    MatMulBlock().new_chunk([a_grid[(i, k)], b_grid[(k, j)]],
+                                            "tensor", shape, (i, j),
+                                            dtype=dtype)
+                    for k in range(n_k)
+                ], block_sum)
+                out_chunks.append(
+                    block_sum(level, 0) if len(level) > 1 else level[0])
         return [(out_chunks, (a.nsplits[0], b_nsplits[1]))]
 
 

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.operator import ExecContext, Operator, TileContext
-from ..utils import COMBINE_ARITY, batched
+from ..utils import combine_tree
 
 _PARTIAL = {
     "sum": lambda a, axis: {"acc": np.sum(a, axis=axis)},
@@ -53,55 +53,34 @@ class TensorReduce(Operator):
             return self._tile_full(ctx, source)
         return self._tile_axis(ctx, source)
 
+    def _reduce(self, chunks: list, kind: str, shape: tuple, index: tuple,
+                dtype=None):
+        """Map each chunk to its partial, combine, and one final node."""
+        def stage(role, inputs):
+            op = TensorReduceChunk(how=self.how, axis=self.axis, role=role)
+            return op.new_chunk(inputs, kind, shape, index, dtype=dtype)
+
+        level = combine_tree([stage("map", [chunk]) for chunk in chunks],
+                             lambda batch, _j: stage("combine", batch))
+        return stage("reduce", level)
+
     def _tile_full(self, ctx: TileContext, source):
-        level = []
-        for chunk in source.chunks:
-            op = TensorReduceChunk(how=self.how, axis=None, role="map")
-            level.append(op.new_chunk([chunk], "scalar", (), ()))
-        while len(level) > 1:
-            next_level = []
-            for batch in batched(level, COMBINE_ARITY):
-                op = TensorReduceChunk(how=self.how, axis=None, role="combine")
-                next_level.append(op.new_chunk(list(batch), "scalar", (), ()))
-            level = next_level
-        final = TensorReduceChunk(how=self.how, axis=None, role="reduce")
-        out = final.new_chunk(level, "scalar", (), ())
+        out = self._reduce(source.chunks, "scalar", (), ())
         return [([out], ((),))]
 
     def _tile_axis(self, ctx: TileContext, source):
         if source.ndim != 2:
             raise ValueError("axis reductions support 2-D tensors")
         axis = self.axis
-        keep_dim = 1 - axis
-        keep_splits = source.nsplits[keep_dim]
-        out_chunks = []
+        keep_splits = source.nsplits[1 - axis]
         grid = {(c.index[0], c.index[1]): c for c in source.chunks}
         n_reduce = len(source.nsplits[axis])
-        for k in range(len(keep_splits)):
-            group = [
-                grid[(i, k) if axis == 0 else (k, i)] for i in range(n_reduce)
-            ]
-            level = []
-            for chunk in group:
-                op = TensorReduceChunk(how=self.how, axis=axis, role="map")
-                level.append(op.new_chunk(
-                    [chunk], "tensor", (keep_splits[k],), (k,),
-                    dtype=source.dtype,
-                ))
-            while len(level) > 1:
-                next_level = []
-                for batch in batched(level, COMBINE_ARITY):
-                    op = TensorReduceChunk(how=self.how, axis=axis,
-                                           role="combine")
-                    next_level.append(op.new_chunk(
-                        list(batch), "tensor", (keep_splits[k],), (k,),
-                        dtype=source.dtype,
-                    ))
-                level = next_level
-            final = TensorReduceChunk(how=self.how, axis=axis, role="reduce")
-            out_chunks.append(final.new_chunk(
-                level, "tensor", (keep_splits[k],), (k,), dtype=source.dtype
-            ))
+        out_chunks = [
+            self._reduce(
+                [grid[(i, k) if axis == 0 else (k, i)] for i in range(n_reduce)],
+                "tensor", (keep_splits[k],), (k,), dtype=source.dtype)
+            for k in range(len(keep_splits))
+        ]
         return [(out_chunks, (tuple(keep_splits),))]
 
 

@@ -6,7 +6,7 @@ import contextlib
 import itertools
 import math
 import threading
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -145,22 +145,25 @@ def locate_in_splits(index: int, sizes: Sequence[int]) -> tuple[int, int]:
 COMBINE_ARITY = 4
 
 
-def batched(iterable: Iterable, size: int) -> Iterator[list]:
-    """Yield lists of up to ``size`` items from ``iterable``.
+def combine_tree(level: Sequence, combine: Callable[[list, int], Any]) -> list:
+    """The combine stage of a map-combine-reduce, written once.
 
-    >>> list(batched([1, 2, 3, 4, 5], 2))
-    [[1, 2], [3, 4], [5]]
+    While more than ``COMBINE_ARITY`` nodes remain, each run of up to
+    ``COMBINE_ARITY`` of them becomes ``combine(batch, j)``, ``j`` the
+    batch's position in its level.  Returns the at most
+    ``COMBINE_ARITY`` nodes left: the caller's final node reads them
+    all, or, when its final op is its combine op, combines them once
+    more if there is more than one.
+
+    >>> combine_tree(list(range(6)), lambda batch, j: sum(batch))
+    [6, 9]
     """
-    if size <= 0:
-        raise ValueError("size must be positive")
-    batch: list = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    level = list(level)
+    while len(level) > COMBINE_ARITY:
+        level = [combine(level[start:start + COMBINE_ARITY], j)
+                 for j, start in enumerate(
+                     range(0, len(level), COMBINE_ARITY))]
+    return level
 
 
 def human_bytes(n: float) -> str:

@@ -127,11 +127,14 @@ class TestFactorize:
 
 
 def assert_first_seen_order_and_counts(arr: np.ndarray) -> None:
-    """``Series.unique`` and ``value_counts`` against a per-cell loop."""
+    """``Series.unique`` and ``value_counts`` against a per-cell loop.
+    ``unique`` takes every missing cell as one value, as ``duplicated``
+    does: the first stands for them all."""
     series = Series(arr)
     seen: dict = {}
     for cell in arr.tolist():
-        seen.setdefault(cell, cell)
+        missing = cell is None or (isinstance(cell, float) and cell != cell)
+        seen.setdefault(None if missing else cell, cell)
     assert signature(series.unique()) == signature(
         np.array(list(seen.values()), dtype=object))
     counts = series.value_counts()

@@ -16,6 +16,7 @@ hand a key back as ``int64`` where the single-node result has
 """
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -219,3 +220,77 @@ def test_frame_drop_duplicates(kind):
         assert rows(got) == rows(local.iloc[np.flatnonzero(kept)])
     assert local["k"].duplicated().values.tolist() == \
         reference.duplicated([local["k"].values]).tolist()
+
+
+OBJECT_KINDS = [kind for kind in KINDS if "/" in kind]
+
+
+@pytest.mark.parametrize("column", [
+    *(key_column(kind, 19) for kind in OBJECT_KINDS),
+    dtypes.object_array([float("nan"), float("nan"), None, "a", None]),
+], ids=[*OBJECT_KINDS, "nan-objects"])
+def test_unique_holds_the_cells_duplicated_keeps(column):
+    """Missing cells are one value for ``unique`` as for ``duplicated``:
+    the first missing cell stands for them all."""
+    series = pf.Series(column)
+    kept = series[~series.duplicated()].values.tolist()
+    got = series.unique().tolist()
+    assert len(got) == len(kept)
+    assert all(map(operator.is_, got, kept))
+
+
+def group_key_column(kind: str) -> np.ndarray:
+    """``N`` object keys of ints and floats: all exact in ``float64``
+    (tightened to it), ints past ``int64`` among small ones (kept as
+    Python ints), or ints past 2**53 among floats (kept as cells)."""
+    cells = key_column("int/float", 23).tolist()
+    if kind == "past int64":
+        cells = [int(v) * 2**62 if i % 5 else int(v) for i, v in
+                 enumerate(cells)]
+    elif kind == "past 2**53":
+        cells[3::11] = [2**53 + 1] * len(cells[3::11])
+        cells[6::13] = [2**63 + 1] * len(cells[6::13])
+    return dtypes.object_array(cells)
+
+
+def test_group_key_tightens_only_when_exact():
+    """An object key of ints and floats becomes ``float64`` only when
+    every key is exact there; ``2**63 + 1`` is not ``2.0**63``."""
+    def labels(cells):
+        frame = pf.DataFrame({"k": dtypes.object_array(cells),
+                              "v": np.arange(len(cells))})
+        return frame.groupby("k").agg({"v": "sum"}).index.values
+
+    exact = labels([3, 2.5, 1, 2.5])
+    assert exact.dtype == np.float64 and exact.tolist() == [1.0, 2.5, 3.0]
+    inexact = labels([2**63 + 1, 2.5, 1, 2**53 + 1])
+    assert inexact.dtype == object
+    assert [(type(c), c) for c in inexact.tolist()] == [
+        (int, 1), (float, 2.5), (int, 2**53 + 1), (int, 2**63 + 1)]
+
+
+@pytest.mark.parametrize("limit", [250, 600, 1500, 10**6])
+@pytest.mark.parametrize("reduce", ["tree", "shuffle"])
+@pytest.mark.parametrize("kind", ["exact", "past int64", "past 2**53"])
+def test_group_labels_are_the_frame_labels(kind, reduce, limit):
+    """Distributed group labels have the single-node dtype and values
+    (``2**53 + 1`` stays an int) over any chunking and either reduce;
+    where no key is inexact in ``float64`` or none is a float, the cell
+    types too.  An inexact column of ints and floats comes back as
+    object; a partial or reducer whose keys are all exact has turned its
+    ints to floats before that, which this does not hold."""
+    local = pf.DataFrame({"k": group_key_column(kind), "v": np.arange(N)})
+    want = local.groupby("k").agg({"v": "sum"})
+    cfg = Config()
+    cfg.chunk_store_limit = limit
+    cfg.tree_reduce_threshold = 1 if reduce == "shuffle" else 1 << 30
+    with Session(cfg) as each:
+        got = from_frame(local, each).groupby("k").agg({"v": "sum"}).fetch()
+    labels, want_labels = got.index.values, want.index.values
+    assert labels.dtype == want_labels.dtype
+    assert list(map(rank, labels.tolist())) == \
+        list(map(rank, want_labels.tolist()))
+    assert got["v"].values.tolist() == want["v"].values.tolist()
+    if kind != "past 2**53":
+        assert list(map(type, labels.tolist())) == \
+            list(map(type, want_labels.tolist()))

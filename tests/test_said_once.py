@@ -230,3 +230,54 @@ def test_every_session_keyword_is_passed_by_some_program():
                     passed.update(k.arg for k in node.keywords if k.arg)
     unpassed = [name for name in params if name not in passed]
     assert not unpassed, f"Session keywords no program passes: {unpassed}"
+
+
+# ---------------------------------------------------------------------------
+# (e) one combine loop: ``utils.combine_tree``
+# ---------------------------------------------------------------------------
+
+def _names(node: ast.AST) -> set[str]:
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def _combine_loops(source: str) -> list[str]:
+    """The functions of ``source`` that loop over batches of
+    ``COMBINE_ARITY``: a ``for`` / ``while`` (or a comprehension) that
+    reads the arity or calls the old ``batched``."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loops = (node for node in ast.walk(func)
+                 if isinstance(node, (ast.For, ast.While, ast.comprehension)))
+        if any(_names(loop) & {"COMBINE_ARITY", "batched"} for loop in loops):
+            found.append(func.name)
+    return found
+
+
+def test_the_combine_loop_exists_once():
+    """Every map-combine-reduce operator builds its combine stage with
+    ``combine_tree``; none writes the batching loop again."""
+    loops = {
+        f"{path.relative_to(REPO)}::{name}"
+        for path in (REPO / "src").rglob("*.py")
+        for name in _combine_loops(path.read_text())
+    }
+    assert loops == {"src/repro/utils.py::combine_tree"}
+
+
+def test_the_combine_loop_guard_sees_a_copy():
+    copy = (
+        "def tile(self, ctx):\n"
+        "    while len(level) > 1:\n"
+        "        next_level = []\n"
+        "        for batch in batched(level, COMBINE_ARITY):\n"
+        "            next_level.append(combine(batch))\n"
+        "        level = next_level\n"
+    )
+    assert _combine_loops(copy) == ["tile"]
+    assert _combine_loops(copy.replace("batched(level, COMBINE_ARITY)",
+                                       "range(0, len(level), COMBINE_ARITY)")
+                          ) == ["tile"]

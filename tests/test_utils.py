@@ -5,8 +5,9 @@ import pytest
 
 from repro.frame.sorting import argsort_values, lexsort_columns
 from repro.utils import (
-    batched,
+    COMBINE_ARITY,
     ceildiv,
+    combine_tree,
     cumulative_offsets,
     geomean,
     human_bytes,
@@ -86,11 +87,27 @@ class TestSplits:
 
 
 class TestIterationHelpers:
-    def test_batched(self):
-        assert list(batched([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-        assert list(batched([], 3)) == []
-        with pytest.raises(ValueError):
-            list(batched([1], 0))
+    def test_combine_tree(self):
+        """Batches of at most ``COMBINE_ARITY``, combined while more than
+        that many remain; a leftover batch of one keeps its combine."""
+        def run(n):
+            calls = []
+
+            def combine(batch, j):
+                calls.append((tuple(batch), j))
+                return tuple(batch)
+            return combine_tree(range(n), combine), calls
+
+        assert run(0) == ([], [])
+        assert run(1) == ([0], [])
+        assert run(4) == ([0, 1, 2, 3], [])
+        assert run(5) == ([(0, 1, 2, 3), (4,)],
+                          [((0, 1, 2, 3), 0), ((4,), 1)])
+        left, calls = run(17)  # 17 -> 5 -> 2
+        assert left == [((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11),
+                         (12, 13, 14, 15)), ((16,),)]
+        assert [j for _, j in calls] == [0, 1, 2, 3, 4, 0, 1]
+        assert all(len(batch) <= COMBINE_ARITY for batch, _ in calls)
 
     def test_human_bytes(self):
         assert human_bytes(512) == "512 B"
