@@ -40,6 +40,7 @@ from ..engine.local import (
     _how_name,
     aggregate_sorted,
     concat,
+    dtypes,
     group_rows,
 )
 from ..graph.entity import ChunkData
@@ -132,45 +133,57 @@ def _concat_lists(series) -> list:
     return out
 
 
+_MERGES = {"__union": _union_sets, "__concat": _concat_lists}
+
+
 def merge_partial_frames(partials: list[DataFrame], by: Sequence,
-                         plan: Sequence[tuple]) -> DataFrame:
+                         plan: Sequence[tuple], tighten: bool) -> DataFrame:
     """Merge map-stage partial frames by group key.
 
     Shared by the combine/reduce stages and by mapper-side combine in
     :class:`GroupByPartition`: both fold duplicate keys with each partial
     column's merge function (sums add, mins min, sets union, lists
     concatenate), preserving row order within a key so order-sensitive
-    partials (first/last) keep their meaning.
+    partials (first/last) keep their meaning.  A lone object key is
+    tightened (``group_rows``) only with ``tighten``: by the one stage
+    that sees every key.
     """
     merged = concat(partials, ignore_index=True) if len(partials) > 1 \
         else partials[0]
-    grouped = merged.groupby(list(by), as_index=False)
-    named: dict = {}
+    keys, starts, take = group_rows(merged, by, tighten)
+    data = dict(zip(by, keys))
     for i, (_out, _col, how) in enumerate(plan):
         for partial_name, merge_how in _partial_columns(i, how):
-            if merge_how == "__union":
-                named[partial_name] = (partial_name, _union_sets)
-            elif merge_how == "__concat":
-                named[partial_name] = (partial_name, _concat_lists)
-            else:
-                named[partial_name] = (partial_name, merge_how)
-    return grouped.agg(**named)
+            data[partial_name] = aggregate_sorted(
+                take(partial_name), starts, _MERGES.get(merge_how, merge_how))
+    return DataFrame(data)
 
 
 class GroupByAgg(Operator):
     """Tileable-level groupby.agg; also the class of its stage chunk ops.
 
     The map stage reads a filter's selection through its rows; the other
-    stages read map partials, which are always frames."""
+    stages read map partials, which are always frames.
+
+    A lone object key is tightened as ``repro.frame`` tightens it
+    (``int64`` or ``float64`` when every key is exact there) by the stage
+    that sees every key: the tree's final node, or for a shuffle reduce,
+    whose nodes each hold a range of keys, the tiler, which joins the
+    census each map partial takes of its keys (``dtypes.number_census``)
+    and hands each node the dtype as ``key_dtype``.  Map partials,
+    combines and shuffle maps keep the cells as they are.
+    """
 
     reads_selection = True
 
     def __init__(self, by: Sequence, plan: Sequence[tuple],
-                 as_index: bool = True, **params):
+                 as_index: bool = True, key_dtype: str | None = None,
+                 **params):
         super().__init__(**params)
         self.by = list(by)
         self.plan = [tuple(p) for p in plan]
         self.as_index = as_index
+        self.key_dtype = key_dtype
 
     # -- optimizer hooks ---------------------------------------------------
     def input_column_requirements(self, required):
@@ -202,6 +215,7 @@ class GroupByAgg(Operator):
                 yield map_chunks
                 boundaries = yield from range_cuts(
                     ctx, [(c, self.by[0]) for c in map_chunks], n_reducers)
+                key_dtype = self._key_dtype(ctx, map_chunks)
                 # auto merge (Section IV-C): with real sizes known, glue
                 # undersized map partials together so the shuffle stage
                 # dispatches fewer, right-sized chunks
@@ -211,7 +225,8 @@ class GroupByAgg(Operator):
             partitions = fan_out(map_chunks, len(boundaries) + 1,
                                  GroupByPartition, by=self.by,
                                  boundaries=boundaries, plan=self.plan)
-            out_chunks = [self._new_stage_chunk(part, self.STAGE_REDUCE, r)
+            out_chunks = [self._new_stage_chunk(part, self.STAGE_REDUCE, r,
+                                                {"key_dtype": key_dtype})
                           for r, part in enumerate(partitions)]
         else:
             out_chunks = self._tile_tree(ctx, map_chunks)
@@ -219,6 +234,16 @@ class GroupByAgg(Operator):
         n_cols = len(self.plan)
         nsplits = (tuple(None for _ in out_chunks), (n_cols,))
         return [(out_chunks, nsplits)]
+
+    def _key_dtype(self, ctx: TileContext, map_chunks: list[ChunkData]
+                   ) -> str | None:
+        """The dtype a lone object key tightens to over every key, by
+        name, joined from the map partials' censuses; ``None`` when no
+        partial holds an object key."""
+        censuses = [meta.extra["key_census"]
+                    for meta in ctx.chunk_metas(map_chunks)
+                    if meta is not None and "key_census" in meta.extra]
+        return dtypes.tightened_dtype(censuses).name if censuses else None
 
     def _new_stage_chunk(self, inputs: list[ChunkData], stage: str,
                          position: int, extra: dict | None = None) -> ChunkData:
@@ -249,21 +274,26 @@ class GroupByAgg(Operator):
             frame = ctx.get(self.inputs[0].key)
             result = self._execute_map(frame)
             ctx.annotate(self.outputs[0].key, input_rows=len(frame))
+            keys = result[self.by[0]].values
+            if len(self.by) == 1 and dtypes.is_object(keys.dtype) and len(keys):
+                # what the tiler joins into a shuffle reduce's key dtype
+                ctx.annotate(self.outputs[0].key,
+                             key_census=dtypes.number_census(keys))
             return result
         partials = [ctx.get(c.key) for c in self.inputs]
         partials = [p for p in partials if len(p) > 0]
         if not partials:
             return self._empty_result()
-        merged = self._merge_partials(partials)
-        if self.stage == self.STAGE_COMBINE:
-            return merged
-        return self._finalize(merged)
+        final = self.stage == self.STAGE_REDUCE
+        merged = merge_partial_frames(partials, self.by, self.plan,
+                                      final and self.key_dtype is None)
+        return self._finalize(merged) if final else merged
 
     def _execute_map(self, frame) -> DataFrame:
         """The partials of one chunk — a frame, or a filter's selection
         read through its rows: the keys grouped, then each value column
         moved once, into group order, and reduced per partial."""
-        keys, starts, take = group_rows(frame, self.by)
+        keys, starts, take = group_rows(frame, self.by, tighten=False)
         data = dict(zip(self.by, keys))
         in_order: dict = {}  # column -> its values in group order
         for i, (_out, col, how) in enumerate(self.plan):
@@ -281,13 +311,11 @@ class GroupByAgg(Operator):
                         values, starts, _map_stat_func(stat))
         return DataFrame(data)
 
-    def _merge_partials(self, partials: list[DataFrame]) -> DataFrame:
-        return merge_partial_frames(partials, self.by, self.plan)
-
     def _finalize(self, merged: DataFrame) -> DataFrame:
         out = DataFrame({})
         for key in self.by:
-            out[key] = merged[key]
+            out[key] = merged[key] if self.key_dtype is None \
+                else merged[key].astype(self.key_dtype)
         for i, (out_name, _col, how) in enumerate(self.plan):
             base = f"__agg{i}"
             if how == "mean":
@@ -361,7 +389,8 @@ class GroupByPartition(ShufflePartition):
         # storage — shrinks shuffle bytes with key cardinality.
         if (self.plan is not None and ctx.config.mapper_side_combine
                 and len(frame) > 0):
-            combined = merge_partial_frames([frame], self.by, self.plan)
+            combined = merge_partial_frames([frame], self.by, self.plan,
+                                            tighten=False)
             dropped = len(frame) - len(combined)
             if dropped > 0:
                 ctx.annotate(self.outputs[0].key,

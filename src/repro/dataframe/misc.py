@@ -71,7 +71,9 @@ class UniqueValues(Operator):
 
         level = combine_tree(
             [union([chunk]) for chunk in self.inputs[0].chunks], union)
-        return [([union(level)], ((None,),))]
+        if len(level) > 1:
+            level = [union(level)]
+        return [(level, ((None,),))]
 
 
 class UniqueValuesChunk(Operator):

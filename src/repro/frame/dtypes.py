@@ -13,8 +13,9 @@ storage:
 they order — is written once, below, for hashing, the range shuffle,
 joins, ``isin``, sorting and duplicates: the NA test
 (:func:`isna_array`), exact equality across dtypes (:func:`exact_int`,
-:func:`exact_float`, :func:`integral_in`, :func:`common_dtype`) and one
-total order (:func:`order_key`).
+:func:`exact_float`, :func:`integral_in`, :func:`common_dtype`, and
+:func:`tightened_dtype` for an object group key) and one total order
+(:func:`order_key`).
 """
 
 from __future__ import annotations
@@ -242,6 +243,48 @@ def exact_float(number):
     return as_float if as_float == number else None
 
 
+#: the cell types of an object column of numbers
+_NUMBER_TYPES = frozenset({int, float, np.int64, np.float64})
+
+
+def number_census(values: np.ndarray) -> tuple[bool, bool, bool] | None:
+    """``(holds a float, every int fits int64, every int is exact in
+    float64)`` of a non-empty object column of numbers; ``None`` when it
+    is empty or a cell is no number.  The census of a column's pieces
+    joins to the column's (:func:`tightened_dtype`)."""
+    if not len(values) or type(values[0]) not in _NUMBER_TYPES:
+        return None  # a column of strings, say, is told at once
+    cells = values.tolist()
+    if not set(map(type, cells)) <= _NUMBER_TYPES:
+        return None
+    ints = [cell for cell in cells if not isinstance(cell, float)]
+    if not ints:
+        return True, True, True
+    low, high = min(ints), max(ints)
+    int64 = np.iinfo(np.int64)
+    # every int within 2**53 of zero is exact; only the rest are tried
+    exact = (-2**53 <= low and high <= 2**53) or \
+        None not in map(exact_float, ints)
+    fits = int64.min <= low and high <= int64.max
+    return len(ints) < len(cells), fits, exact
+
+
+def tightened_dtype(censuses: Iterable) -> np.dtype:
+    """The dtype an object column of numbers tightens to, from the
+    :func:`number_census` of each of its pieces: ``int64`` when its cells
+    are ints that fit, ``float64`` when every cell is exact there
+    (:func:`exact_float`: ``2**63 + 1`` is not), else object."""
+    censuses = list(censuses)
+    if not censuses or None in censuses:
+        return np.dtype(object)
+    floats, fits, exact = (any(c[0] for c in censuses),
+                           all(c[1] for c in censuses),
+                           all(c[2] for c in censuses))
+    if not floats:
+        return np.dtype(np.int64 if fits else object)
+    return np.dtype(np.float64 if exact else object)
+
+
 def integral_in(floats: np.ndarray, dtype) -> np.ndarray:
     """Mask of the floats that equal a value of the integer ``dtype``:
     integral (not NaN) and inside its range (not infinite), whose bounds
@@ -460,11 +503,9 @@ def common_dtype(arrays: Iterable[np.ndarray]) -> np.dtype:
 
     Mixing object with anything yields object; mixing datetimes with
     non-datetimes yields object; otherwise NumPy promotion, unless that
-    meets integer arrays in float64, which rounds past 2**53: among
-    integers alone (a signed one against ``uint64``) then ``int64`` when
-    every value fits it, ``uint64`` when none is negative, else object;
-    integers with floats keep float64 only when it holds every integer
-    exactly, else object.
+    meets integer arrays in float64 (a signed one against ``uint64``),
+    which rounds past 2**53: then ``int64`` when every value fits it,
+    ``uint64`` when none is negative, else object.
     """
     arrays = list(arrays)
     if not arrays:
@@ -476,31 +517,15 @@ def common_dtype(arrays: Iterable[np.ndarray]) -> np.dtype:
     result = dtype_list[0]
     for dt in dtype_list[1:]:
         result = np.promote_types(result, dt)
-    if result.kind != "f" or not kinds & {"i", "u"}:
+    if result.kind != "f" or not kinds <= {"i", "u"}:
         return result
     filled = [arr for arr in arrays if len(arr)]
-    if not kinds <= {"i", "u"}:
-        exact = all(_exact_in_float64(arr) for arr in filled
-                    if arr.dtype.kind in "iu")
-        return result if exact else np.dtype(object)
     if all(arr.dtype.kind == "i" or arr.max() <= np.iinfo(np.int64).max
            for arr in filled):
         return np.dtype(np.int64)
     if all(arr.dtype.kind == "u" or arr.min() >= 0 for arr in filled):
         return np.dtype(np.uint64)
     return np.dtype(object)
-
-
-def _exact_in_float64(ints: np.ndarray) -> bool:
-    """Whether float64 holds every value of an integer array exactly
-    (the array form of :func:`exact_float`)."""
-    floats = ints.astype(np.float64)
-    # 2**63 (2**64 unsigned) is the first float past the dtype: casting
-    # back from there is undefined, and no value that rounds to it is exact
-    if not (floats < 2.0 ** (8 * ints.dtype.itemsize
-                             - (ints.dtype.kind == "i"))).all():
-        return False
-    return bool((floats.astype(ints.dtype) == ints).all())
 
 
 def values_equal(left: np.ndarray, right: np.ndarray) -> bool:

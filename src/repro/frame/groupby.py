@@ -171,15 +171,17 @@ class Grouper:
     def group_keys(self) -> list[tuple]:
         return list(zip(*self.levels))
 
-    def key_columns(self) -> list[np.ndarray]:
+    def key_columns(self, tighten: bool = True) -> list[np.ndarray]:
         """The group labels as one column per key.  A 1-D level is its
         column as it stands, typed or not; a 2-D one (equal-length tuple
         keys) becomes a column of its rows.  A lone object key is
-        tightened like any aggregate."""
+        tightened like any aggregate, unless ``tighten`` is false: a
+        distributed partial, which holds only some of the keys, leaves
+        that to the stage that sees them all."""
         columns = [level if level.ndim == 1
                    else np.fromiter(level, dtype=object, count=len(level))
                    for level in self.levels]
-        if len(columns) == 1 and dtypes.is_object(columns[0].dtype):
+        if tighten and len(columns) == 1 and dtypes.is_object(columns[0].dtype):
             return [_maybe_tighten(columns[0])]
         return columns
 
@@ -216,21 +218,10 @@ def duplicated(columns: Sequence[np.ndarray], keep: str = "first"
 
 
 def _maybe_tighten(values: np.ndarray) -> np.ndarray:
-    """An object column of numbers as ``int64`` when its cells are ints
-    that fit, as ``float64`` when every cell is exact there
-    (``dtypes.exact_float``: ``2**63 + 1`` is not), else as it stands."""
-    cells = values.tolist()
-    kinds = set(map(type, cells))
-    if kinds and kinds <= {int, np.int64}:
-        try:
-            return values.astype(np.int64)
-        except OverflowError:  # an int past 64 bits stays a Python int
-            return values
-    if kinds and kinds <= {int, float, np.int64, np.float64}:
-        exact = list(map(dtypes.exact_float, cells))
-        if None not in exact:
-            return np.array(exact, dtype=np.float64)
-    return values
+    """An object column of numbers in the dtype it tightens to
+    (``dtypes.tightened_dtype``), else as it stands."""
+    dtype = dtypes.tightened_dtype([dtypes.number_census(values)])
+    return values if dtype == values.dtype else values.astype(dtype)
 
 
 def _aggregate_column(values: np.ndarray, order: np.ndarray,
@@ -287,12 +278,13 @@ def aggregate_sorted(sorted_values: np.ndarray, starts: np.ndarray,
     return _maybe_tighten(out)
 
 
-def group_rows(source, by: Sequence) -> tuple[list, np.ndarray, Callable]:
+def group_rows(source, by: Sequence, tighten: bool = True
+               ) -> tuple[list, np.ndarray, Callable]:
     """Group a frame's or a :class:`~repro.frame.selection.Selection`'s
     rows by the columns ``by``, as ``groupby(by, as_index=False)``
     does: ``(key columns, starts, take)``, where ``take(name)`` is column
     ``name`` in group order, NA-key rows left out, and ``starts`` is where
-    each group begins.
+    each group begins; ``tighten`` as in :meth:`Grouper.key_columns`.
 
     A selection's object (or encoded) key is numbered on its base column
     and only the codes are gathered (``factorize(base, rows)``); any other
@@ -311,7 +303,7 @@ def group_rows(source, by: Sequence) -> tuple[list, np.ndarray, Callable]:
             rows.append(None)
     grouper = Grouper(arrays, list(by), rows)
     order, starts = grouper.sorted_layout()
-    return grouper.key_columns(), starts, taker(source, order)
+    return grouper.key_columns(tighten), starts, taker(source, order)
 
 
 def _normalize_spec(spec, columns: Sequence, key_names: Sequence,

@@ -140,7 +140,7 @@ def unique_values(n):
 
     def is_map(op):
         return not isinstance(op.inputs[0].op, UniqueValuesChunk)
-    return cases, is_map, True
+    return cases, is_map, False
 
 
 def drop_duplicates(n):

@@ -27,7 +27,9 @@ that replaced it:
   the filtered frame built whole, one gather per column
   (``DataFrame._filter_mask``), and ``GroupByAgg``'s map stage run on it
   through the public ``groupby(...).agg(...)`` (``filter_rows``,
-  ``groupby_map``).
+  ``groupby_map``), with one change — a lone object key keeps its
+  cells, each group labelled by its first, since a map partial leaves
+  tightening the key to the stage that sees every key.
 
 One oracle is not a predecessor: ``encode_keys`` numbers join keys by
 their Python values, because ``join._encode_keys`` once matched
@@ -263,6 +265,7 @@ def groupby_map(frame, by, plan):
     """``GroupByAgg._execute_map`` on a gathered frame: squares made as
     a column, then ``groupby(by, as_index=False).agg(**named)``."""
     from repro.dataframe.groupby import _map_stat_func, _partial_columns
+    from repro.frame import dtypes
 
     work = frame[[c for c in frame.columns.to_list()]]
     prepared: dict = {}  # partial name -> source column
@@ -283,7 +286,16 @@ def groupby_map(frame, by, plan):
             named[partial_name] = (prepared[partial_name],
                                    "sum" if stat == "sumsq"
                                    else _map_stat_func(stat))
-    return work.groupby(by, as_index=False).agg(**named)
+    out = work.groupby(by, as_index=False).agg(**named)
+    key = frame[by[0]].values
+    if len(by) == 1 and key.dtype == object:
+        first: dict = {}  # Python equality is the contract's on these cells
+        for cell in key.tolist():
+            if not dtypes.isna_cell(cell):
+                first.setdefault(cell, cell)
+        out[by[0]] = dtypes.object_array(
+            [first[label] for label in out[by[0]].values.tolist()])
+    return out
 
 
 def encode_column(arr: np.ndarray):

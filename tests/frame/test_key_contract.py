@@ -273,12 +273,10 @@ def test_group_key_tightens_only_when_exact():
 @pytest.mark.parametrize("reduce", ["tree", "shuffle"])
 @pytest.mark.parametrize("kind", ["exact", "past int64", "past 2**53"])
 def test_group_labels_are_the_frame_labels(kind, reduce, limit):
-    """Distributed group labels have the single-node dtype and values
-    (``2**53 + 1`` stays an int) over any chunking and either reduce;
-    where no key is inexact in ``float64`` or none is a float, the cell
-    types too.  An inexact column of ints and floats comes back as
-    object; a partial or reducer whose keys are all exact has turned its
-    ints to floats before that, which this does not hold."""
+    """Distributed group labels have the single-node dtype, values and
+    cell types (``2**53 + 1`` stays an int, and so does ``1`` beside it)
+    over any chunking and either reduce: the keys are tightened once,
+    over all of them, wherever a partial or a reducer holds only some."""
     local = pf.DataFrame({"k": group_key_column(kind), "v": np.arange(N)})
     want = local.groupby("k").agg({"v": "sum"})
     cfg = Config()
@@ -291,6 +289,38 @@ def test_group_labels_are_the_frame_labels(kind, reduce, limit):
     assert list(map(rank, labels.tolist())) == \
         list(map(rank, want_labels.tolist()))
     assert got["v"].values.tolist() == want["v"].values.tolist()
-    if kind != "past 2**53":
-        assert list(map(type, labels.tolist())) == \
-            list(map(type, want_labels.tolist()))
+    assert list(map(type, labels.tolist())) == \
+        list(map(type, want_labels.tolist()))
+
+
+@pytest.mark.parametrize("limit", [400, 1500, 10**6])
+def test_left_merge_of_ints_past_2_53_is_the_frame_float64(limit):
+    """A left merge's unmatched rows turn an ``int64`` value column past
+    2**53 into ``float64`` on one node.  Distributed, a reducer whose
+    rows all match keeps ``int64``; its piece concatenates with the
+    others into that same ``float64`` column, as NumPy and pandas
+    promote, not into an object column of mixed cells."""
+    keys = np.arange(N)
+    left = pf.DataFrame({"k": keys, "a": keys})
+    right = pf.DataFrame({"k": keys[N // 3:],
+                          "big": 2**53 + 1 + keys[N // 3:] * 2**12})
+    want = pf.merge(left, right, on="k", how="left").sort_values("k")
+    assert want["big"].values.dtype == np.float64
+    cfg = Config()
+    cfg.chunk_store_limit = limit
+    with Session(cfg) as each:
+        got = from_frame(left, each).merge(
+            from_frame(right, each), on="k", how="left").fetch()
+    got = got.sort_values("k")
+    assert got["big"].values.dtype == np.float64
+    np.testing.assert_array_equal(got["big"].values, want["big"].values)
+    assert got["k"].values.tolist() == want["k"].values.tolist()
+
+
+def test_values_of_ints_past_2_53_beside_floats_are_float64():
+    """``DataFrame.values`` promotes ``int64`` and ``float64`` columns
+    to one ``float64`` matrix, ints past 2**53 rounded, as NumPy does."""
+    ints = np.array([2**53 + 1, 5], dtype=np.int64)
+    matrix = pf.DataFrame({"t": ints, "f": [0.5, 1.5]}).values
+    assert matrix.dtype == np.float64
+    assert matrix[:, 0].tolist() == ints.astype(np.float64).tolist()
