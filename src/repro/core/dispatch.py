@@ -97,9 +97,8 @@ class SubtaskComputation:
     """Kernel results of one subtask's compute phase.
 
     The accounting walk replays this record; it never calls a kernel
-    itself. A fused step evaluated as one compiled function contributes
-    only its final op's result — the absence of its earlier ops is how
-    the replay knows the chain's intermediates never existed.
+    itself. A fused step (two or more ops) contributes only its final
+    op's result: the chain's intermediates are never replayed.
     """
 
     __slots__ = ("op_results", "op_extra_meta", "outputs")

@@ -721,12 +721,10 @@ class GraphExecutor:
         for step in steps:
             step_inputs, step_outputs = step_io_keys(step)
             step_in_bytes = env.resident(step_inputs)
-            # a step the kernel loop evaluated as one compiled function
-            # recorded only its final op's result: the chain's
-            # intermediates existed solely as locals of the generated
-            # function, so they never enter the environment and never
-            # inflate the transient working-set peak.
-            fused = id(step[0].op) not in computed.op_results
+            # a fused step (two or more ops) recorded only its final op's
+            # result: the chain's intermediates never enter the
+            # environment and never inflate the transient working-set peak.
+            fused = len(step) > 1
             if fused:
                 env.store({step[-1].key: computed.op_results[id(step[-1].op)]})
             for chunk in step:

@@ -25,7 +25,8 @@ class ChunkMeta:
     kind: str
     dtype: Any = None
     columns: Optional[list] = None
-    #: operator-specific extras, e.g. {"input_rows": ..} for agg sampling.
+    #: operator-specific extras, e.g. a groupby map's {"key_census": ..},
+    #: which the tiler joins into its shuffle reduce's key dtype.
     extra: dict = field(default_factory=dict)
 
 

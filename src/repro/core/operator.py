@@ -158,15 +158,10 @@ class Operator:
     is_shuffle_map = False
     #: ops that cost (almost) nothing, e.g. metadata-only slices.
     is_lightweight = False
-    #: elementwise ops are candidates for operator-level fusion.
+    #: elementwise ops are candidates for operator-level fusion. A fused
+    #: step keeps only its final op's result, so they annotate nothing in
+    #: ``ExecContext.extra_meta``.
     is_elementwise = False
-    #: compiled-fusion protocol (``core.opfusion.compile_step``): ``None``
-    #: declines codegen (the fused step is interpreted op-by-op); the
-    #: string ``"call"`` emits ``op.func(*input_exprs)``; any other string
-    #: is a Python expression template formatted with the op's input
-    #: variables, e.g. ``"{0}[{1}]"`` for boolean-mask filtering. Ops that
-    #: annotate ``ExecContext.extra_meta`` must decline.
-    fuse_expr: str | None = None
     #: whether the kernel takes a ``Selection`` (the rows a filter kept,
     #: not yet gathered) where it takes a frame.  The kernel loop
     #: (``services.runner``) hands every other op the materialized frame.
@@ -218,14 +213,6 @@ class Operator:
         self.inputs = list(inputs)
         self.outputs = [ChunkData(op=self, **spec) for spec in specs]
         return list(self.outputs)
-
-    def copy_with(self, **params: Any):
-        """A fresh operator of the same class with merged params."""
-        merged = dict(self.params)
-        merged.update(params)
-        clone = type(self)(**merged)
-        clone.stage = self.stage
-        return clone
 
     # -- the three faces -------------------------------------------------------
     def tile(self, ctx: TileContext):

@@ -35,8 +35,6 @@ class Elementwise(Operator):
       selection as they take a frame (``reads_selection``).
     """
 
-    is_elementwise = True
-
     def __init__(self, func: Callable, out_kind: str,
                  out_columns: Optional[list] = None,
                  out_dtype=None, out_name=None,
@@ -103,7 +101,6 @@ class ElementwiseChunk(Operator):
     length."""
 
     is_elementwise = True
-    fuse_expr = "call"
 
     def __init__(self, func: Callable, reads_selection: bool = False,
                  **params):

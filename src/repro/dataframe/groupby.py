@@ -273,7 +273,6 @@ class GroupByAgg(Operator):
         if self.stage == self.STAGE_MAP:
             frame = ctx.get(self.inputs[0].key)
             result = self._execute_map(frame)
-            ctx.annotate(self.outputs[0].key, input_rows=len(frame))
             keys = result[self.by[0]].values
             if len(self.by) == 1 and dtypes.is_object(keys.dtype) and len(keys):
                 # what the tiler joins into a shuffle reduce's key dtype

@@ -96,7 +96,6 @@ class FilterChunk(Operator):
     later kernel reads is never moved."""
 
     is_elementwise = True
-    fuse_expr = "call"
     reads_selection = True
 
     def __init__(self, columns: Optional[list] = None, **params):

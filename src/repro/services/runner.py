@@ -1,8 +1,8 @@
 """Per-band subtask runners: the compute phase as a worker-side service.
 
 :func:`run_subtask_kernels` is the engine's one kernel loop — the only
-place an operator's ``execute`` or a compiled fused evaluator is ever
-called. It turns a subtask plus its input values into a
+place an operator's ``execute`` is ever called, one op at a time, fused
+steps included. It turns a subtask plus its input values into a
 :class:`~repro.core.dispatch.SubtaskComputation` record and touches no
 shared service state, so the executor's accounting walk — which only
 *replays* such records — stays the single writer of every simulated
@@ -30,7 +30,7 @@ from typing import Any
 
 from ..core.dispatch import SubtaskComputation
 from ..core.operator import ExecContext
-from ..core.opfusion import compile_step, plan_subtask
+from ..core.opfusion import plan_subtask
 from ..engine.base import engine_of, is_multi_output, persist_result
 from ..engine.local import materialized
 
@@ -40,10 +40,12 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
     """Run one subtask's kernels against ``inputs`` (pure compute).
 
     No storage/meta/clock/memory effects — those happen later, in the
-    accounting phase on the dispatching thread.  Fused steps that the
-    compiled-fusion codegen accepts execute as a single generated
-    evaluator: only the step's final result is recorded, intermediates
-    live and die as locals of the compiled function.
+    accounting phase on the dispatching thread.  Every op takes the same
+    path: its inputs materialized where it needs frames, its
+    ``execute``, its result persisted.  A fused step (two or more ops,
+    see ``core.opfusion.plan_subtask``) runs its ops in turn but records
+    and persists only its final op's result; its intermediates leave
+    ``env`` when the step ends.
 
     A filter's result is a ``Selection`` (its rows, not yet gathered),
     which only ops that declare ``reads_selection`` take.  This loop
@@ -56,34 +58,22 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
     engine = engine_of(config)
     env: dict[str, Any] = dict(inputs)
     output_keys = set(subtask.output_keys)
-    steps = plan_subtask(subtask, enable=config.operator_fusion)
     executed_ops: set[int] = set()
     op_results: dict[int, Any] = {}
     op_extra: dict[int, dict[str, dict]] = {}
-    # only a compiled step's final result is recorded, which is how the
-    # accounting replay recognises the step as fused.
-    for step in steps:
-        compiled = compile_step(step)
-        if compiled is not None:
-            for chunk in step:  # its intermediates are the codegen's
-                _materialize_inputs(chunk.op, env)
-            result = compiled.run(env)
-            if compiled.output_key in output_keys:
-                result = materialized(result)
-            env[compiled.output_key] = result
-            final_op = compiled.final_op
-            executed_ops.add(id(final_op))
-            op_results[id(final_op)] = result
-            op_extra[id(final_op)] = {}
-            continue
+    for step in plan_subtask(subtask, enable=config.operator_fusion):
         for chunk in step:
             op = chunk.op
-            if op is None or id(op) in executed_ops:
+            if id(op) in executed_ops:
                 continue
             executed_ops.add(id(op))
             _materialize_inputs(op, env)
             ctx = ExecContext(env, config)
-            result = persist_result(engine, op, op.execute(ctx))
+            result = op.execute(ctx)
+            if chunk is not step[-1]:  # a fused step's intermediate
+                env[chunk.key] = result
+                continue
+            result = persist_result(engine, op, result)
             if is_multi_output(op, result):
                 env.update(result)
             else:
@@ -95,6 +85,8 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
             op_extra[id(op)] = {
                 key: dict(extra) for key, extra in ctx.extra_meta.items()
             }
+        for chunk in step[:-1]:
+            del env[chunk.key]
     outputs = {
         key: env[key] for key in subtask.output_keys if key in env
     }

@@ -15,8 +15,6 @@ from .rechunk import rechunk_chunks
 class TensorElementwise(Operator):
     """Apply a NumPy ufunc-like callable per chunk (zipped over inputs)."""
 
-    is_elementwise = True
-
     def __init__(self, func: Callable, out_dtype=None, **params):
         super().__init__(**params)
         self.func = func
@@ -50,7 +48,6 @@ class TensorElementwise(Operator):
 
 class TensorElementwiseChunk(Operator):
     is_elementwise = True
-    fuse_expr = "call"
 
     def __init__(self, func: Callable, **params):
         super().__init__(**params)

@@ -1,10 +1,19 @@
-"""Unit tests for coloring-based graph-level fusion (Fig. 7) and
-operator-level fusion planning."""
+"""Unit tests for coloring-based graph-level fusion (Fig. 7),
+operator-level fusion planning and the kernel loop's fused steps."""
 
+import numpy as np
+import pytest
+
+from repro import frame as pf
+from repro.config import Config
 from repro.core import color_chunk_graph, fusion_groups, singleton_groups
 from repro.core.operator import Operator
 from repro.core.opfusion import plan_subtask, step_io_keys
+from repro.dataframe.arithmetic import ElementwiseChunk
+from repro.dataframe.indexing import FilterChunk
+from repro.frame.selection import Selection
 from repro.graph import DAG, ChunkData, Subtask
+from repro.services.runner import run_subtask_kernels
 
 
 class PlainOp(Operator):
@@ -157,6 +166,96 @@ class TestOperatorFusionPlan:
         inputs, outputs = step_io_keys([a, b])
         assert inputs == {ext.key}
         assert outputs == {b.key}  # a is an invisible intermediate
+
+
+# ---------------------------------------------------------------------------
+# the kernel loop: a fused step is its ops run in turn, one result kept
+# ---------------------------------------------------------------------------
+
+def filter_compare_filter_project():
+    """filter → column compare → filter → projection over one frame.
+
+    The first filter feeds the compare and the second filter, so it is a
+    step of its own; the other three are one fused step whose second
+    filter's selection reaches the projection, which reads frames only.
+    """
+    frame = ChunkData("dataframe", (8, 3), (0, 0), columns=["a", "b", "c"])
+    mask = ChunkData("series", (8,), (0,))
+    first = FilterChunk().new_chunk([frame, mask], "dataframe", (np.nan, 3),
+                                    (0, 0), columns=["a", "b", "c"])
+    compare = ElementwiseChunk(
+        func=lambda df: df["b"] > 3, reads_selection=True,
+    ).new_chunk([first], "series", (np.nan,), (0,))
+    second = FilterChunk().new_chunk([first, compare], "dataframe",
+                                     (np.nan, 3), (0, 0),
+                                     columns=["a", "b", "c"])
+    project = ElementwiseChunk(func=lambda df: df[["a", "c"]]).new_chunk(
+        [second], "dataframe", (np.nan, 2), (0, 0), columns=["a", "c"])
+    subtask = Subtask([first, compare, second, project])
+    subtask.output_keys = [project.key]
+    inputs = {
+        frame.key: pf.DataFrame({"a": np.arange(8), "b": np.arange(8) % 5,
+                                 "c": np.arange(8) * 0.5}),
+        mask.key: pf.Series(np.arange(8) != 2),
+    }
+    return subtask, inputs
+
+
+def run_kernels(subtask, inputs, fusion: bool):
+    cfg = Config()
+    cfg.operator_fusion = fusion
+    return run_subtask_kernels(subtask, dict(inputs), cfg)
+
+
+class TestKernelLoop:
+    @pytest.fixture
+    def materializations(self, monkeypatch):
+        calls = []
+        materialize = Selection.materialize
+
+        def counted(selection):
+            calls.append(selection)
+            return materialize(selection)
+
+        monkeypatch.setattr(Selection, "materialize", counted)
+        return calls
+
+    def test_fused_and_unfused_outputs_are_equal(self):
+        subtask, inputs = filter_compare_filter_project()
+        fused = run_kernels(subtask, inputs, fusion=True).outputs
+        unfused = run_kernels(subtask, inputs, fusion=False).outputs
+        assert set(fused) == set(unfused) == {subtask.chunks[-1].key}
+        got, want = (out[subtask.chunks[-1].key] for out in (fused, unfused))
+        assert type(got) is pf.DataFrame
+        assert got.columns.to_list() == want.columns.to_list() == ["a", "c"]
+        for name in ("a", "c"):
+            assert got[name].values.tolist() == want[name].values.tolist()
+        assert got["a"].values.tolist() == [4]
+
+    def test_fused_step_records_only_its_final_op(self):
+        subtask, inputs = filter_compare_filter_project()
+        first, compare, second, project = subtask.chunks
+        steps = plan_subtask(subtask, enable=True)
+        assert [[c.key for c in step] for step in steps] == [
+            [first.key], [compare.key, second.key, project.key]]
+        record = run_kernels(subtask, inputs, fusion=True)
+        assert set(record.op_results) == {id(first.op), id(project.op)}
+        assert set(record.op_extra_meta) == set(record.op_results)
+        assert set(record.outputs) == {project.key}
+        record = run_kernels(subtask, inputs, fusion=False)
+        assert set(record.op_results) == {id(c.op) for c in subtask.chunks}
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_selection_reaching_a_frame_reader_is_materialized_once(
+            self, materializations, fusion):
+        subtask, inputs = filter_compare_filter_project()
+        record = run_kernels(subtask, inputs, fusion=fusion)
+        # the second filter's selection, before the projection takes it;
+        # the first filter's rows are read only by selection readers
+        assert len(materializations) == 1
+        (selection,) = materializations
+        assert selection.rows.tolist() == [4]
+        assert type(record.outputs[subtask.chunks[-1].key]) is pf.DataFrame
 
 
 # ---------------------------------------------------------------------------

@@ -46,14 +46,6 @@ class TestGraphConstruction:
         assert out.index == (0,)
         assert out.inputs == [dep]
 
-    def test_copy_with_merges_params(self):
-        op = AddOp(a=1, b=2)
-        op.stage = "map"
-        clone = op.copy_with(b=3)
-        assert clone.params == {"a": 1, "b": 3}
-        assert clone.stage == "map"
-        assert clone is not op
-
     def test_display_name_includes_stage(self):
         op = AddOp()
         assert op.display_name == "AddOp"

@@ -39,7 +39,7 @@ def local():
 
 @pytest.fixture
 def gathers(monkeypatch):
-    """``[(op, result)]`` of every filter gather, compiled chains too."""
+    """``[(op, result)]`` of every filter gather, fused steps too."""
     seen = []
     func = FilterChunk.func
 

@@ -22,7 +22,7 @@ planes above it.
 
 A third rule keeps the accounting walk accounting-only:
 ``repro/core/executor.py`` may not call ``.execute(...)`` on anything,
-nor name ``compile_step``, ``ExecContext`` or ``persist_result`` — every
+nor name ``ExecContext`` or ``persist_result`` — every
 kernel runs behind ``repro.services.runner.run_subtask_kernels`` and
 the executor only replays the records it returns.
 
@@ -69,7 +69,7 @@ FRAME_ALLOWED_PREFIXES = ("repro/frame/", "repro/engine/")
 #: the accounting walk: replays kernel results, never produces them.
 ACCOUNTING_ONLY = "repro/core/executor.py"
 #: names of the kernel-execution machinery it may not mention.
-KERNEL_NAMES = {"compile_step", "ExecContext", "persist_result"}
+KERNEL_NAMES = {"ExecContext", "persist_result"}
 
 
 def _module_parts(rel_path: str) -> list[str]:

@@ -126,7 +126,6 @@ from workloads import WORKLOADS, run_iteration  # noqa: E402
 
 from repro.core import session as core_session  # noqa: E402
 from repro.core.operator import DataSourceOp, Operator  # noqa: E402
-from repro.core.opfusion import CompiledStep  # noqa: E402
 from repro.dataframe import groupby as dataframe_groupby  # noqa: E402
 from repro.dataframe import merge as dataframe_merge  # noqa: E402
 from repro.dataframe import shuffle as dataframe_shuffle  # noqa: E402
@@ -166,11 +165,10 @@ def count_op_calls(running: list | None = None, on_result=None):
     While a kernel runs its class name is the last item of ``running``;
     ``on_result(class name, result)`` sees what each call returned.
 
-    The entry points are each ``Operator`` subclass's own ``execute`` and
-    ``CompiledStep.run`` (a compiled fused chain runs as one call,
-    booked on its final operator under ``Fused<Class>``).  In-process
-    only: process mode runs kernels in pool children, out of reach of a
-    parent-side wrapper.
+    The entry points are each ``Operator`` subclass's own ``execute``
+    (the ops of a fused step run one by one, each booked under its own
+    class).  In-process only: process mode runs kernels in pool
+    children, out of reach of a parent-side wrapper.
     """
     calls: dict[str, list] = defaultdict(list)
     patched: list[tuple[type, str, object]] = []
@@ -210,8 +208,6 @@ def count_op_calls(running: list | None = None, on_result=None):
     for cls in {Operator, *_subclasses(Operator)}:
         if "execute" in cls.__dict__:
             wrap(cls, "execute", lambda op: (op, type(op).__name__))
-    wrap(CompiledStep, "run", lambda step: (
-        step.final_op, f"Fused<{type(step.final_op).__name__}>"))
     try:
         yield calls
     finally:
@@ -675,8 +671,9 @@ def count_moved_columns():
     A row mover's call emits its result's columns; its tileable (the one
     whose chunks its output is, known once the ``execute()`` is over)
     carries ``carried_columns``, or all of its columns when that is
-    ``None``.  A filter inside a compiled fused chain is seen through
-    ``FilterChunk.func``, the call the chain makes.  A source's column is
+    ``None``.  The final op of a fused step (``opfusion.plan_subtask``:
+    two or more ops) is booked as a mover whatever its class: the step's
+    result is what it emits.  A source's column is
     borrowed when it may share memory with an array the op says it
     borrows (``Operator.borrowed_arrays``), encoded when it is a
     dictionary-carrying window (the columnar engine's copy of a
@@ -685,9 +682,11 @@ def count_moved_columns():
     movers: dict[str, list] = defaultdict(lambda: [0, 0, 0, 0])
     sources: dict[str, list] = defaultdict(lambda: [0, 0, 0, 0, 0])
     emitted: list[tuple] = []  # (op, names) of this execute's calls
+    fused: dict[int, object] = {}  # the final op of each fused step
     graphs: list = []
     patched: list[tuple[type, str, object]] = []
     prune_columns = core_session.prune_columns
+    plan_subtask = runner.plan_subtask
     session_execute = Session.__dict__["execute"]
 
     def wrap(owner: type, attr: str, on_result):
@@ -703,6 +702,18 @@ def count_moved_columns():
 
     def moved(op, result):
         emitted.append((op, list(_columns_of(result))))
+
+    def planned(subtask, enable):
+        steps = plan_subtask(subtask, enable)
+        fused.update((id(step[-1].op), step[-1].op)
+                     for step in steps if len(step) > 1)
+        return steps
+
+    def ran(op, result):
+        if fused.get(id(op)) is op:
+            moved(op, result)
+        elif not op.inputs:
+            read(op, result)
 
     def read(op, result):
         row = sources[type(op).__name__]
@@ -741,22 +752,20 @@ def count_moved_columns():
                 row[2] += len(carried)
                 row[3] += sum(name not in carried for name in names)
             emitted.clear()
+            fused.clear()
             graphs.clear()
 
     for cls in ROW_MOVERS:
         wrap(cls, "execute", moved)
-    wrap(FilterChunk, "func", moved)
-    wrap(CompiledStep, "run", lambda step, result: moved(step.final_op,
-                                                         result))
     for cls in {Operator, *_subclasses(Operator)}:
         if "execute" in cls.__dict__ and cls not in ROW_MOVERS \
                 and not issubclass(cls, DataSourceOp):
-            wrap(cls, "execute", lambda op, result: (
-                None if op.inputs else read(op, result)))
+            wrap(cls, "execute", ran)
     patched.append((Session, "execute", session_execute))
     Session.execute = execute
     try:
-        with mock.patch.object(core_session, "prune_columns", recorded):
+        with mock.patch.object(core_session, "prune_columns", recorded), \
+                mock.patch.object(runner, "plan_subtask", planned):
             yield movers, sources
     finally:
         for owner, attr, original in patched:
