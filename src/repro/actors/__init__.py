@@ -6,7 +6,7 @@ decomposition (Fig. 1) without requiring real processes.
 """
 
 from .actor import Actor, ActorRef
-from .message import Message, MessageLog
+from .message import MessageLog
 from .pool import ActorPool, ActorSystem
 from .supervisor import Supervisor
 
@@ -15,7 +15,6 @@ __all__ = [
     "ActorPool",
     "ActorRef",
     "ActorSystem",
-    "Message",
     "MessageLog",
     "Supervisor",
 ]

@@ -32,15 +32,20 @@ class Actor:
             raise ActorError(f"actor {self.uid!r} is not attached to a system")
         return self._system.actor_ref(self.address, self.uid)
 
+    def handler(self, method: str):
+        """The callable a message named ``method`` invokes, or ``None``."""
+        handler = getattr(self, method, None)
+        return handler if callable(handler) else None
+
 
 class ActorRef:
     """Proxy for a (possibly remote) actor.
 
     Method access returns a callable that routes through the actor system,
-    so every invocation is logged and validated against liveness.
+    so every invocation is counted by ``(sender, recipient, method)`` and
+    validated against liveness.  The callable is built on first access
+    and kept on the ref; each call still goes through ``deliver``.
     """
-
-    __slots__ = ("_system", "address", "uid")
 
     def __init__(self, system, address: str, uid: str):
         self._system = system
@@ -50,11 +55,13 @@ class ActorRef:
     def __getattr__(self, method: str):
         if method.startswith("_"):
             raise AttributeError(method)
+        system, address, uid = self._system, self.address, self.uid
 
         def invoke(*args: Any, **kwargs: Any):
-            return self._system.deliver(self.address, self.uid, method, args, kwargs)
+            return system.deliver(address, uid, method, args, kwargs)
 
         invoke.__name__ = method
+        self.__dict__[method] = invoke
         return invoke
 
     def __repr__(self) -> str:

@@ -13,7 +13,15 @@ from typing import Any, Type
 
 from ..errors import ActorError, ActorNotFound
 from .actor import Actor, ActorRef
-from .message import Message, MessageLog
+from .message import MessageLog
+
+
+class _DeliveryState(threading.local):
+    """One thread's delivery context: the actor handling the message in
+    flight, and the sender label for deliveries made outside any actor."""
+
+    current_actor: Actor | None = None
+    sender_label: str | None = None
 
 
 class ActorPool:
@@ -65,7 +73,7 @@ class ActorSystem:
         #: is currently handling a message" marker must be thread-local —
         #: a single shared field corrupts sender attribution across
         #: threads (and un-attributes nested calls racing each other).
-        self._tls = threading.local()
+        self._tls = _DeliveryState()
 
     # -- pool management ----------------------------------------------------
     def create_pool(self, address: str) -> ActorPool:
@@ -119,14 +127,6 @@ class ActorSystem:
         return address in self._pools and uid in self._pools[address]
 
     # -- message delivery --------------------------------------------------------
-    @property
-    def _current_actor(self) -> Actor | None:
-        return getattr(self._tls, "current_actor", None)
-
-    @_current_actor.setter
-    def _current_actor(self, actor: Actor | None) -> None:
-        self._tls.current_actor = actor
-
     def set_thread_sender(self, label: str | None) -> None:
         """Name this thread's deliveries when no actor is handling one.
 
@@ -162,22 +162,25 @@ class ActorSystem:
 
     def deliver(self, address: str, uid: str, method: str,
                 args: tuple, kwargs: dict) -> Any:
-        actor = self._resolve(address, uid)
-        handler = getattr(actor, method, None)
-        if handler is None or not callable(handler):
+        pool = self._pools.get(address)
+        actor = None if pool is None else pool._actors.get(uid)
+        if actor is None:
+            actor = self._resolve(address, uid)
+        handler = actor.handler(method)
+        if handler is None:
             raise ActorError(f"actor {uid!r} has no method {method!r}")
-        current = self._current_actor
-        if current is not None:
-            sender = current.uid
+        state = self._tls
+        current = state.current_actor
+        if current is None:
+            sender = state.sender_label or "<external>"
         else:
-            sender = getattr(self._tls, "sender_label", None) or "<external>"
-        self.log.record(Message(sender=sender, recipient=uid, method=method,
-                                args=args, kwargs=kwargs))
-        self._current_actor = actor
+            sender = current.uid
+        self.log.record(sender, uid, method)
+        state.current_actor = actor
         try:
             return handler(*args, **kwargs)
         finally:
-            self._current_actor = current
+            state.current_actor = current
 
     def shutdown(self) -> None:
         for address in list(self._pools):

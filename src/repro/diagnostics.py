@@ -212,10 +212,10 @@ def messages_per_subtask(session: Session) -> float:
 
 
 def service_report(session: Session, top: int = 8) -> str:
-    """The actor plane's RPC trace, summarized per service.
+    """The actor plane's delivery counts, summarized per service.
 
-    Reads the :class:`~repro.actors.MessageLog` aggregates (which
-    survive window trimming): messages delivered to each service actor,
+    Reads the :class:`~repro.actors.MessageLog` counts: messages
+    delivered to each service actor,
     the chattiest sender -> recipient pairs, and — when the session has
     executed subtasks — the message cost per subtask, the number that
     tells you whether a boundary is too chatty for a real RPC plane.

@@ -26,9 +26,10 @@ band uid                 fronts
 ``runner/<band>``        :class:`~repro.services.runner.SubtaskRunner`
 =======================  ============================================
 
-Cross-service calls go through ``ActorRef``s, so the actor system's
-``MessageLog`` is a faithful RPC trace of the engine.  Deployment lives
-in :mod:`repro.services.deploy`.
+Cross-service calls go through ``ActorRef``s, and the actor system's
+``MessageLog`` counts every delivery by ``(sender, recipient, method)``
+(``tools/profile_workload.py --messages`` prints a workload's
+per-method census).  Deployment lives in :mod:`repro.services.deploy`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Unit tests for the actor framework."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.actors import Actor, ActorRef, ActorSystem
@@ -94,10 +98,10 @@ class TestMessaging:
         counter = system.create_actor("node-a", Counter, uid="counter")
         caller = system.create_actor("node-b", Caller, counter, uid="caller")
         caller.bump_twice()
-        recent = system.log.recent()
-        senders = [(m.sender, m.recipient, m.method) for m in recent]
-        assert ("<external>", "caller", "bump_twice") in senders
-        assert ("caller", "counter", "increment") in senders
+        methods = system.log.snapshot()["methods"]
+        assert methods[("<external>", "caller", "bump_twice")] == 1
+        assert methods[("caller", "counter", "increment")] == 2
+        assert system.log.total_delivered == 3
 
     def test_unknown_method_raises(self, system):
         ref = system.create_actor("node-a", Counter, uid="c1")
@@ -122,18 +126,32 @@ class TestMessaging:
         assert actor.ref() == ref
 
 
+class Holder(Actor):
+    def __init__(self):
+        super().__init__()
+        self.held = None
+
+    def hold(self, value) -> None:
+        self.held = value
+
+    def drop(self) -> None:
+        self.held = None
+
+
 class TestLog:
-    def test_log_bounded(self):
-        from repro.actors import MessageLog, Message
-
-        log = MessageLog(capacity=5)
-        for i in range(10):
-            log.record(Message("a", "b", f"m{i}"))
-        assert len(log.recent(100)) == 5
-        assert log.total_delivered == 10
-
-    def test_invalid_capacity(self):
-        from repro.actors import MessageLog
-
-        with pytest.raises(ValueError):
-            MessageLog(capacity=0)
+    def test_delivery_keeps_no_reference_to_arguments(self, system):
+        """A value the recipient has let go of is freed at once: the
+        log counts deliveries and never holds their arguments."""
+        ref = system.create_actor("node-a", Holder, uid="holder")
+        value = np.arange(1000)
+        alive = weakref.ref(value)
+        gc.disable()
+        try:
+            ref.hold(value)
+            del value
+            assert alive() is not None
+            ref.drop()
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert system.log.count_for("holder") == 2

@@ -110,8 +110,8 @@ class TestMessageTrace:
         )
         assert snapshot["total_delivered"] == sum(snapshot["edges"].values())
         # the engine executed hundreds of subtasks; the plane must have
-        # carried far more messages than the bounded window retains.
-        assert snapshot["total_delivered"] > log.capacity / 10
+        # carried over a thousand messages.
+        assert snapshot["total_delivered"] > 1000
 
     def test_sender_recipient_edges(self, q5_session):
         """The architecture's call graph, as actually delivered."""

@@ -837,15 +837,17 @@ def gathers_report(table: dict[str, list], twice: list[tuple]
 
 def moved_columns_report(movers: dict[str, list], sources: dict[str, list]
                          ) -> tuple[list[str], list[str]]:
-    """The row-mover and source tables, and what fails the gate: a
+    """The mover and source tables, and what fails the gate: a
     ``FilterChunk`` passing on a column its tileable does not carry, a
-    ``FromFrameSlice`` copying bytes."""
+    ``FromFrameSlice`` copying bytes.  Every booked class is printed:
+    the row movers first, then the final ops of fused steps."""
     lines = [f"{'calls':>7} {'emitted':>9} {'carried':>9} {'not carried':>12}"
-             "  row-moving kernel class (columns summed over calls)"]
+             "  row-moving or fused-step kernel class (columns summed over "
+             "calls)"]
     failures = []
-    for name in [cls.__name__ for cls in ROW_MOVERS]:
-        if name not in movers:
-            continue
+    row_movers = [cls.__name__ for cls in ROW_MOVERS]
+    for name in [*(name for name in row_movers if name in movers),
+                 *sorted(set(movers) - set(row_movers))]:
         calls, out, carried, extra = movers[name]
         bad = name == FilterChunk.__name__ and extra > 0
         lines.append(f"{calls:7d} {out:9d} {carried:9d} {extra:12d}  {name}"
